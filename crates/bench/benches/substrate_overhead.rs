@@ -17,7 +17,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use archetype_mp::{run_spmd, run_spmd_ft, run_spmd_unpooled, FaultPlan, MachineModel};
+use archetype_mp::{run_spmd, run_spmd_ft, run_spmd_with, FaultPlan, MachineModel, RunConfig};
 
 fn bench_executor(c: &mut Criterion) {
     let mut g = c.benchmark_group("executor");
@@ -27,7 +27,11 @@ fn bench_executor(c: &mut Criterion) {
         b.iter(|| run_spmd(16, model, |ctx| ctx.rank()))
     });
     g.bench_function("run_spmd_16_spawned", |b| {
-        b.iter(|| run_spmd_unpooled(16, model, |ctx| ctx.rank()))
+        let spawned = RunConfig {
+            pooled: false,
+            ..RunConfig::default()
+        };
+        b.iter(|| run_spmd_with(16, model, spawned, |ctx| ctx.rank()))
     });
     g.finish();
 }

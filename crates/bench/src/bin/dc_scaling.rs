@@ -6,10 +6,9 @@
 //! The headline numbers are *virtual-time* measurements — deterministic
 //! by construction, so this snapshot is stable across hosts and runs; a
 //! regression here means the archetype's communication schedule or cost
-//! model changed, not that the machine was busy. The recursive mergesort
-//! is additionally re-run on the real shared-memory backend to record
-//! host-dependent `wall_us` columns next to the modeled `virtual_ms`
-//! ones.
+//! model changed, not that the machine was busy. The recursive
+//! mergesort's host-dependent `wall_us` columns are recorded from the
+//! same runs, next to the modeled `virtual_ms` ones.
 //!
 //! Run with `cargo run --release -p archetype-bench --bin dc_scaling`.
 
@@ -18,7 +17,7 @@ use archetype_dc::{
     run_spmd_recursive, sequential_closest, Point, RecursiveClosest, RecursiveMergesort,
     RecursiveQuicksort,
 };
-use archetype_mp::{run_spmd, run_spmd_real, MachineModel};
+use archetype_mp::{run_spmd, MachineModel};
 
 fn points(n: usize) -> Vec<Point> {
     let coords = archetype_bench::random_i64s(2 * n, 0x9017);
@@ -44,6 +43,7 @@ fn main() {
     let mut expected = data.clone();
     expected.sort_unstable();
     let mut merge_times = Vec::new();
+    let mut merge_wall = Vec::new();
     for p in [1usize, 2, 4, 8] {
         let d = data.clone();
         let out = run_spmd(p, model, move |ctx| {
@@ -56,27 +56,10 @@ fn main() {
             "recursive mergesort must sort at every process count"
         );
         merge_times.push((p, out.elapsed_virtual));
+        merge_wall.push((p, out.wall_us));
     }
     let t1 = merge_times[0].1;
     let merge_speedup_8 = t1 / merge_times.iter().find(|(p, _)| *p == 8).unwrap().1;
-
-    // Same sort on the real shared-memory backend: measured wall_us
-    // columns next to the modeled virtual_ms ones, with the output
-    // required to stay identical.
-    let mut merge_wall = Vec::new();
-    for p in [1usize, 2, 4, 8] {
-        let d = data.clone();
-        let out = run_spmd_real(p, model, move |ctx| {
-            let local = (ctx.rank() == 0).then(|| d.clone());
-            run_spmd_recursive(&RecursiveMergesort::<i64>::new(), ctx, local, &policy, None)
-        });
-        assert_eq!(
-            out.results[0].as_ref().expect("root holds the result"),
-            &expected,
-            "real backend must sort identically"
-        );
-        merge_wall.push((p, out.wall_us));
-    }
 
     // --- Recursive quicksort: 8 ranks vs 1. --------------------------------
     let qdata = archetype_bench::random_i64s(1 << 19, 0xfeed);

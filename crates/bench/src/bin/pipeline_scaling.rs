@@ -7,13 +7,13 @@
 //! by construction, so this snapshot is stable across hosts and runs and
 //! a regression in it means the archetype's schedule changed, not that
 //! the machine was busy. The ≥3× 8-rank floor on the image chain is the
-//! fatal bar CI gates on. The image chain is additionally re-run on the
-//! real shared-memory backend to record host-dependent `wall_us` columns
-//! next to the modeled `virtual_ms` ones.
+//! fatal bar CI gates on. The image chain's host-dependent `wall_us`
+//! columns are recorded from the same runs, next to the modeled
+//! `virtual_ms` ones.
 //!
 //! Run with `cargo run --release -p archetype-bench --bin pipeline_scaling`.
 
-use archetype_mp::{run_spmd, run_spmd_real, MachineModel};
+use archetype_mp::{run_spmd, MachineModel};
 use archetype_pipeline::apps::{ImageChain, TopKStream};
 use archetype_pipeline::{run_pipeline, run_sequential, PipelineConfig};
 
@@ -25,6 +25,7 @@ fn main() {
     let (reference, tiles) = run_sequential(&chain);
     let mut image_times = Vec::new();
     let mut image_replicas = Vec::new();
+    let mut image_wall = Vec::new();
     for p in [1usize, 2, 4, 8, 16] {
         let c = chain.clone();
         let out = run_spmd(p, model, move |ctx| {
@@ -38,26 +39,13 @@ fn main() {
         assert_eq!(stats.items, tiles);
         image_times.push((p, out.elapsed_virtual));
         image_replicas.push((p, stats.replicas));
+        if p <= 8 {
+            image_wall.push((p, out.wall_us));
+        }
     }
     let t1 = image_times[0].1;
     let speedup_8 = t1 / image_times.iter().find(|(p, _)| *p == 8).unwrap().1;
     let speedup_16 = t1 / image_times.iter().find(|(p, _)| *p == 16).unwrap().1;
-
-    // Same chain on the real shared-memory backend: measured wall_us
-    // columns next to the modeled virtual_ms ones, with the summary
-    // required to stay bit-identical.
-    let mut image_wall = Vec::new();
-    for p in [1usize, 2, 4, 8] {
-        let c = chain.clone();
-        let out = run_spmd_real(p, model, move |ctx| {
-            run_pipeline(&c, ctx, PipelineConfig::default())
-        });
-        assert_eq!(
-            out.results[0].0, reference,
-            "real backend must emit the identical summary"
-        );
-        image_wall.push((p, out.wall_us));
-    }
 
     // --- Top-k / percentile aggregator. -----------------------------------
     let stream = TopKStream::new(192, 256, 32, 128, 3.0);

@@ -1,20 +1,14 @@
 //! Substrate-overhead snapshot: measures the executor, latency, and
 //! fan-out costs of the message-passing substrate and writes
 //! `BENCH_substrate.json` at the workspace root, so the perf trajectory
-//! of the communication hot path is tracked in-repo. The same dispatch,
-//! ping-pong, and broadcast shapes are re-measured on the real
-//! shared-memory backend and emitted as `wall_us` columns in a
-//! `real_backend` section.
+//! of the communication hot path is tracked in-repo.
 //!
 //! Run with `cargo run --release -p archetype-bench --bin substrate_overhead`.
 
 use std::time::Instant;
 
 use archetype_mp::transport::{real_channel, spsc_channel};
-use archetype_mp::{
-    run_spmd, run_spmd_ft, run_spmd_real, run_spmd_unpooled, run_spmd_with, Ctx, FaultPlan,
-    MachineModel, RunConfig,
-};
+use archetype_mp::{run_spmd, run_spmd_ft, run_spmd_with, Ctx, FaultPlan, MachineModel, RunConfig};
 
 /// Median-of-`reps` wall time of one `f()` call, in microseconds.
 fn time_us<F: FnMut()>(reps: usize, mut f: F) -> f64 {
@@ -125,9 +119,13 @@ fn main() {
             run_spmd(NPROCS, model, |ctx| ctx.rank());
         }
     }) / CALLS as f64;
+    let unpooled = RunConfig {
+        pooled: false,
+        ..RunConfig::default()
+    };
     let spawned_us = time_us(9, || {
         for _ in 0..CALLS {
-            run_spmd_unpooled(NPROCS, model, |ctx| ctx.rank());
+            run_spmd_with(NPROCS, model, unpooled, |ctx| ctx.rank());
         }
     }) / CALLS as f64;
     let executor_speedup = spawned_us / pooled_us;
@@ -292,29 +290,8 @@ fn main() {
         });
     });
 
-    // The same three shapes on the real shared-memory backend (lock-free
-    // MPSC channels instead of the mutex-based virtual-backend queues),
-    // reported as measured wall_us columns next to the modeled ones.
-    for _ in 0..5 {
-        run_spmd_real(NPROCS, model, |ctx| ctx.rank());
-    }
-    let real_dispatch_us = time_us(9, || {
-        for _ in 0..CALLS {
-            run_spmd_real(NPROCS, model, |ctx| ctx.rank());
-        }
-    }) / CALLS as f64;
-    let real_pp8 = time_us(9, || {
-        run_spmd_real(2, model, |ctx| ping_pong_body(ctx, 8, 100));
-    }) / 100.0;
-    let real_bcast_us = time_us(9, || {
-        run_spmd_real(NPROCS, model, |ctx| {
-            let v = (ctx.rank() == 0).then(|| vec![0u8; 1 << 20]);
-            ctx.broadcast(0, v).len()
-        });
-    });
-
     // Raw channel throughput at one-million-message volume, for both
-    // queue flavors the real backend uses: the MPSC queue (many
+    // queue flavors the transport has: the MPSC queue (many
     // producers racing the Vyukov publish protocol) and the SPSC fast
     // path that mesh links and pool worker channels ride (single
     // producer, node freelist in steady state). msgs/sec, median of 3.
@@ -397,11 +374,6 @@ fn main() {
   "fanout": {{
     "broadcast_1mb_16_us_per_call": {bcast_us:.1},
     "all_gather_64kb_16_us_per_call": {gather_us:.1}
-  }},
-  "real_backend": {{
-    "repeated_run_spmd_real_wall_us_per_call": {real_dispatch_us:.2},
-    "ping_pong_8b_wall_us_per_roundtrip": {real_pp8:.3},
-    "broadcast_1mb_16_wall_us_per_call": {real_bcast_us:.1}
   }},
   "throughput": {{
     "volume_msgs": {TOTAL_MSGS},

@@ -37,8 +37,7 @@
 //! Determinism: virtual clocks are driven solely by the machine model,
 //! so given the same submission sequence (and fault seed, under
 //! [`PlanService::serve_ft`]) the results, per-tenant stats, and latency
-//! percentiles are bit-identical across runs on the virtual backend. On
-//! the real backend results and stats match; only measured wall time
+//! percentiles are bit-identical across runs; only measured wall time
 //! differs.
 
 use std::collections::{BTreeMap, HashMap};
@@ -47,7 +46,7 @@ use std::sync::Arc;
 
 use archetype_core::PatternExpr;
 use archetype_mp::{
-    run_spmd_ft_with, run_spmd_with, Ctx, FaultPlan, MachineModel, Payload, RunConfig, SpmdError,
+    run_spmd_ft, run_spmd_with, Ctx, FaultPlan, MachineModel, Payload, RunConfig, SpmdError,
     SpmdResult,
 };
 use archetype_pipeline::apps::Digest;
@@ -301,7 +300,7 @@ fn pack_waves_with(
 
 /// Per-tenant service accounting. Everything here counts *logical*
 /// execution, so the record is identical across schedules
-/// (`max_concurrent`), process counts, machine models, and backends.
+/// (`max_concurrent`), process counts, and machine models.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TenantStats {
     /// Plans admitted (and therefore executed) for this tenant.
@@ -617,15 +616,13 @@ impl PlanService {
         result
     }
 
-    /// Serve the queued batch on the virtual-time backend and fold
-    /// rejection accounting into the report.
+    /// Serve the queued batch and fold rejection accounting into the
+    /// report.
     pub fn serve(&mut self, model: MachineModel) -> ServeOutcome {
-        self.serve_with(model, RunConfig::virtual_time())
+        self.serve_with(model, RunConfig::default())
     }
 
-    /// [`PlanService::serve`] with an explicit [`RunConfig`] — e.g.
-    /// [`RunConfig::real`] to execute the same schedule on the real
-    /// shared-memory backend (identical report, measured `wall_us`).
+    /// [`PlanService::serve`] with an explicit [`RunConfig`].
     pub fn serve_with(&mut self, model: MachineModel, run: RunConfig) -> ServeOutcome {
         let rejected = std::mem::take(&mut self.rejected);
         let result = self.serve_spmd(model, run);
@@ -639,8 +636,7 @@ impl PlanService {
         }
     }
 
-    /// Serve the queued batch under a deterministic [`FaultPlan`]
-    /// (virtual backend only, per `run_spmd_ft`'s contract). Injected
+    /// Serve the queued batch under a deterministic [`FaultPlan`]. Injected
     /// atom exhaustion surfaces *inside* the report as per-submission
     /// [`PlanError`]s; an injected rank crash fails the whole batch with
     /// [`SpmdError::Ranks`] (the drained submissions are dropped).
@@ -654,7 +650,7 @@ impl PlanService {
         self.record_schedule_metrics(&waves);
         let subs = Arc::new(std::mem::take(&mut self.queue));
         let body = serve_body(Arc::clone(&subs), Arc::new(waves), self.config);
-        let ft = run_spmd_ft_with(self.nprocs, model, fault, RunConfig::virtual_time(), body)?;
+        let ft = run_spmd_ft(self.nprocs, model, fault, body);
         let failures: Vec<_> = ft
             .results
             .iter()
@@ -675,7 +671,7 @@ impl PlanService {
         Ok(ServeOutcome {
             report,
             elapsed_virtual: ft.elapsed_virtual,
-            wall_us: 0,
+            wall_us: ft.wall_us,
             cache: self.cache.stats,
         })
     }
@@ -1032,6 +1028,7 @@ mod tests {
         assert_eq!(stats.failed, 1);
         assert_eq!(stats.completed, 0);
         assert_eq!(out.report.latency.count, 0, "failed plans leave no latency");
+        assert!(out.wall_us > 0, "an FT batch reports its wall time");
     }
 
     #[test]

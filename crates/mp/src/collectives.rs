@@ -349,7 +349,7 @@ impl Ctx {
 #[cfg(test)]
 mod tests {
     use crate::model::MachineModel;
-    use crate::runner::run_spmd_quiet;
+    use crate::runner::run_spmd;
 
     /// Exercise every collective for a spread of process counts including
     /// non-powers-of-two, which stress the remainder handling.
@@ -358,7 +358,7 @@ mod tests {
     #[test]
     fn barrier_synchronizes_clocks() {
         for &n in SIZES {
-            let out = run_spmd_quiet(n, MachineModel::zero_comm(), |ctx| {
+            let out = run_spmd(n, MachineModel::zero_comm(), |ctx| {
                 // Rank r computes for r seconds, then all must observe >= n-1.
                 ctx.charge_seconds(ctx.rank() as f64);
                 ctx.barrier();
@@ -375,7 +375,7 @@ mod tests {
     fn broadcast_from_every_root() {
         for &n in SIZES {
             for root in 0..n {
-                let out = run_spmd_quiet(n, MachineModel::ibm_sp(), move |ctx| {
+                let out = run_spmd(n, MachineModel::ibm_sp(), move |ctx| {
                     let v = if ctx.rank() == root {
                         Some(vec![root as i64, 42])
                     } else {
@@ -393,7 +393,7 @@ mod tests {
     #[test]
     fn gather_collects_in_rank_order() {
         for &n in SIZES {
-            let out = run_spmd_quiet(n, MachineModel::ibm_sp(), |ctx| {
+            let out = run_spmd(n, MachineModel::ibm_sp(), |ctx| {
                 ctx.gather(0, ctx.rank() as u64 * 10)
             });
             let expected: Vec<u64> = (0..n as u64).map(|r| r * 10).collect();
@@ -407,7 +407,7 @@ mod tests {
     #[test]
     fn all_gather_gives_everyone_everything() {
         for &n in SIZES {
-            let out = run_spmd_quiet(n, MachineModel::ibm_sp(), |ctx| {
+            let out = run_spmd(n, MachineModel::ibm_sp(), |ctx| {
                 ctx.all_gather(vec![ctx.rank() as i32; 2])
             });
             let expected: Vec<Vec<i32>> = (0..n as i32).map(|r| vec![r; 2]).collect();
@@ -420,7 +420,7 @@ mod tests {
     #[test]
     fn scatter_delivers_one_piece_each() {
         for &n in SIZES {
-            let out = run_spmd_quiet(n, MachineModel::ibm_sp(), |ctx| {
+            let out = run_spmd(n, MachineModel::ibm_sp(), |ctx| {
                 let values = if ctx.rank() == 0 {
                     Some((0..ctx.nprocs() as i64).map(|i| i * i).collect())
                 } else {
@@ -437,7 +437,7 @@ mod tests {
     #[test]
     fn all_to_all_transposes() {
         for &n in SIZES {
-            let out = run_spmd_quiet(n, MachineModel::ibm_sp(), |ctx| {
+            let out = run_spmd(n, MachineModel::ibm_sp(), |ctx| {
                 // items[d] = (my_rank, d)
                 let items: Vec<(u64, u64)> = (0..ctx.nprocs() as u64)
                     .map(|d| (ctx.rank() as u64, d))
@@ -457,7 +457,7 @@ mod tests {
     fn reduce_sums_to_root() {
         for &n in SIZES {
             for root in 0..n {
-                let out = run_spmd_quiet(n, MachineModel::ibm_sp(), move |ctx| {
+                let out = run_spmd(n, MachineModel::ibm_sp(), move |ctx| {
                     ctx.reduce(root, (ctx.rank() + 1) as u64, |a, b| a + b)
                 });
                 let expected = (n * (n + 1) / 2) as u64;
@@ -475,7 +475,7 @@ mod tests {
     #[test]
     fn all_reduce_recursive_doubling_matches_sum() {
         for &n in SIZES {
-            let out = run_spmd_quiet(n, MachineModel::ibm_sp(), |ctx| {
+            let out = run_spmd(n, MachineModel::ibm_sp(), |ctx| {
                 ctx.all_reduce((ctx.rank() + 1) as u64, |a, b| a + b)
             });
             let expected = (n * (n + 1) / 2) as u64;
@@ -488,7 +488,7 @@ mod tests {
     #[test]
     fn all_reduce_max_and_min() {
         for &n in SIZES {
-            let out = run_spmd_quiet(n, MachineModel::ibm_sp(), |ctx| {
+            let out = run_spmd(n, MachineModel::ibm_sp(), |ctx| {
                 let x = ctx.rank() as f64;
                 let mx = ctx.all_reduce(x, f64::max);
                 let mn = ctx.all_reduce(x, f64::min);
@@ -504,7 +504,7 @@ mod tests {
     #[test]
     fn all_reduce_via_gather_agrees_with_recursive_doubling() {
         for &n in SIZES {
-            let out = run_spmd_quiet(n, MachineModel::ibm_sp(), |ctx| {
+            let out = run_spmd(n, MachineModel::ibm_sp(), |ctx| {
                 let a = ctx.all_reduce(ctx.rank() as i64 + 1, |x, y| x + y);
                 let b = ctx.all_reduce_via_gather(ctx.rank() as i64 + 1, |x, y| x + y);
                 (a, b)
@@ -519,11 +519,11 @@ mod tests {
     fn recursive_doubling_is_cheaper_than_gather_broadcast_at_scale() {
         // The paper's motivation for recursive doubling: log vs linear cost.
         let n = 16;
-        let t_rd = run_spmd_quiet(n, MachineModel::workstation_network(), |ctx| {
+        let t_rd = run_spmd(n, MachineModel::workstation_network(), |ctx| {
             ctx.all_reduce(1.0f64, |a, b| a + b);
         })
         .elapsed_virtual;
-        let t_gb = run_spmd_quiet(n, MachineModel::workstation_network(), |ctx| {
+        let t_gb = run_spmd(n, MachineModel::workstation_network(), |ctx| {
             ctx.all_reduce_via_gather(1.0f64, |a, b| a + b);
         })
         .elapsed_virtual;
@@ -535,7 +535,7 @@ mod tests {
 
     #[test]
     fn collectives_back_to_back_do_not_interfere() {
-        let out = run_spmd_quiet(4, MachineModel::ibm_sp(), |ctx| {
+        let out = run_spmd(4, MachineModel::ibm_sp(), |ctx| {
             let a = ctx.all_reduce(1u64, |x, y| x + y);
             let b = ctx.all_reduce(2u64, |x, y| x + y);
             let c = ctx.broadcast(0, Some(ctx.rank() as u64)).min(99);

@@ -10,7 +10,7 @@ use crate::packet::{Packet, PacketBody};
 use crate::payload::{Payload, PayloadArena, Shared};
 use crate::stats::RankStats;
 use crate::trace::{TraceEvent, TraceRecorder};
-use crate::transport::{publish_fence, PacketSender};
+use crate::transport::{publish_fence, SpscSender};
 
 /// Message tag. Tags with the top bit set are reserved for collectives.
 pub type Tag = u64;
@@ -27,13 +27,10 @@ pub(crate) const COLLECTIVE_TAG_BASE: u64 = 1 << 63;
 pub struct Ctx {
     rank: usize,
     nprocs: usize,
-    /// `senders[dest]` is the channel on which *this* rank sends to
-    /// `dest` — backend-selected (virtual-time oracle or real lock-free
-    /// links; see [`crate::transport::Backend`]). The `Ctx` itself never
-    /// branches on the backend: clock accounting, matching, scoping, and
-    /// statistics are byte-for-byte the same code on both, which is why
-    /// results are bit-identical across backends.
-    senders: Vec<PacketSender>,
+    /// `senders[dest]` is the link on which *this* rank sends to `dest`:
+    /// only this rank's thread ever pushes on it, which is the
+    /// single-producer contract [`Ctx::push`] relies on.
+    senders: Vec<SpscSender<Packet>>,
     mailbox: Mailbox,
     /// This rank's payload-box freelist: `send` allocates from it,
     /// `recv` returns emptied blocks to it, and it travels with the
@@ -88,7 +85,7 @@ impl Ctx {
     pub(crate) fn new(
         rank: usize,
         nprocs: usize,
-        senders: Vec<PacketSender>,
+        senders: Vec<SpscSender<Packet>>,
         mailbox: Mailbox,
         arena: PayloadArena,
         model: MachineModel,
@@ -365,12 +362,30 @@ impl Ctx {
             arrival_time,
             body,
         };
-        let sent = if quiet {
-            self.senders[to].send_publish(pkt)
-        } else {
-            self.senders[to].send(pkt)
-        };
-        sent.map_err(|_| RankDead { rank: dest })
+        self.push(to, pkt, quiet)
+            .map_err(|_| RankDead { rank: dest })
+    }
+
+    /// Put `pkt` on the link to scope rank `to` — the one place a mesh
+    /// link is pushed. `quiet` skips the per-message fence/wake (see
+    /// [`Ctx::finish_fanout`]). Hands the packet back when the
+    /// destination's mailbox has been torn down.
+    fn push(&mut self, to: usize, pkt: Packet, quiet: bool) -> Result<(), Packet> {
+        let tx = &self.senders[to];
+        // SAFETY: sends on one link never run concurrently. Every handle
+        // of link `(src, dst)` lives in rank `src`'s `Ctx` — the runner
+        // gives each rank its own row of the mesh and `Ctx::scoped`
+        // clones only into `self.senders` — and `&mut self` makes pushes
+        // through one `Ctx` exclusive. Between runs a recycled network
+        // changes hands through the runner's cache mutex and the pool's
+        // dispatch, which order the previous owner's pushes before ours.
+        unsafe {
+            if quiet {
+                tx.send_publish(pkt)
+            } else {
+                tx.send(pkt)
+            }
+        }
     }
 
     /// Quiet variant of [`Ctx::send`] for fan-out loops: publishes the
@@ -400,8 +415,7 @@ impl Ctx {
     /// Complete a batch of quiet sends: one publication fence for the
     /// whole fan-out, then one parked-flag check per destination. A
     /// fan-out of k messages thus pays 1 fence + k flag reads instead of
-    /// k fences + k flag reads — and on the virtual backend this is a
-    /// no-op (its channel wakes on send).
+    /// k fences + k flag reads.
     pub(crate) fn finish_fanout(&mut self, dests: impl Iterator<Item = usize>) {
         publish_fence();
         for to in dests {
@@ -808,7 +822,7 @@ impl Ctx {
             .expect("the calling rank must be a member of the scope");
 
         let global: Vec<usize> = members.iter().map(|&m| self.peers[m]).collect();
-        let sub_senders: Vec<PacketSender> =
+        let sub_senders: Vec<SpscSender<Packet>> =
             members.iter().map(|&m| self.senders[m].clone()).collect();
         // Child scope id: FNV-1a over the parent scope, the salt, and the
         // members' world identities — so siblings (disjoint member lists),
@@ -844,7 +858,7 @@ impl Ctx {
     /// Dismantle the context, returning its channel endpoints and payload
     /// arena so the runner can recycle the network for the next
     /// `run_spmd` call.
-    pub(crate) fn into_parts(self) -> (Vec<PacketSender>, Mailbox, PayloadArena) {
+    pub(crate) fn into_parts(self) -> (Vec<SpscSender<Packet>>, Mailbox, PayloadArena) {
         (self.senders, self.mailbox, self.arena)
     }
 
@@ -866,11 +880,11 @@ impl Ctx {
 #[cfg(test)]
 mod tests {
     use crate::model::MachineModel;
-    use crate::runner::run_spmd_quiet;
+    use crate::runner::run_spmd;
 
     #[test]
     fn ping_pong_transfers_value_and_advances_clock() {
-        let out = run_spmd_quiet(2, MachineModel::ibm_sp(), |ctx| {
+        let out = run_spmd(2, MachineModel::ibm_sp(), |ctx| {
             if ctx.rank() == 0 {
                 ctx.send(1, 1, vec![1i64, 2, 3]);
                 ctx.recv::<Vec<i64>>(1, 2)
@@ -890,7 +904,7 @@ mod tests {
     #[test]
     fn receive_waits_for_computing_sender() {
         let m = MachineModel::zero_comm();
-        let out = run_spmd_quiet(2, m, |ctx| {
+        let out = run_spmd(2, m, |ctx| {
             if ctx.rank() == 0 {
                 ctx.charge_seconds(5.0);
                 ctx.send(1, 0, 1u8);
@@ -908,7 +922,7 @@ mod tests {
     fn bigger_messages_arrive_later() {
         let m = MachineModel::ibm_sp();
         let arrival = |n: usize| {
-            run_spmd_quiet(2, m, move |ctx| {
+            run_spmd(2, m, move |ctx| {
                 if ctx.rank() == 0 {
                     ctx.send(1, 0, vec![0u8; n]);
                     0.0
@@ -924,7 +938,7 @@ mod tests {
 
     #[test]
     fn sendrecv_symmetric_exchange_does_not_deadlock() {
-        let out = run_spmd_quiet(2, MachineModel::ibm_sp(), |ctx| {
+        let out = run_spmd(2, MachineModel::ibm_sp(), |ctx| {
             let partner = 1 - ctx.rank();
             let got: u64 = ctx.sendrecv(partner, ctx.rank() as u64, partner, 7);
             got
@@ -935,7 +949,7 @@ mod tests {
     #[test]
     fn working_set_scales_compute_charges() {
         let m = MachineModel::ibm_sp_with_memory(1e6, 1.0);
-        let out = run_spmd_quiet(1, m, |ctx| {
+        let out = run_spmd(1, m, |ctx| {
             ctx.charge_flops(1e6);
             let small = ctx.now();
             ctx.set_working_set(2e6); // 2x capacity -> slowdown 2
@@ -949,8 +963,6 @@ mod tests {
 
     #[test]
     fn scoped_siblings_with_colliding_tags_stay_isolated() {
-        use crate::model::MachineModel;
-        use crate::runner::run_spmd;
         // Both halves run the *same* program with the same tags — only
         // the scope ids differ. Every value observed must come from the
         // caller's own half.
@@ -982,8 +994,6 @@ mod tests {
 
     #[test]
     fn nested_scopes_translate_ranks_and_restore_the_parent() {
-        use crate::model::MachineModel;
-        use crate::runner::run_spmd;
         let out = run_spmd(8, MachineModel::ibm_sp(), |ctx| {
             let half: Vec<usize> = if ctx.rank() < 4 {
                 vec![0, 1, 2, 3]
@@ -1016,8 +1026,6 @@ mod tests {
 
     #[test]
     fn repeated_scoped_sections_over_same_members_get_distinct_scopes() {
-        use crate::model::MachineModel;
-        use crate::runner::run_spmd;
         // Two back-to-back sections over the same member list but
         // different salts: a send left pending from the first section
         // (matched later) must not satisfy the second section's receive.
@@ -1041,9 +1049,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "must be a member")]
     fn scoped_requires_membership() {
-        use crate::model::MachineModel;
-        use crate::runner::run_spmd_quiet;
-        run_spmd_quiet(2, MachineModel::ibm_sp(), |ctx| {
+        run_spmd(2, MachineModel::ibm_sp(), |ctx| {
             if ctx.rank() == 1 {
                 ctx.scoped(&[0], 0, |_| ());
             }
@@ -1053,7 +1059,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn type_mismatch_panics() {
-        run_spmd_quiet(2, MachineModel::zero_comm(), |ctx| {
+        run_spmd(2, MachineModel::zero_comm(), |ctx| {
             if ctx.rank() == 0 {
                 ctx.send(1, 0, 1u32);
             } else {
@@ -1064,7 +1070,7 @@ mod tests {
 
     #[test]
     fn stats_count_messages_and_bytes() {
-        let out = run_spmd_quiet(2, MachineModel::ibm_sp(), |ctx| {
+        let out = run_spmd(2, MachineModel::ibm_sp(), |ctx| {
             if ctx.rank() == 0 {
                 ctx.send(1, 0, vec![0f64; 10]);
                 ctx.send(1, 1, 3u8);

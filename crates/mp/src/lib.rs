@@ -26,25 +26,20 @@
 //! threads exchanging messages through channels, so the same code can be
 //! benchmarked for real with Criterion (see `archetype-bench`).
 //!
-//! ## Backends: modeled vs measured
+//! ## One transport, two figures
 //!
-//! The transport underneath [`Ctx`] is pluggable ([`transport`]): the
-//! deterministic virtual-time backend above is the default, and
-//! [`run_spmd_with`] / [`run_spmd_real`] run the *same unmodified body*
-//! on a real shared-memory backend — in-repo lock-free MPSC channels,
-//! actual payload movement, real thread parallelism — reporting measured
-//! wall-clock time in [`runner::SpmdResult::wall_us`]. Results, per-rank
-//! clocks, and statistics are bit-identical across backends (enforced by
-//! `tests/backend_equivalence.rs`); only the headline number differs:
-//! `elapsed_virtual` is modeled, `wall_us` is measured.
+//! Ranks exchange messages over one transport — the in-repo lock-free
+//! queues of [`transport`]; the virtual clock is an accounting overlay on
+//! top of it, so every run reports both the modeled `elapsed_virtual` and
+//! the measured [`runner::SpmdResult::wall_us`].
 //!
 //! ## Substrate hot path
 //!
 //! [`run_spmd`] executes ranks on a **persistent worker pool**
 //! ([`pool`]) and recycles the channel network of cleanly finished runs,
 //! so repeated invocations cost a dispatch, not `n` thread spawns plus
-//! `n²` channel constructions ([`run_spmd_unpooled`] keeps the
-//! spawn-per-call path as a baseline). Fan-out collectives (`broadcast`,
+//! `n²` channel constructions (`RunConfig { pooled: false, .. }` keeps
+//! the spawn-per-call path as a baseline). Fan-out collectives (`broadcast`,
 //! `all_gather`) forward [`Shared`] refcounted payloads instead of
 //! deep-copying per hop; the `*_shared` variants expose those handles
 //! directly for zero-copy pipelines. Neither changes virtual-time
@@ -90,12 +85,10 @@ pub use group::Group;
 pub use model::{MachineModel, MemoryModel};
 pub use payload::{FixedSize, Payload, Shared};
 pub use runner::{
-    run_spmd, run_spmd_ft, run_spmd_ft_with, run_spmd_quiet, run_spmd_real, run_spmd_unpooled,
-    run_spmd_with, try_run_spmd, try_run_spmd_with, FtSpmdResult, RankFailure, RunConfig,
+    run_spmd, run_spmd_ft, run_spmd_with, try_run_spmd, FtSpmdResult, RankFailure, RunConfig,
     SpmdError, SpmdResult,
 };
 pub use stats::{RankStats, RunStats};
 pub use tags::{compose_tag, farm_tag, ft_tag, pipe_tag, ComposeTag, FarmTag, FtTag, PipeTag};
 pub use trace::{CriticalPathReport, Label, RankTrace, RunTrace, TraceEvent, TraceRecorder};
 pub use topology::{ProcessGrid2, ProcessGrid3};
-pub use transport::Backend;

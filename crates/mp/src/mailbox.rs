@@ -12,20 +12,16 @@
 //! [`crate::Ctx::scoped`] sections: sibling scopes may reuse identical
 //! tags without their traffic ever cross-matching.
 //!
-//! The channels underneath are backend-selected (see
-//! [`crate::transport::Backend`]): the deterministic virtual-time oracle
-//! and the real lock-free backend drive the *same* matching code, so the
-//! ordering contract below holds identically on both.
+//! The channels underneath are the lock-free SPSC links of
+//! [`crate::transport`].
 //!
 //! ## Ordering contract
 //!
 //! Every receive in this substrate is **sender-addressed**: there is no
 //! receive-from-any primitive, so the only order a program can observe is
-//! per-(sender, scope, tag) FIFO — which both backends guarantee.
-//! **Cross-sender arrival order is unspecified.** Under the virtual
-//! backend, host arrival order happens to be serialized by thread
-//! scheduling but is never observable through matching; under the real
-//! backend, messages from different senders genuinely race. Code must
+//! per-(sender, scope, tag) FIFO.
+//! **Cross-sender arrival order is unspecified**: messages from
+//! different senders genuinely race. Code must
 //! never infer anything from the host-level interleaving of different
 //! senders' traffic — the leak check ([`Mailbox::unconsumed`]) and the
 //! fault-tolerant death signal ([`SenderDisconnected`]) are only
@@ -36,7 +32,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::packet::Packet;
-use crate::transport::{packet_channel_with, Backend, PacketReceiver, PacketSender};
+use crate::transport::{spsc_channel_with, SpscReceiver, SpscSender};
 
 /// Error returned by [`Mailbox::try_recv_matching`] when the sending
 /// rank has terminated (channel empty and disconnected).
@@ -48,7 +44,7 @@ pub struct SenderDisconnected;
 /// already pulled off the channel but not yet matched, bucketed by
 /// (scope, tag).
 pub struct Mailbox {
-    from: Vec<PacketReceiver>,
+    from: Vec<SpscReceiver<Packet>>,
     pending: Vec<HashMap<(u64, u64), VecDeque<Packet>>>,
     /// Messages put on the wire to this mailbox but not yet pulled off a
     /// channel. One cell shared by all of this mailbox's channels (see
@@ -129,12 +125,15 @@ impl Mailbox {
     }
 }
 
-/// Builds the full `n × n` mesh of channels on the given backend and
-/// splits it into the send sides (shared by all ranks) and the per-rank
-/// receive sides.
-pub fn build_network(n: usize, backend: Backend) -> (Vec<Vec<PacketSender>>, Vec<Mailbox>) {
-    // senders[dest][src] : channel on which `src` sends to `dest`.
-    let mut senders: Vec<Vec<PacketSender>> = Vec::with_capacity(n);
+/// Builds the full `n × n` mesh of channels and splits it into the send
+/// sides (`senders[dest][src]`, the link on which `src` sends to `dest`)
+/// and the per-rank receive sides.
+///
+/// Each link is single-producer: whoever holds `senders[dest][src]` (and
+/// its clones) must serialize sends on it — see
+/// [`SpscSender::send`]'s contract.
+pub fn build_network(n: usize) -> (Vec<Vec<SpscSender<Packet>>>, Vec<Mailbox>) {
+    let mut senders: Vec<Vec<SpscSender<Packet>>> = Vec::with_capacity(n);
     let mut mailboxes: Vec<Mailbox> = Vec::with_capacity(n);
     for _dest in 0..n {
         let mut row_tx = Vec::with_capacity(n);
@@ -143,7 +142,7 @@ pub fn build_network(n: usize, backend: Backend) -> (Vec<Vec<PacketSender>>, Vec
         // so the mailbox's leak check is a single load (`unconsumed`).
         let inflight = Arc::new(AtomicUsize::new(0));
         for _src in 0..n {
-            let (tx, rx) = packet_channel_with(backend, Arc::clone(&inflight));
+            let (tx, rx) = spsc_channel_with(Arc::clone(&inflight));
             row_tx.push(tx);
             row_rx.push(rx);
         }
@@ -163,11 +162,24 @@ mod tests {
     use super::*;
     use crate::packet::PacketBody;
 
-    /// Virtual-backend network (the original test fixture); the real
-    /// backend's mirror tests live in [`real`] below and the heavy
-    /// threaded fuzzing in `tests/prop_mailbox.rs`.
-    fn net(n: usize) -> (Vec<Vec<PacketSender>>, Vec<Mailbox>) {
-        build_network(n, Backend::Virtual)
+    /// Single-threaded fixture (the threaded interleaving fuzz lives in
+    /// `tests/prop_mailbox.rs`). `tx[dest][src]` sends through [`Link`].
+    fn net(n: usize) -> (Vec<Vec<Link>>, Vec<Mailbox>) {
+        let (tx, mb) = build_network(n);
+        let tx = tx
+            .into_iter()
+            .map(|row| row.into_iter().map(Link).collect())
+            .collect();
+        (tx, mb)
+    }
+
+    struct Link(SpscSender<Packet>);
+
+    impl Link {
+        fn send(&self, p: Packet) -> Result<(), ()> {
+            // SAFETY: every test here sends from its one thread.
+            unsafe { self.0.send(p) }.map_err(drop)
+        }
     }
 
     fn pkt(from: usize, tag: u64, val: i32) -> Packet {
@@ -303,58 +315,5 @@ mod tests {
         assert_eq!(val(mb[0].recv_matching(1, 6, 9)), 10);
         assert_eq!(val(mb[0].recv_matching(1, 6, 9)), 20);
         assert_eq!(mb[0].unconsumed(), 0);
-    }
-
-    /// The same matching contract on the real (lock-free) backend. These
-    /// mirror the virtual-backend tests above; the threaded interleaving
-    /// fuzz lives in `tests/prop_mailbox.rs`.
-    mod real {
-        use super::*;
-
-        fn net(n: usize) -> (Vec<Vec<PacketSender>>, Vec<Mailbox>) {
-            build_network(n, Backend::Real)
-        }
-
-        #[test]
-        fn fifo_and_tag_matching() {
-            let (tx, mut mb) = net(2);
-            tx[0][1].send(pkt(1, 9, 1)).unwrap();
-            tx[0][1].send(pkt(1, 9, 2)).unwrap();
-            tx[0][1].send(pkt(1, 8, 99)).unwrap();
-            assert_eq!(val(mb[0].recv_matching(1, 0, 8)), 99);
-            assert_eq!(val(mb[0].recv_matching(1, 0, 9)), 1);
-            assert_eq!(val(mb[0].recv_matching(1, 0, 9)), 2);
-            assert_eq!(mb[0].unconsumed(), 0);
-        }
-
-        #[test]
-        fn scopes_do_not_alias() {
-            let (tx, mut mb) = net(2);
-            tx[0][1].send(pkt_scoped(1, 7, 3, 111)).unwrap();
-            tx[0][1].send(pkt_scoped(1, 0, 3, 222)).unwrap();
-            assert_eq!(val(mb[0].recv_matching(1, 0, 3)), 222);
-            assert_eq!(val(mb[0].recv_matching(1, 7, 3)), 111);
-            assert_eq!(mb[0].unconsumed(), 0);
-        }
-
-        #[test]
-        fn disconnection_surfaces_only_after_draining() {
-            let (tx, mut mb) = net(2);
-            tx[0][1].send(pkt(1, 4, 5)).unwrap();
-            drop(tx);
-            assert_eq!(val(mb[0].try_recv_matching(1, 0, 4).unwrap()), 5);
-            let err = mb[0].try_recv_matching(1, 0, 4).unwrap_err();
-            assert_eq!(err, SenderDisconnected);
-        }
-
-        #[test]
-        fn unconsumed_counts_pending_and_queued() {
-            let (tx, mut mb) = net(2);
-            tx[0][1].send(pkt(1, 9, 1)).unwrap();
-            tx[0][1].send(pkt(1, 8, 2)).unwrap();
-            tx[0][1].send(pkt(1, 9, 3)).unwrap();
-            mb[0].recv_matching(1, 0, 8);
-            assert_eq!(mb[0].unconsumed(), 2);
-        }
     }
 }

@@ -203,7 +203,7 @@ const ARENA_MAX_BLOCKS_PER_CLASS: usize = 128;
 /// (`PacketBody::Owned(Box<dyn Any>)`).
 ///
 /// Each rank owns one arena, threaded through [`crate::Ctx`] and parked
-/// in the `(nprocs, Backend)` network-recycle cache between runs.
+/// in the per-size network-recycle cache between runs.
 /// `Ctx::send` allocates the payload box from the *sender's* arena;
 /// `Ctx::recv` moves the value out and returns the emptied block to the
 /// *receiver's* arena. Blocks therefore migrate between ranks with the

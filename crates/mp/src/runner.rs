@@ -1,32 +1,27 @@
 //! SPMD runner: wires up the network, runs one rank per worker thread,
 //! and reports results plus virtual-time and traffic statistics.
 //!
-//! Two execution paths exist:
+//! There is one execution path, configured by [`RunConfig`]. By default
+//! ranks dispatch onto the persistent worker pool ([`crate::pool`]) and
+//! the run **recycles the channel network**: a run that ends with every
+//! message consumed returns its `n × n` channel mesh to a per-size cache,
+//! so repeated calls stop paying n×thread-spawn plus n² channel
+//! construction per invocation. `pooled: false` spawns fresh OS threads
+//! and a fresh network instead — the seed behaviour, kept as the
+//! comparison baseline for the `substrate_overhead` bench and as the
+//! fresh-network reference of `tests/prop_arena.rs`.
 //!
-//! * [`run_spmd`] / [`run_spmd_quiet`] dispatch ranks onto the persistent
-//!   worker pool ([`crate::pool`]) and **recycle the channel network**: a
-//!   run that ends with every message consumed returns its `n × n`
-//!   channel mesh to a per-size cache, so repeated calls stop paying
-//!   n×thread-spawn plus n² channel construction per invocation.
-//! * [`run_spmd_unpooled`] spawns fresh OS threads and a fresh network
-//!   every call — the seed behaviour, kept as the comparison baseline for
-//!   the `substrate_overhead` bench and for callers that want full
-//!   isolation.
+//! Virtual-time semantics do not depend on the configuration: clocks are
+//! driven only by the machine model and message arrival times, never by
+//! host scheduling, so `determinism_same_program_same_clocks` holds
+//! regardless of which threads execute which rank. Every run — default,
+//! traced, fault-injected — reports both the modeled `elapsed_virtual`
+//! and the measured `wall_us`.
 //!
-//! Virtual-time semantics are identical on both paths: clocks are driven
-//! only by the machine model and message arrival times, never by host
-//! scheduling, so `determinism_same_program_same_clocks` holds regardless
-//! of which threads execute which rank.
-//!
-//! Orthogonally to pooling, every run selects a transport [`Backend`]
-//! via [`RunConfig`] / [`run_spmd_with`]: the deterministic virtual-time
-//! oracle (the default — all plain entry points use it) or the real
-//! lock-free shared-memory backend, which moves the same payloads over
-//! the in-repo lock-free MPSC channels and reports measured wall-clock
-//! time in [`SpmdResult::wall_us`]. Results, clocks, and statistics are
-//! bit-identical across backends (see [`crate::transport`]); networks
-//! are recycled per (size, backend), so a cached virtual mesh can never
-//! be handed to a real run or vice versa.
+//! Four entry points share that path: [`run_spmd`] (default config,
+//! panics on failure), [`run_spmd_with`] (explicit config, panics),
+//! [`try_run_spmd`] (explicit config, typed [`SpmdError`]) and
+//! [`run_spmd_ft`] (per-rank outcomes under a [`FaultPlan`]).
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -37,11 +32,12 @@ use crate::ctx::Ctx;
 use crate::fault::{FaultPlan, InjectedCrash};
 use crate::mailbox::{build_network, Mailbox};
 use crate::model::MachineModel;
+use crate::packet::Packet;
 use crate::payload::PayloadArena;
 use crate::pool;
 use crate::stats::{RankStats, RunStats};
-use crate::trace::{RankTrace, RunTrace, TraceRecorder};
-use crate::transport::{Backend, PacketSender};
+use crate::trace::{RunTrace, TraceRecorder};
+use crate::transport::SpscSender;
 
 /// Lock a mutex, tolerating poison: a rank that panicked while holding
 /// the runner's bookkeeping locks must not wedge every later `run_spmd`
@@ -63,10 +59,8 @@ pub struct SpmdResult<R> {
     /// Communication/computation statistics per rank.
     pub stats: RunStats,
     /// Measured wall-clock time of the run (dispatch to last rank done),
-    /// in microseconds. This is the real backend's headline number; it is
-    /// populated on every backend (the virtual oracle's wall time is its
-    /// simulation cost, not a modeled quantity) and is the *only* field
-    /// that legitimately differs between backends or repeated runs.
+    /// in microseconds — the *only* field that legitimately differs
+    /// between repeated runs.
     pub wall_us: u64,
     /// Per-rank event streams of a traced run ([`RunConfig::traced`]);
     /// `None` unless tracing was requested. Export with
@@ -119,8 +113,7 @@ impl std::fmt::Display for RankFailure {
 
 impl std::error::Error for RankFailure {}
 
-/// Error returned by the fallible entry points ([`try_run_spmd`],
-/// [`try_run_spmd_with`], [`run_spmd_ft_with`]).
+/// Error returned by the fallible entry point, [`try_run_spmd`].
 #[derive(Clone, Debug)]
 pub enum SpmdError {
     /// One or more ranks failed. The channel network of a failed run is
@@ -130,24 +123,21 @@ pub enum SpmdError {
         /// The failed ranks, in rank order.
         failures: Vec<RankFailure>,
     },
-    /// The entry point rejected the requested configuration before
-    /// anything ran — e.g. fault injection on [`Backend::Real`], whose
-    /// disconnect-based death signal depends on real scheduling and is
-    /// therefore only validated on the deterministic virtual backend.
-    UnsupportedBackend {
-        /// The entry point that rejected the configuration.
-        entry: &'static str,
-        /// The rejected backend.
-        backend: Backend,
+    /// Every rank completed but the run ended with unreceived messages
+    /// (mismatched send/recv in the SPMD program) while
+    /// [`RunConfig::check_leaks`] was set. The network is quarantined.
+    Leaked {
+        /// Messages left in mailboxes or in flight.
+        count: usize,
     },
 }
 
 impl SpmdError {
-    /// The failed ranks, in rank order (empty for configuration errors).
+    /// The failed ranks, in rank order (empty for a leak).
     pub fn failures(&self) -> &[RankFailure] {
         match self {
             SpmdError::Ranks { failures } => failures,
-            SpmdError::UnsupportedBackend { .. } => &[],
+            SpmdError::Leaked { .. } => &[],
         }
     }
 }
@@ -162,9 +152,11 @@ impl std::fmt::Display for SpmdError {
                 }
                 Ok(())
             }
-            SpmdError::UnsupportedBackend { entry, backend } => {
-                write!(f, "{entry} does not support Backend::{backend:?}")
-            }
+            SpmdError::Leaked { count } => write!(
+                f,
+                "run finished with {count} unreceived message(s): \
+                 mismatched send/recv in the SPMD program"
+            ),
         }
     }
 }
@@ -187,6 +179,9 @@ pub struct FtSpmdResult<R> {
     /// Communication/computation statistics per rank (up to the moment of
     /// death for crashed ranks).
     pub stats: RunStats,
+    /// Measured wall-clock time of the run (dispatch to last rank done),
+    /// in microseconds.
+    pub wall_us: u64,
     /// Messages left unconsumed in the network when the run ended. Always
     /// 0 for fully successful runs of leak-free programs; a run with dead
     /// ranks may legitimately strand in-flight messages (the network is
@@ -215,16 +210,14 @@ impl<R> FtSpmdResult<R> {
 /// running; returned afterwards so a clean network — warm freelists
 /// included — can be recycled.
 struct RankLinks {
-    senders: Vec<PacketSender>,
+    senders: Vec<SpscSender<Packet>>,
     mailbox: Mailbox,
     arena: PayloadArena,
 }
 
-/// Per-(size, backend) cache of quiescent networks. Only networks whose
-/// every channel and pending buffer is empty (leak check passed) are
-/// returned here, so recycling can never leak a stale packet into the
-/// next run — and keying by backend means a virtual mesh is never handed
-/// to a real run or vice versa.
+/// Per-size cache of quiescent networks. Only networks whose every
+/// channel and pending buffer is empty (leak check passed) are returned
+/// here, so recycling can never leak a stale packet into the next run.
 static NETWORK_CACHE: OnceLock<Mutex<NetworkCache>> = OnceLock::new();
 
 /// Networks kept per process count; each costs `n²` empty channels.
@@ -250,7 +243,7 @@ struct CachedNetwork {
 
 #[derive(Default)]
 struct NetworkCache {
-    by_size: HashMap<(usize, Backend), Vec<CachedNetwork>>,
+    by_size: HashMap<usize, Vec<CachedNetwork>>,
     /// Total channels (`Σ n²`) currently held in `by_size`.
     channels: usize,
     /// Monotone release counter backing the LRU stamps.
@@ -267,15 +260,15 @@ impl NetworkCache {
             .by_size
             .iter()
             .min_by_key(|(_, slot)| slot.first().map_or(u64::MAX, |e| e.stamp))
-            .map(|(&key, _)| key);
-        let Some(key @ (nprocs, _)) = victim else {
+            .map(|(&nprocs, _)| nprocs);
+        let Some(nprocs) = victim else {
             return;
         };
-        let slot = self.by_size.get_mut(&key).expect("victim key exists");
+        let slot = self.by_size.get_mut(&nprocs).expect("victim key exists");
         slot.remove(0);
         self.channels -= nprocs * nprocs;
         if slot.is_empty() {
-            self.by_size.remove(&key);
+            self.by_size.remove(&nprocs);
         }
     }
 }
@@ -287,8 +280,8 @@ fn network_cache() -> &'static Mutex<NetworkCache> {
 /// Build a fresh network, transposed so each rank *owns* its outgoing
 /// channel ends: when a rank panics its senders drop, and peers blocked
 /// on receives from it fail fast rather than deadlocking.
-fn fresh_network(nprocs: usize, backend: Backend) -> Vec<RankLinks> {
-    let (senders_by_dest, mailboxes) = build_network(nprocs, backend);
+fn fresh_network(nprocs: usize) -> Vec<RankLinks> {
+    let (senders_by_dest, mailboxes) = build_network(nprocs);
     mailboxes
         .into_iter()
         .enumerate()
@@ -302,22 +295,21 @@ fn fresh_network(nprocs: usize, backend: Backend) -> Vec<RankLinks> {
         .collect()
 }
 
-fn acquire_network(nprocs: usize, backend: Backend) -> Vec<RankLinks> {
+fn acquire_network(nprocs: usize) -> Vec<RankLinks> {
     {
         let mut cache = lock_unpoisoned(network_cache());
-        if let Some(entry) = cache.by_size.get_mut(&(nprocs, backend)).and_then(Vec::pop) {
+        if let Some(entry) = cache.by_size.get_mut(&nprocs).and_then(Vec::pop) {
             cache.channels -= nprocs * nprocs;
-            let key = (nprocs, backend);
-            if cache.by_size.get(&key).is_some_and(Vec::is_empty) {
-                cache.by_size.remove(&key);
+            if cache.by_size.get(&nprocs).is_some_and(Vec::is_empty) {
+                cache.by_size.remove(&nprocs);
             }
             return entry.links;
         }
     }
-    fresh_network(nprocs, backend)
+    fresh_network(nprocs)
 }
 
-fn release_network(nprocs: usize, backend: Backend, links: Vec<RankLinks>) {
+fn release_network(nprocs: usize, links: Vec<RankLinks>) {
     let channels = nprocs * nprocs;
     if channels > CACHE_CHANNEL_BUDGET {
         return; // can never fit, even with an empty cache
@@ -325,7 +317,7 @@ fn release_network(nprocs: usize, backend: Backend, links: Vec<RankLinks>) {
     let mut cache = lock_unpoisoned(network_cache());
     if cache
         .by_size
-        .get(&(nprocs, backend))
+        .get(&nprocs)
         .is_some_and(|slot| slot.len() >= CACHED_NETWORKS_PER_SIZE)
     {
         return; // per-size cap reached
@@ -341,7 +333,7 @@ fn release_network(nprocs: usize, backend: Backend, links: Vec<RankLinks>) {
     let stamp = cache.clock;
     cache
         .by_size
-        .entry((nprocs, backend))
+        .entry(nprocs)
         .or_default()
         .push(CachedNetwork { links, stamp });
     cache.channels += channels;
@@ -349,12 +341,6 @@ fn release_network(nprocs: usize, backend: Backend, links: Vec<RankLinks>) {
 
 type RankOutcome<R> = (R, f64, RankStats, Option<Box<TraceRecorder>>, RankLinks);
 type JobResult<R> = Result<RankOutcome<R>, Box<dyn std::any::Any + Send>>;
-
-/// A completed rank as seen by the runner frontends: return value, final
-/// clock, statistics, and — for traced runs — the rank's event stream
-/// (the links were already returned to the network lifecycle by the
-/// core).
-type RankDone<R> = (R, f64, RankStats, Option<RankTrace>);
 
 /// Turn a caught panic payload into a structured failure. Injected
 /// crashes carry their context ([`InjectedCrash`]); genuine panics yield
@@ -387,39 +373,119 @@ fn classify_panic(rank: usize, payload: Box<dyn std::any::Any + Send>) -> RankFa
     }
 }
 
-/// The shared execution core: runs one rank per worker, contains every
-/// panic, and returns per-rank structured outcomes, the leak count, and
-/// the measured wall-clock time (dispatch to last rank done) in
-/// microseconds.
+/// How an SPMD run executes: whether ranks dispatch onto the persistent
+/// pool, whether the post-run leak check is enforced, and whether events
+/// are traced. The default is exactly [`run_spmd`]'s behaviour (pooled,
+/// leak-checked, untraced), so
+/// `run_spmd_with(n, model, RunConfig::default(), body)` ≡
+/// `run_spmd(n, model, body)`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RunConfig {
+    /// Dispatch ranks onto the persistent worker pool and recycle the
+    /// network (true, the default), or spawn fresh threads per call.
+    pub pooled: bool,
+    /// Fail the run if it ends with unreceived messages (true by
+    /// default): a panic from [`run_spmd_with`], [`SpmdError::Leaked`]
+    /// from [`try_run_spmd`].
+    pub check_leaks: bool,
+    /// Record per-rank event traces into [`SpmdResult::trace`] (false by
+    /// default). Tracing never perturbs results, clocks, or statistics —
+    /// the observer-effect guard in `tests/prop_trace.rs` holds them
+    /// bit-identical to untraced runs.
+    pub traced: bool,
+    /// Ring-buffer capacity (events per rank) of a traced run; beyond
+    /// it the oldest events are dropped and counted. Ignored unless
+    /// `traced` is set.
+    pub trace_capacity: usize,
+}
+
+/// Default per-rank event capacity of traced runs: enough for the test
+/// and bench workloads in-repo without preallocating megabytes per rank.
+pub const DEFAULT_TRACE_CAPACITY: usize = 16 * 1024;
+
+impl RunConfig {
+    /// The default configuration, spelled out: pooled dispatch, leak
+    /// check on, tracing off. (Named for the headline figure a caller is
+    /// after; every run reports both figures.)
+    pub fn virtual_time() -> Self {
+        RunConfig {
+            pooled: true,
+            check_leaks: true,
+            traced: false,
+            trace_capacity: DEFAULT_TRACE_CAPACITY,
+        }
+    }
+
+    /// Synonym for [`RunConfig::virtual_time`], for callers that read
+    /// the measured [`SpmdResult::wall_us`].
+    pub fn real() -> Self {
+        Self::virtual_time()
+    }
+
+    /// The default configuration with event tracing on: the run returns
+    /// its per-rank event streams in [`SpmdResult::trace`].
+    pub fn traced() -> Self {
+        Self::virtual_time().with_tracing()
+    }
+
+    /// This configuration with tracing switched on.
+    pub fn with_tracing(self) -> Self {
+        RunConfig {
+            traced: true,
+            ..self
+        }
+    }
+
+    /// This configuration with the given traced ring-buffer capacity
+    /// (events per rank); implies nothing about `traced` itself.
+    pub fn with_trace_capacity(self, events: usize) -> Self {
+        RunConfig {
+            trace_capacity: events,
+            ..self
+        }
+    }
+}
+
+// `#[derive(Default)]` on a struct with `bool` fields would default them
+// to `false`; the semantic default is run_spmd's behaviour.
+impl std::default::Default for RunConfig {
+    fn default() -> Self {
+        Self::virtual_time()
+    }
+}
+
+/// The one execution and result-assembly path: runs one rank per worker,
+/// contains every panic, and returns per-rank outcomes with clocks,
+/// statistics, the leak count and the measured wall time — plus the
+/// event streams of a traced run in which every rank completed.
 ///
 /// Network lifecycle: a *fully successful* pooled run with no stranded
 /// messages returns its network to the recycle cache; any run with a
 /// failed rank — or with messages left in flight — quarantines it (the
 /// links are simply dropped), so stale packets and dead channels can
 /// never contaminate a later run.
-fn run_inner_result<F, R>(
+fn run_ranks<F, R>(
     nprocs: usize,
     model: MachineModel,
     fault: Option<Arc<FaultPlan>>,
-    body: F,
     config: RunConfig,
-) -> (Vec<Result<RankDone<R>, RankFailure>>, usize, u64)
+    body: F,
+) -> (FtSpmdResult<R>, Option<RunTrace>)
 where
     F: Fn(&mut Ctx) -> R + Sync,
     R: Send,
 {
     assert!(nprocs > 0, "need at least one process");
     let RunConfig {
-        backend,
         pooled,
         traced,
         trace_capacity,
         ..
     } = config;
     let links = if pooled {
-        acquire_network(nprocs, backend)
+        acquire_network(nprocs)
     } else {
-        fresh_network(nprocs, backend)
+        fresh_network(nprocs)
     };
 
     let slots: Vec<Mutex<Option<JobResult<R>>>> = (0..nprocs).map(|_| Mutex::new(None)).collect();
@@ -486,37 +552,42 @@ where
         });
     }
     // Measured after the dispatch barrier: every rank has returned, so
-    // this spans the whole SPMD computation on either backend.
+    // this spans the whole SPMD computation.
     let wall_us = started.elapsed().as_micros() as u64;
 
-    let mut outcomes = Vec::with_capacity(nprocs);
+    let mut results = Vec::with_capacity(nprocs);
+    let mut rank_times = Vec::with_capacity(nprocs);
+    let mut per_rank = Vec::with_capacity(nprocs);
+    let mut rank_traces = Vec::with_capacity(if traced { nprocs } else { 0 });
     let mut links_back = Vec::with_capacity(nprocs);
-    let mut any_failed = false;
     for (rank, slot) in slots.iter().enumerate() {
-        match lock_unpoisoned(slot).take() {
+        let outcome = match lock_unpoisoned(slot).take() {
             Some(Ok((r, now, stats, tracer, l))) => {
                 links_back.push(l);
-                let trace = tracer.map(|t| t.into_rank_trace(rank));
-                outcomes.push(Ok((r, now, stats, trace)));
+                rank_traces.extend(tracer.map(|t| t.into_rank_trace(rank)));
+                Ok((r, now, stats))
             }
-            Some(Err(payload)) => {
-                any_failed = true;
-                outcomes.push(Err(classify_panic(rank, payload)));
-            }
+            Some(Err(payload)) => Err(classify_panic(rank, payload)),
             // A worker's panic guard was escaped (double panic in the job):
             // the pool still signals completion, but the slot stays empty.
-            None => {
-                any_failed = true;
-                outcomes.push(Err(RankFailure {
-                    rank,
-                    message: "rank's job vanished (worker panic guard escaped)".to_string(),
-                    injected: false,
-                    clock: 0.0,
-                    stats: RankStats::default(),
-                }));
-            }
-        }
+            None => Err(RankFailure {
+                rank,
+                message: "rank's job vanished (worker panic guard escaped)".to_string(),
+                injected: false,
+                clock: 0.0,
+                stats: RankStats::default(),
+            }),
+        };
+        // A dead rank contributes its clock and statistics at death.
+        let (now, stats) = match &outcome {
+            Ok((_, now, stats)) => (*now, *stats),
+            Err(failure) => (failure.clock, failure.stats),
+        };
+        rank_times.push(now);
+        per_rank.push(stats);
+        results.push(outcome.map(|(r, ..)| r));
     }
+    let all_ok = links_back.len() == nprocs;
 
     // The leak count runs here — after every rank has returned — so it
     // sees a quiescent network: no send can still be in flight, making
@@ -524,157 +595,25 @@ where
     // ranks the count covers the survivors' mailboxes (the dead ranks'
     // endpoints went down with their unwinds).
     let leaked: usize = links_back.iter().map(|l| l.mailbox.unconsumed()).sum();
-    if pooled && !any_failed && leaked == 0 {
-        release_network(nprocs, backend, links_back);
+    if pooled && all_ok && leaked == 0 {
+        release_network(nprocs, links_back);
     }
 
-    (outcomes, leaked, wall_us)
-}
-
-/// How an SPMD run executes: which transport [`Backend`] carries the
-/// messages, whether ranks dispatch onto the persistent pool, and
-/// whether the post-run leak check is enforced. The default is exactly
-/// [`run_spmd`]'s behaviour (virtual time, pooled, leak-checked), so
-/// `run_spmd_with(n, model, RunConfig::default(), body)` ≡
-/// `run_spmd(n, model, body)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RunConfig {
-    /// Transport backend (virtual-time oracle by default).
-    pub backend: Backend,
-    /// Dispatch ranks onto the persistent worker pool and recycle the
-    /// network (true, the default), or spawn fresh threads per call.
-    pub pooled: bool,
-    /// Panic if the run ends with unreceived messages (true by default).
-    pub check_leaks: bool,
-    /// Record per-rank event traces into [`SpmdResult::trace`] (false by
-    /// default). Tracing never perturbs results, clocks, or statistics —
-    /// the observer-effect guard in `tests/prop_trace.rs` holds them
-    /// bit-identical to untraced runs.
-    pub traced: bool,
-    /// Ring-buffer capacity (events per rank) of a traced run; beyond
-    /// it the oldest events are dropped and counted. Ignored unless
-    /// `traced` is set.
-    pub trace_capacity: usize,
-}
-
-/// Default per-rank event capacity of traced runs: enough for the test
-/// and bench workloads in-repo without preallocating megabytes per rank.
-pub const DEFAULT_TRACE_CAPACITY: usize = 16 * 1024;
-
-impl RunConfig {
-    /// The default configuration, spelled out: virtual-time backend,
-    /// pooled dispatch, leak check on, tracing off.
-    pub fn virtual_time() -> Self {
-        RunConfig {
-            backend: Backend::Virtual,
-            pooled: true,
-            check_leaks: true,
-            traced: false,
-            trace_capacity: DEFAULT_TRACE_CAPACITY,
-        }
-    }
-
-    /// Real shared-memory backend (lock-free channels, measured
-    /// wall-clock `wall_us`); pooled and leak-checked like [`run_spmd`].
-    pub fn real() -> Self {
-        RunConfig {
-            backend: Backend::Real,
-            ..Self::virtual_time()
-        }
-    }
-
-    /// [`RunConfig::virtual_time`] with event tracing on: the run
-    /// returns its per-rank event streams in [`SpmdResult::trace`].
-    pub fn traced() -> Self {
-        RunConfig {
-            traced: true,
-            ..Self::virtual_time()
-        }
-    }
-
-    /// Same configuration on the other backend — handy for equivalence
-    /// harnesses that run each case twice.
-    pub fn on(self, backend: Backend) -> Self {
-        RunConfig { backend, ..self }
-    }
-
-    /// This configuration with tracing switched on (composes with
-    /// [`RunConfig::real`] etc.).
-    pub fn with_tracing(self) -> Self {
-        RunConfig {
-            traced: true,
-            ..self
-        }
-    }
-
-    /// This configuration with the given traced ring-buffer capacity
-    /// (events per rank); implies nothing about `traced` itself.
-    pub fn with_trace_capacity(self, events: usize) -> Self {
-        RunConfig {
-            trace_capacity: events,
-            ..self
-        }
-    }
-}
-
-// `#[derive(Default)]` on a struct with `bool` fields would default them
-// to `false`; the semantic default is run_spmd's behaviour.
-impl std::default::Default for RunConfig {
-    fn default() -> Self {
-        Self::virtual_time()
-    }
-}
-
-/// Shared frontend for the panicking entry points: re-raises the first
-/// rank failure as a panic whose message contains the original panic
-/// text, and applies the leak check to successful runs.
-fn run_checked<F, R>(nprocs: usize, model: MachineModel, body: F, config: RunConfig) -> SpmdResult<R>
-where
-    F: Fn(&mut Ctx) -> R + Sync,
-    R: Send,
-{
-    let (outcomes, leaked, wall_us) = run_inner_result(nprocs, model, None, body, config);
-    let mut results = Vec::with_capacity(nprocs);
-    let mut rank_times = Vec::with_capacity(nprocs);
-    let mut per_rank = Vec::with_capacity(nprocs);
-    let mut rank_traces = Vec::with_capacity(if config.traced { nprocs } else { 0 });
-    for outcome in outcomes {
-        match outcome {
-            Ok((r, now, stats, trace)) => {
-                results.push(r);
-                rank_times.push(now);
-                per_rank.push(stats);
-                if let Some(t) = trace {
-                    rank_traces.push(t);
-                }
-            }
-            // A failed rank takes precedence, matching `std::thread::scope`
-            // semantics; the message keeps the original panic text so
-            // callers matching on it still work.
-            Err(failure) => panic!("{}", failure.message),
-        }
-    }
-    if config.check_leaks {
-        assert_eq!(
-            leaked, 0,
-            "run finished with {leaked} unreceived message(s): \
-             mismatched send/recv in the SPMD program"
-        );
-    }
     let elapsed_virtual = rank_times.iter().copied().fold(0.0, f64::max);
-    let trace = config.traced.then(|| RunTrace {
+    let trace = (traced && all_ok).then(|| RunTrace {
         ranks: rank_traces,
         rank_times: rank_times.clone(),
         elapsed_virtual,
     });
-    SpmdResult {
+    let run = FtSpmdResult {
         results,
         elapsed_virtual,
         rank_times,
         stats: RunStats { per_rank },
         wall_us,
-        trace,
-    }
+        leaked_messages: leaked,
+    };
+    (run, trace)
 }
 
 /// Run `body` as an SPMD computation with `nprocs` processes on the given
@@ -705,15 +644,11 @@ where
     F: Fn(&mut Ctx) -> R + Sync,
     R: Send,
 {
-    run_checked(nprocs, model, body, RunConfig::virtual_time())
+    run_spmd_with(nprocs, model, RunConfig::default(), body)
 }
 
-/// [`run_spmd`] with an explicit [`RunConfig`]: the entry point that
-/// selects the transport backend. `RunConfig::default()` reproduces
-/// [`run_spmd`] exactly; [`RunConfig::real`] runs the same unmodified
-/// body on the real lock-free shared-memory backend, whose measured
-/// wall-clock time lands in [`SpmdResult::wall_us`]. Results, per-rank
-/// clocks, and statistics are bit-identical across backends.
+/// [`run_spmd`] with an explicit [`RunConfig`] — unpooled, without the
+/// leak check, or traced:
 ///
 /// ```
 /// use archetype_mp::{run_spmd_with, MachineModel, RunConfig};
@@ -721,11 +656,17 @@ where
 /// let body = |ctx: &mut archetype_mp::Ctx| {
 ///     ctx.all_reduce(ctx.rank() as u64 + 1, |a, b| a + b)
 /// };
-/// let modeled = run_spmd_with(4, MachineModel::ibm_sp(), RunConfig::default(), body);
-/// let measured = run_spmd_with(4, MachineModel::ibm_sp(), RunConfig::real(), body);
-/// assert_eq!(modeled.results, measured.results);
-/// assert_eq!(modeled.rank_times, measured.rank_times);
+/// let plain = run_spmd_with(4, MachineModel::ibm_sp(), RunConfig::default(), body);
+/// let traced = run_spmd_with(4, MachineModel::ibm_sp(), RunConfig::traced(), body);
+/// assert_eq!(plain.results, traced.results);
+/// assert_eq!(plain.rank_times, traced.rank_times);
+/// assert!(traced.trace.is_some());
 /// ```
+///
+/// # Panics
+/// Re-raises the first failed rank's panic (the message keeps the
+/// original panic text, so callers matching on it still work), and
+/// panics on leaked messages when [`RunConfig::check_leaks`] is set.
 pub fn run_spmd_with<F, R>(
     nprocs: usize,
     model: MachineModel,
@@ -736,60 +677,23 @@ where
     F: Fn(&mut Ctx) -> R + Sync,
     R: Send,
 {
-    run_checked(nprocs, model, body, config)
+    match try_run_spmd(nprocs, model, config, body) {
+        Ok(out) => out,
+        Err(SpmdError::Ranks { failures }) => panic!("{}", failures[0].message),
+        Err(leaked @ SpmdError::Leaked { .. }) => panic!("{leaked}"),
+    }
 }
 
-/// Convenience for [`run_spmd_with`]`(…, RunConfig::real(), …)`: run the
-/// body on the real shared-memory backend and read the measured time
-/// from [`SpmdResult::wall_us`].
-pub fn run_spmd_real<F, R>(nprocs: usize, model: MachineModel, body: F) -> SpmdResult<R>
-where
-    F: Fn(&mut Ctx) -> R + Sync,
-    R: Send,
-{
-    run_spmd_with(nprocs, model, RunConfig::real(), body)
-}
-
-/// Like [`run_spmd`] but without the message-leak check. Useful in tests
-/// that deliberately exercise failure paths.
-pub fn run_spmd_quiet<F, R>(nprocs: usize, model: MachineModel, body: F) -> SpmdResult<R>
-where
-    F: Fn(&mut Ctx) -> R + Sync,
-    R: Send,
-{
-    let config = RunConfig {
-        check_leaks: false,
-        ..RunConfig::virtual_time()
-    };
-    run_checked(nprocs, model, body, config)
-}
-
-/// [`run_spmd`] on the seed execution path: fresh OS threads and a fresh
-/// channel network every call, nothing pooled or recycled. Kept as the
-/// baseline the `substrate_overhead` bench compares against, and for
-/// callers that want complete isolation between runs.
-pub fn run_spmd_unpooled<F, R>(nprocs: usize, model: MachineModel, body: F) -> SpmdResult<R>
-where
-    F: Fn(&mut Ctx) -> R + Sync,
-    R: Send,
-{
-    let config = RunConfig {
-        pooled: false,
-        ..RunConfig::virtual_time()
-    };
-    run_checked(nprocs, model, body, config)
-}
-
-/// Like [`run_spmd`], but rank panics are contained and reported as a
-/// structured [`SpmdError`] instead of being re-raised: one panicking
-/// rank cannot take the calling thread down, the worker pool stays usable
-/// for the next run, and the dirty channel network is quarantined rather
-/// than recycled.
+/// The fallible entry point: like [`run_spmd_with`], but rank panics and
+/// leaked messages are reported as a structured [`SpmdError`] instead of
+/// being re-raised — one panicking rank cannot take the calling thread
+/// down, the worker pool stays usable for the next run, and the dirty
+/// channel network is quarantined rather than recycled.
 ///
 /// ```
-/// use archetype_mp::{try_run_spmd, MachineModel};
+/// use archetype_mp::{try_run_spmd, MachineModel, RunConfig};
 ///
-/// let err = try_run_spmd(2, MachineModel::zero_comm(), |ctx| {
+/// let err = try_run_spmd(2, MachineModel::zero_comm(), RunConfig::default(), |ctx| {
 ///     if ctx.rank() == 1 {
 ///         panic!("boom");
 ///     }
@@ -803,20 +707,6 @@ where
 pub fn try_run_spmd<F, R>(
     nprocs: usize,
     model: MachineModel,
-    body: F,
-) -> Result<SpmdResult<R>, SpmdError>
-where
-    F: Fn(&mut Ctx) -> R + Sync,
-    R: Send,
-{
-    try_run_spmd_with(nprocs, model, RunConfig::virtual_time(), body)
-}
-
-/// [`try_run_spmd`] with an explicit [`RunConfig`]: contained rank
-/// failures on either backend, reported as [`SpmdError::Ranks`].
-pub fn try_run_spmd_with<F, R>(
-    nprocs: usize,
-    model: MachineModel,
     config: RunConfig,
     body: F,
 ) -> Result<SpmdResult<R>, SpmdError>
@@ -824,47 +714,30 @@ where
     F: Fn(&mut Ctx) -> R + Sync,
     R: Send,
 {
-    let (outcomes, leaked, wall_us) = run_inner_result(nprocs, model, None, body, config);
+    let (run, trace) = run_ranks(nprocs, model, None, config, body);
     let mut results = Vec::with_capacity(nprocs);
-    let mut rank_times = Vec::with_capacity(nprocs);
-    let mut per_rank = Vec::with_capacity(nprocs);
-    let mut rank_traces = Vec::with_capacity(if config.traced { nprocs } else { 0 });
     let mut failures = Vec::new();
-    for outcome in outcomes {
+    for outcome in run.results {
         match outcome {
-            Ok((r, now, stats, trace)) => {
-                results.push(r);
-                rank_times.push(now);
-                per_rank.push(stats);
-                if let Some(t) = trace {
-                    rank_traces.push(t);
-                }
-            }
+            Ok(r) => results.push(r),
             Err(failure) => failures.push(failure),
         }
     }
+    // A failed rank takes precedence over the leak it may have caused.
     if !failures.is_empty() {
         return Err(SpmdError::Ranks { failures });
     }
-    if config.check_leaks {
-        assert_eq!(
-            leaked, 0,
-            "run finished with {leaked} unreceived message(s): \
-             mismatched send/recv in the SPMD program"
-        );
+    if config.check_leaks && run.leaked_messages > 0 {
+        return Err(SpmdError::Leaked {
+            count: run.leaked_messages,
+        });
     }
-    let elapsed_virtual = rank_times.iter().copied().fold(0.0, f64::max);
-    let trace = config.traced.then(|| RunTrace {
-        ranks: rank_traces,
-        rank_times: rank_times.clone(),
-        elapsed_virtual,
-    });
     Ok(SpmdResult {
         results,
-        elapsed_virtual,
-        rank_times,
-        stats: RunStats { per_rank },
-        wall_us,
+        elapsed_virtual: run.elapsed_virtual,
+        rank_times: run.rank_times,
+        stats: run.stats,
+        wall_us: run.wall_us,
         trace,
     })
 }
@@ -879,11 +752,11 @@ where
 /// the `Result`-wrapped outcomes — the configuration whose overhead the
 /// `substrate_overhead` bench pins.
 ///
-/// Fault injection is deliberately **virtual-backend-only**: the
-/// disconnect-based death signal is the one substrate path whose timing
-/// depends on real scheduling, so recovery choreography is validated
-/// where it is deterministic. (The fault-free protocols those recoveries
-/// wrap run on either backend.)
+/// Crash sites are keyed by operation counts, never by time, so which
+/// ranks die and what the survivors compute is deterministic even though
+/// the disconnect-based death signal travels in real time. Fault-injected
+/// runs do not report traces: a crashed rank's recorder dies with its
+/// unwind, and a partial-trace API is not worth the asymmetry.
 pub fn run_spmd_ft<F, R>(
     nprocs: usize,
     model: MachineModel,
@@ -894,83 +767,14 @@ where
     F: Fn(&mut Ctx) -> R + Sync,
     R: Send,
 {
-    run_spmd_ft_with(nprocs, model, plan, RunConfig::virtual_time(), body)
-        .expect("the virtual backend is always supported")
-}
-
-/// [`run_spmd_ft`] with an explicit [`RunConfig`] — and the guard that
-/// *enforces* the virtual-only contract: a config selecting
-/// [`Backend::Real`] is rejected with a typed
-/// [`SpmdError::UnsupportedBackend`] before anything runs, instead of
-/// silently executing a fault schedule whose death signal would depend
-/// on real scheduling.
-///
-/// ```
-/// use archetype_mp::{run_spmd_ft_with, FaultPlan, MachineModel, RunConfig, SpmdError};
-///
-/// let err = run_spmd_ft_with(
-///     2,
-///     MachineModel::zero_comm(),
-///     FaultPlan::new(0),
-///     RunConfig::real(),
-///     |ctx| ctx.rank(),
-/// )
-/// .unwrap_err();
-/// assert!(matches!(err, SpmdError::UnsupportedBackend { .. }));
-/// ```
-pub fn run_spmd_ft_with<F, R>(
-    nprocs: usize,
-    model: MachineModel,
-    plan: FaultPlan,
-    config: RunConfig,
-    body: F,
-) -> Result<FtSpmdResult<R>, SpmdError>
-where
-    F: Fn(&mut Ctx) -> R + Sync,
-    R: Send,
-{
-    if config.backend != Backend::Virtual {
-        return Err(SpmdError::UnsupportedBackend {
-            entry: "run_spmd_ft",
-            backend: config.backend,
-        });
-    }
-    // Fault-injected runs do not report traces: [`FtSpmdResult`] has no
-    // trace field, and a crashed rank's recorder dies with its unwind —
-    // a partial-trace API is not worth the asymmetry. Tracing is forced
-    // off so the recorder is never even installed.
-    let config = RunConfig {
-        traced: false,
-        backend: Backend::Virtual,
-        ..config
-    };
-    let (outcomes, leaked, _wall_us) =
-        run_inner_result(nprocs, model, Some(Arc::new(plan)), body, config);
-    let mut results = Vec::with_capacity(nprocs);
-    let mut rank_times = Vec::with_capacity(nprocs);
-    let mut per_rank = Vec::with_capacity(nprocs);
-    for outcome in outcomes {
-        match outcome {
-            Ok((r, now, stats, _trace)) => {
-                results.push(Ok(r));
-                rank_times.push(now);
-                per_rank.push(stats);
-            }
-            Err(failure) => {
-                rank_times.push(failure.clock);
-                per_rank.push(failure.stats);
-                results.push(Err(failure));
-            }
-        }
-    }
-    let elapsed_virtual = rank_times.iter().copied().fold(0.0, f64::max);
-    Ok(FtSpmdResult {
-        results,
-        elapsed_virtual,
-        rank_times,
-        stats: RunStats { per_rank },
-        leaked_messages: leaked,
-    })
+    run_ranks(
+        nprocs,
+        model,
+        Some(Arc::new(plan)),
+        RunConfig::default(),
+        body,
+    )
+    .0
 }
 
 #[cfg(test)]
@@ -1023,7 +827,11 @@ mod tests {
             (s, ctx.now())
         };
         let pooled = run_spmd(6, MachineModel::ibm_sp(), body);
-        let unpooled = run_spmd_unpooled(6, MachineModel::ibm_sp(), body);
+        let fresh = RunConfig {
+            pooled: false,
+            ..RunConfig::default()
+        };
+        let unpooled = run_spmd_with(6, MachineModel::ibm_sp(), fresh, body);
         assert_eq!(pooled.results, unpooled.results);
         assert_eq!(pooled.rank_times, unpooled.rank_times);
     }
@@ -1043,7 +851,7 @@ mod tests {
             .lock()
             .unwrap()
             .by_size
-            .get(&(N, Backend::Virtual))
+            .get(&N)
             .map_or(0, Vec::len);
         assert!(cached >= 1, "a clean {N}-rank network should be cached");
     }
@@ -1058,7 +866,7 @@ mod tests {
             .lock()
             .unwrap()
             .by_size
-            .get(&(N, Backend::Virtual))
+            .get(&N)
             .map_or(0, Vec::len);
         assert_eq!(cached, 0, "an over-budget network must not be cached");
     }
@@ -1092,7 +900,7 @@ mod tests {
         let recomputed: usize = cache
             .by_size
             .iter()
-            .map(|(&(n, _), slot)| n * n * slot.len())
+            .map(|(&n, slot)| n * n * slot.len())
             .sum();
         assert_eq!(cache.channels, recomputed, "channel accounting drifted");
         for slot in cache.by_size.values() {
@@ -1103,99 +911,66 @@ mod tests {
         // evicted to make room for them.
         let freshest = SIZES.end - 1;
         assert!(
-            cache.by_size.contains_key(&(freshest, Backend::Virtual)),
+            cache.by_size.contains_key(&freshest),
             "the most recently released size must still be cached"
         );
-        let evicted = SIZES
-            .filter(|&n| !cache.by_size.contains_key(&(n, Backend::Virtual)))
-            .count();
+        let evicted = SIZES.filter(|&n| !cache.by_size.contains_key(&n)).count();
         assert!(
             evicted > 0,
             "oversubscribing the budget must evict some stale sizes"
         );
     }
 
+    /// The last-sender-drop race at `Ctx` level: rank 1 drains what
+    /// rank 0 sent and parks on the next receive while rank 0 dies at its
+    /// first fault point — the unwind drops rank 0's link ends with rank
+    /// 1 anywhere between its empty check and its wait, and the parked
+    /// receiver must wake with `RankDead`, never hang.
     #[test]
-    fn ft_runs_reject_the_real_backend_with_a_typed_error() {
-        let err = run_spmd_ft_with(
-            2,
-            MachineModel::zero_comm(),
-            FaultPlan::new(7),
-            RunConfig::real(),
-            |ctx| ctx.rank(),
-        )
-        .unwrap_err();
-        match err {
-            SpmdError::UnsupportedBackend { entry, backend } => {
-                assert_eq!(entry, "run_spmd_ft");
-                assert_eq!(backend, Backend::Real);
-                assert!(err.failures().is_empty());
-            }
-            other => panic!("expected UnsupportedBackend, got {other:?}"),
-        }
-        // The virtual path through the same entry point still works.
-        let ok = run_spmd_ft_with(
-            2,
-            MachineModel::zero_comm(),
-            FaultPlan::new(7),
-            RunConfig::virtual_time(),
-            |ctx| ctx.rank(),
-        )
-        .expect("virtual backend is supported");
-        assert!(ok.all_ok());
-    }
-
-    #[test]
-    fn backends_recycle_networks_independently() {
-        // Process count unique to this test (see
-        // repeated_runs_recycle_the_network for why that matters).
-        const N: usize = 29;
-        for _ in 0..3 {
-            run_spmd(N, MachineModel::zero_comm(), |ctx| {
-                ctx.all_reduce(1u64, |a, b| a + b)
+    fn ft_runs_measure_wall_time_and_wake_a_crashed_peers_parked_receiver() {
+        use crate::fault::{CrashSite, RankDead};
+        for round in 0..200u64 {
+            let msgs = round % 4; // vary how much drain precedes the park
+            let plan = FaultPlan::new(round).crash(0, CrashSite::Phase(0));
+            let out = run_spmd_ft(2, MachineModel::zero_comm(), plan, move |ctx| {
+                if ctx.rank() == 0 {
+                    for i in 0..msgs {
+                        ctx.send_ft(1, i, i).expect("rank 1 is alive");
+                    }
+                    if round % 2 == 0 {
+                        std::thread::yield_now();
+                    }
+                    ctx.fault_point();
+                    unreachable!("rank 0 dies at its first fault point");
+                }
+                let mut got = 0u64;
+                loop {
+                    match ctx.recv_ft::<u64>(0, got) {
+                        Ok(v) => {
+                            assert_eq!(v, got);
+                            got += 1;
+                        }
+                        Err(dead) => return (got, dead),
+                    }
+                }
             });
-            run_spmd_real(N, MachineModel::zero_comm(), |ctx| {
-                ctx.all_reduce(1u64, |a, b| a + b)
-            });
+            let crash = out.results[0].as_ref().expect_err("rank 0 crashed");
+            assert!(crash.injected, "round {round}: {crash}");
+            let survivor = out.results[1].as_ref().expect("rank 1 survives");
+            assert_eq!(*survivor, (msgs, RankDead { rank: 0 }), "round {round}");
+            assert!(out.wall_us > 0, "an FT run reports its measured wall time");
         }
-        let cache = network_cache().lock().unwrap();
-        let virt = cache
-            .by_size
-            .get(&(N, Backend::Virtual))
-            .map_or(0, Vec::len);
-        let real = cache.by_size.get(&(N, Backend::Real)).map_or(0, Vec::len);
-        assert!(virt >= 1, "virtual {N}-rank networks should be cached");
-        assert!(real >= 1, "real {N}-rank networks should be cached");
-    }
-
-    #[test]
-    fn real_backend_matches_virtual_and_measures_wall_time() {
-        let body = |ctx: &mut Ctx| {
-            let s = ctx.all_reduce(ctx.rank() as u64 + 1, |a, b| a + b);
-            let g = ctx.all_gather(ctx.rank() as u64);
-            ctx.charge_flops(1000.0);
-            ctx.barrier();
-            (s, g, ctx.now())
-        };
-        let modeled = run_spmd(5, MachineModel::ibm_sp(), body);
-        let measured = run_spmd_real(5, MachineModel::ibm_sp(), body);
-        assert_eq!(modeled.results, measured.results);
-        // The model clock is maintained identically on the real backend,
-        // so even the virtual times coincide bit-for-bit.
-        assert_eq!(modeled.rank_times, measured.rank_times);
-        assert_eq!(modeled.elapsed_virtual, measured.elapsed_virtual);
     }
 
     #[test]
     fn run_config_default_is_run_spmd() {
         let cfg = RunConfig::default();
         assert_eq!(cfg, RunConfig::virtual_time());
-        assert_eq!(cfg.backend, Backend::Virtual);
+        assert_eq!(cfg, RunConfig::real());
         assert!(cfg.pooled);
         assert!(cfg.check_leaks);
         assert!(!cfg.traced);
         assert_eq!(cfg.trace_capacity, DEFAULT_TRACE_CAPACITY);
-        assert_eq!(RunConfig::real().on(Backend::Virtual), cfg);
         assert_eq!(RunConfig::traced(), cfg.with_tracing());
     }
 
@@ -1257,16 +1032,6 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "unreceived message")]
-    fn leak_check_holds_on_real_backend() {
-        run_spmd_real(2, MachineModel::ibm_sp(), |ctx| {
-            if ctx.rank() == 0 {
-                ctx.send(1, 0, 1u8); // never received
-            }
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "unreceived message")]
     fn leak_check_catches_unmatched_send() {
         run_spmd(2, MachineModel::ibm_sp(), |ctx| {
             if ctx.rank() == 0 {
@@ -1282,12 +1047,16 @@ mod tests {
     fn leaky_quiet_runs_do_not_poison_later_runs() {
         // A quiet run that leaves messages in flight must not hand its
         // dirty network to a subsequent same-size run.
-        run_spmd_quiet(3, MachineModel::zero_comm(), |ctx| {
+        let quiet = RunConfig {
+            check_leaks: false,
+            ..RunConfig::default()
+        };
+        run_spmd_with(3, MachineModel::zero_comm(), quiet, |ctx| {
             if ctx.rank() == 0 {
                 ctx.send(1, 77, vec![1u8, 2, 3]); // never received
             }
         });
-        let out = run_spmd_quiet(3, MachineModel::zero_comm(), |ctx| {
+        let out = run_spmd_with(3, MachineModel::zero_comm(), quiet, |ctx| {
             // If the dirty network were recycled, the stale tag-77 packet
             // could satisfy this receive with wrong data.
             if ctx.rank() == 1 {
@@ -1303,7 +1072,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn rank_panic_propagates() {
-        run_spmd_quiet(3, MachineModel::ibm_sp(), |ctx| {
+        run_spmd(3, MachineModel::ibm_sp(), |ctx| {
             if ctx.rank() == 1 {
                 panic!("rank 1 exploded");
             }

@@ -18,7 +18,7 @@
 //! * **No observer effect.** Hooks read the clock and counters; they
 //!   never touch them, never add virtual time, and never change what
 //!   goes on the wire. `tests/prop_trace.rs` holds traced runs
-//!   bit-identical to untraced ones across backends and archetypes.
+//!   bit-identical to untraced ones across archetypes.
 //!
 //! Every event carries both timestamps: the rank's **virtual time** (the
 //! modeled quantity all analysis uses) and a **wall-clock** offset in

@@ -1,39 +1,26 @@
-//! Pluggable transport behind the SPMD network: the backend seam.
+//! The transport under the SPMD network: in-repo lock-free queues.
 //!
-//! Every `run_spmd` call selects a [`Backend`] (via
-//! [`crate::runner::RunConfig`]); the choice decides which channel
-//! implementation carries [`Packet`]s between ranks:
+//! Every mesh link of an SPMD network has a *statically single sender*
+//! (the `(src, dst)` channel is only ever pushed by rank `src`'s thread),
+//! so links ride the **lock-free SPSC queue** ([`spsc_channel`]): a
+//! one-store publish, a consumer pop that never takes a lock while
+//! messages are available, a per-link node freelist that makes
+//! steady-state traffic allocation-free, and a condvar slow path only for
+//! parking on an empty queue. The worker pool's dispatch channels are the
+//! same queue. The multi-producer generalization ([`real_channel`], a
+//! Vyukov-style MPSC queue) has no user inside the crate; it stays as the
+//! throughput comparison point the repo benchmark measures.
 //!
-//! * [`Backend::Virtual`] — the deterministic virtual-time oracle. Ranks
-//!   are real threads, but the channels are the vendored `crossbeam`
-//!   stand-in (a `Mutex<VecDeque>` + `Condvar` queue) and the *reported*
-//!   numbers are model-driven virtual time. This is the backend every
-//!   existing caller gets by default; nothing about it changed.
-//! * [`Backend::Real`] — real shared-memory execution for wall-clock
-//!   measurement. Every mesh link of an SPMD network has a *statically
-//!   single sender* (the `(src, dst)` channel is only ever pushed by
-//!   rank `src`'s thread), so real-backend links ride the in-repo
-//!   **lock-free SPSC queue** ([`spsc_channel`]): a one-store publish, a
-//!   consumer pop that never takes a lock while messages are available,
-//!   a per-link node freelist that makes steady-state traffic
-//!   allocation-free, and a condvar slow path only for parking on an
-//!   empty queue. The multi-producer generalization ([`real_channel`],
-//!   a Vyukov-style MPSC queue) remains for genuinely multi-producer
-//!   uses and as the throughput-bench comparison point.
-//!
-//! What is *shared* between the backends: the mailbox matching rules
-//! ((sender, scope, tag) addressing, per-sender FIFO), the collectives,
-//! scoped contexts, the leak check, network recycling, and — crucially —
-//! the machine-model clock. The real backend still maintains the virtual
-//! clock exactly as the oracle does, so every model-driven control
-//! decision (farm batch sizing, DC cutoffs, pipeline stage fusion)
-//! coincides across backends and results are bit-identical by
-//! construction; only the headline *measurement* differs (modeled
-//! `elapsed_virtual` vs measured `wall_us`).
+//! The machine-model clock is a pure accounting overlay on top of this
+//! transport ([`crate::Ctx`] stamps and settles arrival times; nothing
+//! here knows about virtual time), which is why every run reports both a
+//! modeled `elapsed_virtual` and a measured `wall_us`. The queues are
+//! held against an independent reference (`std::sync::mpsc`) by the
+//! differential property tests in `tests/prop_mailbox.rs`.
 //!
 //! # The parked-flag (Dekker) sleep/wake protocol
 //!
-//! Both real queues park their single consumer with the same flag
+//! Both queues park their single consumer with the same flag
 //! protocol, so a blocking receive never takes the sleep lock while
 //! messages are available and a producer never takes it unless a
 //! consumer is (or is about to be) parked:
@@ -71,53 +58,15 @@ use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
-use crate::packet::Packet;
-
-/// Which transport (and which headline timing) a `run_spmd` call uses.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum Backend {
-    /// Deterministic virtual-time execution: the correctness oracle.
-    /// Reported times come from the [`crate::MachineModel`].
-    #[default]
-    Virtual,
-    /// Real shared-memory execution on lock-free channels, for measured
-    /// wall-clock numbers. Results are bit-identical to [`Backend::Virtual`].
-    Real,
-}
-
-impl std::fmt::Display for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Backend::Virtual => "virtual",
-            Backend::Real => "real",
-        })
-    }
-}
-
 /// Error returned by a receive on an empty channel whose senders have
 /// all disconnected (the transport-level death signal).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Disconnected;
 
-/// Error returned by [`PacketSender::send`] when the destination rank's
-/// mailbox has been torn down; carries the undelivered packet.
-pub struct SendError(pub Packet);
-
-impl std::fmt::Debug for SendError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SendError")
-            .field("from", &self.0.from)
-            .field("scope", &self.0.scope)
-            .field("tag", &self.0.tag)
-            .field("bytes", &self.0.bytes)
-            .finish_non_exhaustive()
-    }
-}
-
 /// Publication fence for a batched fan-out: after a series of
 /// `send_publish` calls, one `SeqCst` fence orders *all* the published
 /// messages against the subsequent per-queue `parked` reads (see
-/// [`PacketSender::wake`]), so a fan-out of k sends pays one fence
+/// [`SpscSender::wake`]), so a fan-out of k sends pays one fence
 /// instead of k.
 pub(crate) fn publish_fence() {
     fence(Ordering::SeqCst);
@@ -148,8 +97,7 @@ impl<T> Node<T> {
 /// The `sleep`/`wake` pair is used *only* to park the consumer on an
 /// empty queue — producers touch the mutex only when they observe a
 /// parked consumer (see the module-level protocol description), so the
-/// message hot path never contends on a lock (unlike the vendored
-/// crossbeam stand-in, which locks on every send and receive).
+/// message hot path never contends on a lock.
 ///
 /// Nodes are heap-allocated per push: with *multiple* producers a node
 /// freelist would need a multi-popper lock-free stack (ABA-prone without
@@ -306,7 +254,7 @@ impl<T> Drop for RealQueue<T> {
     }
 }
 
-/// Producer handle of the real backend's lock-free MPSC channel.
+/// Producer handle of the lock-free MPSC channel.
 /// Cloneable (multi-producer).
 pub struct RealSender<T> {
     queue: Arc<RealQueue<T>>,
@@ -349,7 +297,7 @@ impl<T> Drop for RealSender<T> {
     }
 }
 
-/// Consumer handle of the real backend's lock-free MPSC channel
+/// Consumer handle of the lock-free MPSC channel
 /// (single-consumer: not cloneable).
 pub struct RealReceiver<T> {
     queue: Arc<RealQueue<T>>,
@@ -381,7 +329,7 @@ impl<T> Drop for RealReceiver<T> {
     }
 }
 
-/// Create a real-backend (lock-free MPSC) channel.
+/// Create a lock-free MPSC channel.
 pub fn real_channel<T>() -> (RealSender<T>, RealReceiver<T>) {
     let queue = Arc::new(RealQueue::new());
     queue.init_tail();
@@ -426,7 +374,7 @@ struct SpscQueue<T> {
     /// Approximate freelist occupancy bounding retained nodes.
     free_len: AtomicUsize,
     /// Messages currently queued. Shared with the sibling links of one
-    /// mailbox when built via [`packet_channel_with`], so a mailbox's
+    /// mailbox when built via [`spsc_channel_with`], so a mailbox's
     /// leak check is one load instead of n.
     len: Arc<AtomicUsize>,
     /// Live `SpscSender` handles; 0 means disconnected. (Handles may be
@@ -754,8 +702,8 @@ impl<T> SpscReceiver<T> {
 
     /// Messages currently queued. Exact at quiescence for a channel from
     /// [`spsc_channel`]; for mesh links built with a shared counter (see
-    /// [`packet_channel_with`]) this counts in-flight messages across
-    /// *all* links sharing the counter.
+    /// [`crate::mailbox::build_network`]) this counts in-flight messages
+    /// across *all* links sharing the counter.
     pub fn len(&self) -> usize {
         self.queue.len.load(Ordering::Acquire)
     }
@@ -785,8 +733,10 @@ pub fn spsc_channel<T>() -> (SpscSender<T>, SpscReceiver<T>) {
 }
 
 /// Create a lock-free SPSC channel whose length counter is the given
-/// (possibly shared) cell — the mailbox leak-check fast path.
-fn spsc_channel_with<T>(len: Arc<AtomicUsize>) -> (SpscSender<T>, SpscReceiver<T>) {
+/// (possibly shared) cell. [`crate::mailbox::build_network`] shares one
+/// cell across all links of a destination's mailbox, making the post-run
+/// leak check a single load per mailbox instead of n per-channel reads.
+pub(crate) fn spsc_channel_with<T>(len: Arc<AtomicUsize>) -> (SpscSender<T>, SpscReceiver<T>) {
     let queue = Arc::new(SpscQueue::new(len));
     (
         SpscSender {
@@ -794,155 +744,6 @@ fn spsc_channel_with<T>(len: Arc<AtomicUsize>) -> (SpscSender<T>, SpscReceiver<T
         },
         SpscReceiver { queue },
     )
-}
-
-// ---------------------------------------------------------------------------
-// Unified packet channel: the seam the mailbox and Ctx are written against.
-// ---------------------------------------------------------------------------
-
-/// Send side of one (source, destination) link, backend-selected.
-///
-/// Mesh links are statically single-sender — channel `(src, dst)` is
-/// pushed only by rank `src`'s thread (clones made by
-/// [`crate::Ctx::scoped`] stay on that thread, and recycled networks are
-/// handed between runs through the cache mutex) — which is the invariant
-/// that lets the real backend ride the SPSC fast path safely.
-pub enum PacketSender {
-    /// Virtual-time oracle link (vendored crossbeam channel) plus the
-    /// mailbox's shared in-flight counter.
-    Virtual(crossbeam::channel::Sender<Packet>, Arc<AtomicUsize>),
-    /// Real-backend link: the lock-free single-sender queue.
-    Real(SpscSender<Packet>),
-}
-
-impl PacketSender {
-    /// Put a packet on the wire; hands it back when the destination
-    /// rank's mailbox has been torn down (the rank terminated).
-    pub fn send(&self, packet: Packet) -> Result<(), SendError> {
-        match self {
-            PacketSender::Virtual(tx, inflight) => {
-                tx.send(packet).map_err(|e| SendError(e.0))?;
-                inflight.fetch_add(1, Ordering::Release);
-                Ok(())
-            }
-            // SAFETY: mesh links are statically single-sender (type
-            // docs); all sends on this link happen on one thread or are
-            // ordered by the network hand-off mutexes.
-            PacketSender::Real(tx) => unsafe { tx.send(packet).map_err(SendError) },
-        }
-    }
-
-    /// Publish without the per-message fence/wake — the batched fan-out
-    /// fast path. The caller must run [`publish_fence`] once after its
-    /// last publish and then [`PacketSender::wake`] on every destination
-    /// before blocking on anything. On the virtual backend this is a
-    /// plain send (the mutex-based channel has no separate wake step).
-    pub(crate) fn send_publish(&self, packet: Packet) -> Result<(), SendError> {
-        match self {
-            PacketSender::Virtual(..) => self.send(packet),
-            // SAFETY: as for `send`.
-            PacketSender::Real(tx) => unsafe { tx.send_publish(packet).map_err(SendError) },
-        }
-    }
-
-    /// The wake half of a batched fan-out; a no-op on the virtual
-    /// backend. Must run after [`publish_fence`].
-    pub(crate) fn wake(&self) {
-        match self {
-            PacketSender::Virtual(..) => {}
-            PacketSender::Real(tx) => tx.wake(),
-        }
-    }
-
-    /// Which backend this link belongs to.
-    pub fn backend(&self) -> Backend {
-        match self {
-            PacketSender::Virtual(..) => Backend::Virtual,
-            PacketSender::Real(_) => Backend::Real,
-        }
-    }
-}
-
-impl Clone for PacketSender {
-    fn clone(&self) -> Self {
-        match self {
-            PacketSender::Virtual(tx, inflight) => {
-                PacketSender::Virtual(tx.clone(), Arc::clone(inflight))
-            }
-            PacketSender::Real(tx) => PacketSender::Real(tx.clone()),
-        }
-    }
-}
-
-/// Receive side of one (source, destination) link, backend-selected.
-pub enum PacketReceiver {
-    /// Virtual-time oracle link (vendored crossbeam channel) plus the
-    /// mailbox's shared in-flight counter.
-    Virtual(crossbeam::channel::Receiver<Packet>, Arc<AtomicUsize>),
-    /// Real-backend link (lock-free SPSC queue).
-    Real(SpscReceiver<Packet>),
-}
-
-impl PacketReceiver {
-    /// Blocking receive of the next packet on this link; fails once the
-    /// link is empty and the sending rank has dropped its send side.
-    pub fn recv(&self) -> Result<Packet, Disconnected> {
-        match self {
-            PacketReceiver::Virtual(rx, inflight) => {
-                let pkt = rx.recv().map_err(|_| Disconnected)?;
-                inflight.fetch_sub(1, Ordering::Release);
-                Ok(pkt)
-            }
-            PacketReceiver::Real(rx) => rx.recv(),
-        }
-    }
-
-    /// Packets currently in flight. For a link from [`packet_channel`]
-    /// this is the link's own queue length; for mesh links built with a
-    /// shared counter ([`packet_channel_with`]) it counts across all of
-    /// the owning mailbox's links — which is exactly what the O(1)
-    /// post-run leak check needs.
-    pub fn len(&self) -> usize {
-        match self {
-            PacketReceiver::Virtual(_, inflight) => inflight.load(Ordering::Acquire),
-            PacketReceiver::Real(rx) => rx.len(),
-        }
-    }
-
-    /// True when no packet is currently in flight (same caveat as
-    /// [`PacketReceiver::len`]).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Create one directed link of the network on the given backend, with a
-/// private in-flight counter.
-pub fn packet_channel(backend: Backend) -> (PacketSender, PacketReceiver) {
-    packet_channel_with(backend, Arc::new(AtomicUsize::new(0)))
-}
-
-/// Create one directed link whose in-flight counter is the given cell.
-/// [`crate::mailbox::build_network`] shares one cell across all links of
-/// a destination's mailbox, making the post-run leak check a single load
-/// per mailbox instead of n per-channel length reads.
-pub fn packet_channel_with(
-    backend: Backend,
-    inflight: Arc<AtomicUsize>,
-) -> (PacketSender, PacketReceiver) {
-    match backend {
-        Backend::Virtual => {
-            let (tx, rx) = crossbeam::channel::unbounded();
-            (
-                PacketSender::Virtual(tx, Arc::clone(&inflight)),
-                PacketReceiver::Virtual(rx, inflight),
-            )
-        }
-        Backend::Real => {
-            let (tx, rx) = spsc_channel_with(inflight);
-            (PacketSender::Real(tx), PacketReceiver::Real(rx))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1207,36 +1008,19 @@ mod tests {
     }
 
     #[test]
-    fn packet_channel_selects_backend() {
-        let (tx, rx) = packet_channel(Backend::Real);
-        assert_eq!(tx.backend(), Backend::Real);
-        assert!(rx.is_empty());
-        let (tx, _rx) = packet_channel(Backend::Virtual);
-        assert_eq!(tx.backend(), Backend::Virtual);
-    }
-
-    #[test]
-    fn packet_channels_share_an_inflight_cell() {
-        for backend in [Backend::Virtual, Backend::Real] {
-            let cell = Arc::new(AtomicUsize::new(0));
-            let (tx_a, rx_a) = packet_channel_with(backend, Arc::clone(&cell));
-            let (tx_b, rx_b) = packet_channel_with(backend, Arc::clone(&cell));
-            let pkt = |tag: u64| Packet {
-                from: 0,
-                scope: 0,
-                tag,
-                bytes: 0,
-                arrival_time: 0.0,
-                body: crate::packet::PacketBody::Owned(Box::new(0u8)),
-            };
-            tx_a.send(pkt(1)).unwrap();
-            tx_b.send(pkt(2)).unwrap();
-            assert_eq!(cell.load(Ordering::Acquire), 2, "{backend}");
-            rx_a.recv().unwrap();
-            assert_eq!(cell.load(Ordering::Acquire), 1, "{backend}");
-            rx_b.recv().unwrap();
-            assert_eq!(cell.load(Ordering::Acquire), 0, "{backend}");
+    fn spsc_channels_share_a_length_cell() {
+        let cell = Arc::new(AtomicUsize::new(0));
+        let (tx_a, rx_a) = spsc_channel_with(Arc::clone(&cell));
+        let (tx_b, rx_b) = spsc_channel_with(Arc::clone(&cell));
+        unsafe {
+            tx_a.send(1u64).unwrap();
+            tx_b.send(2u64).unwrap();
         }
+        assert_eq!(cell.load(Ordering::Acquire), 2);
+        rx_a.recv().unwrap();
+        assert_eq!(cell.load(Ordering::Acquire), 1);
+        rx_b.recv().unwrap();
+        assert_eq!(cell.load(Ordering::Acquire), 0);
     }
 
     #[test]
@@ -1244,18 +1028,10 @@ mod tests {
         // The batched fan-out path: publish (no wake), fence, wake. The
         // parked consumer must observe the message promptly through the
         // explicit wake, not just the fallback timeout.
-        let (tx, rx) = packet_channel(Backend::Real);
-        let h = std::thread::spawn(move || rx.recv().unwrap().tag);
+        let (tx, rx) = spsc_channel();
+        let h = std::thread::spawn(move || rx.recv().unwrap());
         std::thread::sleep(Duration::from_millis(20));
-        tx.send_publish(Packet {
-            from: 0,
-            scope: 0,
-            tag: 9,
-            bytes: 0,
-            arrival_time: 0.0,
-            body: crate::packet::PacketBody::Owned(Box::new(0u8)),
-        })
-        .unwrap();
+        unsafe { tx.send_publish(9u64).unwrap() };
         publish_fence();
         tx.wake();
         assert_eq!(h.join().unwrap(), 9);

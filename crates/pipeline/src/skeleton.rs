@@ -19,11 +19,10 @@
 //!    when out; a consumer returns one credit per item *after*
 //!    forwarding it downstream, so backpressure from a slow stage
 //!    propagates all the way to ingest — in virtual time as well as in
-//!    bounded memory. Credit edges are ordinary mesh links, so on the
-//!    real backend they transparently ride the substrate's SPSC fast
-//!    path (every link has a statically unique sender) with recycled
-//!    queue nodes and arena-backed payload boxes — the credit chatter
-//!    of a long stream allocates nothing in steady state.
+//!    bounded memory. Credit edges are ordinary mesh links, so they
+//!    ride the substrate's SPSC queues with recycled nodes and
+//!    arena-backed payload boxes — the credit chatter of a long stream
+//!    allocates nothing in steady state.
 //! 3. **End of stream** is an explicit marker sent once per (producer,
 //!    consumer) pair after the producer's last item; consumers drain one
 //!    from every producer, producers then reclaim their outstanding

@@ -1,6 +1,9 @@
-//! Shared helpers for the integration-test suites.
+//! Shared helpers and fixtures for the integration-test suites.
+#![allow(dead_code)] // each suite uses its own subset
 
-use parallel_archetypes::mp::SpmdResult;
+use parallel_archetypes::farm::{Farm, WorkScope};
+use parallel_archetypes::mp::{ProcessGrid2, SpmdResult};
+use parallel_archetypes::pipeline::{Pipeline, Stage as PipeStage};
 
 /// Run `run` twice and assert the two executions are bit-identical: the
 /// per-rank results (which may bundle traces and statistics), every
@@ -33,4 +36,76 @@ where
         "{label}: elapsed virtual time must be bit-identical"
     );
     a
+}
+
+/// A minimal farm whose roots spawn child tasks, stressing the
+/// work-redistribution protocol.
+pub struct SpawnFarm {
+    pub roots: u64,
+    pub spawn: u64,
+}
+impl Farm for SpawnFarm {
+    type Task = (u64, bool);
+    type Out = u64;
+    type Hint = ();
+    fn seed(&self) -> Vec<(u64, bool)> {
+        (0..self.roots).map(|k| (k, true)).collect()
+    }
+    fn work(&self, (k, root): (u64, bool), scope: &mut WorkScope<'_, Self>) {
+        if root {
+            for i in 0..self.spawn {
+                scope.spawn((k * 100 + i, false));
+            }
+        } else {
+            scope.emit(k);
+        }
+    }
+    fn out_identity(&self) -> u64 {
+        0
+    }
+    fn reduce(&self, a: u64, b: u64) -> u64 {
+        a + b
+    }
+}
+
+/// A minimal pipeline with a configurable stage count.
+pub struct NStage {
+    pub items: u64,
+    pub stages: Vec<AddStage>,
+}
+#[derive(Clone, Copy)]
+pub struct AddStage(pub u64);
+impl PipeStage<u64> for AddStage {
+    fn transform(&self, _seq: u64, item: u64) -> u64 {
+        item.wrapping_add(self.0)
+    }
+}
+impl Pipeline for NStage {
+    type Item = u64;
+    type Out = u64;
+    fn ingest(&self, seq: u64) -> Option<u64> {
+        (seq < self.items).then_some(seq)
+    }
+    fn stages(&self) -> Vec<&dyn PipeStage<u64>> {
+        self.stages
+            .iter()
+            .map(|s| s as &dyn PipeStage<u64>)
+            .collect()
+    }
+    fn out_identity(&self) -> u64 {
+        0
+    }
+    fn emit(&self, acc: u64, _seq: u64, item: u64) -> u64 {
+        acc.wrapping_add(item)
+    }
+}
+
+/// A process grid for `p` ranks.
+pub fn grid_for(p: usize) -> ProcessGrid2 {
+    match p {
+        4 => ProcessGrid2::new(2, 2),
+        6 => ProcessGrid2::new(2, 3),
+        8 => ProcessGrid2::new(2, 4),
+        _ => ProcessGrid2::new(1, p),
+    }
 }

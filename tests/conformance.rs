@@ -23,12 +23,10 @@ use parallel_archetypes::dc::{
     run_shared_recursive, run_spmd_recursive, CutoffPolicy, OneDeepMergesort, RecursiveMergesort,
 };
 use parallel_archetypes::farm::apps::GridSweepFarm;
-use parallel_archetypes::farm::{run_farm_traced, Farm, FarmConfig, WorkScope};
+use parallel_archetypes::farm::{run_farm_traced, FarmConfig};
 use parallel_archetypes::mesh::apps::poisson::{poisson_spmd_traced, sine_problem};
-use parallel_archetypes::mp::{run_spmd, run_spmd_real, MachineModel, ProcessGrid2};
-use parallel_archetypes::pipeline::{
-    run_pipeline_traced, Pipeline, PipelineConfig, Stage as PipeStage,
-};
+use parallel_archetypes::mp::{run_spmd, MachineModel};
+use parallel_archetypes::pipeline::{run_pipeline_traced, PipelineConfig};
 
 /// Assert a trace is a sentence of the archetype's grammar, with a
 /// diagnostic naming the archetype and showing the offending trace.
@@ -40,76 +38,8 @@ fn assert_conforms(info: &ArchetypeInfo, kinds: &[PhaseKind], context: &str) {
     );
 }
 
-/// A minimal farm whose spawning depth is randomized.
-struct SpawnFarm {
-    roots: u64,
-    spawn: u64,
-}
-impl Farm for SpawnFarm {
-    type Task = (u64, bool);
-    type Out = u64;
-    type Hint = ();
-    fn seed(&self) -> Vec<(u64, bool)> {
-        (0..self.roots).map(|k| (k, true)).collect()
-    }
-    fn work(&self, (k, root): (u64, bool), scope: &mut WorkScope<'_, Self>) {
-        if root {
-            for i in 0..self.spawn {
-                scope.spawn((k * 100 + i, false));
-            }
-        } else {
-            scope.emit(k);
-        }
-    }
-    fn out_identity(&self) -> u64 {
-        0
-    }
-    fn reduce(&self, a: u64, b: u64) -> u64 {
-        a + b
-    }
-}
-
-/// A minimal pipeline whose stage count is randomized.
-struct NStage {
-    items: u64,
-    stages: Vec<AddStage>,
-}
-#[derive(Clone, Copy)]
-struct AddStage(u64);
-impl PipeStage<u64> for AddStage {
-    fn transform(&self, _seq: u64, item: u64) -> u64 {
-        item.wrapping_add(self.0)
-    }
-}
-impl Pipeline for NStage {
-    type Item = u64;
-    type Out = u64;
-    fn ingest(&self, seq: u64) -> Option<u64> {
-        (seq < self.items).then_some(seq)
-    }
-    fn stages(&self) -> Vec<&dyn PipeStage<u64>> {
-        self.stages
-            .iter()
-            .map(|s| s as &dyn PipeStage<u64>)
-            .collect()
-    }
-    fn out_identity(&self) -> u64 {
-        0
-    }
-    fn emit(&self, acc: u64, _seq: u64, item: u64) -> u64 {
-        acc.wrapping_add(item)
-    }
-}
-
-/// A process grid for `p` ranks (used by the mesh conformance property).
-fn grid_for(p: usize) -> ProcessGrid2 {
-    match p {
-        4 => ProcessGrid2::new(2, 2),
-        6 => ProcessGrid2::new(2, 3),
-        8 => ProcessGrid2::new(2, 4),
-        _ => ProcessGrid2::new(1, p),
-    }
-}
+mod common;
+use common::{grid_for, AddStage, NStage, SpawnFarm};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -286,101 +216,6 @@ proptest! {
         });
         assert_conforms(&PIPELINE, &trace.kinds(), "run_pipeline_traced");
         prop_assert!(trace.kinds().iter().all(|k| PIPELINE.phases.contains(k)));
-    }
-
-    // ------------------------------------------------------------------
-    // Real backend: PhaseTraces are logical structure, so the grammars
-    // accept them regardless of which transport carried the messages —
-    // and because the real backend maintains the virtual clock, the
-    // trace is the *same sentence*, not merely another accepted one.
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn task_farm_traces_conform_on_real_backend(
-        p in 1usize..9,
-        roots in 0u64..30,
-        spawn in 0u64..5,
-        steal in any::<bool>(),
-    ) {
-        let farm = SpawnFarm { roots, spawn };
-        let run = |real: bool| {
-            let trace = PhaseTrace::new();
-            let body = |ctx: &mut parallel_archetypes::mp::Ctx| {
-                let config = FarmConfig { steal, ..FarmConfig::default() };
-                run_farm_traced(&farm, ctx, config, Some(&trace)).0
-            };
-            if real {
-                run_spmd_real(p, MachineModel::ibm_sp(), body);
-            } else {
-                run_spmd(p, MachineModel::ibm_sp(), body);
-            }
-            trace.kinds()
-        };
-        let real_kinds = run(true);
-        assert_conforms(&TASK_FARM, &real_kinds, "run_farm_traced (real backend)");
-        prop_assert_eq!(run(false), real_kinds, "same sentence on both backends");
-    }
-
-    #[test]
-    fn pipeline_traces_conform_on_real_backend(
-        p in 1usize..9,
-        items in 0u64..60,
-        n_stages in 0usize..5,
-    ) {
-        let pipe = NStage {
-            items,
-            stages: (0..n_stages as u64).map(AddStage).collect(),
-        };
-        let trace = PhaseTrace::new();
-        run_spmd_real(p, MachineModel::ibm_sp(), |ctx| {
-            run_pipeline_traced(&pipe, ctx, PipelineConfig::default(), Some(&trace)).0
-        });
-        assert_conforms(&PIPELINE, &trace.kinds(), "run_pipeline_traced (real backend)");
-    }
-
-    #[test]
-    fn recursive_dc_and_mesh_traces_conform_on_real_backend(
-        p in 1usize..9,
-        n in 8usize..300,
-        depth in 0usize..3,
-        iter_cap in 1usize..30,
-    ) {
-        let input: Vec<i64> = (0..n as i64).map(|i| (n as i64 - i) * 31 % 257).collect();
-        let policy = CutoffPolicy::new(2, 32, depth);
-        let out = run_spmd_real(p, MachineModel::ibm_sp(), move |ctx| {
-            let local = (ctx.rank() == 0).then(|| input.clone());
-            let t = PhaseTrace::new();
-            run_spmd_recursive(&RecursiveMergesort::<i64>::new(), ctx, local, &policy, Some(&t));
-            t.kinds()
-        });
-        assert_conforms(&RECURSIVE_DC, &out.results[0], "run_spmd_recursive rank 0 (real backend)");
-
-        let spec = sine_problem(12, 1e-7, iter_cap);
-        let pg = grid_for(p);
-        let trace = PhaseTrace::new();
-        run_spmd_real(p, MachineModel::ibm_sp(), |ctx| {
-            poisson_spmd_traced(ctx, &spec, pg, Some(&trace)).iters
-        });
-        assert_conforms(&MESH_SPECTRAL, &trace.kinds(), "poisson_spmd_traced (real backend)");
-    }
-
-    #[test]
-    fn composed_plan_traces_conform_on_real_backend(
-        p in 1usize..9,
-        sweep_points in 8u32..24,
-        mesh_n in 8usize..14,
-    ) {
-        let cfg = ForecastConfig { sweep_points, mesh_n, mesh_iters: 20 };
-        let plan = forecast_plan(cfg);
-        let trace = PhaseTrace::new();
-        run_spmd_real(p, MachineModel::ibm_sp(), |ctx| {
-            run_plan_traced(ctx, &plan, forecast_input(), Some(&trace)).1
-        });
-        let kinds = trace.kinds();
-        prop_assert!(
-            plan.grammar().matches(&kinds),
-            "p={p}: real-backend composite trace {kinds:?} rejected by the derived grammar"
-        );
     }
 }
 

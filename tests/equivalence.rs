@@ -1,7 +1,11 @@
 //! Cross-crate integration tests of the paper's central claim: the
 //! archetype transformations preserve semantics, so the sequential
 //! version 1, the rayon version 1, and the distributed-memory version 2
-//! of every application compute the same thing.
+//! of every application compute the same thing — and that rerunning any
+//! archetype at any process count reproduces results, clocks and
+//! statistics bit for bit, however the host schedules the ranks.
+
+use proptest::prelude::*;
 
 use parallel_archetypes::compose::{
     forecast_input, forecast_plan, run_plan, run_plan_with, ComposeConfig, ForecastConfig, ParMode,
@@ -19,7 +23,7 @@ use parallel_archetypes::mesh::apps::poisson::{poisson_shared, poisson_spmd, sin
 use parallel_archetypes::mp::{run_spmd, MachineModel, ProcessGrid2};
 
 mod common;
-use common::assert_bit_identical_runs;
+use common::{assert_bit_identical_runs, grid_for, AddStage, NStage, SpawnFarm};
 
 fn int_blocks(nblocks: usize, per: usize, seed: i64) -> Vec<Vec<i64>> {
     (0..nblocks)
@@ -422,4 +426,166 @@ fn composed_plan_results_and_stats_are_process_count_and_schedule_invariant() {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Rerun determinism, every archetype × p ∈ 1..8, over random inputs: ranks
+// are real threads racing over lock-free queues, so deliveries interleave
+// differently every run; nothing observable may change.
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn farm_reruns_are_bit_identical(
+        p in 1usize..9,
+        points in 1u32..48,
+        steal in any::<bool>(),
+        roots in 0u64..24,
+        spawn in 0u64..5,
+    ) {
+        use parallel_archetypes::core::PhaseTrace;
+        use parallel_archetypes::farm::apps::GridSweepFarm;
+        use parallel_archetypes::farm::{run_farm, run_farm_traced, FarmConfig};
+
+        // Score-table farm: irregular costs, order-canonicalized output.
+        let farm = GridSweepFarm { lo: -1.0, hi: 2.0, points };
+        assert_bit_identical_runs(&format!("grid sweep farm p={p}"), || {
+            let farm = farm.clone();
+            run_spmd(p, MachineModel::ibm_sp(), move |ctx| {
+                let config = FarmConfig { steal, ..FarmConfig::default() };
+                let (out, stats) = run_farm(&farm, ctx, config);
+                // Scores to bits: "bit-identical" means exactly that.
+                let bits: Vec<(u32, u64)> =
+                    out.into_iter().map(|(i, s)| (i, s.to_bits())).collect();
+                (bits, stats.executed, ctx.stats().msgs_sent, ctx.stats().bytes_sent)
+            })
+        });
+        // Dynamic task spawning, with and without stealing; the phase
+        // trace must be the same sentence every run.
+        let farm = SpawnFarm { roots, spawn };
+        assert_bit_identical_runs(&format!("spawn farm p={p}"), || {
+            run_spmd(p, MachineModel::cray_t3d(), |ctx| {
+                let config = FarmConfig { steal, ..FarmConfig::default() };
+                let trace = PhaseTrace::new();
+                let out = run_farm_traced(&farm, ctx, config, Some(&trace)).0;
+                (out, trace.kinds())
+            })
+        });
+    }
+
+    #[test]
+    fn recursive_dc_reruns_are_bit_identical(
+        p in 1usize..9,
+        n in 1usize..600,
+        branching in 2usize..4,
+        cutoff in 1usize..64,
+        depth in 0usize..4,
+    ) {
+        use parallel_archetypes::dc::{run_spmd_recursive, CutoffPolicy, RecursiveMergesort};
+
+        let input: Vec<i64> = (0..n as i64).map(|i| (i * 48271 + 11) % 9973 - 4000).collect();
+        let policy = CutoffPolicy::new(branching, cutoff, depth);
+        assert_bit_identical_runs(&format!("recursive dc p={p} n={n}"), || {
+            let inp = input.clone();
+            run_spmd(p, MachineModel::intel_delta(), move |ctx| {
+                let local = (ctx.rank() == 0).then(|| inp.clone());
+                let sorted = run_spmd_recursive(
+                    &RecursiveMergesort::<i64>::new(), ctx, local, &policy, None,
+                );
+                (sorted, ctx.stats().msgs_sent, ctx.stats().bytes_sent)
+            })
+        });
+    }
+
+    #[test]
+    fn pipeline_reruns_are_bit_identical(
+        p in 1usize..9,
+        items in 0u64..80,
+        n_stages in 0usize..5,
+        window in 1usize..6,
+    ) {
+        use parallel_archetypes::pipeline::{run_pipeline, PipelineConfig};
+
+        let pipe = NStage {
+            items,
+            stages: (0..n_stages as u64).map(AddStage).collect(),
+        };
+        assert_bit_identical_runs(
+            &format!("pipeline p={p} items={items} stages={n_stages}"),
+            || {
+                run_spmd(p, MachineModel::ibm_sp(), |ctx| {
+                    let config = PipelineConfig { window, ..PipelineConfig::default() };
+                    let (out, _) = run_pipeline(&pipe, ctx, config);
+                    (out, ctx.stats().msgs_sent)
+                })
+            },
+        );
+    }
+
+    #[test]
+    fn mesh_reruns_are_bit_identical(
+        p in 1usize..9,
+        n in 8usize..20,
+        iter_cap in 1usize..60,
+    ) {
+        let spec = sine_problem(n, 1e-6, iter_cap);
+        let pg = grid_for(p);
+        assert_bit_identical_runs(&format!("poisson mesh p={p} n={n}"), || {
+            run_spmd(p, MachineModel::cray_t3d(), move |ctx| {
+                let out = poisson_spmd(ctx, &spec, pg);
+                let grid_bits: Option<Vec<u64>> = out
+                    .grid
+                    .map(|g| g.iter().map(|x| x.to_bits()).collect());
+                (out.iters, grid_bits)
+            })
+        });
+    }
+
+    #[test]
+    fn composed_plan_reruns_are_bit_identical(
+        p in 1usize..9,
+        sweep_points in 8u32..24,
+        mesh_n in 8usize..14,
+        mesh_iters in 5usize..30,
+    ) {
+        // The flagship composite — (farm ∥ mesh) → recursive DC →
+        // pipeline — over the model-driven allocator: scoped contexts,
+        // tag namespaces, and subgroup collectives all cross the mesh.
+        let cfg = ForecastConfig { sweep_points, mesh_n, mesh_iters };
+        assert_bit_identical_runs(&format!("forecast composite p={p}"), || {
+            run_spmd(p, MachineModel::ibm_sp(), |ctx| {
+                let (value, stats) = run_plan(ctx, &forecast_plan(cfg), forecast_input());
+                (value, stats, ctx.now().to_bits())
+            })
+        });
+    }
+}
+
+/// Sibling scopes that reuse identical tags stay isolated, and the
+/// outcome does not depend on how their traffic interleaves.
+#[test]
+fn scoped_sibling_isolation_reruns_are_bit_identical() {
+    let out = assert_bit_identical_runs("scoped siblings", || {
+        run_spmd(4, MachineModel::ibm_sp(), |ctx| {
+            let half: Vec<usize> = if ctx.rank() < 2 {
+                vec![0, 1]
+            } else {
+                vec![2, 3]
+            };
+            let marker = (ctx.rank() / 2) as u64;
+            let got = ctx.scoped(&half, 1, |ctx| {
+                let partner = 1 - ctx.rank();
+                ctx.send(partner, 40, marker * 100);
+                ctx.send(partner, 41, marker);
+                let late: u64 = ctx.recv(partner, 41);
+                let early: u64 = ctx.recv(partner, 40);
+                (early, late)
+            });
+            let world = ctx.all_reduce(1u64, |a, b| a + b);
+            (got, world, ctx.now().to_bits())
+        })
+    });
+    assert!(out.wall_us > 0, "every run reports its measured wall time");
 }

@@ -3,57 +3,46 @@
 //! entry point), must quarantine the dirty network rather than recycling
 //! it, and must leave the thread pool fully usable for later runs.
 
-use parallel_archetypes::mp::{
-    run_spmd, run_spmd_ft_with, try_run_spmd, Backend, FaultPlan, MachineModel, RunConfig,
-    SpmdError,
-};
+use parallel_archetypes::mp::{run_spmd, try_run_spmd, MachineModel, RunConfig, SpmdError};
 
 mod common;
 use common::assert_bit_identical_runs;
 
-/// Fault injection is virtual-backend-only, and that contract is now
-/// *enforced*: a `RunConfig` selecting `Backend::Real` is rejected with
-/// a typed error before anything runs — not silently executed, not a
-/// panic.
+/// Regression: the fallible entry used to `assert_eq!` on leaked
+/// messages, so a caller that asked for a `Result` got a panic. A leak is
+/// a typed error there; only the `run_spmd*` wrappers panic on it.
 #[test]
-fn fault_injection_on_the_real_backend_is_a_typed_error() {
-    let err = run_spmd_ft_with(
-        3,
-        MachineModel::ibm_sp(),
-        FaultPlan::new(0),
-        RunConfig::real(),
-        |ctx| ctx.rank(),
-    )
-    .expect_err("the real backend must be rejected");
+fn a_leak_surfaces_as_a_typed_error_from_the_fallible_entry() {
+    let leaky = |ctx: &mut parallel_archetypes::mp::Ctx| {
+        if ctx.rank() == 0 {
+            ctx.send(1, 3, 1u8);
+            ctx.send(1, 4, 2u8); // never received
+        } else if ctx.rank() == 1 {
+            let _: u8 = ctx.recv(0, 3);
+        }
+        ctx.rank()
+    };
+    let err = try_run_spmd(3, MachineModel::ibm_sp(), RunConfig::default(), leaky)
+        .expect_err("one message is never received");
     assert!(
-        matches!(
-            err,
-            SpmdError::UnsupportedBackend {
-                entry: "run_spmd_ft",
-                backend: Backend::Real,
-            }
-        ),
-        "expected UnsupportedBackend, got {err:?}"
+        matches!(err, SpmdError::Leaked { count: 1 }),
+        "expected Leaked {{ count: 1 }}, got {err:?}"
     );
-    assert!(err.failures().is_empty(), "no rank ever ran");
-    assert!(err.to_string().contains("run_spmd_ft"));
+    assert!(err.failures().is_empty(), "no rank failed");
+    assert!(err.to_string().contains("1 unreceived message"));
 
-    // The identical call on the virtual backend succeeds — the guard
-    // rejects the backend, not the entry point.
-    let ok = run_spmd_ft_with(
-        3,
-        MachineModel::ibm_sp(),
-        FaultPlan::new(0),
-        RunConfig::virtual_time(),
-        |ctx| ctx.rank(),
-    )
-    .expect("virtual fault runs are supported");
-    assert!(ok.all_ok());
+    // With the check off the same run is a success.
+    let quiet = RunConfig {
+        check_leaks: false,
+        ..RunConfig::default()
+    };
+    let ok = try_run_spmd(3, MachineModel::ibm_sp(), quiet, leaky).expect("leak check is off");
+    assert_eq!(ok.results, vec![0, 1, 2]);
 }
 
 #[test]
 fn a_rank_panic_surfaces_as_a_structured_error() {
-    let err = try_run_spmd(4, MachineModel::ibm_sp(), |ctx| {
+    let err = try_run_spmd(4, MachineModel::ibm_sp(), RunConfig::default(), |ctx| {
         if ctx.rank() == 2 {
             panic!("rank 2 gives up");
         }
@@ -68,7 +57,7 @@ fn a_rank_panic_surfaces_as_a_structured_error() {
 
 #[test]
 fn every_failed_rank_is_reported_in_rank_order() {
-    let err = try_run_spmd(5, MachineModel::ibm_sp(), |ctx| {
+    let err = try_run_spmd(5, MachineModel::ibm_sp(), RunConfig::default(), |ctx| {
         if ctx.rank() % 2 == 1 {
             panic!("odd rank {} fails", ctx.rank());
         }
@@ -96,7 +85,7 @@ fn run_spmd_rethrows_the_original_panic() {
 fn the_pool_survives_a_failure_and_the_dirty_network_is_quarantined() {
     // Rank 1 dies after rank 0 has already sent to it, leaving an
     // unconsumed message in the network.
-    let err = try_run_spmd(3, MachineModel::ibm_sp(), |ctx| {
+    let err = try_run_spmd(3, MachineModel::ibm_sp(), RunConfig::default(), |ctx| {
         if ctx.rank() == 0 {
             ctx.send(1, 7, 42u64);
         }
@@ -138,11 +127,16 @@ fn the_pool_survives_a_failure_and_the_dirty_network_is_quarantined() {
 #[test]
 fn failures_in_consecutive_runs_stay_independent() {
     for round in 0..3u64 {
-        let err = try_run_spmd(2, MachineModel::ibm_sp(), move |ctx| {
-            if ctx.rank() == 1 {
-                panic!("round {round}");
-            }
-        })
+        let err = try_run_spmd(
+            2,
+            MachineModel::ibm_sp(),
+            RunConfig::default(),
+            move |ctx| {
+                if ctx.rank() == 1 {
+                    panic!("round {round}");
+                }
+            },
+        )
         .expect_err("rank 1 panics each round");
         assert_eq!(err.failures().len(), 1);
         assert!(err.failures()[0]

@@ -4,20 +4,19 @@
 //!
 //! `Ctx::send` allocates each message's payload box from the sending
 //! rank's arena and `Ctx::recv` returns the emptied block to the
-//! receiving rank's arena; the real backend's SPSC links additionally
-//! recycle their queue nodes. Both freelists travel with the network
-//! through the `(nprocs, Backend)` recycle cache, so a *pooled* repeated
-//! run executes on warm freelists while an *unpooled* run builds
-//! everything fresh. These properties hammer that machinery with
-//! mixed-size payloads (distinct `(size, align)` arena classes) across
-//! both backends and assert that results, per-rank clocks, and stats
-//! never depend on whether the memory came from a freelist — mirroring
-//! the recycle-cache hammer that guards network recycling itself.
+//! receiving rank's arena; the SPSC links additionally recycle their
+//! queue nodes. Both freelists travel with the network through the
+//! per-size recycle cache, so a *pooled* repeated run executes on warm
+//! freelists while an *unpooled* run builds everything fresh. This
+//! property hammers that machinery with mixed-size payloads (distinct
+//! `(size, align)` arena classes) and asserts that results, per-rank
+//! clocks, and stats never depend on whether the memory came from a
+//! freelist — mirroring the recycle-cache hammer that guards network
+//! recycling itself.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use parallel_archetypes::mp::transport::Backend;
 use parallel_archetypes::mp::{run_spmd_with, Ctx, MachineModel, RunConfig, Shared};
 
 /// The mixed-size messaging workload: ring exchanges carrying several
@@ -79,56 +78,30 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let model = MachineModel::ibm_sp();
-        for backend in [Backend::Virtual, Backend::Real] {
-            let fresh_cfg = RunConfig { backend, pooled: false, ..RunConfig::virtual_time() };
-            let pooled_cfg = RunConfig { backend, ..RunConfig::virtual_time() };
-            // Fresh baseline: new network, empty arenas and freelists.
-            let fresh = run_spmd_with(n, model, fresh_cfg, |ctx| body(&sizes, seed, ctx));
-            // Repeated pooled runs: the first warms the cache entry; the
-            // later ones run entirely on recycled arenas/freelists.
-            for round in 0..3 {
-                let recycled =
-                    run_spmd_with(n, model, pooled_cfg, |ctx| body(&sizes, seed, ctx));
-                prop_assert_eq!(
-                    &recycled.results, &fresh.results,
-                    "results diverged on {:?} round {}", backend, round
-                );
-                prop_assert_eq!(
-                    &recycled.rank_times, &fresh.rank_times,
-                    "clocks diverged on {:?} round {}", backend, round
-                );
-                prop_assert_eq!(
-                    recycled.elapsed_virtual.to_bits(), fresh.elapsed_virtual.to_bits(),
-                    "elapsed diverged on {:?} round {}", backend, round
-                );
-                prop_assert_eq!(
-                    &recycled.stats.per_rank, &fresh.stats.per_rank,
-                    "stats diverged on {:?} round {}", backend, round
-                );
-            }
+        let fresh_cfg = RunConfig { pooled: false, ..RunConfig::default() };
+        // Fresh baseline: new network, empty arenas and freelists.
+        let fresh = run_spmd_with(n, model, fresh_cfg, |ctx| body(&sizes, seed, ctx));
+        // Repeated pooled runs: the first warms the cache entry; the
+        // later ones run entirely on recycled arenas/freelists.
+        for round in 0..3 {
+            let recycled =
+                run_spmd_with(n, model, RunConfig::default(), |ctx| body(&sizes, seed, ctx));
+            prop_assert_eq!(
+                &recycled.results, &fresh.results,
+                "results diverged on round {}", round
+            );
+            prop_assert_eq!(
+                &recycled.rank_times, &fresh.rank_times,
+                "clocks diverged on round {}", round
+            );
+            prop_assert_eq!(
+                recycled.elapsed_virtual.to_bits(), fresh.elapsed_virtual.to_bits(),
+                "elapsed diverged on round {}", round
+            );
+            prop_assert_eq!(
+                &recycled.stats.per_rank, &fresh.stats.per_rank,
+                "stats diverged on round {}", round
+            );
         }
-    }
-
-    #[test]
-    fn backends_agree_on_recycled_arenas(
-        n in 2usize..6,
-        sizes in vec(1usize..512, 2..5),
-        seed in any::<u64>(),
-    ) {
-        // Cross-backend equivalence *after* both backends' caches are
-        // warm: the SPSC node freelist (real only) and the payload arena
-        // (both) must be invisible in every modeled observable.
-        let model = MachineModel::cray_t3d();
-        let run = |backend| {
-            let cfg = RunConfig { backend, ..RunConfig::virtual_time() };
-            run_spmd_with(n, model, cfg, |ctx| body(&sizes, seed, ctx))
-        };
-        let _warm_v = run(Backend::Virtual);
-        let _warm_r = run(Backend::Real);
-        let v = run(Backend::Virtual);
-        let r = run(Backend::Real);
-        prop_assert_eq!(&v.results, &r.results);
-        prop_assert_eq!(&v.rank_times, &r.rank_times);
-        prop_assert_eq!(&v.stats.per_rank, &r.stats.per_rank);
     }
 }

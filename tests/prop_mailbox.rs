@@ -8,18 +8,47 @@
 //! messages were pulled off the channel while matching *other* tags hits
 //! the buffered path.
 //!
-//! The single-threaded properties run against the virtual backend; the
-//! `real_backend_*` properties below run the same matching contract over
-//! the real lock-free channels with genuinely concurrent sender threads —
-//! per-tag FIFO and per-sender independence must hold *without* the
-//! virtual clock (or any lock) serializing deliveries.
+//! The `threaded_*` properties run the same matching contract with
+//! genuinely concurrent sender threads — per-tag FIFO and per-sender
+//! independence must hold with nothing serializing deliveries.
+//!
+//! The queues underneath are the only transport, so they are held
+//! against an independent reference: the `*_matches_the_mpsc_oracle`
+//! properties drive [`spsc_channel`] and [`real_channel`] side by side
+//! with `std::sync::mpsc` — **the oracle** — and require the same
+//! per-sender order, the same delivered count, and `Disconnected` exactly
+//! when the oracle disconnects.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use parallel_archetypes::mp::mailbox::build_network;
+use parallel_archetypes::mp::mailbox::{build_network, Mailbox};
 use parallel_archetypes::mp::packet::{Packet, PacketBody};
-use parallel_archetypes::mp::transport::{spsc_channel, Backend, Disconnected};
+use parallel_archetypes::mp::transport::{
+    real_channel, spsc_channel, Disconnected, RealReceiver, RealSender, SpscReceiver, SpscSender,
+};
+
+/// One mesh link's send side, as handed out by [`build_network`].
+struct Link(SpscSender<Packet>);
+
+impl Link {
+    /// Every test below gives each link to exactly one sending thread,
+    /// which is the single-producer contract `SpscSender::send` needs.
+    fn send(&self, p: Packet) -> Result<(), ()> {
+        // SAFETY: see above — one thread per link, for its whole life.
+        unsafe { self.0.send(p) }.map_err(drop)
+    }
+}
+
+/// `build_network` with its send sides wrapped in [`Link`].
+fn network(n: usize) -> (Vec<Vec<Link>>, Vec<Mailbox>) {
+    let (tx, mb) = build_network(n);
+    let tx = tx
+        .into_iter()
+        .map(|row| row.into_iter().map(Link).collect())
+        .collect();
+    (tx, mb)
+}
 
 fn pkt(from: usize, tag: u64, value: u64) -> Packet {
     Packet {
@@ -49,7 +78,7 @@ proptest! {
     ) {
         // Send messages with random tags, stamping each with its global
         // send index; then drain in a (different) randomized tag order.
-        let (tx, mut mb) = build_network(2, Backend::Virtual);
+        let (tx, mut mb) = network(2);
         let mut per_tag: std::collections::HashMap<u64, std::collections::VecDeque<u64>> =
             std::collections::HashMap::new();
         for (i, &t) in tags.iter().enumerate() {
@@ -89,7 +118,7 @@ proptest! {
         // receives the oldest outstanding message of a random
         // already-sent tag. Receiving a tag whose turn hasn't come yet
         // forces other tags through the pending buffer.
-        let (tx, mut mb) = build_network(2, Backend::Virtual);
+        let (tx, mut mb) = network(2);
         let mut outstanding: std::collections::HashMap<u64, std::collections::VecDeque<u64>> =
             std::collections::HashMap::new();
         let mut sent = 0u64;
@@ -140,7 +169,7 @@ proptest! {
         // per-(sender, tag) FIFO must hold for each independently even
         // when all of one sender's traffic is buffered while draining
         // the other.
-        let (tx, mut mb) = build_network(3, Backend::Virtual);
+        let (tx, mut mb) = network(3);
         for (i, &t) in tags_a.iter().enumerate() {
             tx[2][0].send(pkt(0, t, i as u64)).unwrap();
         }
@@ -178,46 +207,8 @@ proptest! {
         prop_assert_eq!(mb[2].unconsumed(), 0);
     }
 
-    // ------------------------------------------------------------------
-    // Real backend: the same contract over the lock-free channels.
-    // ------------------------------------------------------------------
-
     #[test]
-    fn real_backend_randomized_interleavings_preserve_per_tag_fifo(
-        tags in vec(0u64..6, 1..60),
-        drain_order in vec(any::<u32>(), 1..60),
-    ) {
-        // Identical schedule to the virtual-backend property above, but
-        // over the lock-free queue: the pending-buffer path must behave
-        // the same on both transports.
-        let (tx, mut mb) = build_network(2, Backend::Real);
-        let mut per_tag: std::collections::HashMap<u64, std::collections::VecDeque<u64>> =
-            std::collections::HashMap::new();
-        for (i, &t) in tags.iter().enumerate() {
-            tx[0][1].send(pkt(1, t, i as u64)).unwrap();
-            per_tag.entry(t).or_default().push_back(i as u64);
-        }
-        prop_assert_eq!(mb[0].unconsumed(), tags.len());
-
-        let mut remaining: Vec<u64> = per_tag.keys().copied().collect();
-        remaining.sort_unstable();
-        let mut pick = 0usize;
-        while !remaining.is_empty() {
-            let choice = drain_order[pick % drain_order.len()] as usize % remaining.len();
-            pick += 1;
-            let t = remaining[choice];
-            let got = value(mb[0].recv_matching(1, 0, t));
-            let expected = per_tag.get_mut(&t).unwrap().pop_front().unwrap();
-            prop_assert_eq!(got, expected, "same-tag messages must arrive in send order");
-            if per_tag[&t].is_empty() {
-                remaining.remove(choice);
-            }
-        }
-        prop_assert_eq!(mb[0].unconsumed(), 0);
-    }
-
-    #[test]
-    fn real_backend_threaded_senders_preserve_per_sender_fifo(
+    fn threaded_senders_preserve_per_sender_fifo(
         tags_a in vec(0u64..4, 1..40),
         tags_b in vec(0u64..4, 1..40),
         drain_order in vec(any::<u32>(), 1..40),
@@ -227,7 +218,7 @@ proptest! {
         // drains (sender, tag) streams in a scrambled order; per-sender
         // per-tag FIFO must still hold, and blocking receives must wake
         // correctly even when posted before the message exists.
-        let (mut tx, mut mb) = build_network(3, Backend::Real);
+        let (mut tx, mut mb) = network(3);
         let row = tx.remove(2); // senders[2][src]: links into rank 2
         let mut row = row.into_iter();
         let s0 = row.next().unwrap();
@@ -281,7 +272,7 @@ proptest! {
     }
 
     #[test]
-    fn real_backend_cross_sender_arrival_order_is_unspecified(
+    fn threaded_cross_sender_arrival_order_is_unspecified(
         n_each in 1usize..30,
         stagger in any::<bool>(),
     ) {
@@ -291,7 +282,7 @@ proptest! {
         // receiver *chooses* which sender to drain first, and the values
         // observed depend only on that choice — never on which thread's
         // messages physically landed first.
-        let (mut tx, mut mb) = build_network(3, Backend::Real);
+        let (mut tx, mut mb) = network(3);
         let row = tx.remove(2);
         let mut row = row.into_iter();
         let s0 = row.next().unwrap();
@@ -325,38 +316,187 @@ proptest! {
         prop_assert_eq!(mb[2].unconsumed(), 0);
     }
 
-    // Fuzz the SPSC fast path directly: a single producer thread pushes
-    // a randomized value stream with a randomized yield pattern (so the
-    // consumer races the producer through every queue state — empty,
-    // one-node, bursty, and the node-freelist steady state), and the
-    // consumer must read the stream back exactly, then observe
-    // disconnection once the producer hangs up. This is the interleaving
-    // coverage for the publish/park (Dekker) handshake and the node
-    // recycling CAS loops that the mesh-level properties above only
-    // exercise indirectly.
+    // Lockstep differential: one script of sends and receives applied to
+    // the queue under test and to the oracle, single-threaded, so every
+    // queue state (empty, one node, bursts, the node-freelist steady
+    // state) is compared value by value.
     #[test]
-    fn real_backend_spsc_interleaving_fuzz(
-        values in vec(any::<u64>(), 1..400),
-        yields in vec(any::<bool>(), 1..50),
+    fn spsc_lockstep_matches_the_mpsc_oracle(
+        script in vec((any::<bool>(), any::<u32>()), 1..300),
     ) {
-        let (tx, rx) = spsc_channel::<u64>();
-        let vs = values.clone();
-        let ys = yields.clone();
-        let producer = std::thread::spawn(move || {
-            for (i, v) in vs.into_iter().enumerate() {
-                // SAFETY: this thread is the only one pushing into the
-                // queue for the sender's whole lifetime.
-                unsafe { tx.send(v).unwrap() };
-                if ys[i % ys.len()] {
-                    std::thread::yield_now();
-                }
-            }
-            // `tx` drops here: disconnect must wake a parked consumer.
-        });
-        for &v in &values {
-            prop_assert_eq!(rx.recv(), Ok(v));
+        lockstep::<Spsc>(&script);
+    }
+
+    #[test]
+    fn mpsc_lockstep_matches_the_mpsc_oracle(
+        script in vec((any::<bool>(), any::<u32>()), 1..300),
+    ) {
+        lockstep::<Mpsc>(&script);
+    }
+
+    // Threaded differential: producers race a parked-or-busy consumer
+    // through the publish/park (Dekker) handshake, the recycling CAS
+    // loops, and the last-sender-drop wake.
+    #[test]
+    fn spsc_threaded_matches_the_mpsc_oracle(
+        values in vec(any::<u32>(), 0..300),
+        yields in vec(any::<bool>(), 1..50),
+        park in any::<bool>(),
+    ) {
+        threaded::<Spsc>(&[values], &yields, park);
+    }
+
+    #[test]
+    fn mpsc_threaded_matches_the_mpsc_oracle(
+        streams in vec(vec(any::<u32>(), 0..120), 1..5),
+        yields in vec(any::<bool>(), 1..50),
+        park in any::<bool>(),
+    ) {
+        threaded::<Mpsc>(&streams, &yields, park);
+    }
+}
+
+/// A message of the differential tests: (producer index, payload).
+type Msg = (usize, u32);
+
+/// A queue under test, reduced to the operations the oracle also has.
+trait Queue {
+    type Tx: Send + 'static;
+    type Rx: Send + 'static;
+    /// A channel with one send handle per producer thread.
+    fn channel(producers: usize) -> (Vec<Self::Tx>, Self::Rx);
+    fn send(tx: &Self::Tx, m: Msg);
+    fn recv(rx: &Self::Rx) -> Result<Msg, Disconnected>;
+    fn len(rx: &Self::Rx) -> usize;
+}
+
+struct Spsc;
+impl Queue for Spsc {
+    type Tx = SpscSender<Msg>;
+    type Rx = SpscReceiver<Msg>;
+    fn channel(producers: usize) -> (Vec<Self::Tx>, Self::Rx) {
+        assert_eq!(producers, 1, "single-producer queue");
+        let (tx, rx) = spsc_channel();
+        (vec![tx], rx)
+    }
+    fn send(tx: &Self::Tx, m: Msg) {
+        // SAFETY: `channel` hands out one handle, moved to one thread.
+        unsafe { tx.send(m) }.expect("receiver alive");
+    }
+    fn recv(rx: &Self::Rx) -> Result<Msg, Disconnected> {
+        rx.recv()
+    }
+    fn len(rx: &Self::Rx) -> usize {
+        rx.len()
+    }
+}
+
+struct Mpsc;
+impl Queue for Mpsc {
+    type Tx = RealSender<Msg>;
+    type Rx = RealReceiver<Msg>;
+    fn channel(producers: usize) -> (Vec<Self::Tx>, Self::Rx) {
+        let (tx, rx) = real_channel();
+        ((0..producers).map(|_| tx.clone()).collect(), rx)
+    }
+    fn send(tx: &Self::Tx, m: Msg) {
+        tx.send(m).expect("receiver alive");
+    }
+    fn recv(rx: &Self::Rx) -> Result<Msg, Disconnected> {
+        rx.recv()
+    }
+    fn len(rx: &Self::Rx) -> usize {
+        rx.len()
+    }
+}
+
+/// `(true, v)` sends `v` to both queues; `(false, _)` receives from both
+/// if the oracle has a message. The queue's length must track the
+/// oracle's after every step.
+fn lockstep<Q: Queue>(script: &[(bool, u32)]) {
+    use std::sync::mpsc;
+    let (mut txs, rx) = Q::channel(1);
+    let tx = txs.pop().expect("one handle");
+    let (otx, orx) = mpsc::channel::<Msg>();
+    let mut queued = 0usize;
+    for &(send, v) in script {
+        if send {
+            Q::send(&tx, (0, v));
+            otx.send((0, v)).expect("oracle receiver alive");
+            queued += 1;
+        } else if let Ok(want) = orx.try_recv() {
+            assert_eq!(Q::recv(&rx), Ok(want));
+            queued -= 1;
         }
-        prop_assert_eq!(rx.recv(), Err(Disconnected));
-        producer.join().unwrap();
+        assert_eq!(Q::len(&rx), queued);
+    }
+    // Hang up with `queued` messages in flight: both must deliver all of
+    // them first and only then report the disconnect.
+    drop(tx);
+    drop(otx);
+    for want in orx.iter() {
+        assert_eq!(Q::recv(&rx), Ok(want));
+    }
+    assert_eq!(Q::recv(&rx), Err(Disconnected));
+}
+
+/// One producer thread per stream feeds the queue under test and the
+/// oracle; one consumer thread each drains until disconnect. With `park`
+/// the consumers are (very likely) parked on an empty queue both before
+/// the first send and before the last sender drops — the sleeps only
+/// steer coverage; every assertion holds under every interleaving.
+fn threaded<Q: Queue>(streams: &[Vec<u32>], yields: &[bool], park: bool) {
+    use std::sync::mpsc;
+    use std::time::Duration;
+    let (txs, rx) = Q::channel(streams.len());
+    let (otx, orx) = mpsc::channel::<Msg>();
+    let consumer = std::thread::spawn(move || {
+        let mut got = Vec::new();
+        while let Ok(m) = Q::recv(&rx) {
+            got.push(m);
+        }
+        got
+    });
+    let oracle = std::thread::spawn(move || orx.iter().collect::<Vec<Msg>>());
+    let producers: Vec<_> = txs
+        .into_iter()
+        .zip(streams)
+        .enumerate()
+        .map(|(p, (tx, stream))| {
+            let (stream, yields, otx) = (stream.clone(), yields.to_vec(), otx.clone());
+            std::thread::spawn(move || {
+                if park {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                for (i, v) in stream.into_iter().enumerate() {
+                    Q::send(&tx, (p, v));
+                    otx.send((p, v)).expect("oracle receiver alive");
+                    if yields[i % yields.len()] {
+                        std::thread::yield_now();
+                    }
+                }
+                if park {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                // `tx` and `otx` drop here: the last drop must wake a
+                // parked consumer with the disconnect.
+            })
+        })
+        .collect();
+    drop(otx);
+    for h in producers {
+        h.join().expect("producer");
+    }
+    let got = consumer.join().expect("consumer");
+    let want = oracle.join().expect("oracle consumer");
+    assert_eq!(got.len(), want.len(), "delivered count");
+    for p in 0..streams.len() {
+        let of = |all: &[Msg]| {
+            all.iter()
+                .filter(|m| m.0 == p)
+                .map(|m| m.1)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(of(&got), of(&want), "producer {p}'s stream");
     }
 }

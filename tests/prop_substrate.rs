@@ -1,17 +1,16 @@
 //! Property-based tests of the message-passing substrate and numerical
 //! kernels: collectives against their sequential definitions, virtual-time
 //! determinism and monotonicity, FFT round-trips, and redistribution
-//! round-trips for arbitrary matrix shapes — plus the same collective
-//! identities re-run on the real shared-memory backend, where nothing
-//! serializes ranks through a virtual clock and the lock-free channels see
-//! genuinely concurrent producers.
+//! round-trips for arbitrary matrix shapes. Nothing serializes ranks
+//! through the virtual clock: the lock-free channels see genuinely
+//! concurrent producers in every one of these.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 use parallel_archetypes::mesh::redist::{cols_to_rows, rows_to_cols, RowDist};
 use parallel_archetypes::mp::topology::{block_owner, block_range};
-use parallel_archetypes::mp::{run_spmd, run_spmd_real, Group, MachineModel};
+use parallel_archetypes::mp::{run_spmd, Group, MachineModel};
 use parallel_archetypes::numerics::{fft, ifft, Complex};
 
 proptest! {
@@ -69,6 +68,7 @@ proptest! {
         };
         let a = run();
         let b = run();
+        prop_assert_eq!(&a.results, &b.results);
         prop_assert_eq!(a.rank_times, b.rank_times);
     }
 
@@ -301,103 +301,32 @@ proptest! {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Real backend: the collective identities must hold without the
-    // virtual clock serializing anything, and repeated runs must stay
-    // bit-identical even though thread interleavings differ each time.
-    // ------------------------------------------------------------------
-
     #[test]
-    fn real_backend_collectives_equal_sequential_folds(
-        values in vec(-1000i64..1000, 1..9),
-    ) {
-        let n = values.len();
-        let expected: i64 = values.iter().sum();
-        let out = run_spmd_real(n, MachineModel::ibm_sp(), |ctx| {
-            let sum = ctx.all_reduce(values[ctx.rank()], |a, b| a + b);
-            let gathered = ctx.all_gather(values[ctx.rank()]);
-            (sum, gathered)
-        });
-        for (sum, gathered) in out.results {
-            prop_assert_eq!(sum, expected);
-            prop_assert_eq!(&gathered, &values);
-        }
-    }
-
-    #[test]
-    fn real_backend_all_to_all_is_a_transpose(n in 1usize..9, seed in any::<u32>()) {
-        let out = run_spmd_real(n, MachineModel::cray_t3d(), move |ctx| {
-            let items: Vec<u64> = (0..ctx.nprocs() as u64)
-                .map(|d| ctx.rank() as u64 * 1000 + d + seed as u64)
-                .collect();
-            ctx.all_to_all(items)
-        });
-        for (me, got) in out.results.iter().enumerate() {
-            for (s, &v) in got.iter().enumerate() {
-                prop_assert_eq!(v, s as u64 * 1000 + me as u64 + seed as u64);
-            }
-        }
-    }
-
-    #[test]
-    fn real_backend_group_collectives_match_virtual(
+    fn group_collectives_are_repeatable(
         n in 2usize..9,
         at in 0usize..8,
         value in any::<u32>(),
     ) {
-        // Disjoint groups exercise scoped contexts and tag namespaces;
-        // the real backend must produce the same per-rank tuples (and
-        // the same virtual clocks) as the default backend.
+        // Disjoint groups exercise scoped contexts and tag namespaces
+        // under racing deliveries; a rerun must produce the same
+        // per-rank tuples and the same virtual clocks.
         let boundary = at % n;
-        let body = move |ctx: &mut parallel_archetypes::mp::Ctx| {
-            let colors: Vec<usize> =
-                (0..ctx.nprocs()).map(|r| usize::from(r < boundary)).collect();
-            let mut g = Group::split(ctx, &colors);
-            let base = u64::from(value) + ctx.rank() as u64;
-            let red = g.all_reduce(ctx, base, u64::wrapping_add);
-            let gat = g.all_gather(ctx, base);
-            let world = ctx.all_reduce(base, u64::wrapping_add);
-            (red, gat, world)
-        };
-        let real = run_spmd_real(n, MachineModel::ibm_sp(), body);
-        let modeled = run_spmd(n, MachineModel::ibm_sp(), body);
-        prop_assert_eq!(&real.results, &modeled.results);
-        prop_assert_eq!(real.rank_times, modeled.rank_times);
-    }
-
-    #[test]
-    fn real_backend_runs_are_repeatable(n in 1usize..9, work in 0.0f64..10.0) {
         let run = || {
-            run_spmd_real(n, MachineModel::intel_delta(), |ctx| {
-                ctx.charge_seconds(work * (ctx.rank() + 1) as f64);
-                ctx.barrier();
-                ctx.all_reduce(1u64, |a, b| a + b);
-                ctx.now()
+            run_spmd(n, MachineModel::ibm_sp(), move |ctx| {
+                let colors: Vec<usize> =
+                    (0..ctx.nprocs()).map(|r| usize::from(r < boundary)).collect();
+                let mut g = Group::split(ctx, &colors);
+                let base = u64::from(value) + ctx.rank() as u64;
+                let red = g.all_reduce(ctx, base, u64::wrapping_add);
+                let gat = g.all_gather(ctx, base);
+                let world = ctx.all_reduce(base, u64::wrapping_add);
+                (red, gat, world)
             })
         };
         let a = run();
         let b = run();
         prop_assert_eq!(&a.results, &b.results);
         prop_assert_eq!(a.rank_times, b.rank_times);
-        // wall_us is the one legitimately run-dependent field; it must
-        // still be present on both runs.
-        prop_assert!(a.results.len() == n);
-    }
-
-    #[test]
-    fn real_backend_redistribution_round_trip(
-        p in 1usize..6,
-        nrows in 1usize..20,
-        ncols in 1usize..20,
-    ) {
-        run_spmd_real(p, MachineModel::ibm_sp(), move |ctx| {
-            let rd = RowDist::from_global(ctx.rank(), ctx.nprocs(), nrows, ncols, |r, c| {
-                (r * 1000 + c) as f64
-            });
-            let cd = rows_to_cols(ctx, &rd);
-            let back = cols_to_rows(ctx, &cd);
-            assert_eq!(back, rd);
-        });
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! 1. **Observer effect — there is none.** `RunConfig::traced()` must
 //!    leave results, per-rank virtual clocks, elapsed virtual time, and
-//!    statistics bit-identical to the untraced run, on both transport
-//!    backends, for every archetype. Tracing reads the substrate; it
-//!    never steers it.
+//!    statistics bit-identical to the untraced run, for every
+//!    archetype. Tracing reads the substrate; it never steers it.
 //! 2. **Trace determinism.** Same-seed traced runs produce bit-identical
 //!    *logical* event streams (wall-clock timestamps zeroed; they are
 //!    the one legitimately nondeterministic field).
@@ -23,105 +22,60 @@ use parallel_archetypes::dc::{run_spmd_recursive, CutoffPolicy, RecursiveMergeso
 use parallel_archetypes::farm::apps::GridSweepFarm;
 use parallel_archetypes::farm::{run_farm, FarmConfig};
 use parallel_archetypes::mesh::apps::poisson::{poisson_spmd, sine_problem};
-use parallel_archetypes::mp::{
-    run_spmd_with, Backend, MachineModel, ProcessGrid2, RunConfig, SpmdResult, TraceEvent,
-};
-use parallel_archetypes::pipeline::{run_pipeline, Pipeline, PipelineConfig, Stage as PipeStage};
+use parallel_archetypes::mp::{run_spmd_with, MachineModel, RunConfig, SpmdResult, TraceEvent};
+use parallel_archetypes::pipeline::{run_pipeline, PipelineConfig};
 
-/// Minimal arithmetic pipeline (mirrors the equivalence suite fixture).
-struct NStage {
-    items: u64,
-    stages: Vec<AddStage>,
-}
-#[derive(Clone, Copy)]
-struct AddStage(u64);
-impl PipeStage<u64> for AddStage {
-    fn transform(&self, _seq: u64, item: u64) -> u64 {
-        item.wrapping_add(self.0)
-    }
-}
-impl Pipeline for NStage {
-    type Item = u64;
-    type Out = u64;
-    fn ingest(&self, seq: u64) -> Option<u64> {
-        (seq < self.items).then_some(seq)
-    }
-    fn stages(&self) -> Vec<&dyn PipeStage<u64>> {
-        self.stages
-            .iter()
-            .map(|s| s as &dyn PipeStage<u64>)
-            .collect()
-    }
-    fn out_identity(&self) -> u64 {
-        0
-    }
-    fn emit(&self, acc: u64, _seq: u64, item: u64) -> u64 {
-        acc.wrapping_add(item)
-    }
-}
+mod common;
+use common::{grid_for, AddStage, NStage};
 
-fn grid_for(p: usize) -> ProcessGrid2 {
-    match p {
-        4 => ProcessGrid2::new(2, 2),
-        6 => ProcessGrid2::new(2, 3),
-        8 => ProcessGrid2::new(2, 4),
-        _ => ProcessGrid2::new(1, p),
-    }
-}
-
-/// On each backend: the traced run must match the untraced run bit for
-/// bit in everything but `wall_us` and the trace itself, and a repeated
-/// traced run must reproduce the identical logical event stream.
+/// The traced run must match the untraced run bit for bit in everything
+/// but `wall_us` and the trace itself, and a repeated traced run must
+/// reproduce the identical logical event stream.
 fn assert_tracing_is_inert<R, F>(label: &str, run: F)
 where
     R: PartialEq + std::fmt::Debug,
     F: Fn(RunConfig) -> SpmdResult<R>,
 {
-    for backend in [Backend::Virtual, Backend::Real] {
-        let base = run(RunConfig::default().on(backend));
-        let traced = run(RunConfig::default().with_tracing().on(backend));
-        assert_eq!(
-            base.results, traced.results,
-            "{label} [{backend:?}]: tracing must not perturb results"
-        );
-        for (rank, (tb, tt)) in base.rank_times.iter().zip(&traced.rank_times).enumerate() {
-            assert!(
-                tb.to_bits() == tt.to_bits(),
-                "{label} [{backend:?}]: rank {rank} clock must be unperturbed ({tb} vs {tt})"
-            );
-        }
-        assert_eq!(
-            base.elapsed_virtual.to_bits(),
-            traced.elapsed_virtual.to_bits(),
-            "{label} [{backend:?}]: elapsed virtual time must be unperturbed"
-        );
-        assert_eq!(
-            base.stats.per_rank, traced.stats.per_rank,
-            "{label} [{backend:?}]: statistics must be unperturbed"
-        );
+    let base = run(RunConfig::default());
+    let traced = run(RunConfig::traced());
+    assert_eq!(
+        base.results, traced.results,
+        "{label}: tracing must not perturb results"
+    );
+    for (rank, (tb, tt)) in base.rank_times.iter().zip(&traced.rank_times).enumerate() {
         assert!(
-            base.trace.is_none(),
-            "{label} [{backend:?}]: untraced runs carry no trace"
+            tb.to_bits() == tt.to_bits(),
+            "{label}: rank {rank} clock must be unperturbed ({tb} vs {tt})"
         );
-        let trace = traced
-            .trace
-            .as_ref()
-            .unwrap_or_else(|| panic!("{label} [{backend:?}]: traced runs carry a trace"));
+    }
+    assert_eq!(
+        base.elapsed_virtual.to_bits(),
+        traced.elapsed_virtual.to_bits(),
+        "{label}: elapsed virtual time must be unperturbed"
+    );
+    assert_eq!(
+        base.stats.per_rank, traced.stats.per_rank,
+        "{label}: statistics must be unperturbed"
+    );
+    assert!(base.trace.is_none(), "{label}: untraced runs are traceless");
+    let trace = traced
+        .trace
+        .as_ref()
+        .unwrap_or_else(|| panic!("{label}: traced runs carry a trace"));
 
-        // Same seed, same stream: re-run traced and compare logical
-        // events (wall clocks zeroed — the only nondeterministic field).
-        let again = run(RunConfig::default().with_tracing().on(backend));
-        let trace2 = again.trace.as_ref().expect("traced");
-        assert_eq!(trace.ranks.len(), trace2.ranks.len());
-        for (a, b) in trace.ranks.iter().zip(&trace2.ranks) {
-            assert_eq!(a.dropped, b.dropped, "{label} [{backend:?}]: drop counts");
-            assert_eq!(
-                a.logical_events(),
-                b.logical_events(),
-                "{label} [{backend:?}]: rank {} logical event stream must be reproducible",
-                a.rank
-            );
-        }
+    // Same seed, same stream: re-run traced and compare logical
+    // events (wall clocks zeroed — the only nondeterministic field).
+    let again = run(RunConfig::traced());
+    let trace2 = again.trace.as_ref().expect("traced");
+    assert_eq!(trace.ranks.len(), trace2.ranks.len());
+    for (a, b) in trace.ranks.iter().zip(&trace2.ranks) {
+        assert_eq!(a.dropped, b.dropped, "{label}: drop counts");
+        assert_eq!(
+            a.logical_events(),
+            b.logical_events(),
+            "{label}: rank {} logical event stream must be reproducible",
+            a.rank
+        );
     }
 }
 
