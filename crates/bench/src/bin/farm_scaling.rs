@@ -8,13 +8,15 @@
 //! a regression in it means the archetype's schedule changed, not that
 //! the machine was busy. The Mandelbrot farm's measured `wall_us`
 //! columns are recorded from the same runs, next to the modeled
-//! `virtual_ms` ones; those are host-dependent, so
-//! the ≥2× 8-rank wall-speedup floor is a warning by default and only
-//! fatal under `REAL_SPEEDUP_STRICT` (the CI job that runs on a
-//! multi-core runner sets it, mirroring `SUBSTRATE_BENCH_STRICT`).
+//! `virtual_ms` ones; those are host-dependent, so the JSON records
+//! `available_parallelism`, a rank count the host has no cores for gets
+//! `null` (with the reason in `wall_scaling_refused`), and the ≥2×
+//! 8-rank wall-speedup floor — a warning by default, fatal under
+//! `REAL_SPEEDUP_STRICT` — is skipped on such a host.
 //!
 //! Run with `cargo run --release -p archetype-bench --bin farm_scaling`.
 
+use archetype_bench::{host_cores, scaling_refusal};
 use archetype_bnb::{knapsack_dp, solve_farm, Knapsack};
 use archetype_farm::apps::{MandelbrotFarm, SweepFarm};
 use archetype_farm::{run_farm, FarmConfig};
@@ -55,6 +57,7 @@ fn main() {
     let wall_1 = mandel_wall[0].1 as f64;
     let wall_8 = mandel_wall.iter().find(|(p, _)| *p == 8).unwrap().1 as f64;
     let real_wall_speedup_8 = wall_1 / wall_8;
+    let refusal = scaling_refusal(8);
 
     // --- Parameter sweep: hint-directed pruning. --------------------------
     let sweep = SweepFarm {
@@ -130,11 +133,26 @@ fn main() {
             .collect::<Vec<_>>()
             .join(", ")
     };
+    // Wall time at a rank count the host has no cores for is not a
+    // point on a scaling curve.
+    let wall_by_ranks = mandel_wall
+        .iter()
+        .map(|&(p, us)| match scaling_refusal(p) {
+            None => format!("\"{p}\": {us}"),
+            Some(_) => format!("\"{p}\": null"),
+        })
+        .collect::<Vec<_>>()
+        .join(", ");
+    let (wall_speedup_json, refusal_json) = match &refusal {
+        None => (format!("{real_wall_speedup_8:.2}"), "null".to_string()),
+        Some(why) => ("null".to_string(), format!("\"{why}\"")),
+    };
 
     let json = format!(
         r#"{{
   "bench": "farm_scaling",
   "model": "{}",
+  "host": {{ "available_parallelism": {} }},
   "mandelbrot": {{
     "config": "seahorse 512x384, 32px tiles, max_iter 3000",
     "virtual_ms_by_ranks": {{ {} }},
@@ -142,7 +160,8 @@ fn main() {
     "tiles_stolen_by_ranks": {{ {} }},
     "speedup_8_ranks_vs_1": {speedup_8:.2},
     "speedup_16_ranks_vs_1": {speedup_16:.2},
-    "real_wall_speedup_8_ranks_vs_1": {real_wall_speedup_8:.2}
+    "real_wall_speedup_8_ranks_vs_1": {wall_speedup_json},
+    "wall_scaling_refused": {refusal_json}
   }},
   "param_sweep": {{
     "config": "48 seeds, depth 10, hint-pruned",
@@ -161,8 +180,9 @@ fn main() {
 }}
 "#,
         model.name,
+        host_cores(),
         fmt_times(&mandel_times),
-        fmt_counts(&mandel_wall),
+        wall_by_ranks,
         fmt_counts(&mandel_stolen),
         s1.elapsed_virtual * 1e3,
         s8.elapsed_virtual * 1e3,
@@ -183,11 +203,14 @@ fn main() {
     );
 
     // Real wall-clock speedup depends on how many cores the host actually
-    // has (a 1-core box *cannot* speed up), so the ≥2× floor is only
-    // fatal when explicitly requested — the CI wall-clock job sets
+    // has (a 1-core box *cannot* speed up), so the ≥2× floor is checked
+    // only where the 8 ranks have cores, and is fatal only when
+    // explicitly requested — the CI wall-clock job sets
     // REAL_SPEEDUP_STRICT on a multi-core runner.
     let strict = std::env::var_os("REAL_SPEEDUP_STRICT").is_some();
-    if real_wall_speedup_8 < 2.0 {
+    if let Some(why) = &refusal {
+        println!("8-rank wall-speedup floor skipped: {why} ({real_wall_speedup_8:.2}x measured)");
+    } else if real_wall_speedup_8 < 2.0 {
         let msg = format!(
             "8-rank Mandelbrot farm should be >= 2x \
              the 1-rank wall time (got {real_wall_speedup_8:.2}x)"

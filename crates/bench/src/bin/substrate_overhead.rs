@@ -7,6 +7,7 @@
 
 use std::time::Instant;
 
+use archetype_bench::host_cores;
 use archetype_mp::transport::{real_channel, spsc_channel};
 use archetype_mp::{run_spmd, run_spmd_ft, run_spmd_with, Ctx, FaultPlan, MachineModel, RunConfig};
 
@@ -351,10 +352,12 @@ fn main() {
         median(&mut samples)
     };
 
+    let cores = host_cores();
     let json = format!(
         r#"{{
   "bench": "substrate_overhead",
   "nprocs": {NPROCS},
+  "host": {{ "available_parallelism": {cores} }},
   "executor": {{
     "repeated_run_spmd_pooled_us_per_call": {pooled_us:.2},
     "repeated_run_spmd_spawned_us_per_call": {spawned_us:.2},

@@ -122,6 +122,20 @@ pub fn full_scale() -> bool {
     std::env::args().any(|a| a == "--full")
 }
 
+/// Cores this process may use; every wall-time snapshot records it.
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Why a wall-*scaling* figure (a speed-up over fewer ranks) at `ranks`
+/// ranks is refused on this host, or `None` when it has the cores: with
+/// fewer cores than ranks the ranks time-share one another's core and the
+/// figure measures the scheduler, not the program.
+pub fn scaling_refusal(ranks: usize) -> Option<String> {
+    let cores = host_cores();
+    (ranks > cores).then(|| format!("{ranks} ranks on {cores} cores"))
+}
+
 /// Deterministic vector of pseudo-random `i64`s.
 pub fn random_i64s(n: usize, seed: u64) -> Vec<i64> {
     let mut rng = StdRng::seed_from_u64(seed);

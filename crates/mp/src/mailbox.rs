@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::packet::Packet;
-use crate::transport::{spsc_channel_with, SpscReceiver, SpscSender};
+use crate::transport::{spsc_channel_with, RecvCounts, SpscReceiver, SpscSender};
 
 /// Error returned by [`Mailbox::try_recv_matching`] when the sending
 /// rank has terminated (channel empty and disconnected).
@@ -54,6 +54,9 @@ pub struct Mailbox {
     /// Messages sitting in `pending` buckets, maintained incrementally so
     /// [`Mailbox::unconsumed`] never walks the n maps.
     pending_len: usize,
+    /// How this rank's channel receives were satisfied since the last
+    /// [`Mailbox::take_recv_counts`].
+    recv_counts: RecvCounts,
 }
 
 impl Mailbox {
@@ -101,7 +104,9 @@ impl Mailbox {
             }
         }
         loop {
-            let pkt = self.from[sender].recv().map_err(|_| SenderDisconnected)?;
+            let pkt = self.from[sender]
+                .recv_counted(&mut self.recv_counts)
+                .map_err(|_| SenderDisconnected)?;
             if pkt.scope == scope && pkt.tag == tag {
                 return Ok(pkt);
             }
@@ -122,6 +127,12 @@ impl Mailbox {
     /// the leak check (see the ordering contract above).
     pub fn unconsumed(&self) -> usize {
         self.pending_len + self.inflight.load(Ordering::Acquire)
+    }
+
+    /// The receive-phase counters accumulated since the last call,
+    /// resetting them (a recycled mailbox starts its next run at zero).
+    pub fn take_recv_counts(&mut self) -> RecvCounts {
+        std::mem::take(&mut self.recv_counts)
     }
 }
 
@@ -152,6 +163,7 @@ pub fn build_network(n: usize) -> (Vec<Vec<SpscSender<Packet>>>, Vec<Mailbox>) {
             pending: (0..n).map(|_| HashMap::new()).collect(),
             inflight,
             pending_len: 0,
+            recv_counts: RecvCounts::default(),
         });
     }
     (senders, mailboxes)

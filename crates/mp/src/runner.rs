@@ -37,7 +37,7 @@ use crate::payload::PayloadArena;
 use crate::pool;
 use crate::stats::{RankStats, RunStats};
 use crate::trace::{RunTrace, TraceRecorder};
-use crate::transport::SpscSender;
+use crate::transport::{RecvCounts, SpscSender};
 
 /// Lock a mutex, tolerating poison: a rank that panicked while holding
 /// the runner's bookkeeping locks must not wedge every later `run_spmd`
@@ -59,9 +59,13 @@ pub struct SpmdResult<R> {
     /// Communication/computation statistics per rank.
     pub stats: RunStats,
     /// Measured wall-clock time of the run (dispatch to last rank done),
-    /// in microseconds — the *only* field that legitimately differs
-    /// between repeated runs.
+    /// in microseconds. With [`SpmdResult::recv_counts`], the only
+    /// fields that legitimately differ between repeated runs.
     pub wall_us: u64,
+    /// Per rank, how its channel receives were satisfied: message already
+    /// queued, arrived within the transport's spin, or after parking.
+    /// Timing-dependent, hence beside `stats` and not inside it.
+    pub recv_counts: Vec<RecvCounts>,
     /// Per-rank event streams of a traced run ([`RunConfig::traced`]);
     /// `None` unless tracing was requested. Export with
     /// [`RunTrace::chrome_json`], analyze with [`RunTrace::critical_path`].
@@ -182,6 +186,9 @@ pub struct FtSpmdResult<R> {
     /// Measured wall-clock time of the run (dispatch to last rank done),
     /// in microseconds.
     pub wall_us: u64,
+    /// Per rank, how its channel receives were satisfied (see
+    /// [`SpmdResult::recv_counts`]); zeros for a rank that died.
+    pub recv_counts: Vec<RecvCounts>,
     /// Messages left unconsumed in the network when the run ended. Always
     /// 0 for fully successful runs of leak-free programs; a run with dead
     /// ranks may legitimately strand in-flight messages (the network is
@@ -558,11 +565,13 @@ where
     let mut results = Vec::with_capacity(nprocs);
     let mut rank_times = Vec::with_capacity(nprocs);
     let mut per_rank = Vec::with_capacity(nprocs);
+    let mut recv_counts = vec![RecvCounts::default(); nprocs];
     let mut rank_traces = Vec::with_capacity(if traced { nprocs } else { 0 });
     let mut links_back = Vec::with_capacity(nprocs);
     for (rank, slot) in slots.iter().enumerate() {
         let outcome = match lock_unpoisoned(slot).take() {
-            Some(Ok((r, now, stats, tracer, l))) => {
+            Some(Ok((r, now, stats, tracer, mut l))) => {
+                recv_counts[rank] = l.mailbox.take_recv_counts();
                 links_back.push(l);
                 rank_traces.extend(tracer.map(|t| t.into_rank_trace(rank)));
                 Ok((r, now, stats))
@@ -611,6 +620,7 @@ where
         rank_times,
         stats: RunStats { per_rank },
         wall_us,
+        recv_counts,
         leaked_messages: leaked,
     };
     (run, trace)
@@ -738,6 +748,7 @@ where
         rank_times: run.rank_times,
         stats: run.stats,
         wall_us: run.wall_us,
+        recv_counts: run.recv_counts,
         trace,
     })
 }
@@ -959,6 +970,35 @@ mod tests {
             let survivor = out.results[1].as_ref().expect("rank 1 survives");
             assert_eq!(*survivor, (msgs, RankDead { rank: 0 }), "round {round}");
             assert!(out.wall_us > 0, "an FT run reports its measured wall time");
+        }
+    }
+
+    /// Every message is pulled off its channel exactly once, in exactly
+    /// one phase, so per rank the three counters sum to the messages
+    /// addressed to it — on every run of a recycled network, which must
+    /// start again from zero.
+    #[test]
+    fn recv_counts_account_for_every_message_of_each_run() {
+        for _run in 0..3 {
+            let out = run_spmd(3, MachineModel::zero_comm(), |ctx| {
+                let right = (ctx.rank() + 1) % ctx.nprocs();
+                let left = (ctx.rank() + ctx.nprocs() - 1) % ctx.nprocs();
+                for round in 0..50u64 {
+                    // Tag 1 overtakes tag 0: one receive goes through
+                    // the pending buffer, still one channel pop each.
+                    ctx.send(right, 0, round);
+                    ctx.send(right, 1, round);
+                    assert_eq!(ctx.recv::<u64>(left, 1), round);
+                    assert_eq!(ctx.recv::<u64>(left, 0), round);
+                }
+                ctx.barrier();
+            });
+            assert_eq!(out.recv_counts.len(), 3);
+            // A ring plus a symmetric barrier: every rank receives what
+            // it sends.
+            for (c, s) in out.recv_counts.iter().zip(&out.stats.per_rank) {
+                assert_eq!(c.immediate + c.spun + c.parked, s.msgs_sent, "{c:?}");
+            }
         }
     }
 

@@ -20,43 +20,49 @@
 //!
 //! # The parked-flag (Dekker) sleep/wake protocol
 //!
-//! Both queues park their single consumer with the same flag
-//! protocol, so a blocking receive never takes the sleep lock while
-//! messages are available and a producer never takes it unless a
-//! consumer is (or is about to be) parked:
+//! Both queues block their single consumer through one private type,
+//! `Parker`, so the handshake exists once. A blocking receive never
+//! takes the sleep lock while messages are available, and a producer
+//! never takes it unless the consumer is (or is about to be) parked:
 //!
-//! * **Consumer** (inside `RealQueue::recv` / `SpscQueue::recv`):
-//!   lock `sleep` → set `parked` → `fence(SeqCst)` → *final empty
-//!   check* → wait on the condvar (releasing `sleep`).
+//! * **Consumer** (`Parker::recv`): pop if a message is there; else
+//!   **spin** — poll the queue and the sender count for at most
+//!   [`SPIN_BUDGET`], with a `yield_now()` between bursts of polls so an
+//!   oversubscribed host hands the core to the producer; only then
+//!   **park** — lock `sleep` → set `parked` → `fence(SeqCst)` → *final
+//!   check* (message or disconnect) → wait on the condvar (releasing
+//!   `sleep`).
 //! * **Producer** (push): publish the message → `fence(SeqCst)` → read
 //!   `parked` → if set, acquire `sleep` and `notify_one`.
 //!
-//! The two `SeqCst` fences order the flag against the queue contents:
-//! either the producer's publish happens-before the consumer's final
-//! empty check (the consumer sees the message and never waits), or the
-//! consumer's `parked` store happens-before the producer's flag read
-//! (the producer sees the flag and notifies). Acquiring `sleep` before
-//! notifying closes the remaining window — the consumer holds `sleep`
-//! from before its `parked` store until the `wait` call atomically
-//! releases it, so a producer that saw the flag cannot notify *between*
-//! the final check and the wait.
+//! A spinning consumer has `parked == false` and needs no wake — it is
+//! running, and its next poll sees the publish — so producers skip the
+//! mutex and the futex wake for it exactly as for a consumer that is busy
+//! computing. The spin changes *when* the consumer enters the park
+//! sequence, not the sequence, whose argument is: the two `SeqCst` fences
+//! order the flag against the queue contents, so either the producer's
+//! publish happens-before the consumer's final check (the consumer sees
+//! the message and never waits), or the consumer's `parked` store
+//! happens-before the producer's flag read (the producer sees the flag
+//! and notifies). Acquiring `sleep` before notifying closes the remaining
+//! window — the consumer holds `sleep` from before its `parked` store
+//! until the `wait` call atomically releases it, so a producer that saw
+//! the flag cannot notify *between* the final check and the wait.
+//! (`tests::handshake_model_*` enumerate every interleaving.)
 //!
 //! The **disconnect path** (last sender handle dropping) wakes the
 //! consumer the same way but *unconditionally*: it decrements `senders`
 //! with `AcqRel`, then acquires `sleep` and notifies without consulting
-//! `parked`. Consulting the flag would be an optimization only; taking
-//! the lock unconditionally keeps the teardown path trivially correct —
-//! the consumer's `senders == 0` re-check runs under the same lock, so
-//! the wakeup cannot be lost no matter where the consumer is between
-//! parking and waiting. Both wake paths use `notify_one`: the queues are
-//! strictly single-consumer, so at most one thread ever waits on the
-//! condvar and `notify_all` was pure overhead.
+//! `parked`. The consumer's `senders == 0` re-check runs under the same
+//! lock, so the wakeup cannot be lost no matter where the consumer is
+//! between parking and waiting. Both wake paths use `notify_one`: the
+//! queues are strictly single-consumer.
 
 use std::cell::UnsafeCell;
 use std::ptr;
 use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Error returned by a receive on an empty channel whose senders have
 /// all disconnected (the transport-level death signal).
@@ -70,6 +76,139 @@ pub struct Disconnected;
 /// instead of k.
 pub(crate) fn publish_fence() {
     fence(Ordering::SeqCst);
+}
+
+/// How long a blocking receive polls before it parks: what one park
+/// costs (futex sleep + cross-CPU wake, ~20 µs one way on the 2-core
+/// reference host), so the spin at most doubles any wait and a reply one
+/// message latency (~1 µs) away never parks. `mp_small_msgs`, ranks
+/// pinned, by budget: 0 µs 82 k ops/s, 5 µs 650 k, 10 µs 1.23 M, 20 µs
+/// 1.29 M, 40 µs 1.15 M, 100 µs 1.16 M — flat from 10 µs; beyond 20 µs
+/// long load-imbalance waits burn CPU on the compute-bound workloads.
+pub const SPIN_BUDGET: Duration = Duration::from_micros(20);
+
+/// Polls per spin burst (~1 µs) between clock reads and `yield_now()`s;
+/// 8 to 128 measure alike, and on one core the yield keeps parent speed.
+const POLLS_PER_YIELD: u32 = 32;
+
+/// In which phase of the blocking receive one consumer's messages were
+/// delivered. Plain integers owned by the consumer; they depend on
+/// timing, unlike [`crate::RunStats`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RecvCounts {
+    /// The message was already queued: no waiting at all.
+    pub immediate: u64,
+    /// The message arrived while the consumer was spinning.
+    pub spun: u64,
+    /// The consumer parked (a futex sleep, and a wake for the producer).
+    pub parked: u64,
+}
+
+/// The consumer's parking spot and the senders' half of the handshake.
+#[derive(Default)]
+struct Parker {
+    /// Live sender handles, counted from the channel factory's first
+    /// one; 0 means disconnected.
+    senders: AtomicUsize,
+    /// Set (under `sleep`) while the consumer is parked.
+    parked: AtomicBool,
+    sleep: Mutex<()>,
+    wake: Condvar,
+    /// Times the consumer set `parked` / a sender took `sleep`.
+    #[cfg(test)]
+    parks: AtomicUsize,
+    #[cfg(test)]
+    wakes: AtomicUsize,
+}
+
+impl Parker {
+    /// Producer half of the handshake. Must run after a `SeqCst` fence
+    /// that follows the publish.
+    fn wake_if_parked(&self) {
+        if self.parked.load(Ordering::Relaxed) {
+            self.wake_consumer();
+        }
+    }
+
+    /// Notify under the sleep lock (what makes the wakeup race-free).
+    fn wake_consumer(&self) {
+        #[cfg(test)]
+        self.wakes.fetch_add(1, Ordering::Relaxed);
+        drop(self.sleep.lock().unwrap_or_else(PoisonError::into_inner));
+        self.wake.notify_one();
+    }
+
+    fn add_sender(&self) {
+        self.senders.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A sender handle dropped; the last one wakes the consumer
+    /// unconditionally (the disconnect path of the module docs).
+    fn drop_sender(&self) {
+        if self.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.wake_consumer();
+        }
+    }
+
+    /// One consumer poll: a message, the conclusive `Disconnected` once
+    /// every sender is gone, or `None` (empty, senders alive).
+    fn poll<T>(&self, try_pop: &mut impl FnMut() -> Option<T>) -> Option<Result<T, Disconnected>> {
+        if let Some(v) = try_pop() {
+            return Some(Ok(v));
+        }
+        // The last sender's teardown happens-before the counter hitting
+        // zero, so one final drain decides conclusively.
+        (self.senders.load(Ordering::SeqCst) == 0).then(|| try_pop().ok_or(Disconnected))
+    }
+
+    /// Consumer half: block until `try_pop` yields a message or every
+    /// sender is gone — pop, else spin for `SPIN_BUDGET`, else park.
+    fn recv<T>(
+        &self,
+        counts: &mut RecvCounts,
+        mut try_pop: impl FnMut() -> Option<T>,
+    ) -> Result<T, Disconnected> {
+        // Fast path: no lock and no clock read while messages are
+        // available.
+        if let Some(v) = try_pop() {
+            counts.immediate += 1;
+            return Ok(v);
+        }
+        let spin_started = Instant::now();
+        loop {
+            for _ in 0..POLLS_PER_YIELD {
+                std::hint::spin_loop();
+                if let Some(r) = self.poll(&mut try_pop) {
+                    counts.spun += u64::from(r.is_ok());
+                    return r;
+                }
+            }
+            if spin_started.elapsed() >= SPIN_BUDGET {
+                break;
+            }
+            std::thread::yield_now();
+        }
+        loop {
+            let guard = self.sleep.lock().unwrap_or_else(PoisonError::into_inner);
+            self.parked.store(true, Ordering::Relaxed);
+            #[cfg(test)]
+            self.parks.fetch_add(1, Ordering::Relaxed);
+            fence(Ordering::SeqCst);
+            if let Some(r) = self.poll(&mut try_pop) {
+                self.parked.store(false, Ordering::Relaxed);
+                counts.parked += u64::from(r.is_ok());
+                return r;
+            }
+            // The timeout is belt-and-braces only — the flag protocol
+            // above already rules out lost wakeups.
+            let (g, _) = self
+                .wake
+                .wait_timeout(guard, Duration::from_millis(5))
+                .unwrap_or_else(PoisonError::into_inner);
+            drop(g);
+            self.parked.store(false, Ordering::Relaxed);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -94,10 +233,8 @@ impl<T> Node<T> {
 ///
 /// Producers publish with one `swap` + one `store` (wait-free); the
 /// single consumer pops without any lock while messages are available.
-/// The `sleep`/`wake` pair is used *only* to park the consumer on an
-/// empty queue — producers touch the mutex only when they observe a
-/// parked consumer (see the module-level protocol description), so the
-/// message hot path never contends on a lock.
+/// Blocking, wakeup and disconnect go through the shared `Parker` (module
+/// docs), so the message hot path never contends on a lock.
 ///
 /// Nodes are heap-allocated per push: with *multiple* producers a node
 /// freelist would need a multi-popper lock-free stack (ABA-prone without
@@ -110,14 +247,9 @@ struct RealQueue<T> {
     tail: UnsafeCell<*mut Node<T>>,
     /// Messages currently queued (exact once the queue is quiescent).
     len: AtomicUsize,
-    /// Live `RealSender` handles; 0 means disconnected.
-    senders: AtomicUsize,
     /// Cleared when the receiver drops, so sends can fail fast.
     receiver_alive: AtomicBool,
-    /// Set (under `sleep`) while the consumer is parked.
-    parked: AtomicBool,
-    sleep: Mutex<()>,
-    wake: Condvar,
+    parker: Parker,
 }
 
 // SAFETY: the queue hands each `T` from exactly one producer to the
@@ -129,15 +261,13 @@ unsafe impl<T: Send> Sync for RealQueue<T> {}
 
 impl<T> RealQueue<T> {
     fn new() -> Self {
+        let stub = Node::boxed(None);
         RealQueue {
-            head: AtomicPtr::new(Node::boxed(None)),
-            tail: UnsafeCell::new(ptr::null_mut()),
+            head: AtomicPtr::new(stub),
+            tail: UnsafeCell::new(stub),
             len: AtomicUsize::new(0),
-            senders: AtomicUsize::new(1),
             receiver_alive: AtomicBool::new(true),
-            parked: AtomicBool::new(false),
-            sleep: Mutex::new(()),
-            wake: Condvar::new(),
+            parker: Parker::default(),
         }
     }
 
@@ -150,13 +280,8 @@ impl<T> RealQueue<T> {
         // previous head has no successor until this store.
         unsafe { (*prev).next.store(node, Ordering::Release) };
         self.len.fetch_add(1, Ordering::Release);
-        // Producer half of the parked-flag protocol (module docs):
-        // publish, fence, read the flag, notify under the sleep lock.
         fence(Ordering::SeqCst);
-        if self.parked.load(Ordering::Relaxed) {
-            drop(self.sleep.lock().unwrap_or_else(PoisonError::into_inner));
-            self.wake.notify_one();
-        }
+        self.parker.wake_if_parked();
     }
 
     /// Consumer side: pop the oldest message, or `None` when empty.
@@ -194,51 +319,6 @@ impl<T> RealQueue<T> {
         self.len.fetch_sub(1, Ordering::Release);
         Some(value)
     }
-
-    /// Consumer side: block until a message arrives or every sender is
-    /// gone.
-    ///
-    /// # Safety
-    /// Single-consumer, as for [`RealQueue::try_pop`].
-    unsafe fn recv(&self) -> Result<T, Disconnected> {
-        // Fast path: no lock while messages are available.
-        if let Some(v) = self.try_pop() {
-            return Ok(v);
-        }
-        loop {
-            // Consumer half of the parked-flag protocol (module docs):
-            // lock, set the flag, fence, final empty check, then wait.
-            let guard = self.sleep.lock().unwrap_or_else(PoisonError::into_inner);
-            self.parked.store(true, Ordering::Relaxed);
-            fence(Ordering::SeqCst);
-            if let Some(v) = self.try_pop() {
-                self.parked.store(false, Ordering::Relaxed);
-                return Ok(v);
-            }
-            if self.senders.load(Ordering::SeqCst) == 0 {
-                self.parked.store(false, Ordering::Relaxed);
-                // The last sender's teardown happens-before the counter
-                // hitting zero, so one final drain decides conclusively.
-                return self.try_pop().ok_or(Disconnected);
-            }
-            // The timeout is belt-and-braces only — the flag protocol
-            // above already rules out lost wakeups.
-            let (g, _) = self
-                .wake
-                .wait_timeout(guard, Duration::from_millis(5))
-                .unwrap_or_else(PoisonError::into_inner);
-            drop(g);
-            self.parked.store(false, Ordering::Relaxed);
-        }
-    }
-
-    /// Initialize `tail` from `head` once, before the first pop. Called
-    /// by the factory functions (the stub is created before any handle
-    /// exists, so a plain load is exact).
-    fn init_tail(&self) {
-        let stub = self.head.load(Ordering::Relaxed);
-        unsafe { *self.tail.get() = stub };
-    }
 }
 
 impl<T> Drop for RealQueue<T> {
@@ -273,7 +353,7 @@ impl<T> RealSender<T> {
 
 impl<T> Clone for RealSender<T> {
     fn clone(&self) -> Self {
-        self.queue.senders.fetch_add(1, Ordering::Relaxed);
+        self.queue.parker.add_sender();
         RealSender {
             queue: Arc::clone(&self.queue),
         }
@@ -282,18 +362,7 @@ impl<T> Clone for RealSender<T> {
 
 impl<T> Drop for RealSender<T> {
     fn drop(&mut self) {
-        if self.queue.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Last sender gone: wake the receiver unconditionally (see
-            // the module-level disconnect-path discussion — acquiring
-            // the sleep lock is what makes the wakeup race-free).
-            drop(
-                self.queue
-                    .sleep
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner),
-            );
-            self.queue.wake.notify_one();
-        }
+        self.queue.parker.drop_sender();
     }
 }
 
@@ -309,7 +378,8 @@ impl<T> RealReceiver<T> {
     pub fn recv(&self) -> Result<T, Disconnected> {
         // SAFETY: `RealReceiver` is not Clone, so this is the single
         // consumer.
-        unsafe { self.queue.recv() }
+        let try_pop = || unsafe { self.queue.try_pop() };
+        self.queue.parker.recv(&mut RecvCounts::default(), try_pop)
     }
 
     /// Messages currently queued (exact when the queue is quiescent).
@@ -332,7 +402,7 @@ impl<T> Drop for RealReceiver<T> {
 /// Create a lock-free MPSC channel.
 pub fn real_channel<T>() -> (RealSender<T>, RealReceiver<T>) {
     let queue = Arc::new(RealQueue::new());
-    queue.init_tail();
+    queue.parker.add_sender();
     (
         RealSender {
             queue: Arc::clone(&queue),
@@ -362,8 +432,8 @@ const SPSC_FREELIST_CAP: usize = 256;
 /// `next` pointer is stable until the popper's CAS and the classic ABA
 /// hazard (head reappearing with a different successor) cannot occur.
 ///
-/// Parking/wakeup and disconnect use the same Dekker parked-flag
-/// protocol as [`RealQueue`] (see the module docs).
+/// Blocking, wakeup and disconnect go through the shared `Parker`
+/// (module docs).
 struct SpscQueue<T> {
     /// Most recently pushed node; owned by the single producer.
     head: UnsafeCell<*mut Node<T>>,
@@ -377,16 +447,12 @@ struct SpscQueue<T> {
     /// mailbox when built via [`spsc_channel_with`], so a mailbox's
     /// leak check is one load instead of n.
     len: Arc<AtomicUsize>,
-    /// Live `SpscSender` handles; 0 means disconnected. (Handles may be
-    /// cloned — scoped contexts need that — as long as pushes stay
-    /// serialized; see [`SpscSender::send`].)
-    senders: AtomicUsize,
     /// Cleared when the receiver drops, so sends can fail fast.
     receiver_alive: AtomicBool,
-    /// Set (under `sleep`) while the consumer is parked.
-    parked: AtomicBool,
-    sleep: Mutex<()>,
-    wake: Condvar,
+    /// Counts live `SpscSender` handles. (Handles may be cloned — scoped
+    /// contexts need that — as long as pushes stay serialized; see
+    /// [`SpscSender::send`].)
+    parker: Parker,
     /// Debug-only concurrent-push detector for the single-producer
     /// contract (release builds pay nothing).
     #[cfg(debug_assertions)]
@@ -409,11 +475,8 @@ impl<T> SpscQueue<T> {
             free: AtomicPtr::new(ptr::null_mut()),
             free_len: AtomicUsize::new(0),
             len,
-            senders: AtomicUsize::new(1),
             receiver_alive: AtomicBool::new(true),
-            parked: AtomicBool::new(false),
-            sleep: Mutex::new(()),
-            wake: Condvar::new(),
+            parker: Parker::default(),
             #[cfg(debug_assertions)]
             pushing: AtomicBool::new(false),
         }
@@ -473,8 +536,7 @@ impl<T> SpscQueue<T> {
 
     /// Producer side, publish only: enqueue without the fence/wake step.
     /// The caller must follow up with [`publish_fence`] and
-    /// [`SpscQueue::wake_if_parked`] (or use [`SpscQueue::push`]) before
-    /// blocking on anything, or the consumer may sleep on a full queue
+    /// `Parker::wake_if_parked` before blocking on anything, or the consumer may sleep on a full queue
     /// until its belt-and-braces timeout.
     ///
     /// # Safety
@@ -499,25 +561,6 @@ impl<T> SpscQueue<T> {
         self.pushing.store(false, Ordering::Release);
     }
 
-    /// Producer half of the parked-flag wake check (module docs). Must
-    /// run after a `SeqCst` fence that follows the publish.
-    fn wake_if_parked(&self) {
-        if self.parked.load(Ordering::Relaxed) {
-            drop(self.sleep.lock().unwrap_or_else(PoisonError::into_inner));
-            self.wake.notify_one();
-        }
-    }
-
-    /// Producer side: publish + fence + wake, the full send.
-    ///
-    /// # Safety
-    /// Single-producer, as for [`SpscQueue::publish`].
-    unsafe fn push(&self, value: T) {
-        self.publish(value);
-        fence(Ordering::SeqCst);
-        self.wake_if_parked();
-    }
-
     /// Consumer side: pop the oldest message, or `None` when empty.
     ///
     /// # Safety
@@ -536,36 +579,6 @@ impl<T> SpscQueue<T> {
         self.recycle(tail);
         self.len.fetch_sub(1, Ordering::Release);
         Some(value)
-    }
-
-    /// Consumer side: block until a message arrives or every sender is
-    /// gone. Same protocol as [`RealQueue::recv`].
-    ///
-    /// # Safety
-    /// Single-consumer.
-    unsafe fn recv(&self) -> Result<T, Disconnected> {
-        if let Some(v) = self.try_pop() {
-            return Ok(v);
-        }
-        loop {
-            let guard = self.sleep.lock().unwrap_or_else(PoisonError::into_inner);
-            self.parked.store(true, Ordering::Relaxed);
-            fence(Ordering::SeqCst);
-            if let Some(v) = self.try_pop() {
-                self.parked.store(false, Ordering::Relaxed);
-                return Ok(v);
-            }
-            if self.senders.load(Ordering::SeqCst) == 0 {
-                self.parked.store(false, Ordering::Relaxed);
-                return self.try_pop().ok_or(Disconnected);
-            }
-            let (g, _) = self
-                .wake
-                .wait_timeout(guard, Duration::from_millis(5))
-                .unwrap_or_else(PoisonError::into_inner);
-            drop(g);
-            self.parked.store(false, Ordering::Relaxed);
-        }
     }
 }
 
@@ -608,10 +621,9 @@ impl<T> SpscSender<T> {
     /// edge between any two sends. Debug builds detect violations and
     /// panic.
     pub unsafe fn send(&self, value: T) -> Result<(), T> {
-        if !self.queue.receiver_alive.load(Ordering::Acquire) {
-            return Err(value);
-        }
-        self.queue.push(value);
+        self.send_publish(value)?;
+        publish_fence();
+        self.wake();
         Ok(())
     }
 
@@ -633,13 +645,13 @@ impl<T> SpscSender<T> {
     /// The wake half of a batched fan-out; must run after
     /// [`publish_fence`].
     pub(crate) fn wake(&self) {
-        self.queue.wake_if_parked();
+        self.queue.parker.wake_if_parked();
     }
 }
 
 impl<T> Clone for SpscSender<T> {
     fn clone(&self) -> Self {
-        self.queue.senders.fetch_add(1, Ordering::Relaxed);
+        self.queue.parker.add_sender();
         SpscSender {
             queue: Arc::clone(&self.queue),
         }
@@ -648,16 +660,7 @@ impl<T> Clone for SpscSender<T> {
 
 impl<T> Drop for SpscSender<T> {
     fn drop(&mut self) {
-        if self.queue.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Unconditional-lock disconnect wake (module docs).
-            drop(
-                self.queue
-                    .sleep
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner),
-            );
-            self.queue.wake.notify_one();
-        }
+        self.queue.parker.drop_sender();
     }
 }
 
@@ -671,9 +674,16 @@ impl<T> SpscReceiver<T> {
     /// Blocking receive; fails once the queue is empty and every sender
     /// has dropped.
     pub fn recv(&self) -> Result<T, Disconnected> {
+        self.recv_counted(&mut RecvCounts::default())
+    }
+
+    /// [`SpscReceiver::recv`], recording in `counts` which phase of the
+    /// wait delivered the message.
+    pub(crate) fn recv_counted(&self, counts: &mut RecvCounts) -> Result<T, Disconnected> {
         // SAFETY: `SpscReceiver` is not Clone, so this is the single
         // consumer.
-        unsafe { self.queue.recv() }
+        let try_pop = || unsafe { self.queue.try_pop() };
+        self.queue.parker.recv(counts, try_pop)
     }
 
     /// Non-blocking receive: `Ok(Some(v))` on a message, `Ok(None)` on a
@@ -684,20 +694,8 @@ impl<T> SpscReceiver<T> {
     pub(crate) fn try_recv(&self) -> Result<Option<T>, Disconnected> {
         // SAFETY: `SpscReceiver` is not Clone, so this is the single
         // consumer.
-        unsafe {
-            if let Some(v) = self.queue.try_pop() {
-                return Ok(Some(v));
-            }
-            if self.queue.senders.load(Ordering::SeqCst) == 0 {
-                // Teardown happens-before the counter hitting zero, so
-                // one final drain decides conclusively (as in `recv`).
-                return self
-                    .queue
-                    .try_pop()
-                    .map_or(Err(Disconnected), |v| Ok(Some(v)));
-            }
-            Ok(None)
-        }
+        let mut try_pop = || unsafe { self.queue.try_pop() };
+        self.queue.parker.poll(&mut try_pop).transpose()
     }
 
     /// Messages currently queued. Exact at quiescence for a channel from
@@ -738,6 +736,7 @@ pub fn spsc_channel<T>() -> (SpscSender<T>, SpscReceiver<T>) {
 /// leak check a single load per mailbox instead of n per-channel reads.
 pub(crate) fn spsc_channel_with<T>(len: Arc<AtomicUsize>) -> (SpscSender<T>, SpscReceiver<T>) {
     let queue = Arc::new(SpscQueue::new(len));
+    queue.parker.add_sender();
     (
         SpscSender {
             queue: Arc::clone(&queue),
@@ -958,6 +957,96 @@ mod tests {
         assert_eq!(Arc::strong_count(&payload), 1);
     }
 
+    /// Both channels behind one face, so every `Parker` test below runs
+    /// against both queues. `Self` is the receive side.
+    trait Chan: Send + Sync + Sized + 'static {
+        type Tx: Send + 'static;
+        fn pair() -> (Self::Tx, Self);
+        fn send(tx: &Self::Tx, v: u64);
+        fn recv(&self, counts: &mut RecvCounts) -> Result<u64, Disconnected>;
+        fn parker(&self) -> &Parker;
+        fn parks(&self) -> usize {
+            self.parker().parks.load(Ordering::Relaxed)
+        }
+        fn wakes(&self) -> usize {
+            self.parker().wakes.load(Ordering::Relaxed)
+        }
+    }
+
+    impl Chan for SpscReceiver<u64> {
+        type Tx = SpscSender<u64>;
+        fn pair() -> (Self::Tx, Self) {
+            spsc_channel()
+        }
+        fn send(tx: &Self::Tx, v: u64) {
+            // SAFETY: every test moves the one handle to one thread.
+            unsafe { tx.send(v) }.unwrap();
+        }
+        fn recv(&self, counts: &mut RecvCounts) -> Result<u64, Disconnected> {
+            self.recv_counted(counts)
+        }
+        fn parker(&self) -> &Parker {
+            &self.queue.parker
+        }
+    }
+
+    impl Chan for RealReceiver<u64> {
+        type Tx = RealSender<u64>;
+        fn pair() -> (Self::Tx, Self) {
+            real_channel()
+        }
+        fn send(tx: &Self::Tx, v: u64) {
+            tx.send(v).unwrap();
+        }
+        fn recv(&self, counts: &mut RecvCounts) -> Result<u64, Disconnected> {
+            // SAFETY: `RealReceiver` is not Clone: the single consumer.
+            let try_pop = || unsafe { self.queue.try_pop() };
+            self.queue.parker.recv(counts, try_pop)
+        }
+        fn parker(&self) -> &Parker {
+            &self.queue.parker
+        }
+    }
+
+    /// The last sender drops against a consumer that is draining `msgs`
+    /// messages (varied per round, so the drop lands at every point of
+    /// the consumer's pop / spin / park sequence); the consumer must get
+    /// every message and then the disconnect. With `drop_in_spin` the
+    /// producer holds its drop until the consumer has popped the last
+    /// message — the drop then lands inside the spin of the next receive.
+    /// Returns in how many rounds the consumer never parked.
+    fn race_last_sender_drop<C: Chan>(drop_in_spin: bool) -> u64 {
+        let mut never_parked = 0;
+        for round in 0..scaled(200) {
+            let (tx, rx) = C::pair();
+            let msgs = round % 4;
+            let popped = Arc::new(AtomicUsize::new(0));
+            let seen = Arc::clone(&popped);
+            let consumer = std::thread::spawn(move || {
+                let mut counts = RecvCounts::default();
+                while rx.recv(&mut counts).is_ok() {
+                    seen.fetch_add(1, Ordering::Release);
+                }
+                (counts, rx.parks())
+            });
+            for i in 0..msgs {
+                C::send(&tx, i);
+            }
+            if drop_in_spin {
+                while popped.load(Ordering::Acquire) < msgs as usize {
+                    std::thread::yield_now();
+                }
+            } else if round % 2 == 0 {
+                std::thread::yield_now();
+            }
+            drop(tx);
+            let (counts, parks) = consumer.join().unwrap();
+            assert_eq!(counts.immediate + counts.spun + counts.parked, msgs);
+            never_parked += u64::from(parks == 0);
+        }
+        never_parked
+    }
+
     /// Regression test for sleep/wake races around the last-sender drop:
     /// a consumer parking on an emptying queue must always observe the
     /// disconnect, no matter how the drop interleaves with its
@@ -966,44 +1055,413 @@ mod tests {
     /// the belt-and-braces timeout).
     #[test]
     fn last_sender_drop_races_with_parking_consumer() {
-        for round in 0..scaled(200) {
-            let (tx, rx) = spsc_channel::<u64>();
-            let msgs = round % 4; // vary how much drain precedes the park
-            let consumer = std::thread::spawn(move || {
-                let mut got = 0u64;
-                while rx.recv().is_ok() {
-                    got += 1;
-                }
-                got
-            });
-            for i in 0..msgs {
-                unsafe { tx.send(i).unwrap() };
-            }
-            if round % 2 == 0 {
-                std::thread::yield_now();
-            }
-            drop(tx);
-            assert_eq!(consumer.join().unwrap(), msgs);
+        race_last_sender_drop::<SpscReceiver<u64>>(false);
+        race_last_sender_drop::<RealReceiver<u64>>(false);
+    }
+
+    /// A dead peer is detected from inside the spin, without parking.
+    #[test]
+    fn last_sender_drop_is_seen_while_spinning() {
+        let spsc = race_last_sender_drop::<SpscReceiver<u64>>(true);
+        let mpsc = race_last_sender_drop::<RealReceiver<u64>>(true);
+        // Interpreted, a handful of polls already outlasts the budget.
+        if !cfg!(miri) {
+            assert!(
+                spsc > 0 && mpsc > 0,
+                "never seen in the spin: {spsc} {mpsc}"
+            );
         }
-        // Same race on the MPSC queue's disconnect path.
-        for round in 0..scaled(200) {
-            let (tx, rx) = real_channel::<u64>();
-            let msgs = round % 4;
-            let consumer = std::thread::spawn(move || {
-                let mut got = 0u64;
-                while rx.recv().is_ok() {
-                    got += 1;
+    }
+
+    /// Exact version of the two spin properties, on a bare `Parker` with
+    /// the producer's step run at a chosen poll of the first spin burst
+    /// (which always runs, whatever the clock says).
+    #[test]
+    fn message_or_disconnect_inside_the_spin_never_parks() {
+        let parker = Parker::default();
+        parker.add_sender();
+        let mut counts = RecvCounts::default();
+        let mut polls = 0;
+        let got = parker.recv(&mut counts, || {
+            polls += 1;
+            // "Published" on the 5th poll; the producer's half follows.
+            (polls == 5).then(|| {
+                parker.wake_if_parked();
+                7u64
+            })
+        });
+        assert_eq!(got, Ok(7));
+        assert_eq!(counts.spun, 1);
+        assert_eq!(counts.immediate + counts.parked, 0);
+        let mut polls = 0;
+        let got = parker.recv(&mut counts, || {
+            polls += 1;
+            if polls == 5 {
+                parker.drop_sender(); // the last sender
+            }
+            None::<u64>
+        });
+        assert_eq!(got, Err(Disconnected));
+        assert_eq!(counts.spun, 1, "a disconnect is not a delivery");
+        assert_eq!(parker.parks.load(Ordering::Relaxed), 0);
+        // Only the unconditional disconnect wake touched `sleep`.
+        assert_eq!(parker.wakes.load(Ordering::Relaxed), 1);
+    }
+
+    /// Ping-pong: each reply is published one message latency after the
+    /// consumer enters `recv`, i.e. inside its spin. One message is in
+    /// flight at a time, so a sender finds `parked` set at most once per
+    /// park: it must never take `sleep` for a spinning consumer.
+    fn ping_pong_spins<C: Chan>() {
+        let (ping_tx, ping_rx) = C::pair();
+        let (pong_tx, pong_rx) = C::pair();
+        let rounds = scaled(2000);
+        let echo = std::thread::spawn(move || {
+            let mut counts = RecvCounts::default();
+            while let Ok(v) = ping_rx.recv(&mut counts) {
+                C::send(&pong_tx, v);
+            }
+            (counts, ping_rx.parks(), ping_rx.wakes())
+        });
+        let mut counts = RecvCounts::default();
+        for i in 0..rounds {
+            C::send(&ping_tx, i);
+            assert_eq!(pong_rx.recv(&mut counts), Ok(i));
+        }
+        drop(ping_tx);
+        let (echo_counts, echo_parks, echo_wakes) = echo.join().unwrap();
+        for (c, parks, wakes) in [
+            (counts, pong_rx.parks(), pong_rx.wakes()),
+            (echo_counts, echo_parks, echo_wakes),
+        ] {
+            assert_eq!(c.immediate + c.spun + c.parked, rounds);
+            assert!(c.parked as usize <= parks);
+            // + 1: the unconditional disconnect wake.
+            assert!(wakes <= parks + 1, "{wakes} wakes for {parks} parks");
+            if !cfg!(miri) {
+                assert!(c.spun > 0, "no receive was satisfied by the spin: {c:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn ping_pong_is_delivered_by_the_spin_without_waking() {
+        ping_pong_spins::<SpscReceiver<u64>>();
+        ping_pong_spins::<RealReceiver<u64>>();
+    }
+
+    /// The spin is bounded: a consumer left without traffic ends up
+    /// parked, and a later push still wakes it.
+    fn idle_consumer_parks_then_wakes<C: Chan>() {
+        let (tx, rx) = C::pair();
+        let rx = Arc::new(rx);
+        let consumer = {
+            let rx = Arc::clone(&rx);
+            std::thread::spawn(move || {
+                let mut counts = RecvCounts::default();
+                (rx.recv(&mut counts), counts)
+            })
+        };
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !rx.parker().parked.load(Ordering::Relaxed) {
+            assert!(Instant::now() < deadline, "consumer still spinning");
+            std::thread::yield_now();
+        }
+        C::send(&tx, 42);
+        let (got, counts) = consumer.join().unwrap();
+        assert_eq!(got, Ok(42));
+        assert_eq!(counts.parked, 1);
+        assert_eq!(counts.immediate + counts.spun, 0);
+    }
+
+    #[test]
+    fn spin_is_bounded_and_a_parked_consumer_still_wakes() {
+        idle_consumer_parks_then_wakes::<SpscReceiver<u64>>();
+        idle_consumer_parks_then_wakes::<RealReceiver<u64>>();
+    }
+
+    // -- The handshake as a sequentially consistent model ---------------
+    //
+    // One state per (shared variables, consumer pc, producer pc); every
+    // atomic access, lock operation and condvar call of `Parker` is one
+    // step, the spin budget may expire before any poll, and `wait` has no
+    // timeout, so a lost wakeup is a stuck state. `explore` visits every
+    // reachable state of every interleaving.
+
+    #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+    enum Who {
+        Consumer,
+        Producer,
+    }
+
+    /// Consumer pc; `parked` says whether the poll runs inside the park
+    /// sequence (flag set, `sleep` held) or in the spin.
+    #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+    enum C {
+        Pop {
+            parked: bool,
+        },
+        Senders {
+            parked: bool,
+        },
+        Drain {
+            parked: bool,
+        },
+        Lock,
+        SetFlag,
+        /// A parked poll returned: clear the flag, then drop the guard.
+        Clear {
+            done: bool,
+        },
+        Unlock {
+            done: bool,
+        },
+        Wait,
+        Asleep,
+        /// Back from `wait`: drop the guard, clear the flag, loop.
+        WokeUnlock,
+        WokeClear,
+        Done,
+    }
+
+    #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+    enum Op {
+        Push,
+        Drop,
+    }
+
+    /// Producer stage within its current op.
+    #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+    enum P {
+        Start,
+        ReadFlag,
+        Lock,
+        Unlock,
+        Notify,
+    }
+
+    #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+    struct Model {
+        queued: u8,
+        senders: u8,
+        parked: bool,
+        lock: Option<Who>,
+        /// The consumer is inside `wait` and has not been notified.
+        waiting: bool,
+        delivered: u8,
+        c: C,
+        op: usize,
+        p: P,
+    }
+
+    /// The protocol, or one of two broken variants the search must catch.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Rules {
+        Sound,
+        NotifyWithoutLock,
+        NoFinalCheck,
+    }
+
+    fn consumer_steps(m: Model, rules: Rules, out: &mut Vec<Model>) {
+        let deliver = |m: Model, parked: bool| Model {
+            queued: m.queued - 1,
+            delivered: m.delivered + 1,
+            c: if parked {
+                C::Clear { done: false }
+            } else {
+                C::Pop { parked: false }
+            },
+            ..m
+        };
+        match m.c {
+            C::Pop { parked } => {
+                if m.queued > 0 {
+                    out.push(deliver(m, parked));
+                } else {
+                    out.push(Model {
+                        c: C::Senders { parked },
+                        ..m
+                    });
                 }
-                got
+                if !parked {
+                    out.push(Model { c: C::Lock, ..m }); // budget spent
+                }
+            }
+            C::Senders { parked } => out.push(Model {
+                c: match (m.senders, parked) {
+                    (0, _) => C::Drain { parked },
+                    (_, true) => C::Wait,
+                    (_, false) => C::Pop { parked: false },
+                },
+                ..m
+            }),
+            C::Drain { parked } if m.queued > 0 => out.push(deliver(m, parked)),
+            C::Drain { parked } => out.push(Model {
+                c: if parked {
+                    C::Clear { done: true }
+                } else {
+                    C::Done
+                },
+                ..m
+            }),
+            C::Lock if m.lock.is_none() => out.push(Model {
+                lock: Some(Who::Consumer),
+                c: C::SetFlag,
+                ..m
+            }),
+            C::SetFlag => out.push(Model {
+                parked: true,
+                c: if rules == Rules::NoFinalCheck {
+                    C::Wait
+                } else {
+                    C::Pop { parked: true }
+                },
+                ..m
+            }),
+            C::Clear { done } => out.push(Model {
+                parked: false,
+                c: C::Unlock { done },
+                ..m
+            }),
+            C::Unlock { done } => out.push(Model {
+                lock: None,
+                c: if done {
+                    C::Done
+                } else {
+                    C::Pop { parked: false }
+                },
+                ..m
+            }),
+            // `wait` releases the lock and sleeps in one atomic step.
+            C::Wait => out.push(Model {
+                lock: None,
+                waiting: true,
+                c: C::Asleep,
+                ..m
+            }),
+            C::Asleep if !m.waiting && m.lock.is_none() => out.push(Model {
+                lock: Some(Who::Consumer),
+                c: C::WokeUnlock,
+                ..m
+            }),
+            C::WokeUnlock => out.push(Model {
+                lock: None,
+                c: C::WokeClear,
+                ..m
+            }),
+            C::WokeClear => out.push(Model {
+                parked: false,
+                c: C::Lock,
+                ..m
+            }),
+            C::Lock | C::Asleep | C::Done => {} // blocked, or finished
+        }
+    }
+
+    fn producer_steps(m: Model, ops: &[Op], rules: Rules, out: &mut Vec<Model>) {
+        let Some(&op) = ops.get(m.op) else {
+            return;
+        };
+        let next_op = Model {
+            op: m.op + 1,
+            p: P::Start,
+            ..m
+        };
+        let wake = if rules == Rules::NotifyWithoutLock {
+            P::Notify
+        } else {
+            P::Lock
+        };
+        match (m.p, op) {
+            (P::Start, Op::Push) => out.push(Model {
+                queued: m.queued + 1,
+                p: P::ReadFlag,
+                ..m
+            }),
+            // The disconnect wake does not consult the flag.
+            (P::Start, Op::Drop) => out.push(Model {
+                senders: m.senders - 1,
+                p: wake,
+                ..m
+            }),
+            (P::ReadFlag, _) if m.parked => out.push(Model { p: wake, ..m }),
+            (P::ReadFlag, _) => out.push(next_op),
+            (P::Lock, _) if m.lock.is_none() => out.push(Model {
+                lock: Some(Who::Producer),
+                p: P::Unlock,
+                ..m
+            }),
+            (P::Lock, _) => {} // blocked
+            (P::Unlock, _) => out.push(Model {
+                lock: None,
+                p: P::Notify,
+                ..m
+            }),
+            (P::Notify, _) => out.push(Model {
+                waiting: false,
+                ..next_op
+            }),
+        }
+    }
+
+    /// Visit every reachable state; `Err` is a state nothing can leave
+    /// with a message undelivered or the disconnect unseen.
+    fn explore(ops: &[Op], rules: Rules) -> Result<usize, Model> {
+        let start = Model {
+            queued: 0,
+            senders: 1,
+            parked: false,
+            lock: None,
+            waiting: false,
+            delivered: 0,
+            c: C::Pop { parked: false },
+            op: 0,
+            p: P::Start,
+        };
+        let pushes = ops.iter().filter(|&&op| op == Op::Push).count() as u8;
+        let mut seen = std::collections::HashSet::from([start]);
+        let mut todo = vec![start];
+        let mut next = Vec::new();
+        while let Some(m) = todo.pop() {
+            consumer_steps(m, rules, &mut next);
+            producer_steps(m, ops, rules, &mut next);
+            // Nothing can move: fine only with every op done, every
+            // message delivered and, after a drop, the disconnect seen
+            // (without one the consumer rightly sleeps on).
+            let settled =
+                m.op == ops.len() && m.delivered == pushes && (m.c == C::Done) == (m.senders == 0);
+            if next.is_empty() && !settled {
+                return Err(m);
+            }
+            todo.extend(next.drain(..).filter(|n| seen.insert(*n)));
+        }
+        Ok(seen.len())
+    }
+
+    const SCHEDULES: [&[Op]; 5] = [
+        &[Op::Push],
+        &[Op::Push, Op::Push],
+        &[Op::Drop],
+        &[Op::Push, Op::Drop],
+        &[Op::Push, Op::Push, Op::Drop],
+    ];
+
+    #[test]
+    fn handshake_model_never_strands_the_consumer() {
+        for ops in SCHEDULES {
+            let states = explore(ops, Rules::Sound).unwrap_or_else(|m| {
+                panic!("{ops:?}: consumer stranded in {m:?}");
             });
-            for i in 0..msgs {
-                tx.send(i).unwrap();
-            }
-            if round % 2 == 0 {
-                std::thread::yield_now();
-            }
-            drop(tx);
-            assert_eq!(consumer.join().unwrap(), msgs);
+            assert!(states > 20, "{ops:?}: only {states} states explored");
+        }
+    }
+
+    /// The search has teeth: notifying without taking `sleep`, or waiting
+    /// without the final check, strands the consumer in some schedule.
+    #[test]
+    fn handshake_model_catches_broken_protocols() {
+        for rules in [Rules::NotifyWithoutLock, Rules::NoFinalCheck] {
+            assert!(SCHEDULES.iter().any(|ops| explore(ops, rules).is_err()));
         }
     }
 

@@ -26,6 +26,7 @@ use parallel_archetypes::mp::mailbox::{build_network, Mailbox};
 use parallel_archetypes::mp::packet::{Packet, PacketBody};
 use parallel_archetypes::mp::transport::{
     real_channel, spsc_channel, Disconnected, RealReceiver, RealSender, SpscReceiver, SpscSender,
+    SPIN_BUDGET,
 };
 
 /// One mesh link's send side, as handed out by [`build_network`].
@@ -334,25 +335,27 @@ proptest! {
         lockstep::<Mpsc>(&script);
     }
 
-    // Threaded differential: producers race a parked-or-busy consumer
-    // through the publish/park (Dekker) handshake, the recycling CAS
-    // loops, and the last-sender-drop wake.
+    // Threaded differential: producers race a busy, spinning or parked
+    // consumer through the publish/park (Dekker) handshake, the
+    // recycling CAS loops, and the last-sender-drop wake. `pauses` picks
+    // each send's delay from `PAUSES`, so one run delivers messages on
+    // the immediate, the spun and the parked path of the receive.
     #[test]
     fn spsc_threaded_matches_the_mpsc_oracle(
         values in vec(any::<u32>(), 0..300),
-        yields in vec(any::<bool>(), 1..50),
+        pauses in vec(0..PAUSES.len(), 1..50),
         park in any::<bool>(),
     ) {
-        threaded::<Spsc>(&[values], &yields, park);
+        threaded::<Spsc>(&[values], &pauses, park);
     }
 
     #[test]
     fn mpsc_threaded_matches_the_mpsc_oracle(
         streams in vec(vec(any::<u32>(), 0..120), 1..5),
-        yields in vec(any::<bool>(), 1..50),
+        pauses in vec(0..PAUSES.len(), 1..50),
         park in any::<bool>(),
     ) {
-        threaded::<Mpsc>(&streams, &yields, park);
+        threaded::<Mpsc>(&streams, &pauses, park);
     }
 }
 
@@ -440,14 +443,20 @@ fn lockstep<Q: Queue>(script: &[(bool, u32)]) {
     assert_eq!(Q::recv(&rx), Err(Disconnected));
 }
 
+/// Producer-side delay after a send, in spin budgets of the receive:
+/// none (the consumer finds the next message queued), half a budget (the
+/// consumer is inside its spin), two and twenty (the consumer has parked).
+const PAUSES: [f64; 4] = [0.0, 0.5, 2.0, 20.0];
+
 /// One producer thread per stream feeds the queue under test and the
 /// oracle; one consumer thread each drains until disconnect. With `park`
 /// the consumers are (very likely) parked on an empty queue both before
-/// the first send and before the last sender drops — the sleeps only
-/// steer coverage; every assertion holds under every interleaving.
-fn threaded<Q: Queue>(streams: &[Vec<u32>], yields: &[bool], park: bool) {
+/// the first send and before the last sender drops — the sleeps and
+/// pauses only steer coverage; every assertion holds under every
+/// interleaving.
+fn threaded<Q: Queue>(streams: &[Vec<u32>], pauses: &[usize], park: bool) {
     use std::sync::mpsc;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
     let (txs, rx) = Q::channel(streams.len());
     let (otx, orx) = mpsc::channel::<Msg>();
     let consumer = std::thread::spawn(move || {
@@ -463,7 +472,7 @@ fn threaded<Q: Queue>(streams: &[Vec<u32>], yields: &[bool], park: bool) {
         .zip(streams)
         .enumerate()
         .map(|(p, (tx, stream))| {
-            let (stream, yields, otx) = (stream.clone(), yields.to_vec(), otx.clone());
+            let (stream, pauses, otx) = (stream.clone(), pauses.to_vec(), otx.clone());
             std::thread::spawn(move || {
                 if park {
                     std::thread::sleep(Duration::from_millis(2));
@@ -471,8 +480,10 @@ fn threaded<Q: Queue>(streams: &[Vec<u32>], yields: &[bool], park: bool) {
                 for (i, v) in stream.into_iter().enumerate() {
                     Q::send(&tx, (p, v));
                     otx.send((p, v)).expect("oracle receiver alive");
-                    if yields[i % yields.len()] {
-                        std::thread::yield_now();
+                    let pause = SPIN_BUDGET.mul_f64(PAUSES[pauses[i % pauses.len()]]);
+                    let sent = Instant::now();
+                    while sent.elapsed() < pause {
+                        std::hint::spin_loop();
                     }
                 }
                 if park {
