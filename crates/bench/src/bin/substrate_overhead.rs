@@ -79,11 +79,7 @@ fn paired_samples(
 /// fault-hook column below): the overhead is the median of per-pair
 /// ratios, floored at 0 since the variant does at least as much work.
 /// Returns `(median base µs, median variant µs, overhead %)`.
-fn paired_overhead(
-    pairs: usize,
-    base: impl FnMut(),
-    variant: impl FnMut(),
-) -> (f64, f64, f64) {
+fn paired_overhead(pairs: usize, base: impl FnMut(), variant: impl FnMut()) -> (f64, f64, f64) {
     let mut ratios = Vec::with_capacity(pairs);
     let (b, v) = paired_samples(pairs, base, variant, &mut ratios);
     (b, v, median(&mut ratios).max(0.0))

@@ -93,10 +93,8 @@ pub struct Metrics {
 /// Normalize a label set: owned values, sorted by key for a canonical
 /// series identity.
 fn series(name: &'static str, labels: &[(&'static str, &str)]) -> Series {
-    let mut ls: Vec<(&'static str, String)> = labels
-        .iter()
-        .map(|&(k, v)| (k, v.to_string()))
-        .collect();
+    let mut ls: Vec<(&'static str, String)> =
+        labels.iter().map(|&(k, v)| (k, v.to_string())).collect();
     ls.sort_by_key(|&(k, _)| k);
     (name, ls)
 }
@@ -128,7 +126,11 @@ fn fmt_value(v: f64) -> String {
 
 /// Format `name{k="v",...}` with an optional extra label appended (used
 /// for `le` / `quantile`).
-fn fmt_series(name: &str, labels: &[(&'static str, String)], extra: Option<(&str, &str)>) -> String {
+fn fmt_series(
+    name: &str,
+    labels: &[(&'static str, String)],
+    extra: Option<(&str, &str)>,
+) -> String {
     let mut parts: Vec<String> = labels
         .iter()
         .map(|(k, v)| format!("{k}=\"{}\"", escape_label(v)))
@@ -221,14 +223,22 @@ impl Metrics {
     /// Overwrite a counter series with an absolute cumulative value —
     /// for mirroring counters owned elsewhere (e.g. the plan service's
     /// [`CacheStats`](crate::CacheStats), which are already monotone).
-    pub fn sync_counter(&mut self, name: &'static str, labels: &[(&'static str, &str)], value: u64) {
+    pub fn sync_counter(
+        &mut self,
+        name: &'static str,
+        labels: &[(&'static str, &str)],
+        value: u64,
+    ) {
         self.counters.insert(series(name, labels), value);
     }
 
     /// The current value of a counter series (0 if never touched); test
     /// and introspection helper.
     pub fn counter(&self, name: &'static str, labels: &[(&'static str, &str)]) -> u64 {
-        self.counters.get(&series(name, labels)).copied().unwrap_or(0)
+        self.counters
+            .get(&series(name, labels))
+            .copied()
+            .unwrap_or(0)
     }
 
     /// The current value of a gauge series, if set.
@@ -254,8 +264,12 @@ impl Metrics {
                 MetricKind::Gauge => {
                     for ((n, labels), v) in &self.gauges {
                         if *n == name {
-                            let _ =
-                                writeln!(out, "{} {}", fmt_series(name, labels, None), fmt_value(*v));
+                            let _ = writeln!(
+                                out,
+                                "{} {}",
+                                fmt_series(name, labels, None),
+                                fmt_value(*v)
+                            );
                         }
                     }
                 }
@@ -268,11 +282,8 @@ impl Metrics {
                         for (b, c) in h.bounds.iter().zip(&h.counts) {
                             cum += c;
                             let le = fmt_value(*b);
-                            let series = fmt_series(
-                                &format!("{name}_bucket"),
-                                labels,
-                                Some(("le", &le)),
-                            );
+                            let series =
+                                fmt_series(&format!("{name}_bucket"), labels, Some(("le", &le)));
                             let _ = writeln!(out, "{series} {cum}");
                         }
                         let inf =

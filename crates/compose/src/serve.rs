@@ -714,7 +714,10 @@ impl PlanService {
                 &labels,
                 digest.sum,
                 digest.count,
-                &[(0.5, digest.percentile(0.50)), (0.99, digest.percentile(0.99))],
+                &[
+                    (0.5, digest.percentile(0.50)),
+                    (0.99, digest.percentile(0.99)),
+                ],
             );
         }
         self.metrics

@@ -353,7 +353,11 @@ where
                 }
                 Err(_) => {
                     record(ctx, PhaseKind::Detect, "worker heartbeat timed out");
-                    record(ctx, PhaseKind::Recover, "requeue lost batch for re-execution");
+                    record(
+                        ctx,
+                        PhaseKind::Recover,
+                        "requeue lost batch for re-execution",
+                    );
                     ctx.charge_seconds(config.detect_timeout);
                     alive[w] = false;
                     m.stats.workers_lost += 1;

@@ -388,10 +388,8 @@ impl RunTrace {
             }
         }
         // Reverse index: (send_rank, send_idx) -> flow id.
-        let send_flow: HashMap<(usize, usize), u64> = pairs
-            .iter()
-            .map(|(r, s)| (*s, flow_ids[r]))
-            .collect();
+        let send_flow: HashMap<(usize, usize), u64> =
+            pairs.iter().map(|(r, s)| (*s, flow_ids[r])).collect();
 
         let us = |vt: f64| vt * 1.0e6;
         let mut out = String::with_capacity(256 + self.total_events() * 160);
@@ -716,7 +714,11 @@ impl RunTrace {
 
         let total_vt = self.rank_times.get(end_rank).copied().unwrap_or(0.0);
         let mut top_phases: Vec<(String, f64)> = by_phase.into_iter().collect();
-        top_phases.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("never NaN").then(a.0.cmp(&b.0)));
+        top_phases.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1)
+                .expect("never NaN")
+                .then(a.0.cmp(&b.0))
+        });
         top_phases.truncate(top_k);
         let mut top_edges: Vec<(usize, usize, f64)> =
             by_edge.into_iter().map(|((f, t), w)| (f, t, w)).collect();

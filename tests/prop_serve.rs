@@ -186,9 +186,12 @@ fn parse_sample_line(line: &str) -> (String, f64) {
     fn valid_name(s: &str) -> bool {
         !s.is_empty()
             && s.chars().next().unwrap().is_ascii_alphabetic()
-            && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
+            && s.chars()
+                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
     }
-    let (series, value) = line.rsplit_once(' ').expect("sample has 'series value' form");
+    let (series, value) = line
+        .rsplit_once(' ')
+        .expect("sample has 'series value' form");
     let name = if let Some(brace) = series.find('{') {
         assert!(series.ends_with('}'), "label block closes: {line}");
         let labels = &series[brace + 1..series.len() - 1];
@@ -197,7 +200,10 @@ fn parse_sample_line(line: &str) -> (String, f64) {
         for pair in labels.split("\",") {
             let pair = pair.strip_suffix('"').unwrap_or(pair);
             let (k, v) = pair.split_once("=\"").expect("label is k=\"v\": {line}");
-            assert!(valid_name(k) || k == "le" || k == "quantile", "label key {k:?}");
+            assert!(
+                valid_name(k) || k == "le" || k == "quantile",
+                "label key {k:?}"
+            );
             assert!(!v.contains('\n'), "label value unescaped: {v:?}");
         }
         &series[..brace]
@@ -208,7 +214,9 @@ fn parse_sample_line(line: &str) -> (String, f64) {
     let v: f64 = if value == "+Inf" {
         f64::INFINITY
     } else {
-        value.parse().unwrap_or_else(|_| panic!("bad value {value:?} in {line:?}"))
+        value
+            .parse()
+            .unwrap_or_else(|_| panic!("bad value {value:?} in {line:?}"))
     };
     (name.to_string(), v)
 }

@@ -347,12 +347,18 @@ impl<'a> Parser<'a> {
         self.skip_ws();
         let start = self.pos;
         while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+            && matches!(
+                self.bytes[self.pos],
+                b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
+            )
         {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        Json::Num(text.parse().unwrap_or_else(|_| panic!("bad number {text:?}")))
+        Json::Num(
+            text.parse()
+                .unwrap_or_else(|_| panic!("bad number {text:?}")),
+        )
     }
 }
 
@@ -398,20 +404,37 @@ fn chrome_json_structure_is_valid() {
     let mut last_ts_per_track: std::collections::HashMap<(u64, u64), f64> =
         std::collections::HashMap::new();
     for ev in events {
-        let ph = ev.get("ph").and_then(Json::as_str).expect("ph on every event");
-        let pid = ev.get("pid").and_then(Json::as_f64).expect("pid on every event");
-        assert!(pid >= 0.0 && pid < 4.0, "pid is a rank");
+        let ph = ev
+            .get("ph")
+            .and_then(Json::as_str)
+            .expect("ph on every event");
+        let pid = ev
+            .get("pid")
+            .and_then(Json::as_f64)
+            .expect("pid on every event");
+        assert!((0.0..4.0).contains(&pid), "pid is a rank");
         if ph == "M" {
-            ev.get("name").and_then(Json::as_str).expect("metadata name");
+            ev.get("name")
+                .and_then(Json::as_str)
+                .expect("metadata name");
             continue;
         }
-        let ts = ev.get("ts").and_then(Json::as_f64).expect("ts on every event");
-        assert!(ts.is_finite() && ts >= 0.0, "timestamps are finite and nonnegative");
+        let ts = ev
+            .get("ts")
+            .and_then(Json::as_f64)
+            .expect("ts on every event");
+        assert!(
+            ts.is_finite() && ts >= 0.0,
+            "timestamps are finite and nonnegative"
+        );
         let tid = ev.get("tid").and_then(Json::as_f64).expect("tid") as u64;
         ev.get("name").and_then(Json::as_str).expect("name");
         match ph {
             "X" => {
-                let dur = ev.get("dur").and_then(Json::as_f64).expect("complete events have dur");
+                let dur = ev
+                    .get("dur")
+                    .and_then(Json::as_f64)
+                    .expect("complete events have dur");
                 assert!(dur >= 0.0, "durations are nonnegative");
                 // Slices on one track are emitted in start order.
                 let key = (pid as u64, tid);
@@ -442,9 +465,13 @@ fn chrome_json_structure_is_valid() {
     // Every flow arrow is a matched s/f pair that does not run backward
     // in virtual time.
     assert!(!flow_starts.is_empty(), "a 4-rank forecast sends messages");
-    assert_eq!(flow_starts.len(), flow_ends.len(), "every flow start has a finish");
-    flow_starts.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    flow_ends.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    assert_eq!(
+        flow_starts.len(),
+        flow_ends.len(),
+        "every flow start has a finish"
+    );
+    flow_starts.sort_unstable_by_key(|a| a.0);
+    flow_ends.sort_unstable_by_key(|a| a.0);
     for ((sid, sts), (fid, fts)) in flow_starts.iter().zip(&flow_ends) {
         assert_eq!(sid, fid, "flow ids pair exactly once");
         assert!(fts >= sts, "flow {sid} arrives no earlier than it was sent");
@@ -470,14 +497,18 @@ fn critical_path_is_bounded_and_decomposes() {
         out.elapsed_virtual
     );
     assert!(
-        (report.local_vt + report.wait_vt - report.total_vt).abs() <= 1e-6 * report.total_vt.max(1.0),
+        (report.local_vt + report.wait_vt - report.total_vt).abs()
+            <= 1e-6 * report.total_vt.max(1.0),
         "path decomposes into local ({}) + wait ({}) = total ({})",
         report.local_vt,
         report.wait_vt,
         report.total_vt
     );
     assert!(report.end_rank < 4);
-    assert!(!report.top_phases.is_empty(), "phases were recorded on the path's rank");
+    assert!(
+        !report.top_phases.is_empty(),
+        "phases were recorded on the path's rank"
+    );
     // The report renders.
     let text = report.to_string();
     assert!(text.contains("critical path"), "report text: {text}");
@@ -498,10 +529,10 @@ fn service_waves_appear_in_traced_serve_runs() {
             .unwrap();
     }
     let out = svc.serve_spmd(MachineModel::ibm_sp(), RunConfig::traced());
-    assert!(out.results.iter().all(|r| r
-        .outcomes
+    assert!(out
+        .results
         .iter()
-        .all(|o| matches!(o, Ok(Value::F64s(_))))));
+        .all(|r| r.outcomes.iter().all(|o| matches!(o, Ok(Value::F64s(_))))));
     let trace = out.trace.as_ref().expect("traced serve run");
     let wave_starts = trace.ranks[0]
         .events
