@@ -659,10 +659,12 @@ mod tests {
     use crate::value::Value;
 
     /// A deterministic atom that counts its executions — so tests can see
-    /// replays — and emits a trace its declared grammar accepts.
+    /// replays — and its pricings, and emits a trace its declared grammar
+    /// accepts.
     struct Scale {
         factor: f64,
         runs: Arc<AtomicU64>,
+        priced: Arc<AtomicU64>,
     }
 
     impl ArchetypeJob for Scale {
@@ -678,7 +680,8 @@ mod tests {
         }
 
         fn estimate_flops(&self, _input: &Value) -> f64 {
-            1.0
+            self.priced.fetch_add(1, Ordering::Relaxed);
+            self.factor
         }
 
         fn run(&self, ctx: &mut Ctx, input: Value, trace: Option<&PhaseTrace>) -> Value {
@@ -702,10 +705,12 @@ mod tests {
             Plan::atom(Scale {
                 factor: 3.0,
                 runs: runs.clone(),
+                priced: Arc::default(),
             }),
             Plan::atom(Scale {
                 factor: 5.0,
                 runs: runs.clone(),
+                priced: Arc::default(),
             }),
         ])
     }
@@ -832,5 +837,53 @@ mod tests {
             clean.elapsed_virtual.to_bits(),
             "idle fault hooks must not perturb the virtual clock"
         );
+    }
+
+    #[test]
+    fn a_shared_par_plan_prices_each_branch_once() {
+        let priced = Arc::new(AtomicU64::new(0));
+        let build = || {
+            let scale = |factor: f64| {
+                Plan::atom(Scale {
+                    factor,
+                    runs: Arc::default(),
+                    priced: priced.clone(),
+                })
+            };
+            scale(3.0).alongside(scale(5.0))
+        };
+        // Runs a clone, as a plan pool hands them out: same atoms.
+        let run = |plan: &Plan, x: f64| {
+            let plan = plan.clone();
+            let before = priced.load(Ordering::Relaxed);
+            let out = run_spmd(3, MachineModel::ibm_sp(), move |ctx| {
+                let input = Value::Tuple(vec![Value::F64(x), Value::F64(x)]);
+                run_plan(ctx, &plan, input)
+            });
+            (out, priced.load(Ordering::Relaxed) - before)
+        };
+        // A debug build re-prices every memo hit to police the
+        // fingerprint contract; only an optimized build skips the call.
+        let on_hit = if cfg!(debug_assertions) { 2 } else { 0 };
+
+        let pooled = build();
+        let (first, cold) = run(&pooled, 2.0);
+        let (again, warm) = run(&pooled, 2.0);
+        let (_, reshaped) = run(&pooled, 4.0);
+        let (fresh, rebuilt) = run(&build(), 2.0);
+        assert_eq!(cold, 2, "one pricing per branch");
+        assert_eq!(warm, on_hit, "a shared atom is priced once per input shape");
+        assert_eq!(reshaped, 2, "a new input shape re-prices");
+        assert_eq!(rebuilt, 2, "new atoms carry no memo");
+
+        // Remembered and recomputed prices schedule identically.
+        for other in [&again, &fresh] {
+            assert_eq!(other.results, first.results);
+            assert_eq!(
+                other.elapsed_virtual.to_bits(),
+                first.elapsed_virtual.to_bits()
+            );
+            assert_eq!(other.rank_times, first.rank_times);
+        }
     }
 }

@@ -9,6 +9,8 @@
 //! branches with. The executor erases the types at plan edges
 //! ([`crate::Value`]) and recovers them at each job boundary.
 
+use std::sync::Mutex;
+
 use archetype_core::{ArchetypeInfo, PhaseTrace};
 use archetype_mp::Ctx;
 
@@ -46,6 +48,14 @@ pub trait ArchetypeJob: Send + Sync {
     /// with the machine model at hand; because every branch is priced
     /// with the same model, the resulting rank shares — and therefore
     /// the plan's structural statistics — are model-invariant.
+    ///
+    /// Must be a pure function of the job's configuration and of what
+    /// [`Value::fingerprint`] hashes of the input — its variant, lengths
+    /// and scalar bits, never bulk contents. Estimates are memoized under
+    /// that fingerprint (per atom, and in the plan service's cost cache),
+    /// so an atom that is run again with the same input shape is not
+    /// priced again; debug builds re-price every memo hit and assert the
+    /// two agree.
     fn estimate_flops(&self, input: &Self::In) -> f64;
 
     /// Execute the archetype on the current (already scoped) group.
@@ -72,24 +82,74 @@ pub(crate) trait DynJob: Send + Sync {
     fn fingerprint(&self) -> u64;
 }
 
-/// The adapter that erases a typed job.
-pub(crate) struct JobAdapter<J>(pub J);
+/// The adapter that erases a typed job, and the one place an atom's
+/// price is remembered: `priced` holds the last `(input fingerprint,
+/// flops)` pair. Plans share their atoms when cloned (`Arc<dyn DynJob>`),
+/// so a plan kept in a pool and served again — or priced at admission and
+/// then by its `Par` section — pays for an expensive estimate once. One
+/// slot is enough: an atom sits at one place in its plan and sees one
+/// input shape there; a different shape simply re-prices.
+pub(crate) struct JobAdapter<J> {
+    job: J,
+    priced: Mutex<Option<(u64, f64)>>,
+}
 
-impl<J: ArchetypeJob> DynJob for JobAdapter<J> {
-    fn name(&self) -> &'static str {
-        self.0.name()
+impl<J: ArchetypeJob> JobAdapter<J> {
+    pub(crate) fn new(job: J) -> Self {
+        JobAdapter {
+            job,
+            priced: Mutex::new(None),
+        }
     }
 
-    fn info(&self) -> &'static ArchetypeInfo {
-        self.0.info()
+    /// The slot is only ever copied out or overwritten under the lock,
+    /// so no holder can panic and poison it.
+    fn slot(&self) -> std::sync::MutexGuard<'_, Option<(u64, f64)>> {
+        self.priced
+            .lock()
+            .expect("nothing panics under the price memo's lock")
     }
 
-    fn estimate_flops(&self, input: &Value) -> f64 {
+    fn price(&self, input: &Value) -> f64 {
         // Price by reference when the typed input can be borrowed out of
         // the value; only tuple-typed jobs pay a clone here.
         match J::In::peek(input) {
-            Some(borrowed) => self.0.estimate_flops(borrowed),
-            None => self.0.estimate_flops(&J::In::from_value(input.clone())),
+            Some(borrowed) => self.job.estimate_flops(borrowed),
+            None => self.job.estimate_flops(&J::In::from_value(input.clone())),
+        }
+    }
+}
+
+impl<J: ArchetypeJob> DynJob for JobAdapter<J> {
+    fn name(&self) -> &'static str {
+        self.job.name()
+    }
+
+    fn info(&self) -> &'static ArchetypeInfo {
+        self.job.info()
+    }
+
+    fn estimate_flops(&self, input: &Value) -> f64 {
+        let key = input.fingerprint();
+        // Copied out, so the lock is never held while the job prices: a
+        // concurrent first pricing of a shared atom does the work twice
+        // rather than queueing behind it.
+        let remembered = *self.slot();
+        match remembered {
+            Some((k, flops)) if k == key => {
+                debug_assert_eq!(
+                    flops.to_bits(),
+                    self.price(input).to_bits(),
+                    "{}: estimate_flops depends on more than the input's fingerprint",
+                    self.job.name()
+                );
+                flops
+            }
+            _ => {
+                let flops = self.price(input);
+                *self.slot() = Some((key, flops));
+                flops
+            }
         }
     }
 
@@ -98,12 +158,50 @@ impl<J: ArchetypeJob> DynJob for JobAdapter<J> {
     }
 
     fn run(&self, ctx: &mut Ctx, input: Value, trace: Option<&PhaseTrace>) -> Value {
-        self.0
+        self.job
             .run(ctx, J::In::from_value(input), trace)
             .into_value()
     }
 
     fn fingerprint(&self) -> u64 {
-        self.0.fingerprint()
+        self.job.fingerprint()
+    }
+}
+
+// The contract check only exists where `debug_assert!` does.
+#[cfg(all(test, debug_assertions))]
+mod tests {
+    use super::*;
+    use crate::plan::Plan;
+
+    /// Breaks the pricing contract: reads bulk contents, which the
+    /// fingerprint does not hash.
+    struct PricesContents;
+
+    impl ArchetypeJob for PricesContents {
+        type In = Vec<f64>;
+        type Out = ();
+
+        fn name(&self) -> &'static str {
+            "prices-contents"
+        }
+
+        fn info(&self) -> &'static ArchetypeInfo {
+            &archetype_core::archetype::ONE_DEEP_DC
+        }
+
+        fn estimate_flops(&self, input: &Vec<f64>) -> f64 {
+            input.iter().sum()
+        }
+
+        fn run(&self, _ctx: &mut Ctx, _input: Vec<f64>, _trace: Option<&PhaseTrace>) {}
+    }
+
+    #[test]
+    #[should_panic(expected = "depends on more than the input's fingerprint")]
+    fn a_debug_build_catches_an_estimate_that_reads_contents() {
+        let plan = Plan::atom(PricesContents);
+        plan.estimate_flops(&Value::F64s(vec![1.0, 2.0]));
+        plan.estimate_flops(&Value::F64s(vec![1.0, 5.0]));
     }
 }

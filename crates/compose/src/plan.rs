@@ -49,7 +49,7 @@ impl Plan {
     /// A single archetype run as a plan leaf.
     pub fn atom<J: ArchetypeJob + 'static>(job: J) -> Plan {
         Plan {
-            node: PlanNode::Atom(Arc::new(JobAdapter(job))),
+            node: PlanNode::Atom(Arc::new(JobAdapter::new(job))),
         }
     }
 

@@ -200,7 +200,7 @@ impl PlanCache {
     }
 
     fn cost(&mut self, hash: u64, input: &Value, plan: &Plan) -> f64 {
-        let key = (hash, value_fingerprint(input));
+        let key = (hash, input.fingerprint());
         if let Some(&c) = self.costs.get(&key) {
             self.stats.cost_hits += 1;
             return c;
@@ -221,22 +221,6 @@ impl PlanCache {
         let a = Arc::new(allocate(costs, p));
         self.allocs.insert(key, Arc::clone(&a));
         a
-    }
-}
-
-/// Fingerprint of a value's *pricing-relevant* identity: shape tags,
-/// lengths, and scalar bits — not bulk contents. Collisions only reuse a
-/// cost estimate (a scheduling hint), never affect results.
-fn value_fingerprint(v: &Value) -> u64 {
-    match v {
-        Value::Unit => 1,
-        Value::U64(x) => mix(2, *x),
-        Value::F64(x) => mix(3, x.to_bits()),
-        Value::I64s(xs) => mix(4, xs.len() as u64),
-        Value::F64s(xs) => mix(5, xs.len() as u64),
-        Value::Tuple(parts) => parts.iter().fold(mix(6, parts.len() as u64), |h, p| {
-            mix(h, value_fingerprint(p))
-        }),
     }
 }
 

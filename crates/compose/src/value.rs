@@ -12,6 +12,8 @@
 
 use archetype_mp::Payload;
 
+use crate::exec::mix;
+
 /// A dynamically typed plan value: what flows along the edges of a
 /// composed plan.
 ///
@@ -52,6 +54,26 @@ impl Value {
                 "Tuple({})",
                 vs.iter().map(Value::shape).collect::<Vec<_>>().join(", ")
             ),
+        }
+    }
+
+    /// Hash of the value's *pricing-relevant* identity: variant tags,
+    /// lengths, and scalar bits — not bulk contents. It keys every
+    /// memoized cost estimate (the plan service's cost cache, and the
+    /// per-atom price memo), which is why
+    /// [`crate::ArchetypeJob::estimate_flops`] may look at nothing else.
+    /// A collision only reuses an estimate (a scheduling hint); it never
+    /// affects results.
+    pub fn fingerprint(&self) -> u64 {
+        match self {
+            Value::Unit => 1,
+            Value::U64(x) => mix(2, *x),
+            Value::F64(x) => mix(3, x.to_bits()),
+            Value::I64s(xs) => mix(4, xs.len() as u64),
+            Value::F64s(xs) => mix(5, xs.len() as u64),
+            Value::Tuple(parts) => parts
+                .iter()
+                .fold(mix(6, parts.len() as u64), |h, p| mix(h, p.fingerprint())),
         }
     }
 }

@@ -264,24 +264,35 @@ impl Farm for GridSweepFarm {
     /// Index-ordered merge of two disjoint sorted score lists —
     /// associative and commutative because point indices are unique, so
     /// the merged table is schedule-independent.
-    fn reduce(&self, a: Vec<(u32, f64)>, b: Vec<(u32, f64)>) -> Vec<(u32, f64)> {
-        let mut out = Vec::with_capacity(a.len() + b.len());
-        let (mut ia, mut ib) = (a.into_iter().peekable(), b.into_iter().peekable());
-        loop {
-            match (ia.peek(), ib.peek()) {
-                (Some(&(ka, _)), Some(&(kb, _))) => {
-                    if ka <= kb {
-                        out.push(ia.next().expect("peeked"));
-                    } else {
-                        out.push(ib.next().expect("peeked"));
-                    }
-                }
-                (Some(_), None) => out.push(ia.next().expect("peeked")),
-                (None, Some(_)) => out.push(ib.next().expect("peeked")),
-                (None, None) => break,
+    ///
+    /// [`WorkScope::emit`] calls this once per point with the rank's
+    /// whole table as `a`, so it merges *into* `a`, from the back: the
+    /// cost is `|b|` plus the entries of `a` above `b`'s first index.
+    /// A rank draining its own deal emits ascending indices (nothing in
+    /// `a` moves, its buffer grows by doubling), and a stolen
+    /// out-of-order point displaces only the tail above it — where a
+    /// merge into a fresh `Vec` made every emit O(|a|) and the sweep
+    /// quadratic in its point count.
+    fn reduce(&self, mut a: Vec<(u32, f64)>, b: Vec<(u32, f64)>) -> Vec<(u32, f64)> {
+        if a.is_empty() {
+            return b;
+        }
+        let (mut i, mut j) = (a.len(), b.len());
+        a.resize(i + j, (0, 0.0));
+        let mut k = i + j;
+        // Fill `a[k..]` with the largest entries left; once `b` is
+        // exhausted the rest of `a` is already in place.
+        while j > 0 {
+            k -= 1;
+            if i > 0 && a[i - 1].0 > b[j - 1].0 {
+                a[k] = a[i - 1];
+                i -= 1;
+            } else {
+                a[k] = b[j - 1];
+                j -= 1;
             }
         }
-        out
+        a
     }
 
     fn task_flops(&self, _task: &u32) -> f64 {
@@ -404,6 +415,31 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The guard against the quadratic fold coming back: `emit` hands
+    /// `reduce` the rank's whole table as `a` once per point, so `a`'s
+    /// buffer must be reused, not copied into a fresh one.
+    #[test]
+    fn grid_sweep_reduce_merges_into_its_left_buffer() {
+        let farm = GridSweepFarm {
+            lo: 0.0,
+            hi: 2.0,
+            points: 8,
+        };
+        let mut table = Vec::with_capacity(8);
+        table.extend([(0, 0.0), (2, 2.0)]);
+        let buffer = table.as_ptr();
+        // In deal order, then a stolen point landing below the tail.
+        let table = farm.reduce(table, vec![(5, 5.0)]);
+        let table = farm.reduce(table, vec![(1, 1.0), (3, 3.0)]);
+        assert_eq!(table, [(0, 0.0), (1, 1.0), (2, 2.0), (3, 3.0), (5, 5.0)]);
+        assert_eq!(table.as_ptr(), buffer, "the table was reallocated");
+
+        let table = farm.reduce(table, Vec::new());
+        assert_eq!(table.as_ptr(), buffer);
+        let table = farm.reduce(farm.out_identity(), table);
+        assert_eq!(table.as_ptr(), buffer, "an empty side costs nothing");
     }
 
     #[test]

@@ -77,6 +77,13 @@ pub trait Farm: Sync {
     fn out_identity(&self) -> Self::Out;
 
     /// Combine two partial results. Must be associative and commutative.
+    ///
+    /// [`WorkScope::emit`] calls `reduce(acc, out)` once per emitted
+    /// result, with the rank's whole accumulator as `a`. A scalar `Out`
+    /// need not care; a collection-valued one must fold `b` *into* `a`
+    /// in O(|b|) amortised — rebuilding the accumulator on every emit
+    /// makes the farm quadratic in its task count, in wall time only
+    /// (the virtual clock charges `task_flops`, not the fold).
     fn reduce(&self, a: Self::Out, b: Self::Out) -> Self::Out;
 
     /// Modeled base cost of `task` in flop-equivalents. Farms with
@@ -165,7 +172,11 @@ impl<F: Farm + ?Sized> WorkScope<'_, F> {
         self.acc.as_ref().expect("accumulator present during work")
     }
 
-    /// Fold a partial result into this rank's accumulator.
+    /// Fold a partial result into this rank's accumulator, immediately:
+    /// one [`Farm::reduce`]`(acc, out)` per call, in emission order, so
+    /// the reduction tree — and with it the result's bits — is fixed by
+    /// the task order alone. See [`Farm::reduce`] for what that asks of
+    /// a collection-valued `Out`.
     pub fn emit(&mut self, out: F::Out) {
         let cur = self.acc.take().expect("accumulator present during work");
         *self.acc = Some(self.farm.reduce(cur, out));

@@ -6,9 +6,12 @@
 use parallel_archetypes::bnb::{knapsack_dp, solve_farm, solve_sequential, Knapsack};
 use parallel_archetypes::core::archetype::TASK_FARM;
 use parallel_archetypes::core::{PhaseKind, PhaseTrace};
-use parallel_archetypes::farm::apps::{MandelbrotFarm, SweepFarm};
-use parallel_archetypes::farm::{run_farm, run_farm_traced, FarmConfig};
+use parallel_archetypes::farm::apps::{GridSweepFarm, MandelbrotFarm, SweepFarm};
+use parallel_archetypes::farm::{run_farm, run_farm_traced, Farm, FarmConfig};
 use parallel_archetypes::mp::{run_spmd, MachineModel};
+
+use proptest::collection::vec;
+use proptest::prelude::*;
 
 mod common;
 use common::assert_bit_identical_runs;
@@ -153,4 +156,50 @@ fn farm_virtual_time_scales_with_ranks() {
         "8-rank farm should be >= 3x the 1-rank baseline at test scale (got {:.2}x)",
         t1 / t8
     );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // `GridSweepFarm::reduce` merges into its left argument; whatever
+    // two disjoint index-sorted runs a schedule hands it, in either
+    // order, the table must be the plain two-way merge. `shape` forces
+    // the runs a farm actually produces beside the arbitrary interleave:
+    // all of one side below the other (a rank's own deal, or a steal
+    // from the far end) and either side empty.
+    #[test]
+    fn grid_sweep_reduce_is_the_two_way_merge_in_either_order(
+        owner in vec(0u8..3, 0..120),
+        shape in 0u8..5,
+        cut in 0usize..120,
+    ) {
+        // Scores name the side they came from, so a misplaced or
+        // duplicated entry cannot cancel out.
+        let indices: Vec<u32> = (0..owner.len() as u32)
+            .filter(|&i| owner[i as usize] != 2)
+            .collect();
+        let cut = cut.min(indices.len());
+        let in_a = |pos: usize, i: u32| match shape {
+            0 => owner[i as usize] == 0,
+            1 => pos < cut,
+            2 => pos >= cut,
+            3 => false,
+            _ => true,
+        };
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for (pos, &i) in indices.iter().enumerate() {
+            if in_a(pos, i) {
+                a.push((i, f64::from(i)));
+            } else {
+                b.push((i, f64::from(i) + 0.25));
+            }
+        }
+
+        let mut merged = [a.clone(), b.clone()].concat();
+        merged.sort_by_key(|&(i, _)| i);
+
+        let farm = GridSweepFarm { lo: 0.0, hi: 1.0, points: 1 };
+        prop_assert_eq!(&farm.reduce(a.clone(), b.clone()), &merged);
+        prop_assert_eq!(&farm.reduce(b, a), &merged);
+    }
 }
