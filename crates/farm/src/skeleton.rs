@@ -22,7 +22,8 @@
 //! machine model, runs are deterministic: identical results, identical
 //! virtual times, identical statistics on every execution.
 
-use std::collections::BinaryHeap;
+use std::collections::btree_map::{Entry, OccupiedEntry};
+use std::collections::{BTreeMap, VecDeque};
 
 use archetype_core::{PhaseKind, PhaseTrace};
 use archetype_mp::tags::{farm_tag, FarmTag};
@@ -94,7 +95,10 @@ pub trait Farm: Sync {
     }
 
     /// Local queue priority: higher runs first; equal priorities run in
-    /// FIFO order. Defaults to FIFO for everything.
+    /// FIFO order. Defaults to FIFO for everything. Ties are O(1): the
+    /// queue keeps one FIFO per distinct priority, so its cost grows with
+    /// the number of distinct values queued, not with the frontier — a
+    /// coarse priority (a bound, a depth) is as cheap as none.
     fn priority(&self, _task: &Self::Task) -> f64 {
         0.0
     }
@@ -278,79 +282,130 @@ impl FarmStats {
     }
 }
 
-/// Queue entry: max-heap by priority, FIFO (smallest sequence number
-/// first) among equal priorities. `f64::total_cmp` keeps the order total
-/// and deterministic even for exotic priorities.
-struct Entry<T> {
-    pri: f64,
-    seq: u64,
-    task: T,
+/// One priority level of the [`Queue`]: its tasks in arrival order.
+///
+/// A level holding a single task keeps it inline and a longer one boxes
+/// its deque, so the map's nodes stay small and a farm whose priorities
+/// are all distinct never allocates a deque. Measured on the queue
+/// alone, 200 k distinct priorities pushed then popped: heap 165–170 ns
+/// per task, this 150–162 ns (unboxed deque 170–174 ns; without the
+/// inline case a `BTreeMap<key, VecDeque>` was 1.9× slower than the
+/// heap).
+enum Bucket<T> {
+    One(T),
+    // Boxed on purpose (the measurement above): an inline deque fattens
+    // every map node for the sake of the levels that have ties.
+    #[allow(clippy::box_collection)]
+    Many(Box<VecDeque<T>>),
 }
 
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl<T> Eq for Entry<T> {}
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.pri
-            .total_cmp(&other.pri)
-            .then(other.seq.cmp(&self.seq))
-    }
-}
-
-/// The local task queue of one rank.
+/// The local task queue of one rank: tasks grouped by priority once, at
+/// insertion, so popping and donating only index.
+///
+/// The order is the total order the farm protocol is defined by — `pop`
+/// yields `(priority descending, arrival ascending)`, `take_coldest`
+/// `(priority ascending, arrival descending)`, priorities compared by
+/// `f64::total_cmp` so `-0.0 < +0.0` and NaNs are ordinary (and
+/// deterministic) keys. Levels live in a `BTreeMap` keyed by the
+/// order-preserving integer image of the priority; within a level
+/// arrival order *is* FIFO order, so no sequence number is stored. A
+/// push or pop costs one lookup among the *distinct* priorities — O(1)
+/// on ties however long the frontier — where a heap of `(pri, seq)`
+/// entries paid an O(log n) cache-missing sift per task and a whole-heap
+/// rebuild per steal (130 ns per node on the knapsack's 100 k-entry,
+/// single-priority frontier). A B-tree keyed `(pri, seq)` was the other
+/// candidate — same order, less code — but it keeps a per-task log n on
+/// ties: 61–65 ns per pop-and-push on a 125 k-task single-priority
+/// frontier against 6–8 ns here (heap: 110 ns), and no better than this
+/// on distinct priorities (155 ns).
 struct Queue<T> {
-    heap: BinaryHeap<Entry<T>>,
-    next_seq: u64,
+    levels: BTreeMap<i64, Bucket<T>>,
+    len: usize,
+}
+
+/// Map a priority to an integer whose `Ord` is `f64::total_cmp` (the
+/// transform `total_cmp` itself compares through).
+fn level_key(pri: f64) -> i64 {
+    let bits = pri.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
 impl<T> Queue<T> {
     fn new() -> Self {
         Queue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
+            levels: BTreeMap::new(),
+            len: 0,
         }
     }
 
     fn push(&mut self, pri: f64, task: T) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry { pri, seq, task });
+        self.len += 1;
+        match self.levels.entry(level_key(pri)) {
+            Entry::Vacant(slot) => {
+                slot.insert(Bucket::One(task));
+            }
+            Entry::Occupied(mut slot) => match slot.get_mut() {
+                Bucket::Many(tasks) => tasks.push_back(task),
+                Bucket::One(_) => {
+                    // Second task at this level: spill the inline one.
+                    let spill = Bucket::Many(Box::new(VecDeque::with_capacity(4)));
+                    if let (Bucket::One(first), Bucket::Many(tasks)) =
+                        (slot.insert(spill), slot.get_mut())
+                    {
+                        tasks.extend([first, task]);
+                    }
+                }
+            },
+        }
     }
 
+    /// The oldest task of the hottest level.
     fn pop(&mut self) -> Option<T> {
-        self.heap.pop().map(|e| e.task)
+        let hottest = self.levels.last_entry()?;
+        self.len -= 1;
+        Some(take(hottest, End::Oldest))
     }
 
     fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
-    /// Remove the `k` coldest entries — lowest priority, newest first —
-    /// the classic steal-from-the-cold-end policy. O(n) selection plus
-    /// an O(k log k) sort of just the donated prefix (the entry order is
-    /// total, so the selected set and its order are deterministic).
+    /// Remove the `k` coldest tasks — lowest priority, newest first —
+    /// the classic steal-from-the-cold-end policy, in that order: the
+    /// backs of the coldest levels, O(1) per donated task.
     fn take_coldest(&mut self, k: usize) -> Vec<T> {
-        let mut all: Vec<Entry<T>> = std::mem::take(&mut self.heap).into_vec();
-        let k = k.min(all.len());
-        if k > 0 && k < all.len() {
-            all.select_nth_unstable(k - 1);
+        let k = k.min(self.len);
+        self.len -= k;
+        (0..k)
+            .map(|_| {
+                let coldest = self.levels.first_entry().expect("len counts queued tasks");
+                take(coldest, End::Newest)
+            })
+            .collect()
+    }
+}
+
+/// Which end of a level a task leaves from.
+enum End {
+    Oldest,
+    Newest,
+}
+
+/// Take one task out of `level`, which leaves the map with its last task
+/// (so a level in the map is never empty).
+fn take<T>(mut level: OccupiedEntry<'_, i64, Bucket<T>>, end: End) -> T {
+    if let Bucket::Many(tasks) = level.get_mut() {
+        if tasks.len() > 1 {
+            let task = match end {
+                End::Oldest => tasks.pop_front(),
+                End::Newest => tasks.pop_back(),
+            };
+            return task.expect("more than one task queued");
         }
-        let rest = all.split_off(k);
-        self.heap = rest.into_iter().collect();
-        // Coldest-first order within the donated batch, so the receiver
-        // enqueues them deterministically regardless of how the
-        // selection partitioned.
-        all.sort();
-        all.into_iter().map(|e| e.task).collect()
+    }
+    match level.remove() {
+        Bucket::One(task) => task,
+        Bucket::Many(mut tasks) => tasks.pop_front().expect("a level holds a task"),
     }
 }
 
@@ -619,6 +674,202 @@ pub fn run_farm_traced<F: Farm>(
 mod tests {
     use super::*;
     use archetype_mp::{run_spmd, MachineModel};
+    use std::collections::BinaryHeap;
+
+    /// The queue this crate shipped before the priority-bucketed one,
+    /// kept as the differential oracle: a max-heap of `(pri, seq)`
+    /// entries, FIFO (smallest sequence number first) among equal
+    /// priorities, `f64::total_cmp` keeping the order total.
+    struct HeapEntry<T> {
+        pri: f64,
+        seq: u64,
+        task: T,
+    }
+
+    impl<T> PartialEq for HeapEntry<T> {
+        fn eq(&self, other: &Self) -> bool {
+            self.cmp(other) == std::cmp::Ordering::Equal
+        }
+    }
+    impl<T> Eq for HeapEntry<T> {}
+    impl<T> PartialOrd for HeapEntry<T> {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl<T> Ord for HeapEntry<T> {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.pri
+                .total_cmp(&other.pri)
+                .then(other.seq.cmp(&self.seq))
+        }
+    }
+
+    struct HeapQueue<T> {
+        heap: BinaryHeap<HeapEntry<T>>,
+        next_seq: u64,
+    }
+
+    impl<T> HeapQueue<T> {
+        fn new() -> Self {
+            HeapQueue {
+                heap: BinaryHeap::new(),
+                next_seq: 0,
+            }
+        }
+
+        fn push(&mut self, pri: f64, task: T) {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.heap.push(HeapEntry { pri, seq, task });
+        }
+
+        fn pop(&mut self) -> Option<T> {
+            self.heap.pop().map(|e| e.task)
+        }
+
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+
+        /// The `k` coldest entries, coldest first: O(n) selection, a
+        /// sort of the donated prefix, and a rebuild of the heap.
+        fn take_coldest(&mut self, k: usize) -> Vec<T> {
+            let mut all: Vec<HeapEntry<T>> = std::mem::take(&mut self.heap).into_vec();
+            let k = k.min(all.len());
+            if k > 0 && k < all.len() {
+                all.select_nth_unstable(k - 1);
+            }
+            let rest = all.split_off(k);
+            self.heap = rest.into_iter().collect();
+            all.sort();
+            all.into_iter().map(|e| e.task).collect()
+        }
+    }
+
+    /// SplitMix64: the differential test's seeded interleavings.
+    struct SplitMix(u64);
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    #[test]
+    fn bucketed_queue_matches_the_heap_oracle_on_random_interleavings() {
+        let exotic = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff8_0000_0000_0001), // a second NaN payload
+            1.5,
+            -1.5,
+            f64::MIN_POSITIVE,
+        ];
+        type Priorities<'a> = (&'a str, Box<dyn Fn(&mut SplitMix, u64) -> f64 + 'a>);
+        let families: [Priorities; 5] = [
+            ("all equal", Box::new(|_, _| 7.0)),
+            (
+                "all distinct",
+                Box::new(|_, id| (id as f64).sin() * 1e6 + id as f64),
+            ),
+            ("few-valued", Box::new(|rng, _| rng.below(4) as f64 - 1.0)),
+            (
+                "exotic",
+                Box::new(|rng, _| exotic[rng.below(exotic.len() as u64) as usize]),
+            ),
+            (
+                "mixed",
+                Box::new(|rng, id| match rng.below(3) {
+                    0 => exotic[rng.below(exotic.len() as u64) as usize],
+                    1 => rng.below(6) as f64,
+                    _ => id as f64 * 0.25,
+                }),
+            ),
+        ];
+        for (family, pri) in &families {
+            for seed in 0..24u64 {
+                let mut rng = SplitMix(seed);
+                let mut queue: Queue<u64> = Queue::new();
+                let mut oracle: HeapQueue<u64> = HeapQueue::new();
+                let mut next_id = 0u64;
+                for step in 0..600 {
+                    let at = format!("{family}, seed {seed}, step {step}");
+                    match rng.below(10) {
+                        0..=4 => {
+                            // A burst, as a task spawning children does.
+                            for _ in 0..=rng.below(6) {
+                                let p = pri(&mut rng, next_id);
+                                queue.push(p, next_id);
+                                oracle.push(p, next_id);
+                                next_id += 1;
+                            }
+                        }
+                        5..=7 => assert_eq!(queue.pop(), oracle.pop(), "pop: {at}"),
+                        _ => {
+                            // k = 0, k within the queue, k = len and k > len.
+                            let len = oracle.len();
+                            let k = match rng.below(8) {
+                                0 => 0,
+                                1 => len,
+                                2 => len + 1 + rng.below(5) as usize,
+                                _ => rng.below(len as u64 + 1) as usize,
+                            };
+                            assert_eq!(
+                                queue.take_coldest(k),
+                                oracle.take_coldest(k),
+                                "take_coldest({k}) of {len}: {at}"
+                            );
+                        }
+                    }
+                    assert_eq!(queue.len(), oracle.len(), "len: {at}");
+                }
+                // Drain: the whole remaining order must agree.
+                while let Some(want) = oracle.pop() {
+                    assert_eq!(queue.pop(), Some(want), "drain: {family}, seed {seed}");
+                }
+                assert_eq!(queue.pop(), None);
+                assert_eq!(queue.len(), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn level_key_orders_like_total_cmp() {
+        let samples = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            1e300,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for a in samples {
+            for b in samples {
+                assert_eq!(
+                    level_key(a).cmp(&level_key(b)),
+                    a.total_cmp(&b),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
+    }
 
     /// Sum of squares with one task per integer — the simplest farm.
     struct Squares(u64);

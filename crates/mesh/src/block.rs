@@ -128,22 +128,61 @@ impl<T: Copy> Block2<T> {
         }
     }
 
+    /// Storage row `i` (interior coordinate; ghost rows are addressable),
+    /// ghost columns included: `ny + 2g` cells with interior column `j`
+    /// at index `j + g`. Grid operations take rows — one bounds check
+    /// per row, contiguous loads the compiler can vectorise — instead of
+    /// an [`at`](Block2::at) / [`set`](Block2::set) offset computation
+    /// per cell.
+    #[inline]
+    pub fn row(&self, i: isize) -> &[T] {
+        &self.data[self.row_range(i)]
+    }
+
+    /// Mutable counterpart of [`Block2::row`].
+    #[inline]
+    pub fn row_mut(&mut self, i: isize) -> &mut [T] {
+        let range = self.row_range(i);
+        &mut self.data[range]
+    }
+
+    #[inline]
+    fn row_range(&self, i: isize) -> std::ops::Range<usize> {
+        let g = self.g as isize;
+        debug_assert!(
+            i >= -g && i < self.nx as isize + g,
+            "row {i} out of range for {}x{} block with ghost {}",
+            self.nx,
+            self.ny,
+            self.g
+        );
+        let stride = self.ny + 2 * self.g;
+        let start = (i + g) as usize * stride;
+        start..start + stride
+    }
+
+    /// The interior cells of row `i`.
+    #[inline]
+    fn interior_row(&self, i: usize) -> &[T] {
+        &self.row(i as isize)[self.g..self.g + self.ny]
+    }
+
     /// The interior as a fresh row-major vector (ghosts stripped).
     pub fn interior(&self) -> Vec<T> {
         let mut out = Vec::with_capacity(self.nx * self.ny);
-        for i in 0..self.nx as isize {
-            for j in 0..self.ny as isize {
-                out.push(self.at(i, j));
-            }
+        for i in 0..self.nx {
+            out.extend_from_slice(self.interior_row(i));
         }
         out
     }
 
     /// Fill the interior from a function of interior coordinates.
     pub fn fill_interior(&mut self, f: impl Fn(usize, usize) -> T) {
+        let (g, ny) = (self.g, self.ny);
         for i in 0..self.nx {
-            for j in 0..self.ny {
-                self.set(i as isize, j as isize, f(i, j));
+            let row = &mut self.row_mut(i as isize)[g..g + ny];
+            for (j, cell) in row.iter_mut().enumerate() {
+                *cell = f(i, j);
             }
         }
     }
@@ -151,9 +190,9 @@ impl<T: Copy> Block2<T> {
     /// Fold `f` over interior cells.
     pub fn fold_interior<A>(&self, init: A, mut f: impl FnMut(A, T) -> A) -> A {
         let mut acc = init;
-        for i in 0..self.nx as isize {
-            for j in 0..self.ny as isize {
-                acc = f(acc, self.at(i, j));
+        for i in 0..self.nx {
+            for &cell in self.interior_row(i) {
+                acc = f(acc, cell);
             }
         }
         acc
@@ -334,6 +373,22 @@ mod tests {
         let mut b = Block2::new(2, 2, 2, -1i64);
         b.fill_interior(|i, j| (i * 2 + j) as i64);
         assert_eq!(b.interior(), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn block2_rows_are_the_storage_rows_ghosts_included() {
+        let mut b = Block2::new(2, 3, 1, 0i32);
+        b.fill_interior(|i, j| (i * 10 + j) as i32 + 1);
+        b.set(0, -1, -7); // western ghost of row 0
+        b.set(2, 1, 99); // southern ghost row
+        assert_eq!(b.row(0), &[-7, 1, 2, 3, 0]);
+        assert_eq!(b.row(1), &[0, 11, 12, 13, 0]);
+        assert_eq!(b.row(2), &[0, 0, 99, 0, 0]);
+        assert_eq!(b.row(-1), &[0; 5]);
+        b.row_mut(1)[4] = 5; // eastern ghost of row 1
+        assert_eq!(b.at(1, 3), 5);
+        // A block with no interior columns still has (ghost-only) rows.
+        assert_eq!(Block2::new(2, 0, 1, 0u8).row(0).len(), 2);
     }
 
     #[test]

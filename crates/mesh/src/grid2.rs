@@ -191,9 +191,8 @@ impl<T: FixedSize> DistGrid2<T> {
                 let (y0, ny) = block_range(self.global_ny, self.pgrid.py, pj);
                 debug_assert_eq!(part.len(), nx * ny);
                 for i in 0..nx {
-                    for j in 0..ny {
-                        out[(x0 + i) * self.global_ny + (y0 + j)] = part[i * ny + j];
-                    }
+                    let start = (x0 + i) * self.global_ny + y0;
+                    out[start..start + ny].copy_from_slice(&part[i * ny..(i + 1) * ny]);
                 }
             }
             out

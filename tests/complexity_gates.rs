@@ -1,0 +1,172 @@
+//! Complexity gates: exact, deterministic evidence for costs the virtual
+//! clock never charges (ROADMAP item 1). This binary installs a counting
+//! allocator — per-thread counters, so the harness and sibling tests
+//! cannot pollute a measurement — and asserts allocation *counts*, next
+//! to the bit-identity the rewritten grid op must keep.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::BTreeSet;
+
+use parallel_archetypes::core::ExecutionMode;
+use parallel_archetypes::dc::traditional::merge_two;
+use parallel_archetypes::mesh::apps::poisson::{poisson_shared, poisson_spmd, PoissonSpec};
+use parallel_archetypes::mp::topology::block_range;
+use parallel_archetypes::mp::{run_spmd, MachineModel, ProcessGrid2};
+
+thread_local! {
+    /// `(allocations, bytes requested)` by this thread so far. Const
+    /// initialised and without a destructor, so touching it from inside
+    /// the allocator allocates nothing.
+    static ALLOCATED: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+struct Counting;
+
+fn count(bytes: usize) {
+    ALLOCATED.with(|c| {
+        let (n, b) = c.get();
+        c.set((n + 1, b + bytes as u64));
+    });
+}
+
+// SAFETY: every request is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counting touches only a thread-local
+// `Cell`.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// `(allocations, bytes)` the calling thread makes while running `f`.
+fn allocations_of<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
+    let (n0, b0) = ALLOCATED.with(Cell::get);
+    let out = f();
+    let (n1, b1) = ALLOCATED.with(Cell::get);
+    (out, n1 - n0, b1 - b0)
+}
+
+/// A problem with nothing symmetric about it: non-zero right-hand side,
+/// a boundary that differs on every edge, `nx ≠ ny` allowed.
+fn lopsided_problem(nx: usize, ny: usize, tolerance: f64, max_iters: usize) -> PoissonSpec {
+    fn f(x: f64, y: f64) -> f64 {
+        3.0 * (2.0 * x + 0.3).sin() - 5.0 * y * y
+    }
+    fn g(x: f64, y: f64) -> f64 {
+        1.0 + x - 2.0 * y + (7.0 * x * y).cos()
+    }
+    PoissonSpec {
+        nx,
+        ny,
+        tolerance,
+        max_iters,
+        f,
+        g,
+    }
+}
+
+#[test]
+fn poisson_spmd_is_poisson_shared_bit_for_bit_on_every_block_shape() {
+    let mut interior_columns_seen = BTreeSet::new();
+    let mut boundary_only_rank_seen = false;
+    for (px, py) in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 2)] {
+        // Rows: 3 over px = 3 (or 2) leaves ranks holding nothing but
+        // global-boundary rows. Columns: chosen so that some rank's block
+        // has 1, 2, 7, 8, 9 and 17 globally interior columns on each
+        // process grid — under, at and over the sweep's lane width.
+        for nx in [3usize, 4, 9] {
+            for ny in [3usize, 4, 6, 9, 10, 11, 16, 18, 19, 20, 27, 29, 36, 53] {
+                let spec = lopsided_problem(nx, ny, 1e-6, 40);
+                let reference = poisson_shared(&spec, ExecutionMode::Sequential);
+                let pg = ProcessGrid2::new(px, py);
+                let out = run_spmd(pg.len(), MachineModel::ibm_sp(), move |ctx| {
+                    poisson_spmd(ctx, &spec, pg)
+                });
+                let at = format!("{nx}x{ny} grid on {px}x{py} ranks");
+                let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(out.results[0].grid.as_ref().expect("rank 0 gathers")),
+                    bits(reference.grid.as_ref().expect("shared returns the grid")),
+                    "{at}: grid"
+                );
+                for r in &out.results {
+                    assert_eq!(r.iters, reference.iters, "{at}: iters");
+                    assert_eq!(
+                        r.diffmax.to_bits(),
+                        reference.diffmax.to_bits(),
+                        "{at}: diffmax"
+                    );
+                }
+                for pj in 0..py {
+                    let (y0, len) = block_range(ny, py, pj);
+                    let interior = (y0..y0 + len).filter(|&j| j != 0 && j != ny - 1).count();
+                    interior_columns_seen.insert((px, py, interior));
+                }
+                for pi in 0..px {
+                    let (x0, len) = block_range(nx, px, pi);
+                    boundary_only_rank_seen |=
+                        len > 0 && (x0..x0 + len).all(|i| i == 0 || i == nx - 1);
+                }
+            }
+        }
+        for wanted in [1, 2, 7, 8, 9, 17] {
+            assert!(
+                interior_columns_seen.contains(&(px, py, wanted)),
+                "no rank of the {px}x{py} grid had {wanted} interior columns"
+            );
+        }
+    }
+    assert!(boundary_only_rank_seen);
+}
+
+#[test]
+fn poisson_spmd_allocates_nothing_per_sweep_on_one_rank() {
+    let allocations = |max_iters: usize| {
+        // Tolerance 0 is never met, so exactly `max_iters` sweeps run.
+        let spec = lopsided_problem(24, 24, 0.0, max_iters);
+        let out = run_spmd(1, MachineModel::ibm_sp(), move |ctx| {
+            // Counted on the rank's own thread, inside the body.
+            let (solved, count, _) =
+                allocations_of(|| poisson_spmd(ctx, &spec, ProcessGrid2::new(1, 1)));
+            assert_eq!(solved.iters, max_iters);
+            count
+        });
+        out.results[0]
+    };
+    let (short, long) = (allocations(10), allocations(100));
+    assert!(short > 0, "the counter counts: set-up allocates the grids");
+    assert_eq!(
+        short, long,
+        "ten times the sweeps must not allocate once more"
+    );
+}
+
+#[test]
+fn merge_two_allocates_the_result_and_nothing_else() {
+    for (na, nb) in [(0usize, 0usize), (1, 0), (0, 5), (1000, 1), (4096, 5000)] {
+        let a: Vec<u64> = (0..na as u64).map(|i| 3 * i).collect();
+        let b: Vec<u64> = (0..nb as u64).map(|i| 2 * i + 1).collect();
+        let (merged, count, bytes) = allocations_of(|| merge_two(a, b));
+        assert_eq!(merged.len(), na + nb);
+        assert!(merged.windows(2).all(|w| w[0] <= w[1]));
+        // An empty result needs no buffer at all.
+        assert_eq!(count, u64::from(na + nb > 0), "{na}+{nb}: allocations");
+        assert_eq!(bytes, 8 * (na + nb) as u64, "{na}+{nb}: bytes");
+    }
+}

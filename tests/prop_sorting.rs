@@ -22,6 +22,29 @@ fn sorted_copy(blocks: &[Vec<i64>]) -> Vec<i64> {
     all
 }
 
+/// An item whose order sees the key only.
+#[derive(Clone, Copy, Debug)]
+struct ByKey {
+    key: u8,
+    tag: usize,
+}
+impl PartialEq for ByKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+impl Eq for ByKey {}
+impl PartialOrd for ByKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for ByKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key.cmp(&other.key)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -63,6 +86,25 @@ proptest! {
         let got = sequential_mergesort(input.clone());
         input.sort_unstable();
         prop_assert_eq!(got, input);
+    }
+
+    // Long enough to straddle the leaf cut-off, so the merges run; few
+    // keys, so ties are everywhere; `(key, tag)` ordered by key alone,
+    // so only a stable sort reproduces `Vec::sort` tag for tag.
+    #[test]
+    fn sequential_mergesort_is_vec_sort_element_for_element(
+        keys in vec(0u8..24, 0..14_000),
+    ) {
+        let input: Vec<ByKey> = keys
+            .iter()
+            .enumerate()
+            .map(|(tag, &key)| ByKey { key, tag })
+            .collect();
+        let mut expected = input.clone();
+        expected.sort();
+        let got = sequential_mergesort(input);
+        let pairs = |v: &[ByKey]| v.iter().map(|k| (k.key, k.tag)).collect::<Vec<_>>();
+        prop_assert_eq!(pairs(&got), pairs(&expected));
     }
 
     #[test]

@@ -1,0 +1,128 @@
+#!/usr/bin/env bash
+# A/B the frozen benchmark: the working tree ("change") against a parent ref.
+#
+#   tools/ab.sh <parent-ref> [--pairs N] [--seconds S] [workload...]
+#
+# Both sides are built from clean copies under the git-ignored .bench_build/
+# (parent: `git archive <ref>`; change: the working tree's tracked and
+# untracked-but-not-ignored files), so neither build touches the checkout —
+# not even benchmark/Cargo.lock. Pair i runs seed i on both sides, and pairs
+# alternate which side runs first. Reads only each side's
+# benchmark/out/<workload>.trace0.json; keeps a copy of every run under
+# benchmark/out/ab/ (git-ignored). Prints, per end-to-end metric of
+# BENCHMARK.json: median [quartiles] per side, the ratio of the medians, the
+# pairs the change won (ties count for neither), and OUTSIDE BOUND where the
+# change's median is worse than the parent's by more than the metric's bound.
+#
+# Defaults: 10 pairs, the benchmark's own run length, every workload.
+# The ranks are pinned one per core: run nothing else meanwhile.
+set -euo pipefail
+
+usage() {
+    sed -n '2,5p' "$0" | sed 's/^# \{0,1\}//' >&2
+    exit 2
+}
+
+root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
+cd "$root"
+
+[ $# -ge 1 ] || usage
+parent_ref=$1
+shift
+pairs=10
+seconds=
+workloads=()
+while [ $# -gt 0 ]; do
+    case $1 in
+        --pairs) pairs=${2:?--pairs takes a count}; shift 2 ;;
+        --seconds) seconds=${2:?--seconds takes a number}; shift 2 ;;
+        -h | --help) usage ;;
+        -*) echo "unknown option $1" >&2; usage ;;
+        *) workloads+=("$1"); shift ;;
+    esac
+done
+if [ ${#workloads[@]} -eq 0 ]; then
+    mapfile -t workloads < <(python3 -c '
+import json
+for w in json.load(open("BENCHMARK.json"))["workloads"]:
+    print(w["name"])')
+fi
+
+build=$root/.bench_build
+runs=$root/benchmark/out/ab
+rm -rf "$runs"
+mkdir -p "$build/parent" "$build/change" "$runs"
+
+# Fresh sources, kept target directories: a second A/B rebuilds only what
+# changed. Everything but the cargo target directory is replaced.
+refresh() { # <side>: reads a tar stream of the side's sources on stdin
+    local dir=$build/$1
+    find "$dir" -mindepth 1 -maxdepth 1 ! -name benchmark -exec rm -rf {} +
+    if [ -d "$dir/benchmark" ]; then
+        find "$dir/benchmark" -mindepth 1 -maxdepth 1 ! -name target -exec rm -rf {} +
+    fi
+    tar -x -C "$dir"
+    cargo build --release --offline --quiet --manifest-path "$dir/benchmark/Cargo.toml"
+}
+echo "# building parent ($(git rev-parse --short "$parent_ref")) and change (working tree)" >&2
+git archive "$parent_ref" | refresh parent
+git ls-files -co --exclude-standard -z |
+    while IFS= read -r -d '' f; do [ -e "$f" ] && printf '%s\0' "$f"; done |
+    tar -c --null -T - | refresh change
+
+run_side() { # <side> <workload> <seed>
+    local bin=$build/$1/benchmark/target/release/archetype-benchmark
+    "$bin" run --workload "$2" --seed "$3" ${seconds:+--seconds "$seconds"} >/dev/null
+    cp "$build/$1/benchmark/out/$2.trace0.json" "$runs/$2.$1.seed$3.json"
+}
+
+for workload in "${workloads[@]}"; do
+    for pair in $(seq 1 "$pairs"); do
+        if [ $((pair % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
+        for side in $order; do
+            echo "# $workload pair $pair/$pairs: $side" >&2
+            run_side "$side" "$workload" "$pair"
+        done
+    done
+done
+
+python3 - "$runs" "$pairs" "${workloads[@]}" <<'EOF'
+import json, statistics, sys
+
+runs, pairs, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+metrics = json.load(open("BENCHMARK.json"))["end_to_end"]
+
+
+def quartiles(xs):
+    if len(xs) < 2:
+        return xs[0], xs[0], xs[0]
+    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def cell(xs):
+    q1, q2, q3 = quartiles(xs)
+    return f"{q2:.4g} [{q1:.4g}-{q3:.4g}]"
+
+
+failed = 0
+for w in workloads:
+    side = {}
+    for s in ("parent", "change"):
+        side[s] = [json.load(open(f"{runs}/{w}.{s}.seed{i}.json")) for i in range(1, pairs + 1)]
+        bad = sum(r["failed"] for r in side[s])
+        failed += bad
+        print(f"# {w} {s}: failed ops {bad} of {sum(r['attempted'] for r in side[s])}")
+    print(f"{w:18} {'metric':18} {'parent':>28} {'change':>28} {'ratio':>7}  pairs won")
+    for m in metrics:
+        name, higher = m["name"], m["better"] == "higher"
+        p = [r["metrics"][name]["value"] for r in side["parent"]]
+        c = [r["metrics"][name]["value"] for r in side["change"]]
+        won = sum((b > a) if higher else (b < a) for a, b in zip(p, c))
+        pm, cm = quartiles(p)[1], quartiles(c)[1]
+        worse = (pm - cm if higher else cm - pm) / pm if pm else 0.0
+        flag = "  OUTSIDE BOUND" if worse > m["bound"] else ""
+        ratio = f"{cm / pm:.3f}" if pm else "n/a"
+        print(f"{'':18} {name:18} {cell(p):>28} {cell(c):>28} {ratio:>7}  {won}/{pairs}{flag}")
+sys.exit(1 if failed else 0)
+EOF
