@@ -20,12 +20,19 @@
 //!   root ships branch inputs to the branch roots (bit-59
 //!   [`archetype_mp::tags::compose_tag`] namespace), branches recurse
 //!   concurrently inside disjoint scopes, and branch roots ship outputs
-//!   (with their trace slices) back to the root, which assembles the
-//!   output tuple — in branch order, so results, clocks, and the
-//!   composite trace are deterministic. Groups too small to host every
+//!   (with their trace slices, when the run is traced) back to the root,
+//!   which assembles the output tuple — in branch order, so results,
+//!   clocks, and the composite trace are deterministic. Groups too small to host every
 //!   branch (`p < k`), or a [`ParMode::Serialize`] config, run the
 //!   branches one after another on the whole group instead — same
 //!   results, same statistics, different schedule.
+//!
+//! Phases are a diagnostic: they are recorded only when the caller
+//! handed [`run_plan_traced`] a [`PhaseTrace`] to read them from, and
+//! they are never priced as traffic — so a traced and an untraced run of
+//! one plan are the same logical run, bit for bit. An untraced run (every
+//! [`crate::PlanService`] plan) builds no `Phase`, no label and no
+//! `PhaseTrace` at all.
 //!
 //! Statistics ([`ComposeStats`]) count *logical* structure — atoms run,
 //! stages, branches, handoffs and their bytes — so they are identical
@@ -180,24 +187,31 @@ impl ComposeStats {
     }
 }
 
-/// A branch's trace slice travelling back to the parent root.
-struct TraceBatch(Vec<Phase>);
-
-impl Payload for TraceBatch {
-    fn size_bytes(&self) -> usize {
-        self.0.iter().map(|p| 1 + p.label.len()).sum()
-    }
+/// A branch input shipped root-to-root, with the run's trace switch:
+/// only rank 0's `trace` argument is authoritative, so it travels with
+/// the work to wherever a phase could be recorded.
+struct BranchInput {
+    value: Value,
+    traced: bool,
 }
 
-/// A branch output and its trace slice, shipped root-to-root.
+/// A branch output and its trace slice (empty when untraced), shipped
+/// root-to-root.
 struct Handoff {
     value: Value,
-    trace: TraceBatch,
+    trace: Vec<Phase>,
+}
+
+// Diagnostics are not traffic: both are priced as the value alone.
+impl Payload for BranchInput {
+    fn size_bytes(&self) -> usize {
+        self.value.size_bytes()
+    }
 }
 
 impl Payload for Handoff {
     fn size_bytes(&self) -> usize {
-        self.value.size_bytes() + self.trace.size_bytes()
+        self.value.size_bytes()
     }
 }
 
@@ -231,12 +245,15 @@ fn split_parts(v: Value, k: usize) -> Vec<Value> {
 struct Walker {
     config: ComposeConfig,
     stats: ComposeStats,
+    /// Whether phases are recorded. Read on scope roots only, where it
+    /// is rank 0's verdict: a branch root receives it with its input.
+    traced: bool,
 }
 
 impl Walker {
     /// Execute one plan node on the current scope. `input` is `Some`
     /// exactly on the scope's rank 0; likewise the returned value and
-    /// trace slice.
+    /// trace slice (empty everywhere when the run is untraced).
     fn node(
         &mut self,
         ctx: &mut Ctx,
@@ -287,27 +304,26 @@ impl Walker {
                         mix(mix(salt, node_id), u64::from(attempt))
                     };
                     let stats = &mut self.stats;
+                    let traced = self.traced;
                     let (out, ph) = ctx.scoped(&members, scope_salt, |ctx| {
                         let root = ctx.rank() == 0;
+                        let local = (root && traced).then(PhaseTrace::new);
                         let mut phases = Vec::new();
-                        if root && ctx.nprocs() > 1 {
+                        if local.is_some() && ctx.nprocs() > 1 {
                             phases.push(Phase::new(
                                 PhaseKind::Communication,
                                 format!("replicate input of {}", job.name()),
                             ));
                         }
                         let v = ctx.broadcast(0, checkpoint);
-                        let local = if root { Some(PhaseTrace::new()) } else { None };
                         let out = job.run(ctx, v, local.as_ref());
-                        if root {
-                            if last {
-                                stats.atoms += 1;
-                            }
-                            phases.extend(local.expect("root trace").phases());
-                            (Some(out), phases)
-                        } else {
-                            (None, Vec::new())
+                        if let Some(local) = local {
+                            phases.extend(local.phases());
                         }
+                        if root && last {
+                            stats.atoms += 1;
+                        }
+                        (root.then_some(out), phases)
                     });
                     if last {
                         phases.extend(ph);
@@ -320,8 +336,10 @@ impl Walker {
                     ctx.charge_seconds(
                         self.config.retry.backoff_secs * f64::from(1u32 << attempt.min(20)),
                     );
-                    if ctx.rank() == 0 {
+                    if root {
                         self.stats.retries += 1;
+                    }
+                    if root && self.traced {
                         phases.push(Phase::new(
                             PhaseKind::Detect,
                             format!("atom {} lost attempt {attempt}", job.name()),
@@ -428,7 +446,7 @@ impl Walker {
                     .map(|(b, part)| b.estimate_flops(part))
                     .collect()
             });
-            if root {
+            if root && self.traced {
                 phases.push(Phase::new(
                     PhaseKind::Communication,
                     "par fan-out: cost broadcast + branch inputs",
@@ -447,7 +465,10 @@ impl Walker {
             if root {
                 let mut ps = parts.take().expect("root holds the input");
                 for j in (1..k).rev() {
-                    let part = ps.pop().expect("one part per branch");
+                    let part = BranchInput {
+                        value: ps.pop().expect("one part per branch"),
+                        traced: self.traced,
+                    };
                     ctx.send(starts[j], compose_tag(ComposeTag::Input, node_id), part);
                 }
                 parts = Some(ps); // now just branch 0's part
@@ -456,7 +477,9 @@ impl Walker {
                 if my_branch == 0 {
                     Some(parts.take().expect("root").pop().expect("branch 0 part"))
                 } else {
-                    Some(ctx.recv(0, compose_tag(ComposeTag::Input, node_id)))
+                    let part: BranchInput = ctx.recv(0, compose_tag(ComposeTag::Input, node_id));
+                    self.traced = part.traced;
+                    Some(part.value)
                 }
             } else {
                 None
@@ -479,14 +502,15 @@ impl Walker {
                 )
             });
 
-            // Branch outputs (with trace slices) gather back to the root.
+            // Branch outputs (with trace slices, if any) gather back to
+            // the root.
             if me == starts[my_branch] && my_branch != 0 {
                 ctx.send(
                     0,
                     compose_tag(ComposeTag::Output, node_id),
                     Handoff {
                         value: ov.expect("a branch root holds its output"),
-                        trace: TraceBatch(ph),
+                        trace: ph,
                     },
                 );
             } else if root {
@@ -496,12 +520,14 @@ impl Walker {
                 for &start in starts.iter().skip(1) {
                     let h: Handoff = ctx.recv(start, compose_tag(ComposeTag::Output, node_id));
                     outs_vec.push(h.value);
-                    phases.extend(h.trace.0);
+                    phases.extend(h.trace);
                 }
-                phases.push(Phase::new(
-                    PhaseKind::Communication,
-                    "par gather: branch outputs",
-                ));
+                if self.traced {
+                    phases.push(Phase::new(
+                        PhaseKind::Communication,
+                        "par gather: branch outputs",
+                    ));
+                }
             }
         }
 
@@ -581,6 +607,14 @@ pub type PlanResult = Result<(Value, ComposeStats), PlanError>;
 /// `Err` immediately (nothing sent, nothing leaked), or the plan runs —
 /// replaying lost atom attempts within [`RetryPolicy`]'s budget — and
 /// every rank returns the identical `Ok`.
+///
+/// `trace` is the one switch for phase recording, and like `input` only
+/// rank 0's copy is used: the verdict travels with each branch input, so
+/// passing it on rank 0 alone or on every rank yields the same complete
+/// composite trace. With `None` there — every [`crate::PlanService`]
+/// run, [`run_plan`], [`try_run_plan`] — atoms run untraced and no phase
+/// or label is built anywhere; either way the run's results, statistics,
+/// traffic and virtual clocks are the same.
 pub fn try_run_plan_with(
     ctx: &mut Ctx,
     plan: &Plan,
@@ -598,6 +632,7 @@ pub fn try_run_plan_with(
     let mut walker = Walker {
         config,
         stats: ComposeStats::default(),
+        traced: trace.is_some(),
     };
     let (out, phases) = walker.node(ctx, plan, root.then_some(input), 0, 0, 0);
     let out = ctx.broadcast(0, out);
@@ -616,7 +651,8 @@ pub fn try_run_plan_with(
 /// composite trace — every atom's phase sequence in plan order, with the
 /// executor's own `Communication` phases for input replication, `Par`
 /// fan-out, and output gather — which [`Plan::grammar`] accepts by
-/// construction.
+/// construction. Only rank 0's `trace` is read (other ranks may pass the
+/// same one or `None`); recording changes nothing else about the run.
 pub fn run_plan_traced(
     ctx: &mut Ctx,
     plan: &Plan,

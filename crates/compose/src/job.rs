@@ -27,9 +27,10 @@ use crate::value::{ComposeData, Value};
 /// group's rank 0; other ranks may return any placeholder (conventionally
 /// `Default::default()`).
 ///
-/// `trace` is `Some` only on the group's rank 0; jobs forward it to their
-/// skeleton's `*_traced` driver so the atom's phase trace lands in the
-/// composite trace in plan order.
+/// `trace` is `Some` only on the group's rank 0, and only when the plan
+/// run was asked for its composite trace ([`crate::run_plan_traced`]);
+/// jobs forward it to their skeleton's `*_traced` driver so the atom's
+/// phase trace lands in the composite trace in plan order.
 pub trait ArchetypeJob: Send + Sync {
     /// Typed stage input, recovered from the plan edge's [`Value`].
     type In: ComposeData;

@@ -19,7 +19,11 @@
 //!    allocator ([`crate::allocate`]) — the same one `Par` branches use
 //!    — apportions the world's ranks cost-proportionally, one disjoint
 //!    contiguous subgroup per plan. Allocations are memoized per
-//!    `(cost vector, p)`.
+//!    `(cost vector, p)`. Where every plan of a wave got the same share
+//!    the subgroups are interchangeable, and the heaviest plan goes to
+//!    the ranks carrying the least modelled load from earlier waves —
+//!    there is no inter-wave barrier, so that load is what a rank's next
+//!    plan waits on. Unequal shares keep admission order.
 //! 3. **Scoped execution** ([`PlanService::serve`]): one SPMD run
 //!    executes the whole schedule. Every rank walks the same static wave
 //!    plan; per wave it enters its subgroup's [`Ctx::scoped`] section
@@ -236,7 +240,9 @@ struct Submission {
 /// the contiguous rank range `starts[j] .. starts[j] + sizes[j]`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Wave {
-    /// Queue indices of the wave's plans, in admission order.
+    /// Queue indices of the wave's plans, in rank order: the wave's
+    /// members are a FIFO cut of the queue, but which subgroup each runs
+    /// on is the packer's choice.
     pub plans: Vec<usize>,
     /// Rank share of each plan (≥ 1, summing to `p`).
     pub sizes: Vec<usize>,
@@ -249,21 +255,34 @@ pub struct Wave {
 /// largest-remainder [`crate::allocate`] apportions ranks within each
 /// wave cost-proportionally. Every wave's sizes sum to exactly `p` with
 /// one rank minimum per plan, so admission can never oversubscribe.
+///
+/// A wave whose shares are all equal has interchangeable subgroups; its
+/// plans are placed heaviest first (ties: earlier admission) onto the
+/// subgroup whose ranks carry the least accumulated load (ties: lower
+/// ranks), a rank's load being Σ cost ÷ share over the earlier waves'
+/// plans it hosted. With one rank per plan that keeps the rank loads
+/// within the largest single plan of each other after every wave. A wave
+/// with unequal shares keeps admission order. A pure function of its
+/// arguments.
 pub fn pack_waves(costs: &[f64], p: usize, max_concurrent: usize) -> Vec<Wave> {
-    pack_waves_with(costs, p, max_concurrent, &mut |c, p| allocate(c, p))
+    pack_waves_with(costs, p, max_concurrent, &mut |c, p| allocate(c, p)).0
 }
 
 /// [`pack_waves`] with a pluggable allocator, so the service can thread
-/// its memo table through without changing the schedule.
+/// its memo table through without changing the schedule. Also returns
+/// the modelled per-rank loads the schedule ends with.
 fn pack_waves_with(
     costs: &[f64],
     p: usize,
     max_concurrent: usize,
     alloc: &mut dyn FnMut(&[f64], usize) -> Vec<usize>,
-) -> Vec<Wave> {
+) -> (Vec<Wave>, Vec<f64>) {
     assert!(p >= 1, "a service needs at least one rank");
     let per_wave = max_concurrent.max(1).min(p);
     let mut waves = Vec::new();
+    let mut loads = vec![0.0f64; p];
+    let mut slots: Vec<usize> = Vec::with_capacity(per_wave);
+    let mut heaviest_first: Vec<usize> = Vec::with_capacity(per_wave);
     let mut next = 0usize;
     while next < costs.len() {
         let k = per_wave.min(costs.len() - next);
@@ -272,14 +291,40 @@ fn pack_waves_with(
         for j in 1..k {
             starts[j] = starts[j - 1] + sizes[j - 1];
         }
+        let mut plans: Vec<usize> = (next..next + k).collect();
+        if k > 1 && sizes.iter().all(|&s| s == sizes[0]) {
+            // Each slot takes exactly one plan, so "heaviest onto the
+            // least loaded slot left" is two stable sorts and a zip.
+            let slot_load = |j: usize| {
+                loads[starts[j]..starts[j] + sizes[j]]
+                    .iter()
+                    .fold(0.0f64, |a, &b| a.max(b))
+            };
+            slots.clear();
+            slots.extend(0..k);
+            slots.sort_by(|&a, &b| slot_load(a).total_cmp(&slot_load(b)));
+            heaviest_first.clear();
+            heaviest_first.extend(next..next + k);
+            heaviest_first.sort_by(|&a, &b| costs[b].total_cmp(&costs[a]));
+            for (&slot, &plan) in slots.iter().zip(&heaviest_first) {
+                plans[slot] = plan;
+            }
+        }
+        // Every rank of a plan's subgroup carries its cost ÷ share.
+        for ((&plan, &start), &size) in plans.iter().zip(&starts).zip(&sizes) {
+            let per_rank = costs[plan] / size as f64;
+            for load in &mut loads[start..start + size] {
+                *load += per_rank;
+            }
+        }
         waves.push(Wave {
-            plans: (next..next + k).collect(),
+            plans,
             sizes,
             starts,
         });
         next += k;
     }
-    waves
+    (waves, loads)
 }
 
 /// Per-tenant service accounting. Everything here counts *logical*
@@ -435,6 +480,11 @@ fn service_metrics() -> Metrics {
         &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0],
     );
     m.describe(
+        "planserve_rank_load_imbalance",
+        MetricKind::Gauge,
+        "Modelled max rank load over mean rank load (cost / share summed per rank) of the last packed batch.",
+    );
+    m.describe(
         "planserve_plans_completed_total",
         MetricKind::Counter,
         "Plans that completed with a value, by tenant.",
@@ -570,17 +620,33 @@ impl PlanService {
             .map(|s| (s.nodes, s.atoms))
     }
 
-    /// Pack the current queue into its wave schedule (also what the next
-    /// `serve` call will execute), threading the allocation memo.
+    /// Pack the current queue into the wave schedule that is about to
+    /// execute, threading the allocation memo, and count it.
     fn pack(&mut self) -> Vec<Wave> {
         let costs: Vec<f64> = self.queue.iter().map(|s| s.cost).collect();
         let cache = &mut self.cache;
-        pack_waves_with(
+        let (waves, loads) = pack_waves_with(
             &costs,
             self.nprocs,
             self.config.max_concurrent,
             &mut |c, p| cache.alloc(c, p).as_ref().clone(),
-        )
+        );
+        self.metrics
+            .inc("planserve_waves_total", &[], waves.len() as u64);
+        for wave in &waves {
+            self.metrics
+                .observe("planserve_wave_occupancy", &[], wave.plans.len() as f64);
+        }
+        if !waves.is_empty() {
+            self.metrics.inc("planserve_batches_total", &[], 1);
+        }
+        let mean = loads.iter().sum::<f64>() / loads.len() as f64;
+        if mean > 0.0 {
+            let max = loads.iter().fold(0.0f64, |a, &b| a.max(b));
+            self.metrics
+                .set("planserve_rank_load_imbalance", &[], max / mean);
+        }
+        waves
     }
 
     /// Drain the queue and execute it as one SPMD run, returning the raw
@@ -591,7 +657,6 @@ impl PlanService {
     /// elapsed virtual time).
     pub fn serve_spmd(&mut self, model: MachineModel, run: RunConfig) -> SpmdResult<ServeReport> {
         let waves = self.pack();
-        self.record_schedule_metrics(&waves);
         let subs = Arc::new(std::mem::take(&mut self.queue));
         let body = serve_body(Arc::clone(&subs), Arc::new(waves), self.config);
         let result = run_spmd_with(self.nprocs, model, run, body);
@@ -631,7 +696,6 @@ impl PlanService {
     ) -> Result<ServeOutcome, SpmdError> {
         let rejected = std::mem::take(&mut self.rejected);
         let waves = self.pack();
-        self.record_schedule_metrics(&waves);
         let subs = Arc::new(std::mem::take(&mut self.queue));
         let body = serve_body(Arc::clone(&subs), Arc::new(waves), self.config);
         let ft = run_spmd_ft(self.nprocs, model, fault, body);
@@ -664,19 +728,6 @@ impl PlanService {
     fn absorb(&mut self, report: &ServeReport) {
         for (t, s) in &report.tenants {
             self.tenants.entry(*t).or_default().absorb(s);
-        }
-    }
-
-    /// Count a packed schedule that is about to execute.
-    fn record_schedule_metrics(&mut self, waves: &[Wave]) {
-        self.metrics
-            .inc("planserve_waves_total", &[], waves.len() as u64);
-        for wave in waves {
-            self.metrics
-                .observe("planserve_wave_occupancy", &[], wave.plans.len() as f64);
-        }
-        if !waves.is_empty() {
-            self.metrics.inc("planserve_batches_total", &[], 1);
         }
     }
 

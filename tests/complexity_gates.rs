@@ -7,12 +7,18 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use parallel_archetypes::core::ExecutionMode;
+use parallel_archetypes::compose::{
+    run_plan_traced, ArchetypeJob, Plan, PlanService, PoissonJob, ServeConfig, Value,
+};
+use parallel_archetypes::core::archetype::ONE_DEEP_DC;
+use parallel_archetypes::core::{ArchetypeInfo, ExecutionMode, PhaseTrace};
 use parallel_archetypes::dc::traditional::merge_two;
 use parallel_archetypes::mesh::apps::poisson::{poisson_shared, poisson_spmd, PoissonSpec};
 use parallel_archetypes::mp::topology::block_range;
-use parallel_archetypes::mp::{run_spmd, MachineModel, ProcessGrid2};
+use parallel_archetypes::mp::{run_spmd, Ctx, MachineModel, ProcessGrid2};
 
 thread_local! {
     /// `(allocations, bytes requested)` by this thread so far. Const
@@ -169,4 +175,84 @@ fn merge_two_allocates_the_result_and_nothing_else() {
         assert_eq!(count, u64::from(na + nb > 0), "{na}+{nb}: allocations");
         assert_eq!(bytes, 8 * (na + nb) as u64, "{na}+{nb}: bytes");
     }
+}
+
+/// A one-atom plan running exactly `max_iters` Jacobi sweeps.
+fn poisson_plan(max_iters: usize) -> Plan {
+    Plan::atom(PoissonJob {
+        spec: lopsided_problem(14, 14, 0.0, max_iters),
+    })
+}
+
+#[test]
+fn an_untraced_plan_run_allocates_nothing_per_iteration() {
+    let allocations = |max_iters: usize, traced: bool| {
+        let plan = poisson_plan(max_iters);
+        let trace = PhaseTrace::new();
+        let out = run_spmd(1, MachineModel::ibm_sp(), |ctx| {
+            let trace = traced.then_some(&trace);
+            allocations_of(|| run_plan_traced(ctx, &plan, Value::Unit, trace)).1
+        });
+        out.results[0]
+    };
+    assert!(allocations(10, false) > 0);
+    assert_eq!(
+        allocations(10, false),
+        allocations(100, false),
+        "nobody reads an untraced run's phases, so none may be built"
+    );
+    // A reader pays for what it reads: three labelled phases a sweep.
+    assert!(allocations(100, true) >= allocations(10, true) + 3 * 90);
+}
+
+/// Publishes the serving rank's allocation count when it runs, so two of
+/// them bracket whatever the rank thread did in between.
+struct AllocationProbe(Arc<AtomicU64>);
+
+impl ArchetypeJob for AllocationProbe {
+    type In = ();
+    type Out = ();
+
+    fn name(&self) -> &'static str {
+        "allocation-probe"
+    }
+
+    fn info(&self) -> &'static ArchetypeInfo {
+        &ONE_DEEP_DC
+    }
+
+    fn estimate_flops(&self, _input: &()) -> f64 {
+        1.0
+    }
+
+    fn run(&self, _ctx: &mut Ctx, _input: (), _trace: Option<&PhaseTrace>) {
+        self.0.store(ALLOCATED.with(Cell::get).0, Ordering::Relaxed);
+    }
+}
+
+#[test]
+fn a_warm_plan_service_batch_allocates_nothing_per_iteration() {
+    // One rank, so the batch is 66 one-plan waves on one thread: probe,
+    // 64 Poisson plans, probe.
+    let mut svc = PlanService::new(1, ServeConfig::default());
+    let mut between_probes = |max_iters: usize| {
+        let (before, after) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        svc.submit(0, Plan::atom(AllocationProbe(before.clone())), Value::Unit)
+            .unwrap();
+        for _ in 0..64 {
+            svc.submit(0, poisson_plan(max_iters), Value::Unit).unwrap();
+        }
+        svc.submit(0, Plan::atom(AllocationProbe(after.clone())), Value::Unit)
+            .unwrap();
+        let out = svc.serve(MachineModel::ibm_sp());
+        assert!(out.report.outcomes.iter().all(|o| o.is_ok()));
+        after.load(Ordering::Relaxed) - before.load(Ordering::Relaxed)
+    };
+    between_probes(20); // warm the pool, the caches and the arena
+    let (short, long) = (between_probes(20), between_probes(60));
+    assert!(short > 0, "the probes bracket the rank's work");
+    assert_eq!(
+        short, long,
+        "three times the sweeps in 64 plans must not allocate once more"
+    );
 }

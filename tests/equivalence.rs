@@ -8,15 +8,17 @@
 use proptest::prelude::*;
 
 use parallel_archetypes::compose::{
-    forecast_input, forecast_plan, run_plan, run_plan_with, ComposeConfig, ForecastConfig, ParMode,
+    forecast_input, forecast_plan, run_plan, run_plan_traced, run_plan_with, ComposeConfig,
+    ForecastConfig, ParMode, Plan, PoissonJob, SweepJob, Value,
 };
-use parallel_archetypes::core::ExecutionMode;
+use parallel_archetypes::core::{ExecutionMode, PhaseTrace};
 use parallel_archetypes::dc::skeleton::{run_shared, run_spmd as dc_spmd};
 use parallel_archetypes::dc::{
     concat_skyline, global_closest, sequential_closest, sequential_mergesort, sequential_skyline,
     Building, OneDeepClosest, OneDeepHull, OneDeepMergesort, OneDeepQuicksort, OneDeepSkyline,
     Point,
 };
+use parallel_archetypes::farm::apps::sweep::GridSweepFarm;
 use parallel_archetypes::mesh::apps::airshed::{airshed_shared, airshed_spmd, AirshedSpec};
 use parallel_archetypes::mesh::apps::cfd::{cfd_shared, cfd_spmd, shock_sine_init, CfdSpec};
 use parallel_archetypes::mesh::apps::poisson::{poisson_shared, poisson_spmd, sine_problem};
@@ -424,6 +426,114 @@ fn composed_plan_results_and_stats_are_process_count_and_schedule_invariant() {
             for (r, got) in out.results.iter().enumerate() {
                 assert_eq!(got, &reference, "p={p} mode={mode:?} rank={r}");
             }
+        }
+    }
+}
+
+/// `2 × (sweep ∥ 2 × poisson)`: sections nested three deep, so at p = 8
+/// branch roots sit on ranks that are roots of nothing else.
+fn nested_plan() -> Plan {
+    let sweep = Plan::atom(SweepJob {
+        farm: GridSweepFarm {
+            lo: 0.0,
+            hi: 2.0,
+            points: 24,
+        },
+    });
+    let poisson = Plan::atom(PoissonJob {
+        spec: sine_problem(10, 1e-14, 12),
+    });
+    Plan::replicate(2, Plan::par(vec![sweep, Plan::replicate(2, poisson)]))
+}
+
+#[test]
+fn a_traced_plan_run_is_the_untraced_run_bit_for_bit() {
+    // Phases are a diagnostic, recorded for a reader and never priced as
+    // traffic: asking for the composite trace changes no value, no
+    // statistic, no byte sent and no clock. (The atoms' own traced
+    // drivers may allocate; nothing the model sees moves.)
+    let plans = [
+        ("forecast", forecast_plan(forecast_mini()), forecast_input()),
+        ("nested", nested_plan(), Value::Unit),
+    ];
+    for (name, plan, input) in &plans {
+        for p in 1usize..=8 {
+            for mode in [ParMode::Allocate, ParMode::Serialize] {
+                let config = ComposeConfig {
+                    par: mode,
+                    ..ComposeConfig::default()
+                };
+                let trace = PhaseTrace::new();
+                let run = |trace: Option<&PhaseTrace>| {
+                    run_spmd(p, MachineModel::ibm_sp(), |ctx| {
+                        run_plan_with(ctx, plan, input.clone(), config, trace)
+                    })
+                };
+                let (plain, traced) = (run(None), run(Some(&trace)));
+                let at = format!("{name} p={p} {mode:?}");
+                assert!(!trace.phases().is_empty(), "{at}: the trace was recorded");
+                assert_eq!(
+                    plain.results, traced.results,
+                    "{at}: value and ComposeStats"
+                );
+                assert_eq!(
+                    plain.stats.per_rank, traced.stats.per_rank,
+                    "{at}: RankStats"
+                );
+                let bits = |ts: &[f64]| ts.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&plain.rank_times),
+                    bits(&traced.rank_times),
+                    "{at}: per-rank clocks"
+                );
+                assert_eq!(
+                    plain.elapsed_virtual.to_bits(),
+                    traced.elapsed_virtual.to_bits(),
+                    "{at}: elapsed virtual time"
+                );
+            }
+        }
+    }
+    // The two-argument entry points are the same run.
+    let trace = PhaseTrace::new();
+    let (plan, input) = (&plans[1].1, &plans[1].2);
+    let plain = run_spmd(5, MachineModel::ibm_sp(), |ctx| {
+        run_plan(ctx, plan, input.clone())
+    });
+    let traced = run_spmd(5, MachineModel::ibm_sp(), |ctx| {
+        run_plan_traced(ctx, plan, input.clone(), Some(&trace))
+    });
+    assert_eq!(plain.results, traced.results);
+    assert_eq!(plain.stats.per_rank, traced.stats.per_rank);
+}
+
+#[test]
+fn a_trace_passed_on_rank_zero_only_is_still_the_complete_composite_trace() {
+    // Only rank 0's `trace` argument is read, like `input`: the verdict
+    // travels with each branch input, so branch roots on other ranks
+    // record their slices although they were handed `None`.
+    for (name, plan, input) in [
+        ("forecast", forecast_plan(forecast_mini()), forecast_input()),
+        ("nested", nested_plan(), Value::Unit),
+    ] {
+        for p in [1usize, 2, 3, 5, 8] {
+            let phases_when = |passed_on: fn(usize) -> bool| {
+                let trace = PhaseTrace::new();
+                run_spmd(p, MachineModel::ibm_sp(), |ctx| {
+                    let t = passed_on(ctx.rank()).then_some(&trace);
+                    run_plan_traced(ctx, &plan, input.clone(), t)
+                });
+                trace.phases()
+            };
+            let everywhere = phases_when(|_| true);
+            assert!(
+                plan.grammar()
+                    .matches(&everywhere.iter().map(|ph| ph.kind).collect::<Vec<_>>()),
+                "{name} p={p}: the composite trace conforms"
+            );
+            assert_eq!(phases_when(|rank| rank == 0), everywhere, "{name} p={p}");
+            // And a trace rank 0 did not ask for is not recorded at all.
+            assert_eq!(phases_when(|rank| rank != 0), Vec::new(), "{name} p={p}");
         }
     }
 }

@@ -1,7 +1,8 @@
 //! Property-based tests of the **plan service**: for random plan mixes,
 //! tenants, process counts, and admission widths, the wave packer must
-//! partition the world exactly (no oversubscription, no idle ranks, FIFO
-//! order preserved), per-tenant accounting must be schedule-invariant,
+//! partition the world exactly (no oversubscription, no idle ranks, wave
+//! membership the FIFO cut) and fill interchangeable slots by modelled
+//! load, per-tenant accounting must be schedule-invariant,
 //! and same-seed service runs must be bit-identical on the virtual
 //! backend.
 
@@ -11,7 +12,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use parallel_archetypes::compose::{
-    pack_waves, ArchetypeJob, Plan, PlanService, ServeConfig, Value,
+    pack_waves, ArchetypeJob, Plan, PlanService, ServeConfig, Value, Wave,
 };
 use parallel_archetypes::core::archetype::ONE_DEEP_DC;
 use parallel_archetypes::core::{ArchetypeInfo, PhaseTrace};
@@ -20,6 +21,22 @@ use parallel_archetypes::mp::{Ctx, MachineModel, RunConfig};
 // ---------------------------------------------------------------------------
 // Pure packer invariants.
 // ---------------------------------------------------------------------------
+
+/// Modelled per-rank load of a schedule prefix: every rank of a plan's
+/// subgroup carries that plan's cost ÷ share.
+fn charge(loads: &mut [f64], wave: &Wave, costs: &[f64]) {
+    for j in 0..wave.plans.len() {
+        for load in &mut loads[wave.starts[j]..wave.starts[j] + wave.sizes[j]] {
+            *load += costs[wave.plans[j]] / wave.sizes[j] as f64;
+        }
+    }
+}
+
+fn spread(loads: &[f64]) -> f64 {
+    let max = loads.iter().fold(f64::MIN, |a, &b| a.max(b));
+    let min = loads.iter().fold(f64::MAX, |a, &b| a.min(b));
+    max - min
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -33,7 +50,7 @@ proptest! {
         let waves = pack_waves(&costs, p, max_concurrent);
         let per_wave = max_concurrent.max(1).min(p);
 
-        let mut order: Vec<usize> = Vec::new();
+        let mut next = 0usize;
         for w in &waves {
             // Admission can never oversubscribe: at most
             // min(max_concurrent, p) plans, each with >= 1 rank, and the
@@ -50,12 +67,73 @@ proptest! {
             for j in 1..w.plans.len() {
                 prop_assert_eq!(w.starts[j], w.starts[j - 1] + w.sizes[j - 1]);
             }
-            order.extend_from_slice(&w.plans);
-        }
 
-        // Every queued plan is scheduled exactly once, in admission order.
-        prop_assert_eq!(order, (0..costs.len()).collect::<Vec<_>>());
+            // Membership is the next FIFO cut, whatever the placement;
+            // unequal shares are not interchangeable, so they keep
+            // admission order.
+            let cut: Vec<usize> = (next..next + w.plans.len()).collect();
+            let mut members = w.plans.clone();
+            members.sort_unstable();
+            prop_assert_eq!(&members, &cut);
+            if w.sizes.iter().any(|&s| s != w.sizes[0]) {
+                prop_assert_eq!(&w.plans, &cut);
+            }
+            next += w.plans.len();
+        }
+        // Every queued plan is scheduled exactly once.
+        prop_assert_eq!(next, costs.len());
+
+        // A pure function: the same costs pack to the same waves.
+        prop_assert_eq!(&waves, &pack_waves(&costs, p, max_concurrent));
     }
+
+    #[test]
+    fn one_rank_slots_stay_within_one_plan_of_balance_after_every_wave(
+        waves_of_costs in vec(vec(0.0f64..1e6, 8..9), 1..12),
+        p in 1usize..9,
+        extra in 0usize..4,
+    ) {
+        // `p` plans per wave over `p` ranks: every share is one rank, so
+        // every slot is interchangeable and greedy list scheduling
+        // applies wave after wave.
+        let costs: Vec<f64> = waves_of_costs.iter().flat_map(|w| w[..p].to_vec()).collect();
+        let waves = pack_waves(&costs, p, p + extra);
+        prop_assert_eq!(waves.len(), waves_of_costs.len());
+        let mut loads = vec![0.0f64; p];
+        let mut largest = 0.0f64;
+        for w in &waves {
+            prop_assert!(w.sizes.iter().all(|&s| s == 1));
+            charge(&mut loads, w, &costs);
+            largest = w.plans.iter().fold(largest, |a, &i| a.max(costs[i]));
+            prop_assert!(
+                spread(&loads) <= largest * (1.0 + 1e-12),
+                "loads {:?} spread past the largest plan {}", loads, largest
+            );
+        }
+    }
+}
+
+/// The anomaly this packer was written for: every 8th plan three times
+/// the rest, two ranks. Admission order parks every heavy plan on rank 1.
+#[test]
+fn every_eighth_plan_heavy_no_longer_piles_onto_rank_one() {
+    let costs: Vec<f64> = (0..1200)
+        .map(|i| if i % 8 == 7 { 3.0 } else { 1.0 })
+        .collect();
+    let mut in_admission_order = [0.0f64; 2];
+    for (i, c) in costs.iter().enumerate() {
+        in_admission_order[i % 2] += c;
+    }
+    assert_eq!(in_admission_order, [600.0, 900.0]);
+
+    let waves = pack_waves(&costs, 2, 8);
+    assert_eq!(waves.len(), 600);
+    let mut loads = [0.0f64; 2];
+    for w in &waves {
+        charge(&mut loads, w, &costs);
+    }
+    assert_eq!(loads[0] + loads[1], 1500.0);
+    assert!(spread(&loads) <= 3.0, "ranks end at {loads:?}");
 }
 
 // ---------------------------------------------------------------------------
@@ -303,5 +381,28 @@ proptest! {
             .map(|l| parse_sample_line(l).1)
             .sum();
         prop_assert_eq!(waves_inf as u64, out.report.waves);
+
+        // "One rank got the heavy plans" is answerable from the text: the
+        // gauge is the packed schedule's modelled max ÷ mean rank load.
+        let costs: Vec<f64> = mix
+            .iter()
+            .map(|&(shape, weight, _)| {
+                mix_plan(shape, 1 + weight % 999).estimate_flops_lenient(&Value::Unit)
+            })
+            .collect();
+        let mut loads = vec![0.0f64; p];
+        for w in &pack_waves(&costs, p, max_concurrent) {
+            charge(&mut loads, w, &costs);
+        }
+        let mean = loads.iter().sum::<f64>() / p as f64;
+        let max = loads.iter().fold(0.0f64, |a, &b| a.max(b));
+        let imbalance: Vec<f64> = text
+            .lines()
+            .filter(|l| l.starts_with("planserve_rank_load_imbalance"))
+            .map(|l| parse_sample_line(l).1)
+            .collect();
+        prop_assert_eq!(imbalance.len(), 1);
+        prop_assert_eq!(imbalance[0].to_bits(), (max / mean).to_bits());
+        prop_assert!(imbalance[0] >= 1.0);
     }
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # A/B the frozen benchmark: the working tree ("change") against a parent ref.
 #
-#   tools/ab.sh <parent-ref> [--pairs N] [--seconds S] [workload...]
+#   tools/ab.sh <parent-ref> [--pairs N] [--seconds S]
+#               [--claim <workload>:<metric>] [workload...]
 #
 # Both sides are built from clean copies under the git-ignored .bench_build/
 # (parent: `git archive <ref>`; change: the working tree's tracked and
@@ -13,13 +14,18 @@
 # BENCHMARK.json: median [quartiles] per side, the ratio of the medians, the
 # pairs the change won (ties count for neither), and OUTSIDE BOUND where the
 # change's median is worse than the parent's by more than the metric's bound.
+# With --claim, the last line is `CLAIM MET` or `CLAIM NOT MET` for that
+# workload's metric, by the rule the pipeline applies to a claimed gain: the
+# change wins at least nine in ten of the pairs, and its median is better than
+# the parent's by more than the distance between the parent's quartiles. The
+# exit status does not depend on it (1 only if an operation failed).
 #
 # Defaults: 10 pairs, the benchmark's own run length, every workload.
 # The ranks are pinned one per core: run nothing else meanwhile.
 set -euo pipefail
 
 usage() {
-    sed -n '2,5p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,6p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 }
 
@@ -31,11 +37,13 @@ parent_ref=$1
 shift
 pairs=10
 seconds=
+claim=
 workloads=()
 while [ $# -gt 0 ]; do
     case $1 in
         --pairs) pairs=${2:?--pairs takes a count}; shift 2 ;;
         --seconds) seconds=${2:?--seconds takes a number}; shift 2 ;;
+        --claim) claim=${2:?--claim takes <workload>:<metric>}; shift 2 ;;
         -h | --help) usage ;;
         -*) echo "unknown option $1" >&2; usage ;;
         *) workloads+=("$1"); shift ;;
@@ -47,6 +55,11 @@ import json
 for w in json.load(open("BENCHMARK.json"))["workloads"]:
     print(w["name"])')
 fi
+
+case $claim in
+    "" | ?*:?*) ;;
+    *) echo "--claim takes <workload>:<metric>, got $claim" >&2; usage ;;
+esac
 
 build=$root/.bench_build
 runs=$root/benchmark/out/ab
@@ -86,10 +99,10 @@ for workload in "${workloads[@]}"; do
     done
 done
 
-python3 - "$runs" "$pairs" "${workloads[@]}" <<'EOF'
+python3 - "$runs" "$pairs" "$claim" "${workloads[@]}" <<'EOF'
 import json, statistics, sys
 
-runs, pairs, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+runs, pairs, claim, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4:]
 metrics = json.load(open("BENCHMARK.json"))["end_to_end"]
 
 
@@ -106,6 +119,7 @@ def cell(xs):
 
 
 failed = 0
+verdict = None
 for w in workloads:
     side = {}
     for s in ("parent", "change"):
@@ -124,5 +138,15 @@ for w in workloads:
         flag = "  OUTSIDE BOUND" if worse > m["bound"] else ""
         ratio = f"{cm / pm:.3f}" if pm else "n/a"
         print(f"{'':18} {name:18} {cell(p):>28} {cell(c):>28} {ratio:>7}  {won}/{pairs}{flag}")
+        if claim == f"{w}:{name}":
+            q1, _, q3 = quartiles(p)
+            gain = cm - pm if higher else pm - cm
+            met = 10 * won >= 9 * pairs and gain > q3 - q1
+            verdict = (
+                f"CLAIM {'MET' if met else 'NOT MET'}: {claim} won {won}/{pairs} pairs, "
+                f"medians {pm:.4g} -> {cm:.4g}, parent quartiles {q3 - q1:.4g} apart"
+            )
+if claim:
+    print(verdict or f"CLAIM NOT MET: {claim} was not measured (not a workload run, or not an end-to-end metric)")
 sys.exit(1 if failed else 0)
 EOF
