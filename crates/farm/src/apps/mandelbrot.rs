@@ -17,6 +17,9 @@ use archetype_mp::impl_fixed_size;
 /// multiply-add plus the escape test).
 const FLOPS_PER_ITER: f64 = 10.0;
 
+/// Pixels `MandelbrotFarm::escape_lanes` steps in lockstep.
+const LANES: usize = 8;
+
 /// One tile task: tile coordinates in units of [`MandelbrotFarm::tile`]
 /// pixels.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,6 +77,10 @@ pub struct MandelbrotFarm {
 
 impl MandelbrotFarm {
     /// The classic full-set view at the given resolution and tiling.
+    ///
+    /// # Panics
+    ///
+    /// If `tile` is zero or the image is empty.
     pub fn classic(width: u32, height: u32, tile: u32, max_iter: u32) -> Self {
         MandelbrotFarm {
             re0: -2.2,
@@ -85,10 +92,15 @@ impl MandelbrotFarm {
             tile,
             max_iter,
         }
+        .checked()
     }
 
     /// A seahorse-valley close-up: a region straddling the set boundary,
     /// where per-tile cost is maximally irregular.
+    ///
+    /// # Panics
+    ///
+    /// If `tile` is zero or the image is empty.
     pub fn seahorse(width: u32, height: u32, tile: u32, max_iter: u32) -> Self {
         MandelbrotFarm {
             re0: -0.78,
@@ -100,6 +112,16 @@ impl MandelbrotFarm {
             tile,
             max_iter,
         }
+        .checked()
+    }
+
+    fn checked(self) -> Self {
+        assert!(self.tile > 0, "tile edge must be positive");
+        assert!(
+            self.width > 0 && self.height > 0,
+            "image must have at least one pixel"
+        );
+        self
     }
 
     fn tiles_x(&self) -> u32 {
@@ -110,10 +132,18 @@ impl MandelbrotFarm {
         self.height.div_ceil(self.tile)
     }
 
-    /// Escape-time iteration count at pixel `(px, py)`.
-    fn escape(&self, px: u32, py: u32) -> u32 {
+    /// The point of the complex plane at pixel `(px, py)`'s centre.
+    fn c(&self, px: u32, py: u32) -> (f64, f64) {
         let cr = self.re0 + (self.re1 - self.re0) * (px as f64 + 0.5) / self.width as f64;
         let ci = self.im0 + (self.im1 - self.im0) * (py as f64 + 0.5) / self.height as f64;
+        (cr, ci)
+    }
+
+    /// Escape-time iteration count at pixel `(px, py)`: the one-pixel
+    /// definition `escape_lanes` must agree with.
+    #[cfg(test)]
+    fn escape(&self, px: u32, py: u32) -> u32 {
+        let (cr, ci) = self.c(px, py);
         let (mut zr, mut zi) = (0.0f64, 0.0f64);
         let mut n = 0;
         while n < self.max_iter && zr * zr + zi * zi <= 4.0 {
@@ -123,6 +153,70 @@ impl MandelbrotFarm {
             n += 1;
         }
         n
+    }
+
+    /// `escape` for `LANES` points at once. One pixel's iteration is a
+    /// chain of dependent multiply-adds, so a single chain leaves the
+    /// core waiting on latency; stepping independent pixels in lockstep
+    /// fills it. A lane runs the scalar arithmetic expression for
+    /// expression (no fused multiply-add, no reassociation), and once
+    /// `|z|² > 4` it freezes `z` and stops counting, so every count
+    /// equals `escape`'s; the loop ends when every lane has escaped.
+    ///
+    /// The freeze is a select written as a bit mask, because with `if`
+    /// the compiler branches per lane; and the kernel stays out of line,
+    /// because inlined into the tile loop the vectorizer pairs the lanes
+    /// differently and shuffles every step. The benchmark's seahorse
+    /// render on one rank (2-vCPU VM): 17.5 ms as written, 19 ms with
+    /// `if`, 25–34 ms inlined, 43 ms with the one-pixel loop.
+    #[inline(never)]
+    fn escape_lanes(&self, cr: &[f64; LANES], ci: &[f64; LANES]) -> [u64; LANES] {
+        let (mut zr, mut zi) = ([0.0f64; LANES], [0.0f64; LANES]);
+        let mut n = [0u64; LANES];
+        let keep = |live: u64, new: f64, old: f64| {
+            f64::from_bits(new.to_bits() & live | old.to_bits() & !live)
+        };
+        for _ in 0..self.max_iter {
+            let mut running = 0;
+            for l in 0..LANES {
+                let (r, i) = (zr[l], zi[l]);
+                // All ones while the lane is live, zero once it escaped.
+                let live = u64::from(r * r + i * i <= 4.0).wrapping_neg();
+                zr[l] = keep(live, r * r - i * i + cr[l], r);
+                zi[l] = keep(live, 2.0 * r * i + ci[l], i);
+                n[l] = n[l].wrapping_sub(live);
+                running |= live;
+            }
+            if running == 0 {
+                break;
+            }
+        }
+        n
+    }
+
+    /// Call `f(px, py, escape count)` for every pixel of `tile`, in
+    /// row-major order. Lanes run over the tile's flattened pixels, so a
+    /// tile row narrower than `LANES` leaves no scalar remainder; a short
+    /// last group repeats its last pixel and drops the spare counts.
+    fn for_each_escape(&self, tile: Tile, mut f: impl FnMut(u32, u32, u32)) {
+        let x0 = tile.tx * self.tile;
+        let y0 = tile.ty * self.tile;
+        let tw = (x0 + self.tile).min(self.width) - x0;
+        let area = tw * ((y0 + self.tile).min(self.height) - y0);
+        let pixel = |k: u32| (x0 + k % tw, y0 + k / tw);
+        for k0 in (0..area).step_by(LANES) {
+            let live = (area - k0).min(LANES as u32);
+            let (mut cr, mut ci) = ([0.0; LANES], [0.0; LANES]);
+            for l in 0..LANES {
+                let (px, py) = pixel(k0 + (l as u32).min(live - 1));
+                (cr[l], ci[l]) = self.c(px, py);
+            }
+            let counts = self.escape_lanes(&cr, &ci);
+            for (k, &n) in (k0..k0 + live).zip(&counts) {
+                let (px, py) = pixel(k);
+                f(px, py, n as u32);
+            }
+        }
     }
 }
 
@@ -151,22 +245,15 @@ impl Farm for MandelbrotFarm {
     }
 
     fn work(&self, tile: Tile, scope: &mut WorkScope<'_, Self>) {
-        let x0 = tile.tx * self.tile;
-        let y0 = tile.ty * self.tile;
-        let x1 = (x0 + self.tile).min(self.width);
-        let y1 = (y0 + self.tile).min(self.height);
         let mut out = MandelOut {
             tiles: 1,
             ..MandelOut::default()
         };
-        for py in y0..y1 {
-            for px in x0..x1 {
-                let n = self.escape(px, py);
-                out.iters += n as u64;
-                out.inside += u64::from(n == self.max_iter);
-                out.checksum = out.checksum.wrapping_add(pixel_hash(px, py, n));
-            }
-        }
+        self.for_each_escape(tile, |px, py, n| {
+            out.iters += n as u64;
+            out.inside += u64::from(n == self.max_iter);
+            out.checksum = out.checksum.wrapping_add(pixel_hash(px, py, n));
+        });
         // Charge the *actual* data-dependent cost — this irregularity is
         // what the farm's stealing and adaptive batching respond to.
         scope.charge_flops(out.iters as f64 * FLOPS_PER_ITER);
@@ -256,5 +343,79 @@ mod tests {
             run_farm(&f, ctx, FarmConfig::default()).0
         });
         assert_eq!(out.results[0], expected);
+    }
+
+    /// A `width × height` view of `[re0, re1] × [im0, im1]` in `tile`-px
+    /// tiles (the constructors fix the region).
+    fn view(
+        (re0, re1): (f64, f64),
+        (im0, im1): (f64, f64),
+        width: u32,
+        height: u32,
+        tile: u32,
+        max_iter: u32,
+    ) -> MandelbrotFarm {
+        MandelbrotFarm {
+            re0,
+            im0,
+            re1,
+            im1,
+            width,
+            height,
+            tile,
+            max_iter,
+        }
+    }
+
+    /// Every pixel's lane count against `escape`'s, tile by tile; returns
+    /// how many pixels escaped after one step and how many never did.
+    fn lanes_match_escape(farm: &MandelbrotFarm) -> (usize, usize) {
+        let (mut first_step, mut interior) = (0, 0);
+        for tile in farm.seed() {
+            let mut got = Vec::new();
+            farm.for_each_escape(tile, |px, py, n| got.push((px, py, n)));
+            let x0 = tile.tx * farm.tile;
+            let y0 = tile.ty * farm.tile;
+            let want: Vec<_> = (y0..(y0 + farm.tile).min(farm.height))
+                .flat_map(|py| (x0..(x0 + farm.tile).min(farm.width)).map(move |px| (px, py)))
+                .map(|(px, py)| (px, py, farm.escape(px, py)))
+                .collect();
+            assert_eq!(got, want, "{farm:?}, {tile:?}");
+            first_step += got.iter().filter(|p| p.2 == 1).count();
+            interior += got.iter().filter(|p| p.2 == farm.max_iter).count();
+        }
+        (first_step, interior)
+    }
+
+    #[test]
+    fn lanes_count_every_pixel_as_the_one_pixel_loop_does() {
+        for max_iter in [1, 2, 1500] {
+            // Mixed lanes, 13-px tiles: no tile area (169, 78, 117, 54)
+            // is a whole number of lane groups.
+            let ragged = MandelbrotFarm::classic(97, 61, 13, max_iter);
+            const { assert!((13 * 13) % LANES != 0) };
+            let (first_step, interior) = lanes_match_escape(&ragged);
+            assert!(first_step > 0 && interior > 0);
+            // Mixed lanes on the boundary: the benchmark's region.
+            lanes_match_escape(&MandelbrotFarm::seahorse(40, 30, 20, max_iter));
+            // Every lane escapes on the first step (|c| > 2 everywhere).
+            let outside = view((2.1, 3.0), (2.1, 3.0), 12, 9, 5, max_iter);
+            assert_eq!(lanes_match_escape(&outside).0, 12 * 9);
+            // No lane ever escapes: inside the main cardioid.
+            let inside = view((-0.2, 0.0), (-0.1, 0.1), 16, 16, 8, max_iter);
+            assert_eq!(lanes_match_escape(&inside).1, 16 * 16);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "tile edge must be positive")]
+    fn a_zero_tile_edge_is_refused_up_front() {
+        MandelbrotFarm::classic(64, 48, 0, 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "image must have at least one pixel")]
+    fn an_empty_image_is_refused_up_front() {
+        MandelbrotFarm::seahorse(0, 48, 8, 100);
     }
 }

@@ -6,9 +6,9 @@
 //! quantizer. Tiles are packed and unpacked with the mesh archetype's
 //! [`Block2`] fast paths: the blur and gradient stencils read neighbour
 //! pixels, so each stage unpacks its tile into a ghost-bordered block
-//! (edge-replicated ghosts), applies the stencil, and packs the interior
-//! back into the wire format — exactly the mesh-spectral ghost-cell
-//! discipline, reused at tile granularity.
+//! (edge-replicated ghosts), applies the stencil a row slice at a time,
+//! and writes the interior back into the wire format — exactly the
+//! mesh-spectral ghost-cell discipline, reused at tile granularity.
 //!
 //! The emitted summary folds tiles *in stream order* with an
 //! order-sensitive checksum, so any reordering anywhere in the pipeline
@@ -50,15 +50,33 @@ impl Payload for ImageTile {
 /// Refresh a tile block's one-cell ghost border with edge-replicated
 /// values (the stencils clamp at tile borders), corners included.
 fn replicate_ghosts(b: &mut Block2<f64>) {
-    let (h, w) = (b.nx as isize, b.ny as isize);
-    for j in 0..w {
-        b.set(-1, j, b.at(0, j));
-        b.set(h, j, b.at(h - 1, j));
+    let (h, w) = (b.nx as isize, b.ny);
+    for i in 0..h {
+        let row = b.row_mut(i);
+        row[0] = row[1];
+        row[w + 1] = row[w];
     }
-    for i in -1..=h {
-        b.set(i, -1, b.at(i, 0));
-        b.set(i, w, b.at(i, w - 1));
+    // The ghost rows copy whole edge rows, their side ghosts included.
+    for (ghost, edge) in [(-1, 0), (h, h - 1)] {
+        for j in 0..w + 2 {
+            let v = b.row(edge)[j];
+            b.row_mut(ghost)[j] = v;
+        }
     }
+}
+
+/// The five-point neighbourhood of row `i`'s `w` interior cells as
+/// `[west, centre, east, north, south]`, each exactly `w` long, so a
+/// stencil loop over them has no bounds check left to make.
+fn neighbours(b: &Block2<f64>, i: isize, w: usize) -> [&[f64]; 5] {
+    let row = b.row(i);
+    [
+        &row[..w],
+        &row[1..=w],
+        &row[2..w + 2],
+        &b.row(i - 1)[1..=w],
+        &b.row(i + 1)[1..=w],
+    ]
 }
 
 impl ImageTile {
@@ -92,25 +110,22 @@ pub struct BlurStage {
 
 impl Stage<ImageTile> for BlurStage {
     fn transform(&self, _seq: u64, mut tile: ImageTile) -> ImageTile {
-        let (w, h) = (tile.w as isize, tile.h as isize);
-        let mut b = tile.to_block();
+        let w = tile.w as usize;
+        let mut src = tile.to_block();
+        let mut dst = src.clone();
         for _ in 0..self.passes {
-            let src = b.clone();
-            for i in 0..h {
+            for i in 0..tile.h as isize {
+                let [west, mid, east, north, south] = neighbours(&src, i, w);
+                let out = &mut dst.row_mut(i)[1..=w];
                 for j in 0..w {
-                    let v = 0.2
-                        * (src.at(i, j)
-                            + src.at(i - 1, j)
-                            + src.at(i + 1, j)
-                            + src.at(i, j - 1)
-                            + src.at(i, j + 1));
-                    b.set(i, j, v);
+                    out[j] = 0.2 * (mid[j] + north[j] + south[j] + west[j] + east[j]);
                 }
             }
             // Refresh the replicated ghosts for the next pass.
-            replicate_ghosts(&mut b);
+            replicate_ghosts(&mut dst);
+            std::mem::swap(&mut src, &mut dst);
         }
-        tile.load_block(&b);
+        tile.load_block(&src);
         tile
     }
 
@@ -129,17 +144,17 @@ pub struct GradientStage;
 
 impl Stage<ImageTile> for GradientStage {
     fn transform(&self, _seq: u64, mut tile: ImageTile) -> ImageTile {
-        let (w, h) = (tile.w as isize, tile.h as isize);
+        let w = tile.w as usize;
         let src = tile.to_block();
-        let mut b = src.clone();
-        for i in 0..h {
+        for i in 0..tile.h as usize {
+            let [west, _, east, north, south] = neighbours(&src, i as isize, w);
+            let out = &mut tile.pixels[i * w..(i + 1) * w];
             for j in 0..w {
-                let gx = src.at(i, j + 1) - src.at(i, j - 1);
-                let gy = src.at(i + 1, j) - src.at(i - 1, j);
-                b.set(i, j, 0.5 * (gx.abs() + gy.abs()));
+                let gx = east[j] - west[j];
+                let gy = south[j] - north[j];
+                out[j] = 0.5 * (gx.abs() + gy.abs());
             }
         }
-        tile.load_block(&b);
         tile
     }
 
@@ -239,12 +254,22 @@ impl ImageChain {
     /// sharp diagonal ridge, so blurring and edge detection both have
     /// something to chew on.
     pub fn source_pixel(&self, px: u32, py: u32) -> f64 {
-        let x = f64::from(px);
-        let y = f64::from(py);
-        let smooth = 0.5 + 0.25 * (0.07 * x).sin() * (0.05 * y).cos();
-        let ridge = if (px + py) % 97 < 3 { 0.4 } else { 0.0 };
-        smooth + ridge
+        shade(
+            (0.07 * f64::from(px)).sin(),
+            (0.05 * f64::from(py)).cos(),
+            px,
+            py,
+        )
     }
+}
+
+/// [`ImageChain::source_pixel`] from its two separable factors,
+/// `sin(0.07 x)` and `cos(0.05 y)`, so a tile computes each once per
+/// column and once per row.
+fn shade(sin_x: f64, cos_y: f64, px: u32, py: u32) -> f64 {
+    let smooth = 0.5 + 0.25 * sin_x * cos_y;
+    let ridge = if (px + py) % 97 < 3 { 0.4 } else { 0.0 };
+    smooth + ridge
 }
 
 impl Pipeline for ImageChain {
@@ -262,13 +287,17 @@ impl Pipeline for ImageChain {
         let y0 = ty * self.tile;
         let w = self.tile.min(self.width - x0);
         let h = self.tile.min(self.height - y0);
-        // Fill a (ghost-free) block and pack its rows into wire format —
-        // the same contiguous fast path the mesh ghost exchange uses.
-        let mut b = Block2::new(h as usize, w as usize, 0, 0.0);
-        b.fill_interior(|i, j| self.source_pixel(x0 + j as u32, y0 + i as u32));
+        let sin_x: Vec<f64> = (x0..x0 + w)
+            .map(|px| (0.07 * f64::from(px)).sin())
+            .collect();
         let mut pixels = Vec::with_capacity((w * h) as usize);
-        for i in 0..h as usize {
-            b.pack_into(i as isize, 0, 0, 1, w as usize, &mut pixels);
+        for py in y0..y0 + h {
+            let cos_y = (0.05 * f64::from(py)).cos();
+            pixels.extend(
+                (x0..)
+                    .zip(&sin_x)
+                    .map(|(px, &sin_x)| shade(sin_x, cos_y, px, py)),
+            );
         }
         Some(ImageTile {
             tx,
@@ -391,5 +420,136 @@ mod tests {
         let mut copy = tile.clone();
         copy.load_block(&tile.to_block());
         assert_eq!(copy, tile);
+    }
+
+    /// Version 1 of the stencils — per cell through `Block2::at`/`set`,
+    /// one clone per blur pass — kept as the labelled oracles the
+    /// row-slice kernels must match bit for bit.
+    mod per_cell {
+        use super::*;
+
+        fn replicate_ghosts(b: &mut Block2<f64>) {
+            let (h, w) = (b.nx as isize, b.ny as isize);
+            for j in 0..w {
+                b.set(-1, j, b.at(0, j));
+                b.set(h, j, b.at(h - 1, j));
+            }
+            for i in -1..=h {
+                b.set(i, -1, b.at(i, 0));
+                b.set(i, w, b.at(i, w - 1));
+            }
+        }
+
+        fn to_block(tile: &ImageTile) -> Block2<f64> {
+            let (w, h) = (tile.w as isize, tile.h as isize);
+            let mut b = Block2::new(h as usize, w as usize, 1, 0.0);
+            for i in 0..h {
+                for j in 0..w {
+                    b.set(i, j, tile.pixels[(i * w + j) as usize]);
+                }
+            }
+            replicate_ghosts(&mut b);
+            b
+        }
+
+        fn interior(tile: &mut ImageTile, b: &Block2<f64>) {
+            let (w, h) = (tile.w as isize, tile.h as isize);
+            tile.pixels = (0..h)
+                .flat_map(|i| (0..w).map(move |j| b.at(i, j)))
+                .collect();
+        }
+
+        pub fn blur(passes: u32, mut tile: ImageTile) -> ImageTile {
+            let (w, h) = (tile.w as isize, tile.h as isize);
+            let mut b = to_block(&tile);
+            for _ in 0..passes {
+                let src = b.clone();
+                for i in 0..h {
+                    for j in 0..w {
+                        let v = 0.2
+                            * (src.at(i, j)
+                                + src.at(i - 1, j)
+                                + src.at(i + 1, j)
+                                + src.at(i, j - 1)
+                                + src.at(i, j + 1));
+                        b.set(i, j, v);
+                    }
+                }
+                replicate_ghosts(&mut b);
+            }
+            interior(&mut tile, &b);
+            tile
+        }
+
+        pub fn gradient(mut tile: ImageTile) -> ImageTile {
+            let (w, h) = (tile.w as isize, tile.h as isize);
+            let src = to_block(&tile);
+            let mut b = src.clone();
+            for i in 0..h {
+                for j in 0..w {
+                    let gx = src.at(i, j + 1) - src.at(i, j - 1);
+                    let gy = src.at(i + 1, j) - src.at(i - 1, j);
+                    b.set(i, j, 0.5 * (gx.abs() + gy.abs()));
+                }
+            }
+            interior(&mut tile, &b);
+            tile
+        }
+    }
+
+    /// A `w × h` tile of irregular values in `[0, 1)`, so neither
+    /// stencil sees a symmetry that could hide a swapped neighbour.
+    fn scrambled_tile(w: u32, h: u32) -> ImageTile {
+        let pixels = (0..u64::from(w * h))
+            .map(|k| {
+                let x = (k + 1).wrapping_mul(0x9e3779b97f4a7c15) ^ (k << 29);
+                (x >> 11) as f64 / (1u64 << 53) as f64
+            })
+            .collect();
+        ImageTile {
+            tx: 0,
+            ty: 0,
+            w,
+            h,
+            pixels,
+        }
+    }
+
+    fn bits(t: &ImageTile) -> Vec<u64> {
+        t.pixels.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn row_stencils_match_the_per_cell_oracles_bit_for_bit() {
+        for w in [1, 2, 3, 31, 32, 33] {
+            for h in [1, 2, 3, 31, 32, 33] {
+                let tile = scrambled_tile(w, h);
+                for passes in [0, 1, 2, 24] {
+                    let got = BlurStage { passes }.transform(0, tile.clone());
+                    let want = per_cell::blur(passes, tile.clone());
+                    assert_eq!(bits(&got), bits(&want), "blur {w}x{h}, {passes} passes");
+                    assert_eq!((got.w, got.h), (w, h));
+                    let got = GradientStage.transform(0, got);
+                    let want = per_cell::gradient(want);
+                    assert_eq!(bits(&got), bits(&want), "gradient {w}x{h}, {passes} passes");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ingest_is_source_pixel_on_every_pixel() {
+        let chain = ImageChain::new(100, 70, 13, 0);
+        for seq in 0.. {
+            let Some(tile) = chain.ingest(seq) else {
+                break;
+            };
+            let (x0, y0) = (tile.tx * 13, tile.ty * 13);
+            let want: Vec<u64> = (y0..y0 + tile.h)
+                .flat_map(|py| (x0..x0 + tile.w).map(move |px| (px, py)))
+                .map(|(px, py)| chain.source_pixel(px, py).to_bits())
+                .collect();
+            assert_eq!(bits(&tile), want, "tile {seq}");
+        }
     }
 }

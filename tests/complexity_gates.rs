@@ -16,9 +16,13 @@ use parallel_archetypes::compose::{
 use parallel_archetypes::core::archetype::ONE_DEEP_DC;
 use parallel_archetypes::core::{ArchetypeInfo, ExecutionMode, PhaseTrace};
 use parallel_archetypes::dc::traditional::merge_two;
+use parallel_archetypes::farm::apps::MandelbrotFarm;
+use parallel_archetypes::farm::{run_farm, FarmConfig};
 use parallel_archetypes::mesh::apps::poisson::{poisson_shared, poisson_spmd, PoissonSpec};
 use parallel_archetypes::mp::topology::block_range;
 use parallel_archetypes::mp::{run_spmd, Ctx, MachineModel, ProcessGrid2};
+use parallel_archetypes::pipeline::apps::{BlurStage, GradientStage, ImageChain};
+use parallel_archetypes::pipeline::{Pipeline, Stage};
 
 thread_local! {
     /// `(allocations, bytes requested)` by this thread so far. Const
@@ -254,5 +258,62 @@ fn a_warm_plan_service_batch_allocates_nothing_per_iteration() {
     assert_eq!(
         short, long,
         "three times the sweeps in 64 plans must not allocate once more"
+    );
+}
+
+/// Bytes of a tile's one-cell ghost-bordered block.
+fn ghost_block_bytes(w: u32, h: u32) -> u64 {
+    8 * u64::from((w + 2) * (h + 2))
+}
+
+#[test]
+fn the_blur_allocates_two_ghost_blocks_whatever_the_pass_count() {
+    // A ragged edge tile and a whole tile of the benchmark's chain.
+    for (chain, seq) in [
+        (ImageChain::new(100, 70, 13, 0), 47),
+        (ImageChain::new(512, 384, 32, 0), 0),
+    ] {
+        let tile = chain.ingest(seq).expect("the tile exists");
+        let ghost_block = ghost_block_bytes(tile.w, tile.h);
+        for passes in [1, 24] {
+            let input = tile.clone();
+            let (_, count, bytes) = allocations_of(|| BlurStage { passes }.transform(seq, input));
+            assert_eq!(
+                (count, bytes),
+                (2, 2 * ghost_block),
+                "{passes} passes: the two swapped blocks, never one per pass"
+            );
+        }
+    }
+}
+
+#[test]
+fn the_gradient_allocates_its_ghost_block_and_nothing_else() {
+    let chain = ImageChain::new(100, 70, 13, 0);
+    for seq in [0, 7, 47] {
+        let tile = chain.ingest(seq).expect("the tile exists");
+        let ghost_block = ghost_block_bytes(tile.w, tile.h);
+        let (_, count, bytes) = allocations_of(|| GradientStage.transform(seq, tile));
+        assert_eq!((count, bytes), (1, ghost_block), "tile {seq}");
+    }
+}
+
+#[test]
+fn a_mandelbrot_render_allocates_nothing_per_iteration() {
+    let allocations = |max_iter: u32| {
+        let farm = MandelbrotFarm::seahorse(60, 40, 20, max_iter);
+        let out = run_spmd(1, MachineModel::ibm_sp(), move |ctx| {
+            allocations_of(|| run_farm(&farm, ctx, FarmConfig::default())).1
+        });
+        out.results[0]
+    };
+    let (short, long) = (allocations(100), allocations(1500));
+    assert!(
+        short > 0,
+        "the counter counts: the farm allocates its queue"
+    );
+    assert_eq!(
+        short, long,
+        "15 times the iterations must not allocate once more"
     );
 }

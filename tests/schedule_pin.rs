@@ -4,11 +4,18 @@
 //! (per-rank virtual clocks), recorded while the queue was still a
 //! `BinaryHeap<Entry>`, so an order slip in the priority-bucketed queue
 //! shows as an integer diff and not as a timing.
+//!
+//! The Mandelbrot and image-chain pins were recorded from the one-pixel
+//! escape loop and the per-cell `at`/`set` stencils, before the kernels
+//! were rewritten to lockstep lanes and row slices: the renders, raw
+//! stage outputs and per-rank clocks must not move by a bit.
 
 use parallel_archetypes::bnb::{solve_farm, BnbStats, Knapsack};
-use parallel_archetypes::farm::apps::{GridSweepFarm, SweepFarm};
+use parallel_archetypes::farm::apps::{GridSweepFarm, MandelOut, MandelbrotFarm, SweepFarm};
 use parallel_archetypes::farm::{run_farm, Farm, FarmConfig, FarmStats};
 use parallel_archetypes::mp::{run_spmd, MachineModel, SpmdResult};
+use parallel_archetypes::pipeline::apps::ImageChain;
+use parallel_archetypes::pipeline::{run_pipeline, Pipeline, PipelineConfig};
 
 mod common;
 use common::assert_bit_identical_runs;
@@ -170,5 +177,244 @@ fn sweep_schedules_are_the_recorded_ones() {
         let (got, got_clocks) = farm_run(&adaptive, p);
         assert_eq!(got, want, "adaptive sweep p={p}");
         assert_eq!(got_clocks, clocks, "adaptive sweep clocks p={p}");
+    }
+}
+
+/// The render and per-rank final clocks (as bit patterns) of `farm` on
+/// `p` ranks under `FarmConfig::default()`.
+fn mandel_run(farm: &MandelbrotFarm, p: usize) -> (MandelOut, Vec<u64>) {
+    let out = run_spmd(p, MachineModel::ibm_sp(), |ctx| {
+        run_farm(farm, ctx, FarmConfig::default()).0
+    });
+    assert!(out.results.iter().all(|o| *o == out.results[0]));
+    (
+        out.results[0],
+        out.rank_times.iter().map(|t| t.to_bits()).collect(),
+    )
+}
+
+/// The summary (`tiles`, `checksum`, `sum` and `max` bits) and per-rank
+/// final clock bits of `chain` on `p` ranks.
+fn chain_run(chain: &ImageChain, p: usize) -> ([u64; 4], Vec<u64>) {
+    let out = run_spmd(p, MachineModel::ibm_sp(), |ctx| {
+        run_pipeline(chain, ctx, PipelineConfig::default()).0
+    });
+    assert!(out.results.iter().all(|s| *s == out.results[0]));
+    let s = out.results[0];
+    (
+        [s.tiles, s.checksum, s.sum.to_bits(), s.max.to_bits()],
+        out.rank_times.iter().map(|t| t.to_bits()).collect(),
+    )
+}
+
+/// FNV-1a over the raw pixel bits of every tile in stream order, as
+/// ingested and after each stage: what the quantiser would hide (it maps
+/// most one-ulp blur differences to the same level).
+fn raw_stage_hash(chain: &ImageChain) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    let mut fold = |pixels: &[f64]| {
+        for v in pixels {
+            h ^= v.to_bits();
+            h = h.wrapping_mul(0x100000001b3);
+        }
+    };
+    for seq in 0.. {
+        let Some(mut tile) = chain.ingest(seq) else {
+            break;
+        };
+        fold(&tile.pixels);
+        for stage in chain.stages() {
+            tile = stage.transform(seq, tile);
+            fold(&tile.pixels);
+        }
+    }
+    h
+}
+
+#[test]
+fn mandelbrot_renders_and_clocks_are_the_recorded_ones() {
+    // The benchmark's render: 7 768 of its 19 200 pixels run all 1 500
+    // iterations.
+    let seahorse = MandelbrotFarm::seahorse(160, 120, 20, 1500);
+    let want = MandelOut {
+        tiles: 48,
+        iters: 12_577_756,
+        inside: 7768,
+        checksum: 0x07808bf19329a5fa,
+    };
+    let recorded: [(usize, &[u64]); 4] = [
+        (1, &[0x3ff41fe35fb648fe]),
+        (2, &[0x3fe6c27c189e0071, 0x3fe6c2264aed641f]),
+        (
+            4,
+            &[
+                0x3fdf11d6f01d8ff4,
+                0x3fdf11c4d7afbc37,
+                0x3fdf12828b7ec898,
+                0x3fdf11d6f01d8ff4,
+            ],
+        ),
+        (
+            8,
+            &[
+                0x3fd72295563dfa2d,
+                0x3fd722833dd02670,
+                0x3fd72340f19f32d1,
+                0x3fd72295563dfa2d,
+                0x3fd72340f19f32d1,
+                0x3fd7232ed9315f14,
+                0x3fd723ec8d006b75,
+                0x3fd72340f19f32d1,
+            ],
+        ),
+    ];
+    for (p, clocks) in recorded {
+        assert_eq!(
+            mandel_run(&seahorse, p),
+            (want, clocks.to_vec()),
+            "seahorse p={p}"
+        );
+    }
+
+    // Ragged: 13-px tiles leave edge tiles 6 wide and 9 high, and no
+    // tile's area (169, 78, 117, 54) is a multiple of eight.
+    let classic = MandelbrotFarm::classic(97, 61, 13, 300);
+    let want = MandelOut {
+        tiles: 40,
+        iters: 406_977,
+        inside: 1265,
+        checksum: 0xd47f68e6b6f29044,
+    };
+    let recorded: [(usize, &[u64]); 4] = [
+        (1, &[0x3fa4d760a48585e4]),
+        (2, &[0x3f95665580c11e29, 0x3f955b9bcaad93ea]),
+        (
+            4,
+            &[
+                0x3f900f092c36079c,
+                0x3f900de7a558cbce,
+                0x3f9019c2e24991db,
+                0x3f900f092c36079c,
+            ],
+        ),
+        (
+            8,
+            &[
+                0x3f8f10c288877ea3,
+                0x3f8f0e7f7acd0706,
+                0x3f8f2635f4ae9321,
+                0x3f8f10c288877ea3,
+                0x3f8f2635f4ae9321,
+                0x3f8f23f2e6f41b84,
+                0x3f8f3ba960d5a79f,
+                0x3f8f2635f4ae9321,
+            ],
+        ),
+    ];
+    for (p, clocks) in recorded {
+        assert_eq!(
+            mandel_run(&classic, p),
+            (want, clocks.to_vec()),
+            "classic p={p}"
+        );
+    }
+}
+
+#[test]
+fn image_chain_summaries_clocks_and_raw_pixels_are_the_recorded_ones() {
+    // The benchmark's chain.
+    let chain = ImageChain::new(512, 384, 32, 24);
+    assert_eq!(raw_stage_hash(&chain), 0x7b07d70bb6528f08);
+    let want = [
+        0xc0,
+        0x39fb1aef9020f365,
+        0x406a700000000000,
+        0x3fa0000000000000,
+    ];
+    let recorded: [(usize, &[u64]); 5] = [
+        (1, &[0x3fd380eea7e8e7a6]),
+        (2, &[0x3fd365f73709c500, 0x3fd366a79d8d2b8f]),
+        (
+            3,
+            &[0x3fd36b6c782f97b4, 0x3fd36aa718f6a842, 0x3fd36b4286c485ee],
+        ),
+        (
+            5,
+            &[
+                0x3fd275666ac93a40,
+                0x3fd274a10b904ace,
+                0x3fd274a5d6b278b9,
+                0x3fd2753c795e287a,
+                0x3fd275563d35df48,
+            ],
+        ),
+        (
+            8,
+            &[
+                0x3fb2d02eef8df312,
+                0x3fb2d2f0899b8d4d,
+                0x3fb2cfee39408730,
+                0x3fb2d02eef8df312,
+                0x3fb2cd6d558058d7,
+                0x3fb2d02eef8df312,
+                0x3fb2cd2c9f32ecf5,
+                0x3fb2cd6d558058d7,
+            ],
+        ),
+    ];
+    for (p, clocks) in recorded {
+        assert_eq!(
+            chain_run(&chain, p),
+            (want, clocks.to_vec()),
+            "512x384 p={p}"
+        );
+    }
+
+    // Ragged 13-px tiles (edge tiles 9 wide, 5 high) and few passes.
+    let chain = ImageChain::new(100, 70, 13, 5);
+    assert_eq!(raw_stage_hash(&chain), 0x236493bffccd76d2);
+    let want = [
+        0x30,
+        0x4329568c9e543c35,
+        0x4042800000000000,
+        0x3fc0000000000000,
+    ];
+    let recorded: [(usize, &[u64]); 5] = [
+        (1, &[0x3f678705425f2021]),
+        (2, &[0x3f6b926eb32999c3, 0x3f6beaa1f4dce128]),
+        (
+            3,
+            &[0x3f700fdb82d4613f, 0x3f6fbd0769310966, 0x3f70055f280fef8b],
+        ),
+        (
+            5,
+            &[
+                0x3f6d10d170ea1ca7,
+                0x3f6cae21d472638e,
+                0x3f6cb087658958f9,
+                0x3f6cfbd8bb61393f,
+                0x3f6d08baa73ca05e,
+            ],
+        ),
+        (
+            8,
+            &[
+                0x3f6d711b7c4ae055,
+                0x3f6dc94ebdfe27ba,
+                0x3f6d6904b29d640c,
+                0x3f6d711b7c4ae055,
+                0x3f6d18e83a9798f0,
+                0x3f6d711b7c4ae055,
+                0x3f6d10d170ea1ca7,
+                0x3f6d18e83a9798f0,
+            ],
+        ),
+    ];
+    for (p, clocks) in recorded {
+        assert_eq!(
+            chain_run(&chain, p),
+            (want, clocks.to_vec()),
+            "100x70 p={p}"
+        );
     }
 }

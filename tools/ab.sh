@@ -2,7 +2,7 @@
 # A/B the frozen benchmark: the working tree ("change") against a parent ref.
 #
 #   tools/ab.sh <parent-ref> [--pairs N] [--seconds S]
-#               [--claim <workload>:<metric>] [workload...]
+#               [--claim <workload>:<metric>] [--layers] [workload...]
 #
 # Both sides are built from clean copies under the git-ignored .bench_build/
 # (parent: `git archive <ref>`; change: the working tree's tracked and
@@ -19,6 +19,10 @@
 # change wins at least nine in ten of the pairs, and its median is better than
 # the parent's by more than the distance between the parent's quartiles. The
 # exit status does not depend on it (1 only if an operation failed).
+# With --layers, one traced run (`--trace 1`, seed 1) per side per workload
+# follows the pairs, and a table headed `<workload> per-layer metric` lists
+# every per-layer metric of BENCHMARK.json as parent -> change with the ratio
+# of the two: where a saving sits, from one run each, so no spread is given.
 #
 # Defaults: 10 pairs, the benchmark's own run length, every workload.
 # The ranks are pinned one per core: run nothing else meanwhile.
@@ -38,12 +42,14 @@ shift
 pairs=10
 seconds=
 claim=
+layers=
 workloads=()
 while [ $# -gt 0 ]; do
     case $1 in
         --pairs) pairs=${2:?--pairs takes a count}; shift 2 ;;
         --seconds) seconds=${2:?--seconds takes a number}; shift 2 ;;
         --claim) claim=${2:?--claim takes <workload>:<metric>}; shift 2 ;;
+        --layers) layers=1; shift ;;
         -h | --help) usage ;;
         -*) echo "unknown option $1" >&2; usage ;;
         *) workloads+=("$1"); shift ;;
@@ -83,10 +89,14 @@ git ls-files -co --exclude-standard -z |
     while IFS= read -r -d '' f; do [ -e "$f" ] && printf '%s\0' "$f"; done |
     tar -c --null -T - | refresh change
 
-run_side() { # <side> <workload> <seed>
-    local bin=$build/$1/benchmark/target/release/archetype-benchmark
-    "$bin" run --workload "$2" --seed "$3" ${seconds:+--seconds "$seconds"} >/dev/null
-    cp "$build/$1/benchmark/out/$2.trace0.json" "$runs/$2.$1.seed$3.json"
+run_side() { # <side> <workload> <seed> [trace]
+    local bin=$build/$1/benchmark/target/release/archetype-benchmark trace=${4:-0}
+    "$bin" run --workload "$2" --seed "$3" --trace "$trace" ${seconds:+--seconds "$seconds"} >/dev/null
+    if [ "$trace" = 1 ]; then
+        cp "$build/$1/benchmark/out/$2.trace1.json" "$runs/$2.$1.layers.json"
+    else
+        cp "$build/$1/benchmark/out/$2.trace0.json" "$runs/$2.$1.seed$3.json"
+    fi
 }
 
 for workload in "${workloads[@]}"; do
@@ -98,12 +108,22 @@ for workload in "${workloads[@]}"; do
         done
     done
 done
+if [ -n "$layers" ]; then
+    for workload in "${workloads[@]}"; do
+        for side in parent change; do
+            echo "# $workload traced run: $side" >&2
+            run_side "$side" "$workload" 1 1
+        done
+    done
+fi
 
-python3 - "$runs" "$pairs" "$claim" "${workloads[@]}" <<'EOF'
+python3 - "$runs" "$pairs" "$claim" "$layers" "${workloads[@]}" <<'EOF'
 import json, statistics, sys
 
-runs, pairs, claim, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4:]
-metrics = json.load(open("BENCHMARK.json"))["end_to_end"]
+runs, pairs, claim, layers, workloads = (
+    sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4], sys.argv[5:])
+bench = json.load(open("BENCHMARK.json"))
+metrics = bench["end_to_end"]
 
 
 def quartiles(xs):
@@ -146,6 +166,21 @@ for w in workloads:
                 f"CLAIM {'MET' if met else 'NOT MET'}: {claim} won {won}/{pairs} pairs, "
                 f"medians {pm:.4g} -> {cm:.4g}, parent quartiles {q3 - q1:.4g} apart"
             )
+fmt = lambda v: "n/a" if v is None else f"{v:.5g}"
+if layers:
+    for w in workloads:
+        side = {s: json.load(open(f"{runs}/{w}.{s}.layers.json")) for s in ("parent", "change")}
+        for s, r in side.items():
+            failed += r["failed"]
+            print(f"# {w} traced {s}: failed ops {r['failed']} of {r['attempted']}")
+        print(f"{w:18} {'per-layer metric':42} {'parent':>12}    {'change':>12} {'ratio':>7}  unit")
+        for m in bench["per_layer"]:
+            name = m["name"]
+            p, c = (side[s]["metrics"].get(name, {}).get("value") for s in ("parent", "change"))
+            if p is None and c is None:
+                continue
+            ratio = f"{c / p:.3f}" if p and c is not None else "n/a"
+            print(f"{'':18} {name:42} {fmt(p):>12} -> {fmt(c):>12} {ratio:>7}  {m['unit']}")
 if claim:
     print(verdict or f"CLAIM NOT MET: {claim} was not measured (not a workload run, or not an end-to-end metric)")
 sys.exit(1 if failed else 0)
