@@ -9,7 +9,7 @@
 //! like a branch-and-bound incumbent.
 //!
 //! Two kinds of irregularity stress the skeleton at once: the *cost* of
-//! one evaluation varies by ~300× across the parameter (a geometric
+//! one evaluation varies by ~115× across the parameter (a geometric
 //! series whose ratio depends on the parameter must be summed to
 //! convergence), and the *shape* of the task tree depends on where the
 //! maxima happen to be. Because the bound is admissible, the final best
@@ -25,6 +25,10 @@ const LIPSCHITZ: f64 = 25.0;
 
 /// Modeled flop-equivalents per series term of one evaluation.
 const FLOPS_PER_TERM: f64 = 20.0;
+
+/// Points one [`GridSweepFarm`] task evaluates, their series stepped in
+/// lockstep by `SweepFarm::terms_lanes`.
+const LANES: usize = 8;
 
 /// One sweep task: an interval, its bisection depth, and an admissible
 /// upper bound on the objective at any midpoint evaluated inside it.
@@ -88,17 +92,74 @@ impl SweepFarm {
         (5.0 * x).sin() + 0.6 * (17.0 * x + 1.0).sin() + 0.3 * (31.0 * x).sin()
     }
 
+    /// The series ratio `q(x) = 0.3 + 0.69·|sin(13x)|`.
+    fn ratio(x: f64) -> f64 {
+        0.3 + 0.69 * (13.0 * x).sin().abs()
+    }
+
     /// Number of series terms an evaluation at `x` must sum: the ratio
-    /// `q(x) = 0.3 + 0.69·|sin(13x)|` approaches 1 near the resonances,
-    /// where convergence — and therefore the task — becomes ~300× more
-    /// expensive than in the fast-converging regions.
+    /// `q(x)` approaches 1 near the resonances, where convergence — and
+    /// therefore the task — becomes ~115× more expensive than in the
+    /// fast-converging regions (2 062 terms at `q = 0.99`, 18 at
+    /// `q = 0.3`).
     pub fn eval_terms(x: f64) -> u64 {
-        let q = 0.3 + 0.69 * (13.0 * x).sin().abs();
+        let q = Self::ratio(x);
         let mut term = 1.0f64;
         let mut k = 0u64;
         while term > 1e-9 {
             term *= q;
             k += 1;
+        }
+        k
+    }
+
+    /// The term counts of `LANES` series with ratios `q` (each in
+    /// `[0, 1)`) at once. One series is a chain of dependent multiplies,
+    /// so a single chain leaves the core waiting on latency; stepping
+    /// independent series in lockstep fills it. A lane multiplies
+    /// exactly as `eval_terms` does and counts a step only while its term
+    /// is above 1e-9, so every count equals `eval_terms`'s.
+    ///
+    /// Only the multiply is on a lane's chain. A lane past the cut-off
+    /// keeps multiplying, which cannot lift its term back over it, and
+    /// every 16 steps a bit-mask select zeroes it: left alone, a lane
+    /// with ratio 0.3 would reach the slow subnormal range ~570 steps
+    /// after finishing, while the lane beside it may run 2 062. Freezing
+    /// the term at every step instead put the compare and select on the
+    /// chain too: the kernel over the 6 000-point grid took 0.86–1.2 ms
+    /// that way against 0.44 (the one-point loop: 1.97; 2-vCPU VM). Once
+    /// fewer than two lanes are live, the last one finishes alone rather
+    /// than dragging seven finished lanes through its tail. The kernel
+    /// stays out of line, as `MandelbrotFarm`'s escape lanes do: inlined
+    /// into its callers it took the 6 000-point cold price from 0.52 to
+    /// 0.98 ms.
+    #[inline(never)]
+    fn terms_lanes(q: &[f64; LANES]) -> [u64; LANES] {
+        let mut term = [1.0f64; LANES];
+        let mut k = [0u64; LANES];
+        loop {
+            for _ in 0..16 {
+                for l in 0..LANES {
+                    k[l] += u64::from(term[l] > 1e-9);
+                    term[l] *= q[l];
+                }
+            }
+            let mut running = 0;
+            for t in &mut term {
+                // All ones while the lane's term is above the cut-off.
+                let live = u64::from(*t > 1e-9).wrapping_neg();
+                *t = f64::from_bits(t.to_bits() & live);
+                running += live & 1;
+            }
+            if running < 2 {
+                break;
+            }
+        }
+        for l in 0..LANES {
+            while term[l] > 1e-9 {
+                term[l] *= q[l];
+                k[l] += 1;
+            }
         }
         k
     }
@@ -203,9 +264,17 @@ impl Farm for SweepFarm {
 /// when the sweep is one stage of a composed plan (`crates/compose`):
 /// its output feeds a sort and a streaming digest whose results must not
 /// depend on how the sweep was scheduled. The cost irregularity is the
-/// same ~300× per-point spread as the adaptive sweep
+/// same ~115× per-point spread as the adaptive sweep
 /// ([`SweepFarm::eval_terms`]), so the farm still stresses batching and
 /// stealing.
+///
+/// A task is a block of eight consecutive points whose series are summed
+/// in lockstep; every score, term count and flop charge is the one-point
+/// loop's. On one rank an `n`-point sweep therefore runs `⌈n/8⌉` tasks,
+/// each emitting once — `⌈n/8⌉` `reduce` calls — and allocates one
+/// block table per task plus the rank table's doublings: at most 4× the
+/// allocations, plus a constant, for 4× the points
+/// (`tests/complexity_gates.rs`).
 #[derive(Clone, Debug)]
 pub struct GridSweepFarm {
     /// Domain lower end.
@@ -224,12 +293,35 @@ impl GridSweepFarm {
         self.lo + (i as f64 + 0.5) * w
     }
 
+    /// The term counts of the block of points from `first`, lane `l`
+    /// holding point `first + l`, and how many lanes are points. The
+    /// spare lanes of a short last block get ratio 0, so they stop after
+    /// one term and never hold the others up.
+    fn block_terms(&self, first: u32) -> ([u64; LANES], usize) {
+        let live = (self.points - first).min(LANES as u32) as usize;
+        let q = std::array::from_fn(|l| {
+            if l < live {
+                SweepFarm::ratio(self.x(first + l as u32))
+            } else {
+                0.0
+            }
+        });
+        (SweepFarm::terms_lanes(&q), live)
+    }
+
     /// Modeled flop-equivalents of the whole sweep — the
     /// machine-independent work estimate a composition allocator prices
-    /// branches with.
+    /// branches with. Counted by the farm's own lane kernel and summed
+    /// point by point in index order, so it is bit for bit the sum of
+    /// `eval_terms` over the points.
     pub fn total_flops(&self) -> f64 {
         (0..self.points)
-            .map(|i| SweepFarm::eval_terms(self.x(i)) as f64 * FLOPS_PER_TERM)
+            .step_by(LANES)
+            .flat_map(|first| {
+                let (terms, live) = self.block_terms(first);
+                terms.into_iter().take(live)
+            })
+            .map(|terms| terms as f64 * FLOPS_PER_TERM)
             .sum()
     }
 
@@ -242,19 +334,25 @@ impl GridSweepFarm {
 }
 
 impl Farm for GridSweepFarm {
-    type Task = u32; // point index
+    type Task = u32; // first point index of a block of `LANES`
     type Out = Vec<(u32, f64)>; // (index, score), sorted by index
     type Hint = ();
 
     fn seed(&self) -> Vec<u32> {
-        (0..self.points).collect()
+        (0..self.points).step_by(LANES).collect()
     }
 
-    fn work(&self, i: u32, scope: &mut WorkScope<'_, Self>) {
-        let x = self.x(i);
-        let terms = SweepFarm::eval_terms(x);
-        scope.charge_flops(terms as f64 * FLOPS_PER_TERM);
-        scope.emit(vec![(i, SweepFarm::objective(x))]);
+    fn work(&self, first: u32, scope: &mut WorkScope<'_, Self>) {
+        let (terms, live) = self.block_terms(first);
+        // Whole numbers far below 2^53: the block's charge is exactly the
+        // sum of its points' charges.
+        let block: u64 = terms[..live].iter().sum();
+        scope.charge_flops(block as f64 * FLOPS_PER_TERM);
+        scope.emit(
+            (first..first + live as u32)
+                .map(|i| (i, SweepFarm::objective(self.x(i))))
+                .collect(),
+        );
     }
 
     fn out_identity(&self) -> Vec<(u32, f64)> {
@@ -265,12 +363,12 @@ impl Farm for GridSweepFarm {
     /// associative and commutative because point indices are unique, so
     /// the merged table is schedule-independent.
     ///
-    /// [`WorkScope::emit`] calls this once per point with the rank's
+    /// [`WorkScope::emit`] calls this once per block with the rank's
     /// whole table as `a`, so it merges *into* `a`, from the back: the
     /// cost is `|b|` plus the entries of `a` above `b`'s first index.
     /// A rank draining its own deal emits ascending indices (nothing in
     /// `a` moves, its buffer grows by doubling), and a stolen
-    /// out-of-order point displaces only the tail above it — where a
+    /// out-of-order block displaces only the tail above it — where a
     /// merge into a fresh `Vec` made every emit O(|a|) and the sweep
     /// quadratic in its point count.
     fn reduce(&self, mut a: Vec<(u32, f64)>, b: Vec<(u32, f64)>) -> Vec<(u32, f64)> {
@@ -303,7 +401,7 @@ impl Farm for GridSweepFarm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::skeleton::{run_farm, FarmConfig};
+    use crate::skeleton::{run_farm, FarmConfig, SEED_FLOPS_PER_TASK};
     use archetype_mp::{run_spmd, MachineModel};
 
     fn sweep() -> SweepFarm {
@@ -394,31 +492,50 @@ mod tests {
         assert_eq!(a.rank_times, b.rank_times);
     }
 
+    /// The score table, bit for bit, and the charges are the one-point
+    /// loop's: `reference_scores`, and every point's terms plus each
+    /// rank's seed charge.
     #[test]
     fn grid_sweep_scores_are_process_count_and_model_invariant() {
-        let farm = GridSweepFarm {
-            lo: 0.0,
-            hi: 2.0,
-            points: 60,
-        };
-        let expected: Vec<(u32, f64)> = (0..60)
-            .map(|i| (i, SweepFarm::objective(farm.x(i))))
-            .collect();
-        for model in [MachineModel::ibm_sp(), MachineModel::cray_t3d()] {
-            for p in [1usize, 2, 3, 5, 8] {
-                let f = farm.clone();
-                let out = run_spmd(p, model, move |ctx| {
-                    run_farm(&f, ctx, FarmConfig::default()).0
-                });
-                for (r, got) in out.results.iter().enumerate() {
-                    assert_eq!(got, &expected, "p={p} rank={r}");
+        for points in [0, 1, 7, 8, 9, 17, 60, 6000] {
+            let farm = GridSweepFarm {
+                lo: 0.0,
+                hi: 2.0,
+                points,
+            };
+            let expected: Vec<(u32, u64)> = (0..points)
+                .zip(farm.reference_scores())
+                .map(|(i, s)| (i, s.to_bits()))
+                .collect();
+            let blocks = points.div_ceil(LANES as u32);
+            let seed_flops = f64::from(blocks.max(1)) * SEED_FLOPS_PER_TASK;
+            let term_flops = one_point_flops(&farm, 0..points);
+            for model in [MachineModel::ibm_sp(), MachineModel::cray_t3d()] {
+                for p in [1usize, 2, 3, 4, 5, 8] {
+                    let out = run_spmd(p, model, |ctx| {
+                        let (table, stats) = run_farm(&farm, ctx, FarmConfig::default());
+                        (table, stats, ctx.stats().compute_time)
+                    });
+                    let at = format!("{points} points, p={p}, {}", model.name);
+                    for (r, (table, stats, _)) in out.results.iter().enumerate() {
+                        let got: Vec<(u32, u64)> =
+                            table.iter().map(|&(i, s)| (i, s.to_bits())).collect();
+                        assert_eq!(got, expected, "{at}, rank {r}");
+                        assert_eq!(stats.executed, u64::from(blocks), "{at}");
+                    }
+                    let charged: f64 = out.results.iter().map(|r| r.2).sum();
+                    let cost = model.compute_time(p as f64 * seed_flops + term_flops);
+                    assert!(
+                        (charged - cost).abs() <= 1e-12 * cost,
+                        "{at}: charged {charged} s, the points cost {cost} s"
+                    );
                 }
             }
         }
     }
 
     /// The guard against the quadratic fold coming back: `emit` hands
-    /// `reduce` the rank's whole table as `a` once per point, so `a`'s
+    /// `reduce` the rank's whole table as `a` once per block, so `a`'s
     /// buffer must be reused, not copied into a fresh one.
     #[test]
     fn grid_sweep_reduce_merges_into_its_left_buffer() {
@@ -442,21 +559,91 @@ mod tests {
         assert_eq!(table.as_ptr(), buffer, "an empty side costs nothing");
     }
 
+    /// The one-point loop's charge for each of `points`.
+    fn one_point_flops(farm: &GridSweepFarm, points: impl Iterator<Item = u32>) -> f64 {
+        points
+            .map(|i| SweepFarm::eval_terms(farm.x(i)) as f64 * FLOPS_PER_TERM)
+            .sum()
+    }
+
     #[test]
     fn grid_sweep_total_flops_prices_the_irregular_work() {
-        let farm = GridSweepFarm {
-            lo: 0.0,
-            hi: 2.0,
-            points: 40,
-        };
-        let total = farm.total_flops();
-        assert!(total > 0.0);
-        // The estimate equals the sum of the per-point charges the farm
-        // actually makes.
-        let direct: f64 = (0..40)
-            .map(|i| SweepFarm::eval_terms(farm.x(i)) as f64 * 20.0)
-            .sum();
-        assert_eq!(total, direct);
-        assert_eq!(farm.reference_scores().len(), 40);
+        for (lo, hi, points) in [
+            (0.0, 2.0, 40),
+            (0.0, 4.0, 6000),
+            (-1.0, 2.0, 0),
+            (-1.0, 2.0, 1),
+            (0.3, 0.31, 7),
+            (-3.0, 5.0, 1001),
+        ] {
+            let farm = GridSweepFarm { lo, hi, points };
+            let total = farm.total_flops();
+            assert_eq!(
+                total.to_bits(),
+                one_point_flops(&farm, 0..points).to_bits(),
+                "[{lo}, {hi}] at {points} points"
+            );
+            assert_eq!(total > 0.0, points > 0);
+            assert_eq!(farm.reference_scores().len(), points as usize);
+        }
+    }
+
+    /// Parameters whose ratio is the floor, 0.3 (18 terms), and the
+    /// ceiling, 0.99 (2 062 terms).
+    const FAST: f64 = 0.0;
+    const SLOW: f64 = std::f64::consts::PI / 26.0;
+
+    /// The lane kernel at the ratios of `xs`, checked against
+    /// `eval_terms` at each.
+    fn lanes_match_eval_terms(xs: [f64; LANES]) -> [u64; LANES] {
+        let got = SweepFarm::terms_lanes(&xs.map(SweepFarm::ratio));
+        assert_eq!(got, xs.map(SweepFarm::eval_terms), "{xs:?}");
+        got
+    }
+
+    #[test]
+    fn lanes_count_every_series_as_the_one_point_loop_does() {
+        assert_eq!(SweepFarm::eval_terms(FAST), 18);
+        assert_eq!(SweepFarm::eval_terms(SLOW), 2062);
+        // All lanes equal: both extremes, and one in between.
+        for x in [FAST, SLOW, 0.37] {
+            lanes_match_eval_terms([x; LANES]);
+        }
+        // One long lane among short ones, in every position: once the
+        // short ones are done it finishes alone.
+        for slow in 0..LANES {
+            let mut xs = [FAST; LANES];
+            xs[slow] = SLOW;
+            let got = lanes_match_eval_terms(xs);
+            assert_eq!(got.iter().sum::<u64>(), 2062 + 7 * 18);
+        }
+        // Two long lanes run in lockstep to the end; and the extremes
+        // alternating.
+        lanes_match_eval_terms([FAST, SLOW, FAST, FAST, FAST, FAST, SLOW, FAST]);
+        lanes_match_eval_terms(std::array::from_fn(|l| [FAST, SLOW][l % 2]));
+        // A spare lane (ratio 0) counts one term.
+        let spare = SweepFarm::terms_lanes(&[0.0, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
+        assert_eq!(spare, [1, 18, 1, 1, 1, 1, 1, 1]);
+    }
+
+    #[test]
+    fn blocks_count_every_point_on_every_remainder() {
+        for remainder in 0..LANES as u32 {
+            let farm = GridSweepFarm {
+                lo: -1.0,
+                hi: 2.0,
+                points: 3 * LANES as u32 + remainder,
+            };
+            let mut counted = 0;
+            for first in farm.seed() {
+                let (terms, live) = farm.block_terms(first);
+                let points = first..(first + LANES as u32).min(farm.points);
+                assert_eq!(live, points.len(), "block {first} of {}", farm.points);
+                let want: Vec<u64> = points.map(|i| SweepFarm::eval_terms(farm.x(i))).collect();
+                assert_eq!(terms[..live], want, "block {first} of {}", farm.points);
+                counted += live;
+            }
+            assert_eq!(counted, farm.points as usize);
+        }
     }
 }

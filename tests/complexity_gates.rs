@@ -16,7 +16,7 @@ use parallel_archetypes::compose::{
 use parallel_archetypes::core::archetype::ONE_DEEP_DC;
 use parallel_archetypes::core::{ArchetypeInfo, ExecutionMode, PhaseTrace};
 use parallel_archetypes::dc::traditional::merge_two;
-use parallel_archetypes::farm::apps::MandelbrotFarm;
+use parallel_archetypes::farm::apps::{GridSweepFarm, MandelbrotFarm};
 use parallel_archetypes::farm::{run_farm, FarmConfig};
 use parallel_archetypes::mesh::apps::poisson::{poisson_shared, poisson_spmd, PoissonSpec};
 use parallel_archetypes::mp::topology::block_range;
@@ -296,6 +296,43 @@ fn the_gradient_allocates_its_ghost_block_and_nothing_else() {
         let (_, count, bytes) = allocations_of(|| GradientStage.transform(seq, tile));
         assert_eq!((count, bytes), (1, ghost_block), "tile {seq}");
     }
+}
+
+#[test]
+fn a_grid_sweep_at_four_times_the_points_folds_and_allocates_four_times() {
+    // `(tasks, allocations)` of a one-rank sweep. On one rank the
+    // skeleton calls `reduce` only from `emit`, and every emit hands it
+    // a freshly allocated block table, so allocations within a few
+    // doublings of the task count mean one emit — one `reduce` — per
+    // task (a sweep that emitted per point would allocate 8× as often).
+    let run = |points: u32| {
+        let farm = GridSweepFarm {
+            lo: 0.0,
+            hi: 4.0,
+            points,
+        };
+        let out = run_spmd(1, MachineModel::ibm_sp(), move |ctx| {
+            let ((table, stats), count, _) =
+                allocations_of(|| run_farm(&farm, ctx, FarmConfig::default()));
+            assert_eq!(table.len(), points as usize);
+            (stats.executed, count)
+        });
+        out.results[0]
+    };
+    let n = 1001;
+    let (short, long) = (run(n), run(4 * n));
+    for (points, (folds, allocations)) in [(n, short), (4 * n, long)] {
+        assert_eq!(folds, u64::from(points.div_ceil(8)), "{points} points");
+        assert!(
+            (folds..folds + 32).contains(&allocations),
+            "{points} points: {allocations} allocations for {folds} tasks"
+        );
+    }
+    let (short, long) = (short.1, long.1);
+    assert!(
+        long <= 4 * short + 8,
+        "4 times the points: {short} -> {long} allocations"
+    );
 }
 
 #[test]

@@ -118,27 +118,30 @@ fn stats(
 
 #[test]
 fn sweep_schedules_are_the_recorded_ones() {
-    // All-equal priorities (pure FIFO): the forecast's sweep atom.
+    // All-equal priorities (pure FIFO): the forecast's sweep atom, whose
+    // 750 tasks are blocks of eight points. Re-recorded when a task
+    // became a block instead of a point; every other pin in this file
+    // predates that change.
     let grid = GridSweepFarm {
         lo: 0.0,
         hi: 4.0,
         points: 6000,
     };
     let recorded: [(usize, FarmStats, &[u64]); 3] = [
-        (1, stats(6000, 6000, 0, 0, 0, 0, 77), &[0x3fd922bb15eb23e0]),
+        (1, stats(750, 750, 0, 0, 0, 0, 26), &[0x3fd911871100d944]),
         (
             2,
-            stats(6000, 6000, 0, 0, 0, 44, 22),
-            &[0x3fc9fccd083d4187, 0x3fc9fb7010eb65f2],
+            stats(750, 750, 0, 0, 11, 22, 11),
+            &[0x3fcb017920baa96c, 0x3fcb001c2968cdd7],
         ),
         (
             4,
-            stats(6000, 6000, 0, 0, 0, 8, 2),
+            stats(750, 750, 0, 0, 10, 12, 3),
             &[
-                0x3fba1c3bdd448e0d,
-                0x3fba1bfefcac13b3,
-                0x3fba1ef5cbe84536,
-                0x3fba1c3bdd448e0d,
+                0x3fbb64db8946dffd,
+                0x3fbb67411a5dd568,
+                0x3fbb624f2467dd09,
+                0x3fbb64872bba1e3f,
             ],
         ),
     ];
