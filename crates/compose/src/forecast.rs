@@ -9,7 +9,7 @@
 //! ```
 //!
 //! The two `Par` branches model a forecasting run: an emissions-scenario
-//! sweep (a task farm whose per-point cost varies ~300×) alongside a
+//! sweep (a task farm whose per-point cost varies ~115×) alongside a
 //! pollutant-dispersion solve (a Poisson relaxation with a fixed
 //! iteration budget). Their outputs — scenario severity scores and field
 //! samples — merge into one dataset that a recursive-D&C mergesort

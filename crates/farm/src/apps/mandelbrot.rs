@@ -17,8 +17,10 @@ use archetype_mp::impl_fixed_size;
 /// multiply-add plus the escape test).
 const FLOPS_PER_ITER: f64 = 10.0;
 
-/// Pixels `MandelbrotFarm::escape_lanes` steps in lockstep.
-const LANES: usize = 8;
+/// Pixels `MandelbrotFarm::escape_lanes` steps in lockstep: four AVX2
+/// registers of four, enough chains in flight to cover a multiply's
+/// latency.
+const LANES: usize = 16;
 
 /// One tile task: tile coordinates in units of [`MandelbrotFarm::tile`]
 /// pixels.
@@ -166,11 +168,38 @@ impl MandelbrotFarm {
     /// The freeze is a select written as a bit mask, because with `if`
     /// the compiler branches per lane; and the kernel stays out of line,
     /// because inlined into the tile loop the vectorizer pairs the lanes
-    /// differently and shuffles every step. The benchmark's seahorse
-    /// render on one rank (2-vCPU VM): 17.5 ms as written, 19 ms with
-    /// `if`, 25–34 ms inlined, 43 ms with the one-pixel loop.
-    #[inline(never)]
+    /// differently and shuffles every step. The x86-64 baseline has
+    /// two-wide registers only, so the body is built twice: for AVX2
+    /// (`avx2` alone, so no multiply-add can fuse), picked at run time
+    /// where the CPU has it, and for the baseline. The benchmark's
+    /// seahorse render on one rank (2-vCPU VM with AVX2, best of 30):
+    /// 11.5 ms as written, 12.9 with eight AVX2 lanes, 17.3 with the
+    /// sixteen baseline lanes and 17.5 with eight.
     fn escape_lanes(&self, cr: &[f64; LANES], ci: &[f64; LANES]) -> [u64; LANES] {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU has AVX2, checked just above.
+            return unsafe { self.escape_lanes_avx2(cr, ci) };
+        }
+        self.escape_lanes_portable(cr, ci)
+    }
+
+    /// `escape_lanes` built for AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn escape_lanes_avx2(&self, cr: &[f64; LANES], ci: &[f64; LANES]) -> [u64; LANES] {
+        self.escape_lanes_body(cr, ci)
+    }
+
+    /// `escape_lanes` built for the target's baseline.
+    #[inline(never)]
+    fn escape_lanes_portable(&self, cr: &[f64; LANES], ci: &[f64; LANES]) -> [u64; LANES] {
+        self.escape_lanes_body(cr, ci)
+    }
+
+    /// The body both builds of `escape_lanes` share.
+    #[inline(always)]
+    fn escape_lanes_body(&self, cr: &[f64; LANES], ci: &[f64; LANES]) -> [u64; LANES] {
         let (mut zr, mut zi) = ([0.0f64; LANES], [0.0f64; LANES]);
         let mut n = [0u64; LANES];
         let keep = |live: u64, new: f64, old: f64| {
@@ -195,10 +224,16 @@ impl MandelbrotFarm {
     }
 
     /// Call `f(px, py, escape count)` for every pixel of `tile`, in
-    /// row-major order. Lanes run over the tile's flattened pixels, so a
+    /// row-major order, counting with `lanes` (a build of
+    /// `escape_lanes`). Lanes run over the tile's flattened pixels, so a
     /// tile row narrower than `LANES` leaves no scalar remainder; a short
     /// last group repeats its last pixel and drops the spare counts.
-    fn for_each_escape(&self, tile: Tile, mut f: impl FnMut(u32, u32, u32)) {
+    fn for_each_escape(
+        &self,
+        tile: Tile,
+        lanes: impl Fn(&Self, &[f64; LANES], &[f64; LANES]) -> [u64; LANES],
+        mut f: impl FnMut(u32, u32, u32),
+    ) {
         let x0 = tile.tx * self.tile;
         let y0 = tile.ty * self.tile;
         let tw = (x0 + self.tile).min(self.width) - x0;
@@ -211,7 +246,7 @@ impl MandelbrotFarm {
                 let (px, py) = pixel(k0 + (l as u32).min(live - 1));
                 (cr[l], ci[l]) = self.c(px, py);
             }
-            let counts = self.escape_lanes(&cr, &ci);
+            let counts = lanes(self, &cr, &ci);
             for (k, &n) in (k0..k0 + live).zip(&counts) {
                 let (px, py) = pixel(k);
                 f(px, py, n as u32);
@@ -249,7 +284,7 @@ impl Farm for MandelbrotFarm {
             tiles: 1,
             ..MandelOut::default()
         };
-        self.for_each_escape(tile, |px, py, n| {
+        self.for_each_escape(tile, Self::escape_lanes, |px, py, n| {
             out.iters += n as u64;
             out.inside += u64::from(n == self.max_iter);
             out.checksum = out.checksum.wrapping_add(pixel_hash(px, py, n));
@@ -367,13 +402,30 @@ mod tests {
         }
     }
 
-    /// Every pixel's lane count against `escape`'s, tile by tile; returns
-    /// how many pixels escaped after one step and how many never did.
-    fn lanes_match_escape(farm: &MandelbrotFarm) -> (usize, usize) {
+    /// One build of the lane kernel.
+    type Lanes = fn(&MandelbrotFarm, &[f64; LANES], &[f64; LANES]) -> [u64; LANES];
+
+    /// Both builds of `escape_lanes`, each called directly: a host with
+    /// AVX2 never dispatches to the baseline one. The AVX2 one only
+    /// where the CPU has AVX2.
+    fn escape_twins() -> Vec<Lanes> {
+        let mut twins: Vec<Lanes> = vec![MandelbrotFarm::escape_lanes_portable];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: pushed only where the CPU has AVX2.
+            twins.push(|farm, cr, ci| unsafe { farm.escape_lanes_avx2(cr, ci) });
+        }
+        twins
+    }
+
+    /// Every pixel's count by `lanes` against `escape`'s, tile by tile;
+    /// returns how many pixels escaped after one step and how many never
+    /// did.
+    fn lanes_match_escape(farm: &MandelbrotFarm, lanes: Lanes) -> (usize, usize) {
         let (mut first_step, mut interior) = (0, 0);
         for tile in farm.seed() {
             let mut got = Vec::new();
-            farm.for_each_escape(tile, |px, py, n| got.push((px, py, n)));
+            farm.for_each_escape(tile, lanes, |px, py, n| got.push((px, py, n)));
             let x0 = tile.tx * farm.tile;
             let y0 = tile.ty * farm.tile;
             let want: Vec<_> = (y0..(y0 + farm.tile).min(farm.height))
@@ -389,21 +441,23 @@ mod tests {
 
     #[test]
     fn lanes_count_every_pixel_as_the_one_pixel_loop_does() {
-        for max_iter in [1, 2, 1500] {
-            // Mixed lanes, 13-px tiles: no tile area (169, 78, 117, 54)
-            // is a whole number of lane groups.
-            let ragged = MandelbrotFarm::classic(97, 61, 13, max_iter);
-            const { assert!((13 * 13) % LANES != 0) };
-            let (first_step, interior) = lanes_match_escape(&ragged);
-            assert!(first_step > 0 && interior > 0);
-            // Mixed lanes on the boundary: the benchmark's region.
-            lanes_match_escape(&MandelbrotFarm::seahorse(40, 30, 20, max_iter));
-            // Every lane escapes on the first step (|c| > 2 everywhere).
-            let outside = view((2.1, 3.0), (2.1, 3.0), 12, 9, 5, max_iter);
-            assert_eq!(lanes_match_escape(&outside).0, 12 * 9);
-            // No lane ever escapes: inside the main cardioid.
-            let inside = view((-0.2, 0.0), (-0.1, 0.1), 16, 16, 8, max_iter);
-            assert_eq!(lanes_match_escape(&inside).1, 16 * 16);
+        for lanes in escape_twins() {
+            for max_iter in [1, 2, 1500] {
+                // Mixed lanes, 13-px tiles: no tile area (169 = 10 × 16 + 9,
+                // 78, 117, 54) is a whole number of lane groups.
+                let ragged = MandelbrotFarm::classic(97, 61, 13, max_iter);
+                const { assert!((13 * 13) % LANES != 0) };
+                let (first_step, interior) = lanes_match_escape(&ragged, lanes);
+                assert!(first_step > 0 && interior > 0);
+                // Mixed lanes on the boundary: the benchmark's region.
+                lanes_match_escape(&MandelbrotFarm::seahorse(40, 30, 20, max_iter), lanes);
+                // Every lane escapes on the first step (|c| > 2 everywhere).
+                let outside = view((2.1, 3.0), (2.1, 3.0), 12, 9, 5, max_iter);
+                assert_eq!(lanes_match_escape(&outside, lanes).0, 12 * 9);
+                // No lane ever escapes: inside the main cardioid.
+                let inside = view((-0.2, 0.0), (-0.1, 0.1), 16, 16, 8, max_iter);
+                assert_eq!(lanes_match_escape(&inside, lanes).1, 16 * 16);
+            }
         }
     }
 

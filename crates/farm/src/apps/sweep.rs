@@ -27,8 +27,9 @@ const LIPSCHITZ: f64 = 25.0;
 const FLOPS_PER_TERM: f64 = 20.0;
 
 /// Points one [`GridSweepFarm`] task evaluates, their series stepped in
-/// lockstep by `SweepFarm::terms_lanes`.
-const LANES: usize = 8;
+/// lockstep by `SweepFarm::terms_lanes`: four AVX2 registers of four,
+/// enough chains in flight to cover a multiply's latency.
+const LANES: usize = 16;
 
 /// One sweep task: an interval, its bisection depth, and an admissible
 /// upper bound on the objective at any midpoint evaluated inside it.
@@ -127,14 +128,42 @@ impl SweepFarm {
     /// after finishing, while the lane beside it may run 2 062. Freezing
     /// the term at every step instead put the compare and select on the
     /// chain too: the kernel over the 6 000-point grid took 0.86–1.2 ms
-    /// that way against 0.44 (the one-point loop: 1.97; 2-vCPU VM). Once
-    /// fewer than two lanes are live, the last one finishes alone rather
-    /// than dragging seven finished lanes through its tail. The kernel
-    /// stays out of line, as `MandelbrotFarm`'s escape lanes do: inlined
-    /// into its callers it took the 6 000-point cold price from 0.52 to
-    /// 0.98 ms.
-    #[inline(never)]
+    /// that way against 0.44 with eight lanes (the one-point loop: 1.97;
+    /// 2-vCPU VM). Once fewer than two lanes are live, the last one
+    /// finishes alone rather than dragging the finished lanes through its
+    /// tail. The kernel stays out of line, as `MandelbrotFarm`'s escape
+    /// lanes do: inlined into its callers it took the 6 000-point cold
+    /// price from 0.52 to 0.98 ms. Like them it is built twice, for AVX2
+    /// (`avx2` alone), picked at run time where the CPU has it, and for
+    /// the baseline. The 6 000-point cold price (`total_flops`, best of
+    /// 120): 0.36 ms as written, 0.52 with eight AVX2 lanes, 0.76 with
+    /// the sixteen baseline lanes and 0.63 with eight: a CPU without
+    /// AVX2 pays for the wider block.
     fn terms_lanes(q: &[f64; LANES]) -> [u64; LANES] {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU has AVX2, checked just above.
+            return unsafe { Self::terms_lanes_avx2(q) };
+        }
+        Self::terms_lanes_portable(q)
+    }
+
+    /// `terms_lanes` built for AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn terms_lanes_avx2(q: &[f64; LANES]) -> [u64; LANES] {
+        Self::terms_lanes_body(q)
+    }
+
+    /// `terms_lanes` built for the target's baseline.
+    #[inline(never)]
+    fn terms_lanes_portable(q: &[f64; LANES]) -> [u64; LANES] {
+        Self::terms_lanes_body(q)
+    }
+
+    /// The body both builds of `terms_lanes` share.
+    #[inline(always)]
+    fn terms_lanes_body(q: &[f64; LANES]) -> [u64; LANES] {
         let mut term = [1.0f64; LANES];
         let mut k = [0u64; LANES];
         loop {
@@ -268,12 +297,12 @@ impl Farm for SweepFarm {
 /// ([`SweepFarm::eval_terms`]), so the farm still stresses batching and
 /// stealing.
 ///
-/// A task is a block of eight consecutive points whose series are summed
-/// in lockstep; every score, term count and flop charge is the one-point
-/// loop's. On one rank an `n`-point sweep therefore runs `⌈n/8⌉` tasks,
-/// each emitting once — `⌈n/8⌉` `reduce` calls — and allocates one
-/// block table per task plus the rank table's doublings: at most 4× the
-/// allocations, plus a constant, for 4× the points
+/// A task is a block of sixteen consecutive points whose series are
+/// summed in lockstep; every score, term count and flop charge is the
+/// one-point loop's. On one rank an `n`-point sweep therefore runs
+/// `⌈n/16⌉` tasks, each emitting once — `⌈n/16⌉` `reduce` calls — and
+/// allocates one block table per task plus the rank table's doublings:
+/// at most 4× the allocations, plus a constant, for 4× the points
 /// (`tests/complexity_gates.rs`).
 #[derive(Clone, Debug)]
 pub struct GridSweepFarm {
@@ -293,11 +322,16 @@ impl GridSweepFarm {
         self.lo + (i as f64 + 0.5) * w
     }
 
-    /// The term counts of the block of points from `first`, lane `l`
-    /// holding point `first + l`, and how many lanes are points. The
-    /// spare lanes of a short last block get ratio 0, so they stop after
-    /// one term and never hold the others up.
-    fn block_terms(&self, first: u32) -> ([u64; LANES], usize) {
+    /// The term counts of the block of points from `first`, counted by
+    /// `lanes` (a build of `SweepFarm::terms_lanes`), lane `l` holding
+    /// point `first + l`, and how many lanes are points. The spare lanes
+    /// of a short last block get ratio 0, so they stop after one term and
+    /// never hold the others up.
+    fn block_terms(
+        &self,
+        first: u32,
+        lanes: impl Fn(&[f64; LANES]) -> [u64; LANES],
+    ) -> ([u64; LANES], usize) {
         let live = (self.points - first).min(LANES as u32) as usize;
         let q = std::array::from_fn(|l| {
             if l < live {
@@ -306,7 +340,7 @@ impl GridSweepFarm {
                 0.0
             }
         });
-        (SweepFarm::terms_lanes(&q), live)
+        (lanes(&q), live)
     }
 
     /// Modeled flop-equivalents of the whole sweep — the
@@ -318,7 +352,7 @@ impl GridSweepFarm {
         (0..self.points)
             .step_by(LANES)
             .flat_map(|first| {
-                let (terms, live) = self.block_terms(first);
+                let (terms, live) = self.block_terms(first, SweepFarm::terms_lanes);
                 terms.into_iter().take(live)
             })
             .map(|terms| terms as f64 * FLOPS_PER_TERM)
@@ -343,7 +377,7 @@ impl Farm for GridSweepFarm {
     }
 
     fn work(&self, first: u32, scope: &mut WorkScope<'_, Self>) {
-        let (terms, live) = self.block_terms(first);
+        let (terms, live) = self.block_terms(first, SweepFarm::terms_lanes);
         // Whole numbers far below 2^53: the block's charge is exactly the
         // sum of its points' charges.
         let block: u64 = terms[..live].iter().sum();
@@ -497,7 +531,7 @@ mod tests {
     /// rank's seed charge.
     #[test]
     fn grid_sweep_scores_are_process_count_and_model_invariant() {
-        for points in [0, 1, 7, 8, 9, 17, 60, 6000] {
+        for points in [0, 1, 15, 16, 17, 33, 60, 6000] {
             let farm = GridSweepFarm {
                 lo: 0.0,
                 hi: 2.0,
@@ -593,10 +627,26 @@ mod tests {
     const FAST: f64 = 0.0;
     const SLOW: f64 = std::f64::consts::PI / 26.0;
 
-    /// The lane kernel at the ratios of `xs`, checked against
-    /// `eval_terms` at each.
-    fn lanes_match_eval_terms(xs: [f64; LANES]) -> [u64; LANES] {
-        let got = SweepFarm::terms_lanes(&xs.map(SweepFarm::ratio));
+    /// One build of the lane kernel.
+    type Lanes = fn(&[f64; LANES]) -> [u64; LANES];
+
+    /// Both builds of `terms_lanes`, each called directly: a host with
+    /// AVX2 never dispatches to the baseline one. The AVX2 one only
+    /// where the CPU has AVX2.
+    fn terms_twins() -> Vec<Lanes> {
+        let mut twins: Vec<Lanes> = vec![SweepFarm::terms_lanes_portable];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: pushed only where the CPU has AVX2.
+            twins.push(|q| unsafe { SweepFarm::terms_lanes_avx2(q) });
+        }
+        twins
+    }
+
+    /// `lanes` at the ratios of `xs`, checked against `eval_terms` at
+    /// each.
+    fn lanes_match_eval_terms(lanes: Lanes, xs: [f64; LANES]) -> [u64; LANES] {
+        let got = lanes(&xs.map(SweepFarm::ratio));
         assert_eq!(got, xs.map(SweepFarm::eval_terms), "{xs:?}");
         got
     }
@@ -605,45 +655,55 @@ mod tests {
     fn lanes_count_every_series_as_the_one_point_loop_does() {
         assert_eq!(SweepFarm::eval_terms(FAST), 18);
         assert_eq!(SweepFarm::eval_terms(SLOW), 2062);
-        // All lanes equal: both extremes, and one in between.
-        for x in [FAST, SLOW, 0.37] {
-            lanes_match_eval_terms([x; LANES]);
-        }
-        // One long lane among short ones, in every position: once the
-        // short ones are done it finishes alone.
-        for slow in 0..LANES {
+        for lanes in terms_twins() {
+            // All lanes equal: both extremes, and one in between.
+            for x in [FAST, SLOW, 0.37] {
+                lanes_match_eval_terms(lanes, [x; LANES]);
+            }
+            // One long lane among short ones, in every position: once the
+            // short ones are done it finishes alone.
+            for slow in 0..LANES {
+                let mut xs = [FAST; LANES];
+                xs[slow] = SLOW;
+                let got = lanes_match_eval_terms(lanes, xs);
+                assert_eq!(got.iter().sum::<u64>(), 2062 + (LANES as u64 - 1) * 18);
+            }
+            // Two long lanes run in lockstep to the end; and the extremes
+            // alternating.
             let mut xs = [FAST; LANES];
-            xs[slow] = SLOW;
-            let got = lanes_match_eval_terms(xs);
-            assert_eq!(got.iter().sum::<u64>(), 2062 + 7 * 18);
+            (xs[1], xs[LANES - 2]) = (SLOW, SLOW);
+            lanes_match_eval_terms(lanes, xs);
+            lanes_match_eval_terms(lanes, std::array::from_fn(|l| [FAST, SLOW][l % 2]));
+            // A spare lane (ratio 0) counts one term.
+            let mut q = [0.0; LANES];
+            q[1] = 0.3;
+            let mut want = [1; LANES];
+            want[1] = 18;
+            assert_eq!(lanes(&q), want);
         }
-        // Two long lanes run in lockstep to the end; and the extremes
-        // alternating.
-        lanes_match_eval_terms([FAST, SLOW, FAST, FAST, FAST, FAST, SLOW, FAST]);
-        lanes_match_eval_terms(std::array::from_fn(|l| [FAST, SLOW][l % 2]));
-        // A spare lane (ratio 0) counts one term.
-        let spare = SweepFarm::terms_lanes(&[0.0, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
-        assert_eq!(spare, [1, 18, 1, 1, 1, 1, 1, 1]);
     }
 
     #[test]
     fn blocks_count_every_point_on_every_remainder() {
-        for remainder in 0..LANES as u32 {
-            let farm = GridSweepFarm {
-                lo: -1.0,
-                hi: 2.0,
-                points: 3 * LANES as u32 + remainder,
-            };
-            let mut counted = 0;
-            for first in farm.seed() {
-                let (terms, live) = farm.block_terms(first);
-                let points = first..(first + LANES as u32).min(farm.points);
-                assert_eq!(live, points.len(), "block {first} of {}", farm.points);
-                let want: Vec<u64> = points.map(|i| SweepFarm::eval_terms(farm.x(i))).collect();
-                assert_eq!(terms[..live], want, "block {first} of {}", farm.points);
-                counted += live;
+        for lanes in terms_twins() {
+            for remainder in 0..LANES as u32 {
+                let farm = GridSweepFarm {
+                    lo: -1.0,
+                    hi: 2.0,
+                    points: 3 * LANES as u32 + remainder,
+                };
+                let mut counted = 0;
+                for first in farm.seed() {
+                    let (terms, live) = farm.block_terms(first, lanes);
+                    let points = first..(first + LANES as u32).min(farm.points);
+                    let at = format!("block {first} of {}", farm.points);
+                    assert_eq!(live, points.len(), "{at}");
+                    let want: Vec<u64> = points.map(|i| SweepFarm::eval_terms(farm.x(i))).collect();
+                    assert_eq!(terms[..live], want, "{at}");
+                    counted += live;
+                }
+                assert_eq!(counted, farm.points as usize);
             }
-            assert_eq!(counted, farm.points as usize);
         }
     }
 }

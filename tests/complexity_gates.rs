@@ -304,7 +304,8 @@ fn a_grid_sweep_at_four_times_the_points_folds_and_allocates_four_times() {
     // skeleton calls `reduce` only from `emit`, and every emit hands it
     // a freshly allocated block table, so allocations within a few
     // doublings of the task count mean one emit — one `reduce` — per
-    // task (a sweep that emitted per point would allocate 8× as often).
+    // task (a sweep that emitted per point would allocate 16× as often:
+    // a task is a block of `LANES` = 16 points).
     let run = |points: u32| {
         let farm = GridSweepFarm {
             lo: 0.0,
@@ -322,7 +323,7 @@ fn a_grid_sweep_at_four_times_the_points_folds_and_allocates_four_times() {
     let n = 1001;
     let (short, long) = (run(n), run(4 * n));
     for (points, (folds, allocations)) in [(n, short), (4 * n, long)] {
-        assert_eq!(folds, u64::from(points.div_ceil(8)), "{points} points");
+        assert_eq!(folds, u64::from(points.div_ceil(16)), "{points} points");
         assert!(
             (folds..folds + 32).contains(&allocations),
             "{points} points: {allocations} allocations for {folds} tasks"

@@ -7,8 +7,9 @@
 //!
 //! The Mandelbrot and image-chain pins were recorded from the one-pixel
 //! escape loop and the per-cell `at`/`set` stencils, before the kernels
-//! were rewritten to lockstep lanes and row slices: the renders, raw
-//! stage outputs and per-rank clocks must not move by a bit.
+//! were rewritten to lockstep lanes (eight, then sixteen in AVX2
+//! registers) and row slices: the renders, raw stage outputs and
+//! per-rank clocks must not move by a bit.
 
 use parallel_archetypes::bnb::{solve_farm, BnbStats, Knapsack};
 use parallel_archetypes::farm::apps::{GridSweepFarm, MandelOut, MandelbrotFarm, SweepFarm};
@@ -119,29 +120,29 @@ fn stats(
 #[test]
 fn sweep_schedules_are_the_recorded_ones() {
     // All-equal priorities (pure FIFO): the forecast's sweep atom, whose
-    // 750 tasks are blocks of eight points. Re-recorded when a task
-    // became a block instead of a point; every other pin in this file
-    // predates that change.
+    // 375 tasks are blocks of sixteen points. Re-recorded when a task
+    // became a block of eight points instead of one, and again at
+    // sixteen; every other pin in this file predates both changes.
     let grid = GridSweepFarm {
         lo: 0.0,
         hi: 4.0,
         points: 6000,
     };
     let recorded: [(usize, FarmStats, &[u64]); 3] = [
-        (1, stats(750, 750, 0, 0, 0, 0, 26), &[0x3fd911871100d944]),
+        (1, stats(375, 375, 0, 0, 0, 0, 15), &[0x3fd9104c7e5dd3ef]),
         (
             2,
-            stats(750, 750, 0, 0, 11, 22, 11),
-            &[0x3fcb017920baa96c, 0x3fcb001c2968cdd7],
+            stats(375, 375, 0, 0, 11, 14, 7),
+            &[0x3fcaef4bd8df0b21, 0x3fcaedeee18d2f8c],
         ),
         (
             4,
-            stats(750, 750, 0, 0, 10, 12, 3),
+            stats(375, 375, 0, 0, 29, 12, 3),
             &[
-                0x3fbb64db8946dffd,
-                0x3fbb67411a5dd568,
-                0x3fbb624f2467dd09,
-                0x3fbb64872bba1e3f,
+                0x3fc0158808d3a6bf,
+                0x3fc016bad15f2175,
+                0x3fc0142b1181cb2a,
+                0x3fc0155dda0d45e0,
             ],
         ),
     ];
