@@ -16,6 +16,7 @@
 use archetype_mp::Payload;
 
 use crate::geometry::{cmp_xy, Point};
+use crate::mergesort::concat;
 use crate::skeleton::OneDeep;
 
 /// Brute-force closest distance, `O(n²)`; the oracle for tests and the
@@ -142,7 +143,7 @@ impl OneDeep for OneDeepClosest {
     }
 
     fn split_assemble(&self, pieces: Vec<Vec<Point>>) -> Vec<Point> {
-        let mut all: Vec<Point> = pieces.into_iter().flatten().collect();
+        let mut all: Vec<Point> = concat(pieces);
         all.sort_by(cmp_xy);
         all
     }

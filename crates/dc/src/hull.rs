@@ -13,6 +13,7 @@
 //! through concatenation" is replaced by a cheap final hull of candidates.
 
 use crate::geometry::{cmp_xy, cross, Point};
+use crate::mergesort::concat;
 use crate::skeleton::OneDeep;
 
 /// Andrew's monotone-chain convex hull. Returns the hull in
@@ -107,7 +108,7 @@ impl OneDeep for OneDeepHull {
     }
 
     fn split_assemble(&self, pieces: Vec<Vec<Point>>) -> Vec<Point> {
-        pieces.into_iter().flatten().collect()
+        concat(pieces)
     }
 
     fn solve(&self, local: Vec<Point>) -> Vec<Point> {
@@ -129,7 +130,7 @@ impl OneDeep for OneDeepHull {
     }
 
     fn merge_assemble(&self, pieces: Vec<Vec<Point>>) -> Vec<Point> {
-        let candidates: Vec<Point> = pieces.into_iter().flatten().collect();
+        let candidates: Vec<Point> = concat(pieces);
         convex_hull(&candidates)
     }
 

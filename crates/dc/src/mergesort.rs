@@ -13,13 +13,18 @@
 //!
 //! After the algorithm, process `i`'s block is sorted and entirely between
 //! its neighbours' blocks, so the concatenation of blocks is sorted.
+//!
+//! Every merge here is [`merge_two`]: it writes into its left run's
+//! buffer from the back. The recursive form's divide splits the tails
+//! off, so the first part keeps the whole buffer of the problem it came
+//! from and each combine merges into memory that is already there.
 
 use std::marker::PhantomData;
 
 use archetype_mp::FixedSize;
 
 use crate::skeleton::OneDeep;
-use crate::traditional::{merge_flops, merge_halves, merge_two, sort_flops};
+use crate::traditional::{merge_flops, merge_two, sort_flops};
 
 /// Elements sortable by the one-deep mergesort: POD, totally ordered.
 pub trait SortItem: FixedSize + Ord + Send + Sync {}
@@ -73,7 +78,9 @@ fn regular_sample<T: Copy>(data: &[T], k: usize) -> Vec<T> {
 }
 
 /// Merge `k` sorted runs into one sorted vector (tournament by repeated
-/// pairwise merging, `O(n log k)`).
+/// pairwise merging, `O(n log k)`), stably: equal keys keep the order of
+/// their runs. Each pair merges into its left run's buffer
+/// ([`merge_two`]).
 pub fn merge_k<T: Ord>(mut runs: Vec<Vec<T>>) -> Vec<T> {
     runs.retain(|r| !r.is_empty());
     if runs.is_empty() {
@@ -117,7 +124,7 @@ impl<T: SortItem> OneDeep for OneDeepMergesort<T> {
         out
     }
     fn split_assemble(&self, pieces: Vec<Vec<T>>) -> Vec<T> {
-        pieces.into_iter().flatten().collect()
+        concat(pieces)
     }
 
     fn solve(&self, mut local: Vec<T>) -> Vec<T> {
@@ -187,7 +194,9 @@ impl<T: SortItem> OneDeep for OneDeepMergesort<T> {
 /// Mergesort in general recursive divide-and-conquer form
 /// ([`crate::recursive::Recursive`]): divide a block positionally into
 /// `k` balanced chunks, sort chunks sequentially at the cutoff, and
-/// `k`-way-merge subsolutions up the combining tree. Depth-insensitive by
+/// `k`-way-merge subsolutions up the combining tree; with `k = 2` no
+/// combine allocates, since the first chunk keeps the divided block's
+/// buffer and the merge writes there. Depth-insensitive by
 /// construction — any recursion shape yields the identical sorted vector
 /// — so it matches [`OneDeepMergesort`] and [`sequential_mergesort`] as
 /// oracles at every depth and rank count.
@@ -211,7 +220,23 @@ impl<T> Default for RecursiveMergesort<T> {
     }
 }
 
-/// Split a vector positionally into `k` balanced contiguous chunks.
+/// Concatenate `pieces` in order into the first non-empty one's buffer,
+/// grown once for the rest; where `flatten().collect()` starts from a
+/// zero size hint and regrows by doubling.
+pub(crate) fn concat<T>(pieces: Vec<Vec<T>>) -> Vec<T> {
+    let total: usize = pieces.iter().map(Vec::len).sum();
+    let mut pieces = pieces.into_iter().skip_while(Vec::is_empty);
+    let mut out = pieces.next().unwrap_or_default();
+    out.reserve_exact(total - out.len());
+    for mut piece in pieces {
+        out.append(&mut piece);
+    }
+    out
+}
+
+/// Split a vector positionally into `k` balanced contiguous chunks. The
+/// tails are split off, so the first chunk keeps the whole input buffer
+/// and a merge into it ([`merge_two`]) needs no new memory.
 pub(crate) fn chunk_evenly<T>(mut data: Vec<T>, k: usize) -> Vec<Vec<T>> {
     let n = data.len();
     let mut out = Vec::with_capacity(k);
@@ -261,36 +286,16 @@ impl<T: SortItem> crate::recursive::Recursive for RecursiveMergesort<T> {
     }
 }
 
-/// Runs at most this long go to the standard library's stable sort
-/// instead of recursing to single elements: 32 KiB of 8-byte keys, so a
-/// leaf is sorted inside L1 and the eight merge levels above it (for 2²⁰
-/// keys) are this function's own. Measured on 2²⁰ random `i64`: leaf 32
-/// → 62 ms, 512 → 58 ms, 4096 → 51 ms (`Vec::sort` alone: 30 ms).
-const SEQUENTIAL_LEAF: usize = 4096;
-
 /// Sequential mergesort — the baseline all Figure 6 speedups are relative
-/// to, and the reference implementation in correctness tests. This is the
-/// **best-effort sequential kernel**: top-down over slices of the input,
-/// a leaf cut-off to the stable `sort`, and every merge through one
-/// scratch buffer of half the input — where a `split_off` allocation per
-/// node and a recursion to single elements made the oracle ~4× slower
-/// than the skeleton it is the baseline of. Stable, so the output equals
+/// to, and the reference implementation in correctness tests. It is the
+/// standard library's stable [`slice::sort`], itself a merge sort, and
+/// the fastest sequential one known here: a hand-written top-down kernel
+/// (leaf cut-off to `sort`, merges through one scratch buffer) took 51 ms
+/// on 2²⁰ random `i64` where this takes 30. Stable, so the output equals
 /// `Vec::sort`'s element for element.
 pub fn sequential_mergesort<T: Ord>(mut data: Vec<T>) -> Vec<T> {
-    let mut scratch = Vec::with_capacity(data.len() / 2);
-    sort_run(&mut data, &mut scratch);
+    data.sort();
     data
-}
-
-fn sort_run<T: Ord>(run: &mut [T], scratch: &mut Vec<T>) {
-    if run.len() <= SEQUENTIAL_LEAF {
-        run.sort();
-        return;
-    }
-    let mid = run.len() / 2;
-    sort_run(&mut run[..mid], scratch);
-    sort_run(&mut run[mid..], scratch);
-    merge_halves(run, mid, scratch);
 }
 
 #[cfg(test)]
@@ -327,17 +332,11 @@ mod tests {
     }
 
     #[test]
-    fn sequential_mergesort_is_the_stable_sort_above_the_leaf_cutoff() {
+    fn sequential_mergesort_is_the_stable_sort() {
         use crate::traditional::tests::{keyed, origins};
-        // Few distinct keys, so ties are everywhere; lengths around the
-        // cut-off and its multiples, odd ones included (uneven halves at
-        // several levels).
-        for n in [
-            SEQUENTIAL_LEAF,
-            SEQUENTIAL_LEAF + 1,
-            2 * SEQUENTIAL_LEAF + 3,
-            5 * SEQUENTIAL_LEAF - 1,
-        ] {
+        // Few distinct keys, so ties are everywhere; short and long
+        // inputs, odd lengths included.
+        for n in [1, 20, 4097, 8195, 20_479] {
             let keys: Vec<u8> = (0..n as u32)
                 .map(|i| (i.wrapping_mul(2_654_435_761) >> 27) as u8)
                 .collect();
@@ -354,6 +353,38 @@ mod tests {
         let runs = vec![vec![1, 5, 9], vec![2, 6], vec![], vec![3, 4, 7, 8]];
         assert_eq!(merge_k(runs), vec![1, 2, 3, 4, 5, 6, 7, 8, 9]);
         assert_eq!(merge_k(Vec::<Vec<i32>>::new()), Vec::<i32>::new());
+    }
+
+    #[test]
+    fn merge_k_is_stable_over_three_to_five_runs() {
+        use crate::traditional::tests::{keyed, origins};
+        let runs: [&[u8]; 5] = [&[1, 2, 2, 7], &[0, 2, 7, 7], &[2, 2], &[], &[1, 7, 9]];
+        for k in 3..=5 {
+            let runs: Vec<_> = runs[..k]
+                .iter()
+                .zip("abcde".chars())
+                .map(|(keys, side)| keyed(side, keys))
+                .collect();
+            let mut expected: Vec<_> = runs.iter().flatten().copied().collect();
+            expected.sort();
+            assert_eq!(origins(&merge_k(runs)), origins(&expected), "k={k}");
+        }
+    }
+
+    #[test]
+    fn concat_keeps_order_and_the_first_non_empty_buffer() {
+        let mut first = Vec::with_capacity(6);
+        first.extend([1, 2, 3]);
+        let ptr = first.as_ptr();
+        let out = concat(vec![vec![], first, vec![], vec![4], vec![5, 6]]);
+        assert_eq!(out, vec![1, 2, 3, 4, 5, 6]);
+        assert_eq!(out.as_ptr(), ptr, "appended in place");
+        let lone = vec![7, 8];
+        let ptr = lone.as_ptr();
+        let out = concat(vec![vec![], lone, vec![]]);
+        assert_eq!(out.as_ptr(), ptr, "a lone piece is moved, not copied");
+        assert!(concat(Vec::<Vec<i32>>::new()).is_empty());
+        assert!(concat(vec![Vec::<i32>::new(); 3]).is_empty());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use std::marker::PhantomData;
 
-use crate::mergesort::SortItem;
+use crate::mergesort::{concat, SortItem};
 use crate::skeleton::OneDeep;
 use crate::traditional::sort_flops;
 
@@ -129,7 +129,7 @@ impl<T: SortItem> OneDeep for OneDeepQuicksort<T> {
     }
 
     fn split_assemble(&self, pieces: Vec<Vec<T>>) -> Vec<T> {
-        pieces.into_iter().flatten().collect()
+        concat(pieces)
     }
 
     fn solve(&self, mut local: Vec<T>) -> Vec<T> {
@@ -152,7 +152,7 @@ impl<T: SortItem> OneDeep for OneDeepQuicksort<T> {
         out
     }
     fn merge_assemble(&self, pieces: Vec<Vec<T>>) -> Vec<T> {
-        pieces.into_iter().flatten().collect()
+        concat(pieces)
     }
 
     // ---- cost model --------------------------------------------------------
@@ -220,7 +220,7 @@ impl<T: SortItem> crate::recursive::Recursive for RecursiveQuicksort<T> {
     }
 
     fn combine(&self, parts: Vec<Vec<T>>) -> Vec<T> {
-        parts.into_iter().flatten().collect()
+        concat(parts)
     }
 
     // ---- cost model ------------------------------------------------------

@@ -10,6 +10,7 @@
 //! of the local skylines is the final skyline.
 
 use crate::geometry::{canonicalize_skyline, Building, SkyPoint};
+use crate::mergesort::concat;
 use crate::skeleton::OneDeep;
 
 /// Merge two piecewise-constant skylines into their pointwise maximum.
@@ -101,7 +102,7 @@ impl OneDeep for OneDeepSkyline {
         out
     }
     fn split_assemble(&self, pieces: Vec<Vec<Building>>) -> Vec<Building> {
-        pieces.into_iter().flatten().collect()
+        concat(pieces)
     }
 
     fn solve(&self, local: Vec<Building>) -> Vec<SkyPoint> {

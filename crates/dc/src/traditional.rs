@@ -188,53 +188,54 @@ where
     }
 }
 
-/// One two-way merge in flight: two sorted runs read front to back and
-/// the cursor their elements are moved to. While it exists it owns every
-/// element not yet moved; dropping it — after [`Merge::run`] returns or
-/// while a panicking `Ord::cmp` unwinds through it — moves the rest of
-/// `left`, then the rest of `right`, to `dst`, so afterwards the
-/// destination holds each element exactly once, whatever happened.
+/// One two-way merge in flight, from the back, into the buffer of its
+/// left run: `dst[..a_len]` is what is left of `a` (still in place),
+/// `b[..b_len]` what is left of `b`, and `dst[a_len + b_len..]` the
+/// merged suffix written so far. The `b_len` slots in between are the
+/// gap the next element goes to. While it exists it owns every element
+/// of both unread prefixes; dropping it — after [`Merge::run`] returns
+/// or while a panicking `Ord::cmp` unwinds through it — moves `b`'s
+/// unread prefix into the gap, so afterwards `dst[..a_len + b_len]`
+/// (the whole result) holds each element exactly once, whatever
+/// happened.
 struct Merge<T> {
-    left: *const T,
-    left_len: usize,
-    right: *const T,
-    right_len: usize,
     dst: *mut T,
+    a_len: usize,
+    b: *const T,
+    b_len: usize,
 }
 
 impl<T: Ord> Merge<T> {
-    /// Move elements to `dst` in order until one run is empty, taking
-    /// from `left` on ties. The loop selects the source with arithmetic
-    /// on the comparison's result rather than a branch on it: on random
-    /// keys that branch mispredicts every other element, and was most of
-    /// the cost of the `Peekable` merge this replaces (11 → 3.5 ms per
-    /// 2 × 512 K random keys into a warm buffer).
+    /// Move the larger of the two runs' last elements to the end of the
+    /// gap until one run is empty, taking from `b` on ties — so equal
+    /// keys of `a` still land in front of `b`'s. The loop selects the
+    /// source with arithmetic on the comparison's result rather than a
+    /// branch on it: on random keys that branch mispredicts every other
+    /// element, and was most of the cost of the `Peekable` merge this
+    /// replaces (11 → 3.5 ms per 2 × 512 K random keys into a warm
+    /// buffer).
     ///
     /// # Safety
-    /// `left` and `right` must point to `left_len` and `right_len`
-    /// initialised elements that nothing else will read or drop; `dst`
-    /// must be valid for `left_len + right_len` writes and may overlap
-    /// `right` only so that `right` starts `left_len` elements past
-    /// `dst` (the in-place layout: an unread element is never
-    /// overwritten, because the write cursor trails the `right` cursor
-    /// by the count of `left` elements still to come).
+    /// `dst` must be valid for `a_len + b_len` elements of which the
+    /// first `a_len` are initialised, and `b` must point to `b_len`
+    /// initialised elements outside that range; nothing else may read
+    /// or drop any of them while the merge exists.
     unsafe fn run(&mut self) {
-        while self.left_len > 0 && self.right_len > 0 {
-            // SAFETY: both runs are non-empty, so both cursors point at
-            // initialised elements, and `dst` has room for every element
-            // not yet moved; with `left` non-empty `dst` is still short
-            // of `right`, so source and destination are distinct. All
-            // cursors are updated before the next comparison, so an
-            // unwinding `cmp` sees a consistent state.
+        while self.a_len > 0 && self.b_len > 0 {
+            // SAFETY: both runs are non-empty, so both last elements are
+            // initialised, and the gap's last slot (`a_len + b_len − 1`)
+            // lies past `a`'s last (`a_len − 1`) because `b_len > 0`, so
+            // source and destination are distinct. The lengths are
+            // updated before the next comparison, so an unwinding `cmp`
+            // sees a consistent state.
             unsafe {
-                let take_right = *self.right < *self.left;
-                let src = if take_right { self.right } else { self.left };
-                std::ptr::copy_nonoverlapping(src, self.dst, 1);
-                self.dst = self.dst.add(1);
-                self.right = self.right.add(take_right as usize);
-                self.right_len -= take_right as usize;
-                self.left = self.left.add(!take_right as usize);
-                self.left_len -= !take_right as usize;
+                let a_last = self.dst.add(self.a_len - 1);
+                let b_last = self.b.add(self.b_len - 1);
+                let take_a = *b_last < *a_last;
+                let src = if take_a { a_last.cast_const() } else { b_last };
+                std::ptr::copy_nonoverlapping(src, self.dst.add(self.a_len + self.b_len - 1), 1);
+                self.a_len -= take_a as usize;
+                self.b_len -= !take_a as usize;
             }
         }
     }
@@ -242,14 +243,10 @@ impl<T: Ord> Merge<T> {
 
 impl<T> Drop for Merge<T> {
     fn drop(&mut self) {
-        // SAFETY: `run`'s contract — the unread parts of both runs are
-        // initialised and `dst` has room for exactly that many elements.
-        // `left` never overlaps `dst`; `right` may (in place it *is*
-        // `dst` once `left` is used up), hence the overlapping copy.
-        unsafe {
-            std::ptr::copy_nonoverlapping(self.left, self.dst, self.left_len);
-            std::ptr::copy(self.right, self.dst.add(self.left_len), self.right_len);
-        }
+        // SAFETY: `run`'s contract — `b`'s unread prefix is initialised
+        // and lies outside `dst`'s range, and the gap it goes to is
+        // exactly `b_len` slots right after `a`'s unread prefix.
+        unsafe { std::ptr::copy_nonoverlapping(self.b, self.dst.add(self.a_len), self.b_len) }
     }
 }
 
@@ -264,66 +261,44 @@ struct SetLenOnDrop<'a, T> {
 impl<T> Drop for SetLenOnDrop<'_, T> {
     fn drop(&mut self) {
         // SAFETY: the only user, `merge_two`, declares this guard before
-        // its `Merge`, so it drops after the merge has moved all `len`
+        // its `Merge`, so it drops after the merge has put all `len`
         // elements into the buffer (reserved with that capacity).
         unsafe { self.vec.set_len(self.len) }
     }
 }
 
 /// Merge two sorted vectors into one sorted vector, stably: equal keys
-/// keep their input order, `a`'s before `b`'s. One allocation (the
-/// result); the elements are moved, never cloned.
+/// keep their input order, `a`'s before `b`'s. The merge writes into
+/// `a`'s buffer from the back, so it allocates nothing when `a` already
+/// has room for `b` (a left part that [`Vec::split_off`] cut its right
+/// part from, as every mergesort divide here does) and grows it once
+/// otherwise; the elements are moved, never cloned.
 pub fn merge_two<T: Ord>(mut a: Vec<T>, mut b: Vec<T>) -> Vec<T> {
-    let (left_len, right_len) = (a.len(), b.len());
-    let mut out = Vec::with_capacity(left_len + right_len);
+    let (a_len, b_len) = (a.len(), b.len());
+    a.reserve_exact(b_len);
     {
-        let out = SetLenOnDrop {
-            len: left_len + right_len,
-            vec: &mut out,
+        let a = SetLenOnDrop {
+            len: a_len + b_len,
+            vec: &mut a,
         };
-        // SAFETY: setting the lengths to zero hands the elements over to
-        // `merge` (the vectors then free only their buffers, which
-        // outlive `merge`, declared after them); `out`'s fresh buffer
-        // overlaps neither and has room for all of them.
+        // SAFETY: setting `b`'s length to zero hands its elements over to
+        // `merge` (`b` then frees only its buffer, which outlives
+        // `merge`, declared after it); `a`'s buffer, a separate
+        // allocation, holds its own `a_len` elements and has room for
+        // `b_len` more, and the guard above gives it the full length
+        // once `merge` is gone.
         unsafe {
-            a.set_len(0);
             b.set_len(0);
             let mut merge = Merge {
-                left: a.as_ptr(),
-                left_len,
-                right: b.as_ptr(),
-                right_len,
-                dst: out.vec.as_mut_ptr(),
+                dst: a.vec.as_mut_ptr(),
+                a_len,
+                b: b.as_ptr(),
+                b_len,
             };
             merge.run();
         }
     }
-    out
-}
-
-/// Merge the sorted halves `run[..mid]` and `run[mid..]` in place,
-/// stably, through `scratch`'s spare capacity (at least `mid` elements;
-/// its length stays zero).
-pub(crate) fn merge_halves<T: Ord>(run: &mut [T], mid: usize, scratch: &mut Vec<T>) {
-    assert!(mid <= run.len() && scratch.is_empty() && scratch.capacity() >= mid);
-    let base = run.as_mut_ptr();
-    // SAFETY: the left half is moved bitwise to `scratch` (capacity
-    // checked above), leaving a hole of `mid` elements in front of the
-    // right half — exactly `Merge::run`'s in-place layout. `merge` owns
-    // the moved elements and puts each back into `run` before it is
-    // gone, so `run` is whole again on return and on unwind, and
-    // `scratch` (length zero) never drops anything.
-    unsafe {
-        std::ptr::copy_nonoverlapping(base, scratch.as_mut_ptr(), mid);
-        let mut merge = Merge {
-            left: scratch.as_ptr(),
-            left_len: mid,
-            right: base.add(mid),
-            right_len: run.len() - mid,
-            dst: base,
-        };
-        merge.run();
-    }
+    a
 }
 
 #[cfg(test)]
@@ -455,6 +430,10 @@ pub(crate) mod tests {
         assert_eq!(merge_two(Vec::<i32>::new(), Vec::new()), Vec::<i32>::new());
         assert_eq!(merge_two(vec![1, 2, 3], Vec::new()), vec![1, 2, 3]);
         assert_eq!(merge_two(Vec::new(), vec![1, 2, 3]), vec![1, 2, 3]);
+        assert_eq!(
+            merge_two(Vec::with_capacity(8), vec![1, 2, 3]),
+            vec![1, 2, 3]
+        );
         // All of `a` below all of `b`, and the reverse.
         assert_eq!(merge_two(vec![1, 2], vec![3, 4, 5]), vec![1, 2, 3, 4, 5]);
         assert_eq!(merge_two(vec![3, 4, 5], vec![1, 2]), vec![1, 2, 3, 4, 5]);
@@ -516,11 +495,13 @@ pub(crate) mod tests {
         // Budget −1 never panics; the others panic at the first, a
         // middle and the last possible comparison.
         for budget in [-1i64, 0, 1, 17, 38] {
-            for in_place in [false, true] {
+            // Either run may be `a`, and `a` may have to grow or not.
+            for (a_parity, a_has_room) in [(0, false), (0, true), (1, false), (1, true)] {
                 let drops = std::cell::RefCell::new(Vec::new());
                 let comparisons_left = std::cell::Cell::new(budget);
-                let run = |keys: std::ops::Range<u32>, parity: u32| -> Vec<Tracked<'_>> {
-                    keys.filter(|k| k % 2 == parity)
+                let run = |parity: u32| -> Vec<Tracked<'_>> {
+                    (0..n)
+                        .filter(|k| k % 2 == parity)
                         .map(|key| Tracked {
                             key,
                             drops: &drops,
@@ -528,18 +509,12 @@ pub(crate) mod tests {
                         })
                         .collect()
                 };
-                let (evens, odds) = (run(0..n, 0), run(0..n, 1));
+                let (mut a, b) = (run(a_parity), run(1 - a_parity));
+                if a_has_room {
+                    a.reserve_exact(b.len());
+                }
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    let merged = if in_place {
-                        let mut all = evens;
-                        let mid = all.len();
-                        all.extend(odds);
-                        let mut scratch = Vec::with_capacity(mid);
-                        merge_halves(&mut all, mid, &mut scratch);
-                        all
-                    } else {
-                        merge_two(evens, odds)
-                    };
+                    let merged = merge_two(a, b);
                     assert!(drops.borrow().is_empty(), "nothing dropped by merging");
                     merged.iter().map(|t| t.key).collect::<Vec<_>>()
                 }));
@@ -555,33 +530,70 @@ pub(crate) mod tests {
         }
     }
 
+    /// `merge_two(a, b)` is the stable sort of `a` followed by `b`.
+    fn assert_merges_like_the_stable_sort(a: Vec<Keyed>, b: Vec<Keyed>) {
+        let mut expected: Vec<Keyed> = a.iter().chain(&b).copied().collect();
+        expected.sort();
+        assert_eq!(origins(&merge_two(a, b)), origins(&expected));
+    }
+
     #[test]
-    fn merge_halves_is_stable_and_leaves_scratch_empty() {
-        let mut run = keyed('a', &[1, 3, 3, 9]);
-        run.extend(keyed('b', &[0, 3, 9, 9, 9]));
-        let mut scratch = Vec::with_capacity(4);
-        merge_halves(&mut run, 4, &mut scratch);
-        assert!(scratch.is_empty());
-        assert_eq!(
-            origins(&run),
-            vec![
-                (0, 'b', 0),
-                (1, 'a', 0),
-                (3, 'a', 1),
-                (3, 'a', 2),
-                (3, 'b', 1),
-                (9, 'a', 3),
-                (9, 'b', 2),
-                (9, 'b', 3),
-                (9, 'b', 4),
-            ]
-        );
-        // Degenerate splits are no-ops.
-        let mut solo = vec![1, 2, 3];
-        let mut scratch = Vec::with_capacity(3);
-        merge_halves(&mut solo, 0, &mut scratch);
-        merge_halves(&mut solo, 3, &mut scratch);
-        assert_eq!(solo, vec![1, 2, 3]);
+    fn merge_two_is_stable_on_keyed_ties_in_both_argument_orders() {
+        let shapes: [(&[u8], &[u8]); 6] = [
+            (&[1, 1, 2, 4, 4], &[0, 1, 1, 4, 5]),
+            (&[7; 5], &[7; 3]),
+            (&[0, 3, 3, 3, 9], &[3]),
+            (&[2, 2], &[0, 1, 2, 2, 2, 3]),
+            (&[5], &[5]),
+            (&[], &[1, 1]),
+        ];
+        for (x, y) in shapes {
+            for room in [false, true] {
+                for (mut a, b) in [
+                    (keyed('a', x), keyed('b', y)),
+                    (keyed('b', y), keyed('a', x)),
+                ] {
+                    if room {
+                        a.reserve_exact(b.len());
+                    }
+                    assert_merges_like_the_stable_sort(a, b);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn merge_two_writes_into_a_buffer_that_has_room() {
+        let cases: [(Vec<i64>, Vec<i64>); 5] = [
+            (vec![1, 4, 9], vec![0, 4, 5, 10]),
+            (vec![1, 2, 3], vec![]),
+            (vec![], vec![2, 3, 3]),
+            (vec![], vec![]),
+            (vec![6, 7], vec![1, 2, 3]),
+        ];
+        for (a, b) in cases {
+            for spare in [0, 1, 5] {
+                let mut a = a.clone();
+                a.reserve_exact(b.len() + spare);
+                let ptr = a.as_ptr();
+                let mut expected: Vec<i64> = a.iter().chain(&b).copied().collect();
+                expected.sort_unstable();
+                let merged = merge_two(a, b.clone());
+                assert_eq!(merged, expected);
+                assert_eq!(merged.as_ptr(), ptr, "{expected:?}: a new buffer");
+            }
+        }
+        // The mergesort divide's left part: `split_off` leaves it the
+        // whole parent buffer, so its combine writes there.
+        let mut left: Vec<i64> = (0..1000).map(|i| (i * 7919) % 1000).collect();
+        let right = left.split_off(600);
+        let ptr = left.as_ptr();
+        left.sort_unstable();
+        let mut right = right;
+        right.sort_unstable();
+        let merged = merge_two(left, right);
+        assert_eq!(merged.as_ptr(), ptr);
+        assert_eq!(merged, (0..1000).collect::<Vec<_>>());
     }
 
     #[test]

@@ -15,7 +15,11 @@ use parallel_archetypes::compose::{
 };
 use parallel_archetypes::core::archetype::ONE_DEEP_DC;
 use parallel_archetypes::core::{ArchetypeInfo, ExecutionMode, PhaseTrace};
+use parallel_archetypes::dc::recursive::{
+    run_shared as run_recursive_shared, run_spmd_recursive, CutoffPolicy, Recursive,
+};
 use parallel_archetypes::dc::traditional::merge_two;
+use parallel_archetypes::dc::RecursiveMergesort;
 use parallel_archetypes::farm::apps::{GridSweepFarm, MandelbrotFarm};
 use parallel_archetypes::farm::{run_farm, FarmConfig};
 use parallel_archetypes::mesh::apps::poisson::{poisson_shared, poisson_spmd, PoissonSpec};
@@ -24,20 +28,30 @@ use parallel_archetypes::mp::{run_spmd, Ctx, MachineModel, ProcessGrid2};
 use parallel_archetypes::pipeline::apps::{BlurStage, GradientStage, ImageChain};
 use parallel_archetypes::pipeline::{Pipeline, Stage};
 
+/// Requests of at least this many bytes are data, not bookkeeping: a
+/// message's box or a group's member list is far smaller.
+const DATA_BYTES: usize = 4096;
+
 thread_local! {
     /// `(allocations, bytes requested)` by this thread so far. Const
     /// initialised and without a destructor, so touching it from inside
     /// the allocator allocates nothing.
     static ALLOCATED: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    /// The same for this thread's requests of at least `DATA_BYTES`.
+    static DATA_ALLOCATED: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
 struct Counting;
 
 fn count(bytes: usize) {
-    ALLOCATED.with(|c| {
+    let add = |c: &Cell<(u64, u64)>| {
         let (n, b) = c.get();
         c.set((n + 1, b + bytes as u64));
-    });
+    };
+    ALLOCATED.with(add);
+    if bytes >= DATA_BYTES {
+        DATA_ALLOCATED.with(add);
+    }
 }
 
 // SAFETY: every request is forwarded unchanged to `System`, which upholds
@@ -167,17 +181,154 @@ fn poisson_spmd_allocates_nothing_per_sweep_on_one_rank() {
     );
 }
 
+/// Sorted `a` and `b` of `na` and `nb` interleaving keys, `a` with room
+/// for `spare` more.
+fn merge_runs(na: usize, nb: usize, spare: usize) -> (Vec<u64>, Vec<u64>) {
+    let mut a = Vec::with_capacity(na + spare);
+    a.extend((0..na as u64).map(|i| 3 * i));
+    (a, (0..nb as u64).map(|i| 2 * i + 1).collect())
+}
+
+const MERGE_SHAPES: [(usize, usize); 6] = [
+    (0, 0),
+    (1, 0),
+    (0, 5),
+    (1000, 1),
+    (4096, 5000),
+    (5000, 4096),
+];
+
 #[test]
-fn merge_two_allocates_the_result_and_nothing_else() {
-    for (na, nb) in [(0usize, 0usize), (1, 0), (0, 5), (1000, 1), (4096, 5000)] {
-        let a: Vec<u64> = (0..na as u64).map(|i| 3 * i).collect();
-        let b: Vec<u64> = (0..nb as u64).map(|i| 2 * i + 1).collect();
+fn merge_two_into_a_run_with_room_allocates_nothing() {
+    for (na, nb) in MERGE_SHAPES {
+        let (a, b) = merge_runs(na, nb, nb);
+        let (merged, count, _) = allocations_of(|| merge_two(a, b));
+        assert_eq!(merged.len(), na + nb);
+        assert!(merged.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(count, 0, "{na}+{nb}: allocations");
+    }
+}
+
+#[test]
+fn merge_two_grows_a_run_without_room_once() {
+    for (na, nb) in MERGE_SHAPES {
+        let (a, b) = merge_runs(na, nb, 0);
         let (merged, count, bytes) = allocations_of(|| merge_two(a, b));
         assert_eq!(merged.len(), na + nb);
         assert!(merged.windows(2).all(|w| w[0] <= w[1]));
-        // An empty result needs no buffer at all.
-        assert_eq!(count, u64::from(na + nb > 0), "{na}+{nb}: allocations");
-        assert_eq!(bytes, 8 * (na + nb) as u64, "{na}+{nb}: bytes");
+        // No growth at all when `b` is empty.
+        assert_eq!(count, u64::from(nb > 0), "{na}+{nb}: allocations");
+        assert_eq!(bytes, 8 * (na + nb) as u64 * count, "{na}+{nb}: bytes");
+    }
+}
+
+thread_local! {
+    /// `(tails, bytes)` the mergesort's divide split off on this thread.
+    static SPLIT_OFF: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// `RecursiveMergesort` with its divide's split-off tails counted.
+struct TailCounting(RecursiveMergesort<u64>);
+
+impl Recursive for TailCounting {
+    type Problem = Vec<u64>;
+    type Solution = Vec<u64>;
+
+    fn size(&self, p: &Vec<u64>) -> usize {
+        self.0.size(p)
+    }
+    fn divide(&self, p: Vec<u64>, k: usize) -> Vec<Vec<u64>> {
+        let parts = self.0.divide(p, k);
+        for tail in &parts[1..] {
+            let (n, b) = SPLIT_OFF.with(Cell::get);
+            SPLIT_OFF.with(|c| c.set((n + 1, b + 8 * tail.capacity() as u64)));
+        }
+        parts
+    }
+    fn solve(&self, p: Vec<u64>) -> Vec<u64> {
+        self.0.solve(p)
+    }
+    fn combine(&self, parts: Vec<Vec<u64>>) -> Vec<u64> {
+        self.0.combine(parts)
+    }
+    fn divide_cost(&self, p: &Vec<u64>) -> f64 {
+        self.0.divide_cost(p)
+    }
+    fn solve_cost(&self, p: &Vec<u64>) -> f64 {
+        self.0.solve_cost(p)
+    }
+    fn combine_cost(&self, parts: &[Vec<u64>]) -> f64 {
+        self.0.combine_cost(parts)
+    }
+}
+
+/// One rank's allocations in a mergesort: data-sized ones, the tails its
+/// divides split off, and the bytes of everything smaller.
+#[derive(Debug)]
+struct SortAllocations {
+    data: (u64, u64),
+    tails: (u64, u64),
+    bookkeeping_bytes: u64,
+}
+
+#[test]
+fn a_mergesort_allocates_its_split_off_tails_and_no_merged_run() {
+    // A binary mergesort of `n` keys recursing while a group has ranks
+    // to spare. One rank runs the shared driver three levels deep, since
+    // the SPMD driver does not divide on one rank.
+    let run = |p: usize, n: u64| -> Vec<SortAllocations> {
+        let keys: Vec<u64> = (0..n)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40)
+            .collect();
+        let mut expected = keys.clone();
+        expected.sort_unstable();
+        let alg = TailCounting(RecursiveMergesort::new());
+        let out = run_spmd(p, MachineModel::ibm_sp(), |ctx| {
+            let input = (ctx.rank() == 0).then(|| keys.clone());
+            SPLIT_OFF.with(|c| c.set((0, 0)));
+            let (d0, d1) = DATA_ALLOCATED.with(Cell::get);
+            let (sorted, _, bytes) = allocations_of(|| {
+                if p == 1 {
+                    let policy = CutoffPolicy::exact_depth(3, 2);
+                    input.map(|k| {
+                        run_recursive_shared(&alg, k, &policy, ExecutionMode::Sequential, None)
+                    })
+                } else {
+                    let policy = CutoffPolicy::exact_depth(p.ilog2() as usize, 2);
+                    run_spmd_recursive(&alg, ctx, input, &policy, None)
+                }
+            });
+            if let Some(sorted) = sorted {
+                assert_eq!(sorted, expected, "p={p}, n={n}");
+            }
+            let (n1, b1) = DATA_ALLOCATED.with(Cell::get);
+            SortAllocations {
+                data: (n1 - d0, b1 - d1),
+                tails: SPLIT_OFF.with(Cell::get),
+                bookkeeping_bytes: bytes - (b1 - d1),
+            }
+        });
+        out.results
+    };
+    let n = 10_001;
+    for (p, divides) in [(1, 7), (2, 1), (4, 3)] {
+        run(p, n); // warm the pool's rank threads and their arenas
+        let (short, long) = (run(p, n), run(p, 4 * n));
+        for (rank, (short, long)) in short.iter().zip(&long).enumerate() {
+            let at = format!("p={p}, rank {rank}");
+            // Every data-sized allocation is a tail the divide split off;
+            // a combine that allocated its merged run would add one.
+            assert_eq!(short.data, short.tails, "{at}, {n} keys");
+            assert_eq!(long.data, long.tails, "{at}, {} keys", 4 * n);
+            assert_eq!(short.data.0, long.data.0, "{at}: 4 times the keys");
+            // The rest is messages and groups, whatever the key count.
+            assert!(
+                short.bookkeeping_bytes.max(long.bookkeeping_bytes) < DATA_BYTES as u64,
+                "{at}: {short:?} {long:?}"
+            );
+        }
+        let tails: u64 = short.iter().map(|r| r.tails.0).sum();
+        assert_eq!(tails, divides, "p={p}: binary divides");
     }
 }
 

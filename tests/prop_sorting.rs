@@ -1,13 +1,17 @@
 //! Property-based tests of the one-deep sorting applications: for
 //! arbitrary inputs and block structures, the output is sorted, is a
 //! permutation of the input, has ordered block boundaries, and is
-//! identical across execution modes.
+//! identical across execution modes. The merges beneath them are the
+//! stable sort of their runs laid end to end, and a two-way merge writes
+//! into its left run's buffer whenever that has room.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 use parallel_archetypes::core::ExecutionMode;
+use parallel_archetypes::dc::mergesort::merge_k;
 use parallel_archetypes::dc::skeleton::run_shared;
+use parallel_archetypes::dc::traditional::merge_two;
 use parallel_archetypes::dc::{sequential_mergesort, OneDeepMergesort, OneDeepQuicksort};
 
 /// Arbitrary block structure: up to 6 blocks of up to 80 items each,
@@ -43,6 +47,30 @@ impl Ord for ByKey {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.key.cmp(&other.key)
     }
+}
+
+fn pairs(v: &[ByKey]) -> Vec<(u8, usize)> {
+    v.iter().map(|k| (k.key, k.tag)).collect()
+}
+
+/// Run `run` of a merge: `keys` sorted, each tagged with its run and its
+/// position in it, so the tags show which of two equal keys came first.
+fn sorted_run(run: usize, mut keys: Vec<u8>) -> Vec<ByKey> {
+    keys.sort_unstable();
+    keys.into_iter()
+        .enumerate()
+        .map(|(i, key)| ByKey {
+            key,
+            tag: 1000 * run + i,
+        })
+        .collect()
+}
+
+/// `Vec::sort` (stable) of the runs laid end to end.
+fn stable_sort_of(runs: &[&[ByKey]]) -> Vec<(u8, usize)> {
+    let mut all: Vec<ByKey> = runs.concat();
+    all.sort();
+    pairs(&all)
 }
 
 proptest! {
@@ -88,9 +116,9 @@ proptest! {
         prop_assert_eq!(got, input);
     }
 
-    // Long enough to straddle the leaf cut-off, so the merges run; few
-    // keys, so ties are everywhere; `(key, tag)` ordered by key alone,
-    // so only a stable sort reproduces `Vec::sort` tag for tag.
+    // Short and long inputs; few keys, so ties are everywhere; `(key,
+    // tag)` ordered by key alone, so only a stable sort reproduces
+    // `Vec::sort` tag for tag.
     #[test]
     fn sequential_mergesort_is_vec_sort_element_for_element(
         keys in vec(0u8..24, 0..14_000),
@@ -103,8 +131,42 @@ proptest! {
         let mut expected = input.clone();
         expected.sort();
         let got = sequential_mergesort(input);
-        let pairs = |v: &[ByKey]| v.iter().map(|k| (k.key, k.tag)).collect::<Vec<_>>();
         prop_assert_eq!(pairs(&got), pairs(&expected));
+    }
+
+    // Few keys, so ties are everywhere; either run may be empty, and `a`
+    // has exactly its own room, room for `b`, or more.
+    #[test]
+    fn merge_two_is_the_stable_sort_of_a_then_b_in_both_orders(
+        x in vec(0u8..6, 0..60),
+        y in vec(0u8..6, 0..60),
+        spare in 0usize..3,
+    ) {
+        let (x, y) = (sorted_run(0, x), sorted_run(1, y));
+        for (mut a, b) in [(x.clone(), y.clone()), (y, x)] {
+            if spare > 0 {
+                a.reserve_exact(b.len() + spare - 1);
+            }
+            let reuses = a.capacity() >= a.len() + b.len();
+            let ptr = a.as_ptr();
+            let expected = stable_sort_of(&[&a, &b]);
+            let merged = merge_two(a, b);
+            prop_assert_eq!(pairs(&merged), expected);
+            if reuses {
+                prop_assert!(merged.as_ptr() == ptr, "a had room, yet the merge moved");
+            }
+        }
+    }
+
+    #[test]
+    fn merge_k_is_the_stable_sort_of_its_runs(runs in vec(vec(0u8..6, 0..40), 3..6)) {
+        let runs: Vec<Vec<ByKey>> = runs
+            .into_iter()
+            .enumerate()
+            .map(|(r, keys)| sorted_run(r, keys))
+            .collect();
+        let expected = stable_sort_of(&runs.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        prop_assert_eq!(pairs(&merge_k(runs)), expected);
     }
 
     #[test]
