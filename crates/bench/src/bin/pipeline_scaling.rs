@@ -6,10 +6,11 @@
 //! The headline numbers are *virtual-time* measurements — deterministic
 //! by construction, so this snapshot is stable across hosts and runs and
 //! a regression in it means the archetype's schedule changed, not that
-//! the machine was busy. The ≥3× 8-rank floor on the image chain is the
-//! fatal bar CI gates on. The image chain's host-dependent `wall_us`
-//! columns are recorded from the same runs, next to the modeled
-//! `virtual_ms` ones.
+//! the machine was busy. CI gates on three fatal bars for the image
+//! chain: ≥3× at 8 ranks, under 0.6× the 1-rank time at 2 ranks, and no
+//! rise in virtual time from 1 to 16 ranks. The image chain's
+//! host-dependent `wall_us` columns are recorded from the same runs,
+//! next to the modeled `virtual_ms` ones.
 //!
 //! Run with `cargo run --release -p archetype-bench --bin pipeline_scaling`.
 
@@ -115,10 +116,25 @@ fn main() {
     print!("{json}");
     println!("wrote {}", path.display());
 
-    // Virtual-time speedups are deterministic, so this bar is fatal
+    // Virtual-time speedups are deterministic, so these bars are fatal
     // everywhere — the CI scaling gate.
     assert!(
         speedup_8 >= 3.0,
         "8-rank image chain must be >= 3x the 1-rank baseline (got {speedup_8:.2}x)"
     );
+    let t2 = image_times[1].1;
+    assert!(
+        t2 < 0.6 * t1,
+        "2-rank image chain must take < 0.6x the 1-rank time (got {:.2}x)",
+        t2 / t1
+    );
+    for pair in image_times.windows(2) {
+        let ((p, t), (q, u)) = (pair[0], pair[1]);
+        assert!(
+            u <= t,
+            "image chain must not slow down from {p} to {q} ranks ({:.2} -> {:.2} ms)",
+            t * 1e3,
+            u * 1e3
+        );
+    }
 }

@@ -16,16 +16,31 @@
 //! The skeleton derives the archetype's communication pattern from that
 //! description:
 //!
-//! * **Stage placement and replication.** Rank 0 ingests and the last
-//!   rank emits; the ranks between them are dealt to the transform
-//!   stages. Stage costs are priced off the
+//! * **Stage placement and replication.** Ingest, every stage and emit
+//!   are priced per item off the
 //!   [`MachineModel`](archetype_mp::MachineModel) cost meter (the
-//!   [`Stage::flops`] hook over a probe prefix of the stream), heavy
-//!   stages receive extra replica ranks — items split round-robin across
-//!   replicas and merge back in order downstream — and, mirroring the
-//!   farm's comm-fraction batching, replication stops when a replica's
-//!   per-item compute would fall below the per-item messaging overhead
-//!   divided by [`PipelineConfig::comm_fraction`].
+//!   [`Pipeline::ingest_flops`], [`Stage::flops`] and
+//!   [`Pipeline::emit_flops`] hooks over a probe prefix of the stream),
+//!   and every layout the ranks allow is priced by its per-item
+//!   bottleneck — the busiest role's compute plus the send and receive
+//!   overheads it pays per item. The cheapest runs; a tie goes to the
+//!   layout on fewer ranks. The layouts are: **one rank**, which runs
+//!   the whole stream with no messages while the others wait for the
+//!   output (the only layout at `p = 1`, and the choice for a stream too
+//!   fine to pay for its messages); **paired**, at `p = 2`, where both
+//!   ranks run the whole chain — rank 0 ingests and transforms the even
+//!   items, rank 1 transforms the odd ones and emits; and, at `p ≥ 3`,
+//!   rank 0 ingesting, the last rank emitting and the ranks between
+//!   running the stages in `k` contiguous segments for each `k` the
+//!   ranks and stages allow (a stage-less chain instead streams from
+//!   ingest straight to emit, at any `p ≥ 2`). A segment layout gives
+//!   each segment one rank and deals the spare ranks to the bottleneck
+//!   segment as extra replicas — items split round-robin across replicas
+//!   and merge back in order downstream — and, mirroring the farm's
+//!   comm-fraction batching, replication stops when a replica's per-item
+//!   compute would fall below the per-item messaging overhead divided by
+//!   [`PipelineConfig::comm_fraction`]. [`PipelineStats`] names the
+//!   layout that ran.
 //! * **Bounded credit-based flow control.** Every stream edge carries at
 //!   most [`PipelineConfig::window`] in-flight items per (producer,
 //!   consumer) pair ([`archetype_mp::tags`] namespaces the item and

@@ -1,9 +1,13 @@
 //! The pipeline skeleton: traits, configuration, planner, and the SPMD
 //! driver with credit-based bounded streaming.
 //!
-//! See the crate-level docs for the archetype's shape. The derived
-//! program has one *level* per pipeline role — ingest, one level per
-//! stage segment, emit — connected by *edges*. On edge `l`:
+//! See the crate-level docs for the archetype's shape. The planner
+//! prices every layout it can place on the ranks by its modelled
+//! per-item bottleneck and runs the cheapest (see `Plan`): one rank
+//! with no messages, two ranks that both transform, or ingest and emit
+//! ranks around replicated stage segments. A streaming layout has one
+//! *level* per pipeline role — ingest, one level per stage segment,
+//! emit — connected by *edges*. On edge `l`:
 //!
 //! 1. **Items** flow downstream tagged `pipe_tag(Item, l)`, each
 //!    carrying its stream sequence number. An item with sequence `s`
@@ -171,24 +175,37 @@ impl Default for PipelineConfig {
 
 /// Deterministic, globally combined execution statistics of a pipeline
 /// run. Every rank returns the same values.
+///
+/// The last three shape fields name the layout that ran:
+///
+/// | layout | `segments` | `replicas` | `idle_ranks` |
+/// |---|---|---|---|
+/// | one rank (every `p`) | 0 | 0 | `p − 1` |
+/// | paired (`p = 2`) | 1 | 2 | 0 |
+/// | `k` segments (`p ≥ 3`) | `k` | transform ranks | left by the cutoff |
+/// | no stages, ingest to emit (`p ≥ 2`) | 0 | 0 | `p − 2` |
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PipelineStats {
     /// Stream items ingested (equals items emitted: nothing is dropped).
     pub items: u64,
-    /// Stage applications (`items × stages` when nothing is fused away).
+    /// Stage applications (`items × stages` in every layout).
     pub transforms: u64,
-    /// Item messages sent across stream edges.
+    /// Item messages sent across stream edges (0 on one rank, one per
+    /// item when paired).
     pub forwarded: u64,
     /// Credit-return messages sent upstream.
     pub credits: u64,
     /// Item sends that had to block for a credit-return first — the
     /// count of backpressure stalls.
     pub stalls: u64,
-    /// Stage segments in the plan (contiguous runs of fused stages).
+    /// Stage segments in the plan (contiguous runs of fused stages): 0
+    /// on one rank, 1 when paired (the whole chain).
     pub segments: u64,
-    /// Transform ranks used across all segments (replicas included).
+    /// Ranks running stage segments, replicas included: 0 on one rank,
+    /// 2 when paired (both ranks run the whole chain).
     pub replicas: u64,
-    /// Ranks left idle by the replication cutoff.
+    /// Ranks with no role: `p − 1` on one rank, otherwise the middle
+    /// ranks no segment uses (those left by the replication cutoff).
     pub idle_ranks: u64,
     /// Transform replicas with a scheduled crash whose stream share the
     /// router re-routes to the next live replica of their level.
@@ -318,29 +335,67 @@ struct Segment {
     replicas: usize,
 }
 
-/// The placement plan: how stages map onto ranks. Computed identically
-/// on every rank from the probe prices.
+/// The placement plan: which ranks ingest, transform and emit. Computed
+/// identically on every rank from the probe prices; the items, their
+/// order and every output bit are the same in every layout.
 #[derive(Clone, Debug, PartialEq, Eq)]
-struct Plan {
-    segments: Vec<Segment>,
-    /// Total transform ranks in use.
-    transform_ranks: usize,
-    /// Ranks left idle by the replication cutoff.
-    idle: usize,
-    /// All stages run fused on the emit rank (the 2-rank layout).
-    fused_on_emit: bool,
+enum Plan {
+    /// Rank 0 ingests, runs the whole chain and emits with no messages;
+    /// the other ranks wait for the output it broadcasts. The only
+    /// layout at `p = 1`, and the cheapest wherever an item's work is
+    /// too fine to pay for its messages.
+    OneRank,
+    /// `p = 2`, both ranks running the whole (non-empty) chain: rank 0
+    /// ingests every item and transforms the even ones before sending
+    /// them, rank 1 transforms the odd ones after receiving them and
+    /// emits every item in order. One message per item.
+    Paired,
+    /// Rank 0 ingests, rank `p − 1` emits, and the ranks between run
+    /// `segments` in stream order; `idle` ranks are left over by the
+    /// replication cutoff. A stage-less chain has no segments: its
+    /// items go from ingest straight to emit.
+    Segmented { segments: Vec<Segment>, idle: usize },
 }
 
 impl Plan {
-    /// The per-level rank lists: `[ingest] ++ segments ++ [emit]`.
+    /// The layout's shape as reported in [`PipelineStats`]: segments,
+    /// transform ranks, idle ranks.
+    fn shape(&self, nprocs: usize) -> (usize, usize, usize) {
+        match self {
+            Plan::OneRank => (0, 0, nprocs - 1),
+            Plan::Paired => (1, 2, 0),
+            Plan::Segmented { segments, idle } => (
+                segments.len(),
+                segments.iter().map(|s| s.replicas).sum(),
+                *idle,
+            ),
+        }
+    }
+
+    /// The per-level rank lists: `[ingest] ++ segments ++ [emit]` for a
+    /// streaming layout, none for one rank.
     fn levels(&self, nprocs: usize) -> Vec<Vec<usize>> {
+        let segments = match self {
+            Plan::OneRank => return Vec::new(),
+            Plan::Paired => &[][..],
+            Plan::Segmented { segments, .. } => segments,
+        };
         let mut levels = vec![vec![0]];
-        for seg in &self.segments {
+        for seg in segments {
             levels.push((seg.first_rank..seg.first_rank + seg.replicas).collect());
         }
         levels.push(vec![nprocs - 1]);
         levels
     }
+}
+
+/// Modelled seconds per item of each pipeline role, averaged over the
+/// probe prefix of the stream.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct Prices {
+    ingest: f64,
+    stages: Vec<f64>,
+    emit: f64,
 }
 
 /// Contiguous partition of `costs` into `parts` segments minimizing the
@@ -382,39 +437,88 @@ fn partition_stages(costs: &[f64], parts: usize) -> Vec<(usize, usize)> {
     bounds
 }
 
-/// Build the placement plan for `nprocs` ranks from per-stage per-item
-/// costs (seconds). `overhead_secs` is the per-item messaging overhead a
-/// replica cannot avoid (receive + item send + credit send).
+/// Build the placement plan for `nprocs ≥ 2` ranks: price every layout
+/// by its modelled per-item bottleneck — the busiest role's compute
+/// plus the message overheads it pays per item — and take the cheapest;
+/// a tie goes to the layout on fewer ranks.
 fn build_plan(
     nprocs: usize,
-    stage_secs: &[f64],
-    overhead_secs: f64,
+    prices: &Prices,
+    model: &MachineModel,
     config: &PipelineConfig,
 ) -> Plan {
-    let s_count = stage_secs.len();
-    let middle = nprocs.saturating_sub(2);
-    if nprocs < 2 || middle == 0 || s_count == 0 {
-        return Plan {
+    // Per item, an ingest or emit rank sends (receives) the item and
+    // receives (sends) its credit; a middle replica receives the item,
+    // forwards it and credits it.
+    let endpoint = model.send_overhead + model.recv_overhead;
+    let replica = model.recv_overhead + 2.0 * model.send_overhead;
+    let chain: f64 = prices.stages.iter().sum();
+    let mut candidates = vec![(prices.ingest + chain + prices.emit, Plan::OneRank)];
+    if prices.stages.is_empty() {
+        // No chain to share: a stream can only go from ingest straight
+        // to emit, past the middle ranks.
+        let cost = prices.ingest.max(prices.emit) + endpoint;
+        let plan = Plan::Segmented {
             segments: Vec::new(),
-            transform_ranks: 0,
-            idle: 0,
-            fused_on_emit: nprocs >= 2 && s_count > 0,
+            idle: nprocs - 2,
         };
+        candidates.push((cost, plan));
+    } else if nprocs == 2 {
+        let half = chain / 2.0;
+        let cost = (prices.ingest + half).max(half + prices.emit) + endpoint;
+        candidates.push((cost, Plan::Paired));
     }
-    let bounds = partition_stages(stage_secs, middle);
-    let seg_cost: Vec<f64> = bounds
-        .iter()
-        .map(|&(a, b)| stage_secs[a..b].iter().sum())
-        .collect();
-    let mut replicas = vec![1usize; bounds.len()];
-    let mut spare = middle - bounds.len();
-    let floor = overhead_secs / config.comm_fraction.max(1e-6);
-    let mut idle = 0usize;
-    while spare > 0 {
-        if !config.replicate {
-            idle = spare;
-            break;
+    let middle = nprocs - 2;
+    for k in 1..=middle.min(prices.stages.len()) {
+        let bounds = partition_stages(&prices.stages, k);
+        let seg_cost: Vec<f64> = bounds
+            .iter()
+            .map(|&(a, b)| prices.stages[a..b].iter().sum())
+            .collect();
+        let (replicas, idle) = replicate(&seg_cost, middle, replica, config);
+        let cost = seg_cost
+            .iter()
+            .zip(&replicas)
+            .map(|(&c, &r)| (c + replica) / r as f64)
+            .fold(prices.ingest.max(prices.emit) + endpoint, f64::max);
+        let mut segments = Vec::with_capacity(k);
+        let mut next_rank = 1;
+        for (&stages, &r) in bounds.iter().zip(&replicas) {
+            segments.push(Segment {
+                stages,
+                first_rank: next_rank,
+                replicas: r,
+            });
+            next_rank += r;
         }
+        candidates.push((cost, Plan::Segmented { segments, idle }));
+    }
+    // Fewer ranks in use means more idle ones; `min_by` keeps the first
+    // of layouts equal on both counts.
+    let idle = |plan: &Plan| plan.shape(nprocs).2;
+    candidates
+        .into_iter()
+        .min_by(|(a, pa), (b, pb)| a.total_cmp(b).then(idle(pb).cmp(&idle(pa))))
+        .map(|(_, plan)| plan)
+        .expect("one rank is always a candidate")
+}
+
+/// Deal `middle` ranks to segments of per-item cost `seg_cost`: one
+/// each, then greedily to the bottleneck. Returns the replica counts and
+/// the ranks left idle.
+fn replicate(
+    seg_cost: &[f64],
+    middle: usize,
+    overhead_secs: f64,
+    config: &PipelineConfig,
+) -> (Vec<usize>, usize) {
+    let mut replicas = vec![1usize; seg_cost.len()];
+    let mut spare = middle - seg_cost.len();
+    if !config.replicate {
+        return (replicas, spare);
+    }
+    let floor = overhead_secs / config.comm_fraction.max(1e-6);
+    while spare > 0 {
         // The bottleneck segment gets the next rank — unless even the
         // bottleneck is already communication-bound, in which case more
         // replicas only add messaging and the remaining ranks stay idle.
@@ -431,28 +535,12 @@ fn build_plan(
                 }
             });
         if seg_cost[i] / ((replicas[i] + 1) as f64) < floor {
-            idle = spare;
             break;
         }
         replicas[i] += 1;
         spare -= 1;
     }
-    let mut segments = Vec::with_capacity(bounds.len());
-    let mut next_rank = 1;
-    for (&(a, b), &r) in bounds.iter().zip(&replicas) {
-        segments.push(Segment {
-            stages: (a, b),
-            first_rank: next_rank,
-            replicas: r,
-        });
-        next_rank += r;
-    }
-    Plan {
-        transform_ranks: next_rank - 1,
-        segments,
-        idle,
-        fused_on_emit: false,
-    }
+    (replicas, spare)
 }
 
 /// The downstream half of one edge, owned by a producer: router-driven
@@ -652,29 +740,75 @@ impl Inflow {
     }
 }
 
-/// Probe the first [`PipelineConfig::probe`] stream items and price each
-/// stage per item in modeled seconds.
-fn probe_stage_secs<P: Pipeline>(
+/// Probe the first [`PipelineConfig::probe`] stream items and price
+/// ingest, each stage and emit per item in modeled seconds.
+fn probe_prices<P: Pipeline>(
     pipe: &P,
     stages: &[&dyn Stage<P::Item>],
     model: &MachineModel,
     probe: usize,
-) -> Vec<f64> {
-    let mut secs = vec![0.0; stages.len()];
+) -> Prices {
+    let mut prices = Prices {
+        stages: vec![0.0; stages.len()],
+        ..Prices::default()
+    };
     let mut n = 0u32;
     for seq in 0..probe as u64 {
         let Some(item) = pipe.ingest(seq) else { break };
         n += 1;
-        for (i, st) in stages.iter().enumerate() {
-            secs[i] += model.compute_time(st.flops(&item));
+        prices.ingest += model.compute_time(pipe.ingest_flops(&item));
+        for (secs, st) in prices.stages.iter_mut().zip(stages) {
+            *secs += model.compute_time(st.flops(&item));
         }
+        prices.emit += model.compute_time(pipe.emit_flops(&item));
     }
     if n > 0 {
-        for s in &mut secs {
-            *s /= f64::from(n);
+        let n = f64::from(n);
+        prices.ingest /= n;
+        prices.emit /= n;
+        for secs in &mut prices.stages {
+            *secs /= n;
         }
     }
-    secs
+    prices
+}
+
+/// Run `stages` on item `seq`, charging each one's cost.
+fn transform<T>(
+    ctx: &mut Ctx,
+    stats: &mut PipelineStats,
+    stages: &[&dyn Stage<T>],
+    seq: u64,
+    mut item: T,
+) -> T {
+    for st in stages {
+        ctx.charge_flops(st.flops(&item));
+        item = st.transform(seq, item);
+        stats.transforms += 1;
+    }
+    item
+}
+
+/// The one-rank layout's work: ingest every item, run the whole chain
+/// on it and fold it, with no messages.
+fn fold_alone<P: Pipeline>(
+    pipe: &P,
+    ctx: &mut Ctx,
+    stats: &mut PipelineStats,
+    stages: &[&dyn Stage<P::Item>],
+) -> P::Out {
+    ctx.trace_phase(PhaseKind::Transform.name(), "all stages fused");
+    let mut folded = pipe.out_identity();
+    let mut seq = 0u64;
+    while let Some(item) = pipe.ingest(seq) {
+        ctx.charge_flops(pipe.ingest_flops(&item));
+        let item = transform(ctx, stats, stages, seq, item);
+        ctx.charge_flops(pipe.emit_flops(&item));
+        folded = pipe.emit(folded, seq, item);
+        stats.items += 1;
+        seq += 1;
+    }
+    folded
 }
 
 /// Execute `pipe` as an SPMD pipeline on this rank. Must be called by
@@ -702,13 +836,18 @@ pub fn run_pipeline_traced<P: Pipeline>(
     let me = ctx.rank();
     let stages = pipe.stages();
     let s_count = stages.len();
-    let model = *ctx.model();
     let mut stats = PipelineStats::default();
 
-    // --- Plan: price stages on a probe prefix, place them on ranks. ------
-    let stage_secs = probe_stage_secs(pipe, &stages, &model, config.probe);
-    let overhead_secs = model.recv_overhead + 2.0 * model.send_overhead;
-    let plan = build_plan(p, &stage_secs, overhead_secs, &config);
+    // --- Plan: price every role on a probe prefix, place the cheapest
+    // layout. One rank has no layout to choose, so it skips the probe;
+    // the planning charge is the same at every p.
+    let plan = if p == 1 {
+        Plan::OneRank
+    } else {
+        let model = *ctx.model();
+        let prices = probe_prices(pipe, &stages, &model, config.probe);
+        build_plan(p, &prices, &model, &config)
+    };
     ctx.charge_items(s_count + 1, PLAN_FLOPS_PER_STAGE);
 
     // Scheduled deaths per level, identical on every rank (a pure
@@ -733,23 +872,35 @@ pub fn run_pipeline_traced<P: Pipeline>(
         .count() as u64;
 
     if me == 0 {
-        stats.segments = plan.segments.len() as u64;
-        stats.replicas = plan.transform_ranks as u64;
-        stats.idle_ranks = plan.idle as u64;
+        let (segments, replicas, idle) = plan.shape(p);
+        stats.segments = segments as u64;
+        stats.replicas = replicas as u64;
+        stats.idle_ranks = idle as u64;
         stats.failovers = scheduled_deaths;
         if let Some(t) = trace {
             t.record(PhaseKind::Ingest, "stream source");
-            if plan.fused_on_emit || (p == 1 && s_count > 0) {
-                t.record(PhaseKind::Transform, "all stages fused");
-            }
-            for seg in &plan.segments {
-                t.record(
-                    PhaseKind::Transform,
-                    format!(
-                        "stages {}..{} x{} replica(s)",
-                        seg.stages.0, seg.stages.1, seg.replicas
-                    ),
-                );
+            match &plan {
+                Plan::OneRank if s_count > 0 => {
+                    t.record(PhaseKind::Transform, "all stages fused");
+                }
+                Plan::Paired => {
+                    t.record(
+                        PhaseKind::Transform,
+                        format!("stages 0..{s_count} x2 replica(s), even items on rank 0"),
+                    );
+                }
+                Plan::Segmented { segments, .. } => {
+                    for seg in segments {
+                        t.record(
+                            PhaseKind::Transform,
+                            format!(
+                                "stages {}..{} x{} replica(s)",
+                                seg.stages.0, seg.stages.1, seg.replicas
+                            ),
+                        );
+                    }
+                }
+                _ => {}
             }
             for (l, deaths) in level_deaths.iter().enumerate() {
                 for (j, d) in deaths.iter().enumerate() {
@@ -770,25 +921,23 @@ pub fn run_pipeline_traced<P: Pipeline>(
         }
     }
 
-    // --- Single rank: the whole chain runs message-free. ------------------
-    if p == 1 {
-        ctx.trace_phase(PhaseKind::Transform.name(), "all stages fused");
-        let mut acc = pipe.out_identity();
-        let mut seq = 0u64;
-        while let Some(mut item) = pipe.ingest(seq) {
-            ctx.charge_flops(pipe.ingest_flops(&item));
-            for st in &stages {
-                ctx.charge_flops(st.flops(&item));
-                item = st.transform(seq, item);
-                stats.transforms += 1;
+    // --- One rank: rank 0 runs the whole chain message-free. -------------
+    if plan == Plan::OneRank {
+        let mut acc = None;
+        if me == 0 {
+            let folded = fold_alone(pipe, ctx, &mut stats, &stages);
+            if p == 1 {
+                return (folded, stats);
             }
-            ctx.charge_flops(pipe.emit_flops(&item));
-            acc = pipe.emit(acc, seq, item);
-            stats.items += 1;
-            seq += 1;
+            acc = Some(folded);
         }
-        return (acc, stats);
+        let out = ctx.broadcast(0, acc);
+        let stats = ctx.all_reduce(stats, PipelineStats::combine);
+        return (out, stats);
     }
+    // Paired, the ingest rank transforms the even items and the emit
+    // rank the odd ones.
+    let paired = plan == Plan::Paired;
 
     let my_level_pos = levels
         .iter()
@@ -808,8 +957,11 @@ pub fn run_pipeline_traced<P: Pipeline>(
         let mut out: Outflow<P::Item> =
             Outflow::new(0, levels[1].clone(), router_for(1), config.window);
         let mut seq = 0u64;
-        while let Some(item) = pipe.ingest(seq) {
+        while let Some(mut item) = pipe.ingest(seq) {
             ctx.charge_flops(pipe.ingest_flops(&item));
+            if paired && seq.is_multiple_of(2) {
+                item = transform(ctx, &mut stats, &stages, seq, item);
+            }
             out.send_item(ctx, &mut stats, seq, item);
             seq += 1;
         }
@@ -829,12 +981,8 @@ pub fn run_pipeline_traced<P: Pipeline>(
         );
         let mut folded = pipe.out_identity();
         while let Some((seq, mut item)) = inflow.next::<P::Item>(ctx) {
-            if plan.fused_on_emit {
-                for st in &stages {
-                    ctx.charge_flops(st.flops(&item));
-                    item = st.transform(seq, item);
-                    stats.transforms += 1;
-                }
+            if paired && !seq.is_multiple_of(2) {
+                item = transform(ctx, &mut stats, &stages, seq, item);
             }
             ctx.charge_flops(pipe.emit_flops(&item));
             folded = pipe.emit(folded, seq, item);
@@ -843,9 +991,10 @@ pub fn run_pipeline_traced<P: Pipeline>(
         }
         acc = Some(folded);
         stream_len = Some(inflow.stream_len());
-    } else if let Some((level, replica)) = my_level_pos {
+    } else if let (Some((level, replica)), Plan::Segmented { segments, .. }) = (my_level_pos, &plan)
+    {
         // --- Transform: one segment replica. ------------------------------
-        let seg = &plan.segments[level - 1];
+        let seg = &segments[level - 1];
         if ctx.is_traced() {
             // Label built only when a recorder is listening.
             let label = format!("stages {}..{} r{replica}", seg.stages.0, seg.stages.1);
@@ -870,14 +1019,10 @@ pub fn run_pipeline_traced<P: Pipeline>(
             // fires here, after this replica has processed (forwarded,
             // credited) exactly k items — the count the routers assume.
             ctx.fault_point();
-            let Some((seq, mut item)) = inflow.next::<P::Item>(ctx) else {
+            let Some((seq, item)) = inflow.next::<P::Item>(ctx) else {
                 break;
             };
-            for st in my_stages {
-                ctx.charge_flops(st.flops(&item));
-                item = st.transform(seq, item);
-                stats.transforms += 1;
-            }
+            let item = transform(ctx, &mut stats, my_stages, seq, item);
             out.send_item(ctx, &mut stats, seq, item);
             inflow.credit(ctx, &mut stats);
         }
@@ -961,6 +1106,14 @@ mod tests {
     use archetype_core::archetype::PIPELINE;
     use archetype_mp::{run_spmd, MachineModel};
 
+    /// Modeled flops per item of the fixtures' ingest and emit hooks, and
+    /// of their light stages: 20 µs and 200 µs on the IBM SP, against
+    /// 10 µs of messaging per item at each end. Priced so, a fixture's
+    /// stream is worth streaming at every `p ≥ 2` on every machine model
+    /// the tests use, and the tests exercise the streaming layouts.
+    const END_FLOPS: f64 = 2_000.0;
+    const STAGE_FLOPS: f64 = 20_000.0;
+
     /// Sum of squares as a two-stage chain — the simplest pipeline.
     struct Squares(u64);
     struct Double;
@@ -969,6 +1122,9 @@ mod tests {
         fn transform(&self, _seq: u64, item: u64) -> u64 {
             item * 2
         }
+        fn flops(&self, _item: &u64) -> f64 {
+            STAGE_FLOPS
+        }
         fn name(&self) -> &'static str {
             "double"
         }
@@ -976,6 +1132,9 @@ mod tests {
     impl Stage<u64> for SquareStage {
         fn transform(&self, _seq: u64, item: u64) -> u64 {
             item * item
+        }
+        fn flops(&self, _item: &u64) -> f64 {
+            STAGE_FLOPS
         }
         fn name(&self) -> &'static str {
             "square"
@@ -987,6 +1146,9 @@ mod tests {
         fn ingest(&self, seq: u64) -> Option<u64> {
             (seq < self.0).then_some(seq)
         }
+        fn ingest_flops(&self, _item: &u64) -> f64 {
+            END_FLOPS
+        }
         fn stages(&self) -> Vec<&dyn Stage<u64>> {
             vec![&Double, &SquareStage]
         }
@@ -995,6 +1157,9 @@ mod tests {
         }
         fn emit(&self, acc: u64, _seq: u64, item: u64) -> u64 {
             acc + item
+        }
+        fn emit_flops(&self, _item: &u64) -> f64 {
+            END_FLOPS
         }
     }
 
@@ -1010,12 +1175,15 @@ mod tests {
                 assert_eq!(*sum, expected, "p={p} rank={r}");
                 assert_eq!(stats.items, 100, "p={p}");
                 assert_eq!(stats.transforms, 200, "p={p}");
+                assert_eq!(stats.forwarded > 0, p > 1, "p={p}: streams");
             }
         }
     }
 
     #[test]
     fn empty_stream_terminates_cleanly() {
+        // With no item to price, every role costs nothing and no message
+        // can pay for itself: an empty stream runs on one rank at every p.
         for p in [1usize, 2, 4, 6] {
             let out = run_spmd(p, MachineModel::ibm_sp(), |ctx| {
                 run_pipeline(&Squares(0), ctx, PipelineConfig::default())
@@ -1024,6 +1192,8 @@ mod tests {
                 assert_eq!(*sum, 0);
                 assert_eq!(stats.items, 0);
                 assert_eq!(stats.stalls, 0);
+                assert_eq!((stats.forwarded, stats.replicas), (0, 0));
+                assert_eq!(stats.idle_ranks, p as u64 - 1);
             }
         }
     }
@@ -1031,9 +1201,15 @@ mod tests {
     #[test]
     fn single_item_stream_works() {
         let out = run_spmd(5, MachineModel::ibm_sp(), |ctx| {
-            run_pipeline(&Squares(1), ctx, PipelineConfig::default()).0
+            run_pipeline(&Squares(1), ctx, PipelineConfig::default())
         });
-        assert!(out.results.iter().all(|&s| s == 0));
+        for (sum, stats) in &out.results {
+            assert_eq!(*sum, 0);
+            assert_eq!((stats.items, stats.transforms), (1, 2));
+            // Ingest → chain → emit: the item crosses both edges.
+            assert_eq!(stats.forwarded, 2);
+            assert_eq!(stats.credits, 2);
+        }
     }
 
     /// Order-sensitive fold: concatenating `seq:item;` proves in-order
@@ -1044,6 +1220,9 @@ mod tests {
         type Out = String;
         fn ingest(&self, seq: u64) -> Option<u64> {
             (seq < self.0).then_some(seq * 7 % 13)
+        }
+        fn ingest_flops(&self, _item: &u64) -> f64 {
+            END_FLOPS
         }
         fn stages(&self) -> Vec<&dyn Stage<u64>> {
             vec![&Double, &SquareStage, &Double]
@@ -1056,6 +1235,9 @@ mod tests {
             write!(acc, "{seq}:{item};").unwrap();
             acc
         }
+        fn emit_flops(&self, _item: &u64) -> f64 {
+            END_FLOPS
+        }
     }
 
     #[test]
@@ -1063,12 +1245,15 @@ mod tests {
         let (expected, _) = run_sequential(&Ordered(60));
         for p in [1usize, 2, 3, 5, 8] {
             let out = run_spmd(p, MachineModel::cray_t3d(), |ctx| {
-                run_pipeline(&Ordered(60), ctx, PipelineConfig::default()).0
+                run_pipeline(&Ordered(60), ctx, PipelineConfig::default())
             });
-            assert!(
-                out.results.iter().all(|s| *s == expected),
-                "p={p}: in-order fold must match the sequential oracle"
-            );
+            for (s, stats) in &out.results {
+                assert_eq!(
+                    *s, expected,
+                    "p={p}: in-order fold must match the sequential oracle"
+                );
+                assert_eq!(stats.forwarded > 0, p > 1, "p={p}: streams");
+            }
         }
     }
 
@@ -1104,8 +1289,9 @@ mod tests {
     }
 
     /// Heavy *and* order-sensitive: two compute-bound stages (so spare
-    /// ranks replicate both segments — a failover needs a level with at
-    /// least two replicas) feeding the concatenating fold of [`Ordered`].
+    /// ranks replicate the fused chain — a failover needs a level with
+    /// at least two replicas) feeding the concatenating fold of
+    /// [`Ordered`].
     struct HeavyOrdered(u64);
     struct HeavyScale;
     impl Stage<u64> for HeavyScale {
@@ -1150,10 +1336,61 @@ mod tests {
         }
     }
 
+    /// A stream whose roles cost what the test says, in flops per item:
+    /// `ingest`, one [`Costed`] stage per entry of `stages`, and `emit`
+    /// (an order-sensitive fold).
+    struct Priced {
+        items: u64,
+        ingest: f64,
+        stages: Vec<Costed>,
+        emit: f64,
+    }
+    struct Costed(f64);
+    impl Stage<u64> for Costed {
+        fn transform(&self, seq: u64, item: u64) -> u64 {
+            item.wrapping_mul(3) ^ seq
+        }
+        fn flops(&self, _item: &u64) -> f64 {
+            self.0
+        }
+    }
+    impl Pipeline for Priced {
+        type Item = u64;
+        type Out = u64;
+        fn ingest(&self, seq: u64) -> Option<u64> {
+            (seq < self.items).then_some(seq + 1)
+        }
+        fn ingest_flops(&self, _item: &u64) -> f64 {
+            self.ingest
+        }
+        fn stages(&self) -> Vec<&dyn Stage<u64>> {
+            self.stages.iter().map(|s| s as &dyn Stage<u64>).collect()
+        }
+        fn out_identity(&self) -> u64 {
+            0
+        }
+        fn emit(&self, acc: u64, _seq: u64, item: u64) -> u64 {
+            acc.wrapping_mul(1_000_003).wrapping_add(item)
+        }
+        fn emit_flops(&self, _item: &u64) -> f64 {
+            self.emit
+        }
+    }
+
     #[test]
     fn heavy_stage_attracts_the_spare_ranks() {
+        // On the IBM SP a 50 µs stage before an 800 µs one: fused, the
+        // chain stops at five replicas (a sixth would compute less than
+        // the cutoff), so the light stage on its own rank and five
+        // replicas of the heavy one put all six middle ranks to work.
+        let lopsided = || Priced {
+            items: 64,
+            ingest: 100.0,
+            stages: vec![Costed(5_000.0), Costed(80_000.0)],
+            emit: 100.0,
+        };
         let out = run_spmd(8, MachineModel::ibm_sp(), |ctx| {
-            run_pipeline(&Lopsided(64), ctx, PipelineConfig::default())
+            run_pipeline(&lopsided(), ctx, PipelineConfig::default())
         });
         let (_, stats) = &out.results[0];
         assert_eq!(stats.segments, 2);
@@ -1165,7 +1402,7 @@ mod tests {
                 replicate: false,
                 ..PipelineConfig::default()
             };
-            run_pipeline(&Lopsided(64), ctx, config)
+            run_pipeline(&lopsided(), ctx, config)
         });
         assert!(flat.results[0].1.idle_ranks > 0);
         assert_eq!(flat.results[0].0, out.results[0].0);
@@ -1193,13 +1430,13 @@ mod tests {
                             replicate,
                             ..PipelineConfig::default()
                         };
-                        run_pipeline(&Ordered(40), ctx, config).0
+                        run_pipeline(&Ordered(40), ctx, config)
                     });
-                    assert!(
-                        out.results.iter().all(|s| *s == reference),
-                        "window={window} replicate={replicate} model={}",
-                        model.name
-                    );
+                    for (s, stats) in &out.results {
+                        let at = format!("window={window} replicate={replicate} {}", model.name);
+                        assert_eq!(*s, reference, "{at}");
+                        assert!(stats.forwarded > 0, "{at}: streams");
+                    }
                 }
             }
         }
@@ -1207,12 +1444,20 @@ mod tests {
 
     #[test]
     fn bounded_window_stalls_the_producer() {
+        // 10 µs to ingest and to emit, 20 µs to transform: worth a
+        // middle rank at p = 3, which then lags the ingest rank.
         let out = run_spmd(3, MachineModel::ibm_sp(), |ctx| {
             let config = PipelineConfig {
                 window: 2,
                 ..PipelineConfig::default()
             };
-            run_pipeline(&Squares(50), ctx, config).1
+            let pipe = Priced {
+                items: 50,
+                ingest: 1_000.0,
+                stages: vec![Costed(2_000.0)],
+                emit: 1_000.0,
+            };
+            run_pipeline(&pipe, ctx, config).1
         });
         // 50 items through a 2-credit window must block repeatedly.
         assert!(out.results[0].stalls > 0);
@@ -1235,12 +1480,18 @@ mod tests {
 
     #[test]
     fn stageless_pipeline_streams_straight_to_emit() {
-        struct NoStages;
+        /// 17 items whose ingest and emit cost `end_flops` each.
+        struct NoStages {
+            end_flops: f64,
+        }
         impl Pipeline for NoStages {
             type Item = u64;
             type Out = u64;
             fn ingest(&self, seq: u64) -> Option<u64> {
                 (seq < 17).then_some(seq)
+            }
+            fn ingest_flops(&self, _item: &u64) -> f64 {
+                self.end_flops
             }
             fn stages(&self) -> Vec<&dyn Stage<u64>> {
                 Vec::new()
@@ -1251,14 +1502,37 @@ mod tests {
             fn emit(&self, acc: u64, _seq: u64, item: u64) -> u64 {
                 acc + item
             }
+            fn emit_flops(&self, _item: &u64) -> f64 {
+                self.end_flops
+            }
         }
-        for p in [1usize, 2, 5] {
-            let out = run_spmd(p, MachineModel::ibm_sp(), |ctx| {
-                run_pipeline(&NoStages, ctx, PipelineConfig::default())
-            });
-            for (sum, stats) in &out.results {
-                assert_eq!(*sum, (0..17).sum::<u64>(), "p={p}");
-                assert_eq!(stats.transforms, 0);
+        // Costly ends stream from ingest to emit past the middle ranks;
+        // cheap ones (1 µs each, against 10 µs of messaging at each end)
+        // stay on one rank.
+        for (end_flops, streams) in [(END_FLOPS, true), (DEFAULT_STAGE_FLOPS, false)] {
+            for p in [1usize, 2, 5] {
+                let out = run_spmd(p, MachineModel::ibm_sp(), |ctx| {
+                    run_pipeline(&NoStages { end_flops }, ctx, PipelineConfig::default())
+                });
+                let shape = if streams && p > 1 {
+                    (17, 0, 0, p as u64 - 2)
+                } else {
+                    (0, 0, 0, p as u64 - 1)
+                };
+                for (sum, stats) in &out.results {
+                    assert_eq!(*sum, (0..17).sum::<u64>(), "p={p}");
+                    assert_eq!(stats.transforms, 0);
+                    assert_eq!(
+                        (
+                            stats.forwarded,
+                            stats.segments,
+                            stats.replicas,
+                            stats.idle_ranks
+                        ),
+                        shape,
+                        "p={p} end_flops={end_flops}"
+                    );
+                }
             }
         }
     }
@@ -1267,9 +1541,10 @@ mod tests {
     fn phase_trace_is_accepted_by_the_pipeline_grammar() {
         for p in [1usize, 2, 4, 8] {
             let trace = PhaseTrace::new();
-            run_spmd(p, MachineModel::ibm_sp(), |ctx| {
-                run_pipeline_traced(&Squares(20), ctx, PipelineConfig::default(), Some(&trace)).0
+            let out = run_spmd(p, MachineModel::ibm_sp(), |ctx| {
+                run_pipeline_traced(&Squares(20), ctx, PipelineConfig::default(), Some(&trace)).1
             });
+            assert_eq!(out.results[0].forwarded > 0, p > 1, "p={p}: streams");
             let kinds = trace.kinds();
             assert!(
                 PIPELINE.grammar.matches(&kinds),
@@ -1338,11 +1613,12 @@ mod tests {
     #[test]
     fn order_sensitive_fold_survives_a_replica_death() {
         use archetype_mp::{run_spmd_ft, CrashSite, FaultPlan};
-        // Both HeavyOrdered segments are replicated from p=6 up (at p=4
-        // every level is a singleton, so a middle-rank death is
-        // unrecoverable — covered by router_panics_when_a_whole_level_dies).
+        // HeavyOrdered's fused chain is replicated on every middle rank
+        // from p=4 up (at p=3 its one middle rank is a whole level, so its
+        // death is unrecoverable — covered by
+        // router_panics_when_a_whole_level_dies).
         let expected = run_sequential(&HeavyOrdered(60)).0;
-        for p in [6usize, 8] {
+        for p in [4usize, 6, 8] {
             // Kill the first transform replica after 3 items: the
             // concatenated fold string detects any reordering or loss.
             let plan = FaultPlan::new(p as u64).crash(1, CrashSite::Phase(3));
@@ -1410,5 +1686,80 @@ mod tests {
         assert_eq!(partition_stages(&costs, 1), vec![(0, 5)]);
         let all = partition_stages(&costs, 9);
         assert_eq!(all.len(), 5, "never more segments than stages");
+    }
+
+    /// Per-item prices in microseconds.
+    fn prices_us(ingest: f64, stages: &[f64], emit: f64) -> Prices {
+        Prices {
+            ingest: ingest * 1e-6,
+            stages: stages.iter().map(|s| s * 1e-6).collect(),
+            emit: emit * 1e-6,
+        }
+    }
+
+    fn plan_at(p: usize, prices: &Prices) -> Plan {
+        build_plan(
+            p,
+            prices,
+            &MachineModel::ibm_sp(),
+            &PipelineConfig::default(),
+        )
+    }
+
+    #[test]
+    fn a_stream_too_fine_for_its_messages_stays_on_one_rank() {
+        // The forecast's top-k chunk: 17.9 µs of work against 10 µs of
+        // messaging per item at each end (IBM SP).
+        let topk = prices_us(5.12, &[7.68, 1.28], 3.84);
+        for p in [2usize, 3, 4, 8, 16] {
+            assert_eq!(plan_at(p, &topk), Plan::OneRank, "p={p}");
+            assert_eq!(Plan::OneRank.shape(p), (0, 0, p - 1));
+        }
+    }
+
+    #[test]
+    fn two_ranks_pair_up_and_more_fuse_before_they_split() {
+        // The image chain's 32 × 32 tile: blur, gradient, quantize.
+        let chain = prices_us(20.48, &[1474.56, 61.44, 20.48], 10.24);
+        assert_eq!(plan_at(2, &chain), Plan::Paired);
+        assert_eq!(Plan::Paired.shape(2), (1, 2, 0));
+        // At p = 16 one fused segment beats the blur on replicas of its
+        // own, and the cutoff leaves four of fourteen middle ranks idle.
+        assert_eq!(plan_at(16, &chain).shape(16), (1, 10, 4));
+    }
+
+    #[test]
+    fn equal_bottlenecks_go_to_the_layout_on_fewer_ranks() {
+        // At p = 5 two segments (blur | the rest, one rank idle) and
+        // three (one stage each) share the blur's bottleneck exactly.
+        let ragged = prices_us(3.0, &[50.0, 10.0, 3.0], 2.0);
+        let plan = plan_at(5, &ragged);
+        assert_eq!(plan.shape(5), (2, 2, 1), "{plan:?}");
+    }
+
+    #[test]
+    fn paired_ranks_share_the_chain() {
+        // Cray T3D: 8 µs of stages per item against 2 µs of messaging.
+        // Each item is transformed exactly once, on one rank or the
+        // other, so the order-sensitive fold matches the oracle.
+        let pipe = Priced {
+            items: 9,
+            ingest: 100.0,
+            stages: vec![Costed(200.0), Costed(200.0)],
+            emit: 100.0,
+        };
+        let (expected, _) = run_sequential(&pipe);
+        let out = run_spmd(2, MachineModel::cray_t3d(), |ctx| {
+            run_pipeline(&pipe, ctx, PipelineConfig::default())
+        });
+        for (out, stats) in &out.results {
+            assert_eq!(*out, expected);
+            assert_eq!(
+                (stats.segments, stats.replicas, stats.idle_ranks),
+                (1, 2, 0)
+            );
+            assert_eq!((stats.forwarded, stats.credits), (9, 9));
+            assert_eq!(stats.transforms, 18);
+        }
     }
 }

@@ -45,8 +45,8 @@ impl Farm for Spawner {
 }
 
 /// Heavy, order-sensitive pipeline: both stages are compute-bound (so
-/// spare ranks replicate both segments — failover needs a level with at
-/// least two replicas), and the emit fold concatenates `seq:item;`, so
+/// spare ranks replicate the fused chain — failover needs a level with
+/// at least two replicas), and the emit fold concatenates `seq:item;`, so
 /// any loss, duplication, or reordering changes the output string.
 struct HeavyOrdered(u64);
 struct HeavyScale;

@@ -3,6 +3,7 @@
 
 use parallel_archetypes::farm::{Farm, WorkScope};
 use parallel_archetypes::mp::{ProcessGrid2, SpmdResult};
+use parallel_archetypes::pipeline::apps::{ChunkedStream, Digest, ImageChain, ImageSummary};
 use parallel_archetypes::pipeline::{Pipeline, Stage as PipeStage};
 
 /// Run `run` twice and assert the two executions are bit-identical: the
@@ -68,7 +69,11 @@ impl Farm for SpawnFarm {
     }
 }
 
-/// A minimal pipeline with a configurable stage count.
+/// A minimal pipeline with a configurable stage count. Its ingest and
+/// emit cost 20 µs per item on the IBM SP and each stage 200 µs, against
+/// 10 µs of messaging per item at each end: a non-empty stream is worth
+/// streaming there at every `p ≥ 2`, whatever its stage count, so the
+/// suites exercise the streaming layouts.
 pub struct NStage {
     pub items: u64,
     pub stages: Vec<AddStage>,
@@ -79,12 +84,18 @@ impl PipeStage<u64> for AddStage {
     fn transform(&self, _seq: u64, item: u64) -> u64 {
         item.wrapping_add(self.0)
     }
+    fn flops(&self, _item: &u64) -> f64 {
+        20_000.0
+    }
 }
 impl Pipeline for NStage {
     type Item = u64;
     type Out = u64;
     fn ingest(&self, seq: u64) -> Option<u64> {
         (seq < self.items).then_some(seq)
+    }
+    fn ingest_flops(&self, _item: &u64) -> f64 {
+        2_000.0
     }
     fn stages(&self) -> Vec<&dyn PipeStage<u64>> {
         self.stages
@@ -98,6 +109,41 @@ impl Pipeline for NStage {
     fn emit(&self, acc: u64, _seq: u64, item: u64) -> u64 {
         acc.wrapping_add(item)
     }
+    fn emit_flops(&self, _item: &u64) -> f64 {
+        2_000.0
+    }
+}
+
+/// The apps' benchmark image chain: 48 tiles of 32 × 32, 24 blur passes.
+pub fn image_chain() -> ImageChain {
+    ImageChain::new(256, 192, 32, 24)
+}
+
+/// The forecast composite's top-k atom: 6 576 keys in 64-sample chunks.
+pub fn forecast_topk() -> ChunkedStream {
+    let values = (0..6576u64)
+        .map(|i| (i * 7919 % 1000) as f64 / 100.0)
+        .collect();
+    ChunkedStream::new(values, 64, 8, 64, 3.0)
+}
+
+/// An image summary's bits, for exact comparison.
+pub fn image_bits(s: &ImageSummary) -> [u64; 4] {
+    [s.tiles, s.checksum, s.sum.to_bits(), s.max.to_bits()]
+}
+
+/// A top-k digest's bits, for exact comparison.
+pub fn digest_bits(d: &Digest) -> Vec<u64> {
+    let mut bits = vec![
+        d.count,
+        d.sum.to_bits(),
+        d.k,
+        d.lo.to_bits(),
+        d.hi.to_bits(),
+    ];
+    bits.extend(d.top.iter().map(|v| v.to_bits()));
+    bits.extend(&d.hist);
+    bits
 }
 
 /// A process grid for `p` ranks.

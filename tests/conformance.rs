@@ -210,10 +210,11 @@ proptest! {
             items,
             stages: (0..n_stages as u64).map(AddStage).collect(),
         };
-        run_spmd(p, MachineModel::ibm_sp(), |ctx| {
+        let out = run_spmd(p, MachineModel::ibm_sp(), |ctx| {
             let config = PipelineConfig { window, ..PipelineConfig::default() };
-            run_pipeline_traced(&pipe, ctx, config, Some(&trace)).0
+            run_pipeline_traced(&pipe, ctx, config, Some(&trace)).1
         });
+        prop_assert_eq!(out.results[0].forwarded > 0, p > 1 && items > 0, "streams");
         assert_conforms(&PIPELINE, &trace.kinds(), "run_pipeline_traced");
         prop_assert!(trace.kinds().iter().all(|k| PIPELINE.phases.contains(k)));
     }

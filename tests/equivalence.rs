@@ -311,32 +311,53 @@ fn pipeline_runs_are_bit_identical() {
 
 #[test]
 fn pipeline_result_is_machine_model_and_config_invariant() {
-    // The machine model changes clocks and the model-derived placement
-    // plan (replica counts), but never the emitted result.
+    // The machine model and the process count change clocks and the
+    // model-derived layout (one rank, paired, fused or split segments,
+    // replica counts), but never a bit of the emitted result: not for
+    // the image chain, the synthetic top-k stream or the forecast's.
     use parallel_archetypes::pipeline::apps::TopKStream;
     use parallel_archetypes::pipeline::{run_pipeline, run_sequential, PipelineConfig};
 
-    let stream = TopKStream::new(48, 64, 8, 32, 3.0);
-    let (reference, _) = run_sequential(&stream);
+    let chain = common::image_chain();
+    let synthetic = TopKStream::new(48, 64, 8, 32, 3.0);
+    let forecast = common::forecast_topk();
+    let chain_ref = common::image_bits(&run_sequential(&chain).0);
+    let synthetic_ref = common::digest_bits(&run_sequential(&synthetic).0);
+    let forecast_ref = common::digest_bits(&run_sequential(&forecast).0);
     for model in [
         MachineModel::cray_t3d(),
         MachineModel::ibm_sp(),
         MachineModel::workstation_network(),
+        MachineModel::zero_comm(),
     ] {
-        for window in [1usize, 8] {
-            let s = stream.clone();
-            let out = run_spmd(8, model, move |ctx| {
-                let config = PipelineConfig {
-                    window,
-                    ..PipelineConfig::default()
-                };
-                run_pipeline(&s, ctx, config).0
-            });
-            assert!(
-                out.results.iter().all(|d| *d == reference),
-                "{} window={window}",
-                model.name
-            );
+        for p in 1..=8usize {
+            for window in [1usize, 8] {
+                let out = run_spmd(p, model, |ctx| {
+                    let config = PipelineConfig {
+                        window,
+                        ..PipelineConfig::default()
+                    };
+                    (
+                        run_pipeline(&chain, ctx, config).0,
+                        run_pipeline(&synthetic, ctx, config).0,
+                        run_pipeline(&forecast, ctx, config).0,
+                    )
+                });
+                for (rank, (image, digest, topk)) in out.results.iter().enumerate() {
+                    let at = format!("{} p={p} window={window} rank={rank}", model.name);
+                    assert_eq!(common::image_bits(image), chain_ref, "image chain, {at}");
+                    assert_eq!(
+                        common::digest_bits(digest),
+                        synthetic_ref,
+                        "top-k stream, {at}"
+                    );
+                    assert_eq!(
+                        common::digest_bits(topk),
+                        forecast_ref,
+                        "forecast top-k, {at}"
+                    );
+                }
+            }
         }
     }
 }
@@ -622,16 +643,17 @@ proptest! {
             items,
             stages: (0..n_stages as u64).map(AddStage).collect(),
         };
-        assert_bit_identical_runs(
+        let run = assert_bit_identical_runs(
             &format!("pipeline p={p} items={items} stages={n_stages}"),
             || {
                 run_spmd(p, MachineModel::ibm_sp(), |ctx| {
                     let config = PipelineConfig { window, ..PipelineConfig::default() };
-                    let (out, _) = run_pipeline(&pipe, ctx, config);
-                    (out, ctx.stats().msgs_sent)
+                    let (out, stats) = run_pipeline(&pipe, ctx, config);
+                    (out, stats, ctx.stats().msgs_sent)
                 })
             },
         );
+        prop_assert_eq!(run.results[0].1.forwarded > 0, p > 1 && items > 0, "streams");
     }
 
     #[test]

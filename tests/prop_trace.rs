@@ -118,7 +118,9 @@ proptest! {
         };
         assert_tracing_is_inert(&format!("pipeline p={p} items={items}"), |cfg| {
             run_spmd_with(p, MachineModel::ibm_sp(), cfg, |ctx| {
-                run_pipeline(&pipe, ctx, PipelineConfig::default()).0
+                let (out, stats) = run_pipeline(&pipe, ctx, PipelineConfig::default());
+                assert_eq!(stats.forwarded > 0, p > 1 && items > 0, "streams");
+                out
             })
         });
     }

@@ -9,7 +9,9 @@
 //! escape loop and the per-cell `at`/`set` stencils, before the kernels
 //! were rewritten to lockstep lanes (eight, then sixteen in AVX2
 //! registers) and row slices: the renders, raw stage outputs and
-//! per-rank clocks must not move by a bit.
+//! per-rank clocks must not move by a bit. The image chain's clocks at
+//! p ≥ 2 were re-recorded once since, when the pipeline planner changed
+//! layouts; the test says which moved and why.
 
 use parallel_archetypes::bnb::{solve_farm, BnbStats, Knapsack};
 use parallel_archetypes::farm::apps::{GridSweepFarm, MandelOut, MandelbrotFarm, SweepFarm};
@@ -326,7 +328,15 @@ fn mandelbrot_renders_and_clocks_are_the_recorded_ones() {
 
 #[test]
 fn image_chain_summaries_clocks_and_raw_pixels_are_the_recorded_ones() {
-    // The benchmark's chain.
+    // The summaries and raw pixels predate every kernel and placement
+    // change. The clocks were re-recorded when the planner began pricing
+    // whole layouts by their per-item bottleneck; the p = 1 clocks and
+    // the 512 × 384 p = 3 ones (the same single-replica segment) stayed.
+    //
+    // The benchmark's chain, virtual ms before → after: p = 2, both
+    // ranks transform (was: rank 1 alone) 303.14 → 157.22; p = 5 and 8,
+    // one fused segment on every middle rank (was: one segment per
+    // stage) 288.42 → 101.75 and 73.53 → 51.49.
     let chain = ImageChain::new(512, 384, 32, 24);
     assert_eq!(raw_stage_hash(&chain), 0x7b07d70bb6528f08);
     let want = [
@@ -337,7 +347,7 @@ fn image_chain_summaries_clocks_and_raw_pixels_are_the_recorded_ones() {
     ];
     let recorded: [(usize, &[u64]); 5] = [
         (1, &[0x3fd380eea7e8e7a6]),
-        (2, &[0x3fd365f73709c500, 0x3fd366a79d8d2b8f]),
+        (2, &[0x3fc41e44d223542d, 0x3fc41fa59f2a214a]),
         (
             3,
             &[0x3fd36b6c782f97b4, 0x3fd36aa718f6a842, 0x3fd36b4286c485ee],
@@ -345,24 +355,24 @@ fn image_chain_summaries_clocks_and_raw_pixels_are_the_recorded_ones() {
         (
             5,
             &[
-                0x3fd275666ac93a40,
-                0x3fd274a10b904ace,
-                0x3fd274a5d6b278b9,
-                0x3fd2753c795e287a,
-                0x3fd275563d35df48,
+                0x3fba0c8dcba9f49e,
+                0x3fba09784ec636d5,
+                0x3fba098b7b4eee81,
+                0x3fba0be605fdad82,
+                0x3fba0c4d155c88bc,
             ],
         ),
         (
             8,
             &[
-                0x3fb2d02eef8df312,
-                0x3fb2d2f0899b8d4d,
-                0x3fb2cfee39408730,
-                0x3fb2d02eef8df312,
-                0x3fb2cd6d558058d7,
-                0x3fb2d02eef8df312,
-                0x3fb2cd2c9f32ecf5,
-                0x3fb2cd6d558058d7,
+                0x3faa56dfeceb3dde,
+                0x3faa5c6321067255,
+                0x3faa565e8050661a,
+                0x3faa56dfeceb3dde,
+                0x3faa515cb8d00967,
+                0x3faa56dfeceb3dde,
+                0x3faa50db4c3531a3,
+                0x3faa515cb8d00967,
             ],
         ),
     ];
@@ -374,7 +384,13 @@ fn image_chain_summaries_clocks_and_raw_pixels_are_the_recorded_ones() {
         );
     }
 
-    // Ragged 13-px tiles (edge tiles 9 wide, 5 high) and few passes.
+    // Ragged 13-px tiles (edge tiles 9 wide, 5 high) and few passes:
+    // 64 µs of stages per tile. Virtual ms before → after: p = 2 paired
+    // 3.408 → 2.536; p = 3 one rank, since a middle rank would add 15 µs
+    // of messaging per tile to offload 5 µs of ingest and emit,
+    // 3.921 → 3.027; p = 5 and 8, blur | gradient + quantize with the
+    // spare ranks idle (was: one segment per stage) 3.548 → 3.482 and
+    // 3.636 → 3.570.
     let chain = ImageChain::new(100, 70, 13, 5);
     assert_eq!(raw_stage_hash(&chain), 0x236493bffccd76d2);
     let want = [
@@ -385,32 +401,32 @@ fn image_chain_summaries_clocks_and_raw_pixels_are_the_recorded_ones() {
     ];
     let recorded: [(usize, &[u64]); 5] = [
         (1, &[0x3f678705425f2021]),
-        (2, &[0x3f6b926eb32999c3, 0x3f6beaa1f4dce128]),
+        (2, &[0x3f646ece6ffda02a, 0x3f64c701b1b0e78f]),
         (
             3,
-            &[0x3f700fdb82d4613f, 0x3f6fbd0769310966, 0x3f70055f280fef8b],
+            &[0x3f68cc2396fcab1d, 0x3f686973fa84f204, 0x3f687655e6605923],
         ),
         (
             5,
             &[
-                0x3f6d10d170ea1ca7,
-                0x3f6cae21d472638e,
-                0x3f6cb087658958f9,
-                0x3f6cfbd8bb61393f,
-                0x3f6d08baa73ca05e,
+                0x3f6c8639f180ed58,
+                0x3f6c238a5509343f,
+                0x3f6c25efe62029aa,
+                0x3f6c71413bf809f0,
+                0x3f6c7e2327d3710f,
             ],
         ),
         (
             8,
             &[
-                0x3f6d711b7c4ae055,
-                0x3f6dc94ebdfe27ba,
-                0x3f6d6904b29d640c,
-                0x3f6d711b7c4ae055,
-                0x3f6d18e83a9798f0,
-                0x3f6d711b7c4ae055,
-                0x3f6d10d170ea1ca7,
-                0x3f6d18e83a9798f0,
+                0x3f6ce683fce1b106,
+                0x3f6d3eb73e94f86b,
+                0x3f6cde6d333434bd,
+                0x3f6ce683fce1b106,
+                0x3f6c8e50bb2e69a1,
+                0x3f6ce683fce1b106,
+                0x3f6c8639f180ed58,
+                0x3f6c8e50bb2e69a1,
             ],
         ),
     ];
