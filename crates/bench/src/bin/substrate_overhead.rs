@@ -291,7 +291,8 @@ fn main() {
     // queue flavors the transport has: the MPSC queue (many
     // producers racing the Vyukov publish protocol) and the SPSC fast
     // path that mesh links and pool worker channels ride (single
-    // producer, node freelist in steady state). msgs/sec, median of 3.
+    // producer, ring blocks recycled in steady state). msgs/sec, median
+    // of 3.
     const TOTAL_MSGS: usize = 1_000_000;
     const PRODUCERS: usize = 4;
     let mpsc_msgs_per_sec = {

@@ -28,11 +28,9 @@
 //! meaningful at quiescence or after a sender provably terminated.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use crate::packet::Packet;
-use crate::transport::{spsc_channel_with, RecvCounts, SpscReceiver, SpscSender};
+use crate::transport::{spsc_channel, RecvCounts, SpscReceiver, SpscSender};
 
 /// Error returned by [`Mailbox::try_recv_matching`] when the sending
 /// rank has terminated (channel empty and disconnected).
@@ -46,11 +44,6 @@ pub struct SenderDisconnected;
 pub struct Mailbox {
     from: Vec<SpscReceiver<Packet>>,
     pending: Vec<HashMap<(u64, u64), VecDeque<Packet>>>,
-    /// Messages put on the wire to this mailbox but not yet pulled off a
-    /// channel. One cell shared by all of this mailbox's channels (see
-    /// [`build_network`]): senders increment it, channel pops decrement
-    /// it, making the whole-mailbox in-flight count a single load.
-    inflight: Arc<AtomicUsize>,
     /// Messages sitting in `pending` buckets, maintained incrementally so
     /// [`Mailbox::unconsumed`] never walks the n maps.
     pending_len: usize,
@@ -119,14 +112,14 @@ impl Mailbox {
     }
 
     /// Number of unmatched messages addressed to this rank — buffered in
-    /// `pending` or still in flight on a channel. O(1): one counter plus
-    /// one shared-cell load, regardless of rank count, which is what
-    /// keeps the post-run leak check out of the `run_spmd` hot path
-    /// (it used to walk n pending maps and n channel lengths per rank —
-    /// n² loads per run). Exact only at quiescence, like every use of
-    /// the leak check (see the ordering contract above).
+    /// `pending` or still in flight on a channel. The buffered count is
+    /// kept incrementally, so this never walks the n pending maps; the
+    /// in-flight part reads each channel's sent and taken counts, which
+    /// the ring keeps anyway, so no message pays for this check. Exact
+    /// only at quiescence, like every use of the leak check (see the
+    /// ordering contract above).
     pub fn unconsumed(&self) -> usize {
-        self.pending_len + self.inflight.load(Ordering::Acquire)
+        self.pending_len + self.from.iter().map(SpscReceiver::len).sum::<usize>()
     }
 
     /// The receive-phase counters accumulated since the last call,
@@ -149,11 +142,8 @@ pub fn build_network(n: usize) -> (Vec<Vec<SpscSender<Packet>>>, Vec<Mailbox>) {
     for _dest in 0..n {
         let mut row_tx = Vec::with_capacity(n);
         let mut row_rx = Vec::with_capacity(n);
-        // All of one destination's channels share one in-flight counter,
-        // so the mailbox's leak check is a single load (`unconsumed`).
-        let inflight = Arc::new(AtomicUsize::new(0));
         for _src in 0..n {
-            let (tx, rx) = spsc_channel_with(Arc::clone(&inflight));
+            let (tx, rx) = spsc_channel();
             row_tx.push(tx);
             row_rx.push(rx);
         }
@@ -161,7 +151,6 @@ pub fn build_network(n: usize) -> (Vec<Vec<SpscSender<Packet>>>, Vec<Mailbox>) {
         mailboxes.push(Mailbox {
             from: row_rx,
             pending: (0..n).map(|_| HashMap::new()).collect(),
-            inflight,
             pending_len: 0,
             recv_counts: RecvCounts::default(),
         });

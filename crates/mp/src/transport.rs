@@ -2,12 +2,15 @@
 //!
 //! Every mesh link of an SPMD network has a *statically single sender*
 //! (the `(src, dst)` channel is only ever pushed by rank `src`'s thread),
-//! so links ride the **lock-free SPSC queue** ([`spsc_channel`]): a
-//! one-store publish, a consumer pop that never takes a lock while
-//! messages are available, a per-link node freelist that makes
-//! steady-state traffic allocation-free, and a condvar slow path only for
-//! parking on an empty queue. The worker pool's dispatch channels are the
-//! same queue. The multi-producer generalization ([`real_channel`], a
+//! so links ride the **segmented SPSC ring** ([`spsc_channel`]): blocks
+//! of 32 slots, each published by a release store of its `ready` flag,
+//! producer and consumer cursors on separate cache lines, and drained
+//! blocks handed back through one spare pointer. A message does no
+//! atomic read-modify-write (one per 32 messages per side, the spare
+//! swap), steady-state traffic allocates nothing, and a condvar slow
+//! path runs only for parking on an empty queue (the safety argument is
+//! on `SpscQueue`). The worker pool's dispatch channels are the same
+//! queue. The multi-producer generalization ([`real_channel`], a
 //! Vyukov-style MPSC queue) has no user inside the crate; it stays as the
 //! throughput comparison point the repo benchmark measures.
 //!
@@ -59,6 +62,7 @@
 //! queues are strictly single-consumer.
 
 use std::cell::UnsafeCell;
+use std::mem::MaybeUninit;
 use std::ptr;
 use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -236,10 +240,10 @@ impl<T> Node<T> {
 /// Blocking, wakeup and disconnect go through the shared `Parker` (module
 /// docs), so the message hot path never contends on a lock.
 ///
-/// Nodes are heap-allocated per push: with *multiple* producers a node
-/// freelist would need a multi-popper lock-free stack (ABA-prone without
-/// tagged pointers), so recycling lives in the single-producer queue
-/// ([`SpscQueue`]) that the mesh links actually use.
+/// Nodes are heap-allocated per push: with *multiple* producers, reusing
+/// memory would need a multi-popper lock-free stack (ABA-prone without
+/// tagged pointers). The mesh links ride the single-producer ring
+/// ([`SpscQueue`]) instead, whose blocks return to their one producer.
 struct RealQueue<T> {
     /// Most recently pushed node; producers swap themselves in here.
     head: AtomicPtr<Node<T>>,
@@ -412,41 +416,117 @@ pub fn real_channel<T>() -> (RealSender<T>, RealReceiver<T>) {
 }
 
 // ---------------------------------------------------------------------------
-// Lock-free SPSC queue with node recycling (the mesh-link fast path).
+// Segmented SPSC ring (the mesh-link fast path).
 // ---------------------------------------------------------------------------
 
-/// Consumed nodes retained per queue for reuse; beyond this they are
-/// freed. 256 nodes cover every in-flight window the archetypes produce
-/// (pipeline credit windows, collective fan-outs) while bounding what an
-/// idle cached network pins.
-const SPSC_FREELIST_CAP: usize = 256;
+/// Slots per block of the SPSC ring. 32 `Packet`s are ~2 KiB: a
+/// collective's fan-in or a pipeline's credit window fits in one or two
+/// blocks, and a link that never has 32 messages in flight lives on two
+/// blocks forever (the one being filled and the spare).
+const BLOCK: usize = 32;
 
-/// Intrusive single-producer single-consumer queue with a node freelist.
+/// One message slot: the value and the flag that publishes it.
+struct Slot<T> {
+    value: UnsafeCell<MaybeUninit<T>>,
+    /// Set by the producer with a release store once `value` is written;
+    /// cleared by the consumer with a plain store once it has moved the
+    /// value out.
+    ready: AtomicBool,
+}
+
+/// `BLOCK` slots and the link to the block after them.
+#[repr(align(64))]
+struct Block<T> {
+    slots: [Slot<T>; BLOCK],
+    /// Stored by the producer before it publishes this block's last slot;
+    /// meaningless (a stale link or null) until then.
+    next: AtomicPtr<Block<T>>,
+}
+
+impl<T> Block<T> {
+    fn boxed() -> *mut Block<T> {
+        Box::into_raw(Box::new(Block {
+            slots: std::array::from_fn(|_| Slot {
+                value: UnsafeCell::new(MaybeUninit::uninit()),
+                ready: AtomicBool::new(false),
+            }),
+            next: AtomicPtr::new(ptr::null_mut()),
+        }))
+    }
+}
+
+/// One side's position in the ring, alone on its cache lines (128
+/// bytes: the adjacent-line prefetcher pulls lines in pairs), so the
+/// producer and the consumer share no line but the slot in hand.
+#[repr(align(128))]
+struct Cursor<T> {
+    /// The block holding slot `count % BLOCK`. Only this side's thread
+    /// reads or writes it.
+    block: UnsafeCell<*mut Block<T>>,
+    /// Messages published (producer) or taken (consumer) so far. Its one
+    /// writer is this side's thread, with plain stores; the other side
+    /// never reads it, and `len` reads both counts.
+    count: AtomicUsize,
+}
+
+impl<T> Cursor<T> {
+    fn at(block: *mut Block<T>) -> Self {
+        Cursor {
+            block: UnsafeCell::new(block),
+            count: AtomicUsize::new(0),
+        }
+    }
+}
+
+/// Single-producer single-consumer queue: a chain of blocks of slots.
 ///
-/// The single producer publishes with *one* release store (no swap, and
-/// no unlinked window for the consumer to spin on); consumed nodes are
-/// recycled through a Treiber stack pushed by the consumer and popped
-/// only by the producer, so steady-state traffic allocates nothing. The
-/// single-popper discipline is what makes the bare Treiber stack sound:
-/// a loaded freelist head can only be unlinked by the one popper, so its
-/// `next` pointer is stable until the popper's CAS and the classic ABA
-/// hazard (head reappearing with a different successor) cannot occur.
+/// A message shares only its slot between the two threads and does no
+/// atomic read-modify-write: the producer writes the value, stores its
+/// count and sets the slot's `ready` flag with a release store; the
+/// consumer reads the flag with an acquire load, moves the value out,
+/// clears the flag and stores its own count. Once per block each side swaps the one `spare` pointer, which
+/// is how drained blocks return to the producer, so steady-state traffic
+/// allocates nothing.
+///
+/// Why it is sound:
+///
+/// * **Who writes what.** `producer` (its block pointer and count) is
+///   written only by the sending thread, `consumer` only by the
+///   receiving thread; the single-producer contract of
+///   [`SpscSender::send`] and the uncloneable [`SpscReceiver`] make each
+///   a single thread at a time. A slot's value is written by the
+///   producer only while its flag is clear and read by the consumer only
+///   while it is set.
+/// * **The flag pairs a release with an acquire.** The producer's
+///   `ready` store (release) comes after its writes to the value, to its
+///   count and, on a block's last slot, to `next`; the consumer's `ready`
+///   load (acquire) comes before it reads any of them, so a set flag
+///   means all three are visible.
+/// * **A block is handed back only after the producer has linked past
+///   it.** The producer stores `next` and moves its own cursor to the new
+///   block *before* it publishes the old block's last slot, so once the
+///   consumer has taken that slot the producer will never touch the old
+///   block again. Only then does the consumer swap it into `spare`
+///   (release); the producer takes it with an acquire swap, so it sees
+///   every flag cleared (the consumer cleared them slot by slot). Its
+///   stale `next` is never followed: the producer overwrites it before
+///   it publishes the block's last slot again. A block the swap
+///   displaces (the producer took no spare since the last one) is freed
+///   by the consumer.
+/// * **What `Drop` frees.** With exclusive access, `Drop` walks from the
+///   consumer's slot to the producer's, dropping each of the `sent −
+///   taken` queued values exactly once and freeing every block it leaves,
+///   then frees the producer's block and the spare. A value moved out by
+///   the consumer is never dropped again: only the count range is walked.
 ///
 /// Blocking, wakeup and disconnect go through the shared `Parker`
 /// (module docs).
 struct SpscQueue<T> {
-    /// Most recently pushed node; owned by the single producer.
-    head: UnsafeCell<*mut Node<T>>,
-    /// Oldest node (a consumed stub); owned by the single consumer.
-    tail: UnsafeCell<*mut Node<T>>,
-    /// Recycled nodes: pushed by the consumer, popped by the producer.
-    free: AtomicPtr<Node<T>>,
-    /// Approximate freelist occupancy bounding retained nodes.
-    free_len: AtomicUsize,
-    /// Messages currently queued. Shared with the sibling links of one
-    /// mailbox when built via [`spsc_channel_with`], so a mailbox's
-    /// leak check is one load instead of n.
-    len: Arc<AtomicUsize>,
+    producer: Cursor<T>,
+    consumer: Cursor<T>,
+    /// A drained block waiting for the producer's next block boundary, or
+    /// null.
+    spare: AtomicPtr<Block<T>>,
     /// Cleared when the receiver drops, so sends can fail fast.
     receiver_alive: AtomicBool,
     /// Counts live `SpscSender` handles. (Handles may be cloned — scoped
@@ -457,87 +537,51 @@ struct SpscQueue<T> {
     /// contract (release builds pay nothing).
     #[cfg(debug_assertions)]
     pushing: AtomicBool,
+    /// Blocks allocated over the queue's life.
+    #[cfg(test)]
+    blocks_allocated: AtomicUsize,
 }
 
 // SAFETY: values cross from the single producer to the single consumer;
-// `head` is only touched by the producer, `tail` only by the consumer,
-// the freelist is managed through atomics with one pusher and one
-// popper, and `Drop` has exclusive access.
+// each cursor is touched only by its own side, slots are handed over by
+// their `ready` flags, blocks by `next` and `spare` (type docs), and
+// `Drop` has exclusive access.
 unsafe impl<T: Send> Send for SpscQueue<T> {}
 unsafe impl<T: Send> Sync for SpscQueue<T> {}
 
 impl<T> SpscQueue<T> {
-    fn new(len: Arc<AtomicUsize>) -> Self {
-        let stub = Node::boxed(None);
+    fn new() -> Self {
+        let first = Block::boxed();
         SpscQueue {
-            head: UnsafeCell::new(stub),
-            tail: UnsafeCell::new(stub),
-            free: AtomicPtr::new(ptr::null_mut()),
-            free_len: AtomicUsize::new(0),
-            len,
+            producer: Cursor::at(first),
+            consumer: Cursor::at(first),
+            spare: AtomicPtr::new(ptr::null_mut()),
             receiver_alive: AtomicBool::new(true),
             parker: Parker::default(),
             #[cfg(debug_assertions)]
             pushing: AtomicBool::new(false),
+            #[cfg(test)]
+            blocks_allocated: AtomicUsize::new(1),
         }
     }
 
-    /// Pop a recycled node, or `None` when the freelist is empty.
-    ///
-    /// # Safety
-    /// Must only be called by the single producer (single-popper
-    /// discipline — see the type docs).
-    unsafe fn pop_free(&self) -> Option<*mut Node<T>> {
-        loop {
-            let cur = self.free.load(Ordering::Acquire);
-            if cur.is_null() {
-                return None;
-            }
-            // `cur` cannot be unlinked by anyone else (we are the only
-            // popper), so reading its successor is race-free; the CAS
-            // fails only when the consumer pushed more nodes on top.
-            let next = (*cur).next.load(Ordering::Relaxed);
-            if self
-                .free
-                .compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                self.free_len.fetch_sub(1, Ordering::Relaxed);
-                return Some(cur);
-            }
+    /// The spare block, or a new one when the consumer has none to give
+    /// (the producer's half of the hand-back).
+    fn next_block(&self) -> *mut Block<T> {
+        let spare = self.spare.swap(ptr::null_mut(), Ordering::Acquire);
+        if !spare.is_null() {
+            return spare;
         }
-    }
-
-    /// Park a consumed node for reuse (or free it past the cap).
-    ///
-    /// # Safety
-    /// Must only be called by the single consumer, with `node` unlinked
-    /// from the queue chain.
-    unsafe fn recycle(&self, node: *mut Node<T>) {
-        if self.free_len.load(Ordering::Relaxed) >= SPSC_FREELIST_CAP {
-            drop(Box::from_raw(node));
-            return;
-        }
-        self.free_len.fetch_add(1, Ordering::Relaxed);
-        loop {
-            let cur = self.free.load(Ordering::Relaxed);
-            (*node).next.store(cur, Ordering::Relaxed);
-            // Release so the producer's Acquire pop observes our writes
-            // to the node (the `value.take()` that emptied it).
-            if self
-                .free
-                .compare_exchange_weak(cur, node, Ordering::Release, Ordering::Relaxed)
-                .is_ok()
-            {
-                return;
-            }
-        }
+        #[cfg(test)]
+        self.blocks_allocated.fetch_add(1, Ordering::Relaxed);
+        Block::boxed()
     }
 
     /// Producer side, publish only: enqueue without the fence/wake step.
     /// The caller must follow up with [`publish_fence`] and
-    /// `Parker::wake_if_parked` before blocking on anything, or the consumer may sleep on a full queue
-    /// until its belt-and-braces timeout.
+    /// `Parker::wake_if_parked` before blocking on anything, or the
+    /// consumer may sleep on a full queue until its belt-and-braces
+    /// timeout.
     ///
     /// # Safety
     /// Must only be called by the single producer; concurrent pushes are
@@ -548,15 +592,27 @@ impl<T> SpscQueue<T> {
             !self.pushing.swap(true, Ordering::Acquire),
             "concurrent push on an SPSC queue (single-producer contract violated)"
         );
-        let node = self.pop_free().unwrap_or_else(|| Node::boxed(None));
-        (*node).next.store(ptr::null_mut(), Ordering::Relaxed);
-        (*node).value = Some(value);
-        let head = *self.head.get();
-        // The one-store publish: linking the new node makes it visible
-        // to the consumer together with its value (Release).
-        (*head).next.store(node, Ordering::Release);
-        *self.head.get() = node;
-        self.len.fetch_add(1, Ordering::Release);
+        // SAFETY (the derefs below): the caller is the one producer, so
+        // the producer cursor is ours, and its block is live — the
+        // consumer frees or hands back only blocks the producer has left.
+        // Slot `i` is free: the consumer cleared its flag before the
+        // block came back, or the block is new.
+        let sent = self.producer.count.load(Ordering::Relaxed);
+        let block = *self.producer.block.get();
+        let i = sent % BLOCK;
+        if i == BLOCK - 1 {
+            // Link past this block before its last slot goes out (type
+            // docs): the consumer steps straight onto `next` after it.
+            let next = self.next_block();
+            (*block).next.store(next, Ordering::Relaxed);
+            *self.producer.block.get() = next;
+        }
+        let slot = &(*block).slots[i];
+        (*slot.value.get()).write(value);
+        // The count before the flag, so a reader that sees the consumer's
+        // count cover this slot sees this count too (`len` ≥ 0).
+        self.producer.count.store(sent + 1, Ordering::Relaxed);
+        slot.ready.store(true, Ordering::Release);
         #[cfg(debug_assertions)]
         self.pushing.store(false, Ordering::Release);
     }
@@ -566,36 +622,87 @@ impl<T> SpscQueue<T> {
     /// # Safety
     /// Must only be called by the single consumer.
     unsafe fn try_pop(&self) -> Option<T> {
-        let tail = *self.tail.get();
-        let next = (*tail).next.load(Ordering::Acquire);
-        if next.is_null() {
-            // Unlike the MPSC queue there is no unlinked window: the
-            // producer's single release store publishes node and link
-            // together, so a null `next` means truly empty.
+        // SAFETY (the derefs below): the caller is the one consumer, so
+        // the consumer cursor is ours, and its block is live until this
+        // thread hands it back. A set flag, acquired, means the value is
+        // written and, on the last slot, `next` is linked.
+        let taken = self.consumer.count.load(Ordering::Relaxed);
+        let block = *self.consumer.block.get();
+        let i = taken % BLOCK;
+        let slot = &(*block).slots[i];
+        if !slot.ready.load(Ordering::Acquire) {
             return None;
         }
-        let value = (*next).value.take().expect("pushed node carries a value");
-        *self.tail.get() = next;
-        self.recycle(tail);
-        self.len.fetch_sub(1, Ordering::Release);
+        let value = (*slot.value.get()).assume_init_read();
+        slot.ready.store(false, Ordering::Relaxed);
+        if i == BLOCK - 1 {
+            // The producer linked `next` before it published this slot
+            // and has left the block for good: hand it back.
+            *self.consumer.block.get() = (*block).next.load(Ordering::Relaxed);
+            let displaced = self.spare.swap(block, Ordering::AcqRel);
+            if !displaced.is_null() {
+                drop(Box::from_raw(displaced));
+            }
+        }
+        self.consumer.count.store(taken + 1, Ordering::Release);
         Some(value)
+    }
+
+    /// Messages queued: published minus taken. The consumer's count is
+    /// read first, and the producer stores its count before the flag the
+    /// consumer acquires, so the difference never underflows; it is exact
+    /// once both sides are quiescent.
+    fn len(&self) -> usize {
+        let taken = self.consumer.count.load(Ordering::Acquire);
+        self.producer.count.load(Ordering::Acquire) - taken
+    }
+
+    /// Blocks held: the chain from the consumer's block to the
+    /// producer's, and the spare. Needs both sides quiescent.
+    #[cfg(test)]
+    fn retained_blocks(&self) -> usize {
+        // SAFETY: with both sides quiescent nobody writes the cursors.
+        let (mut block, last) = unsafe { (*self.consumer.block.get(), *self.producer.block.get()) };
+        let mut held = 1 + usize::from(!self.spare.load(Ordering::Acquire).is_null());
+        while block != last {
+            // SAFETY: with both sides quiescent the chain is stable and
+            // every block on it is live.
+            block = unsafe { (*block).next.load(Ordering::Acquire) };
+            held += 1;
+        }
+        held
     }
 }
 
 impl<T> Drop for SpscQueue<T> {
     fn drop(&mut self) {
-        // Exclusive access: free the live chain (tail..head, including
-        // the stub) and the freelist. The two chains are disjoint — a
-        // node is recycled only after being unlinked from the queue.
-        let mut p = *self.tail.get_mut();
-        while !p.is_null() {
-            let node = unsafe { Box::from_raw(p) };
-            p = node.next.load(Ordering::Relaxed);
+        let sent = *self.producer.count.get_mut();
+        let mut taken = *self.consumer.count.get_mut();
+        let mut block = *self.consumer.block.get_mut();
+        while taken != sent {
+            let i = taken % BLOCK;
+            // SAFETY: exclusive access; slots `taken..sent` hold the
+            // queued values, each dropped once here, and a block is freed
+            // only after its last slot, once its successor is read.
+            unsafe {
+                (*(*block).slots[i].value.get()).assume_init_drop();
+                if i == BLOCK - 1 {
+                    let next = (*block).next.load(Ordering::Relaxed);
+                    drop(Box::from_raw(block));
+                    block = next;
+                }
+            }
+            taken += 1;
         }
-        let mut f = *self.free.get_mut();
-        while !f.is_null() {
-            let node = unsafe { Box::from_raw(f) };
-            f = node.next.load(Ordering::Relaxed);
+        // SAFETY: `block` is now the producer's block (the walk ended at
+        // its count); it and the spare are live, distinct and owned by
+        // the queue alone, and neither holds a value.
+        unsafe {
+            drop(Box::from_raw(block));
+            let spare = *self.spare.get_mut();
+            if !spare.is_null() {
+                drop(Box::from_raw(spare));
+            }
         }
     }
 }
@@ -698,24 +805,16 @@ impl<T> SpscReceiver<T> {
         self.queue.parker.poll(&mut try_pop).transpose()
     }
 
-    /// Messages currently queued. Exact at quiescence for a channel from
-    /// [`spsc_channel`]; for mesh links built with a shared counter (see
-    /// [`crate::mailbox::build_network`]) this counts in-flight messages
-    /// across *all* links sharing the counter.
+    /// Messages currently queued: sent minus received, from two counts
+    /// with one writer each. Exact when the channel is quiescent.
     pub fn len(&self) -> usize {
-        self.queue.len.load(Ordering::Acquire)
+        self.queue.len()
     }
 
     /// True when no message is currently queued (same caveat as
     /// [`SpscReceiver::len`]).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Nodes currently parked on the freelist (tests/diagnostics).
-    #[cfg(test)]
-    fn recycled_nodes(&self) -> usize {
-        self.queue.free_len.load(Ordering::Relaxed)
     }
 }
 
@@ -725,17 +824,9 @@ impl<T> Drop for SpscReceiver<T> {
     }
 }
 
-/// Create a lock-free SPSC channel with a private length counter.
+/// Create a lock-free SPSC channel.
 pub fn spsc_channel<T>() -> (SpscSender<T>, SpscReceiver<T>) {
-    spsc_channel_with(Arc::new(AtomicUsize::new(0)))
-}
-
-/// Create a lock-free SPSC channel whose length counter is the given
-/// (possibly shared) cell. [`crate::mailbox::build_network`] shares one
-/// cell across all links of a destination's mailbox, making the post-run
-/// leak check a single load per mailbox instead of n per-channel reads.
-pub(crate) fn spsc_channel_with<T>(len: Arc<AtomicUsize>) -> (SpscSender<T>, SpscReceiver<T>) {
-    let queue = Arc::new(SpscQueue::new(len));
+    let queue = Arc::new(SpscQueue::new());
     queue.parker.add_sender();
     (
         SpscSender {
@@ -862,6 +953,7 @@ mod tests {
     fn spsc_channel_fifo_and_disconnect() {
         let (tx, rx) = spsc_channel();
         for i in 0..100u64 {
+            // SAFETY: one thread, one handle.
             unsafe { tx.send(i).unwrap() };
         }
         assert_eq!(rx.len(), 100);
@@ -877,40 +969,115 @@ mod tests {
     fn spsc_send_fails_after_receiver_drop() {
         let (tx, rx) = spsc_channel();
         drop(rx);
+        // SAFETY: one thread, one handle.
         assert_eq!(unsafe { tx.send(1u8) }, Err(1u8));
     }
 
+    /// A value that counts its drops.
+    struct Tracked {
+        seq: u64,
+        drops: Arc<AtomicUsize>,
+    }
+
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            self.drops.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     #[test]
-    fn spsc_recycles_nodes_in_steady_state() {
+    fn spsc_fifo_and_drop_at_block_boundaries() {
+        // `offset` messages pass through first, so the queued ones start
+        // at different slots of a block; half of them are then received
+        // in order, and the handles drop with the rest still queued.
+        for offset in [0, 1, BLOCK - 1, BLOCK] {
+            for queued in [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK] {
+                let at = format!("offset {offset}, {queued} queued");
+                let drops = Arc::new(AtomicUsize::new(0));
+                let tracked = |seq| Tracked {
+                    seq,
+                    drops: Arc::clone(&drops),
+                };
+                let (tx, rx) = spsc_channel();
+                // SAFETY (every send here): one thread, one handle.
+                for seq in 0..offset as u64 {
+                    assert!(unsafe { tx.send(tracked(seq)) }.is_ok());
+                    assert_eq!(rx.recv().map(|t| t.seq), Ok(seq));
+                }
+                for seq in 0..queued as u64 {
+                    assert!(unsafe { tx.send(tracked(seq)) }.is_ok());
+                }
+                assert_eq!(rx.len(), queued, "{at}");
+                let received = queued / 2;
+                for seq in 0..received as u64 {
+                    assert_eq!(rx.recv().map(|t| t.seq), Ok(seq), "{at}");
+                }
+                assert_eq!(drops.load(Ordering::Relaxed), offset + received);
+                drop(tx);
+                drop(rx);
+                assert_eq!(drops.load(Ordering::Relaxed), offset + queued, "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn spsc_len_counts_across_block_boundaries() {
         let (tx, rx) = spsc_channel();
-        // Prime: one send/recv parks the consumed stub on the freelist.
-        unsafe { tx.send(0u64).unwrap() };
-        assert_eq!(rx.recv(), Ok(0));
-        assert_eq!(rx.recycled_nodes(), 1);
-        // Steady-state ping-pong shape: every push reuses the node the
-        // previous pop recycled, so the freelist never grows past the
-        // in-flight window.
-        for i in 1..scaled(10_000) {
+        for n in 1..=3 * BLOCK {
+            // SAFETY: one thread, one handle.
+            unsafe { tx.send(n).unwrap() };
+            assert_eq!(rx.len(), n);
+        }
+        for n in (0..3 * BLOCK).rev() {
+            rx.recv().unwrap();
+            assert_eq!(rx.len(), n);
+        }
+        assert!(rx.is_empty());
+    }
+
+    #[test]
+    fn spsc_ping_pong_reuses_the_spare_block() {
+        // One message in flight between two threads: each link lives on
+        // its first block and one more, handed back and forth as the
+        // spare, however long the exchange runs.
+        let (ping_tx, ping_rx) = spsc_channel();
+        let (pong_tx, pong_rx) = spsc_channel();
+        let echo = std::thread::spawn(move || {
+            while let Ok(v) = ping_rx.recv() {
+                // SAFETY: this thread holds the only `pong_tx`.
+                unsafe { pong_tx.send(v).unwrap() };
+            }
+            ping_rx
+        });
+        for i in 0..scaled(20_000) {
+            // SAFETY: this thread holds the only `ping_tx`.
+            unsafe { ping_tx.send(i).unwrap() };
+            assert_eq!(pong_rx.recv(), Ok(i));
+        }
+        drop(ping_tx);
+        let ping_rx = echo.join().unwrap();
+        for rx in [&ping_rx, &pong_rx] {
+            assert_eq!(rx.queue.blocks_allocated.load(Ordering::Relaxed), 2);
+            assert_eq!(rx.queue.retained_blocks(), 2);
+        }
+        // A burst three blocks deep takes two more blocks; once drained,
+        // the link keeps two again and a ping-pong allocates nothing.
+        let (tx, rx) = spsc_channel();
+        // SAFETY (every send below): one thread, one handle.
+        for i in 0..3 * BLOCK as u64 {
+            unsafe { tx.send(i).unwrap() };
+        }
+        assert_eq!(rx.queue.retained_blocks(), 4);
+        for i in 0..3 * BLOCK as u64 {
+            assert_eq!(rx.recv(), Ok(i));
+        }
+        assert_eq!(rx.queue.retained_blocks(), 2);
+        for i in 0..3 * BLOCK as u64 {
             unsafe { tx.send(i).unwrap() };
             assert_eq!(rx.recv(), Ok(i));
         }
-        assert_eq!(rx.recycled_nodes(), 1);
-        // Bursts park as many nodes as were simultaneously in flight...
-        for i in 0..64u64 {
-            unsafe { tx.send(i).unwrap() };
-        }
-        for _ in 0..64u64 {
-            rx.recv().unwrap();
-        }
-        assert_eq!(rx.recycled_nodes(), 64);
-        // ...and the cap bounds retention for oversized bursts.
-        for i in 0..2 * SPSC_FREELIST_CAP as u64 {
-            unsafe { tx.send(i).unwrap() };
-        }
-        for _ in 0..2 * SPSC_FREELIST_CAP as u64 {
-            rx.recv().unwrap();
-        }
-        assert!(rx.recycled_nodes() <= SPSC_FREELIST_CAP);
+        assert_eq!(rx.queue.blocks_allocated.load(Ordering::Relaxed), 4);
+        assert_eq!(rx.queue.retained_blocks(), 2);
     }
 
     #[test]
@@ -918,43 +1085,46 @@ mod tests {
         let (tx, rx) = spsc_channel();
         let h = std::thread::spawn(move || rx.recv().unwrap());
         std::thread::sleep(Duration::from_millis(20));
+        // SAFETY: this thread holds the only sender.
         unsafe { tx.send(42u64).unwrap() };
         assert_eq!(h.join().unwrap(), 42);
     }
 
     #[test]
-    fn spsc_threaded_stream_is_fifo_with_recycling() {
+    fn spsc_threaded_stream_pauses_at_block_ends() {
+        // The producer pauses at block ends, by turns: until the consumer
+        // has taken everything up to a block's last slot (it crosses the
+        // boundary and hands the block back while the producer waits) or
+        // up to the slot before it (it waits on the last slot), for one
+        // yield, or not at all.
+        const B: u64 = BLOCK as u64;
         let (tx, rx) = spsc_channel();
         let count = scaled(50_000);
+        let taken = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&taken);
+        let drained_to = move |i: u64| {
+            while seen.load(Ordering::Acquire) <= i as usize {
+                std::thread::yield_now();
+            }
+        };
         let h = std::thread::spawn(move || {
             for i in 0..count {
+                // SAFETY: this thread holds the only sender.
                 unsafe { tx.send(i).unwrap() };
-                if i % 1024 == 0 {
-                    std::thread::yield_now();
+                match ((i / B) % 4, i % B) {
+                    (0, s) if s == B - 1 => drained_to(i),
+                    (1, s) if s == B - 2 => drained_to(i),
+                    (2, s) if s == B - 1 => std::thread::yield_now(),
+                    _ => {}
                 }
             }
         });
         for i in 0..count {
             assert_eq!(rx.recv(), Ok(i));
+            taken.store(i as usize + 1, Ordering::Release);
         }
         assert_eq!(rx.recv(), Err(Disconnected));
         h.join().unwrap();
-    }
-
-    #[test]
-    fn spsc_drops_undelivered_payloads_and_recycled_nodes() {
-        let payload = Arc::new(5u64);
-        let (tx, rx) = spsc_channel();
-        // Exercise the freelist before leaving values in flight, so Drop
-        // must free both chains.
-        unsafe { tx.send(Arc::clone(&payload)).unwrap() };
-        rx.recv().unwrap();
-        unsafe { tx.send(Arc::clone(&payload)).unwrap() };
-        unsafe { tx.send(Arc::clone(&payload)).unwrap() };
-        assert_eq!(Arc::strong_count(&payload), 3);
-        drop(tx);
-        drop(rx);
-        assert_eq!(Arc::strong_count(&payload), 1);
     }
 
     /// Both channels behind one face, so every `Parker` test below runs
@@ -1466,22 +1636,6 @@ mod tests {
     }
 
     #[test]
-    fn spsc_channels_share_a_length_cell() {
-        let cell = Arc::new(AtomicUsize::new(0));
-        let (tx_a, rx_a) = spsc_channel_with(Arc::clone(&cell));
-        let (tx_b, rx_b) = spsc_channel_with(Arc::clone(&cell));
-        unsafe {
-            tx_a.send(1u64).unwrap();
-            tx_b.send(2u64).unwrap();
-        }
-        assert_eq!(cell.load(Ordering::Acquire), 2);
-        rx_a.recv().unwrap();
-        assert_eq!(cell.load(Ordering::Acquire), 1);
-        rx_b.recv().unwrap();
-        assert_eq!(cell.load(Ordering::Acquire), 0);
-    }
-
-    #[test]
     fn publish_then_wake_delivers_to_parked_consumer() {
         // The batched fan-out path: publish (no wake), fence, wake. The
         // parked consumer must observe the message promptly through the
@@ -1489,6 +1643,7 @@ mod tests {
         let (tx, rx) = spsc_channel();
         let h = std::thread::spawn(move || rx.recv().unwrap());
         std::thread::sleep(Duration::from_millis(20));
+        // SAFETY: this thread holds the only sender.
         unsafe { tx.send_publish(9u64).unwrap() };
         publish_fence();
         tx.wake();

@@ -1,5 +1,5 @@
 //! Complexity gates: exact, deterministic evidence for costs the virtual
-//! clock never charges (ROADMAP item 1). This binary installs a counting
+//! clock never charges. This binary installs a counting
 //! allocator — per-thread counters, so the harness and sibling tests
 //! cannot pollute a measurement — and asserts allocation *counts*, next
 //! to the bit-identity the rewritten grid op must keep.
@@ -179,6 +179,51 @@ fn poisson_spmd_allocates_nothing_per_sweep_on_one_rank() {
         short, long,
         "ten times the sweeps must not allocate once more"
     );
+}
+
+/// Rank pairs (0, 1), (2, 3), … bounce `round` once.
+fn ping_pong(ctx: &mut Ctx, round: u64) {
+    let partner = ctx.rank() ^ 1;
+    if ctx.rank().is_multiple_of(2) {
+        ctx.send(partner, 1, round);
+        assert_eq!(ctx.recv::<u64>(partner, 1), round);
+    } else {
+        let v: u64 = ctx.recv(partner, 1);
+        ctx.send(partner, 1, v);
+    }
+}
+
+/// Every rank passes 64 bytes to its right-hand neighbour.
+fn ring_shift(ctx: &mut Ctx, round: u64) {
+    let (rank, p) = (ctx.rank(), ctx.nprocs());
+    ctx.send((rank + 1) % p, 2, [round; 8]);
+    assert_eq!(ctx.recv::<[u64; 8]>((rank + p - 1) % p, 2), [round; 8]);
+}
+
+#[test]
+fn steady_state_send_and_recv_allocate_nothing() {
+    type Exchange = fn(&mut Ctx, u64);
+    for p in [2, 4] {
+        for (name, exchange) in [
+            ("ping-pong", ping_pong as Exchange),
+            ("ring shift", ring_shift),
+        ] {
+            let out = run_spmd(p, MachineModel::ibm_sp(), |ctx| {
+                // Warm-up: fills the payload arenas and takes every link
+                // round its queue's blocks more than once.
+                for round in 0..200 {
+                    exchange(ctx, round);
+                }
+                allocations_of(|| {
+                    for round in 0..1000 {
+                        exchange(ctx, round);
+                    }
+                })
+                .1
+            });
+            assert_eq!(out.results, vec![0; p], "{name} at {p} ranks, per rank");
+        }
+    }
 }
 
 /// Sorted `a` and `b` of `na` and `nb` interleaving keys, `a` with room

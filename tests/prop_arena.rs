@@ -1,17 +1,17 @@
 //! Property tests for the substrate's payload-box arena and the
-//! transport's node freelists: recycled runs must be bit-identical to
-//! fresh runs.
+//! transport's recycled ring blocks: recycled runs must be bit-identical
+//! to fresh runs.
 //!
 //! `Ctx::send` allocates each message's payload box from the sending
 //! rank's arena and `Ctx::recv` returns the emptied block to the
-//! receiving rank's arena; the SPSC links additionally recycle their
-//! queue nodes. Both freelists travel with the network through the
-//! per-size recycle cache, so a *pooled* repeated run executes on warm
-//! freelists while an *unpooled* run builds everything fresh. This
-//! property hammers that machinery with mixed-size payloads (distinct
-//! `(size, align)` arena classes) and asserts that results, per-rank
-//! clocks, and stats never depend on whether the memory came from a
-//! freelist — mirroring the recycle-cache hammer that guards network
+//! receiving rank's arena; the SPSC links additionally hand their
+//! drained ring blocks back to the producer. Both travel with the
+//! network through the per-size recycle cache, so a *pooled* repeated
+//! run executes on warm memory while an *unpooled* run builds everything
+//! fresh. This property hammers that machinery with mixed-size payloads
+//! (distinct `(size, align)` arena classes) and asserts that results,
+//! per-rank clocks, and stats never depend on whether the memory was
+//! recycled — mirroring the recycle-cache hammer that guards network
 //! recycling itself.
 
 use proptest::collection::vec;

@@ -319,8 +319,8 @@ proptest! {
 
     // Lockstep differential: one script of sends and receives applied to
     // the queue under test and to the oracle, single-threaded, so every
-    // queue state (empty, one node, bursts, the node-freelist steady
-    // state) is compared value by value.
+    // queue state (empty, one message, bursts across block boundaries,
+    // the spare-block steady state) is compared value by value.
     #[test]
     fn spsc_lockstep_matches_the_mpsc_oracle(
         script in vec((any::<bool>(), any::<u32>()), 1..300),
