@@ -6,7 +6,7 @@ use std::sync::Arc;
 use crate::fault::{CrashSite, FaultPlan, InjectedCrash, RankDead};
 use crate::mailbox::Mailbox;
 use crate::model::MachineModel;
-use crate::packet::{Packet, PacketBody};
+use crate::packet::{InlineValue, Packet, PacketBody};
 use crate::payload::{Payload, PayloadArena, Shared};
 use crate::stats::RankStats;
 use crate::trace::{TraceEvent, TraceRecorder};
@@ -32,7 +32,8 @@ pub struct Ctx {
     /// single-producer contract [`Ctx::push`] relies on.
     senders: Vec<SpscSender<Packet>>,
     mailbox: Mailbox,
-    /// This rank's payload-box freelist: `send` allocates from it,
+    /// This rank's payload-box freelist: `send` allocates from it for
+    /// payloads too large for the packet (see [`Ctx::body_of`]),
     /// `recv` returns emptied blocks to it, and it travels with the
     /// mailbox through the network-recycle cache so steady-state
     /// messaging allocates nothing (see
@@ -355,7 +356,6 @@ impl Ctx {
             self.trace(event);
         }
         let pkt = Packet {
-            from: self.rank,
             scope: self.scope,
             tag,
             bytes,
@@ -394,7 +394,7 @@ impl Ctx {
     /// blocking on anything.
     pub(crate) fn send_quiet<T: Payload>(&mut self, to: usize, tag: Tag, value: T) {
         let bytes = value.size_bytes();
-        let body = PacketBody::Owned(self.arena.alloc_box(value));
+        let body = self.body_of(value);
         self.try_send_packet_inner(to, tag, bytes, body, true)
             .expect("receiving rank's mailbox closed (rank panicked?)");
     }
@@ -575,6 +575,39 @@ impl Ctx {
         )
     }
 
+    /// The packet body carrying `value`: inline when `T` fits in the
+    /// packet ([`InlineValue::fits`], a constant per type), else a box
+    /// from this rank's arena.
+    fn body_of<T: Payload>(&mut self, value: T) -> PacketBody {
+        match InlineValue::new(value) {
+            Ok(inline) => PacketBody::Inline(inline),
+            Err(value) => PacketBody::Owned(self.arena.alloc_box(value)),
+        }
+    }
+
+    /// Move the `T` out of a body sent with [`Ctx::send`] or
+    /// [`Ctx::send_ft`], panicking on a type mismatch or a shared body.
+    fn value_of<T: Payload>(&mut self, body: PacketBody, from: usize, tag: Tag) -> T {
+        match body {
+            PacketBody::Inline(v) => match v.take::<T>() {
+                Ok(v) => v,
+                Err(_) => self.type_mismatch::<T>(from, tag),
+            },
+            PacketBody::Owned(b) => match b.downcast::<T>() {
+                // Moving the value out hands the emptied box to this
+                // rank's arena — the "freelists returned on recv" half
+                // of the allocation-free steady state.
+                Ok(v) => self.arena.reclaim(v),
+                Err(_) => self.type_mismatch::<T>(from, tag),
+            },
+            PacketBody::Shared(_) => panic!(
+                "rank {}: message (from={from}, tag={tag}) was sent with send_shared; \
+                 receive it with recv_shared",
+                self.rank
+            ),
+        }
+    }
+
     /// Send `value` to rank `to` with tag `tag`. Non-blocking (buffered),
     /// like an eager-protocol MPI send; costs this rank `send_overhead`
     /// of virtual time and stamps the packet's arrival time.
@@ -595,7 +628,7 @@ impl Ctx {
     /// ```
     pub fn send<T: Payload>(&mut self, to: usize, tag: Tag, value: T) {
         let bytes = value.size_bytes();
-        let body = PacketBody::Owned(self.arena.alloc_box(value));
+        let body = self.body_of(value);
         self.send_packet(to, tag, bytes, body);
     }
 
@@ -621,20 +654,7 @@ impl Ctx {
     /// [`Ctx::send_shared`] (receive those with [`Ctx::recv_shared`]).
     pub fn recv<T: Payload>(&mut self, from: usize, tag: Tag) -> T {
         let pkt = self.recv_packet(from, tag);
-        match pkt.body {
-            PacketBody::Owned(b) => match b.downcast::<T>() {
-                // Moving the value out hands the emptied box to this
-                // rank's arena — the "freelists returned on recv" half
-                // of the allocation-free steady state.
-                Ok(v) => self.arena.reclaim(v),
-                Err(_) => self.type_mismatch::<T>(from, tag),
-            },
-            PacketBody::Shared(_) => panic!(
-                "rank {}: message (from={from}, tag={tag}) was sent with send_shared; \
-                 receive it with recv_shared",
-                self.rank
-            ),
-        }
+        self.value_of(pkt.body, from, tag)
     }
 
     /// Blocking receive of a shared payload from rank `from` with tag
@@ -647,10 +667,7 @@ impl Ctx {
                 Ok(a) => Shared::from_arc(a),
                 Err(_) => self.type_mismatch::<T>(from, tag),
             },
-            PacketBody::Owned(b) => match b.downcast::<T>() {
-                Ok(v) => Shared::new(self.arena.reclaim(v)),
-                Err(_) => self.type_mismatch::<T>(from, tag),
-            },
+            body => Shared::new(self.value_of(body, from, tag)),
         }
     }
 
@@ -709,12 +726,12 @@ impl Ctx {
         // leak into the sender's clock and operation counters.
         let first = if dup {
             self.stats.fault_events += 1;
-            let body = PacketBody::Owned(self.arena.alloc_box(value.clone()));
+            let body = self.body_of(value.clone());
             self.try_send_packet(to, tag, bytes, body)
         } else {
             Ok(())
         };
-        let body = PacketBody::Owned(self.arena.alloc_box(value));
+        let body = self.body_of(value);
         let second = self.try_send_packet(to, tag, bytes, body);
         first.and(second)
     }
@@ -737,17 +754,7 @@ impl Ctx {
             // The sender transmitted two copies; drain and drop the second.
             self.try_recv_packet(from, tag)?;
         }
-        match pkt.body {
-            PacketBody::Owned(b) => match b.downcast::<T>() {
-                Ok(v) => Ok(self.arena.reclaim(v)),
-                Err(_) => self.type_mismatch::<T>(from, tag),
-            },
-            PacketBody::Shared(_) => panic!(
-                "rank {}: message (from={from}, tag={tag}) was sent with send_shared; \
-                 receive it with recv_shared",
-                self.rank
-            ),
-        }
+        Ok(self.value_of(pkt.body, from, tag))
     }
 
     /// Send to `to` and receive from `from` in one exchange step. The send
@@ -879,8 +886,10 @@ impl Ctx {
 
 #[cfg(test)]
 mod tests {
+    use crate::fault::FaultPlan;
     use crate::model::MachineModel;
-    use crate::runner::run_spmd;
+    use crate::payload::Payload;
+    use crate::runner::{run_spmd, run_spmd_ft, run_spmd_with, try_run_spmd, RunConfig};
 
     #[test]
     fn ping_pong_transfers_value_and_advances_clock() {
@@ -1066,6 +1075,143 @@ mod tests {
                 let _: u64 = ctx.recv(0, 0);
             }
         });
+    }
+
+    #[test]
+    fn small_payloads_roundtrip_bit_exactly() {
+        let nan = f64::from_bits(0x7FF8_DEAD_BEEF_0001);
+        let out = run_spmd(2, MachineModel::ibm_sp(), move |ctx| {
+            if ctx.rank() == 0 {
+                ctx.send(1, 0, 0xA5u8);
+                ctx.send(1, 1, true);
+                ctx.send(1, 2, '€');
+                ctx.send(1, 3, u64::MAX - 1);
+                ctx.send(1, 4, nan);
+                ctx.send(1, 5, -0.0f64);
+                ctx.send(1, 6, (7u32, u32::MAX));
+                ctx.send(1, 7, *b"8 bytes!");
+                ctx.send(1, 8, ());
+            } else {
+                assert_eq!(ctx.recv::<u8>(0, 0), 0xA5);
+                assert!(ctx.recv::<bool>(0, 1));
+                assert_eq!(ctx.recv::<char>(0, 2), '€');
+                assert_eq!(ctx.recv::<u64>(0, 3), u64::MAX - 1);
+                assert_eq!(ctx.recv::<f64>(0, 4).to_bits(), nan.to_bits());
+                assert_eq!(ctx.recv::<f64>(0, 5).to_bits(), (-0.0f64).to_bits());
+                assert_eq!(ctx.recv::<(u32, u32)>(0, 6), (7, u32::MAX));
+                assert_eq!(ctx.recv::<[u8; 8]>(0, 7), *b"8 bytes!");
+                ctx.recv::<()>(0, 8);
+            }
+            ctx.stats()
+        });
+        assert_eq!(out.results[0].msgs_sent, 9);
+        assert_eq!(out.results[0].bytes_sent, 1 + 1 + 4 + 5 * 8);
+    }
+
+    #[test]
+    fn a_same_size_type_mismatch_panics() {
+        /// Rank 0 sends a `T`, rank 1 receives a `U`: rank 1's failure.
+        fn mismatch<T: Payload + Copy + Sync, U: Payload>(value: T) -> String {
+            let err = try_run_spmd(2, MachineModel::zero_comm(), RunConfig::default(), |ctx| {
+                if ctx.rank() == 0 {
+                    ctx.send(1, 0, value);
+                } else {
+                    let _: U = ctx.recv(0, 0);
+                }
+            })
+            .expect_err("the receive must panic");
+            let failures = err.failures();
+            assert_eq!((failures.len(), failures[0].rank), (1, 1));
+            failures[0].message.clone()
+        }
+        for (message, expected) in [
+            (mismatch::<u64, i64>(1), "i64"),
+            (mismatch::<f64, u64>(1.0), "u64"),
+            (mismatch::<u64, f64>(1), "f64"),
+            (mismatch::<[u8; 8], u64>([0; 8]), "u64"),
+            (mismatch::<u64, [u8; 8]>(0), "[u8; 8]"),
+        ] {
+            assert!(
+                message.contains("type mismatch") && message.ends_with(expected),
+                "{message}"
+            );
+        }
+    }
+
+    #[test]
+    fn recv_shared_takes_an_inline_value() {
+        let out = run_spmd(2, MachineModel::ibm_sp(), |ctx| {
+            if ctx.rank() == 0 {
+                ctx.send(1, 3, 0xFEEDu64);
+                0
+            } else {
+                *ctx.recv_shared::<u64>(0, 3).get()
+            }
+        });
+        assert_eq!(out.results[1], 0xFEED);
+    }
+
+    #[test]
+    fn recv_ft_discards_the_duplicate_of_an_inline_value() {
+        // Every fault-aware message goes out twice; 40 of them take the
+        // link across block boundaries.
+        let plan = FaultPlan::new(3).duplicates(1.0);
+        let out = run_spmd_ft(2, MachineModel::ibm_sp(), plan, |ctx| {
+            if ctx.rank() == 0 {
+                for i in 0..40u64 {
+                    ctx.send_ft(1, i, 3 * i).expect("rank 1 alive");
+                }
+                Vec::new()
+            } else {
+                (0..40u64)
+                    .map(|i| ctx.recv_ft::<u64>(0, i).expect("rank 0 alive"))
+                    .collect()
+            }
+        });
+        assert!(out.all_ok());
+        assert_eq!(
+            out.results[1].as_ref().expect("rank 1 ok"),
+            &(0..40).map(|i| 3 * i).collect::<Vec<u64>>()
+        );
+        assert_eq!(out.stats.per_rank[0].msgs_sent, 80);
+        assert_eq!(out.leaked_messages, 0);
+    }
+
+    #[test]
+    fn only_payloads_that_do_not_fit_inline_use_the_arena() {
+        // A fresh network, so the receiving arena starts empty.
+        let config = RunConfig {
+            pooled: false,
+            ..RunConfig::default()
+        };
+        let out = run_spmd_with(2, MachineModel::zero_comm(), config, |ctx| {
+            if ctx.rank() == 0 {
+                ctx.send(1, 0, 7u64);
+                ctx.send(1, 1, ());
+                ctx.send(1, 2, [1u8; 9]);
+                ctx.send(1, 3, (2u64, 3u64));
+                ctx.send(1, 4, vec![4u8]);
+                ctx.send(1, 5, String::from("five"));
+                return Vec::new();
+            }
+            let mut held = vec![ctx.arena.held_bytes()];
+            assert_eq!(ctx.recv::<u64>(0, 0), 7);
+            held.push(ctx.arena.held_bytes());
+            ctx.recv::<()>(0, 1);
+            held.push(ctx.arena.held_bytes());
+            assert_eq!(ctx.recv::<[u8; 9]>(0, 2), [1; 9]);
+            held.push(ctx.arena.held_bytes());
+            assert_eq!(ctx.recv::<(u64, u64)>(0, 3), (2, 3));
+            held.push(ctx.arena.held_bytes());
+            assert_eq!(ctx.recv::<Vec<u8>>(0, 4), vec![4]);
+            held.push(ctx.arena.held_bytes());
+            assert_eq!(ctx.recv::<String>(0, 5), "five");
+            held.push(ctx.arena.held_bytes());
+            held
+        });
+        // Each boxed payload hands its block to the receiver's arena:
+        // 9 and 16 bytes, then a `Vec`'s and a `String`'s 24.
+        assert_eq!(out.results[1], vec![0, 0, 0, 9, 25, 49, 73]);
     }
 
     #[test]

@@ -161,7 +161,7 @@ pub fn build_network(n: usize) -> (Vec<Vec<SpscSender<Packet>>>, Vec<Mailbox>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::PacketBody;
+    use crate::packet::{InlineValue, PacketBody};
 
     /// Single-threaded fixture (the threaded interleaving fuzz lives in
     /// `tests/prop_mailbox.rs`). `tx[dest][src]` sends through [`Link`].
@@ -183,33 +183,33 @@ mod tests {
         }
     }
 
-    fn pkt(from: usize, tag: u64, val: i32) -> Packet {
-        pkt_scoped(from, 0, tag, val)
+    fn pkt(tag: u64, val: i32) -> Packet {
+        pkt_scoped(0, tag, val)
     }
 
-    fn pkt_scoped(from: usize, scope: u64, tag: u64, val: i32) -> Packet {
+    /// An `i32` message, carried inline as `Ctx::send` carries it.
+    fn pkt_scoped(scope: u64, tag: u64, val: i32) -> Packet {
         Packet {
-            from,
             scope,
             tag,
             bytes: 4,
             arrival_time: 0.0,
-            body: PacketBody::Owned(Box::new(val)),
+            body: PacketBody::Inline(InlineValue::new(val).expect("an i32 fits inline")),
         }
     }
 
     fn val(p: Packet) -> i32 {
-        let PacketBody::Owned(b) = p.body else {
-            panic!("expected owned body");
+        let PacketBody::Inline(v) = p.body else {
+            panic!("expected inline body");
         };
-        *b.downcast::<i32>().unwrap()
+        v.take::<i32>().expect("i32 payload")
     }
 
     #[test]
     fn fifo_order_within_same_tag() {
         let (tx, mut mb) = net(2);
-        tx[0][1].send(pkt(1, 5, 10)).unwrap();
-        tx[0][1].send(pkt(1, 5, 20)).unwrap();
+        tx[0][1].send(pkt(5, 10)).unwrap();
+        tx[0][1].send(pkt(5, 20)).unwrap();
         let a = mb[0].recv_matching(1, 0, 5);
         let b = mb[0].recv_matching(1, 0, 5);
         assert_eq!(val(a), 10);
@@ -220,10 +220,10 @@ mod tests {
     fn fifo_order_preserved_through_pending_buffer() {
         let (tx, mut mb) = net(2);
         // Three same-tag messages buffered while waiting for another tag.
-        tx[0][1].send(pkt(1, 9, 1)).unwrap();
-        tx[0][1].send(pkt(1, 9, 2)).unwrap();
-        tx[0][1].send(pkt(1, 9, 3)).unwrap();
-        tx[0][1].send(pkt(1, 8, 99)).unwrap();
+        tx[0][1].send(pkt(9, 1)).unwrap();
+        tx[0][1].send(pkt(9, 2)).unwrap();
+        tx[0][1].send(pkt(9, 3)).unwrap();
+        tx[0][1].send(pkt(8, 99)).unwrap();
         assert_eq!(val(mb[0].recv_matching(1, 0, 8)), 99);
         assert_eq!(val(mb[0].recv_matching(1, 0, 9)), 1);
         assert_eq!(val(mb[0].recv_matching(1, 0, 9)), 2);
@@ -234,8 +234,8 @@ mod tests {
     #[test]
     fn tag_matching_skips_and_buffers() {
         let (tx, mut mb) = net(2);
-        tx[0][1].send(pkt(1, 1, 100)).unwrap();
-        tx[0][1].send(pkt(1, 2, 200)).unwrap();
+        tx[0][1].send(pkt(1, 100)).unwrap();
+        tx[0][1].send(pkt(2, 200)).unwrap();
         // Ask for tag 2 first; tag-1 message must be buffered, not lost.
         let b = mb[0].recv_matching(1, 0, 2);
         assert_eq!(val(b), 200);
@@ -247,9 +247,9 @@ mod tests {
     #[test]
     fn unconsumed_counts_pending_and_queued() {
         let (tx, mut mb) = net(2);
-        tx[0][1].send(pkt(1, 9, 1)).unwrap();
-        tx[0][1].send(pkt(1, 8, 2)).unwrap();
-        tx[0][1].send(pkt(1, 9, 3)).unwrap();
+        tx[0][1].send(pkt(9, 1)).unwrap();
+        tx[0][1].send(pkt(8, 2)).unwrap();
+        tx[0][1].send(pkt(9, 3)).unwrap();
         // Matching tag 8 buffers the first tag-9 packet.
         mb[0].recv_matching(1, 0, 8);
         assert_eq!(mb[0].unconsumed(), 2);
@@ -258,8 +258,8 @@ mod tests {
     #[test]
     fn senders_are_independent() {
         let (tx, mut mb) = net(3);
-        tx[2][0].send(pkt(0, 1, 7)).unwrap();
-        tx[2][1].send(pkt(1, 1, 8)).unwrap();
+        tx[2][0].send(pkt(1, 7)).unwrap();
+        tx[2][1].send(pkt(1, 8)).unwrap();
         // Receive from rank 1 first even though rank 0's message arrived first.
         let b = mb[2].recv_matching(1, 0, 1);
         assert_eq!(val(b), 8);
@@ -271,7 +271,7 @@ mod tests {
     fn many_distinct_tags_match_without_scanning() {
         let (tx, mut mb) = net(2);
         for t in 0..256u64 {
-            tx[0][1].send(pkt(1, t, t as i32)).unwrap();
+            tx[0][1].send(pkt(t, t as i32)).unwrap();
         }
         // Receive in reverse order: every receive after the first hits the
         // tag index rather than re-scanning the whole pending set.
@@ -286,8 +286,8 @@ mod tests {
         let (tx, mut mb) = net(2);
         // Two messages with the same (sender, tag) but different scopes;
         // each receive must match only its own scope, in either order.
-        tx[0][1].send(pkt_scoped(1, 7, 3, 111)).unwrap();
-        tx[0][1].send(pkt_scoped(1, 0, 3, 222)).unwrap();
+        tx[0][1].send(pkt_scoped(7, 3, 111)).unwrap();
+        tx[0][1].send(pkt_scoped(0, 3, 222)).unwrap();
         assert_eq!(val(mb[0].recv_matching(1, 0, 3)), 222);
         assert_eq!(val(mb[0].recv_matching(1, 7, 3)), 111);
         assert_eq!(mb[0].unconsumed(), 0);
@@ -296,7 +296,7 @@ mod tests {
     #[test]
     fn try_recv_surfaces_disconnection_only_after_draining() {
         let (tx, mut mb) = net(2);
-        tx[0][1].send(pkt(1, 4, 5)).unwrap();
+        tx[0][1].send(pkt(4, 5)).unwrap();
         drop(tx); // the sending rank dies with one message in flight
         let delivered = mb[0].try_recv_matching(1, 0, 4).unwrap();
         assert_eq!(val(delivered), 5);
@@ -307,10 +307,10 @@ mod tests {
     #[test]
     fn fifo_order_holds_within_one_scope_across_interleaved_scopes() {
         let (tx, mut mb) = net(2);
-        tx[0][1].send(pkt_scoped(1, 5, 9, 1)).unwrap();
-        tx[0][1].send(pkt_scoped(1, 6, 9, 10)).unwrap();
-        tx[0][1].send(pkt_scoped(1, 5, 9, 2)).unwrap();
-        tx[0][1].send(pkt_scoped(1, 6, 9, 20)).unwrap();
+        tx[0][1].send(pkt_scoped(5, 9, 1)).unwrap();
+        tx[0][1].send(pkt_scoped(6, 9, 10)).unwrap();
+        tx[0][1].send(pkt_scoped(5, 9, 2)).unwrap();
+        tx[0][1].send(pkt_scoped(6, 9, 20)).unwrap();
         assert_eq!(val(mb[0].recv_matching(1, 5, 9)), 1);
         assert_eq!(val(mb[0].recv_matching(1, 5, 9)), 2);
         assert_eq!(val(mb[0].recv_matching(1, 6, 9)), 10);

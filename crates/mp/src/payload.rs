@@ -200,7 +200,8 @@ const ARENA_MAX_HELD_BYTES: usize = 1 << 20;
 const ARENA_MAX_BLOCKS_PER_CLASS: usize = 128;
 
 /// Per-rank recycling arena for the substrate's per-message payload box
-/// (`PacketBody::Owned(Box<dyn Any>)`).
+/// (`PacketBody::Owned(Box<dyn Any>)`). Payloads that fit in the packet
+/// ([`crate::packet::InlineValue::fits`]) never reach it.
 ///
 /// Each rank owns one arena, threaded through [`crate::Ctx`] and parked
 /// in the per-size network-recycle cache between runs.
@@ -302,7 +303,7 @@ impl PayloadArena {
 
     /// Bytes currently retained (tests/diagnostics).
     #[cfg(test)]
-    fn held_bytes(&self) -> usize {
+    pub(crate) fn held_bytes(&self) -> usize {
         self.held_bytes
     }
 }

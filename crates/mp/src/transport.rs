@@ -5,7 +5,10 @@
 //! so links ride the **segmented SPSC ring** ([`spsc_channel`]): blocks
 //! of 32 slots, each published by a release store of its `ready` flag,
 //! producer and consumer cursors on separate cache lines, and drained
-//! blocks handed back through one spare pointer. A message does no
+//! blocks handed back through one spare pointer. A mesh slot (a
+//! [`Packet`] and its flag) is exactly one 64-byte cache line, asserted
+//! at compile time, so a message whose payload rides inline in the
+//! packet moves one line between the cores. A message does no
 //! atomic read-modify-write (one per 32 messages per side, the spare
 //! swap), steady-state traffic allocates nothing, and a condvar slow
 //! path runs only for parking on an empty queue (the safety argument is
@@ -67,6 +70,8 @@ use std::ptr;
 use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
+
+use crate::packet::Packet;
 
 /// Error returned by a receive on an empty channel whose senders have
 /// all disconnected (the transport-level death signal).
@@ -419,7 +424,7 @@ pub fn real_channel<T>() -> (RealSender<T>, RealReceiver<T>) {
 // Segmented SPSC ring (the mesh-link fast path).
 // ---------------------------------------------------------------------------
 
-/// Slots per block of the SPSC ring. 32 `Packet`s are ~2 KiB: a
+/// Slots per block of the SPSC ring. 32 mesh slots are 2 KiB: a
 /// collective's fan-in or a pipeline's credit window fits in one or two
 /// blocks, and a link that never has 32 messages in flight lives on two
 /// blocks forever (the one being filled and the spare).
@@ -433,6 +438,12 @@ struct Slot<T> {
     /// value out.
     ready: AtomicBool,
 }
+
+// A mesh slot is one cache line and starts on one (blocks are 64-byte
+// aligned and begin with their slots), so the two cores share exactly
+// one line per message: a 56-byte `Packet` plus its flag.
+const _: () = assert!(std::mem::size_of::<Slot<Packet>>() == 64);
+const _: () = assert!(std::mem::offset_of!(Block<Packet>, slots) == 0);
 
 /// `BLOCK` slots and the link to the block after them.
 #[repr(align(64))]
@@ -480,13 +491,14 @@ impl<T> Cursor<T> {
 
 /// Single-producer single-consumer queue: a chain of blocks of slots.
 ///
-/// A message shares only its slot between the two threads and does no
+/// A message shares only its slot between the two threads — for a mesh
+/// link one cache line, since `Slot<Packet>` is 64 bytes — and does no
 /// atomic read-modify-write: the producer writes the value, stores its
 /// count and sets the slot's `ready` flag with a release store; the
 /// consumer reads the flag with an acquire load, moves the value out,
-/// clears the flag and stores its own count. Once per block each side swaps the one `spare` pointer, which
-/// is how drained blocks return to the producer, so steady-state traffic
-/// allocates nothing.
+/// clears the flag and stores its own count. Once per block each side
+/// swaps the one `spare` pointer, which is how drained blocks return to
+/// the producer, so steady-state traffic allocates nothing.
 ///
 /// Why it is sound:
 ///

@@ -24,7 +24,9 @@ use parallel_archetypes::farm::apps::{GridSweepFarm, MandelbrotFarm};
 use parallel_archetypes::farm::{run_farm, FarmConfig};
 use parallel_archetypes::mesh::apps::poisson::{poisson_shared, poisson_spmd, PoissonSpec};
 use parallel_archetypes::mp::topology::block_range;
-use parallel_archetypes::mp::{run_spmd, Ctx, MachineModel, ProcessGrid2};
+use parallel_archetypes::mp::{
+    run_spmd, run_spmd_with, Ctx, MachineModel, ProcessGrid2, RunConfig,
+};
 use parallel_archetypes::pipeline::apps::{BlurStage, GradientStage, ImageChain};
 use parallel_archetypes::pipeline::{Pipeline, Stage};
 
@@ -223,6 +225,43 @@ fn steady_state_send_and_recv_allocate_nothing() {
             });
             assert_eq!(out.results, vec![0; p], "{name} at {p} ranks, per rank");
         }
+    }
+}
+
+/// Bytes of one SPSC ring block's slots: 32 slots of one cache line.
+/// No bookkeeping request or payload box of a small message comes near.
+const RING_BLOCK_SLOT_BYTES: u64 = 32 * 64;
+
+#[test]
+fn small_messages_allocate_nothing_but_ring_blocks_from_cold() {
+    // Unpooled: a fresh network whose links and payload arenas have never
+    // carried a message, and no warm-up.
+    let config = RunConfig {
+        pooled: false,
+        ..RunConfig::default()
+    };
+    let out = run_spmd_with(2, MachineModel::ibm_sp(), config, |ctx| {
+        allocations_of(|| {
+            for round in 0..1000 {
+                ping_pong(ctx, round);
+            }
+            for round in 0..500i64 {
+                assert_eq!(ctx.all_reduce(round, |a, b| a + b), 2 * round);
+            }
+            for _ in 0..500 {
+                ctx.barrier();
+            }
+        })
+    });
+    for (rank, &((), count, bytes)) in out.results.iter().enumerate() {
+        // The rank's one outgoing link grows from its first block to a
+        // second at message 32; from then on the two cycle through the
+        // spare pointer. Every payload rides in its slot.
+        assert_eq!(count, 1, "rank {rank}: allocations");
+        assert!(
+            bytes >= RING_BLOCK_SLOT_BYTES,
+            "rank {rank}: {bytes} bytes is no ring block"
+        );
     }
 }
 

@@ -23,7 +23,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use parallel_archetypes::mp::mailbox::{build_network, Mailbox};
-use parallel_archetypes::mp::packet::{Packet, PacketBody};
+use parallel_archetypes::mp::packet::{InlineValue, Packet, PacketBody};
 use parallel_archetypes::mp::transport::{
     real_channel, spsc_channel, Disconnected, RealReceiver, RealSender, SpscReceiver, SpscSender,
     SPIN_BUDGET,
@@ -51,22 +51,22 @@ fn network(n: usize) -> (Vec<Vec<Link>>, Vec<Mailbox>) {
     (tx, mb)
 }
 
-fn pkt(from: usize, tag: u64, value: u64) -> Packet {
+/// A `u64` message, carried inline as `Ctx::send` carries it.
+fn pkt(tag: u64, value: u64) -> Packet {
     Packet {
-        from,
         scope: 0,
         tag,
         bytes: 8,
         arrival_time: 0.0,
-        body: PacketBody::Owned(Box::new(value)),
+        body: PacketBody::Inline(InlineValue::new(value).expect("a u64 fits inline")),
     }
 }
 
 fn value(p: Packet) -> u64 {
-    let PacketBody::Owned(b) = p.body else {
-        panic!("expected owned body");
+    let PacketBody::Inline(v) = p.body else {
+        panic!("expected inline body");
     };
-    *b.downcast::<u64>().expect("u64 payload")
+    v.take::<u64>().expect("u64 payload")
 }
 
 proptest! {
@@ -83,7 +83,7 @@ proptest! {
         let mut per_tag: std::collections::HashMap<u64, std::collections::VecDeque<u64>> =
             std::collections::HashMap::new();
         for (i, &t) in tags.iter().enumerate() {
-            tx[0][1].send(pkt(1, t, i as u64)).unwrap();
+            tx[0][1].send(pkt(t, i as u64)).unwrap();
             per_tag.entry(t).or_default().push_back(i as u64);
         }
         prop_assert_eq!(mb[0].unconsumed(), tags.len());
@@ -126,7 +126,7 @@ proptest! {
         for &(tag, do_send) in &script {
             let has_pending = outstanding.values().any(|q| !q.is_empty());
             if do_send || !has_pending {
-                tx[0][1].send(pkt(1, tag, sent)).unwrap();
+                tx[0][1].send(pkt(tag, sent)).unwrap();
                 outstanding.entry(tag).or_default().push_back(sent);
                 sent += 1;
             } else {
@@ -172,10 +172,10 @@ proptest! {
         // the other.
         let (tx, mut mb) = network(3);
         for (i, &t) in tags_a.iter().enumerate() {
-            tx[2][0].send(pkt(0, t, i as u64)).unwrap();
+            tx[2][0].send(pkt(t, i as u64)).unwrap();
         }
         for (i, &t) in tags_b.iter().enumerate() {
-            tx[2][1].send(pkt(1, t, 1000 + i as u64)).unwrap();
+            tx[2][1].send(pkt(t, 1000 + i as u64)).unwrap();
         }
         // Drain sender 1 completely first (buffering everything of
         // sender 0 is impossible — separate channels — but tag matching
@@ -228,7 +228,7 @@ proptest! {
         let tb = tags_b.clone();
         let h0 = std::thread::spawn(move || {
             for (i, &t) in ta.iter().enumerate() {
-                s0.send(pkt(0, t, i as u64)).unwrap();
+                s0.send(pkt(t, i as u64)).unwrap();
                 if i % 7 == 0 {
                     std::thread::yield_now();
                 }
@@ -236,7 +236,7 @@ proptest! {
         });
         let h1 = std::thread::spawn(move || {
             for (i, &t) in tb.iter().enumerate() {
-                s1.send(pkt(1, t, 1000 + i as u64)).unwrap();
+                s1.send(pkt(t, 1000 + i as u64)).unwrap();
                 if i % 5 == 0 {
                     std::thread::yield_now();
                 }
@@ -291,7 +291,7 @@ proptest! {
         let handles = [
             std::thread::spawn(move || {
                 for i in 0..n_each {
-                    s0.send(pkt(0, 7, i as u64)).unwrap();
+                    s0.send(pkt(7, i as u64)).unwrap();
                 }
             }),
             std::thread::spawn(move || {
@@ -299,7 +299,7 @@ proptest! {
                     if stagger {
                         std::thread::yield_now();
                     }
-                    s1.send(pkt(1, 7, 1000 + i as u64)).unwrap();
+                    s1.send(pkt(7, 1000 + i as u64)).unwrap();
                 }
             }),
         ];
