@@ -40,13 +40,18 @@ impl Ctx {
     /// broadcast value on every rank.
     ///
     /// The payload travels the tree as a [`Shared`] handle: every forward
-    /// clones a refcount, not the data, so each rank performs at most one
-    /// deep copy (to materialize its owned return value) instead of one
-    /// per child. Use [`Ctx::broadcast_shared`] to keep the handle and
-    /// skip even that copy.
+    /// clones a refcount, not the data. Each receiver then makes the one
+    /// deep copy it returns, on its own thread, and the root gets back
+    /// the very buffer it supplied, uncopied, once the receivers have
+    /// released it: n − 1 copies in all. The root's wait is bounded (see
+    /// `Shared::materialize`): a program whose receivers only enter the
+    /// broadcast after hearing from the root still completes, the root
+    /// then copying instead. A payload under 128 KiB is not waited for:
+    /// whichever rank materializes it last moves it, the others copy.
+    /// Use [`Ctx::broadcast_shared`] to keep the handle and copy nothing.
     pub fn broadcast<T: Payload + Clone + Sync>(&mut self, root: usize, value: Option<T>) -> T {
-        self.broadcast_shared(root, value.map(Shared::new))
-            .into_inner()
+        let handle = self.broadcast_shared(root, value.map(Shared::new));
+        handle.materialize(self.rank() == root, || self.peers_alive())
     }
 
     /// [`Ctx::broadcast`] without materializing an owned value: returns
@@ -128,15 +133,23 @@ impl Ctx {
     /// contribution of every rank, indexed by rank.
     ///
     /// Blocks travel the ring as [`Shared`] handles — each hop forwards a
-    /// refcount instead of deep-copying the block — so the substrate adds
-    /// no copies beyond the unavoidable one-per-rank materialization of
-    /// the owned return value. Use [`Ctx::all_gather_shared`] to keep the
-    /// handles and skip materialization entirely.
+    /// refcount instead of deep-copying the block. A rank then copies the
+    /// other ranks' n − 1 blocks, on its own thread, and takes its own
+    /// block back uncopied once the others have released it (as
+    /// [`Ctx::broadcast`]'s root does, and under the same 128 KiB
+    /// threshold): n(n − 1) copies in all, the collective's product and
+    /// nothing more. Use [`Ctx::all_gather_shared`] to keep the handles
+    /// and copy nothing.
     pub fn all_gather<T: Payload + Clone + Sync>(&mut self, value: T) -> Vec<T> {
-        self.all_gather_shared(Shared::new(value))
+        let rank = self.rank();
+        let mut handles = self.all_gather_shared(Shared::new(value));
+        let own = handles.remove(rank);
+        let mut out: Vec<T> = handles
             .into_iter()
-            .map(Shared::into_inner)
-            .collect()
+            .map(|h| h.materialize(false, || true))
+            .collect();
+        out.insert(rank, own.materialize(true, || self.peers_alive()));
+        out
     }
 
     /// [`Ctx::all_gather`] without materializing owned blocks: every rank
@@ -349,7 +362,7 @@ impl Ctx {
 #[cfg(test)]
 mod tests {
     use crate::model::MachineModel;
-    use crate::runner::run_spmd;
+    use crate::runner::{run_spmd, try_run_spmd, RunConfig};
 
     /// Exercise every collective for a spread of process counts including
     /// non-powers-of-two, which stress the remainder handling.
@@ -531,6 +544,58 @@ mod tests {
             t_rd < t_gb,
             "recursive doubling ({t_rd}) should beat gather+broadcast ({t_gb})"
         );
+    }
+
+    /// A program that relies on an eager broadcast: rank 1 enters the
+    /// broadcast only after a message the root sends once its broadcast
+    /// has returned. The root's wait for its buffer gives up and copies,
+    /// so the program completes with the values an eager broadcast gives.
+    #[test]
+    fn a_receiver_that_waits_on_the_root_before_a_broadcast_still_gets_it() {
+        for n in [2, 3, 4] {
+            let out = run_spmd(n, MachineModel::ibm_sp(), |ctx| {
+                let rank = ctx.rank();
+                if rank == 0 {
+                    let got = ctx.broadcast(0, Some(vec![10u64; 1 << 15]));
+                    ctx.send(1, 7, 99u64);
+                    (got, 99)
+                } else if rank == 1 {
+                    let token: u64 = ctx.recv(0, 7);
+                    (ctx.broadcast(0, None), token)
+                } else {
+                    (ctx.broadcast(0, None), 99)
+                }
+            });
+            for (rank, r) in out.results.iter().enumerate() {
+                assert_eq!(*r, (vec![10u64; 1 << 15], 99), "n={n}, rank {rank}");
+            }
+        }
+    }
+
+    /// A receiver that dies before it enters the broadcast: the run ends
+    /// and reports that rank's panic; the root's wait for its buffer sees
+    /// the death and copies instead of hanging.
+    #[test]
+    fn a_receiver_that_panics_before_a_broadcast_is_reported_not_waited_on() {
+        for n in [2, 3, 5] {
+            let err = try_run_spmd(n, MachineModel::zero_comm(), RunConfig::default(), |ctx| {
+                if ctx.rank() == n - 1 {
+                    // Let the root's send land first on some runs.
+                    std::thread::sleep(std::time::Duration::from_micros(200));
+                    panic!("receiver lost before the broadcast");
+                }
+                let v = (ctx.rank() == 0).then(|| vec![3u8; 1 << 18]);
+                ctx.broadcast(0, v)
+            })
+            .expect_err("a rank panicked");
+            let failures = err.failures();
+            assert!(
+                failures
+                    .iter()
+                    .any(|f| f.rank == n - 1 && f.message.contains("receiver lost")),
+                "n={n}: {failures:?}"
+            );
+        }
     }
 
     #[test]

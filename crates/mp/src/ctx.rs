@@ -423,6 +423,12 @@ impl Ctx {
         }
     }
 
+    /// True while every rank of this scope can still receive: a rank
+    /// that died dropped its mailbox, closing its end of every link.
+    pub(crate) fn peers_alive(&self) -> bool {
+        self.senders.iter().all(SpscSender::receiver_alive)
+    }
+
     /// Fault hooks on the send path: count the operation, fire a
     /// scheduled crash, and return the injected extra latency (0.0 for
     /// most messages). Only called when a plan is installed.

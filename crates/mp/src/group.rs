@@ -12,7 +12,7 @@
 //! global collective sequence.
 
 use crate::ctx::{Ctx, Tag};
-use crate::payload::Payload;
+use crate::payload::{Payload, Shared};
 
 const GROUP_TAG_BASE: u64 = 1 << 62;
 
@@ -185,8 +185,12 @@ impl Group {
         }
     }
 
-    /// Binomial broadcast from group index `root`.
-    pub fn broadcast<T: Payload + Clone>(
+    /// Binomial broadcast from group index `root`, copying as
+    /// [`Ctx::broadcast`] does: the value travels the tree as one
+    /// [`Shared`] handle, and each member materializes it by the same
+    /// rule (receivers copy on their own thread; the root of a value of
+    /// 128 KiB or more takes its own buffer back uncopied).
+    pub fn broadcast<T: Payload + Clone + Sync>(
         &mut self,
         ctx: &mut Ctx,
         root: usize,
@@ -196,7 +200,9 @@ impl Group {
         let base = self.next_tag();
         let relative = (self.my_index + n - root) % n;
         let mut val = if relative == 0 {
-            Some(value.expect("group broadcast root must supply a value"))
+            Some(Shared::new(
+                value.expect("group broadcast root must supply a value"),
+            ))
         } else {
             None
         };
@@ -204,7 +210,7 @@ impl Group {
         while mask < n {
             if relative & mask != 0 {
                 let src = self.members[(relative - mask + root) % n];
-                val = Some(ctx.recv(src, base));
+                val = Some(ctx.recv_shared(src, base));
                 break;
             }
             mask <<= 1;
@@ -214,11 +220,11 @@ impl Group {
         while mask > 0 {
             if relative + mask < n {
                 let dst = self.members[(relative + mask + root) % n];
-                ctx.send(dst, base, v.clone());
+                ctx.send_shared(dst, base, &v);
             }
             mask >>= 1;
         }
-        v
+        v.materialize(relative == 0, || ctx.peers_alive())
     }
 
     /// Recursive-doubling all-reduce within the group.
@@ -280,7 +286,8 @@ impl Group {
     /// contributions of all members, indexed by group rank. Implemented
     /// as a gather to group index 0 followed by a binomial broadcast.
     /// Elements must be [`FixedSize`](crate::FixedSize) so the gathered
-    /// vector is itself a payload.
+    /// vector is itself a payload, and `Sync` so the broadcast can share
+    /// it.
     ///
     /// ```
     /// use archetype_mp::{run_spmd, Group, MachineModel};
@@ -293,7 +300,7 @@ impl Group {
     /// assert_eq!(out.results[0], vec![0, 2]); // even group, in group order
     /// assert_eq!(out.results[3], vec![1, 3]); // odd group
     /// ```
-    pub fn all_gather<T: crate::FixedSize>(&mut self, ctx: &mut Ctx, value: T) -> Vec<T> {
+    pub fn all_gather<T: crate::FixedSize + Sync>(&mut self, ctx: &mut Ctx, value: T) -> Vec<T> {
         let gathered = self.gather(ctx, 0, value);
         self.broadcast(ctx, 0, gathered)
     }

@@ -11,7 +11,13 @@
 //! collectives: forwarding a `Shared` along a broadcast tree or an
 //! all-gather ring clones a reference count, not the data, so the wire
 //! *cost* of every hop is still charged by the virtual-time model while
-//! the host does O(1) deep copies per rank instead of O(log n) or O(n).
+//! the host copies nothing in transit. The owned collectives
+//! (`broadcast`, `all_gather`) then materialize by one rule
+//! (`Shared::materialize`): each receiver copies the value once, on its
+//! own thread, and the rank that supplied a value of 128 KiB or more
+//! takes its own allocation back uncopied once the receivers have
+//! released their handles — the rendezvous protocol of large-message
+//! MPI, bounded so it cannot hang.
 //!
 //! Application crates implement [`FixedSize`] for their own POD structs with
 //! the [`impl_fixed_size!`](crate::impl_fixed_size) macro.
@@ -20,6 +26,9 @@ use std::alloc::{dealloc, Layout};
 use std::collections::HashMap;
 use std::ptr;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use crate::transport::POLLS_PER_YIELD;
 
 /// Marker for plain-old-data message elements: `Copy` types with no heap
 /// indirection, whose transmitted size is exactly `size_of::<Self>()`.
@@ -116,8 +125,10 @@ impl<T: FixedSize> Payload for Vec<Vec<T>> {
 /// `Shared<T>` wraps its value in an [`Arc`] so a message can be fanned
 /// out to many destinations — or forwarded hop by hop through a
 /// collective — without deep-copying the value. Cloning a `Shared` is a
-/// refcount increment; the underlying `T` is deep-copied at most once per
-/// rank, and only when [`Shared::into_inner`] finds other live handles.
+/// refcount increment. Reading through [`Shared::get`] copies nothing;
+/// an owned `broadcast` or `all_gather` copies the value once per rank
+/// that receives it and, for a value of 128 KiB or more, never on the
+/// rank that supplied it.
 ///
 /// The virtual-time cost model is unaffected: every send of a `Shared`
 /// still charges the full wire size of the payload, exactly as the
@@ -148,13 +159,56 @@ impl<T> Shared<T> {
         &self.0
     }
 
-    /// Recover an owned `T`: moves out when this is the last handle,
-    /// otherwise performs the (single) deep copy.
-    pub fn into_inner(self) -> T
+    /// The substrate's one materialization rule for a handle a
+    /// collective forwarded: every deep copy is made once, by the rank
+    /// that keeps it.
+    ///
+    /// A rank that received the handle (`lent == false`) copies the value
+    /// on its own thread — so the copy is allocated, and later freed, on
+    /// the rank that uses it — and releases the handle. The rank that
+    /// supplied the value (`lent == true`) takes its own allocation back
+    /// uncopied once every other handle is released: it polls the count,
+    /// yielding between bursts as a blocking receive does. The wait is
+    /// bounded: it ends in a plain copy as soon as `peers_alive` reports
+    /// a dead rank, or once [`RENDEZVOUS_PATIENCE`] passes with the
+    /// handle count unchanged — a holder that never materializes (a
+    /// program that only enters the collective after hearing from the
+    /// owner) costs one copy, never a hang. A value smaller than
+    /// [`RENDEZVOUS_MIN_BYTES`] is cheaper to copy than to wait for: on
+    /// every rank it is moved out by the last holder and copied by the
+    /// others, with no waiting (the eager protocol).
+    pub(crate) fn materialize(self, lent: bool, peers_alive: impl Fn() -> bool) -> T
     where
-        T: Clone,
+        T: Payload + Clone,
     {
-        Arc::try_unwrap(self.0).unwrap_or_else(|arc| (*arc).clone())
+        if self.0.size_bytes() < RENDEZVOUS_MIN_BYTES {
+            return Arc::try_unwrap(self.0).unwrap_or_else(|arc| T::clone(&arc));
+        }
+        if !lent {
+            return T::clone(&self.0);
+        }
+        let mut arc = self.0;
+        let mut holders = Arc::strong_count(&arc);
+        let mut since = Instant::now();
+        loop {
+            for _ in 0..POLLS_PER_YIELD {
+                if Arc::strong_count(&arc) == 1 {
+                    match Arc::try_unwrap(arc) {
+                        Ok(value) => return value,
+                        Err(still_shared) => arc = still_shared,
+                    }
+                }
+                std::hint::spin_loop();
+            }
+            let now_holding = Arc::strong_count(&arc);
+            if now_holding != holders {
+                holders = now_holding;
+                since = Instant::now();
+            } else if since.elapsed() >= RENDEZVOUS_PATIENCE || !peers_alive() {
+                return T::clone(&arc);
+            }
+            std::thread::yield_now();
+        }
     }
 
     pub(crate) fn from_arc(arc: Arc<T>) -> Self {
@@ -190,6 +244,28 @@ impl<T: Payload + Sync> Payload for Shared<T> {
         self.0.size_bytes()
     }
 }
+
+/// How long [`Shared::materialize`]'s owner waits with the handle count
+/// unchanged before it copies instead. A receiver that has the message
+/// copies and releases within one copy time (under a millisecond for
+/// the benchmark's 4 MiB broadcast on the 2-core reference host), so
+/// only a holder that has not entered the collective reaches the bound;
+/// 20 ms is also what the copy-count tests need to hold under
+/// `--test-threads 32`, ranks far outnumbering cores. The wait restarts
+/// when the count changes, at most twice per receiver, so an owner
+/// waits at most 2n − 1 periods over n ranks.
+pub(crate) const RENDEZVOUS_PATIENCE: Duration = Duration::from_millis(20);
+
+/// Smallest value whose lender waits for its buffer back rather than
+/// copying (see [`Shared::materialize`]). glibc serves a request of
+/// 128 KiB or more from `mmap` or the top of the heap, so an eager copy
+/// of that size comes back as page faults and trims: with every value
+/// waited for, `mp_bulk` (256 KiB to 4 MiB) ran 4.3× faster, but
+/// `serve_few_large`, whose broadcasts are 8 bytes to 53 KB, lost 9 %
+/// (2 of 10 pairs won): its roots waited a median 7 µs (616 B) to
+/// 13 µs (53 KB) for a receiver to wake and copy. With this threshold
+/// it reads 1.03× and `mp_bulk` 4.2× (10 pairs each, 2-vCPU VM).
+pub(crate) const RENDEZVOUS_MIN_BYTES: usize = 128 << 10;
 
 /// Most bytes one arena retains across all size classes; reclaims past
 /// the cap free the block instead. 1 MiB per rank bounds what an idle
@@ -373,17 +449,58 @@ mod tests {
     }
 
     #[test]
-    fn shared_into_inner_moves_when_unique() {
-        let s = Shared::new(vec![1i64, 2, 3]);
-        assert_eq!(s.into_inner(), vec![1, 2, 3]);
+    fn shared_materialize_moves_when_unique() {
+        for len in [3, RENDEZVOUS_MIN_BYTES] {
+            let v = vec![1u8; len];
+            let addr = v.as_ptr();
+            let back = Shared::new(v).materialize(true, || true);
+            assert_eq!(back, vec![1; len]);
+            assert_eq!(back.as_ptr(), addr, "the owner's own allocation");
+        }
     }
 
     #[test]
-    fn shared_into_inner_copies_when_aliased() {
-        let a = Shared::new(vec![7u8; 4]);
+    fn shared_materialize_copies_when_aliased() {
+        let big = |b: u8| vec![b; RENDEZVOUS_MIN_BYTES];
+        // A receiver copies even while the owner still holds its handle.
+        let a = Shared::new(big(7));
+        let copy = a.clone().materialize(false, || true);
+        assert_eq!(copy, big(7));
+        assert_ne!(copy.as_ptr(), a.get().as_ptr());
+        // The owner waits for a release happening on another thread…
+        let addr = a.get().as_ptr();
         let b = a.clone();
-        assert_eq!(a.into_inner(), vec![7; 4]);
-        assert_eq!(*b.get(), vec![7; 4]);
+        let back = std::thread::scope(|s| {
+            s.spawn(move || {
+                std::thread::sleep(Duration::from_millis(2));
+                drop(b);
+            });
+            a.materialize(true, || true)
+        });
+        assert_eq!(back.as_ptr(), addr);
+        // …copies at once when a peer is dead…
+        let a = Shared::new(big(5));
+        let dead_holder = a.clone();
+        let started = Instant::now();
+        assert_eq!(a.materialize(true, || false), big(5));
+        assert!(started.elapsed() < RENDEZVOUS_PATIENCE);
+        assert_eq!(*dead_holder.get(), big(5));
+        // …and copies after the patience when a holder never releases.
+        let a = Shared::new(big(3));
+        let late_holder = a.clone();
+        let started = Instant::now();
+        assert_eq!(a.materialize(true, || true), big(3));
+        assert!(started.elapsed() >= RENDEZVOUS_PATIENCE);
+        assert_eq!(*late_holder.get(), big(3));
+        // A value under the threshold is copied at once, without waiting.
+        let small = vec![9u8; RENDEZVOUS_MIN_BYTES - 1];
+        let a = Shared::new(small.clone());
+        let holder = a.clone();
+        let started = Instant::now();
+        let copy = a.materialize(true, || true);
+        assert!(started.elapsed() < RENDEZVOUS_PATIENCE);
+        assert_eq!(copy, small);
+        assert_ne!(copy.as_ptr(), holder.get().as_ptr());
     }
 
     #[test]

@@ -98,7 +98,7 @@ pub const SPIN_BUDGET: Duration = Duration::from_micros(20);
 
 /// Polls per spin burst (~1 µs) between clock reads and `yield_now()`s;
 /// 8 to 128 measure alike, and on one core the yield keeps parent speed.
-const POLLS_PER_YIELD: u32 = 32;
+pub(crate) const POLLS_PER_YIELD: u32 = 32;
 
 /// In which phase of the blocking receive one consumer's messages were
 /// delivered. Plain integers owned by the consumer; they depend on
@@ -754,7 +754,7 @@ impl<T> SpscSender<T> {
     /// # Safety
     /// As for [`SpscSender::send`].
     pub(crate) unsafe fn send_publish(&self, value: T) -> Result<(), T> {
-        if !self.queue.receiver_alive.load(Ordering::Acquire) {
+        if !self.receiver_alive() {
             return Err(value);
         }
         self.queue.publish(value);
@@ -765,6 +765,12 @@ impl<T> SpscSender<T> {
     /// [`publish_fence`].
     pub(crate) fn wake(&self) {
         self.queue.parker.wake_if_parked();
+    }
+
+    /// False once the receiver has dropped (its rank died): whatever is
+    /// still queued on the link will never be received.
+    pub(crate) fn receiver_alive(&self) -> bool {
+        self.queue.receiver_alive.load(Ordering::Acquire)
     }
 }
 

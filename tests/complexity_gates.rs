@@ -228,6 +228,60 @@ fn steady_state_send_and_recv_allocate_nothing() {
     }
 }
 
+/// Data-sized allocations (see `DATA_BYTES`) the calling thread makes
+/// while running `f`.
+fn data_allocations_of<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let (n0, _) = DATA_ALLOCATED.with(Cell::get);
+    let out = f();
+    (out, DATA_ALLOCATED.with(Cell::get).0 - n0)
+}
+
+#[test]
+fn bulk_collectives_allocate_only_the_copies_a_rank_keeps() {
+    const BROADCAST_BYTES: usize = 1 << 20;
+    const BLOCK_BYTES: usize = 256 << 10;
+    const ROUNDS: u64 = 16;
+    for p in [2, 4] {
+        let out = run_spmd(p, MachineModel::ibm_sp(), |ctx| {
+            let rank = ctx.rank();
+            // The root lends one buffer to every broadcast, and each rank
+            // one block to every all_gather: each comes back uncopied.
+            let mut lent = (rank == 0).then(|| vec![7u8; BROADCAST_BYTES]);
+            let mut mine = vec![rank as u8; BLOCK_BYTES];
+            let mut round = |ctx: &mut Ctx| {
+                let (got, broadcast) = data_allocations_of(|| ctx.broadcast(0, lent.take()));
+                assert_eq!(got, vec![7u8; BROADCAST_BYTES]);
+                if rank == 0 {
+                    lent = Some(got);
+                }
+                let block = std::mem::take(&mut mine);
+                let (mut all, gather) = data_allocations_of(|| ctx.all_gather(block));
+                for (from, block) in all.iter().enumerate() {
+                    assert_eq!(*block, vec![from as u8; BLOCK_BYTES]);
+                }
+                mine = all.swap_remove(rank);
+                (broadcast, gather)
+            };
+            round(ctx); // warm-up
+            (0..ROUNDS).fold((0, 0), |(b, g), _| {
+                let (db, dg) = round(ctx);
+                (b + db, g + dg)
+            })
+        });
+        for (rank, &(broadcast, gather)) in out.results.iter().enumerate() {
+            // A receiver allocates the one copy it returns; the root none.
+            let copies = if rank == 0 { 0 } else { ROUNDS };
+            assert_eq!(broadcast, copies, "p={p}, rank {rank}: broadcast");
+            // A rank allocates the other ranks' blocks, not its own.
+            assert_eq!(
+                gather,
+                ROUNDS * (p as u64 - 1),
+                "p={p}, rank {rank}: all_gather"
+            );
+        }
+    }
+}
+
 /// Bytes of one SPSC ring block's slots: 32 slots of one cache line.
 /// No bookkeeping request or payload box of a small message comes near.
 const RING_BLOCK_SLOT_BYTES: u64 = 32 * 64;

@@ -1,10 +1,13 @@
 //! Deep-copy accounting for the collective fan-out paths.
 //!
-//! The substrate's contract after the shared-payload rework: a
-//! `broadcast` or `all_gather` of a heap payload performs O(1) deep
-//! copies per rank — the forwarding hops inside the collective clone a
-//! refcount, never the data — and the `_shared` variants perform none at
-//! all. Verified with payload types whose `Clone` increments a counter.
+//! The substrate's contract: a `broadcast` or `all_gather` of a heap
+//! payload of at least 128 KiB copies each value once per rank that
+//! receives it, on that rank, and hands the rank that supplied a value
+//! its own allocation back — n − 1 copies per `broadcast`, n(n − 1) per
+//! `all_gather`. The
+//! forwarding hops inside the collective clone a refcount, never the
+//! data, and the `_shared` variants copy nothing at all. Verified with
+//! payload types whose `Clone` increments a counter.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -34,26 +37,48 @@ macro_rules! counted_payload {
     };
 }
 
+/// Process counts of the exact-count tests: the smallest tree and ring,
+/// a power of two, and more ranks than most hosts have cores.
+const SIZES: [usize; 3] = [2, 4, 16];
+
+/// Address of a buffer's allocation, to tell a lent buffer from a copy.
+fn addr(v: &[u8]) -> usize {
+    v.as_ptr() as usize
+}
+
 #[test]
 fn broadcast_deep_copies_at_most_once_per_rank() {
     counted_payload!(BcastBuf, BCAST_CLONES);
-    const N: usize = 16;
-    let out = run_spmd(N, MachineModel::ibm_sp(), |ctx| {
-        let v = (ctx.rank() == 0).then(|| BcastBuf(vec![42u8; 4096]));
-        ctx.broadcast(0, v).0
-    });
-    for r in &out.results {
-        assert_eq!(r.len(), 4096);
-        assert_eq!(r[0], 42);
+    const BYTES: usize = 1 << 20;
+    const ROUNDS: usize = 4;
+    for n in SIZES {
+        let before = BCAST_CLONES.load(Ordering::Relaxed);
+        let out = run_spmd(n, MachineModel::ibm_sp(), |ctx| {
+            let mut v = (ctx.rank() == 0).then(|| BcastBuf(vec![42u8; BYTES]));
+            let lent = v.as_ref().map(|b| addr(&b.0));
+            let mut got = 0;
+            for _ in 0..ROUNDS {
+                let b = ctx.broadcast(0, v.take());
+                assert_eq!(b.0, vec![42u8; BYTES], "n={n}, rank {}", ctx.rank());
+                got = addr(&b.0);
+                v = lent.is_some().then_some(b);
+            }
+            (lent, got)
+        });
+        // Every receiver copies once; the root copies nothing and gets
+        // back the very buffer it lent, to lend again.
+        let clones = BCAST_CLONES.load(Ordering::Relaxed) - before;
+        assert_eq!(
+            clones,
+            ROUNDS * (n - 1),
+            "n={n}: deep copies of {ROUNDS} broadcasts"
+        );
+        let (lent, root_got) = out.results[0];
+        assert_eq!(Some(root_got), lent, "n={n}: the root's own buffer");
+        for (rank, &(_, got)) in out.results.iter().enumerate().skip(1) {
+            assert_ne!(got, root_got, "n={n}: rank {rank} holds a copy");
+        }
     }
-    // Seed behaviour was one deep copy per child per rank — O(log n) at the
-    // root, ~n-1 in total *before* counting the per-rank materialization.
-    // Shared forwarding leaves only materialization: at most one per rank.
-    let clones = BCAST_CLONES.load(Ordering::Relaxed);
-    assert!(
-        clones <= N,
-        "broadcast of one buffer across {N} ranks did {clones} deep copies (> {N})"
-    );
 }
 
 #[test]
@@ -94,21 +119,28 @@ fn all_gather_shared_deep_copies_nothing() {
 #[test]
 fn all_gather_deep_copies_at_most_once_per_block_per_rank() {
     counted_payload!(OwnedGatherBuf, OWNED_GATHER_CLONES);
-    const N: usize = 8;
-    run_spmd(N, MachineModel::ibm_sp(), |ctx| {
-        let mine = OwnedGatherBuf(vec![ctx.rank() as u8; 256]);
-        ctx.all_gather(mine).len()
-    });
-    // Owned output requires materializing n blocks on each of n ranks —
-    // that replication is the collective's *product*, not overhead. The
-    // substrate must add nothing on top: the seed's per-hop forwarding
-    // clones (an extra n-1 per rank) are gone.
-    let clones = OWNED_GATHER_CLONES.load(Ordering::Relaxed);
-    assert!(
-        clones <= N * N,
-        "all_gather across {N} ranks did {clones} deep copies (> {})",
-        N * N
-    );
+    const BYTES: usize = 128 << 10;
+    for n in SIZES {
+        let before = OWNED_GATHER_CLONES.load(Ordering::Relaxed);
+        let out = run_spmd(n, MachineModel::ibm_sp(), |ctx| {
+            let rank = ctx.rank();
+            let mine = OwnedGatherBuf(vec![rank as u8; BYTES]);
+            let lent = addr(&mine.0);
+            let all = ctx.all_gather(mine);
+            for (from, block) in all.iter().enumerate() {
+                assert_eq!(block.0, vec![from as u8; BYTES], "n={n}, rank {rank}");
+            }
+            (lent, addr(&all[rank].0))
+        });
+        // Owned output means n blocks on each of n ranks — that
+        // replication is the collective's *product*. A rank copies the
+        // n − 1 blocks it receives and takes its own back uncopied.
+        let clones = OWNED_GATHER_CLONES.load(Ordering::Relaxed) - before;
+        assert_eq!(clones, n * (n - 1), "n={n}: deep copies of one all_gather");
+        for (rank, &(lent, own)) in out.results.iter().enumerate() {
+            assert_eq!(own, lent, "n={n}: rank {rank}'s own block");
+        }
+    }
 }
 
 #[test]
