@@ -1,8 +1,8 @@
 //! Branch-and-bound on the task-farm archetype.
 //!
-//! This is the port the archetype library exists for: the distributed
-//! driver's hand-rolled work distribution (`solve_spmd`'s round-robin
-//! seeding, batch expansion, and all-reduce termination) is replaced by
+//! This is the port the archetype library exists for: a distributed
+//! search needs no hand-rolled work distribution (round-robin seeding,
+//! batch expansion, all-reduce termination) once it is an instance of
 //! the general task-farm skeleton. The local `BinaryHeap` frontier
 //! *becomes* the farm's priority queue (priority = node bound, so the
 //! search stays best-first), the shared incumbent becomes the farm's
@@ -161,7 +161,7 @@ where
 mod tests {
     use super::*;
     use crate::knapsack::{knapsack_dp, Knapsack};
-    use crate::skeleton::{solve_sequential, solve_spmd};
+    use crate::skeleton::solve_sequential;
     use archetype_mp::{run_spmd, MachineModel};
 
     fn pseudo_random_items(n: usize, seed: u64) -> Vec<(u64, u64)> {
@@ -196,7 +196,7 @@ mod tests {
     }
 
     #[test]
-    fn farm_agrees_with_sequential_and_spmd_drivers_on_seed_instances() {
+    fn farm_agrees_with_the_sequential_driver_on_seed_instances() {
         for seed in [3u64, 7, 42] {
             let items = pseudo_random_items(14, seed);
             let cap = 90;
@@ -204,14 +204,10 @@ mod tests {
             let (seq, _) = solve_sequential(&problem);
             let items2 = items.clone();
             let out = run_spmd(4, MachineModel::ibm_sp(), move |ctx| {
-                let problem = Knapsack::new(&items2, cap);
-                let farm = solve_farm(&problem, ctx, FarmConfig::default()).0;
-                let legacy = solve_spmd(&problem, ctx, 16).0;
-                (farm, legacy)
+                solve_farm(&Knapsack::new(&items2, cap), ctx, FarmConfig::default()).0
             });
-            for &(farm, legacy) in &out.results {
+            for &farm in &out.results {
                 assert_eq!(farm, seq, "seed={seed}");
-                assert_eq!(legacy, seq, "seed={seed}");
             }
         }
     }

@@ -122,7 +122,9 @@ pub fn knapsack_dp(items: &[(u64, u64)], capacity: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::skeleton::{solve_sequential, solve_spmd};
+    use crate::farm::solve_farm;
+    use crate::skeleton::solve_sequential;
+    use archetype_farm::FarmConfig;
     use archetype_mp::{run_spmd, MachineModel};
 
     fn pseudo_random_items(n: usize, seed: u64) -> Vec<(u64, u64)> {
@@ -168,13 +170,13 @@ mod tests {
 
     #[test]
     fn spmd_solver_matches_dp_for_many_process_counts() {
-        let items = pseudo_random_items(16, 7);
-        let cap = 100;
+        let items = pseudo_random_items(17, 13);
+        let cap = 150;
         let expected = knapsack_dp(&items, cap) as f64;
-        for p in [1usize, 2, 4, 6] {
+        for p in [1usize, 2, 3, 5] {
             let items = items.clone();
-            let out = run_spmd(p, MachineModel::ibm_sp(), move |ctx| {
-                solve_spmd(&Knapsack::new(&items, cap), ctx, 16).0
+            let out = run_spmd(p, MachineModel::intel_delta(), move |ctx| {
+                solve_farm(&Knapsack::new(&items, cap), ctx, FarmConfig::default()).0
             });
             assert!(out.results.iter().all(|&v| v == expected), "p={p}");
         }

@@ -10,21 +10,15 @@
 //! optimum — is deterministic, which is exactly the weaker guarantee the
 //! paper contrasts with its deterministic archetypes.
 //!
-//! Three drivers execute one [`BranchAndBound`] problem description:
+//! Two drivers execute one [`BranchAndBound`] problem description:
 //!
 //! - [`solve_sequential`]: best-first search with a priority queue — the
 //!   reference oracle;
-//! - [`solve_spmd`]: distributed search over the message-passing
-//!   substrate — the frontier is statically seeded round-robin, each round
-//!   every rank expands a batch from its local frontier, and a
-//!   recursive-doubling all-reduce both shares the incumbent bound and
-//!   decides global termination (the archetype's communication pattern:
-//!   reduction doubles as termination detection);
-//! - [`solve_farm`]: the same distributed search expressed as an
-//!   instance of the general task-farm archetype (`archetype-farm`) —
-//!   the priority queue, incumbent sharing, work distribution, and
-//!   termination detection all come from the skeleton instead of being
-//!   hand-rolled here. This is the preferred distributed driver.
+//! - [`solve_farm`]: distributed search over the message-passing
+//!   substrate, expressed as an instance of the general task-farm
+//!   archetype (`archetype-farm`) — the priority queue, incumbent
+//!   sharing, work distribution, and termination detection all come from
+//!   the skeleton instead of being hand-rolled here.
 
 pub mod farm;
 pub mod knapsack;
@@ -32,4 +26,4 @@ pub mod skeleton;
 
 pub use farm::{solve_farm, BnbFarm, BoundedNode};
 pub use knapsack::{knapsack_dp, Knapsack};
-pub use skeleton::{solve_sequential, solve_spmd, BnbStats, BranchAndBound};
+pub use skeleton::{solve_sequential, BnbStats, BranchAndBound};

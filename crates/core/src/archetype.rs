@@ -12,7 +12,7 @@
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PhaseKind {
     /// Recursive D&C: divide the problem and descend into disjoint
-    /// subcommunicators (one level of the recursion tree).
+    /// process subgroups (one level of the recursion tree).
     Recurse,
     /// One-deep D&C: compute split parameters and partition the input.
     Split,
@@ -169,106 +169,10 @@ pub enum PhasePattern {
 }
 
 impl PhasePattern {
-    /// True if `kinds` as a whole is a sentence of this grammar.
+    /// True if `kinds` as a whole is a sentence of this grammar
+    /// (matched by [`PatternExpr::matches`] on its owned form).
     pub fn matches(&self, kinds: &[PhaseKind]) -> bool {
-        self.ends(kinds, 0).contains(&kinds.len())
-    }
-
-    /// All positions a match starting at `pos` can end at (deduplicated,
-    /// ascending). Traces are short, so plain backtracking is plenty.
-    fn ends(&self, kinds: &[PhaseKind], pos: usize) -> Vec<usize> {
-        let mut out = match self {
-            PhasePattern::Kind(k) => {
-                if kinds.get(pos) == Some(k) {
-                    vec![pos + 1]
-                } else {
-                    vec![]
-                }
-            }
-            PhasePattern::AnyOf(ks) => match kinds.get(pos) {
-                Some(k) if ks.contains(k) => vec![pos + 1],
-                _ => vec![],
-            },
-            PhasePattern::Seq(parts) => {
-                let mut frontier = vec![pos];
-                for part in *parts {
-                    let mut next = Vec::new();
-                    for &p in &frontier {
-                        next.extend(part.ends(kinds, p));
-                    }
-                    frontier = next;
-                    if frontier.is_empty() {
-                        break;
-                    }
-                }
-                frontier
-            }
-            PhasePattern::Star(inner) => {
-                let mut reach = vec![pos];
-                let mut frontier = vec![pos];
-                while !frontier.is_empty() {
-                    let mut next = Vec::new();
-                    for &p in &frontier {
-                        for e in inner.ends(kinds, p) {
-                            // Only strictly advancing repetitions, so a
-                            // nullable inner pattern cannot loop forever.
-                            if e > p && !reach.contains(&e) {
-                                reach.push(e);
-                                next.push(e);
-                            }
-                        }
-                    }
-                    frontier = next;
-                }
-                reach
-            }
-            PhasePattern::Plus(inner) => {
-                let mut out = Vec::new();
-                for first in inner.ends(kinds, pos) {
-                    out.extend(PhasePattern::Star(inner).ends(kinds, first));
-                }
-                out
-            }
-            PhasePattern::Opt(inner) => {
-                let mut out = vec![pos];
-                out.extend(inner.ends(kinds, pos));
-                out
-            }
-            PhasePattern::Tree { open, leaf, close } => {
-                match Self::tree_end(kinds, pos, *open, *leaf, *close) {
-                    Some(e) => vec![e],
-                    None => vec![],
-                }
-            }
-        };
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Deterministic recursive-descent parse of one tree starting at
-    /// `pos`; returns the position after it.
-    fn tree_end(
-        kinds: &[PhaseKind],
-        pos: usize,
-        open: PhaseKind,
-        leaf: PhaseKind,
-        close: PhaseKind,
-    ) -> Option<usize> {
-        match kinds.get(pos)? {
-            k if *k == leaf => Some(pos + 1),
-            k if *k == open => {
-                let mut p = Self::tree_end(kinds, pos + 1, open, leaf, close)?;
-                while let Some(next) = kinds.get(p) {
-                    if *next == close {
-                        return Some(p + 1);
-                    }
-                    p = Self::tree_end(kinds, p, open, leaf, close)?;
-                }
-                None
-            }
-            _ => None,
-        }
+        PatternExpr::from_static(self).matches(kinds)
     }
 }
 
@@ -388,8 +292,8 @@ impl PatternExpr {
     }
 
     /// All positions a match starting at `pos` can end at (deduplicated,
-    /// ascending) — the same backtracking scheme as [`PhasePattern`],
-    /// plus the interleaving search.
+    /// ascending). Traces are short, so plain backtracking is plenty;
+    /// `Interleave` adds the shuffle search.
     fn ends(&self, kinds: &[PhaseKind], pos: usize) -> Vec<usize> {
         let mut out = match self {
             PatternExpr::Kind(k) => {
@@ -449,7 +353,7 @@ impl PatternExpr {
                 out
             }
             PatternExpr::Tree { open, leaf, close } => {
-                match PhasePattern::tree_end(kinds, pos, *open, *leaf, *close) {
+                match Self::tree_end(kinds, pos, *open, *leaf, *close) {
                     Some(e) => vec![e],
                     None => vec![],
                 }
@@ -473,6 +377,31 @@ impl PatternExpr {
         out.sort_unstable();
         out.dedup();
         out
+    }
+
+    /// Deterministic recursive-descent parse of one tree starting at
+    /// `pos`; returns the position after it.
+    fn tree_end(
+        kinds: &[PhaseKind],
+        pos: usize,
+        open: PhaseKind,
+        leaf: PhaseKind,
+        close: PhaseKind,
+    ) -> Option<usize> {
+        match kinds.get(pos)? {
+            k if *k == leaf => Some(pos + 1),
+            k if *k == open => {
+                let mut p = Self::tree_end(kinds, pos + 1, open, leaf, close)?;
+                while let Some(next) = kinds.get(p) {
+                    if *next == close {
+                        return Some(p + 1);
+                    }
+                    p = Self::tree_end(kinds, p, open, leaf, close)?;
+                }
+                None
+            }
+            _ => None,
+        }
     }
 
     /// True if `kinds` (whole) is an order-preserving shuffle of one
@@ -694,7 +623,7 @@ pub const RECURSIVE_DC: ArchetypeInfo = ArchetypeInfo {
         "group broadcast of the subproblem size before each cutoff decision",
         "group scatter of subproblems to subgroup roots (recursion descent)",
         "group gather of subsolutions to the group root (combining tree)",
-        "nested Group::split subcommunicators with disjoint tag namespaces",
+        "nested Ctx::scoped subgroups whose traffic is matched only within each scope",
     ],
     // A preorder recursion-tree trace; a rank's root-path trace (one
     // subtree per level) is the k=1 special case.

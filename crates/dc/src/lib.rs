@@ -26,8 +26,8 @@
 //!
 //! The crate also implements the **general recursive** form of the
 //! archetype ([`recursive`]): a [`recursive::Recursive`] problem divides
-//! into `k` subproblems per level and descends a tree of nested
-//! [`archetype_mp::Group`] subcommunicators until a
+//! into `k` subproblems per level and descends a tree of nested process
+//! groups, each an [`archetype_mp::Ctx::scoped`] section, until a
 //! performance-model-chosen cutoff ([`perfmodel::recursion_policy`]),
 //! solving sequentially at the leaves and merging up a combining tree —
 //! executed by [`recursive::run_shared`] on shared memory and

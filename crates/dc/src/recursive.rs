@@ -17,12 +17,12 @@
 //!   each divide's subproblems are a [`archetype_core::parfor_map_vec`],
 //!   solved one after another;
 //! - [`run_spmd_recursive`] runs it over the message-passing substrate:
-//!   each level splits the current [`Group`] into `k` disjoint
-//!   subcommunicators ([`Group::split_nested`]), scatters the
-//!   subproblems to the subgroup roots ([`Group::scatter`]), recurses
-//!   concurrently (sibling groups' tags are namespaced, so their traffic
-//!   cannot interfere), and gathers subsolutions back to each group root
-//!   for combining — all charged against the virtual clock.
+//!   each level splits the current group of ranks into `k` disjoint
+//!   subgroups, scatters the subproblems to the subgroup roots, recurses
+//!   concurrently with each subgroup in its own [`Ctx::scoped`] section
+//!   (sibling scopes' traffic cannot interfere), and gathers subsolutions
+//!   back to each group root for combining — all charged against the
+//!   virtual clock.
 //!
 //! The one-deep skeleton is the `max_depth == 1` shape of this recursion
 //! with `k == nprocs`; the equivalence of the sequential, shared,
@@ -30,7 +30,7 @@
 //! `tests/prop_dc.rs`.
 
 use archetype_core::{parfor_map_vec, PhaseKind, PhaseTrace};
-use archetype_mp::{Ctx, Group, Payload};
+use archetype_mp::{Ctx, Payload};
 
 /// A problem expressed as general recursive divide-and-conquer.
 ///
@@ -189,20 +189,22 @@ fn shared_node<A: Recursive>(
 /// [`archetype_mp::run_spmd`]; `input` must be `Some` on rank 0 and
 /// `None` elsewhere, and the solution is returned on rank 0.
 ///
-/// Each level of the recursion, executed by every member of the current
-/// group:
+/// The whole recursion runs inside one [`Ctx::scoped`] section over
+/// every rank, so the caller's collective sequence is untouched. Each
+/// level of the recursion, executed by every member of the current
+/// group (the current scope):
 ///
-/// 1. the subproblem size is group-broadcast so all members take the
-///    same cutoff branch (skipped when the depth cap or a singleton
-///    group already decides locally);
-/// 2. the root divides and **group-scatters** the `k` subproblems over
-///    the nested subgroup formed by the `k` subgroup roots — exactly
-///    `k − 1` messages, no matter how large the group is;
-/// 3. the group splits into `k` disjoint subcommunicators
-///    ([`Group::split_nested`]) that recurse **concurrently** — sibling
+/// 1. the subproblem size is broadcast so all members take the same
+///    cutoff branch (skipped when the depth cap or a singleton group
+///    already decides locally);
+/// 2. the root divides and **scatters** the `k` subproblems in a scope
+///    over the `k` subgroup roots alone — exactly `k − 1` messages, no
+///    matter how large the group is;
+/// 3. the group splits into `k` contiguous subgroups, each of which
+///    recurses **concurrently** in its own nested scope — sibling
 ///    subtrees may reach different depths without interfering, because
-///    group tags are namespaced by member list;
-/// 4. subsolutions **gather** over the same roots-subgroup back to the
+///    each scope's traffic is matched only within that scope;
+/// 4. subsolutions **gather** over a scope of the same roots back to the
 ///    group root, which combines them — the combining tree, with all
 ///    groups at one level merging in parallel.
 ///
@@ -226,14 +228,23 @@ where
         input.is_some(),
         "the problem starts on rank 0 (None elsewhere)"
     );
-    let mut world = Group::world(ctx);
-    spmd_node(alg, ctx, &mut world, input, 0, policy, trace)
+    let everyone: Vec<usize> = (0..ctx.nprocs()).collect();
+    ctx.scoped(&everyone, RECURSION_SALT, |ctx| {
+        spmd_node(alg, ctx, input, 0, policy, trace)
+    })
 }
+
+/// Salt of the scope the whole recursion runs in.
+const RECURSION_SALT: u64 = 0xdc;
+/// Salts of the three scopes each level enters: the roots' scatter, the
+/// subgroup's descent and the roots' gather.
+const SCATTER_SALT: u64 = 1;
+const DESCEND_SALT: u64 = 2;
+const GATHER_SALT: u64 = 3;
 
 fn spmd_node<A>(
     alg: &A,
     ctx: &mut Ctx,
-    group: &mut Group,
     problem: Option<A::Problem>,
     depth: usize,
     policy: &CutoffPolicy,
@@ -244,11 +255,11 @@ where
     A::Problem: Payload,
     A::Solution: Payload,
 {
-    let g = group.len();
+    let g = ctx.nprocs();
     // Depth caps and singleton groups cut off without communicating; the
     // size-based cutoff needs the root's problem size replicated first.
     let cut = depth >= policy.max_depth || g == 1 || {
-        let size = group.broadcast(ctx, 0, problem.as_ref().map(|p| alg.size(p) as u64));
+        let size = ctx.broadcast(0, problem.as_ref().map(|p| alg.size(p) as u64));
         !policy.size_allows(size as usize)
     };
     if cut {
@@ -270,46 +281,37 @@ where
         t.record(PhaseKind::Recurse, "divide and descend into subgroups");
     }
     let k = policy.branching.min(g);
-    // Contiguous, balanced subgroups; roots[j] is subgroup j's first member.
-    let colors: Vec<usize> = (0..g).map(|i| i * k / g).collect();
-    let roots: Vec<usize> = (0..k)
-        .map(|j| colors.iter().position(|&c| c == j).expect("color nonempty"))
-        .collect();
-    let me = group.rank();
-    let is_sub_root = roots[colors[me]] == me;
+    // Contiguous, balanced subgroups: subgroup j is roots[j]..roots[j + 1].
+    let roots: Vec<usize> = (0..k).map(|j| (j * g).div_ceil(k)).collect();
+    let me = ctx.rank();
+    let j = roots.partition_point(|&r| r <= me) - 1;
+    let subgroup: Vec<usize> = (roots[j]..roots.get(j + 1).copied().unwrap_or(g)).collect();
+    let is_sub_root = roots[j] == me;
 
-    // The k subgroup roots form their own nested subgroup (the non-roots
-    // form an unused sibling), over which the division is scattered and
-    // the subsolutions gathered: k − 1 messages each way per level, with
-    // the group root — a subgroup root itself — at index 0 of both.
-    let cross_colors: Vec<usize> = (0..g).map(|i| usize::from(roots[colors[i]] != i)).collect();
-    let mut cross = group.split_nested(ctx, &cross_colors);
-
-    let mine: Option<A::Problem> = if is_sub_root {
+    // The k subgroup roots scatter the division and gather the
+    // subsolutions in scopes of their own: k − 1 messages each way per
+    // level, with the group root — a subgroup root itself — at index 0.
+    let mine: Option<A::Problem> = is_sub_root.then(|| {
         let parts: Option<Vec<A::Problem>> = problem.map(|p| {
             ctx.charge_flops(alg.divide_cost(&p));
             let parts = alg.divide(p, k);
             assert_eq!(parts.len(), k, "divide must return exactly k subproblems");
             parts
         });
-        Some(cross.scatter(ctx, 0, parts))
-    } else {
-        None
-    };
+        ctx.scoped(&roots, SCATTER_SALT, |ctx| ctx.scatter(0, parts))
+    });
 
-    let mut sub = group.split_nested(ctx, &colors);
-    let sub_solution = spmd_node(alg, ctx, &mut sub, mine, depth + 1, policy, trace);
+    let sub_solution = ctx.scoped(&subgroup, DESCEND_SALT, |ctx| {
+        spmd_node(alg, ctx, mine, depth + 1, policy, trace)
+    });
 
     // Combining tree: subgroup roots' solutions gather to the group root,
     // which merges them; all groups of a level combine concurrently.
     if !is_sub_root {
         return None;
     }
-    let gathered = cross.gather(
-        ctx,
-        0,
-        sub_solution.expect("a subgroup root holds its subgroup's solution"),
-    );
+    let solution = sub_solution.expect("a subgroup root holds its subgroup's solution");
+    let gathered = ctx.scoped(&roots, GATHER_SALT, |ctx| ctx.gather(0, solution));
     gathered.map(|parts| {
         ctx.charge_flops(alg.combine_cost(&parts));
         ctx.trace_phase(PhaseKind::Merge.name(), "combine subsolutions up the tree");

@@ -599,6 +599,21 @@ mod tests {
     }
 
     #[test]
+    fn world_empty_payload_broadcast_and_all_gather() {
+        // Zero-byte payloads travel the shared-payload fast path intact.
+        let out = run_spmd(6, MachineModel::ibm_sp(), |ctx| {
+            let v: Vec<f64> = ctx.broadcast(1, (ctx.rank() == 1).then(Vec::new));
+            let all = ctx.all_gather(Vec::<u8>::new());
+            (v, all)
+        });
+        for (v, all) in &out.results {
+            assert!(v.is_empty());
+            assert_eq!(all.len(), 6);
+            assert!(all.iter().all(Vec::is_empty));
+        }
+    }
+
+    #[test]
     fn collectives_back_to_back_do_not_interfere() {
         let out = run_spmd(4, MachineModel::ibm_sp(), |ctx| {
             let a = ctx.all_reduce(1u64, |x, y| x + y);

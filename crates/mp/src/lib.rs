@@ -8,6 +8,10 @@
 //! collective operations the paper's communication patterns require
 //! (broadcast, gather, all-gather, scatter, all-to-all, reduce, and
 //! all-reduce via recursive doubling, plus a dissemination barrier).
+//! The same collectives run over any subset of the ranks inside a
+//! [`Ctx::scoped`] section, whose traffic is matched only within it —
+//! the substrate of task-parallel compositions and of recursive
+//! divide-and-conquer on nested process groups.
 //!
 //! ## Virtual time
 //!
@@ -65,7 +69,6 @@ pub mod collectives;
 pub mod costmeter;
 pub mod ctx;
 pub mod fault;
-pub mod group;
 pub mod mailbox;
 pub mod model;
 pub mod packet;
@@ -81,7 +84,6 @@ pub mod transport;
 pub use costmeter::CostMeter;
 pub use ctx::{Ctx, Tag};
 pub use fault::{CrashSite, CrashSpec, FaultPlan, InjectedCrash, RankDead};
-pub use group::Group;
 pub use model::{MachineModel, MemoryModel};
 pub use payload::{FixedSize, Payload, Shared};
 pub use runner::{

@@ -1,13 +1,12 @@
 //! Reserved tag namespaces for archetype-level protocols.
 //!
 //! The substrate's [`Tag`] space is partitioned so that user messages,
-//! collectives, group collectives, and archetype protocols can never
-//! collide:
+//! collectives, and archetype protocols can never collide:
 //!
 //! | bits            | owner                                     |
 //! |-----------------|-------------------------------------------|
-//! | `1 << 63`       | world collectives ([`crate::collectives`])|
-//! | `1 << 62`       | group collectives ([`crate::Group`])      |
+//! | `1 << 63`       | collectives ([`crate::collectives`])      |
+//! | `1 << 62`       | unused; no protocol sets it               |
 //! | `1 << 61`       | farm protocol (this module)               |
 //! | `1 << 60` alone | pipeline protocol (this module)           |
 //! | `1 << 59` alone | composition handoff (this module)         |
@@ -213,8 +212,8 @@ mod tests {
     #[test]
     fn ft_namespace_is_disjoint_from_all_others() {
         let t = ft_tag(FtTag::Heartbeat, 11);
-        assert_eq!(t & COLLECTIVE_TAG_BASE, 0, "not a world collective tag");
-        assert_eq!(t & (1 << 62), 0, "not a group collective tag");
+        assert_eq!(t & COLLECTIVE_TAG_BASE, 0, "not a collective tag");
+        assert_eq!(t & (1 << 62), 0, "bit 62 stays clear");
         assert_eq!(t & (1 << 61), 0, "not a farm tag");
         assert_eq!(t & (1 << 60), 0, "not a pipeline tag");
         assert_eq!(t & (1 << 59), 0, "not a compose tag");
@@ -244,8 +243,8 @@ mod tests {
     #[test]
     fn compose_namespace_is_disjoint_from_all_others() {
         let t = compose_tag(ComposeTag::Output, 9);
-        assert_eq!(t & COLLECTIVE_TAG_BASE, 0, "not a world collective tag");
-        assert_eq!(t & (1 << 62), 0, "not a group collective tag");
+        assert_eq!(t & COLLECTIVE_TAG_BASE, 0, "not a collective tag");
+        assert_eq!(t & (1 << 62), 0, "bit 62 stays clear");
         assert_eq!(t & (1 << 61), 0, "not a farm tag");
         assert_eq!(t & (1 << 60), 0, "not a pipeline tag");
         assert_ne!(t & COMPOSE_TAG_BASE, 0);
@@ -285,8 +284,8 @@ mod tests {
             }
         }
         let t = pipe_tag(PipeTag::Credit, 5);
-        assert_eq!(t & COLLECTIVE_TAG_BASE, 0, "not a world collective tag");
-        assert_eq!(t & (1 << 62), 0, "not a group collective tag");
+        assert_eq!(t & COLLECTIVE_TAG_BASE, 0, "not a collective tag");
+        assert_eq!(t & (1 << 62), 0, "bit 62 stays clear");
         assert_eq!(t & (1 << 61), 0, "not a farm tag");
         assert_ne!(t & PIPE_TAG_BASE, 0);
     }
@@ -305,8 +304,8 @@ mod tests {
     #[test]
     fn farm_namespace_is_disjoint_from_collectives_and_groups() {
         let t = farm_tag(FarmTag::Wave, 42);
-        assert_eq!(t & COLLECTIVE_TAG_BASE, 0, "not a world collective tag");
-        assert_eq!(t & (1 << 62), 0, "not a group collective tag");
+        assert_eq!(t & COLLECTIVE_TAG_BASE, 0, "not a collective tag");
+        assert_eq!(t & (1 << 62), 0, "bit 62 stays clear");
         assert_ne!(t & FARM_TAG_BASE, 0);
     }
 }

@@ -5,8 +5,8 @@
 //! 2. the shared-memory recursion (version 1: each divide's subproblems
 //!    solved in turn);
 //! 3. the SPMD recursion — each level splits the current group into two
-//!    disjoint subcommunicators (`Group::split_nested`), scatters the
-//!    halves to the subgroup roots, recurses concurrently, and merges
+//!    disjoint subgroups, each in its own `Ctx::scoped` section, scatters
+//!    the halves to the subgroup roots, recurses concurrently, and merges
 //!    back up the combining tree — with the cutoff chosen by the machine
 //!    performance model;
 //! 4. the one-deep skeleton (the depth-one special case the paper

@@ -38,7 +38,7 @@ fn archetype_metadata_is_exposed() {
     assert!(RECURSIVE_DC
         .communication
         .iter()
-        .any(|c| c.contains("Group::split")));
+        .any(|c| c.contains("Ctx::scoped")));
 }
 
 #[test]

@@ -8,7 +8,7 @@ use parallel_archetypes::dc::{convex_hull, OneDeepHull, OneDeepMergesort, Point}
 use parallel_archetypes::mesh::apps::em_fdtd::{em_shared, em_spmd, EmSpec};
 use parallel_archetypes::mesh::apps::poisson::{poisson_shared, poisson_spmd, sine_problem};
 use parallel_archetypes::mesh::DistGrid2;
-use parallel_archetypes::mp::{run_spmd, Group, MachineModel, ProcessGrid2, ProcessGrid3};
+use parallel_archetypes::mp::{run_spmd, MachineModel, ProcessGrid2, ProcessGrid3};
 
 #[test]
 fn single_process_spmd_is_the_sequential_program() {
@@ -92,15 +92,21 @@ fn stats_expose_comm_compute_split() {
 
 #[test]
 fn nested_groups_after_regrouping() {
-    // Split, compute, re-split differently, compute again — tag namespaces
-    // must stay disjoint across the two generations of groups.
+    // Split into scopes, compute, re-split differently, compute again —
+    // the two generations of scopes must not see each other's traffic.
     let out = run_spmd(6, MachineModel::ibm_sp(), |ctx| {
-        let colors1: Vec<usize> = (0..6).map(|r| r % 2).collect();
-        let mut g1 = Group::split(ctx, &colors1);
-        let a = g1.all_reduce(ctx, ctx.rank() as u64, |x, y| x + y);
-        let colors2: Vec<usize> = (0..6).map(|r| usize::from(r < 3)).collect();
-        let mut g2 = Group::split(ctx, &colors2);
-        let b = g2.all_reduce(ctx, ctx.rank() as u64, |x, y| x + y);
+        let evens_or_odds: Vec<usize> = (ctx.rank() % 2..6).step_by(2).collect();
+        let a = ctx.scoped(&evens_or_odds, 0, |ctx| {
+            ctx.all_reduce(ctx.global_rank() as u64, |x, y| x + y)
+        });
+        let half: Vec<usize> = if ctx.rank() < 3 {
+            vec![0, 1, 2]
+        } else {
+            vec![3, 4, 5]
+        };
+        let b = ctx.scoped(&half, 0, |ctx| {
+            ctx.all_reduce(ctx.global_rank() as u64, |x, y| x + y)
+        });
         (a, b)
     });
     // Evens {0,2,4} sum 6; odds {1,3,5} sum 9. Halves {0,1,2}=3, {3,4,5}=12.

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 
 use parallel_archetypes::mesh::redist::{cols_to_rows, rows_to_cols, RowDist};
 use parallel_archetypes::mp::topology::{block_owner, block_range};
-use parallel_archetypes::mp::{run_spmd, Group, MachineModel};
+use parallel_archetypes::mp::{run_spmd, MachineModel};
 use parallel_archetypes::numerics::{fft, ifft, Complex};
 
 proptest! {
@@ -160,28 +160,29 @@ proptest! {
         at in 0usize..8,
         seed in any::<u32>(),
     ) {
-        // Split the world in two (degenerate splits — a full-world group
-        // or singleton groups — included), then inside each group:
-        // scatter from group root 0 (empty payloads included) and check
-        // the all_to_all transpose identity, concurrently in both groups.
+        // Split the world in two groups, each run as a scope (degenerate
+        // splits — a full-world group or singleton groups — included),
+        // then inside each: scatter from local root 0 (empty payloads
+        // included) and check the all_to_all transpose identity,
+        // concurrently in both groups.
         let boundary = at % n;
         let out = run_spmd(n, MachineModel::ibm_sp(), move |ctx| {
-            let colors: Vec<usize> =
-                (0..ctx.nprocs()).map(|r| usize::from(r < boundary)).collect();
-            let mut g = Group::split(ctx, &colors);
-            let k = g.len();
-            let values = (g.rank() == 0).then(|| {
-                (0..k)
-                    .map(|i| vec![u64::from(seed) + i as u64; i % 3])
-                    .collect::<Vec<Vec<u64>>>()
-            });
-            let mine: Vec<u64> = g.scatter(ctx, 0, values);
-            // Personalized exchange: slot s of the result holds what
-            // member s addressed to me.
-            let items: Vec<(u64, u64)> =
-                (0..k as u64).map(|d| (g.rank() as u64, d)).collect();
-            let got = g.all_to_all(ctx, items);
-            (g.rank(), mine, got)
+            let members = class_of(ctx.rank(), ctx.nprocs(), boundary);
+            ctx.scoped(&members, 0, |ctx| {
+                let k = ctx.nprocs();
+                let values = (ctx.rank() == 0).then(|| {
+                    (0..k)
+                        .map(|i| vec![u64::from(seed) + i as u64; i % 3])
+                        .collect::<Vec<Vec<u64>>>()
+                });
+                let mine: Vec<u64> = ctx.scatter(0, values);
+                // Personalized exchange: slot s of the result holds what
+                // member s addressed to me.
+                let items: Vec<(u64, u64)> =
+                    (0..k as u64).map(|d| (ctx.rank() as u64, d)).collect();
+                let got = ctx.all_to_all(items);
+                (ctx.rank(), mine, got)
+            })
         });
         for (grank, mine, got) in out.results {
             prop_assert_eq!(mine, vec![u64::from(seed) + grank as u64; grank % 3]);
@@ -197,15 +198,16 @@ proptest! {
         n in 1usize..9,
         value in any::<u32>(),
     ) {
-        // Group::world is the whole-world group: its collectives must
-        // compute exactly what the global ones do, without touching the
-        // global collective sequence.
+        // A scope over every rank must compute exactly what the world
+        // collectives do, and leave the world's collective sequence
+        // where it was: the world collectives run after it match up.
         let out = run_spmd(n, MachineModel::cray_t3d(), move |ctx| {
-            let mut w = Group::world(ctx);
+            let everyone: Vec<usize> = (0..ctx.nprocs()).collect();
             let base = u64::from(value) + ctx.rank() as u64;
-            let ga = w.all_reduce(ctx, base, |a, b| a.wrapping_add(b));
-            let gg = w.all_gather(ctx, base);
-            let wa = ctx.all_reduce(base, |a, b| a.wrapping_add(b));
+            let (ga, gg) = ctx.scoped(&everyone, 0, |ctx| {
+                (ctx.all_reduce(base, u64::wrapping_add), ctx.all_gather(base))
+            });
+            let wa = ctx.all_reduce(base, u64::wrapping_add);
             let wg = ctx.all_gather(base);
             (ga, gg, wa, wg)
         });
@@ -221,20 +223,21 @@ proptest! {
         rounds_a in 1usize..4,
         rounds_b in 1usize..4,
     ) {
-        // Two disjoint groups run *different numbers* of collectives
+        // Two sibling scopes run *different numbers* of collectives
         // carrying values stamped with their identity; nothing may leak
-        // across, and a global collective afterwards still matches.
+        // across, and a world collective afterwards still matches.
         let out = run_spmd(n, MachineModel::ibm_sp(), move |ctx| {
             let half = ctx.nprocs() / 2;
-            let colors: Vec<usize> =
-                (0..ctx.nprocs()).map(|r| usize::from(r < half)).collect();
-            let mut g = Group::split(ctx, &colors);
+            let members = class_of(ctx.rank(), ctx.nprocs(), half);
             let my_color = u64::from(ctx.rank() < half);
             let rounds = if my_color == 1 { rounds_a } else { rounds_b };
-            let mut seen = Vec::new();
-            for _ in 0..rounds {
-                seen.extend(g.all_to_all(ctx, vec![my_color; g.len()]));
-            }
+            let seen = ctx.scoped(&members, 0, |ctx| {
+                let mut seen = Vec::new();
+                for _ in 0..rounds {
+                    seen.extend(ctx.all_to_all(vec![my_color; ctx.nprocs()]));
+                }
+                seen
+            });
             let world = ctx.all_reduce(1u64, |a, b| a + b);
             (seen, my_color, world)
         });
@@ -245,52 +248,30 @@ proptest! {
     }
 
     #[test]
-    fn group_reduce_equals_ascending_fold(
-        values in vec(-1000i64..1000, 1..10),
-        root_pick in 0usize..10,
+    fn group_reduce_agrees_with_gather_fold_and_all_reduce(
+        values in vec(0u64..1_000_000, 1..10),
         extra in 0usize..3,
     ) {
-        // A group over a subset of the world: reduce must return the
-        // ascending-group-order fold (order-sensitive op) on the root and
-        // None elsewhere, for any root and any world padding.
+        // A scope over the first `n` of `n + extra` ranks.
         let n = values.len();
-        let root = root_pick % n;
-        let world = n + extra;
-        let out = run_spmd(world, MachineModel::ibm_sp(), |ctx| {
-            let colors: Vec<usize> = (0..ctx.nprocs()).map(|r| usize::from(r >= n)).collect();
-            let mut g = Group::split(ctx, &colors);
+        let out = run_spmd(n + extra, MachineModel::cray_t3d(), |ctx| {
             if ctx.rank() >= n {
                 return None;
             }
-            // Order-sensitive op: digits concatenated by position.
-            g.reduce(ctx, root, vec![values[ctx.rank()]], |mut a, mut b| {
-                a.append(&mut b);
-                a
-            })
-        });
-        for (r, got) in out.results.iter().enumerate() {
-            if r == root {
-                prop_assert_eq!(got.as_ref(), Some(&values));
-            } else {
-                prop_assert!(got.is_none(), "rank {} must not hold the fold", r);
-            }
-        }
-    }
-
-    #[test]
-    fn group_reduce_agrees_with_gather_fold_and_all_reduce(
-        values in vec(0u64..1_000_000, 1..10),
-    ) {
-        let n = values.len();
-        let out = run_spmd(n, MachineModel::cray_t3d(), |ctx| {
-            let mut g = Group::world(ctx);
-            let red = g.reduce(ctx, 0, values[ctx.rank()], u64::wrapping_add);
-            let all = g.all_reduce(ctx, values[ctx.rank()], u64::wrapping_add);
-            let gathered = g.gather(ctx, 0, values[ctx.rank()]);
-            (red, all, gathered)
+            let members: Vec<usize> = (0..n).collect();
+            Some(ctx.scoped(&members, 0, |ctx| {
+                let red = ctx.reduce(0, values[ctx.rank()], u64::wrapping_add);
+                let all = ctx.all_reduce(values[ctx.rank()], u64::wrapping_add);
+                let gathered = ctx.gather(0, values[ctx.rank()]);
+                (red, all, gathered)
+            }))
         });
         let expected: u64 = values.iter().sum();
-        for (r, (red, all, gathered)) in out.results.iter().enumerate() {
+        for (r, got) in out.results.iter().enumerate() {
+            let Some((red, all, gathered)) = got else {
+                prop_assert!(r >= n);
+                continue;
+            };
             prop_assert_eq!(*all, expected);
             if r == 0 {
                 prop_assert_eq!(red.unwrap(), expected);
@@ -307,18 +288,17 @@ proptest! {
         at in 0usize..8,
         value in any::<u32>(),
     ) {
-        // Disjoint groups exercise scoped contexts and tag namespaces
+        // Sibling scopes exercise rank translation and scope matching
         // under racing deliveries; a rerun must produce the same
         // per-rank tuples and the same virtual clocks.
         let boundary = at % n;
         let run = || {
             run_spmd(n, MachineModel::ibm_sp(), move |ctx| {
-                let colors: Vec<usize> =
-                    (0..ctx.nprocs()).map(|r| usize::from(r < boundary)).collect();
-                let mut g = Group::split(ctx, &colors);
+                let members = class_of(ctx.rank(), ctx.nprocs(), boundary);
                 let base = u64::from(value) + ctx.rank() as u64;
-                let red = g.all_reduce(ctx, base, u64::wrapping_add);
-                let gat = g.all_gather(ctx, base);
+                let (red, gat) = ctx.scoped(&members, 0, |ctx| {
+                    (ctx.all_reduce(base, u64::wrapping_add), ctx.all_gather(base))
+                });
                 let world = ctx.all_reduce(base, u64::wrapping_add);
                 (red, gat, world)
             })
@@ -341,5 +321,15 @@ proptest! {
             }
         }
         prop_assert_eq!(covered, n);
+    }
+}
+
+/// The ranks on `rank`'s side of `boundary` among `n`: `0..boundary` or
+/// `boundary..n` — one of two sibling groups, as a scope's member list.
+fn class_of(rank: usize, n: usize, boundary: usize) -> Vec<usize> {
+    if rank < boundary {
+        (0..boundary).collect()
+    } else {
+        (boundary..n).collect()
     }
 }

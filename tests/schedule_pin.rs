@@ -12,8 +12,13 @@
 //! per-rank clocks must not move by a bit. The image chain's clocks at
 //! p ≥ 2 were re-recorded once since, when the pipeline planner changed
 //! layouts; the test says which moved and why.
+//!
+//! The recursive mergesort pin covers the recursive divide-and-conquer
+//! descent at odd rank counts and uneven subgroups: its per-rank
+//! messages, bytes and clocks are the schedule of the nested scopes.
 
 use parallel_archetypes::bnb::{solve_farm, BnbStats, Knapsack};
+use parallel_archetypes::dc::{run_spmd_recursive, CutoffPolicy, RecursiveMergesort};
 use parallel_archetypes::farm::apps::{GridSweepFarm, MandelOut, MandelbrotFarm, SweepFarm};
 use parallel_archetypes::farm::{run_farm, Farm, FarmConfig, FarmStats};
 use parallel_archetypes::mp::{run_spmd, MachineModel, SpmdResult};
@@ -436,5 +441,137 @@ fn image_chain_summaries_clocks_and_raw_pixels_are_the_recorded_ones() {
             (want, clocks.to_vec()),
             "100x70 p={p}"
         );
+    }
+}
+
+/// The recursive mergesort's per-rank clocks (as bit patterns) and
+/// `(msgs_sent, bytes_sent)` on `p` ranks at branching `k`. The keys,
+/// the size floor and the depth cap make the recursion end three ways:
+/// at singleton groups, at the depth cap, and at the size floor after a
+/// size broadcast inside a group of two or more.
+fn recursive_sort_run(p: usize, k: usize) -> (Vec<u64>, Vec<(u64, u64)>) {
+    let keys: Vec<i64> = (0..3000u64)
+        .map(|i| (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40) as i64 - (1 << 23))
+        .collect();
+    let mut sorted = keys.clone();
+    sorted.sort_unstable();
+    let policy = CutoffPolicy::new(k, 800, 3);
+    let out = run_spmd(p, MachineModel::ibm_sp(), move |ctx| {
+        let input = (ctx.rank() == 0).then(|| keys.clone());
+        run_spmd_recursive(&RecursiveMergesort::<i64>::new(), ctx, input, &policy, None)
+    });
+    assert_eq!(out.results[0].as_ref(), Some(&sorted), "p={p} k={k}");
+    (
+        out.rank_times.iter().map(|t| t.to_bits()).collect(),
+        out.stats
+            .per_rank
+            .iter()
+            .map(|s| (s.msgs_sent, s.bytes_sent))
+            .collect(),
+    )
+}
+
+#[test]
+fn recursive_mergesort_clocks_and_traffic_are_the_recorded_ones() {
+    // Recorded while the recursion ran on a dedicated subgroup type with
+    // its own collectives, before it moved onto `Ctx::scoped`: the
+    // descent's messages, bytes and per-rank clocks must not move by a
+    // bit. Odd rank counts and branching 3 give uneven subgroups at every
+    // level.
+    #[allow(clippy::type_complexity)]
+    let recorded: [((usize, usize), &[u64], &[(u64, u64)]); 8] = [
+        (
+            (2, 2),
+            &[0x3f59c8d2f57923a0, 0x3f5176b78104a021],
+            &[(2, 12008), (1, 12000)],
+        ),
+        (
+            (2, 3),
+            &[0x3f59ddcbab020709, 0x3f42f03444a49d82, 0x3f518bb0368d838a],
+            &[(5, 18024), (1, 6000), (1, 12000)],
+        ),
+        (
+            (2, 5),
+            &[
+                0x3f5cd65e5c9a0bd1,
+                0x3f2111bee91bd69b,
+                0x3f4344171ac82b26,
+                0x3f548442e8258852,
+                0x3f4fcfba8ef4c7a4,
+            ],
+            &[(8, 18048), (0, 0), (2, 6008), (3, 18008), (1, 6000)],
+        ),
+        (
+            (2, 8),
+            &[
+                0x3f5d004fc7abd2a3,
+                0x3f2111bee91bd69b,
+                0x3f436e0885d9f1f8,
+                0x3f36b7f1176c4bfe,
+                0x3f54ae3453374f24,
+                0x3f40fa04998558f7,
+                0x3f5011ceb28c2aa4,
+                0x3f48118d6af4894f,
+            ],
+            &[
+                (8, 18048),
+                (0, 0),
+                (4, 6024),
+                (0, 0),
+                (7, 18040),
+                (0, 0),
+                (4, 6024),
+                (0, 0),
+            ],
+        ),
+        (
+            (3, 2),
+            &[0x3f59c8d2f57923a0, 0x3f5176b78104a021],
+            &[(2, 12008), (1, 12000)],
+        ),
+        (
+            (3, 3),
+            &[0x3f53834a023c5010, 0x3f47aa46b415430e, 0x3f47d4381f2709e0],
+            &[(4, 16016), (1, 8000), (1, 8000)],
+        ),
+        (
+            (3, 5),
+            &[
+                0x3f564932fa938224,
+                0x3f3b6ef752ae1fea,
+                0x3f4d3618a4c3a735,
+                0x3f46846c69a43524,
+                0x3f47fe298a38d0b2,
+            ],
+            &[(7, 20032), (1, 4000), (4, 12016), (1, 4000), (1, 8000)],
+        ),
+        (
+            (3, 8),
+            &[
+                0x3f564932fa938223,
+                0x3f34d295acc85e2f,
+                0x3f35267882ebebd3,
+                0x3f4995ec9d87d0ce,
+                0x3f43363b96b15446,
+                0x3f43602d01c31b18,
+                0x3f4d600a0fd56e07,
+                0x3f46ae5dd4b5fbf6,
+            ],
+            &[
+                (9, 21368),
+                (1, 2664),
+                (2, 2672),
+                (5, 13344),
+                (3, 2680),
+                (1, 2664),
+                (4, 12016),
+                (1, 4000),
+            ],
+        ),
+    ];
+    for ((k, p), clocks, traffic) in recorded {
+        let (got_clocks, got_traffic) = recursive_sort_run(p, k);
+        assert_eq!(got_clocks, clocks, "clocks k={k} p={p}");
+        assert_eq!(got_traffic, traffic, "msgs and bytes k={k} p={p}");
     }
 }
