@@ -1061,152 +1061,6 @@ mod tests {
         assert_eq!(out.results[1], 333);
     }
 
-    /// This rank's color class under `colors`, as a member list.
-    fn class_of(ctx: &crate::Ctx, colors: &[usize]) -> Vec<usize> {
-        let mine = colors[ctx.rank()];
-        (0..ctx.nprocs()).filter(|&r| colors[r] == mine).collect()
-    }
-
-    #[test]
-    fn scoped_collectives_stay_inside_uneven_siblings() {
-        // The primes {2, 3, 5} and the rest {0, 1, 4, 6} run every
-        // collective, and different numbers of all_reduces, concurrently;
-        // the world's sequence is intact afterwards.
-        let out = run_spmd(7, MachineModel::ibm_sp(), |ctx| {
-            let colors: Vec<usize> = (0..ctx.nprocs())
-                .map(|r| usize::from(![2, 3, 5].contains(&r)))
-                .collect();
-            let members = class_of(ctx, &colors);
-            let got = ctx.scoped(&members, 4, |ctx| {
-                let (me, n, world_rank) = (ctx.rank(), ctx.nprocs(), ctx.global_rank() as u64);
-                let b = ctx.broadcast(0, (me == 0).then_some(world_rank));
-                let gathered = ctx.gather(0, world_rank);
-                let all = ctx.all_gather(world_rank);
-                let values = (me == 1).then(|| (0..n as u64).map(|i| vec![i * 10]).collect());
-                let piece: Vec<u64> = ctx.scatter(1, values);
-                let items: Vec<(u64, u64)> = (0..n as u64).map(|d| (me as u64, d)).collect();
-                let moved = ctx.all_to_all(items);
-                let red = ctx.reduce(0, world_rank, |a, b| a + b);
-                let mut sum = 0;
-                for _ in 0..if n == 3 { 5 } else { 2 } {
-                    sum = ctx.all_reduce(world_rank, |a, b| a + b);
-                }
-                ctx.barrier();
-                assert!(moved
-                    .iter()
-                    .enumerate()
-                    .all(|(s, &t)| t == (s as u64, me as u64)));
-                assert_eq!(piece, vec![me as u64 * 10]);
-                assert_eq!(red.is_some(), me == 0);
-                assert!(red.is_none_or(|red| red == sum));
-                (b, gathered, all, sum)
-            });
-            let world = ctx.all_reduce(got.3, |a, b| a + b);
-            (got, world)
-        });
-        for (r, ((b, gathered, all, sum), world)) in out.results.iter().enumerate() {
-            let prime = [2, 3, 5].contains(&r);
-            let class: Vec<u64> = if prime {
-                vec![2, 3, 5]
-            } else {
-                vec![0, 1, 4, 6]
-            };
-            assert_eq!(*b, class[0], "rank {r}");
-            assert_eq!(gathered.is_some(), r as u64 == class[0], "rank {r}");
-            assert!(gathered.as_ref().is_none_or(|g| *g == class));
-            assert_eq!(all, &class, "rank {r}");
-            assert_eq!(*sum, class.iter().sum::<u64>(), "rank {r}");
-            assert_eq!(*world, 3 * 10 + 4 * 11);
-        }
-        // Every non-power-of-two scope size folds its extra ranks.
-        for size in [3usize, 5, 6, 7] {
-            let out = run_spmd(size + 1, MachineModel::ibm_sp(), move |ctx| {
-                let members: Vec<usize> = (0..size).collect();
-                (ctx.rank() < size)
-                    .then(|| ctx.scoped(&members, 0, |ctx| ctx.all_reduce(1u64, |a, b| a + b)))
-            });
-            let want: Vec<Option<u64>> = (0..=size)
-                .map(|r| (r < size).then_some(size as u64))
-                .collect();
-            assert_eq!(out.results, want, "size={size}");
-        }
-    }
-
-    #[test]
-    fn singleton_scopes_run_every_collective_message_free() {
-        let out = run_spmd(3, MachineModel::ibm_sp(), |ctx| {
-            let me = ctx.rank() as u64;
-            ctx.scoped(&[ctx.rank()], 0, |ctx| {
-                ctx.barrier();
-                let b = ctx.broadcast(0, Some(me * 7));
-                let gathered = ctx.gather(0, me).expect("root of itself");
-                let all = ctx.all_gather(me);
-                let piece: Vec<u64> = ctx.scatter(0, Some(vec![vec![me]]));
-                let moved = ctx.all_to_all(vec![Vec::<u64>::new()]);
-                let red = ctx.reduce(0, me * 5, |a, b| a + b);
-                let sum = ctx.all_reduce(me * 10, |a, b| a + b);
-                (b, gathered, all, piece, moved, red, sum)
-            })
-        });
-        for (r, got) in out.results.into_iter().enumerate() {
-            let r = r as u64;
-            let want = (
-                7 * r,
-                vec![r],
-                vec![r],
-                vec![r],
-                vec![vec![]],
-                Some(5 * r),
-                10 * r,
-            );
-            assert_eq!(got, want);
-        }
-        assert_eq!(out.stats.total_msgs(), 0, "a scope of one sends nothing");
-    }
-
-    #[test]
-    fn scoped_empty_payloads_keep_their_shapes() {
-        // Zero-byte payloads traverse the broadcast tree, the gathers and
-        // the combining tree intact, paying latency but no bytes.
-        let out = run_spmd(6, MachineModel::ibm_sp(), |ctx| {
-            let members: Vec<usize> = (1..6).collect();
-            if ctx.rank() == 0 {
-                return None;
-            }
-            Some(ctx.scoped(&members, 0, |ctx| {
-                let me = ctx.rank();
-                let v: Vec<u64> = ctx.broadcast(2, (me == 2).then(Vec::new));
-                let unit: () = ctx.broadcast(0, (me == 0).then_some(()));
-                let mixed = if me % 2 == 0 {
-                    Vec::new()
-                } else {
-                    vec![me as u64; me]
-                };
-                let gathered = ctx.gather(0, mixed);
-                let all = ctx.all_gather(Vec::<u8>::new());
-                let red = ctx.reduce(1, Vec::<u64>::new(), |mut a, mut b| {
-                    a.append(&mut b);
-                    a
-                });
-                (v, unit, gathered, all, red)
-            }))
-        });
-        assert!(out.elapsed_virtual >= MachineModel::ibm_sp().latency);
-        for (r, got) in out.results.iter().enumerate().skip(1) {
-            let (v, (), gathered, all, red) = got.as_ref().expect("scope member");
-            assert!(v.is_empty());
-            assert_eq!(all, &vec![Vec::<u8>::new(); 5]);
-            assert_eq!(red.is_some(), r == 2, "rank {r}");
-            assert!(red.as_ref().is_none_or(Vec::is_empty));
-            if r == 1 {
-                let want = vec![vec![], vec![1], vec![], vec![3, 3, 3], vec![]];
-                assert_eq!(gathered.as_ref(), Some(&want));
-            } else {
-                assert!(gathered.is_none());
-            }
-        }
-    }
-
     #[test]
     fn a_scope_over_its_parents_members_is_a_fresh_namespace() {
         // Parent, child and grandchild have the same members; collectives

@@ -69,6 +69,9 @@ pub mod collectives;
 pub mod costmeter;
 pub mod ctx;
 pub mod fault;
+#[cfg(test)]
+#[path = "group_tests.rs"]
+mod group;
 pub mod mailbox;
 pub mod model;
 pub mod packet;
