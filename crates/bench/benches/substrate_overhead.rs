@@ -60,7 +60,7 @@ fn bench_latency(c: &mut Criterion) {
     }
     g.bench_function("ping_pong_8b_ft_idle_x100", |b| {
         b.iter(|| {
-            run_spmd_ft(2, model, FaultPlan::new(0), |ctx| {
+            run_spmd_ft(2, model, RunConfig::default(), FaultPlan::new(0), |ctx| {
                 let partner = 1 - ctx.rank();
                 for round in 0..100u64 {
                     if ctx.rank() == 0 {

@@ -16,7 +16,7 @@
 //! Run with `cargo run --release -p archetype-bench --bin compose_scaling`.
 
 use archetype_compose::{
-    forecast_input, forecast_plan, run_plan_with, ComposeConfig, ForecastConfig, ParMode,
+    forecast_input, forecast_plan, try_run_plan, ComposeConfig, ForecastConfig, ParMode,
 };
 use archetype_mp::{run_spmd, MachineModel};
 
@@ -26,7 +26,7 @@ fn main() {
 
     let run = |p: usize, model: MachineModel, mode: ParMode| {
         run_spmd(p, model, move |ctx| {
-            run_plan_with(
+            try_run_plan(
                 ctx,
                 &forecast_plan(cfg),
                 forecast_input(),
@@ -34,8 +34,8 @@ fn main() {
                     par: mode,
                     ..ComposeConfig::default()
                 },
-                None,
             )
+            .expect("no fault plan")
         })
     };
 

@@ -152,7 +152,7 @@ fn main() {
         run_spmd(2, model, |ctx| ping_pong_body(ctx, 8, ROUNDS));
     };
     let run_ft = || {
-        run_spmd_ft(2, model, FaultPlan::new(0), |ctx| {
+        run_spmd_ft(2, model, RunConfig::default(), FaultPlan::new(0), |ctx| {
             ping_pong_body(ctx, 8, ROUNDS)
         });
     };

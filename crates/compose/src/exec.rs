@@ -20,19 +20,23 @@
 //!   root ships branch inputs to the branch roots (bit-59
 //!   [`archetype_mp::tags::compose_tag`] namespace), branches recurse
 //!   concurrently inside disjoint scopes, and branch roots ship outputs
-//!   (with their trace slices, when the run is traced) back to the root,
-//!   which assembles the output tuple — in branch order, so results,
-//!   clocks, and the composite trace are deterministic. Groups too small to host every
-//!   branch (`p < k`), or a [`ParMode::Serialize`] config, run the
-//!   branches one after another on the whole group instead — same
-//!   results, same statistics, different schedule.
+//!   back to the root, which assembles the output tuple — in branch
+//!   order, so results and clocks are deterministic. Groups too small to
+//!   host every branch (`p < k`), or a [`ParMode::Serialize`] config,
+//!   run the branches one after another on the whole group instead —
+//!   same results, same statistics, different schedule.
 //!
-//! Phases are a diagnostic: they are recorded only when the caller
-//! handed [`run_plan_traced`] a [`PhaseTrace`] to read them from, and
-//! they are never priced as traffic — so a traced and an untraced run of
-//! one plan are the same logical run, bit for bit. An untraced run (every
-//! [`crate::PlanService`] plan) builds no `Phase`, no label and no
-//! `PhaseTrace` at all.
+//! Phases live in the run's trace, like every skeleton's: the scope root
+//! records the executor's own — input replication, `Par` fan-out and
+//! gather, `Detect`/`Recover` after a lost attempt — with
+//! [`Ctx::trace_phase`], and each atom's skeleton records its own on
+//! every rank it runs on. Under [`ParMode::Serialize`], rank 0 roots
+//! every atom, so its track of a traced run
+//! ([`archetype_mp::RunConfig::traced`]) is the canonical composite
+//! trace that [`Plan::grammar`] accepts. Recording is one branch when
+//! the run is untraced, allocates nothing when it is traced, and never
+//! touches clocks or traffic — so a traced and an untraced run of one
+//! plan are the same logical run, bit for bit.
 //!
 //! Statistics ([`ComposeStats`]) count *logical* structure — atoms run,
 //! stages, branches, handoffs and their bytes — so they are identical
@@ -42,7 +46,7 @@
 
 use std::fmt;
 
-use archetype_core::{Phase, PhaseKind, PhaseTrace};
+use archetype_core::PhaseKind;
 use archetype_mp::tags::{compose_tag, ComposeTag};
 use archetype_mp::{impl_fixed_size, Ctx, FaultPlan, Payload};
 
@@ -124,7 +128,7 @@ impl fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// Tuning knobs for [`run_plan_with`].
+/// Tuning knobs for [`try_run_plan`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ComposeConfig {
     /// Branch scheduling policy.
@@ -187,34 +191,6 @@ impl ComposeStats {
     }
 }
 
-/// A branch input shipped root-to-root, with the run's trace switch:
-/// only rank 0's `trace` argument is authoritative, so it travels with
-/// the work to wherever a phase could be recorded.
-struct BranchInput {
-    value: Value,
-    traced: bool,
-}
-
-/// A branch output and its trace slice (empty when untraced), shipped
-/// root-to-root.
-struct Handoff {
-    value: Value,
-    trace: Vec<Phase>,
-}
-
-// Diagnostics are not traffic: both are priced as the value alone.
-impl Payload for BranchInput {
-    fn size_bytes(&self) -> usize {
-        self.value.size_bytes()
-    }
-}
-
-impl Payload for Handoff {
-    fn size_bytes(&self) -> usize {
-        self.value.size_bytes()
-    }
-}
-
 pub(crate) fn mix(a: u64, b: u64) -> u64 {
     let mut h = 0x9e3779b97f4a7c15u64 ^ a;
     h = h.wrapping_mul(0x100000001b3);
@@ -245,15 +221,11 @@ fn split_parts(v: Value, k: usize) -> Vec<Value> {
 struct Walker {
     config: ComposeConfig,
     stats: ComposeStats,
-    /// Whether phases are recorded. Read on scope roots only, where it
-    /// is rank 0's verdict: a branch root receives it with its input.
-    traced: bool,
 }
 
 impl Walker {
     /// Execute one plan node on the current scope. `input` is `Some`
-    /// exactly on the scope's rank 0; likewise the returned value and
-    /// trace slice (empty everywhere when the run is untraced).
+    /// exactly on the scope's rank 0; likewise the returned value.
     fn node(
         &mut self,
         ctx: &mut Ctx,
@@ -262,7 +234,7 @@ impl Walker {
         node_id: u64,
         salt: u64,
         depth: u64,
-    ) -> (Option<Value>, Vec<Phase>) {
+    ) -> Option<Value> {
         let root = ctx.rank() == 0;
         if root {
             self.stats.plan_nodes += 1;
@@ -274,7 +246,7 @@ impl Walker {
                 // pure function of (plan seed, node id), so every rank of
                 // the group derives the identical retry schedule without
                 // exchanging a verdict. Exhausted schedules were rejected
-                // by the collective pre-scan in `try_run_plan_with`.
+                // by the collective pre-scan in `try_run_plan`.
                 let failed = ctx.fault_plan().map_or(0u32, |fp| {
                     let mut a = 0;
                     while fp.atom_fails(node_id, a) {
@@ -288,7 +260,6 @@ impl Walker {
                 );
                 let members: Vec<usize> = (0..ctx.nprocs()).collect();
                 let mut input = input;
-                let mut phases = Vec::new();
                 for attempt in 0..=failed {
                     let last = attempt == failed;
                     // The edge value is the checkpoint: the root re-feeds
@@ -304,50 +275,32 @@ impl Walker {
                         mix(mix(salt, node_id), u64::from(attempt))
                     };
                     let stats = &mut self.stats;
-                    let traced = self.traced;
-                    let (out, ph) = ctx.scoped(&members, scope_salt, |ctx| {
+                    let out = ctx.scoped(&members, scope_salt, |ctx| {
                         let root = ctx.rank() == 0;
-                        let local = (root && traced).then(PhaseTrace::new);
-                        let mut phases = Vec::new();
-                        if local.is_some() && ctx.nprocs() > 1 {
-                            phases.push(Phase::new(
-                                PhaseKind::Communication,
-                                format!("replicate input of {}", job.name()),
-                            ));
+                        if root && ctx.nprocs() > 1 {
+                            ctx.trace_phase(PhaseKind::Communication.name(), job.name());
                         }
                         let v = ctx.broadcast(0, checkpoint);
-                        let out = job.run(ctx, v, local.as_ref());
-                        if let Some(local) = local {
-                            phases.extend(local.phases());
-                        }
+                        let out = job.run(ctx, v);
                         if root && last {
                             stats.atoms += 1;
                         }
-                        (root.then_some(out), phases)
+                        root.then_some(out)
                     });
                     if last {
-                        phases.extend(ph);
-                        return (out, phases);
+                        return out;
                     }
                     // The attempt ran to completion but its result is
-                    // lost (and its trace with it): charge the bounded
-                    // exponential backoff and replay from the checkpoint.
+                    // lost: charge the bounded exponential backoff and
+                    // replay from the checkpoint.
                     drop(out);
                     ctx.charge_seconds(
                         self.config.retry.backoff_secs * f64::from(1u32 << attempt.min(20)),
                     );
                     if root {
                         self.stats.retries += 1;
-                    }
-                    if root && self.traced {
-                        phases.push(Phase::new(
-                            PhaseKind::Detect,
-                            format!("atom {} lost attempt {attempt}", job.name()),
-                        ));
-                        phases.push(Phase::new(
-                            PhaseKind::Recover,
-                            format!("replaying {} from its input checkpoint", job.name()),
-                        ));
+                        ctx.trace_phase(PhaseKind::Detect.name(), job.name());
+                        ctx.trace_phase(PhaseKind::Recover.name(), job.name());
                     }
                 }
                 unreachable!("the final attempt returns from the loop")
@@ -357,15 +310,12 @@ impl Walker {
                     self.stats.seq_stages += stages.len() as u64;
                 }
                 let mut v = input;
-                let mut phases = Vec::new();
                 let mut child = node_id + 1;
                 for stage in stages {
-                    let (nv, ph) = self.node(ctx, stage, v, child, salt, depth + 1);
+                    v = self.node(ctx, stage, v, child, salt, depth + 1);
                     child += stage.nodes();
-                    v = nv;
-                    phases.extend(ph);
                 }
-                (v, phases)
+                v
             }
             PlanNode::Par(branches) => {
                 let refs: Vec<&Plan> = branches.iter().collect();
@@ -398,7 +348,7 @@ impl Walker {
         salt: u64,
         depth: u64,
         is_replicate: bool,
-    ) -> (Option<Value>, Vec<Phase>) {
+    ) -> Option<Value> {
         let k = branches.len();
         let p = ctx.nprocs();
         let root = ctx.rank() == 0;
@@ -414,7 +364,6 @@ impl Walker {
         let parts_bytes: u64 = parts.iter().flatten().map(|v| v.size_bytes() as u64).sum();
 
         let parallel = self.config.par == ParMode::Allocate && k > 1 && p >= k;
-        let mut phases = Vec::new();
         let mut outs: Option<Vec<Value>> = if root { Some(Vec::new()) } else { None };
 
         if !parallel {
@@ -423,7 +372,7 @@ impl Walker {
                 let part = parts
                     .as_mut()
                     .map(|ps| std::mem::replace(&mut ps[j], Value::Unit));
-                let (ov, ph) = self.node(
+                let ov = self.node(
                     ctx,
                     branch,
                     part,
@@ -434,7 +383,6 @@ impl Walker {
                 if let Some(outs) = outs.as_mut() {
                     outs.push(ov.expect("the scope root holds every branch output"));
                 }
-                phases.extend(ph);
             }
         } else {
             // Price the branches and share the verdict, so every rank
@@ -446,11 +394,8 @@ impl Walker {
                     .map(|(b, part)| b.estimate_flops(part))
                     .collect()
             });
-            if root && self.traced {
-                phases.push(Phase::new(
-                    PhaseKind::Communication,
-                    "par fan-out: cost broadcast + branch inputs",
-                ));
+            if root {
+                ctx.trace_phase(PhaseKind::Communication.name(), "par fan-out");
             }
             let costs: Vec<f64> = ctx.broadcast(0, costs);
             let sizes = allocate(&costs, p);
@@ -465,10 +410,7 @@ impl Walker {
             if root {
                 let mut ps = parts.take().expect("root holds the input");
                 for j in (1..k).rev() {
-                    let part = BranchInput {
-                        value: ps.pop().expect("one part per branch"),
-                        traced: self.traced,
-                    };
+                    let part = ps.pop().expect("one part per branch");
                     ctx.send(starts[j], compose_tag(ComposeTag::Input, node_id), part);
                 }
                 parts = Some(ps); // now just branch 0's part
@@ -477,9 +419,7 @@ impl Walker {
                 if my_branch == 0 {
                     Some(parts.take().expect("root").pop().expect("branch 0 part"))
                 } else {
-                    let part: BranchInput = ctx.recv(0, compose_tag(ComposeTag::Input, node_id));
-                    self.traced = part.traced;
-                    Some(part.value)
+                    Some(ctx.recv(0, compose_tag(ComposeTag::Input, node_id)))
                 }
             } else {
                 None
@@ -491,7 +431,7 @@ impl Walker {
             let branch = branches[my_branch];
             let base = bases[my_branch];
             let walker = &mut *self;
-            let (ov, ph) = ctx.scoped(&members, mix(mix(salt, node_id), my_branch as u64), |ctx| {
+            let ov = ctx.scoped(&members, mix(mix(salt, node_id), my_branch as u64), |ctx| {
                 walker.node(
                     ctx,
                     branch,
@@ -502,32 +442,17 @@ impl Walker {
                 )
             });
 
-            // Branch outputs (with trace slices, if any) gather back to
-            // the root.
+            // Branch outputs gather back to the root.
             if me == starts[my_branch] && my_branch != 0 {
-                ctx.send(
-                    0,
-                    compose_tag(ComposeTag::Output, node_id),
-                    Handoff {
-                        value: ov.expect("a branch root holds its output"),
-                        trace: ph,
-                    },
-                );
+                let ov: Value = ov.expect("a branch root holds its output");
+                ctx.send(0, compose_tag(ComposeTag::Output, node_id), ov);
             } else if root {
                 let outs_vec = outs.as_mut().expect("root collects");
                 outs_vec.push(ov.expect("branch 0's root is the section root"));
-                phases.extend(ph);
                 for &start in starts.iter().skip(1) {
-                    let h: Handoff = ctx.recv(start, compose_tag(ComposeTag::Output, node_id));
-                    outs_vec.push(h.value);
-                    phases.extend(h.trace);
+                    outs_vec.push(ctx.recv(start, compose_tag(ComposeTag::Output, node_id)));
                 }
-                if self.traced {
-                    phases.push(Phase::new(
-                        PhaseKind::Communication,
-                        "par gather: branch outputs",
-                    ));
-                }
+                ctx.trace_phase(PhaseKind::Communication.name(), "par gather");
             }
         }
 
@@ -541,7 +466,7 @@ impl Walker {
             self.stats.handoffs += 2 * k as u64;
             self.stats.handoff_bytes += parts_bytes + out_bytes;
         }
-        (outs.map(Value::Tuple), phases)
+        outs.map(Value::Tuple)
     }
 }
 
@@ -587,41 +512,29 @@ fn doomed_atom(plan: &Plan, fp: &FaultPlan, retry: RetryPolicy, node_id: u64) ->
 /// Must be called by every rank of the group, like the archetype
 /// drivers; composes with [`Ctx::scoped`], so a plan can itself appear
 /// inside a larger scoped computation.
+///
+/// # Panics
+/// Panics (identically on every rank, before any communication) if the
+/// group's fault plan dooms an atom beyond the retry budget; use
+/// [`try_run_plan`] to get the typed [`PlanError`] instead.
 pub fn run_plan(ctx: &mut Ctx, plan: &Plan, input: Value) -> (Value, ComposeStats) {
-    run_plan_with(ctx, plan, input, ComposeConfig::default(), None)
-}
-
-/// [`run_plan`] that surfaces retry exhaustion as a typed
-/// [`PlanError`] instead of panicking. Without a fault plan in the
-/// context it cannot fail.
-pub fn try_run_plan(ctx: &mut Ctx, plan: &Plan, input: Value) -> PlanResult {
-    try_run_plan_with(ctx, plan, input, ComposeConfig::default(), None)
+    match try_run_plan(ctx, plan, input, ComposeConfig::default()) {
+        Ok(r) => r,
+        Err(e) => panic!("{e}"),
+    }
 }
 
 /// What a fallible plan run returns on every rank.
 pub type PlanResult = Result<(Value, ComposeStats), PlanError>;
 
-/// [`run_plan_with`], fallible. The doom verdict is a pure function of
-/// the plan structure and the group's [`FaultPlan`], so it is computed
-/// *before* any plan traffic: either every rank returns the identical
-/// `Err` immediately (nothing sent, nothing leaked), or the plan runs —
-/// replaying lost atom attempts within [`RetryPolicy`]'s budget — and
-/// every rank returns the identical `Ok`.
-///
-/// `trace` is the one switch for phase recording, and like `input` only
-/// rank 0's copy is used: the verdict travels with each branch input, so
-/// passing it on rank 0 alone or on every rank yields the same complete
-/// composite trace. With `None` there — every [`crate::PlanService`]
-/// run, [`run_plan`], [`try_run_plan`] — atoms run untraced and no phase
-/// or label is built anywhere; either way the run's results, statistics,
-/// traffic and virtual clocks are the same.
-pub fn try_run_plan_with(
-    ctx: &mut Ctx,
-    plan: &Plan,
-    input: Value,
-    config: ComposeConfig,
-    trace: Option<&PhaseTrace>,
-) -> PlanResult {
+/// [`run_plan`] with explicit scheduling configuration, fallible. The
+/// doom verdict is a pure function of the plan structure and the group's
+/// [`FaultPlan`], so it is computed *before* any plan traffic: either
+/// every rank returns the identical `Err` immediately (nothing sent,
+/// nothing leaked), or the plan runs — replaying lost atom attempts
+/// within [`RetryPolicy`]'s budget — and every rank returns the
+/// identical `Ok`. Without a fault plan in the context it cannot fail.
+pub fn try_run_plan(ctx: &mut Ctx, plan: &Plan, input: Value, config: ComposeConfig) -> PlanResult {
     if let Some(err) = ctx
         .fault_plan()
         .and_then(|fp| doomed_atom(plan, fp, config.retry, 0))
@@ -632,53 +545,11 @@ pub fn try_run_plan_with(
     let mut walker = Walker {
         config,
         stats: ComposeStats::default(),
-        traced: trace.is_some(),
     };
-    let (out, phases) = walker.node(ctx, plan, root.then_some(input), 0, 0, 0);
+    let out = walker.node(ctx, plan, root.then_some(input), 0, 0, 0);
     let out = ctx.broadcast(0, out);
     let stats = ctx.all_reduce(walker.stats, ComposeStats::combine);
-    if root {
-        if let Some(t) = trace {
-            for ph in phases {
-                t.record(ph.kind, ph.label);
-            }
-        }
-    }
     Ok((out, stats))
-}
-
-/// [`run_plan`] with phase tracing: rank 0 records the canonical
-/// composite trace — every atom's phase sequence in plan order, with the
-/// executor's own `Communication` phases for input replication, `Par`
-/// fan-out, and output gather — which [`Plan::grammar`] accepts by
-/// construction. Only rank 0's `trace` is read (other ranks may pass the
-/// same one or `None`); recording changes nothing else about the run.
-pub fn run_plan_traced(
-    ctx: &mut Ctx,
-    plan: &Plan,
-    input: Value,
-    trace: Option<&PhaseTrace>,
-) -> (Value, ComposeStats) {
-    run_plan_with(ctx, plan, input, ComposeConfig::default(), trace)
-}
-
-/// [`run_plan_traced`] with explicit scheduling configuration.
-///
-/// # Panics
-/// Panics (identically on every rank, before any communication) if the
-/// group's fault plan dooms an atom beyond the retry budget; use
-/// [`try_run_plan_with`] to get the typed [`PlanError`] instead.
-pub fn run_plan_with(
-    ctx: &mut Ctx,
-    plan: &Plan,
-    input: Value,
-    config: ComposeConfig,
-    trace: Option<&PhaseTrace>,
-) -> (Value, ComposeStats) {
-    match try_run_plan_with(ctx, plan, input, config, trace) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
 }
 
 #[cfg(test)]
@@ -686,8 +557,8 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    use archetype_core::{ArchetypeInfo, PhaseKind, PhaseTrace};
-    use archetype_mp::{run_spmd, run_spmd_ft, Ctx, FaultPlan, MachineModel};
+    use archetype_core::{ArchetypeInfo, PhaseKind};
+    use archetype_mp::{run_spmd, run_spmd_ft, Ctx, FaultPlan, MachineModel, RunConfig};
 
     use super::*;
     use crate::job::ArchetypeJob;
@@ -720,14 +591,12 @@ mod tests {
             self.factor
         }
 
-        fn run(&self, ctx: &mut Ctx, input: Value, trace: Option<&PhaseTrace>) -> Value {
+        fn run(&self, ctx: &mut Ctx, input: Value) -> Value {
             if ctx.rank() == 0 {
                 self.runs.fetch_add(1, Ordering::Relaxed);
             }
-            if let Some(t) = trace {
-                t.record(PhaseKind::Split, "scale split");
-                t.record(PhaseKind::Solve, "scale solve");
-                t.record(PhaseKind::Merge, "scale merge");
+            for kind in [PhaseKind::Split, PhaseKind::Solve, PhaseKind::Merge] {
+                ctx.trace_phase(kind.name(), "scale");
             }
             match input {
                 Value::F64(x) => Value::F64(x * self.factor + 1.0),
@@ -762,7 +631,7 @@ mod tests {
         // Node ids: 0 = the Seq, 1 and 2 = the atoms. Lose the first
         // atom's first two attempts.
         let plan = FaultPlan::new(9).fail_atom(1, 2);
-        let faulty = run_spmd_ft(3, MachineModel::ibm_sp(), plan, {
+        let faulty = run_spmd_ft(3, MachineModel::ibm_sp(), RunConfig::default(), plan, {
             let runs = runs.clone();
             move |ctx| run_plan(ctx, &two_stage(&runs), Value::F64(2.0))
         });
@@ -788,9 +657,16 @@ mod tests {
         let runs = Arc::new(AtomicU64::new(0));
         // Default budget is 3 retries; 5 scheduled losses doom node 2.
         let plan = FaultPlan::new(9).fail_atom(2, 5);
-        let out = run_spmd_ft(3, MachineModel::ibm_sp(), plan, {
+        let out = run_spmd_ft(3, MachineModel::ibm_sp(), RunConfig::default(), plan, {
             let runs = runs.clone();
-            move |ctx| try_run_plan(ctx, &two_stage(&runs), Value::F64(2.0))
+            move |ctx| {
+                try_run_plan(
+                    ctx,
+                    &two_stage(&runs),
+                    Value::F64(2.0),
+                    ComposeConfig::default(),
+                )
+            }
         });
         for r in &out.results {
             let err = r
@@ -816,7 +692,7 @@ mod tests {
     fn run_plan_panics_on_exhaustion_with_the_typed_message() {
         let runs = Arc::new(AtomicU64::new(0));
         let plan = FaultPlan::new(9).fail_atom(1, 9);
-        let out = run_spmd_ft(2, MachineModel::ibm_sp(), plan, {
+        let out = run_spmd_ft(2, MachineModel::ibm_sp(), RunConfig::default(), plan, {
             let runs = runs.clone();
             move |ctx| run_plan(ctx, &two_stage(&runs), Value::F64(2.0))
         });
@@ -830,25 +706,37 @@ mod tests {
     fn retried_traces_conform_to_the_derived_grammar() {
         let runs = Arc::new(AtomicU64::new(0));
         let plan = FaultPlan::new(9).fail_atom(1, 1).fail_atom(2, 3);
-        let trace = PhaseTrace::new();
         let shape = two_stage(&runs);
         let grammar = shape.grammar();
-        run_spmd_ft(3, MachineModel::ibm_sp(), plan, move |ctx| {
-            let t = (ctx.rank() == 0).then_some(&trace);
-            let (_, stats) = run_plan_traced(ctx, &shape, Value::F64(2.0), t);
-            if let Some(t) = t {
-                let kinds = t.kinds();
-                assert!(
-                    kinds.contains(&PhaseKind::Detect) && kinds.contains(&PhaseKind::Recover),
-                    "retries must surface in the trace: {kinds:?}"
-                );
-                assert!(
-                    grammar.matches(&kinds),
-                    "{kinds:?} rejected by the derived grammar"
-                );
-            }
-            stats.retries
-        });
+        let out = run_spmd_ft(
+            3,
+            MachineModel::ibm_sp(),
+            RunConfig::traced(),
+            plan,
+            |ctx| run_plan(ctx, &shape, Value::F64(2.0)).1.retries,
+        );
+        assert!(out.results.iter().all(|r| matches!(r, Ok(4))));
+        let kinds: Vec<PhaseKind> = out.trace.expect("every rank completed").ranks[0]
+            .phases()
+            .expect("nothing dropped")
+            .iter()
+            .map(|(k, _)| PhaseKind::from_name(k).expect("a phase kind"))
+            .collect();
+        let count = |kind| kinds.iter().filter(|&&k| k == kind).count();
+        assert_eq!(
+            (count(PhaseKind::Detect), count(PhaseKind::Recover)),
+            (4, 4),
+            "every lost attempt surfaces in the trace: {kinds:?}"
+        );
+        assert_eq!(
+            count(PhaseKind::Solve),
+            6,
+            "lost attempts keep their phases"
+        );
+        assert!(
+            grammar.matches(&kinds),
+            "{kinds:?} rejected by the derived grammar"
+        );
     }
 
     #[test]
@@ -858,10 +746,16 @@ mod tests {
             let runs = runs.clone();
             move |ctx| run_plan(ctx, &two_stage(&runs), Value::F64(2.0))
         });
-        let inert = run_spmd_ft(3, MachineModel::ibm_sp(), FaultPlan::new(9), {
-            let runs = runs.clone();
-            move |ctx| run_plan(ctx, &two_stage(&runs), Value::F64(2.0))
-        });
+        let inert = run_spmd_ft(
+            3,
+            MachineModel::ibm_sp(),
+            RunConfig::default(),
+            FaultPlan::new(9),
+            {
+                let runs = runs.clone();
+                move |ctx| run_plan(ctx, &two_stage(&runs), Value::F64(2.0))
+            },
+        );
         let (clean_value, clean_stats) = &clean.results[0];
         for r in &inert.results {
             let (value, stats) = r.as_ref().expect("inert plan");

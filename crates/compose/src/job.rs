@@ -11,7 +11,7 @@
 
 use std::sync::Mutex;
 
-use archetype_core::{ArchetypeInfo, PhaseTrace};
+use archetype_core::ArchetypeInfo;
 use archetype_mp::Ctx;
 
 use crate::value::{ComposeData, Value};
@@ -27,10 +27,9 @@ use crate::value::{ComposeData, Value};
 /// group's rank 0; other ranks may return any placeholder (conventionally
 /// `Default::default()`).
 ///
-/// `trace` is `Some` only on the group's rank 0, and only when the plan
-/// run was asked for its composite trace ([`crate::run_plan_traced`]);
-/// jobs forward it to their skeleton's `*_traced` driver so the atom's
-/// phase trace lands in the composite trace in plan order.
+/// The skeleton a job runs records its own phases with
+/// [`Ctx::trace_phase`]; in a traced run they land on the scope ranks'
+/// tracks, between the executor's own phases, in plan order.
 pub trait ArchetypeJob: Send + Sync {
     /// Typed stage input, recovered from the plan edge's [`Value`].
     type In: ComposeData;
@@ -60,7 +59,7 @@ pub trait ArchetypeJob: Send + Sync {
     fn estimate_flops(&self, input: &Self::In) -> f64;
 
     /// Execute the archetype on the current (already scoped) group.
-    fn run(&self, ctx: &mut Ctx, input: Self::In, trace: Option<&PhaseTrace>) -> Self::Out;
+    fn run(&self, ctx: &mut Ctx, input: Self::In) -> Self::Out;
 
     /// Hash of the job's *configuration* — everything beyond its name
     /// that steers what it computes (problem sizes, policies, scale
@@ -79,7 +78,7 @@ pub(crate) trait DynJob: Send + Sync {
     fn info(&self) -> &'static ArchetypeInfo;
     fn estimate_flops(&self, input: &Value) -> f64;
     fn try_estimate_flops(&self, input: &Value) -> Option<f64>;
-    fn run(&self, ctx: &mut Ctx, input: Value, trace: Option<&PhaseTrace>) -> Value;
+    fn run(&self, ctx: &mut Ctx, input: Value) -> Value;
     fn fingerprint(&self) -> u64;
 }
 
@@ -158,10 +157,8 @@ impl<J: ArchetypeJob> DynJob for JobAdapter<J> {
         J::In::accepts(input).then(|| self.estimate_flops(input))
     }
 
-    fn run(&self, ctx: &mut Ctx, input: Value, trace: Option<&PhaseTrace>) -> Value {
-        self.job
-            .run(ctx, J::In::from_value(input), trace)
-            .into_value()
+    fn run(&self, ctx: &mut Ctx, input: Value) -> Value {
+        self.job.run(ctx, J::In::from_value(input)).into_value()
     }
 
     fn fingerprint(&self) -> u64 {
@@ -195,7 +192,7 @@ mod tests {
             input.iter().sum()
         }
 
-        fn run(&self, _ctx: &mut Ctx, _input: Vec<f64>, _trace: Option<&PhaseTrace>) {}
+        fn run(&self, _ctx: &mut Ctx, _input: Vec<f64>) {}
     }
 
     #[test]

@@ -24,10 +24,11 @@
 //!    allocator prices.
 //! 3. **The executor** ([`run_plan`]): keeps each edge's value at its
 //!    group's rank 0, replicates it into atoms, ships branch inputs and
-//!    outputs root-to-root in the bit-59 compose tag namespace, and
-//!    assembles results, statistics ([`ComposeStats`]), and the
-//!    composite phase trace deterministically — bit-identical results
-//!    across runs, process counts, machine models, and schedules.
+//!    outputs root-to-root in the bit-59 compose tag namespace, records
+//!    its own phases beside the atoms' in the run's trace, and assembles
+//!    results and statistics ([`ComposeStats`]) deterministically —
+//!    bit-identical results across runs, process counts, machine
+//!    models, and schedules.
 //!
 //! ```
 //! use archetype_compose::{forecast_input, forecast_plan, run_plan, ForecastConfig, Value};
@@ -59,8 +60,8 @@ mod value;
 
 pub use alloc::allocate;
 pub use exec::{
-    run_plan, run_plan_traced, run_plan_with, try_run_plan, try_run_plan_with, ComposeConfig,
-    ComposeStats, ParMode, PlanError, PlanResult, RetryPolicy,
+    run_plan, try_run_plan, ComposeConfig, ComposeStats, ParMode, PlanError, PlanResult,
+    RetryPolicy,
 };
 pub use forecast::{
     forecast_input, forecast_plan, ForecastConfig, PoissonJob, SortJob, SweepJob, TopKJob,

@@ -230,14 +230,15 @@ impl Plan {
     }
 
     /// The derived composite grammar of the **canonical** composite
-    /// trace [`crate::run_plan_traced`] emits: members' grammars in plan
-    /// order — `Seq` stages concatenate, `Par`/`Replicate` branch traces
-    /// are flattened in branch order between optional
-    /// [`PhaseKind::Communication`] brackets (the cost broadcast /
-    /// fan-out and the output gather), and every atom's grammar is
-    /// preceded by any number of `Detect`/`Recover` retry pairs (lost
-    /// attempts under fault injection) and an optional `Communication`
-    /// (its input replication).
+    /// trace: the phase track of rank 0 of a traced run under
+    /// [`crate::ParMode::Serialize`], where rank 0 roots every atom.
+    /// Members' grammars appear in plan order — `Seq` stages
+    /// concatenate, `Par`/`Replicate` branch traces are flattened in
+    /// branch order between optional [`PhaseKind::Communication`]
+    /// brackets (the cost broadcast / fan-out and the output gather),
+    /// and every atom attempt is its grammar after an optional
+    /// `Communication` (its input replication), with a
+    /// `Detect`/`Recover` pair after each attempt a fault plan loses.
     pub fn grammar(&self) -> PatternExpr {
         self.grammar_with(PatternExpr::seq)
     }
@@ -254,17 +255,20 @@ impl Plan {
     fn grammar_with(&self, par_compose: fn(Vec<PatternExpr>) -> PatternExpr) -> PatternExpr {
         let comm = || PatternExpr::opt(PatternExpr::Kind(PhaseKind::Communication));
         match &self.node {
-            // A lost attempt leaves one Detect/Recover pair in the trace
-            // (its own phases are lost with its result), so an atom's
-            // element admits any number of retry pairs up front.
-            PlanNode::Atom(job) => PatternExpr::seq(vec![
-                PatternExpr::Star(Box::new(PatternExpr::seq(vec![
+            // A lost attempt ran to completion, so its phases stay in
+            // the trace, followed by the Detect/Recover pair of its loss:
+            // `(comm? atom Detect Recover)* comm? atom`.
+            PlanNode::Atom(job) => {
+                let attempt = || {
+                    PatternExpr::seq(vec![comm(), PatternExpr::from_static(&job.info().grammar)])
+                };
+                let lost = PatternExpr::seq(vec![
+                    attempt(),
                     PatternExpr::Kind(PhaseKind::Detect),
                     PatternExpr::Kind(PhaseKind::Recover),
-                ]))),
-                comm(),
-                PatternExpr::from_static(&job.info().grammar),
-            ]),
+                ]);
+                PatternExpr::seq(vec![PatternExpr::Star(Box::new(lost)), attempt()])
+            }
             PlanNode::Seq(xs) => {
                 PatternExpr::seq(xs.iter().map(|s| s.grammar_with(par_compose)).collect())
             }

@@ -28,7 +28,7 @@
 //!    executes the whole schedule. Every rank walks the same static wave
 //!    plan; per wave it enters its subgroup's [`Ctx::scoped`] section
 //!    and runs the assigned plan with
-//!    [`try_run_plan_with`](crate::try_run_plan_with) — concurrent
+//!    [`try_run_plan`](crate::try_run_plan) — concurrent
 //!    plans' traffic cannot collide because sibling scopes are fully
 //!    isolated. No inter-wave barrier is needed: the schedule is static,
 //!    so matched sends/receives exist within scopes only.
@@ -56,7 +56,7 @@ use archetype_mp::{
 use archetype_pipeline::apps::Digest;
 
 use crate::alloc::allocate;
-use crate::exec::{mix, try_run_plan_with, ComposeConfig, ComposeStats, PlanError};
+use crate::exec::{mix, try_run_plan, ComposeConfig, ComposeStats, PlanError};
 use crate::metrics::{MetricKind, Metrics};
 use crate::plan::Plan;
 use crate::value::Value;
@@ -698,7 +698,7 @@ impl PlanService {
         let waves = self.pack();
         let subs = Arc::new(std::mem::take(&mut self.queue));
         let body = serve_body(Arc::clone(&subs), Arc::new(waves), self.config);
-        let ft = run_spmd_ft(self.nprocs, model, fault, body);
+        let ft = run_spmd_ft(self.nprocs, model, RunConfig::default(), fault, body);
         let failures: Vec<_> = ft
             .results
             .iter()
@@ -826,7 +826,7 @@ fn serve_body(
                 } else {
                     Value::Unit
                 };
-                try_run_plan_with(ctx, &sub.plan, input, config.compose, None)
+                try_run_plan(ctx, &sub.plan, input, config.compose)
             });
             if me == wave.starts[j] {
                 mine.push(PlanDone {
@@ -888,7 +888,7 @@ fn serve_body(
 
 #[cfg(test)]
 mod tests {
-    use archetype_core::{ArchetypeInfo, PhaseKind, PhaseTrace};
+    use archetype_core::{ArchetypeInfo, PhaseKind};
     use archetype_mp::{CrashSite, MachineModel};
 
     use super::*;
@@ -928,12 +928,9 @@ mod tests {
             self.weight
         }
 
-        fn run(&self, ctx: &mut Ctx, input: Value, trace: Option<&PhaseTrace>) -> Value {
-            let _ = ctx;
-            if let Some(t) = trace {
-                t.record(PhaseKind::Split, "fold split");
-                t.record(PhaseKind::Solve, "fold solve");
-                t.record(PhaseKind::Merge, "fold merge");
+        fn run(&self, ctx: &mut Ctx, input: Value) -> Value {
+            for kind in [PhaseKind::Split, PhaseKind::Solve, PhaseKind::Merge] {
+                ctx.trace_phase(kind.name(), "fold");
             }
             Value::F64(fold_value(&input) * 1.5 + self.weight)
         }

@@ -66,6 +66,30 @@ pub enum PhaseKind {
 }
 
 impl PhaseKind {
+    /// Every phase kind, in declaration order.
+    const ALL: [PhaseKind; 20] = [
+        PhaseKind::Recurse,
+        PhaseKind::Split,
+        PhaseKind::Solve,
+        PhaseKind::Merge,
+        PhaseKind::GridOp,
+        PhaseKind::RowOp,
+        PhaseKind::ColOp,
+        PhaseKind::Reduction,
+        PhaseKind::Io,
+        PhaseKind::Communication,
+        PhaseKind::Seed,
+        PhaseKind::Work,
+        PhaseKind::Steal,
+        PhaseKind::Terminate,
+        PhaseKind::Ingest,
+        PhaseKind::Transform,
+        PhaseKind::Drain,
+        PhaseKind::Emit,
+        PhaseKind::Detect,
+        PhaseKind::Recover,
+    ];
+
     /// Stable lowercase name of the phase kind — the `kind` string
     /// stamped into substrate trace events (`Ctx::trace_phase`) and
     /// printed by `Display`.
@@ -93,6 +117,12 @@ impl PhaseKind {
             PhaseKind::Recover => "recover",
         }
     }
+
+    /// The kind whose [`PhaseKind::name`] is `name`, if any: how a
+    /// phase event read back from a run's trace becomes a grammar token.
+    pub fn from_name(name: &str) -> Option<PhaseKind> {
+        PhaseKind::ALL.into_iter().find(|k| k.name() == name)
+    }
 }
 
 impl std::fmt::Display for PhaseKind {
@@ -101,32 +131,14 @@ impl std::fmt::Display for PhaseKind {
     }
 }
 
-/// One phase of an archetype-structured computation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Phase {
-    /// What kind of phase this is.
-    pub kind: PhaseKind,
-    /// Human-readable label, e.g. `"local sort"` or `"boundary exchange"`.
-    pub label: String,
-}
-
-impl Phase {
-    /// Construct a phase.
-    pub fn new(kind: PhaseKind, label: impl Into<String>) -> Self {
-        Phase {
-            kind,
-            label: label.into(),
-        }
-    }
-}
-
 /// A grammar over [`PhaseKind`] sequences: the machine-checkable shape of
 /// an archetype's phase structure.
 ///
-/// Every [`ArchetypeInfo`] declares one; `tests/conformance.rs` asserts
-/// that every [`crate::PhaseTrace`] a skeleton emits is *accepted* by its
-/// archetype's grammar — turning the metadata into an enforced contract
-/// rather than documentation. Patterns are ordinary regular operators
+/// Every [`ArchetypeInfo`] declares one. Skeletons record each phase
+/// they enter with `Ctx::trace_phase`, and `tests/conformance.rs` asserts
+/// that the phase track a traced run returns (`RankTrace::phases`) is
+/// *accepted* by its archetype's grammar — turning the metadata into an
+/// enforced contract rather than documentation. Patterns are ordinary regular operators
 /// plus [`PhasePattern::Tree`], the Dyck-style balanced pattern that a
 /// preorder recursion trace (recursive divide-and-conquer) requires and
 /// regular operators cannot express.
@@ -589,6 +601,7 @@ pub const MESH_SPECTRAL: ArchetypeInfo = ArchetypeInfo {
         PhaseKind::ColOp,
         PhaseKind::Reduction,
         PhaseKind::Io,
+        PhaseKind::Communication,
     ],
     communication: &[
         "grid redistribution (rows <-> columns)",
@@ -753,10 +766,12 @@ mod tests {
     }
 
     #[test]
-    fn phase_constructor_stores_label() {
-        let p = Phase::new(PhaseKind::Solve, "local sort");
-        assert_eq!(p.kind, PhaseKind::Solve);
-        assert_eq!(p.label, "local sort");
+    fn from_name_inverts_name() {
+        for k in PhaseKind::ALL {
+            assert_eq!(PhaseKind::from_name(k.name()), Some(k));
+        }
+        assert_eq!(PhaseKind::from_name("no-such-phase"), None);
+        assert_eq!(PhaseKind::from_name(""), None);
     }
 
     #[test]

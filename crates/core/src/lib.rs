@@ -13,9 +13,9 @@
 //! independent iterations as plain loops — version 1. The parallel
 //! program is the SPMD skeleton of each archetype over `archetype-mp`,
 //! checked against that loop. It also provides associative reduction
-//! operators ([`ops`]), archetype/phase metadata ([`archetype`]), and a
-//! phase tracer ([`trace`]) used by tests to assert that applications
-//! follow their archetype's dataflow pattern.
+//! operators ([`ops`]) and archetype/phase metadata ([`archetype`]),
+//! whose grammars tests match against the phases a traced run records to
+//! assert that applications follow their archetype's dataflow pattern.
 //!
 //! ```
 //! use archetype_core::parfor_map;
@@ -30,10 +30,8 @@ pub mod archetype;
 pub mod mode;
 pub mod ops;
 pub mod parfor;
-pub mod trace;
 
-pub use archetype::{ArchetypeInfo, PatternExpr, Phase, PhaseKind, PhasePattern};
+pub use archetype::{ArchetypeInfo, PatternExpr, PhaseKind, PhasePattern};
 pub use mode::ExecutionMode;
 pub use ops::{associative_fold, ReduceOp};
 pub use parfor::{forall, parfor, parfor_chunks, parfor_map, parfor_map_vec, parfor_reduce};
-pub use trace::PhaseTrace;

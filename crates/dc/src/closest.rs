@@ -460,7 +460,7 @@ mod tests {
                 v.truncate(n);
                 v
             };
-            let out = run_shared(&OneDeepClosest::new(), inputs, None);
+            let out = run_shared(&OneDeepClosest::new(), inputs);
             let got = global_closest(&out);
             assert!((got - expected).abs() < 1e-9, "n={n}: {got} vs {expected}");
         }
@@ -476,7 +476,7 @@ mod tests {
         ];
         let all: Vec<Point> = inputs.iter().flatten().copied().collect();
         let expected = sequential_closest(&all); // 0.2 across the boundary
-        let out = run_shared(&OneDeepClosest::new(), inputs, None);
+        let out = run_shared(&OneDeepClosest::new(), inputs);
         let got = global_closest(&out);
         assert!((got - expected).abs() < 1e-9, "{got} vs {expected}");
         assert!((got - 0.2).abs() < 1e-6);
@@ -488,7 +488,7 @@ mod tests {
         let expected = sequential_closest(&all);
         let inputs: Vec<Vec<Point>> = all.chunks(100).map(<[Point]>::to_vec).collect();
         let alg = OneDeepClosest::new();
-        let seq = run_shared(&alg, inputs.clone(), None);
+        let seq = run_shared(&alg, inputs.clone());
         let spmd = mp_run(inputs.len(), MachineModel::ibm_sp(), |ctx| {
             run_spmd(&OneDeepClosest::new(), ctx, inputs[ctx.rank()].clone())
         });
@@ -507,7 +507,6 @@ mod tests {
                     &RecursiveClosest::new(),
                     pts.clone(),
                     &CutoffPolicy::exact_depth(depth, k),
-                    None,
                 );
                 assert!(
                     (got.best - expected).abs() < 1e-12,
@@ -537,7 +536,6 @@ mod tests {
             &RecursiveClosest::new(),
             pts,
             &CutoffPolicy::exact_depth(1, 4),
-            None,
         );
         assert!((got.best - 0.2).abs() < 1e-9, "{}", got.best);
     }
@@ -568,15 +566,14 @@ mod tests {
     fn recursive_closest_degenerate_inputs() {
         use crate::recursive::{run_shared as run_rec, CutoffPolicy};
         let policy = CutoffPolicy::exact_depth(3, 2);
-        let empty = run_rec(&RecursiveClosest::new(), Vec::new(), &policy, None);
+        let empty = run_rec(&RecursiveClosest::new(), Vec::new(), &policy);
         assert_eq!(empty.best, f64::INFINITY);
-        let single = run_rec(&RecursiveClosest::new(), vec![p(1.0, 1.0)], &policy, None);
+        let single = run_rec(&RecursiveClosest::new(), vec![p(1.0, 1.0)], &policy);
         assert_eq!(single.best, f64::INFINITY);
         let coincident = run_rec(
             &RecursiveClosest::new(),
             vec![p(5.0, 5.0), p(5.0, 5.0), p(9.0, 9.0)],
             &policy,
-            None,
         );
         assert_eq!(coincident.best, 0.0);
     }
@@ -584,7 +581,7 @@ mod tests {
     #[test]
     fn sparse_processes_with_too_few_points() {
         let inputs = vec![vec![p(0.0, 0.0)], vec![], vec![p(0.0, 1.5)]];
-        let out = run_shared(&OneDeepClosest::new(), inputs, None);
+        let out = run_shared(&OneDeepClosest::new(), inputs);
         assert!((global_closest(&out) - 1.5).abs() < 1e-9);
     }
 }

@@ -392,7 +392,7 @@ mod tests {
         for n in [1usize, 2, 4, 7] {
             let input = blocks(n, 500);
             let expected = flat_sorted(&input);
-            let out = run_shared(&alg, input, None);
+            let out = run_shared(&alg, input);
             // Concatenation is the sorted array...
             let flat: Vec<i64> = out.iter().flatten().copied().collect();
             assert_eq!(flat, expected, "n={n}");
@@ -411,7 +411,7 @@ mod tests {
         let alg = OneDeepMergesort::<i64>::new();
         for n in [1usize, 3, 4, 6, 8] {
             let input = blocks(n, 250);
-            let shared = run_shared(&alg, input.clone(), None);
+            let shared = run_shared(&alg, input.clone());
             let out = mp_run(n, MachineModel::ibm_sp(), |ctx| {
                 let alg = OneDeepMergesort::<i64>::new();
                 run_spmd(&alg, ctx, input[ctx.rank()].clone())
@@ -425,7 +425,7 @@ mod tests {
         let alg = OneDeepMergesort::<i64>::new();
         let input = vec![vec![5, 3, 1], vec![], vec![9, 9, 9, 9, 2, 0, -7]];
         let expected = flat_sorted(&input);
-        let out = run_shared(&alg, input, None);
+        let out = run_shared(&alg, input);
         let flat: Vec<i64> = out.iter().flatten().copied().collect();
         assert_eq!(flat, expected);
     }
@@ -434,7 +434,7 @@ mod tests {
     fn duplicates_are_preserved() {
         let alg = OneDeepMergesort::<i64>::new();
         let input = vec![vec![2, 2, 2, 2], vec![2, 2, 1, 3]];
-        let out = run_shared(&alg, input, None);
+        let out = run_shared(&alg, input);
         let flat: Vec<i64> = out.iter().flatten().copied().collect();
         assert_eq!(flat, vec![1, 2, 2, 2, 2, 2, 2, 3]);
     }
@@ -446,7 +446,7 @@ mod tests {
         let alg = OneDeepMergesort::<i64>::with_oversample(64);
         let n = 8;
         let per = 2000;
-        let out = run_shared(&alg, blocks(n, per), None);
+        let out = run_shared(&alg, blocks(n, per));
         let sizes: Vec<usize> = out.iter().map(Vec::len).collect();
         let max = *sizes.iter().max().unwrap() as f64;
         assert!(
@@ -466,7 +466,6 @@ mod tests {
                     &RecursiveMergesort::<i64>::new(),
                     input.clone(),
                     &CutoffPolicy::exact_depth(depth, k),
-                    None,
                 );
                 assert_eq!(got, expected, "depth={depth} k={k}");
             }

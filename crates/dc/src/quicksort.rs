@@ -240,8 +240,7 @@ impl<T: SortItem> crate::recursive::Recursive for RecursiveQuicksort<T> {
 mod tests {
     use super::*;
     use crate::skeleton::{run_shared, run_spmd};
-    use archetype_core::{PhaseKind, PhaseTrace};
-    use archetype_mp::{run_spmd as mp_run, MachineModel};
+    use archetype_mp::{run_spmd as mp_run, run_spmd_with, MachineModel, RunConfig};
 
     fn blocks(nblocks: usize, per: usize) -> Vec<Vec<i64>> {
         (0..nblocks)
@@ -260,7 +259,7 @@ mod tests {
             let input = blocks(n, 400);
             let mut expected: Vec<i64> = input.iter().flatten().copied().collect();
             expected.sort_unstable();
-            let out = run_shared(&alg, input, None);
+            let out = run_shared(&alg, input);
             let flat: Vec<i64> = out.iter().flatten().copied().collect();
             assert_eq!(flat, expected, "n={n}");
             // Degenerate merge means blocks are already disjoint key ranges.
@@ -276,7 +275,7 @@ mod tests {
     fn modes_and_spmd_agree() {
         let input = blocks(4, 300);
         let alg = OneDeepQuicksort::<i64>::new();
-        let seq = run_shared(&alg, input.clone(), None);
+        let seq = run_shared(&alg, input.clone());
         let spmd = mp_run(4, MachineModel::ibm_sp(), |ctx| {
             let alg = OneDeepQuicksort::<i64>::new();
             run_spmd(&alg, ctx, input[ctx.rank()].clone())
@@ -288,7 +287,7 @@ mod tests {
     fn all_equal_keys_do_not_break_partitioning() {
         let alg = OneDeepQuicksort::<i64>::new();
         let input = vec![vec![7; 100], vec![7; 100], vec![7; 100]];
-        let out = run_shared(&alg, input, None);
+        let out = run_shared(&alg, input);
         let flat: Vec<i64> = out.iter().flatten().copied().collect();
         assert_eq!(flat, vec![7; 300]);
     }
@@ -296,9 +295,14 @@ mod tests {
     #[test]
     fn trace_shows_nontrivial_split_then_degenerate_merge() {
         let alg = OneDeepQuicksort::<i64>::new();
-        let trace = PhaseTrace::new();
-        run_shared(&alg, blocks(3, 50), Some(&trace));
-        assert!(trace.matches(&[PhaseKind::Split, PhaseKind::Solve, PhaseKind::Merge]));
+        let input = blocks(3, 50);
+        let out = run_spmd_with(3, MachineModel::ibm_sp(), RunConfig::traced(), |ctx| {
+            run_spmd(&alg, ctx, input[ctx.rank()].clone())
+        });
+        for rt in &out.trace.expect("traced run").ranks {
+            let kinds: Vec<&str> = rt.phases().unwrap().iter().map(|(k, _)| *k).collect();
+            assert_eq!(kinds, ["split", "solve", "merge"], "rank {}", rt.rank);
+        }
     }
 
     #[test]
@@ -312,7 +316,6 @@ mod tests {
                 &RecursiveQuicksort::<i64>::new(),
                 input.clone(),
                 &CutoffPolicy::exact_depth(depth, 3),
-                None,
             );
             assert_eq!(got, expected, "depth={depth}");
         }
@@ -339,7 +342,6 @@ mod tests {
             &RecursiveQuicksort::<i64>::new(),
             vec![7i64; 200],
             &CutoffPolicy::exact_depth(5, 2),
-            None,
         );
         assert_eq!(got, vec![7i64; 200]);
     }
@@ -348,7 +350,7 @@ mod tests {
     fn empty_blocks_are_fine() {
         let alg = OneDeepQuicksort::<i64>::new();
         let input = vec![vec![], vec![3, 1, 2], vec![]];
-        let out = run_shared(&alg, input, None);
+        let out = run_shared(&alg, input);
         let flat: Vec<i64> = out.iter().flatten().copied().collect();
         assert_eq!(flat, vec![1, 2, 3]);
     }

@@ -29,7 +29,7 @@
 //! one-deep, and recursive executions is asserted per application in
 //! `tests/prop_dc.rs`.
 
-use archetype_core::{parfor_map_vec, PhaseKind, PhaseTrace};
+use archetype_core::{parfor_map_vec, PhaseKind};
 use archetype_mp::{Ctx, Payload};
 
 /// A problem expressed as general recursive divide-and-conquer.
@@ -134,23 +134,22 @@ impl CutoffPolicy {
 /// Each divide's subproblems are a `parfor` ("every time the problem is
 /// split into concurrently executable subproblems a new process is
 /// created") run as a plain loop, so the subtrees are solved left to
-/// right. The trace records `Recurse` entering each internal node,
-/// `Solve` at each leaf, and `Merge` before each combine, in preorder.
+/// right. It records no phases: it has no [`Ctx`] to record them in
+/// (the SPMD driver records them on every rank).
 ///
 /// ```
 /// use archetype_dc::{run_shared_recursive, CutoffPolicy, RecursiveMergesort};
 ///
 /// let alg = RecursiveMergesort::<i64>::new();
-/// let out = run_shared_recursive(&alg, vec![3, 1, 2], &CutoffPolicy::exact_depth(1, 2), None);
+/// let out = run_shared_recursive(&alg, vec![3, 1, 2], &CutoffPolicy::exact_depth(1, 2));
 /// assert_eq!(out, vec![1, 2, 3]);
 /// ```
 pub fn run_shared<A: Recursive>(
     alg: &A,
     problem: A::Problem,
     policy: &CutoffPolicy,
-    trace: Option<&PhaseTrace>,
 ) -> A::Solution {
-    shared_node(alg, problem, 0, policy, trace)
+    shared_node(alg, problem, 0, policy)
 }
 
 fn shared_node<A: Recursive>(
@@ -158,16 +157,9 @@ fn shared_node<A: Recursive>(
     problem: A::Problem,
     depth: usize,
     policy: &CutoffPolicy,
-    trace: Option<&PhaseTrace>,
 ) -> A::Solution {
     if !policy.should_recurse(alg.size(&problem), depth) {
-        if let Some(t) = trace {
-            t.record(PhaseKind::Solve, "sequential solve at the cutoff");
-        }
         return alg.solve(problem);
-    }
-    if let Some(t) = trace {
-        t.record(PhaseKind::Recurse, "divide and descend");
     }
     let parts = alg.divide(problem, policy.branching);
     assert_eq!(
@@ -175,12 +167,7 @@ fn shared_node<A: Recursive>(
         policy.branching,
         "divide must return exactly k subproblems"
     );
-    let sols = parfor_map_vec(parts, |_i, part| {
-        shared_node(alg, part, depth + 1, policy, trace)
-    });
-    if let Some(t) = trace {
-        t.record(PhaseKind::Merge, "combine subsolutions");
-    }
+    let sols = parfor_map_vec(parts, |_i, part| shared_node(alg, part, depth + 1, policy));
     alg.combine(sols)
 }
 
@@ -210,13 +197,20 @@ fn shared_node<A: Recursive>(
 ///
 /// Compute phases are charged to the virtual clock through the
 /// algorithm's `*_cost` hooks, so repeated runs produce bit-identical
-/// results, clocks, and traces.
+/// results, clocks, and traces. Every rank records `Recurse` at each
+/// level it descends, `Solve` at its leaf and `Merge` at each combine it
+/// roots with [`Ctx::trace_phase`]; rank 0's track walks the root path
+/// of the recursion tree.
+///
+/// The last parameter is ignored and can only be `None`: it once took a
+/// phase recorder, and stays only because the frozen `benchmark/` calls
+/// this function with five arguments.
 pub fn run_spmd_recursive<A>(
     alg: &A,
     ctx: &mut Ctx,
     input: Option<A::Problem>,
     policy: &CutoffPolicy,
-    trace: Option<&PhaseTrace>,
+    _unused: Option<std::convert::Infallible>,
 ) -> Option<A::Solution>
 where
     A: Recursive,
@@ -230,7 +224,7 @@ where
     );
     let everyone: Vec<usize> = (0..ctx.nprocs()).collect();
     ctx.scoped(&everyone, RECURSION_SALT, |ctx| {
-        spmd_node(alg, ctx, input, 0, policy, trace)
+        spmd_node(alg, ctx, input, 0, policy)
     })
 }
 
@@ -248,7 +242,6 @@ fn spmd_node<A>(
     problem: Option<A::Problem>,
     depth: usize,
     policy: &CutoffPolicy,
-    trace: Option<&PhaseTrace>,
 ) -> Option<A::Solution>
 where
     A: Recursive,
@@ -266,9 +259,6 @@ where
         return problem.map(|p| {
             ctx.charge_flops(alg.solve_cost(&p));
             ctx.trace_phase(PhaseKind::Solve.name(), "sequential solve at the cutoff");
-            if let Some(t) = trace {
-                t.record(PhaseKind::Solve, "sequential solve at the cutoff");
-            }
             alg.solve(p)
         });
     }
@@ -277,9 +267,6 @@ where
         PhaseKind::Recurse.name(),
         "divide and descend into subgroups",
     );
-    if let Some(t) = trace {
-        t.record(PhaseKind::Recurse, "divide and descend into subgroups");
-    }
     let k = policy.branching.min(g);
     // Contiguous, balanced subgroups: subgroup j is roots[j]..roots[j + 1].
     let roots: Vec<usize> = (0..k).map(|j| (j * g).div_ceil(k)).collect();
@@ -302,7 +289,7 @@ where
     });
 
     let sub_solution = ctx.scoped(&subgroup, DESCEND_SALT, |ctx| {
-        spmd_node(alg, ctx, mine, depth + 1, policy, trace)
+        spmd_node(alg, ctx, mine, depth + 1, policy)
     });
 
     // Combining tree: subgroup roots' solutions gather to the group root,
@@ -315,9 +302,6 @@ where
     gathered.map(|parts| {
         ctx.charge_flops(alg.combine_cost(&parts));
         ctx.trace_phase(PhaseKind::Merge.name(), "combine subsolutions up the tree");
-        if let Some(t) = trace {
-            t.record(PhaseKind::Merge, "combine subsolutions up the tree");
-        }
         alg.combine(parts)
     })
 }
@@ -325,7 +309,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use archetype_mp::{run_spmd, MachineModel};
+    use archetype_mp::{run_spmd, run_spmd_with, MachineModel, RunConfig};
 
     /// A toy recursive problem: sum a vector, dividing it into k chunks.
     struct TreeSum;
@@ -365,38 +349,68 @@ mod tests {
                     &TreeSum,
                     input.clone(),
                     &CutoffPolicy::exact_depth(depth, k),
-                    None,
                 );
                 assert_eq!(got, expected, "depth={depth} k={k}");
             }
         }
     }
 
+    /// The sum on rank 0 and every rank's phase kinds, from a traced
+    /// SPMD recursion over `input` on `p` ranks.
+    fn traced_tracks(
+        p: usize,
+        input: Vec<u64>,
+        policy: CutoffPolicy,
+    ) -> (u64, Vec<Vec<PhaseKind>>) {
+        let out = run_spmd_with(p, MachineModel::ibm_sp(), RunConfig::traced(), move |ctx| {
+            let inp = (ctx.rank() == 0).then(|| input.clone());
+            run_spmd_recursive(&TreeSum, ctx, inp, &policy, None)
+        });
+        let tracks = out
+            .trace
+            .expect("traced run")
+            .ranks
+            .iter()
+            .map(|rt| {
+                rt.phases()
+                    .expect("nothing dropped")
+                    .iter()
+                    .map(|(k, _)| PhaseKind::from_name(k).expect("a phase kind"))
+                    .collect()
+            })
+            .collect();
+        (out.results[0].expect("rank 0 holds the sum"), tracks)
+    }
+
     #[test]
     fn trace_records_preorder_recursion_shape() {
         use PhaseKind::{Merge, Recurse, Solve};
-        let t = PhaseTrace::new();
-        run_shared(
-            &TreeSum,
-            numbers(64),
-            &CutoffPolicy::exact_depth(2, 2),
-            Some(&t),
+        // The full binary tree of depth 2 on four ranks: every rank
+        // descends both levels to its own leaf, and each internal node's
+        // root records its combine.
+        let (sum, tracks) = traced_tracks(4, numbers(64), CutoffPolicy::exact_depth(2, 2));
+        assert_eq!(sum, numbers(64).iter().sum::<u64>());
+        assert_eq!(
+            tracks,
+            vec![
+                vec![Recurse, Recurse, Solve, Merge, Merge],
+                vec![Recurse, Recurse, Solve],
+                vec![Recurse, Recurse, Solve, Merge],
+                vec![Recurse, Recurse, Solve],
+            ]
         );
-        // Preorder of the full binary tree of depth 2.
-        assert!(t.matches(&[
-            Recurse, Recurse, Solve, Solve, Merge, Recurse, Solve, Solve, Merge, Merge
-        ]));
-        assert_eq!(t.count(Recurse), 3);
-        assert_eq!(t.count(Solve), 4);
+        let count = |kind| tracks.iter().flatten().filter(|&&k| k == kind).count();
+        assert_eq!(count(Solve), 4, "one leaf per rank");
+        assert_eq!(count(Merge), 3, "one combine per internal node");
     }
 
     #[test]
     fn size_floor_stops_recursion() {
-        let t = PhaseTrace::new();
         let policy = CutoffPolicy::new(2, 1000, 10);
-        let got = run_shared(&TreeSum, numbers(100), &policy, Some(&t));
-        assert_eq!(got, numbers(100).iter().sum::<u64>());
-        assert!(t.matches(&[PhaseKind::Solve]), "below the floor: no divide");
+        let (sum, tracks) = traced_tracks(4, numbers(100), policy);
+        assert_eq!(sum, numbers(100).iter().sum::<u64>());
+        assert_eq!(tracks[0], [PhaseKind::Solve], "below the floor: no divide");
+        assert!(tracks[1..].iter().all(Vec::is_empty));
     }
 
     #[test]
@@ -405,7 +419,7 @@ mod tests {
         assert!(!policy.should_recurse(1, 0));
         assert!(!policy.should_recurse(0, 0));
         assert!(policy.should_recurse(2, 0));
-        let got = run_shared(&TreeSum, vec![7], &policy, None);
+        let got = run_shared(&TreeSum, vec![7], &policy);
         assert_eq!(got, 7);
     }
 
@@ -447,28 +461,16 @@ mod tests {
     #[test]
     fn rank0_spmd_trace_walks_its_root_path() {
         use PhaseKind::{Merge, Recurse, Solve};
-        let input = numbers(200);
-        let out = run_spmd(8, MachineModel::ibm_sp(), move |ctx| {
-            let inp = (ctx.rank() == 0).then(|| input.clone());
-            let t = PhaseTrace::new();
-            run_spmd_recursive(
-                &TreeSum,
-                ctx,
-                inp,
-                &CutoffPolicy::exact_depth(3, 2),
-                Some(&t),
-            );
-            t.kinds()
-        });
+        let (_, tracks) = traced_tracks(8, numbers(200), CutoffPolicy::exact_depth(3, 2));
         // Rank 0 is the root at every level: it recurses three times,
         // solves its leaf, then merges on the way back up.
         assert_eq!(
-            out.results[0],
+            tracks[0],
             vec![Recurse, Recurse, Recurse, Solve, Merge, Merge, Merge]
         );
         // Rank 7 descends with its groups but roots none of them until its
         // own singleton leaf.
-        assert_eq!(out.results[7], vec![Recurse, Recurse, Recurse, Solve]);
+        assert_eq!(tracks[7], vec![Recurse, Recurse, Recurse, Solve]);
     }
 
     #[test]

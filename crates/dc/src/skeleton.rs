@@ -25,7 +25,7 @@
 //! Equality of the two executions is the paper's semantics-preservation
 //! claim, asserted by this crate's tests for every application.
 
-use archetype_core::{parfor_map, parfor_map_vec, PhaseKind, PhaseTrace};
+use archetype_core::{parfor_map, parfor_map_vec, PhaseKind};
 use archetype_mp::{Ctx, Payload};
 
 /// A problem expressed in one-deep divide-and-conquer form.
@@ -149,28 +149,22 @@ pub fn transpose<T>(rows: Vec<Vec<T>>) -> Vec<Vec<T>> {
 /// value's slot `i` is that process's block of the output. Every `parfor`
 /// over process indices runs as a `for`, which is the paper's
 /// sequentially-debuggable initial version; [`run_spmd`] must return the
-/// same blocks for deterministic algorithms.
+/// same blocks for deterministic algorithms. With no [`Ctx`] to record
+/// into, it records no phases; [`run_spmd`] records them on every rank.
 ///
 /// ```
 /// use archetype_dc::{run_shared, OneDeepMergesort};
 ///
 /// let alg = OneDeepMergesort::<i64>::new();
-/// let out = run_shared(&alg, vec![vec![3, 1], vec![2]], None);
+/// let out = run_shared(&alg, vec![vec![3, 1], vec![2]]);
 /// let flat: Vec<i64> = out.into_iter().flatten().collect();
 /// assert_eq!(flat, vec![1, 2, 3]);
 /// ```
-pub fn run_shared<A: OneDeep>(
-    alg: &A,
-    inputs: Vec<A::In>,
-    trace: Option<&PhaseTrace>,
-) -> Vec<A::Out> {
+pub fn run_shared<A: OneDeep>(alg: &A, inputs: Vec<A::In>) -> Vec<A::Out> {
     let n = inputs.len();
     assert!(n > 0, "need at least one block");
 
     // Split phase.
-    if let Some(t) = trace {
-        t.record(PhaseKind::Split, "compute split parameters and partition");
-    }
     let samples = parfor_map(n, |i| alg.split_sample(&inputs[i]));
     let sparams = alg.split_params(&samples, n);
     let partitioned = parfor_map_vec(inputs, |i, local| {
@@ -180,18 +174,9 @@ pub fn run_shared<A: OneDeep>(
     let locals = parfor_map_vec(exchanged, |_i, pieces| alg.split_assemble(pieces));
 
     // Solve phase.
-    if let Some(t) = trace {
-        t.record(PhaseKind::Solve, "independent local solves");
-    }
     let mids = parfor_map_vec(locals, |_i, local| alg.solve(local));
 
     // Merge phase.
-    if let Some(t) = trace {
-        t.record(
-            PhaseKind::Merge,
-            "compute merge parameters, repartition, merge locally",
-        );
-    }
     let msamples = parfor_map(n, |i| alg.merge_sample(&mids[i]));
     let mparams = alg.merge_params(&msamples, n);
     let repartitioned = parfor_map_vec(mids, |i, local| alg.merge_partition(local, &mparams, n, i));
@@ -206,6 +191,9 @@ pub fn run_shared<A: OneDeep>(
 /// all-gathered samples (one of the strategies in paper §2.2); data moves
 /// via all-to-all exchanges. Compute phases are charged to the virtual
 /// clock through the algorithm's `*_cost` hooks.
+///
+/// Every rank records Split, Solve and Merge with [`Ctx::trace_phase`],
+/// so each rank's track of a traced run is the one-deep sentence.
 pub fn run_spmd<A>(alg: &A, ctx: &mut Ctx, local: A::In) -> A::Out
 where
     A: OneDeep,
@@ -218,6 +206,7 @@ where
     let me = ctx.rank();
 
     // Split phase: samples -> (replicated) parameters -> all-to-all.
+    ctx.trace_phase(PhaseKind::Split.name(), "split parameters, all-to-all");
     ctx.charge_flops(alg.split_cost(&local));
     let samples = ctx.all_gather(alg.split_sample(&local));
     let sparams = alg.split_params(&samples, n);
@@ -227,10 +216,12 @@ where
     let local = alg.split_assemble(received);
 
     // Solve phase.
+    ctx.trace_phase(PhaseKind::Solve.name(), "local solve");
     ctx.charge_flops(alg.solve_cost(&local));
     let mid = alg.solve(local);
 
     // Merge phase: samples -> (replicated) parameters -> all-to-all -> merge.
+    ctx.trace_phase(PhaseKind::Merge.name(), "splitters, all-to-all, merge");
     ctx.charge_flops(alg.merge_partition_cost(&mid));
     let msamples = ctx.all_gather(alg.merge_sample(&mid));
     let mparams = alg.merge_params(&msamples, n);
@@ -331,7 +322,7 @@ mod tests {
     fn spmd_agrees_with_shared() {
         use archetype_mp::{run_spmd as mp_run, MachineModel};
         for n in [1usize, 2, 3, 4, 5, 7, 8] {
-            let shared = run_shared(&ResidueRoute, toy_inputs(n), None);
+            let shared = run_shared(&ResidueRoute, toy_inputs(n));
             let inputs = toy_inputs(n);
             let spmd = mp_run(n, MachineModel::ibm_sp(), |ctx| {
                 let local = inputs[ctx.rank()].clone();
@@ -344,7 +335,7 @@ mod tests {
     #[test]
     fn every_output_block_holds_one_residue_class() {
         let n = 4;
-        let out = run_shared(&ResidueRoute, toy_inputs(n), None);
+        let out = run_shared(&ResidueRoute, toy_inputs(n));
         for (i, block) in out.iter().enumerate() {
             assert!(block.iter().all(|v| (*v % n as u64) as usize == i));
             assert!(block.windows(2).all(|w| w[0] <= w[1]));
@@ -353,8 +344,14 @@ mod tests {
 
     #[test]
     fn trace_records_split_solve_merge() {
-        let trace = PhaseTrace::new();
-        run_shared(&ResidueRoute, toy_inputs(2), Some(&trace));
-        assert!(trace.matches(&[PhaseKind::Split, PhaseKind::Solve, PhaseKind::Merge]));
+        use archetype_mp::{run_spmd_with, MachineModel, RunConfig};
+        let inputs = toy_inputs(2);
+        let out = run_spmd_with(2, MachineModel::ibm_sp(), RunConfig::traced(), |ctx| {
+            run_spmd(&ResidueRoute, ctx, inputs[ctx.rank()].clone())
+        });
+        for rt in &out.trace.expect("traced run").ranks {
+            let kinds: Vec<&str> = rt.phases().unwrap().iter().map(|(k, _)| *k).collect();
+            assert_eq!(kinds, ["split", "solve", "merge"], "rank {}", rt.rank);
+        }
     }
 }

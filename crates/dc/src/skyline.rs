@@ -270,7 +270,7 @@ mod tests {
             let input = building_blocks(n, 60);
             let all: Vec<Building> = input.iter().flatten().copied().collect();
             let expected = sequential_skyline(&all);
-            let out = run_shared(&OneDeepSkyline, input, None);
+            let out = run_shared(&OneDeepSkyline, input);
             assert_eq!(concat_skyline(&out), expected, "n={n}");
         }
     }
@@ -280,7 +280,7 @@ mod tests {
         let input = building_blocks(4, 40);
         let all: Vec<Building> = input.iter().flatten().copied().collect();
         let expected = sequential_skyline(&all);
-        let seq = run_shared(&OneDeepSkyline, input.clone(), None);
+        let seq = run_shared(&OneDeepSkyline, input.clone());
         let spmd = mp_run(4, MachineModel::ibm_sp(), |ctx| {
             run_spmd(&OneDeepSkyline, ctx, input[ctx.rank()].clone())
         });
@@ -290,11 +290,11 @@ mod tests {
 
     #[test]
     fn empty_and_degenerate_inputs() {
-        let out = run_shared(&OneDeepSkyline, vec![vec![], vec![]], None);
+        let out = run_shared(&OneDeepSkyline, vec![vec![], vec![]]);
         assert!(concat_skyline(&out).is_empty());
 
         let one = vec![vec![b(0.0, 1.0, 1.0)], vec![]];
-        let out = run_shared(&OneDeepSkyline, one, None);
+        let out = run_shared(&OneDeepSkyline, one);
         assert_eq!(
             concat_skyline(&out),
             vec![SkyPoint::new(0.0, 1.0), SkyPoint::new(1.0, 0.0)]
@@ -311,7 +311,7 @@ mod tests {
         ];
         let all: Vec<Building> = input.iter().flatten().copied().collect();
         let expected = sequential_skyline(&all);
-        let out = run_shared(&OneDeepSkyline, input, None);
+        let out = run_shared(&OneDeepSkyline, input);
         assert_eq!(concat_skyline(&out), expected);
     }
 }

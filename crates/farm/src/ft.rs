@@ -39,7 +39,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use archetype_core::{PhaseKind, PhaseTrace};
+use archetype_core::PhaseKind;
 use archetype_mp::tags::{ft_tag, FtTag};
 use archetype_mp::{impl_fixed_size, Ctx, Payload};
 
@@ -228,49 +228,24 @@ impl<F: Farm + ?Sized> Master<F> {
 /// its own channel, and arbitrary delays. The master's death is fatal:
 /// workers fail with a descriptive panic that
 /// [`run_spmd_ft`](archetype_mp::run_spmd_ft) reports per rank.
+///
+/// The master records Seed, then a Work record per collection round
+/// with a Detect/Recover pair per detected death, then Terminate — the
+/// fault-tolerant extension of the task-farm phase grammar — with
+/// [`Ctx::trace_phase`]; workers record nothing.
 pub fn run_farm_ft<F>(farm: &F, ctx: &mut Ctx, config: FtFarmConfig) -> (F::Out, FtFarmStats)
 where
     F: Farm + ?Sized,
     F::Task: Clone,
 {
-    run_farm_ft_traced(farm, ctx, config, None)
-}
-
-/// [`run_farm_ft`] with phase tracing: rank 0 records Seed, then a Work
-/// record per collection round with a Detect/Recover pair per detected
-/// death, then Terminate — the fault-tolerant extension of the task-farm
-/// phase grammar.
-pub fn run_farm_ft_traced<F>(
-    farm: &F,
-    ctx: &mut Ctx,
-    config: FtFarmConfig,
-    trace: Option<&PhaseTrace>,
-) -> (F::Out, FtFarmStats)
-where
-    F: Farm + ?Sized,
-    F::Task: Clone,
-{
-    let p = ctx.nprocs();
-    let me = ctx.rank();
-    if p == 1 || me == 0 {
-        let record = |ctx: &mut Ctx, kind: PhaseKind, label: &str| {
-            ctx.trace_phase(kind.name(), label);
-            if let Some(t) = trace {
-                t.record(kind, label);
-            }
-        };
-        master(farm, ctx, config, &record)
+    if ctx.nprocs() == 1 || ctx.rank() == 0 {
+        master(farm, ctx, config)
     } else {
         worker(farm, ctx)
     }
 }
 
-fn master<F>(
-    farm: &F,
-    ctx: &mut Ctx,
-    config: FtFarmConfig,
-    record: &dyn Fn(&mut Ctx, PhaseKind, &str),
-) -> (F::Out, FtFarmStats)
+fn master<F>(farm: &F, ctx: &mut Ctx, config: FtFarmConfig) -> (F::Out, FtFarmStats)
 where
     F: Farm + ?Sized,
     F::Task: Clone,
@@ -278,7 +253,10 @@ where
     let p = ctx.nprocs();
     let hint = F::Hint::default();
 
-    record(ctx, PhaseKind::Seed, "seed pool, chunked into work orders");
+    ctx.trace_phase(
+        PhaseKind::Seed.name(),
+        "seed pool, chunked into work orders",
+    );
     let mut m: Master<F> = Master::new(config.batch);
     let seed = farm.seed();
     ctx.charge_items(seed.len().max(1), SEED_FLOPS_PER_TASK);
@@ -294,7 +272,10 @@ where
     let mut done_seq = vec![0u64; p];
 
     loop {
-        record(ctx, PhaseKind::Work, "assign orders, collect batch results");
+        ctx.trace_phase(
+            PhaseKind::Work.name(),
+            "assign orders, collect batch results",
+        );
 
         // Assign the front of the queue to idle workers believed alive.
         // Send failures are deliberately ignored: whether a dying
@@ -323,10 +304,9 @@ where
             }
             // Every worker is dead but work remains: degrade to local
             // execution so the farm still completes.
-            record(ctx, PhaseKind::Detect, "no live workers remain");
-            record(
-                ctx,
-                PhaseKind::Recover,
+            ctx.trace_phase(PhaseKind::Detect.name(), "no live workers remain");
+            ctx.trace_phase(
+                PhaseKind::Recover.name(),
                 "master executes remaining batches locally",
             );
             while let Some(batch) = m.queue.pop_front() {
@@ -352,10 +332,9 @@ where
                     m.incorporate(batch, res.out, res.spawned);
                 }
                 Err(_) => {
-                    record(ctx, PhaseKind::Detect, "worker heartbeat timed out");
-                    record(
-                        ctx,
-                        PhaseKind::Recover,
+                    ctx.trace_phase(PhaseKind::Detect.name(), "worker heartbeat timed out");
+                    ctx.trace_phase(
+                        PhaseKind::Recover.name(),
                         "requeue lost batch for re-execution",
                     );
                     ctx.charge_seconds(config.detect_timeout);
@@ -368,9 +347,8 @@ where
         }
     }
 
-    record(
-        ctx,
-        PhaseKind::Terminate,
+    ctx.trace_phase(
+        PhaseKind::Terminate.name(),
         "pool drained; fold and broadcast shutdown",
     );
     let (out, stats) = m.fold(farm);
@@ -438,8 +416,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use archetype_core::PhaseTrace;
-    use archetype_mp::{run_spmd, run_spmd_ft, CrashSite, FaultPlan, MachineModel};
+    use archetype_mp::{run_spmd, run_spmd_ft, CrashSite, FaultPlan, MachineModel, RunConfig};
 
     /// Sum of squares of 0..100 — one task per integer.
     struct Squares;
@@ -512,13 +489,21 @@ mod tests {
 
     #[test]
     fn worker_crash_recovers_bit_identically() {
-        let clean = run_spmd_ft(4, MachineModel::ibm_sp(), FaultPlan::new(7), |ctx| {
-            run_farm_ft(&Spawner, ctx, FtFarmConfig::default())
-        });
+        let clean = run_spmd_ft(
+            4,
+            MachineModel::ibm_sp(),
+            RunConfig::default(),
+            FaultPlan::new(7),
+            |ctx| run_farm_ft(&Spawner, ctx, FtFarmConfig::default()),
+        );
         let plan = FaultPlan::new(7).crash(2, CrashSite::Phase(0));
-        let faulty = run_spmd_ft(4, MachineModel::ibm_sp(), plan, |ctx| {
-            run_farm_ft(&Spawner, ctx, FtFarmConfig::default())
-        });
+        let faulty = run_spmd_ft(
+            4,
+            MachineModel::ibm_sp(),
+            RunConfig::default(),
+            plan,
+            |ctx| run_farm_ft(&Spawner, ctx, FtFarmConfig::default()),
+        );
         let (clean_out, _) = clean.results[0].as_ref().expect("clean run succeeds");
         let failure = faulty.results[2].as_ref().expect_err("rank 2 crashed");
         assert!(failure.injected);
@@ -535,9 +520,13 @@ mod tests {
         let plan = FaultPlan::new(3)
             .crash(1, CrashSite::Phase(0))
             .crash(2, CrashSite::Phase(0));
-        let out = run_spmd_ft(3, MachineModel::ibm_sp(), plan, |ctx| {
-            run_farm_ft(&Squares, ctx, FtFarmConfig::default()).0
-        });
+        let out = run_spmd_ft(
+            3,
+            MachineModel::ibm_sp(),
+            RunConfig::default(),
+            plan,
+            |ctx| run_farm_ft(&Squares, ctx, FtFarmConfig::default()).0,
+        );
         assert_eq!(
             *out.results[0].as_ref().expect("master survives"),
             SQUARES_SUM
@@ -548,9 +537,13 @@ mod tests {
     #[test]
     fn master_crash_fails_every_rank_with_typed_errors() {
         let plan = FaultPlan::new(11).crash(0, CrashSite::Send(0));
-        let out = run_spmd_ft(3, MachineModel::ibm_sp(), plan, |ctx| {
-            run_farm_ft(&Squares, ctx, FtFarmConfig::default()).0
-        });
+        let out = run_spmd_ft(
+            3,
+            MachineModel::ibm_sp(),
+            RunConfig::default(),
+            plan,
+            |ctx| run_farm_ft(&Squares, ctx, FtFarmConfig::default()).0,
+        );
         assert!(out.results[0].as_ref().is_err_and(|f| f.injected));
         for rank in [1usize, 2] {
             let failure = out.results[rank].as_ref().expect_err("worker orphaned");
@@ -561,16 +554,24 @@ mod tests {
 
     #[test]
     fn drops_and_duplicates_on_the_ft_channel_do_not_change_results() {
-        let clean = run_spmd_ft(4, MachineModel::ibm_sp(), FaultPlan::new(5), |ctx| {
-            run_farm_ft(&Spawner, ctx, FtFarmConfig::default()).0
-        });
+        let clean = run_spmd_ft(
+            4,
+            MachineModel::ibm_sp(),
+            RunConfig::default(),
+            FaultPlan::new(5),
+            |ctx| run_farm_ft(&Spawner, ctx, FtFarmConfig::default()).0,
+        );
         let noisy_plan = FaultPlan::new(5)
             .drops(0.2)
             .duplicates(0.2)
             .delays(0.3, 1e-4);
-        let noisy = run_spmd_ft(4, MachineModel::ibm_sp(), noisy_plan, |ctx| {
-            run_farm_ft(&Spawner, ctx, FtFarmConfig::default()).0
-        });
+        let noisy = run_spmd_ft(
+            4,
+            MachineModel::ibm_sp(),
+            RunConfig::default(),
+            noisy_plan,
+            |ctx| run_farm_ft(&Spawner, ctx, FtFarmConfig::default()).0,
+        );
         assert!(noisy.all_ok());
         for rank in 0..4 {
             let a = clean.results[rank].as_ref().expect("clean");
@@ -581,23 +582,45 @@ mod tests {
     }
 
     #[test]
-    fn recovery_trace_conforms_to_the_extended_grammar() {
-        let trace = PhaseTrace::new();
-        let plan = FaultPlan::new(9).crash(1, CrashSite::Phase(1));
-        let out = run_spmd_ft(3, MachineModel::ibm_sp(), plan, |ctx| {
-            let t = if ctx.rank() == 0 { Some(&trace) } else { None };
-            run_farm_ft_traced(&Squares, ctx, FtFarmConfig::default(), t).0
-        });
-        assert_eq!(*out.results[0].as_ref().expect("master"), SQUARES_SUM);
-        let kinds = trace.kinds();
+    fn master_track_conforms_and_a_crashed_run_carries_no_trace() {
+        // Fault-free: the master's track is a task-farm sentence and
+        // the workers record no phase.
+        let clean = run_spmd_ft(
+            3,
+            MachineModel::ibm_sp(),
+            RunConfig::traced(),
+            FaultPlan::new(9),
+            |ctx| run_farm_ft(&Squares, ctx, FtFarmConfig::default()).0,
+        );
+        let trace = clean.trace.expect("every rank completed");
+        let kinds: Vec<PhaseKind> = trace.ranks[0]
+            .phases()
+            .expect("nothing dropped")
+            .iter()
+            .map(|(k, _)| PhaseKind::from_name(k).expect("a phase kind"))
+            .collect();
         assert_eq!(kinds.first(), Some(&PhaseKind::Seed));
         assert_eq!(kinds.last(), Some(&PhaseKind::Terminate));
-        assert!(kinds.contains(&PhaseKind::Detect));
-        assert!(kinds.contains(&PhaseKind::Recover));
         assert!(
             archetype_core::archetype::TASK_FARM.grammar.matches(&kinds),
             "trace {kinds:?} must conform to the task-farm phase grammar"
         );
+        for rt in &trace.ranks[1..] {
+            assert_eq!(rt.phases().expect("nothing dropped"), []);
+        }
+        // A worker death is recovered, but its recorder went down with
+        // it, so the run reports no trace rather than a partial one.
+        let plan = FaultPlan::new(9).crash(1, CrashSite::Phase(1));
+        let out = run_spmd_ft(
+            3,
+            MachineModel::ibm_sp(),
+            RunConfig::traced(),
+            plan,
+            |ctx| run_farm_ft(&Squares, ctx, FtFarmConfig::default()).0,
+        );
+        assert_eq!(*out.results[0].as_ref().expect("master"), SQUARES_SUM);
+        assert!(out.results[1].is_err());
+        assert!(out.trace.is_none());
     }
 
     #[test]
@@ -606,6 +629,7 @@ mod tests {
             run_spmd_ft(
                 4,
                 MachineModel::ibm_sp(),
+                RunConfig::default(),
                 FaultPlan::new(21)
                     .crash(3, CrashSite::Phase(0))
                     .delays(0.2, 1e-4),

@@ -72,5 +72,5 @@ pub mod apps;
 pub mod ft;
 pub mod skeleton;
 
-pub use ft::{run_farm_ft, run_farm_ft_traced, FtFarmConfig, FtFarmStats};
-pub use skeleton::{run_farm, run_farm_traced, Batching, Farm, FarmConfig, FarmStats, WorkScope};
+pub use ft::{run_farm_ft, FtFarmConfig, FtFarmStats};
+pub use skeleton::{run_farm, Batching, Farm, FarmConfig, FarmStats, WorkScope};

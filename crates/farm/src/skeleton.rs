@@ -25,7 +25,7 @@
 use std::collections::btree_map::{Entry, OccupiedEntry};
 use std::collections::{BTreeMap, VecDeque};
 
-use archetype_core::{PhaseKind, PhaseTrace};
+use archetype_core::PhaseKind;
 use archetype_mp::tags::{farm_tag, FarmTag};
 use archetype_mp::{impl_fixed_size, CostMeter, Ctx, MachineModel, Payload};
 
@@ -487,35 +487,15 @@ fn adaptive_batch(
 /// every rank of the run (collectively, like the archetype drivers).
 /// Returns the globally reduced output and globally summed statistics —
 /// identical on every rank, and identical across repeated runs.
+///
+/// Every rank records the archetype's phases (Seed, then Work/Steal per
+/// round, then Terminate) with [`Ctx::trace_phase`], so each rank's
+/// track of a traced run is a sentence of the task-farm grammar.
 pub fn run_farm<F: Farm>(farm: &F, ctx: &mut Ctx, config: FarmConfig) -> (F::Out, FarmStats) {
-    run_farm_traced(farm, ctx, config, None)
-}
-
-/// [`run_farm`] with phase tracing: rank 0 records the archetype's phase
-/// sequence (Seed, then Work/Steal per round, then Terminate) into
-/// `trace` so tests can assert the farm follows its pattern.
-pub fn run_farm_traced<F: Farm>(
-    farm: &F,
-    ctx: &mut Ctx,
-    config: FarmConfig,
-    trace: Option<&PhaseTrace>,
-) -> (F::Out, FarmStats) {
     let p = ctx.nprocs();
     let me = ctx.rank();
-    let record = |ctx: &mut Ctx, kind: PhaseKind, label: &str| {
-        // Every rank stamps the phase into the substrate trace (spans in
-        // the per-rank tracks); the legacy PhaseTrace summary stays
-        // rank-0-only.
-        ctx.trace_phase(kind.name(), label);
-        if ctx.rank() == 0 {
-            if let Some(t) = trace {
-                t.record(kind, label);
-            }
-        }
-    };
-
     // --- Seed: deterministic pool, dealt round-robin. --------------------
-    record(ctx, PhaseKind::Seed, "seed pool, round-robin deal");
+    ctx.trace_phase(PhaseKind::Seed.name(), "seed pool, round-robin deal");
     let mut stats = FarmStats::default();
     let mut queue: Queue<F::Task> = Queue::new();
     let seed = farm.seed();
@@ -539,7 +519,7 @@ pub fn run_farm_traced<F: Farm>(
         stats.rounds += 1;
 
         // --- Work: drain a batch from the local queue. -------------------
-        record(ctx, PhaseKind::Work, "drain batch");
+        ctx.trace_phase(PhaseKind::Work.name(), "drain batch");
         let batch = match config.batch {
             Batching::Fixed(b) => b.max(1),
             Batching::Adaptive => {
@@ -581,7 +561,10 @@ pub fn run_farm_traced<F: Farm>(
 
         // --- Steal: pairwise load exchange on a hypercube schedule. ------
         if config.steal && p > 1 {
-            record(ctx, PhaseKind::Steal, "steal-request/steal-reply exchange");
+            ctx.trace_phase(
+                PhaseKind::Steal.name(),
+                "steal-request/steal-reply exchange",
+            );
             let partner = me ^ (1usize << (round % steal_dims));
             if partner < p {
                 let req = farm_tag(FarmTag::StealRequest, round);
@@ -660,9 +643,8 @@ pub fn run_farm_traced<F: Farm>(
     }
 
     // --- Terminate: combine accumulators and statistics. -----------------
-    record(
-        ctx,
-        PhaseKind::Terminate,
+    ctx.trace_phase(
+        PhaseKind::Terminate.name(),
         "quiescence proven; final reduction",
     );
     let out = ctx.all_reduce(acc.take().expect("acc"), |a, b| farm.reduce(a, b));
@@ -673,7 +655,7 @@ pub fn run_farm_traced<F: Farm>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use archetype_mp::{run_spmd, MachineModel};
+    use archetype_mp::{run_spmd, run_spmd_with, MachineModel, RunConfig};
     use std::collections::BinaryHeap;
 
     /// The queue this crate shipped before the priority-bucketed one,
@@ -1113,17 +1095,23 @@ mod tests {
 
     #[test]
     fn phase_trace_follows_the_archetype_pattern() {
-        let trace = PhaseTrace::new();
-        run_spmd(2, MachineModel::ibm_sp(), |ctx| {
-            run_farm_traced(&Squares(50), ctx, FarmConfig::default(), Some(&trace)).0
+        let out = run_spmd_with(2, MachineModel::ibm_sp(), RunConfig::traced(), |ctx| {
+            run_farm(&Squares(50), ctx, FarmConfig::default()).0
         });
-        let kinds = trace.kinds();
-        assert_eq!(kinds.first(), Some(&PhaseKind::Seed));
-        assert_eq!(kinds.last(), Some(&PhaseKind::Terminate));
-        assert!(kinds.contains(&PhaseKind::Work));
-        assert!(kinds.contains(&PhaseKind::Steal));
-        assert!(kinds[1..kinds.len() - 1]
-            .iter()
-            .all(|k| matches!(k, PhaseKind::Work | PhaseKind::Steal)));
+        for rt in &out.trace.expect("traced run").ranks {
+            let kinds: Vec<PhaseKind> = rt
+                .phases()
+                .expect("nothing dropped")
+                .iter()
+                .map(|(k, _)| PhaseKind::from_name(k).expect("a phase kind"))
+                .collect();
+            assert_eq!(kinds.first(), Some(&PhaseKind::Seed));
+            assert_eq!(kinds.last(), Some(&PhaseKind::Terminate));
+            assert!(kinds.contains(&PhaseKind::Work));
+            assert!(kinds.contains(&PhaseKind::Steal));
+            assert!(kinds[1..kinds.len() - 1]
+                .iter()
+                .all(|k| matches!(k, PhaseKind::Work | PhaseKind::Steal)));
+        }
     }
 }

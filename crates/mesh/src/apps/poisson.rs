@@ -17,7 +17,7 @@
 //! max-reduction is exact, the two versions agree **bitwise** and iterate
 //! the same number of times — the semantics-preservation property.
 
-use archetype_core::{parfor_map, parfor_reduce, ExecutionMode, PhaseKind, PhaseTrace};
+use archetype_core::{parfor_map, parfor_reduce, ExecutionMode, PhaseKind};
 use archetype_mp::{Ctx, ProcessGrid2};
 use archetype_numerics::stencil::jacobi_update;
 
@@ -128,21 +128,13 @@ pub fn poisson_shared(spec: &PoissonSpec, _mode: ExecutionMode) -> PoissonResult
 
 /// Version 2: SPMD Jacobi iteration over an `NPX × NPY` block distribution
 /// (Figure 14). Returns the gathered solution on rank 0.
-pub fn poisson_spmd(ctx: &mut Ctx, spec: &PoissonSpec, pgrid: ProcessGrid2) -> PoissonResult {
-    poisson_spmd_traced(ctx, spec, pgrid, None)
-}
-
-/// [`poisson_spmd`] with phase tracing: rank 0 records the mesh-spectral
-/// phase sequence — distribute (Io), then per iteration the
+///
+/// Every rank records the mesh-spectral phase sequence with
+/// [`Ctx::trace_phase`] — distribute (Io), then per iteration the
 /// archetype-inserted ghost exchange (Communication), the Jacobi sweep
 /// (GridOp), and the `diffmax` reduction, then the gather (Io) — so
-/// tests can grammar-check the archetype's pattern.
-pub fn poisson_spmd_traced(
-    ctx: &mut Ctx,
-    spec: &PoissonSpec,
-    pgrid: ProcessGrid2,
-    trace: Option<&PhaseTrace>,
-) -> PoissonResult {
+/// each rank's track of a traced run is a sentence of the mesh grammar.
+pub fn poisson_spmd(ctx: &mut Ctx, spec: &PoissonSpec, pgrid: ProcessGrid2) -> PoissonResult {
     assert_eq!(
         pgrid.len(),
         ctx.nprocs(),
@@ -150,18 +142,10 @@ pub fn poisson_spmd_traced(
     );
     let h2 = spec.h() * spec.h();
     let rank = ctx.rank();
-    let record = |ctx: &mut Ctx, kind: PhaseKind, label: &str| {
-        // Every rank stamps the phase into the substrate trace; the
-        // legacy PhaseTrace summary stays rank-0-only.
-        ctx.trace_phase(kind.name(), label);
-        if ctx.rank() == 0 {
-            if let Some(t) = trace {
-                t.record(kind, label);
-            }
-        }
-    };
-
-    record(ctx, PhaseKind::Io, "block-distribute rhs and initial grid");
+    ctx.trace_phase(
+        PhaseKind::Io.name(),
+        "block-distribute rhs and initial grid",
+    );
     let mut uk = DistGrid2::from_global(rank, pgrid, spec.nx, spec.ny, 1, 0.0, |i, j| {
         spec.initial(i, j)
     });
@@ -189,9 +173,9 @@ pub fn poisson_spmd_traced(
 
     while *diffmax.get() > spec.tolerance && iters < spec.max_iters {
         // Satisfy the grid-op precondition: refresh the ghost boundary.
-        record(ctx, PhaseKind::Communication, "ghost boundary exchange");
+        ctx.trace_phase(PhaseKind::Communication.name(), "ghost boundary exchange");
         uk.exchange_ghosts(ctx);
-        record(ctx, PhaseKind::GridOp, "Jacobi sweep");
+        ctx.trace_phase(PhaseKind::GridOp.name(), "Jacobi sweep");
         // Grid op, a row at a time; 6 flops per point in the model.
         let mut lanes = [f64::NEG_INFINITY; LANES];
         for i in rows.clone() {
@@ -214,13 +198,13 @@ pub fn poisson_spmd_traced(
             local_diffmax = 0.0;
         }
         // Reduction re-establishes copy consistency of diffmax.
-        record(ctx, PhaseKind::Reduction, "global max of local diffmax");
+        ctx.trace_phase(PhaseKind::Reduction.name(), "global max of local diffmax");
         diffmax.reduce_from(ctx, local_diffmax, f64::max);
         std::mem::swap(&mut uk, &mut ukp);
         iters += 1;
     }
 
-    record(ctx, PhaseKind::Io, "gather solution to rank 0");
+    ctx.trace_phase(PhaseKind::Io.name(), "gather solution to rank 0");
     let grid = uk.gather_global(ctx);
     PoissonResult {
         grid,

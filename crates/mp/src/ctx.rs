@@ -1217,18 +1217,24 @@ mod tests {
         // Every fault-aware message goes out twice; 40 of them take the
         // link across block boundaries.
         let plan = FaultPlan::new(3).duplicates(1.0);
-        let out = run_spmd_ft(2, MachineModel::ibm_sp(), plan, |ctx| {
-            if ctx.rank() == 0 {
-                for i in 0..40u64 {
-                    ctx.send_ft(1, i, 3 * i).expect("rank 1 alive");
+        let out = run_spmd_ft(
+            2,
+            MachineModel::ibm_sp(),
+            RunConfig::default(),
+            plan,
+            |ctx| {
+                if ctx.rank() == 0 {
+                    for i in 0..40u64 {
+                        ctx.send_ft(1, i, 3 * i).expect("rank 1 alive");
+                    }
+                    Vec::new()
+                } else {
+                    (0..40u64)
+                        .map(|i| ctx.recv_ft::<u64>(0, i).expect("rank 0 alive"))
+                        .collect()
                 }
-                Vec::new()
-            } else {
-                (0..40u64)
-                    .map(|i| ctx.recv_ft::<u64>(0, i).expect("rank 0 alive"))
-                    .collect()
-            }
-        });
+            },
+        );
         assert!(out.all_ok());
         assert_eq!(
             out.results[1].as_ref().expect("rank 1 ok"),

@@ -123,11 +123,11 @@ const SALT_ATOM: u64 = 0x61746f6d; // "atom"
 /// and the builder methods, then hand it to [`crate::run_spmd_ft`].
 ///
 /// ```
-/// use archetype_mp::{run_spmd_ft, CrashSite, FaultPlan, MachineModel};
+/// use archetype_mp::{run_spmd_ft, CrashSite, FaultPlan, MachineModel, RunConfig};
 ///
 /// // Rank 1 dies at its first send; the runner reports it structurally.
 /// let plan = FaultPlan::new(7).crash(1, CrashSite::Send(0));
-/// let out = run_spmd_ft(2, MachineModel::zero_comm(), plan, |ctx| {
+/// let out = run_spmd_ft(2, MachineModel::zero_comm(), RunConfig::default(), plan, |ctx| {
 ///     if ctx.rank() == 1 {
 ///         ctx.send(0, 5, 42u64); // fires the injected crash
 ///     }

@@ -96,5 +96,7 @@ pub use runner::{
 pub use stats::{RankStats, RunStats};
 pub use tags::{compose_tag, farm_tag, ft_tag, pipe_tag, ComposeTag, FarmTag, FtTag, PipeTag};
 pub use topology::{ProcessGrid2, ProcessGrid3};
-pub use trace::{CriticalPathReport, Label, RankTrace, RunTrace, TraceEvent, TraceRecorder};
+pub use trace::{
+    CriticalPathReport, Label, RankTrace, RunTrace, TraceEvent, TraceIncomplete, TraceRecorder,
+};
 pub use transport::RecvCounts;

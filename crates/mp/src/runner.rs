@@ -194,6 +194,10 @@ pub struct FtSpmdResult<R> {
     /// ranks may legitimately strand in-flight messages (the network is
     /// quarantined, so they can never contaminate a later run).
     pub leaked_messages: usize,
+    /// Per-rank event streams of a traced run ([`RunConfig::traced`])
+    /// in which every rank completed; `None` otherwise, because a dead
+    /// rank's recorder goes down with its unwind.
+    pub trace: Option<RunTrace>,
 }
 
 impl<R> FtSpmdResult<R> {
@@ -477,7 +481,7 @@ fn run_ranks<F, R>(
     fault: Option<Arc<FaultPlan>>,
     config: RunConfig,
     body: F,
-) -> (FtSpmdResult<R>, Option<RunTrace>)
+) -> FtSpmdResult<R>
 where
     F: Fn(&mut Ctx) -> R + Sync,
     R: Send,
@@ -614,7 +618,7 @@ where
         rank_times: rank_times.clone(),
         elapsed_virtual,
     });
-    let run = FtSpmdResult {
+    FtSpmdResult {
         results,
         elapsed_virtual,
         rank_times,
@@ -622,8 +626,8 @@ where
         wall_us,
         recv_counts,
         leaked_messages: leaked,
-    };
-    (run, trace)
+        trace,
+    }
 }
 
 /// Run `body` as an SPMD computation with `nprocs` processes on the given
@@ -724,7 +728,7 @@ where
     F: Fn(&mut Ctx) -> R + Sync,
     R: Send,
 {
-    let (run, trace) = run_ranks(nprocs, model, None, config, body);
+    let run = run_ranks(nprocs, model, None, config, body);
     let mut results = Vec::with_capacity(nprocs);
     let mut failures = Vec::new();
     for outcome in run.results {
@@ -749,7 +753,7 @@ where
         stats: run.stats,
         wall_us: run.wall_us,
         recv_counts: run.recv_counts,
-        trace,
+        trace: run.trace,
     })
 }
 
@@ -757,6 +761,8 @@ where
 /// every rank (see [`FaultPlan`]), scheduled crashes really panic the
 /// rank and are reported as structured per-rank failures, and the
 /// channel network is quarantined whenever anything failed or leaked.
+/// `config` is [`try_run_spmd`]'s, except that leaks are counted in
+/// [`FtSpmdResult::leaked_messages`] rather than checked.
 ///
 /// This is the chaos-testing entry point: with an inert plan
 /// (`FaultPlan::new(seed)`) it behaves exactly like [`run_spmd`] modulo
@@ -765,12 +771,26 @@ where
 ///
 /// Crash sites are keyed by operation counts, never by time, so which
 /// ranks die and what the survivors compute is deterministic even though
-/// the disconnect-based death signal travels in real time. Fault-injected
-/// runs do not report traces: a crashed rank's recorder dies with its
-/// unwind, and a partial-trace API is not worth the asymmetry.
+/// the disconnect-based death signal travels in real time. A traced run
+/// reports its trace only when every rank completed: a crashed rank's
+/// recorder dies with its unwind, and a partial-trace API is not worth
+/// the asymmetry.
+///
+/// ```
+/// use archetype_mp::{run_spmd_ft, FaultPlan, MachineModel, RunConfig};
+///
+/// let out = run_spmd_ft(2, MachineModel::ibm_sp(), RunConfig::traced(), FaultPlan::new(1), |ctx| {
+///     ctx.trace_phase("work", "");
+///     ctx.rank()
+/// });
+/// assert!(out.all_ok());
+/// let trace = out.trace.expect("every rank completed");
+/// assert_eq!(trace.ranks[1].phases().unwrap()[0].0, "work");
+/// ```
 pub fn run_spmd_ft<F, R>(
     nprocs: usize,
     model: MachineModel,
+    config: RunConfig,
     plan: FaultPlan,
     body: F,
 ) -> FtSpmdResult<R>
@@ -778,14 +798,7 @@ where
     F: Fn(&mut Ctx) -> R + Sync,
     R: Send,
 {
-    run_ranks(
-        nprocs,
-        model,
-        Some(Arc::new(plan)),
-        RunConfig::default(),
-        body,
-    )
-    .0
+    run_ranks(nprocs, model, Some(Arc::new(plan)), config, body)
 }
 
 #[cfg(test)]
@@ -943,28 +956,34 @@ mod tests {
         for round in 0..200u64 {
             let msgs = round % 4; // vary how much drain precedes the park
             let plan = FaultPlan::new(round).crash(0, CrashSite::Phase(0));
-            let out = run_spmd_ft(2, MachineModel::zero_comm(), plan, move |ctx| {
-                if ctx.rank() == 0 {
-                    for i in 0..msgs {
-                        ctx.send_ft(1, i, i).expect("rank 1 is alive");
-                    }
-                    if round % 2 == 0 {
-                        std::thread::yield_now();
-                    }
-                    ctx.fault_point();
-                    unreachable!("rank 0 dies at its first fault point");
-                }
-                let mut got = 0u64;
-                loop {
-                    match ctx.recv_ft::<u64>(0, got) {
-                        Ok(v) => {
-                            assert_eq!(v, got);
-                            got += 1;
+            let out = run_spmd_ft(
+                2,
+                MachineModel::zero_comm(),
+                RunConfig::default(),
+                plan,
+                move |ctx| {
+                    if ctx.rank() == 0 {
+                        for i in 0..msgs {
+                            ctx.send_ft(1, i, i).expect("rank 1 is alive");
                         }
-                        Err(dead) => return (got, dead),
+                        if round % 2 == 0 {
+                            std::thread::yield_now();
+                        }
+                        ctx.fault_point();
+                        unreachable!("rank 0 dies at its first fault point");
                     }
-                }
-            });
+                    let mut got = 0u64;
+                    loop {
+                        match ctx.recv_ft::<u64>(0, got) {
+                            Ok(v) => {
+                                assert_eq!(v, got);
+                                got += 1;
+                            }
+                            Err(dead) => return (got, dead),
+                        }
+                    }
+                },
+            );
             let crash = out.results[0].as_ref().expect_err("rank 0 crashed");
             assert!(crash.injected, "round {round}: {crash}");
             let survivor = out.results[1].as_ref().expect("rank 1 survives");

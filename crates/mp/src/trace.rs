@@ -155,8 +155,10 @@ pub enum TraceEvent {
         /// Wall-clock offset (ns since dispatch).
         wall_ns: u64,
     },
-    /// Entry into an archetype protocol phase (the unified form of the
-    /// per-archetype `PhaseTrace` recording).
+    /// Entry into an archetype protocol phase, recorded by
+    /// [`crate::Ctx::trace_phase`]. A rank's phase events in order
+    /// ([`RankTrace::phases`]) are the sentence its archetype's grammar
+    /// checks.
     Phase {
         /// Phase kind name (`"work"`, `"transform"`, …) — the archetype
         /// layer's `PhaseKind::name()`.
@@ -299,7 +301,51 @@ impl RankTrace {
     pub fn logical_events(&self) -> Vec<TraceEvent> {
         self.events.iter().map(|e| e.logical()).collect()
     }
+
+    /// The rank's archetype phases in recording order, as `(kind,
+    /// label)` pairs. Refuses with [`TraceIncomplete`] when the ring
+    /// dropped events: the oldest phases may be among them, and a
+    /// partial track must not pass for a whole one.
+    pub fn phases(&self) -> Result<Vec<(&'static str, Label)>, TraceIncomplete> {
+        if self.dropped > 0 {
+            return Err(TraceIncomplete {
+                rank: self.rank,
+                dropped: self.dropped,
+            });
+        }
+        Ok(self
+            .events
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::Phase { kind, label, .. } => Some((kind, label)),
+                _ => None,
+            })
+            .collect())
+    }
 }
+
+/// A rank's track lost events to ring wrap-around, so
+/// [`RankTrace::phases`] will not answer from it; raise
+/// [`crate::RunConfig`]`::trace_capacity`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TraceIncomplete {
+    /// World rank whose track is incomplete.
+    pub rank: usize,
+    /// Events its ring dropped.
+    pub dropped: u64,
+}
+
+impl std::fmt::Display for TraceIncomplete {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "rank {}'s trace dropped {} event(s); raise trace_capacity",
+            self.rank, self.dropped
+        )
+    }
+}
+
+impl std::error::Error for TraceIncomplete {}
 
 /// A whole run's trace: one [`RankTrace`] per world rank plus the final
 /// clocks the exporters need to close trailing spans.
@@ -834,6 +880,85 @@ mod tests {
         assert_eq!(t.dropped, 2);
         let vts: Vec<f64> = t.events.iter().map(TraceEvent::vt).collect();
         assert_eq!(vts, vec![2.0, 3.0, 4.0]);
+    }
+
+    fn phase(kind: &'static str, label: &str, vt: f64) -> TraceEvent {
+        TraceEvent::Phase {
+            kind,
+            label: Label::from(label),
+            vt,
+            wall_ns: 0,
+        }
+    }
+
+    #[test]
+    fn records_in_order() {
+        let mut r = TraceRecorder::new(8, anchor());
+        r.record(phase("solve", "local sort", 0.0));
+        r.record(TraceEvent::Collective {
+            name: "all_to_all",
+            vt: 1.0,
+            wall_ns: 0,
+        });
+        r.record(phase("merge", "merge", 2.0));
+        let phases = r.into_rank_trace(0).phases().expect("nothing dropped");
+        let kinds: Vec<&str> = phases.iter().map(|(k, _)| *k).collect();
+        assert_eq!(kinds, ["solve", "merge"]);
+        assert_eq!(phases[0].1.as_str(), "local sort");
+    }
+
+    #[test]
+    fn counts_by_kind() {
+        let mut r = TraceRecorder::new(8, anchor());
+        for (kind, vt) in [("grid-op", 0.0), ("grid-op", 1.0), ("reduction", 2.0)] {
+            r.record(phase(kind, "", vt));
+        }
+        let phases = r.into_rank_trace(0).phases().expect("nothing dropped");
+        let count = |kind| phases.iter().filter(|(k, _)| *k == kind).count();
+        assert_eq!(count("grid-op"), 2);
+        assert_eq!(count("reduction"), 1);
+        assert_eq!(count("io"), 0);
+    }
+
+    #[test]
+    fn concurrent_recording_is_safe() {
+        // Every rank records into its own ring, with no lock: four
+        // ranks recording at once lose nothing and mix nothing.
+        let out = crate::run_spmd_with(
+            4,
+            crate::MachineModel::zero_comm(),
+            crate::RunConfig::traced(),
+            |ctx| {
+                for _ in 0..100 {
+                    ctx.trace_phase("grid-op", "x");
+                }
+            },
+        );
+        let trace = out.trace.expect("traced run");
+        for rt in &trace.ranks {
+            let phases = rt.phases().expect("nothing dropped");
+            assert_eq!(phases.len(), 100, "rank {}", rt.rank);
+            assert!(phases
+                .iter()
+                .all(|(k, l)| *k == "grid-op" && l.as_str() == "x"));
+        }
+    }
+
+    #[test]
+    fn phases_refuse_a_track_that_dropped_events() {
+        let mut r = TraceRecorder::new(2, anchor());
+        for vt in 0..3 {
+            r.record(phase("work", "", vt as f64));
+        }
+        let err = r.into_rank_trace(5).phases().unwrap_err();
+        assert_eq!(
+            err,
+            TraceIncomplete {
+                rank: 5,
+                dropped: 1
+            }
+        );
+        assert!(err.to_string().contains("trace_capacity"), "{err}");
     }
 
     #[test]

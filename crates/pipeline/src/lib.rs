@@ -93,7 +93,4 @@
 pub mod apps;
 pub mod skeleton;
 
-pub use skeleton::{
-    run_pipeline, run_pipeline_traced, run_sequential, Pipeline, PipelineConfig, PipelineStats,
-    Stage,
-};
+pub use skeleton::{run_pipeline, run_sequential, Pipeline, PipelineConfig, PipelineStats, Stage};

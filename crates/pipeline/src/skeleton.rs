@@ -60,7 +60,7 @@
 //! send/receive site mid-protocol — remains unrecoverable and surfaces
 //! as typed per-rank failures.
 
-use archetype_core::{PhaseKind, PhaseTrace};
+use archetype_core::PhaseKind;
 use archetype_mp::tags::{pipe_tag, PipeTag};
 use archetype_mp::{impl_fixed_size, Ctx, MachineModel, Payload};
 
@@ -797,7 +797,10 @@ fn fold_alone<P: Pipeline>(
     stats: &mut PipelineStats,
     stages: &[&dyn Stage<P::Item>],
 ) -> P::Out {
-    ctx.trace_phase(PhaseKind::Transform.name(), "all stages fused");
+    ctx.trace_phase(PhaseKind::Ingest.name(), "stream source");
+    if !stages.is_empty() {
+        ctx.trace_phase(PhaseKind::Transform.name(), "all stages fused");
+    }
     let mut folded = pipe.out_identity();
     let mut seq = 0u64;
     while let Some(item) = pipe.ingest(seq) {
@@ -808,6 +811,7 @@ fn fold_alone<P: Pipeline>(
         stats.items += 1;
         seq += 1;
     }
+    ctx.trace_phase(PhaseKind::Drain.name(), "end of stream");
     folded
 }
 
@@ -815,22 +819,16 @@ fn fold_alone<P: Pipeline>(
 /// every rank of the run (collectively, like the other archetype
 /// drivers). Returns the folded output and globally combined statistics
 /// — identical on every rank, and identical across repeated runs.
+///
+/// Every rank records its own role with [`Ctx::trace_phase`]. Rank 0's
+/// track is a sentence of the pipeline grammar: Ingest; Transform when
+/// it transforms (the fused one-rank chain, or the paired layout's even
+/// items); a Detect/Recover pair per scheduled replica death in the
+/// routing table; Drain; and Emit on entering the output finale.
 pub fn run_pipeline<P: Pipeline>(
     pipe: &P,
     ctx: &mut Ctx,
     config: PipelineConfig,
-) -> (P::Out, PipelineStats) {
-    run_pipeline_traced(pipe, ctx, config, None)
-}
-
-/// [`run_pipeline`] with phase tracing: rank 0 records the derived
-/// dataflow (Ingest, one Transform per segment, Drain, Emit) into
-/// `trace` so tests can grammar-check the archetype's pattern.
-pub fn run_pipeline_traced<P: Pipeline>(
-    pipe: &P,
-    ctx: &mut Ctx,
-    config: PipelineConfig,
-    trace: Option<&PhaseTrace>,
 ) -> (P::Out, PipelineStats) {
     let p = ctx.nprocs();
     let me = ctx.rank();
@@ -877,48 +875,6 @@ pub fn run_pipeline_traced<P: Pipeline>(
         stats.replicas = replicas as u64;
         stats.idle_ranks = idle as u64;
         stats.failovers = scheduled_deaths;
-        if let Some(t) = trace {
-            t.record(PhaseKind::Ingest, "stream source");
-            match &plan {
-                Plan::OneRank if s_count > 0 => {
-                    t.record(PhaseKind::Transform, "all stages fused");
-                }
-                Plan::Paired => {
-                    t.record(
-                        PhaseKind::Transform,
-                        format!("stages 0..{s_count} x2 replica(s), even items on rank 0"),
-                    );
-                }
-                Plan::Segmented { segments, .. } => {
-                    for seg in segments {
-                        t.record(
-                            PhaseKind::Transform,
-                            format!(
-                                "stages {}..{} x{} replica(s)",
-                                seg.stages.0, seg.stages.1, seg.replicas
-                            ),
-                        );
-                    }
-                }
-                _ => {}
-            }
-            for (l, deaths) in level_deaths.iter().enumerate() {
-                for (j, d) in deaths.iter().enumerate() {
-                    if let Some(k) = d {
-                        t.record(
-                            PhaseKind::Detect,
-                            format!("rank {} (level {l}) dies after {k} item(s)", levels[l][j]),
-                        );
-                        t.record(
-                            PhaseKind::Recover,
-                            "its share re-routed to the next live replica",
-                        );
-                    }
-                }
-            }
-            t.record(PhaseKind::Drain, "end-of-stream wave + credit reclaim");
-            t.record(PhaseKind::Emit, "in-order fold, output broadcast");
-        }
     }
 
     // --- One rank: rank 0 runs the whole chain message-free. -------------
@@ -926,6 +882,7 @@ pub fn run_pipeline_traced<P: Pipeline>(
         let mut acc = None;
         if me == 0 {
             let folded = fold_alone(pipe, ctx, &mut stats, &stages);
+            ctx.trace_phase(PhaseKind::Emit.name(), "fold output, broadcast");
             if p == 1 {
                 return (folded, stats);
             }
@@ -954,6 +911,9 @@ pub fn run_pipeline_traced<P: Pipeline>(
     if me == 0 {
         // --- Ingest: stream the source through edge 0. --------------------
         ctx.trace_phase(PhaseKind::Ingest.name(), "stream source");
+        if paired {
+            ctx.trace_phase(PhaseKind::Transform.name(), "all stages, even items");
+        }
         let mut out: Outflow<P::Item> =
             Outflow::new(0, levels[1].clone(), router_for(1), config.window);
         let mut seq = 0u64;
@@ -964,6 +924,10 @@ pub fn run_pipeline_traced<P: Pipeline>(
             }
             out.send_item(ctx, &mut stats, seq, item);
             seq += 1;
+        }
+        for _ in 0..scheduled_deaths {
+            ctx.trace_phase(PhaseKind::Detect.name(), "scheduled replica death");
+            ctx.trace_phase(PhaseKind::Recover.name(), "share to next live replica");
         }
         ctx.trace_phase(PhaseKind::Drain.name(), "end-of-stream wave");
         out.finish(ctx, seq);
@@ -1030,6 +994,9 @@ pub fn run_pipeline_traced<P: Pipeline>(
     }
     // Ranks beyond the replication cutoff idle until the finale.
 
+    if me == 0 {
+        ctx.trace_phase(PhaseKind::Emit.name(), "output finale");
+    }
     if scheduled_deaths == 0 {
         // --- Finale: share the output, combine the statistics. ------------
         let out = ctx.broadcast(p - 1, acc);
@@ -1104,7 +1071,7 @@ pub fn run_sequential<P: Pipeline>(pipe: &P) -> (P::Out, u64) {
 mod tests {
     use super::*;
     use archetype_core::archetype::PIPELINE;
-    use archetype_mp::{run_spmd, MachineModel};
+    use archetype_mp::{run_spmd, run_spmd_with, MachineModel, RunConfig};
 
     /// Modeled flops per item of the fixtures' ingest and emit hooks, and
     /// of their light stages: 20 µs and 200 µs on the IBM SP, against
@@ -1537,15 +1504,24 @@ mod tests {
         }
     }
 
+    /// Rank 0's phase kinds in a traced run.
+    fn root_kinds(trace: Option<archetype_mp::RunTrace>) -> Vec<PhaseKind> {
+        trace.expect("traced run").ranks[0]
+            .phases()
+            .expect("nothing dropped")
+            .iter()
+            .map(|(k, _)| PhaseKind::from_name(k).expect("a phase kind"))
+            .collect()
+    }
+
     #[test]
     fn phase_trace_is_accepted_by_the_pipeline_grammar() {
         for p in [1usize, 2, 4, 8] {
-            let trace = PhaseTrace::new();
-            let out = run_spmd(p, MachineModel::ibm_sp(), |ctx| {
-                run_pipeline_traced(&Squares(20), ctx, PipelineConfig::default(), Some(&trace)).1
+            let out = run_spmd_with(p, MachineModel::ibm_sp(), RunConfig::traced(), |ctx| {
+                run_pipeline(&Squares(20), ctx, PipelineConfig::default()).1
             });
             assert_eq!(out.results[0].forwarded > 0, p > 1, "p={p}: streams");
-            let kinds = trace.kinds();
+            let kinds = root_kinds(out.trace);
             assert!(
                 PIPELINE.grammar.matches(&kinds),
                 "p={p}: {kinds:?} rejected by the pipeline grammar"
@@ -1592,13 +1568,21 @@ mod tests {
         use archetype_mp::{run_spmd_ft, CrashSite, FaultPlan};
         // p=8 on Lopsided gives the heavy segment several replicas; kill
         // one of them mid-stream and compare against an inert plan.
-        let clean = run_spmd_ft(8, MachineModel::ibm_sp(), FaultPlan::new(4), |ctx| {
-            run_pipeline(&Lopsided(64), ctx, PipelineConfig::default())
-        });
+        let clean = run_spmd_ft(
+            8,
+            MachineModel::ibm_sp(),
+            RunConfig::default(),
+            FaultPlan::new(4),
+            |ctx| run_pipeline(&Lopsided(64), ctx, PipelineConfig::default()),
+        );
         let plan = FaultPlan::new(4).crash(3, CrashSite::Phase(5));
-        let faulty = run_spmd_ft(8, MachineModel::ibm_sp(), plan, |ctx| {
-            run_pipeline(&Lopsided(64), ctx, PipelineConfig::default())
-        });
+        let faulty = run_spmd_ft(
+            8,
+            MachineModel::ibm_sp(),
+            RunConfig::default(),
+            plan,
+            |ctx| run_pipeline(&Lopsided(64), ctx, PipelineConfig::default()),
+        );
         let (clean_out, _) = clean.results[0].as_ref().expect("clean run");
         let failure = faulty.results[3].as_ref().expect_err("rank 3 crashed");
         assert!(failure.injected);
@@ -1622,9 +1606,13 @@ mod tests {
             // Kill the first transform replica after 3 items: the
             // concatenated fold string detects any reordering or loss.
             let plan = FaultPlan::new(p as u64).crash(1, CrashSite::Phase(3));
-            let out = run_spmd_ft(p, MachineModel::cray_t3d(), plan, |ctx| {
-                run_pipeline(&HeavyOrdered(60), ctx, PipelineConfig::default()).0
-            });
+            let out = run_spmd_ft(
+                p,
+                MachineModel::cray_t3d(),
+                RunConfig::default(),
+                plan,
+                |ctx| run_pipeline(&HeavyOrdered(60), ctx, PipelineConfig::default()).0,
+            );
             assert_eq!(out.leaked_messages, 0, "p={p}");
             for (rank, res) in out.results.iter().enumerate() {
                 match res {
@@ -1645,9 +1633,13 @@ mod tests {
         // Phase(0): the replica dies before receiving a single item; its
         // whole share lands on the other replica of its level.
         let plan = FaultPlan::new(2).crash(2, CrashSite::Phase(0));
-        let out = run_spmd_ft(6, MachineModel::ibm_sp(), plan, |ctx| {
-            run_pipeline(&HeavyOrdered(30), ctx, PipelineConfig::default()).0
-        });
+        let out = run_spmd_ft(
+            6,
+            MachineModel::ibm_sp(),
+            RunConfig::default(),
+            plan,
+            |ctx| run_pipeline(&HeavyOrdered(30), ctx, PipelineConfig::default()).0,
+        );
         assert_eq!(out.leaked_messages, 0);
         for (rank, res) in out.results.iter().enumerate() {
             match res {
@@ -1663,13 +1655,20 @@ mod tests {
     #[test]
     fn failover_trace_conforms_to_the_extended_grammar() {
         use archetype_mp::{run_spmd_ft, CrashSite, FaultPlan};
-        let trace = PhaseTrace::new();
-        let plan = FaultPlan::new(6).crash(2, CrashSite::Phase(2));
-        run_spmd_ft(6, MachineModel::ibm_sp(), plan, |ctx| {
-            let t = if ctx.rank() == 0 { Some(&trace) } else { None };
-            run_pipeline_traced(&HeavyOrdered(40), ctx, PipelineConfig::default(), t).0
-        });
-        let kinds = trace.kinds();
+        // The routing table accounts for a scheduled death from the
+        // start; one beyond the replica's share never fires, so every
+        // rank completes and the traced run reports its trace.
+        let plan = FaultPlan::new(6).crash(2, CrashSite::Phase(1000));
+        let out = run_spmd_ft(
+            6,
+            MachineModel::ibm_sp(),
+            RunConfig::traced(),
+            plan,
+            |ctx| run_pipeline(&HeavyOrdered(40), ctx, PipelineConfig::default()),
+        );
+        let (_, stats) = out.results[0].as_ref().expect("every rank completes");
+        assert_eq!(stats.failovers, 1);
+        let kinds = root_kinds(out.trace);
         assert!(kinds.contains(&PhaseKind::Detect));
         assert!(kinds.contains(&PhaseKind::Recover));
         assert!(

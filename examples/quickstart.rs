@@ -27,7 +27,7 @@ fn main() {
     let alg = OneDeepMergesort::<i64>::new();
 
     // --- Version 1: parfor loops run as for loops. ------------------------
-    let v1 = run_shared(&alg, blocks.clone(), None);
+    let v1 = run_shared(&alg, blocks.clone());
     println!(
         "version 1 (sequential): {} blocks, total {} items, first block [{}..={}]",
         v1.len(),

@@ -14,18 +14,19 @@
 //!
 //! All four produce the identical sorted vector; the scaling table shows
 //! the virtual-time speedups and where the combining tree's root merge
-//! caps them (the paper's §2.1.1 observation about decaying concurrency).
+//! caps them (the paper's §2.1.1 observation about decaying concurrency),
+//! with the combining tree's merges counted from each run's trace.
 //!
 //! Run with: `cargo run --example recursive_sort --release`
 
-use parallel_archetypes::core::PhaseTrace;
+use parallel_archetypes::core::PhaseKind;
 use parallel_archetypes::dc::perfmodel::{recursion_policy, sort_recursion_cutoff};
 use parallel_archetypes::dc::skeleton::run_spmd as one_deep_spmd;
 use parallel_archetypes::dc::{
     run_shared_recursive, run_spmd_recursive, OneDeepMergesort, RecursiveMergesort,
 };
 use parallel_archetypes::mp::topology::block_range;
-use parallel_archetypes::mp::{run_spmd, MachineModel};
+use parallel_archetypes::mp::{run_spmd, run_spmd_with, MachineModel, RunConfig};
 
 fn scrambled(n: usize) -> Vec<i64> {
     let mut s = 0xabcdu64;
@@ -54,26 +55,32 @@ fn main() {
         sort_recursion_cutoff(&model, 8)
     );
 
-    // Shared-memory recursion, traced.
-    let trace = PhaseTrace::new();
-    let shared = run_shared_recursive(&alg, data.clone(), &policy, Some(&trace));
+    // Shared-memory recursion.
+    let shared = run_shared_recursive(&alg, data.clone(), &policy);
     assert_eq!(shared, expected);
-    println!(
-        "shared-memory recursion: sorted, {} recursion nodes",
-        trace.count(parallel_archetypes::core::PhaseKind::Merge)
-    );
+    println!("shared-memory recursion: sorted");
 
-    // SPMD recursion on nested groups across process counts.
-    println!("\n  p   recursive (virtual ms)   speedup   one-deep (ms)");
+    // SPMD recursion on nested groups across process counts, traced: each
+    // combine the tree performs is one Merge phase on the rank rooting it.
+    println!("\n  p   recursive (virtual ms)   speedup   merges   one-deep (ms)");
     let mut t1 = 0.0;
     for p in [1usize, 2, 4, 8, 16] {
         let d = data.clone();
         let pol = policy;
-        let rec = run_spmd(p, model, move |ctx| {
+        let rec = run_spmd_with(p, model, RunConfig::traced(), move |ctx| {
             let local = (ctx.rank() == 0).then(|| d.clone());
             run_spmd_recursive(&RecursiveMergesort::<i64>::new(), ctx, local, &pol, None)
         });
         assert_eq!(rec.results[0].as_ref().unwrap(), &expected);
+        let trace = rec.trace.as_ref().expect("traced run");
+        let mut merges = 0;
+        for track in &trace.ranks {
+            let phases = track.phases().expect("the ring held every event");
+            merges += phases
+                .iter()
+                .filter(|(kind, _)| *kind == PhaseKind::Merge.name())
+                .count();
+        }
 
         let d = data.clone();
         let one_deep = run_spmd(p, model, move |ctx| {
@@ -87,7 +94,7 @@ fn main() {
             t1 = rec.elapsed_virtual;
         }
         println!(
-            "  {p:>2}   {:>12.2}             {:>5.2}x   {:>10.2}",
+            "  {p:>2}   {:>12.2}             {:>5.2}x   {merges:>6}   {:>10.2}",
             rec.elapsed_virtual * 1e3,
             t1 / rec.elapsed_virtual,
             one_deep.elapsed_virtual * 1e3,

@@ -63,7 +63,7 @@ fn main() {
     let all: Vec<Building> = inputs.iter().flatten().copied().collect();
     println!("{} buildings across {} processes", all.len(), nblocks);
 
-    let out = run_shared(&OneDeepSkyline, inputs, None);
+    let out = run_shared(&OneDeepSkyline, inputs);
     let sky = concat_skyline(&out);
     let reference = sequential_skyline(&all);
     println!(

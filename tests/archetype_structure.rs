@@ -2,27 +2,58 @@
 //! communication discipline — the paper's claim that the archetype is a
 //! checkable design artifact, not just documentation.
 
-use parallel_archetypes::core::{PhaseKind, PhaseTrace};
-use parallel_archetypes::dc::skeleton::run_shared;
+mod common;
+
+use common::phase_kinds;
+use parallel_archetypes::core::PhaseKind;
+use parallel_archetypes::dc::skeleton::{run_spmd as dc_spmd, OneDeep};
 use parallel_archetypes::dc::{OneDeepMergesort, OneDeepQuicksort, OneDeepSkyline};
 use parallel_archetypes::mesh::GlobalVar;
-use parallel_archetypes::mp::{run_spmd, MachineModel};
+use parallel_archetypes::mp::{run_spmd, run_spmd_with, MachineModel, Payload, RunConfig};
+
+/// Every rank's phase kinds from a traced one-deep run of `alg`.
+fn one_deep_tracks<A>(alg: &A, blocks: Vec<A::In>) -> Vec<Vec<PhaseKind>>
+where
+    A: OneDeep,
+    A::In: Payload + Clone,
+    A::Mid: Payload,
+    A::SplitSample: Payload + Sync,
+    A::MergeSample: Payload + Sync,
+    A::Out: Send,
+{
+    let out = run_spmd_with(
+        blocks.len(),
+        MachineModel::ibm_sp(),
+        RunConfig::traced(),
+        |ctx| {
+            dc_spmd(alg, ctx, blocks[ctx.rank()].clone());
+        },
+    );
+    out.trace
+        .expect("traced run")
+        .ranks
+        .iter()
+        .map(phase_kinds)
+        .collect()
+}
 
 #[test]
 fn every_one_deep_application_has_split_solve_merge() {
+    use PhaseKind::{Merge, Solve, Split};
     let blocks = vec![vec![3i64, 1], vec![2, 4]];
-
-    let t = PhaseTrace::new();
-    run_shared(&OneDeepMergesort::<i64>::new(), blocks.clone(), Some(&t));
-    assert!(t.matches(&[PhaseKind::Split, PhaseKind::Solve, PhaseKind::Merge]));
-
-    let t = PhaseTrace::new();
-    run_shared(&OneDeepQuicksort::<i64>::new(), blocks, Some(&t));
-    assert!(t.matches(&[PhaseKind::Split, PhaseKind::Solve, PhaseKind::Merge]));
-
-    let t = PhaseTrace::new();
-    run_shared(&OneDeepSkyline, vec![vec![], vec![]], Some(&t));
-    assert!(t.matches(&[PhaseKind::Split, PhaseKind::Solve, PhaseKind::Merge]));
+    let expected = vec![vec![Split, Solve, Merge]; 2];
+    assert_eq!(
+        one_deep_tracks(&OneDeepMergesort::<i64>::new(), blocks.clone()),
+        expected
+    );
+    assert_eq!(
+        one_deep_tracks(&OneDeepQuicksort::<i64>::new(), blocks),
+        expected
+    );
+    assert_eq!(
+        one_deep_tracks(&OneDeepSkyline, vec![vec![], vec![]]),
+        expected
+    );
 }
 
 #[test]
@@ -44,24 +75,33 @@ fn archetype_metadata_is_exposed() {
 #[test]
 fn recursive_dc_trace_is_preorder_over_recursive_dc_phases() {
     use parallel_archetypes::core::archetype::RECURSIVE_DC;
-    use parallel_archetypes::dc::{run_shared_recursive, CutoffPolicy, RecursiveMergesort};
+    use parallel_archetypes::dc::{run_spmd_recursive, CutoffPolicy, RecursiveMergesort};
     use PhaseKind::{Merge, Recurse, Solve};
 
-    let t = PhaseTrace::new();
-    run_shared_recursive(
-        &RecursiveMergesort::<i64>::new(),
-        (0..64i64).rev().collect(),
-        &CutoffPolicy::exact_depth(2, 2),
-        Some(&t),
-    );
-    // Depth-2 binary recursion in deterministic preorder.
-    assert!(
-        t.matches(&[Recurse, Recurse, Solve, Solve, Merge, Recurse, Solve, Solve, Merge, Merge])
-    );
+    let out = run_spmd_with(4, MachineModel::ibm_sp(), RunConfig::traced(), |ctx| {
+        let input = (ctx.rank() == 0).then(|| (0..64i64).rev().collect());
+        let policy = CutoffPolicy::exact_depth(2, 2);
+        run_spmd_recursive(&RecursiveMergesort::<i64>::new(), ctx, input, &policy, None)
+    });
+    assert_eq!(out.results[0], Some((0..64).collect()));
+    let tracks: Vec<Vec<PhaseKind>> = out
+        .trace
+        .expect("traced")
+        .ranks
+        .iter()
+        .map(phase_kinds)
+        .collect();
+    // Depth-2 binary recursion on four ranks: each rank walks its path
+    // from the root to its own leaf, and roots the combines above it.
+    assert_eq!(tracks[0], [Recurse, Recurse, Solve, Merge, Merge]);
+    assert_eq!(tracks[1], [Recurse, Recurse, Solve]);
+    assert_eq!(tracks[2], [Recurse, Recurse, Solve, Merge]);
+    assert_eq!(tracks[3], [Recurse, Recurse, Solve]);
+    assert!(RECURSIVE_DC.grammar.matches(&tracks[0]));
     // Every recorded phase kind belongs to the archetype's vocabulary.
-    for kind in t.kinds() {
+    for kind in tracks.iter().flatten() {
         assert!(
-            RECURSIVE_DC.phases.contains(&kind),
+            RECURSIVE_DC.phases.contains(kind),
             "{kind} is not a recursive-DC phase"
         );
     }

@@ -8,10 +8,14 @@
 
 use proptest::prelude::*;
 
-use parallel_archetypes::compose::{run_plan, try_run_plan, ArchetypeJob, Plan, PlanError, Value};
-use parallel_archetypes::core::{ArchetypeInfo, PhaseTrace};
+use parallel_archetypes::compose::{
+    run_plan, try_run_plan, ArchetypeJob, ComposeConfig, Plan, PlanError, Value,
+};
+use parallel_archetypes::core::ArchetypeInfo;
 use parallel_archetypes::farm::{run_farm, run_farm_ft, Farm, FarmConfig, FtFarmConfig, WorkScope};
-use parallel_archetypes::mp::{run_spmd, run_spmd_ft, CrashSite, Ctx, FaultPlan, MachineModel};
+use parallel_archetypes::mp::{
+    run_spmd, run_spmd_ft, CrashSite, Ctx, FaultPlan, MachineModel, RunConfig,
+};
 use parallel_archetypes::pipeline::{run_pipeline, Pipeline, PipelineConfig, Stage};
 
 // ---------------------------------------------------------------------------
@@ -106,7 +110,7 @@ impl ArchetypeJob for Scale {
     fn estimate_flops(&self, _input: &Value) -> f64 {
         1.0
     }
-    fn run(&self, _ctx: &mut Ctx, input: Value, _trace: Option<&PhaseTrace>) -> Value {
+    fn run(&self, _ctx: &mut Ctx, input: Value) -> Value {
         match input {
             Value::F64(x) => Value::F64(x * self.0 + 1.0),
             other => panic!("scale expects F64, got {}", other.shape()),
@@ -139,12 +143,12 @@ proptest! {
         // fire; schedules past the victim's last order simply never do.
         let config = FtFarmConfig { batch: 4, ..FtFarmConfig::default() };
         let noisy = |plan: FaultPlan| plan.drops(drop_prob).duplicates(dup_prob);
-        let clean = run_spmd_ft(p, MachineModel::ibm_sp(), noisy(FaultPlan::new(seed)), move |ctx| {
+        let clean = run_spmd_ft(p, MachineModel::ibm_sp(), RunConfig::default(), noisy(FaultPlan::new(seed)), move |ctx| {
             run_farm_ft(&Spawner(24), ctx, config)
         });
         prop_assert!(clean.all_ok());
         let plan = noisy(FaultPlan::new(seed)).crash(victim, CrashSite::Phase(k));
-        let faulty = run_spmd_ft(p, MachineModel::ibm_sp(), plan, move |ctx| {
+        let faulty = run_spmd_ft(p, MachineModel::ibm_sp(), RunConfig::default(), plan, move |ctx| {
             run_farm_ft(&Spawner(24), ctx, config)
         });
         let (clean_out, _) = clean.results[0].as_ref().expect("clean run");
@@ -173,7 +177,7 @@ proptest! {
         k in 0u64..3,
     ) {
         let plan = FaultPlan::new(seed).crash(0, CrashSite::Send(k));
-        let out = run_spmd_ft(p, MachineModel::ibm_sp(), plan, |ctx| {
+        let out = run_spmd_ft(p, MachineModel::ibm_sp(), RunConfig::default(), plan, |ctx| {
             run_farm_ft(&Spawner(24), ctx, FtFarmConfig::default())
         });
         for (rank, res) in out.results.iter().enumerate() {
@@ -202,7 +206,7 @@ proptest! {
             )
         });
         let plan = FaultPlan::new(seed).delays(delay_prob, delay_secs);
-        let delayed = run_spmd_ft(p, MachineModel::ibm_sp(), plan, |ctx| {
+        let delayed = run_spmd_ft(p, MachineModel::ibm_sp(), RunConfig::default(), plan, |ctx| {
             (
                 run_farm(&Spawner(16), ctx, FarmConfig::default()).0,
                 run_pipeline(&HeavyOrdered(20), ctx, PipelineConfig::default()).0,
@@ -227,11 +231,11 @@ proptest! {
         k in 0u64..16,
         n in 10u64..40,
     ) {
-        let clean = run_spmd_ft(p, MachineModel::ibm_sp(), FaultPlan::new(n), |ctx| {
+        let clean = run_spmd_ft(p, MachineModel::ibm_sp(), RunConfig::default(), FaultPlan::new(n), |ctx| {
             run_pipeline(&HeavyOrdered(n), ctx, PipelineConfig::default()).0
         });
         let plan = FaultPlan::new(n).crash(victim, CrashSite::Phase(k));
-        let faulty = run_spmd_ft(p, MachineModel::ibm_sp(), plan, |ctx| {
+        let faulty = run_spmd_ft(p, MachineModel::ibm_sp(), RunConfig::default(), plan, |ctx| {
             run_pipeline(&HeavyOrdered(n), ctx, PipelineConfig::default()).0
         });
         let clean_out = clean.results[0].as_ref().expect("clean run");
@@ -261,8 +265,8 @@ proptest! {
             run_plan(ctx, &two_stage_plan(), Value::F64(2.0))
         });
         let plan = FaultPlan::new(seed).fail_atom(node, times);
-        let out = run_spmd_ft(p, MachineModel::ibm_sp(), plan, |ctx| {
-            try_run_plan(ctx, &two_stage_plan(), Value::F64(2.0))
+        let out = run_spmd_ft(p, MachineModel::ibm_sp(), RunConfig::default(), plan, |ctx| {
+            try_run_plan(ctx, &two_stage_plan(), Value::F64(2.0), ComposeConfig::default())
         });
         prop_assert_eq!(out.leaked_messages, 0);
         let (clean_value, _) = &clean.results[0];
@@ -303,7 +307,7 @@ proptest! {
                 .delays(delay_prob, 1e-4)
                 .crash(victim, CrashSite::Phase(k))
         };
-        let run = || run_spmd_ft(p, MachineModel::cray_t3d(), mk(), |ctx| {
+        let run = || run_spmd_ft(p, MachineModel::cray_t3d(), RunConfig::default(), mk(), |ctx| {
             run_farm_ft(&Spawner(20), ctx, FtFarmConfig::default())
         });
         let a = run();

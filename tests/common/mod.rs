@@ -1,10 +1,43 @@
 //! Shared helpers and fixtures for the integration-test suites.
 #![allow(dead_code)] // each suite uses its own subset
 
+use parallel_archetypes::core::PhaseKind;
 use parallel_archetypes::farm::{Farm, WorkScope};
-use parallel_archetypes::mp::{ProcessGrid2, SpmdResult};
+use parallel_archetypes::mp::{ProcessGrid2, RankTrace, SpmdResult};
 use parallel_archetypes::pipeline::apps::{ChunkedStream, Digest, ImageChain, ImageSummary};
 use parallel_archetypes::pipeline::{Pipeline, Stage as PipeStage};
+
+/// The phase kinds one rank recorded, in order: the sentence its
+/// archetype's grammar checks. Panics when the rank's ring dropped
+/// events, since a partial track proves nothing.
+pub fn phase_kinds(track: &RankTrace) -> Vec<PhaseKind> {
+    track
+        .phases()
+        .unwrap_or_else(|e| panic!("{e}"))
+        .iter()
+        .map(|(name, _)| PhaseKind::from_name(name).expect("every recorded kind is a PhaseKind"))
+        .collect()
+}
+
+/// A traced run with each rank's result paired with the phase kinds its
+/// track recorded, so a determinism snapshot compares the traces too.
+pub fn with_phases<R>(out: SpmdResult<R>) -> SpmdResult<(R, Vec<PhaseKind>)> {
+    let trace = out.trace.expect("a traced run carries its trace");
+    SpmdResult {
+        results: out
+            .results
+            .into_iter()
+            .zip(&trace.ranks)
+            .map(|(r, track)| (r, phase_kinds(track)))
+            .collect(),
+        elapsed_virtual: out.elapsed_virtual,
+        rank_times: out.rank_times,
+        stats: out.stats,
+        wall_us: out.wall_us,
+        recv_counts: out.recv_counts,
+        trace: None,
+    }
+}
 
 /// Run `run` twice and assert the two executions are bit-identical: the
 /// per-rank results (which may bundle traces and statistics), every

@@ -11,10 +11,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parallel_archetypes::compose::{
-    run_plan_traced, ArchetypeJob, Plan, PlanService, PoissonJob, ServeConfig, Value,
+    run_plan, ArchetypeJob, Plan, PlanService, PoissonJob, ServeConfig, Value,
 };
 use parallel_archetypes::core::archetype::ONE_DEEP_DC;
-use parallel_archetypes::core::{ArchetypeInfo, ExecutionMode, PhaseTrace};
+use parallel_archetypes::core::{ArchetypeInfo, ExecutionMode};
 use parallel_archetypes::dc::recursive::{
     run_shared as run_recursive_shared, run_spmd_recursive, CutoffPolicy, Recursive,
 };
@@ -428,7 +428,7 @@ fn a_mergesort_allocates_its_split_off_tails_and_no_merged_run() {
             let (sorted, _, bytes) = allocations_of(|| {
                 if p == 1 {
                     let policy = CutoffPolicy::exact_depth(3, 2);
-                    input.map(|k| run_recursive_shared(&alg, k, &policy, None))
+                    input.map(|k| run_recursive_shared(&alg, k, &policy))
                 } else {
                     let policy = CutoffPolicy::exact_depth(p.ilog2() as usize, 2);
                     run_spmd_recursive(&alg, ctx, input, &policy, None)
@@ -477,23 +477,29 @@ fn poisson_plan(max_iters: usize) -> Plan {
 
 #[test]
 fn an_untraced_plan_run_allocates_nothing_per_iteration() {
-    let allocations = |max_iters: usize, traced: bool| {
+    let allocations = |max_iters: usize, config: RunConfig| {
         let plan = poisson_plan(max_iters);
-        let trace = PhaseTrace::new();
-        let out = run_spmd(1, MachineModel::ibm_sp(), |ctx| {
-            let trace = traced.then_some(&trace);
-            allocations_of(|| run_plan_traced(ctx, &plan, Value::Unit, trace)).1
+        let out = run_spmd_with(1, MachineModel::ibm_sp(), config, |ctx| {
+            allocations_of(|| run_plan(ctx, &plan, Value::Unit)).1
         });
+        if let Some(trace) = &out.trace {
+            assert_eq!(trace.total_dropped(), 0, "the ring held every event");
+        }
         out.results[0]
     };
-    assert!(allocations(10, false) > 0);
-    assert_eq!(
-        allocations(10, false),
-        allocations(100, false),
-        "nobody reads an untraced run's phases, so none may be built"
-    );
-    // A reader pays for what it reads: three labelled phases a sweep.
-    assert!(allocations(100, true) >= allocations(10, true) + 3 * 90);
+    for (config, run) in [
+        (RunConfig::default(), "an untraced run"),
+        (RunConfig::traced(), "a traced run"),
+    ] {
+        assert!(allocations(10, config) > 0);
+        // Three phases a sweep when traced, but their labels are inline
+        // and the ring is preallocated: a phase costs no allocation.
+        assert_eq!(
+            allocations(10, config),
+            allocations(100, config),
+            "{run} allocates per sweep"
+        );
+    }
 }
 
 /// Publishes the serving rank's allocation count when it runs, so two of
@@ -516,7 +522,7 @@ impl ArchetypeJob for AllocationProbe {
         1.0
     }
 
-    fn run(&self, _ctx: &mut Ctx, _input: (), _trace: Option<&PhaseTrace>) {
+    fn run(&self, _ctx: &mut Ctx, _input: ()) {
         self.0.store(ALLOCATED.with(Cell::get).0, Ordering::Relaxed);
     }
 }

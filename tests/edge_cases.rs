@@ -35,7 +35,7 @@ fn one_deep_with_more_processes_than_items() {
     let mut input = vec![Vec::new(); 8];
     input[2] = vec![5];
     input[5] = vec![1, 9];
-    let out = run_shared(&alg, input.clone(), None);
+    let out = run_shared(&alg, input.clone());
     let flat: Vec<i64> = out.iter().flatten().copied().collect();
     assert_eq!(flat, vec![1, 5, 9]);
     // SPMD too.
@@ -56,7 +56,7 @@ fn hull_of_collinear_points_through_the_skeleton() {
     let direct = convex_hull(&pts);
     assert_eq!(direct.len(), 2);
     let inputs: Vec<Vec<Point>> = pts.chunks(10).map(<[Point]>::to_vec).collect();
-    let out = run_shared(&OneDeepHull::new(), inputs, None);
+    let out = run_shared(&OneDeepHull::new(), inputs);
     for block in &out {
         assert_eq!(block, &direct);
     }

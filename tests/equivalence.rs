@@ -9,10 +9,10 @@
 use proptest::prelude::*;
 
 use parallel_archetypes::compose::{
-    forecast_input, forecast_plan, run_plan, run_plan_traced, run_plan_with, ComposeConfig,
-    ForecastConfig, ParMode, Plan, PoissonJob, SweepJob, Value,
+    forecast_input, forecast_plan, run_plan, try_run_plan, ComposeConfig, ForecastConfig, ParMode,
+    Plan, PoissonJob, SweepJob, Value,
 };
-use parallel_archetypes::core::{ExecutionMode, PhaseTrace};
+use parallel_archetypes::core::ExecutionMode;
 use parallel_archetypes::dc::skeleton::{run_shared, run_spmd as dc_spmd};
 use parallel_archetypes::dc::{
     concat_skyline, global_closest, sequential_closest, sequential_mergesort, sequential_skyline,
@@ -23,10 +23,12 @@ use parallel_archetypes::farm::apps::sweep::GridSweepFarm;
 use parallel_archetypes::mesh::apps::airshed::{airshed_shared, airshed_spmd, AirshedSpec};
 use parallel_archetypes::mesh::apps::cfd::{cfd_shared, cfd_spmd, shock_sine_init, CfdSpec};
 use parallel_archetypes::mesh::apps::poisson::{poisson_shared, poisson_spmd, sine_problem};
-use parallel_archetypes::mp::{run_spmd, MachineModel, ProcessGrid2};
+use parallel_archetypes::mp::{run_spmd, run_spmd_with, MachineModel, ProcessGrid2, RunConfig};
 
 mod common;
-use common::{assert_bit_identical_runs, grid_for, AddStage, NStage, SpawnFarm};
+use common::{
+    assert_bit_identical_runs, grid_for, phase_kinds, with_phases, AddStage, NStage, SpawnFarm,
+};
 
 fn int_blocks(nblocks: usize, per: usize, seed: i64) -> Vec<Vec<i64>> {
     (0..nblocks)
@@ -43,7 +45,7 @@ fn mergesort_three_way_equivalence() {
     let alg = OneDeepMergesort::<i64>::new();
     for p in [1usize, 2, 5, 8] {
         let input = int_blocks(p, 400, 7);
-        let seq = run_shared(&alg, input.clone(), None);
+        let seq = run_shared(&alg, input.clone());
         let spmd = run_spmd(p, MachineModel::intel_delta(), |ctx| {
             let alg = OneDeepMergesort::<i64>::new();
             dc_spmd(&alg, ctx, input[ctx.rank()].clone())
@@ -62,7 +64,7 @@ fn quicksort_three_way_equivalence() {
     let alg = OneDeepQuicksort::<i64>::new();
     for p in [1usize, 3, 4, 7] {
         let input = int_blocks(p, 300, 99);
-        let seq = run_shared(&alg, input.clone(), None);
+        let seq = run_shared(&alg, input.clone());
         let spmd = run_spmd(p, MachineModel::ibm_sp(), |ctx| {
             let alg = OneDeepQuicksort::<i64>::new();
             dc_spmd(&alg, ctx, input[ctx.rank()].clone())
@@ -89,7 +91,7 @@ fn skyline_three_way_equivalence() {
         })
         .collect();
     let all: Vec<Building> = inputs.iter().flatten().copied().collect();
-    let seq = run_shared(&OneDeepSkyline, inputs.clone(), None);
+    let seq = run_shared(&OneDeepSkyline, inputs.clone());
     let spmd = run_spmd(5, MachineModel::ibm_sp(), |ctx| {
         dc_spmd(&OneDeepSkyline, ctx, inputs[ctx.rank()].clone())
     })
@@ -108,14 +110,14 @@ fn hull_and_closest_pair_equivalence() {
         .collect();
     let inputs: Vec<Vec<Point>> = pts.chunks(100).map(<[Point]>::to_vec).collect();
 
-    let hull_seq = run_shared(&OneDeepHull::new(), inputs.clone(), None);
+    let hull_seq = run_shared(&OneDeepHull::new(), inputs.clone());
     let hull_spmd = run_spmd(4, MachineModel::ibm_sp(), |ctx| {
         dc_spmd(&OneDeepHull::new(), ctx, inputs[ctx.rank()].clone())
     })
     .results;
     assert_eq!(hull_seq, hull_spmd);
 
-    let close_seq = run_shared(&OneDeepClosest::new(), inputs.clone(), None);
+    let close_seq = run_shared(&OneDeepClosest::new(), inputs.clone());
     let close_spmd = run_spmd(4, MachineModel::ibm_sp(), |ctx| {
         dc_spmd(&OneDeepClosest::new(), ctx, inputs[ctx.rank()].clone())
     })
@@ -203,32 +205,35 @@ fn recursive_dc_runs_are_bit_identical() {
     // Determinism of the recursive skeleton on nested groups: repeated
     // runs of the same program produce bit-identical results, virtual
     // clocks, statistics, and per-rank phase traces.
-    use parallel_archetypes::core::PhaseTrace;
     use parallel_archetypes::dc::{run_spmd_recursive, CutoffPolicy, RecursiveMergesort};
 
     let input = int_blocks(1, 3000, 17).pop().unwrap();
     let policy = CutoffPolicy::new(2, 64, 10);
     let a = assert_bit_identical_runs("recursive dc", || {
         let inp = input.clone();
-        run_spmd(6, MachineModel::intel_delta(), move |ctx| {
-            let local = (ctx.rank() == 0).then(|| inp.clone());
-            let trace = PhaseTrace::new();
-            let result = run_spmd_recursive(
-                &RecursiveMergesort::<i64>::new(),
-                ctx,
-                local,
-                &policy,
-                Some(&trace),
-            );
-            // Results, per-rank phase traces, and traffic statistics all
-            // ride inside the snapshot comparison.
-            let stats = ctx.stats();
-            (result, trace.kinds(), stats.msgs_sent, stats.bytes_sent)
-        })
+        // Results, per-rank phase traces, and traffic statistics all
+        // ride inside the snapshot comparison.
+        with_phases(run_spmd_with(
+            6,
+            MachineModel::intel_delta(),
+            RunConfig::traced(),
+            move |ctx| {
+                let local = (ctx.rank() == 0).then(|| inp.clone());
+                let result = run_spmd_recursive(
+                    &RecursiveMergesort::<i64>::new(),
+                    ctx,
+                    local,
+                    &policy,
+                    None,
+                );
+                let stats = ctx.stats();
+                (result, stats.msgs_sent, stats.bytes_sent)
+            },
+        ))
     });
     // And the answer is right.
     let reference = sequential_mergesort(input.clone());
-    assert_eq!(a.results[0].0.as_ref().unwrap(), &reference);
+    assert_eq!(a.results[0].0 .0.as_ref().unwrap(), &reference);
 }
 
 #[test]
@@ -266,23 +271,25 @@ fn pipeline_runs_are_bit_identical() {
     // stream produce bit-identical summaries, statistics, virtual
     // clocks, and per-rank phase traces — reusing the shared snapshot
     // helper rather than a fourth hand-rolled copy.
-    use parallel_archetypes::core::PhaseTrace;
     use parallel_archetypes::pipeline::apps::ImageChain;
-    use parallel_archetypes::pipeline::{run_pipeline_traced, run_sequential, PipelineConfig};
+    use parallel_archetypes::pipeline::{run_pipeline, run_sequential, PipelineConfig};
 
     let chain = ImageChain::new(96, 64, 16, 6);
     let a = assert_bit_identical_runs("pipeline image chain", || {
         let c = chain.clone();
-        run_spmd(7, MachineModel::intel_delta(), move |ctx| {
-            let trace = PhaseTrace::new();
-            let (summary, stats) =
-                run_pipeline_traced(&c, ctx, PipelineConfig::default(), Some(&trace));
-            (summary, stats, trace.kinds(), ctx.stats().msgs_sent)
-        })
+        with_phases(run_spmd_with(
+            7,
+            MachineModel::intel_delta(),
+            RunConfig::traced(),
+            move |ctx| {
+                let (summary, stats) = run_pipeline(&c, ctx, PipelineConfig::default());
+                (summary, stats, ctx.stats().msgs_sent)
+            },
+        ))
     });
     // And the summary matches the host-side sequential oracle.
     let (reference, _) = run_sequential(&chain);
-    assert_eq!(a.results[0].0, reference);
+    assert_eq!(a.results[0].0 .0, reference);
 }
 
 #[test]
@@ -409,7 +416,7 @@ fn composed_plan_results_and_stats_are_process_count_and_schedule_invariant() {
     for p in [2usize, 3, 5, 7, 8] {
         for mode in [ParMode::Allocate, ParMode::Serialize] {
             let out = run_spmd(p, MachineModel::cray_t3d(), move |ctx| {
-                run_plan_with(
+                try_run_plan(
                     ctx,
                     &forecast_plan(forecast_mini()),
                     forecast_input(),
@@ -417,11 +424,10 @@ fn composed_plan_results_and_stats_are_process_count_and_schedule_invariant() {
                         par: mode,
                         ..ComposeConfig::default()
                     },
-                    None,
                 )
             });
             for (r, got) in out.results.iter().enumerate() {
-                assert_eq!(got, &reference, "p={p} mode={mode:?} rank={r}");
+                assert_eq!(got, &Ok(reference.clone()), "p={p} mode={mode:?} rank={r}");
             }
         }
     }
@@ -446,9 +452,8 @@ fn nested_plan() -> Plan {
 #[test]
 fn a_traced_plan_run_is_the_untraced_run_bit_for_bit() {
     // Phases are a diagnostic, recorded for a reader and never priced as
-    // traffic: asking for the composite trace changes no value, no
-    // statistic, no byte sent and no clock. (The atoms' own traced
-    // drivers may allocate; nothing the model sees moves.)
+    // traffic: tracing the run changes no value, no statistic, no byte
+    // sent and no clock.
     let plans = [
         ("forecast", forecast_plan(forecast_mini()), forecast_input()),
         ("nested", nested_plan(), Value::Unit),
@@ -460,15 +465,18 @@ fn a_traced_plan_run_is_the_untraced_run_bit_for_bit() {
                     par: mode,
                     ..ComposeConfig::default()
                 };
-                let trace = PhaseTrace::new();
-                let run = |trace: Option<&PhaseTrace>| {
-                    run_spmd(p, MachineModel::ibm_sp(), |ctx| {
-                        run_plan_with(ctx, plan, input.clone(), config, trace)
+                let run = |run_config: RunConfig| {
+                    run_spmd_with(p, MachineModel::ibm_sp(), run_config, |ctx| {
+                        try_run_plan(ctx, plan, input.clone(), config)
                     })
                 };
-                let (plain, traced) = (run(None), run(Some(&trace)));
+                let (plain, traced) = (run(RunConfig::default()), run(RunConfig::traced()));
                 let at = format!("{name} p={p} {mode:?}");
-                assert!(!trace.phases().is_empty(), "{at}: the trace was recorded");
+                let trace = traced.trace.as_ref().expect("traced run");
+                assert!(
+                    !phase_kinds(&trace.ranks[0]).is_empty(),
+                    "{at}: the trace was recorded"
+                );
                 assert_eq!(
                     plain.results, traced.results,
                     "{at}: value and ComposeStats"
@@ -491,48 +499,16 @@ fn a_traced_plan_run_is_the_untraced_run_bit_for_bit() {
             }
         }
     }
-    // The two-argument entry points are the same run.
-    let trace = PhaseTrace::new();
+    // The panicking entry point is the same run.
     let (plan, input) = (&plans[1].1, &plans[1].2);
     let plain = run_spmd(5, MachineModel::ibm_sp(), |ctx| {
         run_plan(ctx, plan, input.clone())
     });
-    let traced = run_spmd(5, MachineModel::ibm_sp(), |ctx| {
-        run_plan_traced(ctx, plan, input.clone(), Some(&trace))
+    let configured = run_spmd(5, MachineModel::ibm_sp(), |ctx| {
+        try_run_plan(ctx, plan, input.clone(), ComposeConfig::default()).expect("no fault plan")
     });
-    assert_eq!(plain.results, traced.results);
-    assert_eq!(plain.stats.per_rank, traced.stats.per_rank);
-}
-
-#[test]
-fn a_trace_passed_on_rank_zero_only_is_still_the_complete_composite_trace() {
-    // Only rank 0's `trace` argument is read, like `input`: the verdict
-    // travels with each branch input, so branch roots on other ranks
-    // record their slices although they were handed `None`.
-    for (name, plan, input) in [
-        ("forecast", forecast_plan(forecast_mini()), forecast_input()),
-        ("nested", nested_plan(), Value::Unit),
-    ] {
-        for p in [1usize, 2, 3, 5, 8] {
-            let phases_when = |passed_on: fn(usize) -> bool| {
-                let trace = PhaseTrace::new();
-                run_spmd(p, MachineModel::ibm_sp(), |ctx| {
-                    let t = passed_on(ctx.rank()).then_some(&trace);
-                    run_plan_traced(ctx, &plan, input.clone(), t)
-                });
-                trace.phases()
-            };
-            let everywhere = phases_when(|_| true);
-            assert!(
-                plan.grammar()
-                    .matches(&everywhere.iter().map(|ph| ph.kind).collect::<Vec<_>>()),
-                "{name} p={p}: the composite trace conforms"
-            );
-            assert_eq!(phases_when(|rank| rank == 0), everywhere, "{name} p={p}");
-            // And a trace rank 0 did not ask for is not recorded at all.
-            assert_eq!(phases_when(|rank| rank != 0), Vec::new(), "{name} p={p}");
-        }
-    }
+    assert_eq!(plain.results, configured.results);
+    assert_eq!(plain.stats.per_rank, configured.stats.per_rank);
 }
 
 // ---------------------------------------------------------------------------
@@ -552,9 +528,8 @@ proptest! {
         roots in 0u64..24,
         spawn in 0u64..5,
     ) {
-        use parallel_archetypes::core::PhaseTrace;
         use parallel_archetypes::farm::apps::GridSweepFarm;
-        use parallel_archetypes::farm::{run_farm, run_farm_traced, FarmConfig};
+        use parallel_archetypes::farm::{run_farm, FarmConfig};
 
         // Score-table farm: irregular costs, order-canonicalized output.
         let farm = GridSweepFarm { lo: -1.0, hi: 2.0, points };
@@ -573,12 +548,10 @@ proptest! {
         // trace must be the same sentence every run.
         let farm = SpawnFarm { roots, spawn };
         assert_bit_identical_runs(&format!("spawn farm p={p}"), || {
-            run_spmd(p, MachineModel::cray_t3d(), |ctx| {
+            with_phases(run_spmd_with(p, MachineModel::cray_t3d(), RunConfig::traced(), |ctx| {
                 let config = FarmConfig { steal, ..FarmConfig::default() };
-                let trace = PhaseTrace::new();
-                let out = run_farm_traced(&farm, ctx, config, Some(&trace)).0;
-                (out, trace.kinds())
-            })
+                run_farm(&farm, ctx, config).0
+            }))
         });
     }
 

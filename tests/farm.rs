@@ -5,16 +5,16 @@
 
 use parallel_archetypes::bnb::{knapsack_dp, solve_farm, solve_sequential, Knapsack};
 use parallel_archetypes::core::archetype::TASK_FARM;
-use parallel_archetypes::core::{PhaseKind, PhaseTrace};
+use parallel_archetypes::core::PhaseKind;
 use parallel_archetypes::farm::apps::{GridSweepFarm, MandelbrotFarm, SweepFarm};
-use parallel_archetypes::farm::{run_farm, run_farm_traced, Farm, FarmConfig};
-use parallel_archetypes::mp::{run_spmd, MachineModel};
+use parallel_archetypes::farm::{run_farm, Farm, FarmConfig};
+use parallel_archetypes::mp::{run_spmd, run_spmd_with, MachineModel, RunConfig};
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 mod common;
-use common::assert_bit_identical_runs;
+use common::{assert_bit_identical_runs, phase_kinds};
 
 #[test]
 fn farm_archetype_metadata_is_exposed() {
@@ -38,18 +38,19 @@ fn farm_archetype_metadata_is_exposed() {
 
 #[test]
 fn farm_run_follows_the_archetype_phase_pattern() {
-    let trace = PhaseTrace::new();
     let farm = MandelbrotFarm::classic(32, 32, 8, 100);
-    run_spmd(4, MachineModel::ibm_sp(), |ctx| {
-        run_farm_traced(&farm, ctx, FarmConfig::default(), Some(&trace)).0
+    let out = run_spmd_with(4, MachineModel::ibm_sp(), RunConfig::traced(), |ctx| {
+        run_farm(&farm, ctx, FarmConfig::default()).0
     });
-    let kinds = trace.kinds();
-    assert_eq!(kinds.first(), Some(&PhaseKind::Seed));
-    assert_eq!(kinds.last(), Some(&PhaseKind::Terminate));
-    assert!(kinds.contains(&PhaseKind::Work));
-    assert!(kinds.contains(&PhaseKind::Steal));
-    // Every phase the farm records belongs to its archetype vocabulary.
-    assert!(kinds.iter().all(|k| TASK_FARM.phases.contains(k)));
+    for track in &out.trace.expect("traced run").ranks {
+        let kinds = phase_kinds(track);
+        assert_eq!(kinds.first(), Some(&PhaseKind::Seed));
+        assert_eq!(kinds.last(), Some(&PhaseKind::Terminate));
+        assert!(kinds.contains(&PhaseKind::Work));
+        assert!(kinds.contains(&PhaseKind::Steal));
+        // Every phase the farm records belongs to its archetype vocabulary.
+        assert!(kinds.iter().all(|k| TASK_FARM.phases.contains(k)));
+    }
 }
 
 #[test]

@@ -56,7 +56,6 @@ proptest! {
             &RecursiveMergesort::<i64>::new(),
             input.clone(),
             &policy,
-            None,
         );
         prop_assert_eq!(&shared, &expected);
 
@@ -90,7 +89,6 @@ proptest! {
             &RecursiveQuicksort::<i64>::new(),
             input.clone(),
             &policy,
-            None,
         );
         prop_assert_eq!(&shared, &expected);
 
@@ -127,7 +125,6 @@ proptest! {
             &RecursiveClosest::new(),
             pts.clone(),
             &policy,
-            None,
         );
         prop_assert!(
             close(shared.best, expected),

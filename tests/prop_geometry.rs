@@ -46,7 +46,7 @@ proptest! {
     #[test]
     fn skyline_matches_brute_force_heights(blocks in arb_building_blocks()) {
         let all: Vec<Building> = blocks.iter().flatten().copied().collect();
-        let out = run_shared(&OneDeepSkyline, blocks, None);
+        let out = run_shared(&OneDeepSkyline, blocks);
         let sky = concat_skyline(&out);
 
         // Canonical form: strictly increasing x, no consecutive equal
@@ -102,7 +102,7 @@ proptest! {
         let per = pts.len().div_ceil(nblocks);
         let mut inputs: Vec<Vec<Point>> = pts.chunks(per).map(<[Point]>::to_vec).collect();
         inputs.resize(nblocks, Vec::new());
-        let out = run_shared(&OneDeepHull::new(), inputs, None);
+        let out = run_shared(&OneDeepHull::new(), inputs);
         for block in &out {
             prop_assert_eq!(block, &expected);
         }
@@ -114,7 +114,7 @@ proptest! {
         let per = pts.len().div_ceil(nblocks);
         let mut inputs: Vec<Vec<Point>> = pts.chunks(per).map(<[Point]>::to_vec).collect();
         inputs.resize(nblocks, Vec::new());
-        let out = run_shared(&OneDeepClosest::new(), inputs, None);
+        let out = run_shared(&OneDeepClosest::new(), inputs);
         let got = global_closest(&out);
         prop_assert!((got - expected).abs() < 1e-9, "{} vs {}", got, expected);
     }

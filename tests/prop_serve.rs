@@ -15,7 +15,7 @@ use parallel_archetypes::compose::{
     pack_waves, ArchetypeJob, Plan, PlanService, ServeConfig, Value, Wave,
 };
 use parallel_archetypes::core::archetype::ONE_DEEP_DC;
-use parallel_archetypes::core::{ArchetypeInfo, PhaseTrace};
+use parallel_archetypes::core::ArchetypeInfo;
 use parallel_archetypes::mp::{Ctx, MachineModel, RunConfig};
 
 // ---------------------------------------------------------------------------
@@ -173,7 +173,7 @@ impl ArchetypeJob for Fold {
         self.weight
     }
 
-    fn run(&self, _ctx: &mut Ctx, input: Value, _trace: Option<&PhaseTrace>) -> Value {
+    fn run(&self, _ctx: &mut Ctx, input: Value) -> Value {
         Value::F64(fold_value(&input) * 1.5 + self.weight)
     }
 

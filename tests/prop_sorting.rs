@@ -79,7 +79,7 @@ proptest! {
     fn one_deep_mergesort_sorts_any_input(blocks in arb_blocks()) {
         let alg = OneDeepMergesort::<i64>::new();
         let expected = sorted_copy(&blocks);
-        let out = run_shared(&alg, blocks, None);
+        let out = run_shared(&alg, blocks);
         // Concatenation is the sorted permutation of the input.
         let flat: Vec<i64> = out.iter().flatten().copied().collect();
         prop_assert_eq!(flat, expected);
@@ -95,7 +95,7 @@ proptest! {
     fn one_deep_quicksort_sorts_any_input(blocks in arb_blocks()) {
         let alg = OneDeepQuicksort::<i64>::new();
         let expected = sorted_copy(&blocks);
-        let out = run_shared(&alg, blocks, None);
+        let out = run_shared(&alg, blocks);
         let flat: Vec<i64> = out.iter().flatten().copied().collect();
         prop_assert_eq!(flat, expected);
     }
@@ -167,7 +167,7 @@ proptest! {
     ) {
         let alg = OneDeepMergesort::<i64>::with_oversample(oversample);
         let expected = sorted_copy(&blocks);
-        let out = run_shared(&alg, blocks, None);
+        let out = run_shared(&alg, blocks);
         let flat: Vec<i64> = out.iter().flatten().copied().collect();
         prop_assert_eq!(flat, expected);
     }
