@@ -6,11 +6,11 @@ use std::sync::Arc;
 use crate::fault::{CrashSite, FaultPlan, InjectedCrash, RankDead};
 use crate::mailbox::Mailbox;
 use crate::model::MachineModel;
-use crate::packet::{InlineValue, Packet, PacketBody};
+use crate::packet::{Packet, PacketBody, PayloadCell};
 use crate::payload::{Payload, PayloadArena, Shared};
 use crate::stats::RankStats;
 use crate::trace::{TraceEvent, TraceRecorder};
-use crate::transport::{publish_fence, SpscSender};
+use crate::transport::{publish_fence, LinkSender};
 
 /// Message tag. Tags with the top bit set are reserved for collectives.
 pub type Tag = u64;
@@ -30,10 +30,11 @@ pub struct Ctx {
     /// `senders[dest]` is the link on which *this* rank sends to `dest`:
     /// only this rank's thread ever pushes on it, which is the
     /// single-producer contract [`Ctx::push`] relies on.
-    senders: Vec<SpscSender<Packet>>,
+    senders: Vec<LinkSender>,
     mailbox: Mailbox,
     /// This rank's payload-box freelist: `send` allocates from it for
-    /// payloads too large for the packet (see [`Ctx::body_of`]),
+    /// payloads that fit neither the packet nor its cell (see
+    /// [`Ctx::body_of`]),
     /// `recv` returns emptied blocks to it, and it travels with the
     /// mailbox through the network-recycle cache so steady-state
     /// messaging allocates nothing (see
@@ -86,7 +87,7 @@ impl Ctx {
     pub(crate) fn new(
         rank: usize,
         nprocs: usize,
-        senders: Vec<SpscSender<Packet>>,
+        senders: Vec<LinkSender>,
         mailbox: Mailbox,
         arena: PayloadArena,
         model: MachineModel,
@@ -303,7 +304,7 @@ impl Ctx {
     }
 
     /// Charge send-side costs and put a packet on the wire to `to`.
-    fn send_packet(&mut self, to: usize, tag: Tag, bytes: usize, body: PacketBody) {
+    fn send_packet(&mut self, to: usize, tag: Tag, bytes: usize, body: (PacketBody, PayloadCell)) {
         self.try_send_packet(to, tag, bytes, body)
             .expect("receiving rank's mailbox closed (rank panicked?)");
     }
@@ -315,7 +316,7 @@ impl Ctx {
         to: usize,
         tag: Tag,
         bytes: usize,
-        body: PacketBody,
+        body: (PacketBody, PayloadCell),
     ) -> Result<(), RankDead> {
         self.try_send_packet_inner(to, tag, bytes, body, false)
     }
@@ -324,13 +325,14 @@ impl Ctx {
     /// publishes without the per-message fence/wake handshake — the
     /// fan-out collectives' batching hook (see [`Ctx::finish_fanout`]);
     /// all clock/stats accounting is identical either way, which is what
-    /// keeps batched fan-outs bit-identical to per-message sends.
+    /// keeps batched fan-outs bit-identical to per-message sends. `cell`
+    /// goes on the link beside the packet (see [`PacketBody::of`]).
     fn try_send_packet_inner(
         &mut self,
         to: usize,
         tag: Tag,
         bytes: usize,
-        body: PacketBody,
+        (body, cell): (PacketBody, PayloadCell),
         quiet: bool,
     ) -> Result<(), RankDead> {
         assert!(to < self.nprocs, "send to rank {to} out of range");
@@ -362,15 +364,21 @@ impl Ctx {
             arrival_time,
             body,
         };
-        self.push(to, pkt, quiet)
+        self.push(to, pkt, cell, quiet)
             .map_err(|_| RankDead { rank: dest })
     }
 
-    /// Put `pkt` on the link to scope rank `to` — the one place a mesh
-    /// link is pushed. `quiet` skips the per-message fence/wake (see
-    /// [`Ctx::finish_fanout`]). Hands the packet back when the
-    /// destination's mailbox has been torn down.
-    fn push(&mut self, to: usize, pkt: Packet, quiet: bool) -> Result<(), Packet> {
+    /// Put `pkt` and its cell on the link to scope rank `to` — the one
+    /// place a mesh link is pushed. `quiet` skips the per-message
+    /// fence/wake (see [`Ctx::finish_fanout`]). Hands the packet back
+    /// when the destination's mailbox has been torn down.
+    fn push(
+        &mut self,
+        to: usize,
+        pkt: Packet,
+        cell: PayloadCell,
+        quiet: bool,
+    ) -> Result<(), Packet> {
         let tx = &self.senders[to];
         // SAFETY: sends on one link never run concurrently. Every handle
         // of link `(src, dst)` lives in rank `src`'s `Ctx` — the runner
@@ -381,9 +389,9 @@ impl Ctx {
         // dispatch, which order the previous owner's pushes before ours.
         unsafe {
             if quiet {
-                tx.send_publish(pkt)
+                tx.send_publish_with(pkt, cell)
             } else {
-                tx.send(pkt)
+                tx.send_with(pkt, cell)
             }
         }
     }
@@ -407,8 +415,11 @@ impl Ctx {
         value: &Shared<T>,
     ) {
         let bytes = value.size_bytes();
-        let arc = std::sync::Arc::clone(value.as_arc());
-        self.try_send_packet_inner(to, tag, bytes, PacketBody::Shared(arc), true)
+        let body = (
+            PacketBody::Shared(value.as_arc().clone()),
+            PayloadCell::EMPTY,
+        );
+        self.try_send_packet_inner(to, tag, bytes, body, true)
             .expect("receiving rank's mailbox closed (rank panicked?)");
     }
 
@@ -426,7 +437,7 @@ impl Ctx {
     /// True while every rank of this scope can still receive: a rank
     /// that died dropped its mailbox, closing its end of every link.
     pub(crate) fn peers_alive(&self) -> bool {
-        self.senders.iter().all(SpscSender::receiver_alive)
+        self.senders.iter().all(LinkSender::receiver_alive)
     }
 
     /// Fault hooks on the send path: count the operation, fire a
@@ -535,14 +546,15 @@ impl Ctx {
     }
 
     /// Block for the next matching packet and charge receive-side costs.
-    fn recv_packet(&mut self, from: usize, tag: Tag) -> Packet {
+    /// A [`PacketBody::Cell`] packet's cell is copied to `cell`.
+    fn recv_packet(&mut self, from: usize, tag: Tag, cell: &mut PayloadCell) -> Packet {
         assert!(from < self.nprocs, "recv from rank {from} out of range");
         if self.fault_hot {
             self.fault_recv_hook();
         }
         let vt_posted = self.clock;
         let sender = self.peers[from];
-        let pkt = self.mailbox.recv_matching(sender, self.scope, tag);
+        let pkt = self.mailbox.recv_matching(sender, self.scope, tag, cell);
         self.settle_recv(pkt.arrival_time);
         if self.trace_hot {
             self.trace_recv(sender, &pkt, vt_posted);
@@ -554,7 +566,12 @@ impl Ctx {
     /// died with no matching message in flight. No receive-side time is
     /// charged on the error path — the caller models its own detection
     /// timeout, keeping clocks deterministic.
-    fn try_recv_packet(&mut self, from: usize, tag: Tag) -> Result<Packet, RankDead> {
+    fn try_recv_packet(
+        &mut self,
+        from: usize,
+        tag: Tag,
+        cell: &mut PayloadCell,
+    ) -> Result<Packet, RankDead> {
         assert!(from < self.nprocs, "recv from rank {from} out of range");
         if self.fault_hot {
             self.fault_recv_hook();
@@ -563,7 +580,7 @@ impl Ctx {
         let sender = self.peers[from];
         let pkt = self
             .mailbox
-            .try_recv_matching(sender, self.scope, tag)
+            .try_recv_matching(sender, self.scope, tag, cell)
             .map_err(|_| RankDead { rank: sender })?;
         self.settle_recv(pkt.arrival_time);
         if self.trace_hot {
@@ -581,21 +598,31 @@ impl Ctx {
         )
     }
 
-    /// The packet body carrying `value`: inline when `T` fits in the
-    /// packet ([`InlineValue::fits`], a constant per type), else a box
-    /// from this rank's arena.
-    fn body_of<T: Payload>(&mut self, value: T) -> PacketBody {
-        match InlineValue::new(value) {
-            Ok(inline) => PacketBody::Inline(inline),
-            Err(value) => PacketBody::Owned(self.arena.alloc_box(value)),
-        }
+    /// The packet body carrying `value`, and the cell beside it: inline
+    /// in the packet, in the cell, or in a box from this rank's arena
+    /// ([`PacketBody::of`], a constant choice per type).
+    fn body_of<T: Payload>(&mut self, value: T) -> (PacketBody, PayloadCell) {
+        PacketBody::of(value, |value| self.arena.alloc_box(value))
     }
 
     /// Move the `T` out of a body sent with [`Ctx::send`] or
-    /// [`Ctx::send_ft`], panicking on a type mismatch or a shared body.
-    fn value_of<T: Payload>(&mut self, body: PacketBody, from: usize, tag: Tag) -> T {
+    /// [`Ctx::send_ft`] (and the cell received beside it), panicking on a
+    /// type mismatch or a shared body.
+    fn value_of<T: Payload>(
+        &mut self,
+        body: PacketBody,
+        cell: PayloadCell,
+        from: usize,
+        tag: Tag,
+    ) -> T {
         match body {
             PacketBody::Inline(v) => match v.take::<T>() {
+                Ok(v) => v,
+                Err(_) => self.type_mismatch::<T>(from, tag),
+            },
+            // SAFETY: the receive that returned this body copied the cell
+            // that travelled beside it to `cell`, taken here once.
+            PacketBody::Cell(ty) => match unsafe { cell.take::<T>(ty) } {
                 Ok(v) => v,
                 Err(_) => self.type_mismatch::<T>(from, tag),
             },
@@ -645,8 +672,11 @@ impl Ctx {
     /// receiver must use [`Ctx::recv_shared`].
     pub fn send_shared<T: Payload + Sync>(&mut self, to: usize, tag: Tag, value: &Shared<T>) {
         let bytes = value.size_bytes();
-        let arc = std::sync::Arc::clone(value.as_arc());
-        self.send_packet(to, tag, bytes, PacketBody::Shared(arc));
+        let body = (
+            PacketBody::Shared(value.as_arc().clone()),
+            PayloadCell::EMPTY,
+        );
+        self.send_packet(to, tag, bytes, body);
     }
 
     /// Blocking receive of a `T` from rank `from` with tag `tag`.
@@ -659,21 +689,23 @@ impl Ctx {
     /// protocol bug in the SPMD program — or if the message was sent with
     /// [`Ctx::send_shared`] (receive those with [`Ctx::recv_shared`]).
     pub fn recv<T: Payload>(&mut self, from: usize, tag: Tag) -> T {
-        let pkt = self.recv_packet(from, tag);
-        self.value_of(pkt.body, from, tag)
+        let mut cell = PayloadCell::EMPTY;
+        let pkt = self.recv_packet(from, tag, &mut cell);
+        self.value_of(pkt.body, cell, from, tag)
     }
 
     /// Blocking receive of a shared payload from rank `from` with tag
     /// `tag`. Accepts messages sent with either [`Ctx::send`] (the owned
     /// value is wrapped without copying) or [`Ctx::send_shared`].
     pub fn recv_shared<T: Payload + Sync>(&mut self, from: usize, tag: Tag) -> Shared<T> {
-        let pkt = self.recv_packet(from, tag);
+        let mut cell = PayloadCell::EMPTY;
+        let pkt = self.recv_packet(from, tag, &mut cell);
         match pkt.body {
             PacketBody::Shared(arc) => match arc.downcast::<T>() {
                 Ok(a) => Shared::from_arc(a),
                 Err(_) => self.type_mismatch::<T>(from, tag),
             },
-            body => Shared::new(self.value_of(body, from, tag)),
+            body => Shared::new(self.value_of(body, cell, from, tag)),
         }
     }
 
@@ -755,12 +787,15 @@ impl Ctx {
             }
             _ => false,
         };
-        let pkt = self.try_recv_packet(from, tag)?;
+        let mut cell = PayloadCell::EMPTY;
+        let pkt = self.try_recv_packet(from, tag, &mut cell)?;
         if dup {
-            // The sender transmitted two copies; drain and drop the second.
-            self.try_recv_packet(from, tag)?;
+            // The sender transmitted two copies; drain and drop the second
+            // (its cell into a scratch one, so `cell` stays the first's).
+            let mut scratch = PayloadCell::EMPTY;
+            self.try_recv_packet(from, tag, &mut scratch)?;
         }
-        Ok(self.value_of(pkt.body, from, tag))
+        Ok(self.value_of(pkt.body, cell, from, tag))
     }
 
     /// Send to `to` and receive from `from` in one exchange step. The send
@@ -835,7 +870,7 @@ impl Ctx {
             .expect("the calling rank must be a member of the scope");
 
         let global: Vec<usize> = members.iter().map(|&m| self.peers[m]).collect();
-        let sub_senders: Vec<SpscSender<Packet>> =
+        let sub_senders: Vec<LinkSender> =
             members.iter().map(|&m| self.senders[m].clone()).collect();
         // Child scope id: FNV-1a over the parent scope, the salt, and the
         // members' world identities — so siblings (disjoint member lists),
@@ -871,7 +906,7 @@ impl Ctx {
     /// Dismantle the context, returning its channel endpoints and payload
     /// arena so the runner can recycle the network for the next
     /// `run_spmd` call.
-    pub(crate) fn into_parts(self) -> (Vec<SpscSender<Packet>>, Mailbox, PayloadArena) {
+    pub(crate) fn into_parts(self) -> (Vec<LinkSender>, Mailbox, PayloadArena) {
         (self.senders, self.mailbox, self.arena)
     }
 
@@ -1191,12 +1226,43 @@ mod tests {
             (mismatch::<u64, f64>(1), "f64"),
             (mismatch::<[u8; 8], u64>([0; 8]), "u64"),
             (mismatch::<u64, [u8; 8]>(0), "[u8; 8]"),
+            // Payloads in the cell beside the packet.
+            (mismatch::<(u64, u64), [u64; 2]>((1, 2)), "[u64; 2]"),
+            (mismatch::<[u64; 2], (u64, u64)>([1, 2]), "(u64, u64)"),
+            (mismatch::<[u8; 64], [u64; 8]>([0; 64]), "[u64; 8]"),
+            (mismatch::<[f64; 5], [u64; 5]>([0.5; 5]), "[u64; 5]"),
         ] {
             assert!(
                 message.contains("type mismatch") && message.ends_with(expected),
                 "{message}"
             );
         }
+    }
+
+    #[test]
+    fn cell_payloads_roundtrip_bit_exactly_out_of_order() {
+        let nan = f64::from_bits(0x7FF8_DEAD_BEEF_0001);
+        let out = run_spmd(2, MachineModel::ibm_sp(), move |ctx| {
+            if ctx.rank() == 0 {
+                ctx.send(1, 0, *b"nine byte");
+                ctx.send(1, 1, (u64::MAX, 7u64));
+                ctx.send(1, 2, [nan, -0.0, 1.5, 2.5, 3.5]);
+                ctx.send(1, 3, [0xC3u8; 64]);
+                ctx.send(1, 4, (1u8, 2u64, 3u16));
+            } else {
+                // Received last tag first: the others wait in the pending
+                // stash with their cells.
+                assert_eq!(ctx.recv::<(u8, u64, u16)>(0, 4), (1, 2, 3));
+                assert_eq!(ctx.recv::<[u8; 64]>(0, 3), [0xC3; 64]);
+                let floats = ctx.recv::<[f64; 5]>(0, 2).map(f64::to_bits);
+                assert_eq!(floats, [nan, -0.0, 1.5, 2.5, 3.5].map(f64::to_bits));
+                assert_eq!(ctx.recv::<(u64, u64)>(0, 1), (u64::MAX, 7));
+                assert_eq!(ctx.recv::<[u8; 9]>(0, 0), *b"nine byte");
+            }
+            ctx.stats()
+        });
+        assert_eq!(out.results[0].msgs_sent, 5);
+        assert_eq!(out.results[0].bytes_sent, 9 + 16 + 40 + 64 + 16);
     }
 
     #[test]
@@ -1213,9 +1279,23 @@ mod tests {
     }
 
     #[test]
+    fn recv_shared_takes_a_cell_value() {
+        let out = run_spmd(2, MachineModel::ibm_sp(), |ctx| {
+            if ctx.rank() == 0 {
+                ctx.send(1, 4, [0xBEEFu64; 6]);
+                [0; 6]
+            } else {
+                *ctx.recv_shared::<[u64; 6]>(0, 4).get()
+            }
+        });
+        assert_eq!(out.results[1], [0xBEEF; 6]);
+    }
+
+    #[test]
     fn recv_ft_discards_the_duplicate_of_an_inline_value() {
-        // Every fault-aware message goes out twice; 40 of them take the
-        // link across block boundaries.
+        // Every fault-aware message goes out twice, an inline one and one
+        // in the cell by turns; 80 of them take the link across block
+        // boundaries.
         let plan = FaultPlan::new(3).duplicates(1.0);
         let out = run_spmd_ft(
             2,
@@ -1225,12 +1305,17 @@ mod tests {
             |ctx| {
                 if ctx.rank() == 0 {
                     for i in 0..40u64 {
-                        ctx.send_ft(1, i, 3 * i).expect("rank 1 alive");
+                        ctx.send_ft(1, 2 * i, 3 * i).expect("rank 1 alive");
+                        ctx.send_ft(1, 2 * i + 1, [i; 3]).expect("rank 1 alive");
                     }
                     Vec::new()
                 } else {
                     (0..40u64)
-                        .map(|i| ctx.recv_ft::<u64>(0, i).expect("rank 0 alive"))
+                        .map(|i| {
+                            let inline = ctx.recv_ft::<u64>(0, 2 * i).expect("rank 0 alive");
+                            let cell = ctx.recv_ft::<[u64; 3]>(0, 2 * i + 1).expect("alive");
+                            (inline, cell)
+                        })
                         .collect()
                 }
             },
@@ -1238,14 +1323,14 @@ mod tests {
         assert!(out.all_ok());
         assert_eq!(
             out.results[1].as_ref().expect("rank 1 ok"),
-            &(0..40).map(|i| 3 * i).collect::<Vec<u64>>()
+            &(0..40).map(|i| (3 * i, [i; 3])).collect::<Vec<_>>()
         );
-        assert_eq!(out.stats.per_rank[0].msgs_sent, 80);
+        assert_eq!(out.stats.per_rank[0].msgs_sent, 160);
         assert_eq!(out.leaked_messages, 0);
     }
 
     #[test]
-    fn only_payloads_that_do_not_fit_inline_use_the_arena() {
+    fn only_payloads_that_fit_neither_the_packet_nor_its_cell_use_the_arena() {
         // A fresh network, so the receiving arena starts empty.
         let config = RunConfig {
             pooled: false,
@@ -1276,9 +1361,9 @@ mod tests {
             held.push(ctx.arena.held_bytes());
             held
         });
-        // Each boxed payload hands its block to the receiver's arena:
-        // 9 and 16 bytes, then a `Vec`'s and a `String`'s 24.
-        assert_eq!(out.results[1], vec![0, 0, 0, 9, 25, 49, 73]);
+        // 9 and 16 bytes ride in the cell; each boxed payload hands its
+        // block to the receiver's arena: a `Vec`'s and a `String`'s 24.
+        assert_eq!(out.results[1], vec![0, 0, 0, 0, 0, 24, 48]);
     }
 
     #[test]

@@ -8,12 +8,19 @@
 //! per-sender `HashMap<(Scope, Tag), VecDeque>` — matching a buffered
 //! (scope, tag) pair is O(1) instead of a linear scan over everything
 //! pending, while per-(sender, scope, tag) FIFO order is preserved by the
-//! queue within each bucket. The scope key is what isolates
+//! queue within each bucket. A bucket that empties is removed, and its
+//! queue's buffer is kept for the next bucket (up to `SPARE_BUCKETS`
+//! of them), so steady out-of-order traffic allocates nothing while the
+//! bucket count stays bounded by what is actually pending. A packet
+//! whose payload rides in its link's cell ([`PacketBody::Cell`]) waits
+//! in its bucket with the cell beside it. The scope key is what isolates
 //! [`crate::Ctx::scoped`] sections: sibling scopes may reuse identical
 //! tags without their traffic ever cross-matching.
 //!
 //! The channels underneath are the lock-free SPSC links of
 //! [`crate::transport`].
+//!
+//! [`PacketBody::Cell`]: crate::packet::PacketBody::Cell
 //!
 //! ## Ordering contract
 //!
@@ -29,8 +36,15 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use crate::packet::Packet;
-use crate::transport::{spsc_channel, RecvCounts, SpscReceiver, SpscSender};
+use crate::packet::{Packet, PayloadCell};
+use crate::transport::{link_channel, LinkReceiver, LinkSender, RecvCounts};
+
+/// Most emptied bucket queues a mailbox keeps for reuse.
+const SPARE_BUCKETS: usize = 8;
+
+/// A packet waiting in the pending stash, with the cell that travelled
+/// beside it (unused unless its body is a cell).
+type Stashed = (Packet, PayloadCell);
 
 /// Error returned by [`Mailbox::try_recv_matching`] when the sending
 /// rank has terminated (channel empty and disconnected).
@@ -42,8 +56,10 @@ pub struct SenderDisconnected;
 /// already pulled off the channel but not yet matched, bucketed by
 /// (scope, tag).
 pub struct Mailbox {
-    from: Vec<SpscReceiver<Packet>>,
-    pending: Vec<HashMap<(u64, u64), VecDeque<Packet>>>,
+    from: Vec<LinkReceiver>,
+    pending: Vec<HashMap<(u64, u64), VecDeque<Stashed>>>,
+    /// Emptied buckets' queues, buffers kept, for the next new bucket.
+    spare: Vec<VecDeque<Stashed>>,
     /// Messages sitting in `pending` buckets, maintained incrementally so
     /// [`Mailbox::unconsumed`] never walks the n maps.
     pending_len: usize,
@@ -62,11 +78,22 @@ impl Mailbox {
     /// message sent inside one scoped section can never satisfy a receive
     /// posted in a different scope, even if the raw tags collide.
     ///
+    /// When the packet's body is
+    /// [`PacketBody::Cell`](crate::packet::PacketBody::Cell), the cell
+    /// that travelled beside it is copied to `cell`; otherwise `cell` is
+    /// left as it is.
+    ///
     /// # Panics
     /// Panics if the sending rank has terminated without ever sending a
     /// matching message (which in a correct SPMD program is a deadlock bug).
-    pub fn recv_matching(&mut self, sender: usize, scope: u64, tag: u64) -> Packet {
-        self.try_recv_matching(sender, scope, tag)
+    pub fn recv_matching(
+        &mut self,
+        sender: usize,
+        scope: u64,
+        tag: u64,
+        cell: &mut PayloadCell,
+    ) -> Packet {
+        self.try_recv_matching(sender, scope, tag, cell)
             .unwrap_or_else(|SenderDisconnected| {
                 panic!(
                     "rank terminated while a receive (from={sender}, scope={scope}, tag={tag}) \
@@ -86,27 +113,35 @@ impl Mailbox {
         sender: usize,
         scope: u64,
         tag: u64,
+        cell: &mut PayloadCell,
     ) -> Result<Packet, SenderDisconnected> {
         if let Some(q) = self.pending[sender].get_mut(&(scope, tag)) {
-            if let Some(pkt) = q.pop_front() {
+            if let Some((pkt, stashed)) = q.pop_front() {
                 if q.is_empty() {
-                    self.pending[sender].remove(&(scope, tag));
+                    let q = self.pending[sender]
+                        .remove(&(scope, tag))
+                        .expect("the bucket just matched");
+                    if self.spare.len() < SPARE_BUCKETS {
+                        self.spare.push(q);
+                    }
                 }
                 self.pending_len -= 1;
+                *cell = stashed;
                 return Ok(pkt);
             }
         }
         loop {
             let pkt = self.from[sender]
-                .recv_counted(&mut self.recv_counts)
+                .recv_counted(&mut self.recv_counts, cell)
                 .map_err(|_| SenderDisconnected)?;
             if pkt.scope == scope && pkt.tag == tag {
                 return Ok(pkt);
             }
+            let spare = &mut self.spare;
             self.pending[sender]
                 .entry((pkt.scope, pkt.tag))
-                .or_default()
-                .push_back(pkt);
+                .or_insert_with(|| spare.pop().unwrap_or_default())
+                .push_back((pkt, *cell));
             self.pending_len += 1;
         }
     }
@@ -119,7 +154,7 @@ impl Mailbox {
     /// only at quiescence, like every use of the leak check (see the
     /// ordering contract above).
     pub fn unconsumed(&self) -> usize {
-        self.pending_len + self.from.iter().map(SpscReceiver::len).sum::<usize>()
+        self.pending_len + self.from.iter().map(LinkReceiver::len).sum::<usize>()
     }
 
     /// The receive-phase counters accumulated since the last call,
@@ -135,15 +170,15 @@ impl Mailbox {
 ///
 /// Each link is single-producer: whoever holds `senders[dest][src]` (and
 /// its clones) must serialize sends on it — see
-/// [`SpscSender::send`]'s contract.
-pub fn build_network(n: usize) -> (Vec<Vec<SpscSender<Packet>>>, Vec<Mailbox>) {
-    let mut senders: Vec<Vec<SpscSender<Packet>>> = Vec::with_capacity(n);
+/// [`SpscSender::send`](crate::transport::SpscSender::send)'s contract.
+pub fn build_network(n: usize) -> (Vec<Vec<LinkSender>>, Vec<Mailbox>) {
+    let mut senders: Vec<Vec<LinkSender>> = Vec::with_capacity(n);
     let mut mailboxes: Vec<Mailbox> = Vec::with_capacity(n);
     for _dest in 0..n {
         let mut row_tx = Vec::with_capacity(n);
         let mut row_rx = Vec::with_capacity(n);
         for _src in 0..n {
-            let (tx, rx) = spsc_channel();
+            let (tx, rx) = link_channel();
             row_tx.push(tx);
             row_rx.push(rx);
         }
@@ -151,6 +186,7 @@ pub fn build_network(n: usize) -> (Vec<Vec<SpscSender<Packet>>>, Vec<Mailbox>) {
         mailboxes.push(Mailbox {
             from: row_rx,
             pending: (0..n).map(|_| HashMap::new()).collect(),
+            spare: Vec::new(),
             pending_len: 0,
             recv_counts: RecvCounts::default(),
         });
@@ -174,12 +210,36 @@ mod tests {
         (tx, mb)
     }
 
-    struct Link(SpscSender<Packet>);
+    struct Link(LinkSender);
 
     impl Link {
         fn send(&self, p: Packet) -> Result<(), ()> {
             // SAFETY: every test here sends from its one thread.
-            unsafe { self.0.send(p) }.map_err(drop)
+            unsafe { self.0.send_with(p, PayloadCell::EMPTY) }.map_err(drop)
+        }
+
+        /// Send `value` as `Ctx::send` sends a payload of 9 to 64 bytes:
+        /// in the cell beside the packet.
+        fn send_cell<T: Send + 'static>(&self, tag: u64, value: T) {
+            let (body, cell) = PacketBody::of(value, |_| unreachable!("fits the cell"));
+            let p = Packet {
+                scope: 0,
+                tag,
+                bytes: std::mem::size_of::<T>(),
+                arrival_time: 0.0,
+                body,
+            };
+            // SAFETY: every test here sends from its one thread.
+            unsafe { self.0.send_with(p, cell) }.expect("receiver alive");
+        }
+    }
+
+    impl Mailbox {
+        /// [`Mailbox::recv_matching`], returning the packet with its cell.
+        fn recv_cell(&mut self, sender: usize, scope: u64, tag: u64) -> (Packet, PayloadCell) {
+            let mut cell = PayloadCell::EMPTY;
+            let packet = self.recv_matching(sender, scope, tag, &mut cell);
+            (packet, cell)
         }
     }
 
@@ -198,7 +258,7 @@ mod tests {
         }
     }
 
-    fn val(p: Packet) -> i32 {
+    fn val((p, _): (Packet, PayloadCell)) -> i32 {
         let PacketBody::Inline(v) = p.body else {
             panic!("expected inline body");
         };
@@ -210,8 +270,8 @@ mod tests {
         let (tx, mut mb) = net(2);
         tx[0][1].send(pkt(5, 10)).unwrap();
         tx[0][1].send(pkt(5, 20)).unwrap();
-        let a = mb[0].recv_matching(1, 0, 5);
-        let b = mb[0].recv_matching(1, 0, 5);
+        let a = mb[0].recv_cell(1, 0, 5);
+        let b = mb[0].recv_cell(1, 0, 5);
         assert_eq!(val(a), 10);
         assert_eq!(val(b), 20);
     }
@@ -224,10 +284,10 @@ mod tests {
         tx[0][1].send(pkt(9, 2)).unwrap();
         tx[0][1].send(pkt(9, 3)).unwrap();
         tx[0][1].send(pkt(8, 99)).unwrap();
-        assert_eq!(val(mb[0].recv_matching(1, 0, 8)), 99);
-        assert_eq!(val(mb[0].recv_matching(1, 0, 9)), 1);
-        assert_eq!(val(mb[0].recv_matching(1, 0, 9)), 2);
-        assert_eq!(val(mb[0].recv_matching(1, 0, 9)), 3);
+        assert_eq!(val(mb[0].recv_cell(1, 0, 8)), 99);
+        assert_eq!(val(mb[0].recv_cell(1, 0, 9)), 1);
+        assert_eq!(val(mb[0].recv_cell(1, 0, 9)), 2);
+        assert_eq!(val(mb[0].recv_cell(1, 0, 9)), 3);
         assert_eq!(mb[0].unconsumed(), 0);
     }
 
@@ -237,9 +297,9 @@ mod tests {
         tx[0][1].send(pkt(1, 100)).unwrap();
         tx[0][1].send(pkt(2, 200)).unwrap();
         // Ask for tag 2 first; tag-1 message must be buffered, not lost.
-        let b = mb[0].recv_matching(1, 0, 2);
+        let b = mb[0].recv_cell(1, 0, 2);
         assert_eq!(val(b), 200);
-        let a = mb[0].recv_matching(1, 0, 1);
+        let a = mb[0].recv_cell(1, 0, 1);
         assert_eq!(val(a), 100);
         assert_eq!(mb[0].unconsumed(), 0);
     }
@@ -251,7 +311,7 @@ mod tests {
         tx[0][1].send(pkt(8, 2)).unwrap();
         tx[0][1].send(pkt(9, 3)).unwrap();
         // Matching tag 8 buffers the first tag-9 packet.
-        mb[0].recv_matching(1, 0, 8);
+        mb[0].recv_cell(1, 0, 8);
         assert_eq!(mb[0].unconsumed(), 2);
     }
 
@@ -261,9 +321,9 @@ mod tests {
         tx[2][0].send(pkt(1, 7)).unwrap();
         tx[2][1].send(pkt(1, 8)).unwrap();
         // Receive from rank 1 first even though rank 0's message arrived first.
-        let b = mb[2].recv_matching(1, 0, 1);
+        let b = mb[2].recv_cell(1, 0, 1);
         assert_eq!(val(b), 8);
-        let a = mb[2].recv_matching(0, 0, 1);
+        let a = mb[2].recv_cell(0, 0, 1);
         assert_eq!(val(a), 7);
     }
 
@@ -276,7 +336,7 @@ mod tests {
         // Receive in reverse order: every receive after the first hits the
         // tag index rather than re-scanning the whole pending set.
         for t in (0..256u64).rev() {
-            assert_eq!(val(mb[0].recv_matching(1, 0, t)), t as i32);
+            assert_eq!(val(mb[0].recv_cell(1, 0, t)), t as i32);
         }
         assert_eq!(mb[0].unconsumed(), 0);
     }
@@ -288,8 +348,8 @@ mod tests {
         // each receive must match only its own scope, in either order.
         tx[0][1].send(pkt_scoped(7, 3, 111)).unwrap();
         tx[0][1].send(pkt_scoped(0, 3, 222)).unwrap();
-        assert_eq!(val(mb[0].recv_matching(1, 0, 3)), 222);
-        assert_eq!(val(mb[0].recv_matching(1, 7, 3)), 111);
+        assert_eq!(val(mb[0].recv_cell(1, 0, 3)), 222);
+        assert_eq!(val(mb[0].recv_cell(1, 7, 3)), 111);
         assert_eq!(mb[0].unconsumed(), 0);
     }
 
@@ -298,9 +358,10 @@ mod tests {
         let (tx, mut mb) = net(2);
         tx[0][1].send(pkt(4, 5)).unwrap();
         drop(tx); // the sending rank dies with one message in flight
-        let delivered = mb[0].try_recv_matching(1, 0, 4).unwrap();
-        assert_eq!(val(delivered), 5);
-        let err = mb[0].try_recv_matching(1, 0, 4).unwrap_err();
+        let mut cell = PayloadCell::EMPTY;
+        let delivered = mb[0].try_recv_matching(1, 0, 4, &mut cell).unwrap();
+        assert_eq!(val((delivered, PayloadCell::EMPTY)), 5);
+        let err = mb[0].try_recv_matching(1, 0, 4, &mut cell).unwrap_err();
         assert_eq!(err, SenderDisconnected);
     }
 
@@ -311,10 +372,74 @@ mod tests {
         tx[0][1].send(pkt_scoped(6, 9, 10)).unwrap();
         tx[0][1].send(pkt_scoped(5, 9, 2)).unwrap();
         tx[0][1].send(pkt_scoped(6, 9, 20)).unwrap();
-        assert_eq!(val(mb[0].recv_matching(1, 5, 9)), 1);
-        assert_eq!(val(mb[0].recv_matching(1, 5, 9)), 2);
-        assert_eq!(val(mb[0].recv_matching(1, 6, 9)), 10);
-        assert_eq!(val(mb[0].recv_matching(1, 6, 9)), 20);
+        assert_eq!(val(mb[0].recv_cell(1, 5, 9)), 1);
+        assert_eq!(val(mb[0].recv_cell(1, 5, 9)), 2);
+        assert_eq!(val(mb[0].recv_cell(1, 6, 9)), 10);
+        assert_eq!(val(mb[0].recv_cell(1, 6, 9)), 20);
         assert_eq!(mb[0].unconsumed(), 0);
+    }
+
+    /// The `T` in a packet sent with [`Link::send_cell`].
+    fn cell_val<T: 'static>((p, cell): (Packet, PayloadCell)) -> T {
+        let PacketBody::Cell(ty) = p.body else {
+            panic!("expected cell body");
+        };
+        // SAFETY: the mailbox hands each packet out with its own cell.
+        unsafe { cell.take::<T>(ty) }.expect("payload type")
+    }
+
+    #[test]
+    fn stashed_cell_packets_keep_their_bytes() {
+        let (tx, mut mb) = net(2);
+        // Cell packets of several sizes between inline ones, enough to
+        // cross link blocks, all stashed while the receive waits for the
+        // last tag.
+        for round in 0..12u64 {
+            tx[0][1].send_cell(6 * round, [round as u8; 9]);
+            tx[0][1].send_cell(6 * round + 1, (round, !round));
+            tx[0][1].send(pkt(6 * round + 2, round as i32)).unwrap();
+            tx[0][1].send_cell(6 * round + 3, [round; 5]);
+            tx[0][1].send_cell(6 * round + 4, [round as u32 + 1; 16]);
+            tx[0][1].send_cell(6 * round + 5, [round as u8; 33]);
+        }
+        tx[0][1].send(pkt(1000, -1)).unwrap();
+        assert_eq!(val(mb[0].recv_cell(1, 0, 1000)), -1);
+        assert_eq!(mb[0].unconsumed(), 72);
+        for round in (0..12u64).rev() {
+            let mut at = |k| mb[0].recv_cell(1, 0, 6 * round + k);
+            assert_eq!(cell_val::<[u8; 33]>(at(5)), [round as u8; 33]);
+            assert_eq!(cell_val::<[u32; 16]>(at(4)), [round as u32 + 1; 16]);
+            assert_eq!(cell_val::<[u64; 5]>(at(3)), [round; 5]);
+            assert_eq!(val(at(2)), round as i32);
+            assert_eq!(cell_val::<(u64, u64)>(at(1)), (round, !round));
+            assert_eq!(cell_val::<[u8; 9]>(at(0)), [round as u8; 9]);
+        }
+        assert_eq!(mb[0].unconsumed(), 0);
+    }
+
+    #[test]
+    fn emptied_buckets_are_kept_for_reuse_up_to_a_bound() {
+        let (tx, mut mb) = net(2);
+        // Two tags a round, sequence-numbered, received in reverse: the
+        // first of each pair is stashed in a new bucket, which empties.
+        for round in 0..100u64 {
+            tx[0][1].send(pkt(2 * round, 1)).unwrap();
+            tx[0][1].send(pkt(2 * round + 1, 2)).unwrap();
+            assert_eq!(val(mb[0].recv_cell(1, 0, 2 * round + 1)), 2);
+            assert_eq!(val(mb[0].recv_cell(1, 0, 2 * round)), 1);
+        }
+        assert_eq!((mb[0].pending[1].len(), mb[0].spare.len()), (0, 1));
+        // Many buckets at once: every emptied one past the bound is freed.
+        for t in 0..20u64 {
+            tx[0][1].send(pkt(t, t as i32)).unwrap();
+        }
+        tx[0][1].send(pkt(99, 0)).unwrap();
+        assert_eq!(val(mb[0].recv_cell(1, 0, 99)), 0);
+        assert_eq!(mb[0].pending[1].len(), 20);
+        for t in 0..20u64 {
+            assert_eq!(val(mb[0].recv_cell(1, 0, t)), t as i32);
+        }
+        assert_eq!(mb[0].pending[1].len(), 0);
+        assert_eq!(mb[0].spare.len(), SPARE_BUCKETS);
     }
 }

@@ -23,7 +23,6 @@
 //! the [`impl_fixed_size!`](crate::impl_fixed_size) macro.
 
 use std::alloc::{dealloc, Layout};
-use std::collections::HashMap;
 use std::ptr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -277,7 +276,9 @@ const ARENA_MAX_BLOCKS_PER_CLASS: usize = 128;
 
 /// Per-rank recycling arena for the substrate's per-message payload box
 /// (`PacketBody::Owned(Box<dyn Any>)`). Payloads that fit in the packet
-/// ([`crate::packet::InlineValue::fits`]) never reach it.
+/// ([`crate::packet::InlineValue::fits`]) or in the cell beside it
+/// ([`crate::packet::PayloadCell::fits`]) never reach it: what does is a
+/// payload with drop glue (a `Vec`, a `String`) or one over 64 bytes.
 ///
 /// Each rank owns one arena, threaded through [`crate::Ctx`] and parked
 /// in the per-size network-recycle cache between runs.
@@ -287,6 +288,10 @@ const ARENA_MAX_BLOCKS_PER_CLASS: usize = 128;
 /// traffic — which is exactly right: under bidirectional steady-state
 /// traffic every rank's freelist is replenished by what it receives, and
 /// a one-directional stream is bounded by the receiver's retention caps.
+///
+/// The freelists are one short list of classes, searched in order: a
+/// program boxes few distinct layouts, and comparing a handful of
+/// `(size, align)` pairs is cheaper than hashing one.
 ///
 /// # Ownership and soundness rules
 /// * Freelists are keyed by the **exact** `(size, align)` pair of the
@@ -303,10 +308,16 @@ const ARENA_MAX_BLOCKS_PER_CLASS: usize = 128;
 ///   at a time and handed between threads (run → cache → next run) by
 ///   value, so no operation ever synchronizes.
 pub(crate) struct PayloadArena {
-    /// Free blocks, keyed by exact (size, align).
-    classes: HashMap<(usize, usize), Vec<*mut u8>>,
+    /// Free blocks, one list per exact layout retained so far.
+    classes: Vec<FreeList>,
     /// Total bytes across all retained blocks.
     held_bytes: usize,
+}
+
+/// The free blocks of one layout.
+struct FreeList {
+    layout: Layout,
+    blocks: Vec<*mut u8>,
 }
 
 // SAFETY: the raw pointers are uniquely-owned free blocks (no aliasing,
@@ -318,7 +329,7 @@ impl PayloadArena {
     /// An empty arena (no blocks retained).
     pub(crate) fn new() -> Self {
         PayloadArena {
-            classes: HashMap::new(),
+            classes: Vec::new(),
             held_bytes: 0,
         }
     }
@@ -330,11 +341,8 @@ impl PayloadArena {
         if layout.size() == 0 {
             return Box::new(value);
         }
-        if let Some(block) = self
-            .classes
-            .get_mut(&(layout.size(), layout.align()))
-            .and_then(Vec::pop)
-        {
+        let class = self.classes.iter_mut().find(|c| c.layout == layout);
+        if let Some(block) = class.and_then(|c| c.blocks.pop()) {
             self.held_bytes -= layout.size();
             let p = block as *mut T;
             // SAFETY: `block` was allocated by the global allocator with
@@ -361,19 +369,25 @@ impl PayloadArena {
         // reads of `T` and we own the allocation; after this read the
         // block holds no live value.
         let value = unsafe { ptr::read(p) };
-        let class = self
-            .classes
-            .entry((layout.size(), layout.align()))
-            .or_default();
-        if class.len() >= ARENA_MAX_BLOCKS_PER_CLASS
-            || self.held_bytes + layout.size() > ARENA_MAX_HELD_BYTES
-        {
-            // SAFETY: allocated by the global allocator with `layout`.
-            unsafe { dealloc(p.cast(), layout) };
-        } else {
-            self.held_bytes += layout.size();
-            class.push(p.cast());
+        if self.held_bytes + layout.size() <= ARENA_MAX_HELD_BYTES {
+            let blocks = match self.classes.iter().position(|c| c.layout == layout) {
+                Some(i) => &mut self.classes[i].blocks,
+                None => {
+                    self.classes.push(FreeList {
+                        layout,
+                        blocks: Vec::new(),
+                    });
+                    &mut self.classes.last_mut().expect("just pushed").blocks
+                }
+            };
+            if blocks.len() < ARENA_MAX_BLOCKS_PER_CLASS {
+                blocks.push(p.cast());
+                self.held_bytes += layout.size();
+                return value;
+            }
         }
+        // SAFETY: allocated by the global allocator with `layout`.
+        unsafe { dealloc(p.cast(), layout) };
         value
     }
 
@@ -386,14 +400,12 @@ impl PayloadArena {
 
 impl Drop for PayloadArena {
     fn drop(&mut self) {
-        for (&(size, align), blocks) in &self.classes {
-            let layout =
-                Layout::from_size_align(size, align).expect("class keys come from valid layouts");
-            for &p in blocks {
+        for class in &self.classes {
+            for &p in &class.blocks {
                 // SAFETY: every retained block was allocated by the
                 // global allocator with this class's layout and holds no
                 // live value (see `reclaim`).
-                unsafe { dealloc(p, layout) };
+                unsafe { dealloc(p, class.layout) };
             }
         }
     }

@@ -32,12 +32,12 @@ use crate::ctx::Ctx;
 use crate::fault::{FaultPlan, InjectedCrash};
 use crate::mailbox::{build_network, Mailbox};
 use crate::model::MachineModel;
-use crate::packet::Packet;
 use crate::payload::PayloadArena;
 use crate::pool;
 use crate::stats::{RankStats, RunStats};
 use crate::trace::{RunTrace, TraceRecorder};
-use crate::transport::{RecvCounts, SpscSender};
+use crate::transport::LinkSender;
+use crate::transport::RecvCounts;
 
 /// Lock a mutex, tolerating poison: a rank that panicked while holding
 /// the runner's bookkeeping locks must not wedge every later `run_spmd`
@@ -221,7 +221,7 @@ impl<R> FtSpmdResult<R> {
 /// running; returned afterwards so a clean network — warm freelists
 /// included — can be recycled.
 struct RankLinks {
-    senders: Vec<SpscSender<Packet>>,
+    senders: Vec<LinkSender>,
     mailbox: Mailbox,
     arena: PayloadArena,
 }

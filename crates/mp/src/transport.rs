@@ -2,18 +2,22 @@
 //!
 //! Every mesh link of an SPMD network has a *statically single sender*
 //! (the `(src, dst)` channel is only ever pushed by rank `src`'s thread),
-//! so links ride the **segmented SPSC ring** ([`spsc_channel`]): blocks
-//! of 32 slots, each published by a release store of its `ready` flag,
-//! producer and consumer cursors on separate cache lines, and drained
-//! blocks handed back through one spare pointer. A mesh slot (a
-//! [`Packet`] and its flag) is exactly one 64-byte cache line, asserted
-//! at compile time, so a message whose payload rides inline in the
-//! packet moves one line between the cores. A message does no
-//! atomic read-modify-write (one per 32 messages per side, the spare
-//! swap), steady-state traffic allocates nothing, and a condvar slow
-//! path runs only for parking on an empty queue (the safety argument is
-//! on `SpscQueue`). The worker pool's dispatch channels are the same
-//! queue. The multi-producer generalization ([`real_channel`], a
+//! so links ride the **segmented SPSC ring** ([`link_channel`]): blocks
+//! of 2 KiB of slots, each slot published by a release store of its
+//! `ready` flag, producer and consumer cursors on separate cache lines,
+//! and drained blocks handed back through one spare pointer. A mesh slot
+//! is two 64-byte cache lines, asserted at compile time: a [`Packet`]
+//! and its flag fill the first, and a [`PayloadCell`] the second. A
+//! message whose payload rides inline in the packet writes and reads the
+//! first line only; one whose payload rides in the cell (drop-free, 9 to
+//! 64 bytes) moves both, and the cell is written before the flag's
+//! release store and read before the flag is cleared ([`SlotCell`]). A
+//! message does no atomic read-modify-write (one per block per side, the
+//! spare swap), steady-state traffic allocates nothing, and a condvar
+//! slow path runs only for parking on an empty queue (the safety
+//! argument is on `SpscQueue`). The worker pool's dispatch channels are
+//! the same queue ([`spsc_channel`]), with one-line slots, 32 to a
+//! block, and no cell. The multi-producer generalization ([`real_channel`], a
 //! Vyukov-style MPSC queue) has no user inside the crate; it stays as the
 //! throughput comparison point the repo benchmark measures.
 //!
@@ -71,7 +75,7 @@ use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use crate::packet::Packet;
+use crate::packet::{Packet, PayloadCell};
 
 /// Error returned by a receive on an empty channel whose senders have
 /// all disconnected (the transport-level death signal).
@@ -424,42 +428,78 @@ pub fn real_channel<T>() -> (RealSender<T>, RealReceiver<T>) {
 // Segmented SPSC ring (the mesh-link fast path).
 // ---------------------------------------------------------------------------
 
-/// Slots per block of the SPSC ring. 32 mesh slots are 2 KiB: a
-/// collective's fan-in or a pipeline's credit window fits in one or two
-/// blocks, and a link that never has 32 messages in flight lives on two
-/// blocks forever (the one being filled and the spare).
-const BLOCK: usize = 32;
+/// Bytes of slots in one block of the SPSC ring: 32 one-line slots, or
+/// 16 two-line mesh slots. A collective's fan-in or a pipeline's credit
+/// window fits in one or two blocks, and a link that never has a block's
+/// worth of messages in flight lives on two blocks forever (the one
+/// being filled and the spare).
+const BLOCK_BYTES: usize = 2048;
 
-/// One message slot: the value and the flag that publishes it.
-struct Slot<T> {
-    value: UnsafeCell<MaybeUninit<T>>,
-    /// Set by the producer with a release store once `value` is written;
-    /// cleared by the consumer with a plain store once it has moved the
-    /// value out.
-    ready: AtomicBool,
+/// Slots per block of a queue whose slots carry no cell
+/// ([`spsc_channel`]): 32, each a cache line at most.
+const BLOCK: usize = BLOCK_BYTES / 64;
+
+/// Slots per block of a mesh link ([`link_channel`]): 16 two-line slots.
+pub const LINK_BLOCK: usize = BLOCK_BYTES / std::mem::size_of::<Slot<Packet, PayloadCell>>();
+
+/// What a slot holds beside its value, in a cache line of its own:
+/// nothing (`()`, every queue but a mesh link) or a mesh link's
+/// [`PayloadCell`]. The producer writes the cell, and the consumer reads
+/// it, only for a value that [`SlotCell::filled`] says has one, so a
+/// value without one moves its slot's first line only.
+pub trait SlotCell<T>: Copy {
+    /// The cell beside a value that has none.
+    const EMPTY: Self;
+
+    /// Whether `value` travels with a filled cell.
+    fn filled(value: &T) -> bool;
 }
 
-// A mesh slot is one cache line and starts on one (blocks are 64-byte
-// aligned and begin with their slots), so the two cores share exactly
-// one line per message: a 56-byte `Packet` plus its flag.
-const _: () = assert!(std::mem::size_of::<Slot<Packet>>() == 64);
-const _: () = assert!(std::mem::offset_of!(Block<Packet>, slots) == 0);
+impl<T> SlotCell<T> for () {
+    const EMPTY: Self = ();
 
-/// `BLOCK` slots and the link to the block after them.
+    fn filled(_: &T) -> bool {
+        false
+    }
+}
+
+/// One message slot: the value, the flag that publishes it and, on a
+/// line of its own, the value's cell.
+#[repr(C)]
+struct Slot<T, C> {
+    value: UnsafeCell<MaybeUninit<T>>,
+    /// Set by the producer with a release store once `value` (and a
+    /// filled cell) is written; cleared by the consumer with a plain
+    /// store once it has moved them out.
+    ready: AtomicBool,
+    cell: UnsafeCell<C>,
+}
+
+// A mesh slot is two cache lines and starts on a line (blocks are
+// 64-byte aligned and begin with their slots): a 56-byte `Packet` and its
+// flag on the first, the payload cell on the second. A block's slots
+// are 2 KiB, as for every other queue, so a link holds no more memory.
+const _: () = assert!(std::mem::size_of::<Slot<Packet, PayloadCell>>() == 128);
+const _: () = assert!(std::mem::offset_of!(Slot<Packet, PayloadCell>, cell) == 64);
+const _: () = assert!(std::mem::offset_of!(Block<Packet, PayloadCell, LINK_BLOCK>, slots) == 0);
+const _: () = assert!(LINK_BLOCK * 128 == BLOCK_BYTES);
+
+/// `N` slots and the link to the block after them.
 #[repr(align(64))]
-struct Block<T> {
-    slots: [Slot<T>; BLOCK],
+struct Block<T, C, const N: usize> {
+    slots: [Slot<T, C>; N],
     /// Stored by the producer before it publishes this block's last slot;
     /// meaningless (a stale link or null) until then.
-    next: AtomicPtr<Block<T>>,
+    next: AtomicPtr<Block<T, C, N>>,
 }
 
-impl<T> Block<T> {
-    fn boxed() -> *mut Block<T> {
+impl<T, C: SlotCell<T>, const N: usize> Block<T, C, N> {
+    fn boxed() -> *mut Block<T, C, N> {
         Box::into_raw(Box::new(Block {
             slots: std::array::from_fn(|_| Slot {
                 value: UnsafeCell::new(MaybeUninit::uninit()),
                 ready: AtomicBool::new(false),
+                cell: UnsafeCell::new(C::EMPTY),
             }),
             next: AtomicPtr::new(ptr::null_mut()),
         }))
@@ -470,18 +510,18 @@ impl<T> Block<T> {
 /// bytes: the adjacent-line prefetcher pulls lines in pairs), so the
 /// producer and the consumer share no line but the slot in hand.
 #[repr(align(128))]
-struct Cursor<T> {
-    /// The block holding slot `count % BLOCK`. Only this side's thread
+struct Cursor<T, C, const N: usize> {
+    /// The block holding slot `count % N`. Only this side's thread
     /// reads or writes it.
-    block: UnsafeCell<*mut Block<T>>,
+    block: UnsafeCell<*mut Block<T, C, N>>,
     /// Messages published (producer) or taken (consumer) so far. Its one
     /// writer is this side's thread, with plain stores; the other side
     /// never reads it, and `len` reads both counts.
     count: AtomicUsize,
 }
 
-impl<T> Cursor<T> {
-    fn at(block: *mut Block<T>) -> Self {
+impl<T, C, const N: usize> Cursor<T, C, N> {
+    fn at(block: *mut Block<T, C, N>) -> Self {
         Cursor {
             block: UnsafeCell::new(block),
             count: AtomicUsize::new(0),
@@ -489,14 +529,20 @@ impl<T> Cursor<T> {
     }
 }
 
-/// Single-producer single-consumer queue: a chain of blocks of slots.
+/// A value alone on its cache lines.
+#[repr(align(128))]
+struct Padded<T>(T);
+
+/// Single-producer single-consumer queue: a chain of blocks of `N`
+/// slots.
 ///
 /// A message shares only its slot between the two threads — for a mesh
-/// link one cache line, since `Slot<Packet>` is 64 bytes — and does no
-/// atomic read-modify-write: the producer writes the value, stores its
-/// count and sets the slot's `ready` flag with a release store; the
-/// consumer reads the flag with an acquire load, moves the value out,
-/// clears the flag and stores its own count. Once per block each side
+/// link its first cache line, and its second when the payload rides in
+/// the cell — and does no atomic read-modify-write: the producer writes
+/// the value (and a filled cell), stores its count and sets the slot's
+/// `ready` flag with a release store; the consumer reads the flag with an
+/// acquire load, moves the value (and a filled cell) out, clears the
+/// flag and stores its own count. Once per block each side
 /// swaps the one `spare` pointer, which is how drained blocks return to
 /// the producer, so steady-state traffic allocates nothing.
 ///
@@ -506,14 +552,15 @@ impl<T> Cursor<T> {
 ///   written only by the sending thread, `consumer` only by the
 ///   receiving thread; the single-producer contract of
 ///   [`SpscSender::send`] and the uncloneable [`SpscReceiver`] make each
-///   a single thread at a time. A slot's value is written by the
-///   producer only while its flag is clear and read by the consumer only
-///   while it is set.
+///   a single thread at a time. A slot's value and cell are written by
+///   the producer only while its flag is clear and read by the consumer
+///   only while it is set. Both sides ask the value itself whether its
+///   cell is filled ([`SlotCell::filled`]), so they agree on it.
 /// * **The flag pairs a release with an acquire.** The producer's
-///   `ready` store (release) comes after its writes to the value, to its
-///   count and, on a block's last slot, to `next`; the consumer's `ready`
-///   load (acquire) comes before it reads any of them, so a set flag
-///   means all three are visible.
+///   `ready` store (release) comes after its writes to the value, to the
+///   cell, to its count and, on a block's last slot, to `next`; the
+///   consumer's `ready` load (acquire) comes before it reads any of
+///   them, so a set flag means all four are visible.
 /// * **A block is handed back only after the producer has linked past
 ///   it.** The producer stores `next` and moves its own cursor to the new
 ///   block *before* it publishes the old block's last slot, so once the
@@ -521,8 +568,10 @@ impl<T> Cursor<T> {
 ///   block again. Only then does the consumer swap it into `spare`
 ///   (release); the producer takes it with an acquire swap, so it sees
 ///   every flag cleared (the consumer cleared them slot by slot). Its
-///   stale `next` is never followed: the producer overwrites it before
-///   it publishes the block's last slot again. A block the swap
+///   stale `next` is never followed: before the producer publishes the
+///   block's last slot again it stores the new link, or reads that `next`
+///   already holds it (its own last store, which the consumer's acquire
+///   of that slot then sees). A block the swap
 ///   displaces (the producer took no spare since the last one) is freed
 ///   by the consumer.
 /// * **What `Drop` frees.** With exclusive access, `Drop` walks from the
@@ -530,15 +579,18 @@ impl<T> Cursor<T> {
 ///   taken` queued values exactly once and freeing every block it leaves,
 ///   then frees the producer's block and the spare. A value moved out by
 ///   the consumer is never dropped again: only the count range is walked.
+///   Cells are `Copy` and need no drop.
 ///
 /// Blocking, wakeup and disconnect go through the shared `Parker`
 /// (module docs).
-struct SpscQueue<T> {
-    producer: Cursor<T>,
-    consumer: Cursor<T>,
+struct SpscQueue<T, C, const N: usize> {
+    producer: Cursor<T, C, N>,
+    consumer: Cursor<T, C, N>,
     /// A drained block waiting for the producer's next block boundary, or
-    /// null.
-    spare: AtomicPtr<Block<T>>,
+    /// null. Alone on its lines: both sides swap it once per block, and
+    /// the flags beside it (`receiver_alive`, the parker's) are read on
+    /// every message.
+    spare: Padded<AtomicPtr<Block<T, C, N>>>,
     /// Cleared when the receiver drops, so sends can fail fast.
     receiver_alive: AtomicBool,
     /// Counts live `SpscSender` handles. (Handles may be cloned — scoped
@@ -558,16 +610,16 @@ struct SpscQueue<T> {
 // each cursor is touched only by its own side, slots are handed over by
 // their `ready` flags, blocks by `next` and `spare` (type docs), and
 // `Drop` has exclusive access.
-unsafe impl<T: Send> Send for SpscQueue<T> {}
-unsafe impl<T: Send> Sync for SpscQueue<T> {}
+unsafe impl<T: Send, C: Send, const N: usize> Send for SpscQueue<T, C, N> {}
+unsafe impl<T: Send, C: Send, const N: usize> Sync for SpscQueue<T, C, N> {}
 
-impl<T> SpscQueue<T> {
+impl<T, C: SlotCell<T>, const N: usize> SpscQueue<T, C, N> {
     fn new() -> Self {
         let first = Block::boxed();
         SpscQueue {
             producer: Cursor::at(first),
             consumer: Cursor::at(first),
-            spare: AtomicPtr::new(ptr::null_mut()),
+            spare: Padded(AtomicPtr::new(ptr::null_mut())),
             receiver_alive: AtomicBool::new(true),
             parker: Parker::default(),
             #[cfg(debug_assertions)]
@@ -579,8 +631,8 @@ impl<T> SpscQueue<T> {
 
     /// The spare block, or a new one when the consumer has none to give
     /// (the producer's half of the hand-back).
-    fn next_block(&self) -> *mut Block<T> {
-        let spare = self.spare.swap(ptr::null_mut(), Ordering::Acquire);
+    fn next_block(&self) -> *mut Block<T, C, N> {
+        let spare = self.spare.0.swap(ptr::null_mut(), Ordering::Acquire);
         if !spare.is_null() {
             return spare;
         }
@@ -598,7 +650,7 @@ impl<T> SpscQueue<T> {
     /// # Safety
     /// Must only be called by the single producer; concurrent pushes are
     /// undefined behaviour (debug builds detect and panic).
-    unsafe fn publish(&self, value: T) {
+    unsafe fn publish(&self, value: T, cell: C) {
         #[cfg(debug_assertions)]
         assert!(
             !self.pushing.swap(true, Ordering::Acquire),
@@ -611,15 +663,23 @@ impl<T> SpscQueue<T> {
         // block came back, or the block is new.
         let sent = self.producer.count.load(Ordering::Relaxed);
         let block = *self.producer.block.get();
-        let i = sent % BLOCK;
-        if i == BLOCK - 1 {
+        let i = sent % N;
+        if i == N - 1 {
             // Link past this block before its last slot goes out (type
             // docs): the consumer steps straight onto `next` after it.
             let next = self.next_block();
-            (*block).next.store(next, Ordering::Relaxed);
+            // A link that cycles through two blocks links the same
+            // block every time: skip the store, which would take the
+            // line back from the consumer that read it last time.
+            if (*block).next.load(Ordering::Relaxed) != next {
+                (*block).next.store(next, Ordering::Relaxed);
+            }
             *self.producer.block.get() = next;
         }
         let slot = &(*block).slots[i];
+        if C::filled(&value) {
+            *slot.cell.get() = cell;
+        }
         (*slot.value.get()).write(value);
         // The count before the flag, so a reader that sees the consumer's
         // count cover this slot sees this count too (`len` ≥ 0).
@@ -629,29 +689,35 @@ impl<T> SpscQueue<T> {
         self.pushing.store(false, Ordering::Release);
     }
 
-    /// Consumer side: pop the oldest message, or `None` when empty.
+    /// Consumer side: pop the oldest message, or `None` when empty. A
+    /// filled cell is copied to `cell`; otherwise `cell` is left as it
+    /// is, so a message without one reads nothing beyond its first line.
     ///
     /// # Safety
     /// Must only be called by the single consumer.
-    unsafe fn try_pop(&self) -> Option<T> {
+    unsafe fn try_pop(&self, cell: &mut C) -> Option<T> {
         // SAFETY (the derefs below): the caller is the one consumer, so
         // the consumer cursor is ours, and its block is live until this
         // thread hands it back. A set flag, acquired, means the value is
-        // written and, on the last slot, `next` is linked.
+        // written (with its cell, if filled) and, on the last slot, `next`
+        // is linked.
         let taken = self.consumer.count.load(Ordering::Relaxed);
         let block = *self.consumer.block.get();
-        let i = taken % BLOCK;
+        let i = taken % N;
         let slot = &(*block).slots[i];
         if !slot.ready.load(Ordering::Acquire) {
             return None;
         }
         let value = (*slot.value.get()).assume_init_read();
+        if C::filled(&value) {
+            *cell = *slot.cell.get();
+        }
         slot.ready.store(false, Ordering::Relaxed);
-        if i == BLOCK - 1 {
+        if i == N - 1 {
             // The producer linked `next` before it published this slot
             // and has left the block for good: hand it back.
             *self.consumer.block.get() = (*block).next.load(Ordering::Relaxed);
-            let displaced = self.spare.swap(block, Ordering::AcqRel);
+            let displaced = self.spare.0.swap(block, Ordering::AcqRel);
             if !displaced.is_null() {
                 drop(Box::from_raw(displaced));
             }
@@ -675,7 +741,7 @@ impl<T> SpscQueue<T> {
     fn retained_blocks(&self) -> usize {
         // SAFETY: with both sides quiescent nobody writes the cursors.
         let (mut block, last) = unsafe { (*self.consumer.block.get(), *self.producer.block.get()) };
-        let mut held = 1 + usize::from(!self.spare.load(Ordering::Acquire).is_null());
+        let mut held = 1 + usize::from(!self.spare.0.load(Ordering::Acquire).is_null());
         while block != last {
             // SAFETY: with both sides quiescent the chain is stable and
             // every block on it is live.
@@ -686,19 +752,19 @@ impl<T> SpscQueue<T> {
     }
 }
 
-impl<T> Drop for SpscQueue<T> {
+impl<T, C, const N: usize> Drop for SpscQueue<T, C, N> {
     fn drop(&mut self) {
         let sent = *self.producer.count.get_mut();
         let mut taken = *self.consumer.count.get_mut();
         let mut block = *self.consumer.block.get_mut();
         while taken != sent {
-            let i = taken % BLOCK;
+            let i = taken % N;
             // SAFETY: exclusive access; slots `taken..sent` hold the
             // queued values, each dropped once here, and a block is freed
             // only after its last slot, once its successor is read.
             unsafe {
                 (*(*block).slots[i].value.get()).assume_init_drop();
-                if i == BLOCK - 1 {
+                if i == N - 1 {
                     let next = (*block).next.load(Ordering::Relaxed);
                     drop(Box::from_raw(block));
                     block = next;
@@ -711,7 +777,7 @@ impl<T> Drop for SpscQueue<T> {
         // the queue alone, and neither holds a value.
         unsafe {
             drop(Box::from_raw(block));
-            let spare = *self.spare.get_mut();
+            let spare = *self.spare.0.get_mut();
             if !spare.is_null() {
                 drop(Box::from_raw(spare));
             }
@@ -727,9 +793,15 @@ impl<T> Drop for SpscQueue<T> {
 /// In this crate that invariant is structural — each mesh link's send
 /// side is owned by exactly one rank's thread, and pool worker handles
 /// are handed between dispatchers through mutexes.
-pub struct SpscSender<T> {
-    queue: Arc<SpscQueue<T>>,
+pub struct SpscSender<T, C = (), const N: usize = BLOCK> {
+    queue: Arc<SpscQueue<T, C, N>>,
 }
+
+/// The send side of a mesh link ([`link_channel`]).
+pub type LinkSender = SpscSender<Packet, PayloadCell, LINK_BLOCK>;
+
+/// The receive side of a mesh link ([`link_channel`]).
+pub type LinkReceiver = SpscReceiver<Packet, PayloadCell, LINK_BLOCK>;
 
 impl<T> SpscSender<T> {
     /// Enqueue `value`; hands it back when the receiver has dropped.
@@ -740,24 +812,45 @@ impl<T> SpscSender<T> {
     /// edge between any two sends. Debug builds detect violations and
     /// panic.
     pub unsafe fn send(&self, value: T) -> Result<(), T> {
-        self.send_publish(value)?;
+        self.send_with(value, ())
+    }
+
+    /// Enqueue without the fence/wake step — the batched-fan-out fast
+    /// path; see [`SpscSender::send_publish_with`].
+    ///
+    /// # Safety
+    /// As for [`SpscSender::send`].
+    pub(crate) unsafe fn send_publish(&self, value: T) -> Result<(), T> {
+        self.send_publish_with(value, ())
+    }
+}
+
+impl<T, C: SlotCell<T>, const N: usize> SpscSender<T, C, N> {
+    /// Enqueue `value` with `cell` beside it (written only when
+    /// [`SlotCell::filled`] says `value` has one); hands `value` back
+    /// when the receiver has dropped.
+    ///
+    /// # Safety
+    /// As for [`SpscSender::send`].
+    pub unsafe fn send_with(&self, value: T, cell: C) -> Result<(), T> {
+        self.send_publish_with(value, cell)?;
         publish_fence();
         self.wake();
         Ok(())
     }
 
     /// Enqueue without the fence/wake step — the batched-fan-out fast
-    /// path. After a series of `send_publish` calls the producer must
-    /// run [`publish_fence`] once and then [`SpscSender::wake`] on each
-    /// touched channel before blocking on anything.
+    /// path. After a series of `send_publish_with` calls the producer
+    /// must run [`publish_fence`] once and then [`SpscSender::wake`] on
+    /// each touched channel before blocking on anything.
     ///
     /// # Safety
     /// As for [`SpscSender::send`].
-    pub(crate) unsafe fn send_publish(&self, value: T) -> Result<(), T> {
+    pub(crate) unsafe fn send_publish_with(&self, value: T, cell: C) -> Result<(), T> {
         if !self.receiver_alive() {
             return Err(value);
         }
-        self.queue.publish(value);
+        self.queue.publish(value, cell);
         Ok(())
     }
 
@@ -774,7 +867,7 @@ impl<T> SpscSender<T> {
     }
 }
 
-impl<T> Clone for SpscSender<T> {
+impl<T, C, const N: usize> Clone for SpscSender<T, C, N> {
     fn clone(&self) -> Self {
         self.queue.parker.add_sender();
         SpscSender {
@@ -783,7 +876,7 @@ impl<T> Clone for SpscSender<T> {
     }
 }
 
-impl<T> Drop for SpscSender<T> {
+impl<T, C, const N: usize> Drop for SpscSender<T, C, N> {
     fn drop(&mut self) {
         self.queue.parker.drop_sender();
     }
@@ -791,24 +884,15 @@ impl<T> Drop for SpscSender<T> {
 
 /// Consumer handle of the lock-free SPSC channel (single-consumer: not
 /// cloneable).
-pub struct SpscReceiver<T> {
-    queue: Arc<SpscQueue<T>>,
+pub struct SpscReceiver<T, C = (), const N: usize = BLOCK> {
+    queue: Arc<SpscQueue<T, C, N>>,
 }
 
 impl<T> SpscReceiver<T> {
     /// Blocking receive; fails once the queue is empty and every sender
     /// has dropped.
     pub fn recv(&self) -> Result<T, Disconnected> {
-        self.recv_counted(&mut RecvCounts::default())
-    }
-
-    /// [`SpscReceiver::recv`], recording in `counts` which phase of the
-    /// wait delivered the message.
-    pub(crate) fn recv_counted(&self, counts: &mut RecvCounts) -> Result<T, Disconnected> {
-        // SAFETY: `SpscReceiver` is not Clone, so this is the single
-        // consumer.
-        let try_pop = || unsafe { self.queue.try_pop() };
-        self.queue.parker.recv(counts, try_pop)
+        self.recv_counted(&mut RecvCounts::default(), &mut ())
     }
 
     /// Non-blocking receive: `Ok(Some(v))` on a message, `Ok(None)` on a
@@ -819,8 +903,25 @@ impl<T> SpscReceiver<T> {
     pub(crate) fn try_recv(&self) -> Result<Option<T>, Disconnected> {
         // SAFETY: `SpscReceiver` is not Clone, so this is the single
         // consumer.
-        let mut try_pop = || unsafe { self.queue.try_pop() };
+        let mut try_pop = || unsafe { self.queue.try_pop(&mut ()) };
         self.queue.parker.poll(&mut try_pop).transpose()
+    }
+}
+
+impl<T, C: SlotCell<T>, const N: usize> SpscReceiver<T, C, N> {
+    /// Blocking receive of a value, copying its cell to `cell` when the
+    /// value has one (and leaving `cell` alone otherwise), and recording
+    /// in `counts` which phase of the wait delivered it; fails once the
+    /// queue is empty and every sender has dropped.
+    pub(crate) fn recv_counted(
+        &self,
+        counts: &mut RecvCounts,
+        cell: &mut C,
+    ) -> Result<T, Disconnected> {
+        // SAFETY: `SpscReceiver` is not Clone, so this is the single
+        // consumer.
+        let try_pop = || unsafe { self.queue.try_pop(cell) };
+        self.queue.parker.recv(counts, try_pop)
     }
 
     /// Messages currently queued: sent minus received, from two counts
@@ -836,14 +937,14 @@ impl<T> SpscReceiver<T> {
     }
 }
 
-impl<T> Drop for SpscReceiver<T> {
+impl<T, C, const N: usize> Drop for SpscReceiver<T, C, N> {
     fn drop(&mut self) {
         self.queue.receiver_alive.store(false, Ordering::Release);
     }
 }
 
-/// Create a lock-free SPSC channel.
-pub fn spsc_channel<T>() -> (SpscSender<T>, SpscReceiver<T>) {
+/// A queue of `N`-slot blocks whose slots hold a `T` and a `C`.
+fn channel<T, C: SlotCell<T>, const N: usize>() -> (SpscSender<T, C, N>, SpscReceiver<T, C, N>) {
     let queue = Arc::new(SpscQueue::new());
     queue.parker.add_sender();
     (
@@ -854,9 +955,23 @@ pub fn spsc_channel<T>() -> (SpscSender<T>, SpscReceiver<T>) {
     )
 }
 
+/// Create a lock-free SPSC channel: 32 slots to a block, no cell.
+pub fn spsc_channel<T>() -> (SpscSender<T>, SpscReceiver<T>) {
+    channel()
+}
+
+/// Create a mesh link: the SPSC ring with two-line slots, 16 to a block,
+/// whose second line carries a [`PacketBody::Cell`] payload.
+///
+/// [`PacketBody::Cell`]: crate::packet::PacketBody::Cell
+pub fn link_channel() -> (LinkSender, LinkReceiver) {
+    channel()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::PacketBody;
 
     /// Shrink an iteration count under Miri (interpreted execution is
     /// orders of magnitude slower); every code path is still covered.
@@ -1098,6 +1213,119 @@ mod tests {
         assert_eq!(rx.queue.retained_blocks(), 2);
     }
 
+    /// Packet `seq` of a mesh link test stream: inline, in a full
+    /// 64-byte cell, or in a 16-byte cell, by turns.
+    fn link_packet(seq: u64) -> (Packet, PayloadCell) {
+        fn boxed<T>(_: T) -> Box<dyn std::any::Any + Send> {
+            unreachable!("fits the packet or the cell")
+        }
+        let (body, cell) = match seq % 3 {
+            0 => PacketBody::of(seq, boxed),
+            1 => PacketBody::of([seq; 8], boxed),
+            _ => PacketBody::of((seq as u32, !seq), boxed),
+        };
+        let packet = Packet {
+            scope: 0,
+            tag: seq,
+            bytes: 0,
+            arrival_time: 0.0,
+            body,
+        };
+        (packet, cell)
+    }
+
+    /// Check a packet made by [`link_packet`] and return its `seq`.
+    fn link_seq(packet: Packet, cell: PayloadCell) -> u64 {
+        let seq = packet.tag;
+        // SAFETY (the takes): the link hands each packet out with the
+        // cell that travelled beside it.
+        match (seq % 3, packet.body) {
+            (0, PacketBody::Inline(v)) => assert_eq!(v.take::<u64>().ok(), Some(seq)),
+            (1, PacketBody::Cell(ty)) => {
+                assert_eq!(unsafe { cell.take::<[u64; 8]>(ty) }.ok(), Some([seq; 8]));
+            }
+            (2, PacketBody::Cell(ty)) => {
+                let got = unsafe { cell.take::<(u32, u64)>(ty) }.ok();
+                assert_eq!(got, Some((seq as u32, !seq)));
+            }
+            _ => panic!("packet {seq}: unexpected body"),
+        }
+        seq
+    }
+
+    #[test]
+    fn link_slots_are_two_lines_in_blocks_of_2_kib() {
+        assert_eq!(LINK_BLOCK, 16);
+        assert_eq!(BLOCK, 32);
+        let link_block = std::mem::size_of::<Block<Packet, PayloadCell, LINK_BLOCK>>();
+        let plain_block = std::mem::size_of::<Block<Packet, (), BLOCK>>();
+        // The slots, then `next` on a line of its own.
+        assert_eq!(
+            (link_block, plain_block),
+            (BLOCK_BYTES + 64, BLOCK_BYTES + 64)
+        );
+        let (inline, _) = link_packet(3);
+        let (cell, _) = link_packet(4);
+        assert!(!PayloadCell::filled(&inline) && PayloadCell::filled(&cell));
+    }
+
+    #[test]
+    fn link_cells_ride_beside_their_packets_across_block_boundaries() {
+        for queued in [
+            1,
+            LINK_BLOCK - 1,
+            LINK_BLOCK,
+            LINK_BLOCK + 1,
+            3 * LINK_BLOCK + 5,
+        ] {
+            let (tx, rx) = link_channel();
+            // SAFETY (every send here): one thread, one handle.
+            for seq in 0..queued as u64 {
+                let (packet, cell) = link_packet(seq);
+                assert!(unsafe { tx.send_with(packet, cell) }.is_ok());
+            }
+            assert_eq!(rx.len(), queued);
+            for seq in 0..queued as u64 / 2 {
+                let mut cell = PayloadCell::EMPTY;
+                assert_eq!(
+                    rx.recv_counted(&mut RecvCounts::default(), &mut cell)
+                        .map(|p| link_seq(p, cell)),
+                    Ok(seq)
+                );
+            }
+            // The rest are dropped with the queue.
+        }
+    }
+
+    #[test]
+    fn link_threaded_stream_keeps_each_cell_with_its_packet() {
+        let (tx, rx) = link_channel();
+        let count = scaled(30_000);
+        let h = std::thread::spawn(move || {
+            for seq in 0..count {
+                let (packet, cell) = link_packet(seq);
+                // SAFETY: this thread holds the only sender.
+                unsafe { tx.send_with(packet, cell) }.expect("receiver alive");
+                if seq % (LINK_BLOCK as u64 + 3) == 0 {
+                    std::thread::yield_now();
+                }
+            }
+        });
+        let mut cell = PayloadCell::EMPTY;
+        for seq in 0..count {
+            assert_eq!(
+                rx.recv_counted(&mut RecvCounts::default(), &mut cell)
+                    .map(|p| link_seq(p, cell)),
+                Ok(seq)
+            );
+        }
+        assert_eq!(
+            rx.recv_counted(&mut RecvCounts::default(), &mut cell).err(),
+            Some(Disconnected)
+        );
+        h.join().unwrap();
+    }
+
     #[test]
     fn spsc_blocking_recv_wakes_on_send() {
         let (tx, rx) = spsc_channel();
@@ -1171,7 +1399,7 @@ mod tests {
             unsafe { tx.send(v) }.unwrap();
         }
         fn recv(&self, counts: &mut RecvCounts) -> Result<u64, Disconnected> {
-            self.recv_counted(counts)
+            self.recv_counted(counts, &mut ())
         }
         fn parker(&self) -> &Parker {
             &self.queue.parker

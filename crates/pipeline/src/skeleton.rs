@@ -23,9 +23,9 @@
 //!    when out; a consumer returns one credit per item *after*
 //!    forwarding it downstream, so backpressure from a slow stage
 //!    propagates all the way to ingest — in virtual time as well as in
-//!    bounded memory. Credit edges are ordinary mesh links, so they
-//!    ride the substrate's SPSC queues with recycled nodes and
-//!    arena-backed payload boxes — the credit chatter of a long stream
+//!    bounded memory. Credit edges are ordinary mesh links, and a
+//!    credit is a `()`, which rides inside its packet on the link's
+//!    recycled ring blocks — the credit chatter of a long stream
 //!    allocates nothing in steady state.
 //! 3. **End of stream** is an explicit marker sent once per (producer,
 //!    consumer) pair after the producer's last item; consumers drain one

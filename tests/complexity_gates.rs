@@ -202,6 +202,38 @@ fn ring_shift(ctx: &mut Ctx, round: u64) {
     assert_eq!(ctx.recv::<[u64; 8]>((rank + p - 1) % p, 2), [round; 8]);
 }
 
+/// Rank pairs bounce a pair of `u64`s (16 bytes, in the link's cell).
+fn pair_ping_pong(ctx: &mut Ctx, round: u64) {
+    let partner = ctx.rank() ^ 1;
+    if ctx.rank().is_multiple_of(2) {
+        ctx.send(partner, 3, (round, !round));
+        assert_eq!(ctx.recv::<(u64, u64)>(partner, 3), (round, !round));
+    } else {
+        let v: (u64, u64) = ctx.recv(partner, 3);
+        ctx.send(partner, 3, v);
+    }
+}
+
+/// Every rank passes 40 bytes to its right-hand neighbour.
+fn ring_shift_40(ctx: &mut Ctx, round: u64) {
+    let (rank, p) = (ctx.rank(), ctx.nprocs());
+    ctx.send((rank + 1) % p, 4, [round; 5]);
+    assert_eq!(ctx.recv::<[u64; 5]>((rank + p - 1) % p, 4), [round; 5]);
+}
+
+/// Every rank sends two sequence-numbered tags to its right-hand
+/// neighbour and receives the second first, so the first waits in the
+/// pending stash under a tag it never carries again.
+fn out_of_order(ctx: &mut Ctx, round: u64) {
+    let (rank, p) = (ctx.rank(), ctx.nprocs());
+    let (right, left) = ((rank + 1) % p, (rank + p - 1) % p);
+    let tag = 16 + 2 * round;
+    ctx.send(right, tag, round);
+    ctx.send(right, tag + 1, [round; 2]);
+    assert_eq!(ctx.recv::<[u64; 2]>(left, tag + 1), [round; 2]);
+    assert_eq!(ctx.recv::<u64>(left, tag), round);
+}
+
 #[test]
 fn steady_state_send_and_recv_allocate_nothing() {
     type Exchange = fn(&mut Ctx, u64);
@@ -209,6 +241,9 @@ fn steady_state_send_and_recv_allocate_nothing() {
         for (name, exchange) in [
             ("ping-pong", ping_pong as Exchange),
             ("ring shift", ring_shift),
+            ("(u64, u64) ping-pong", pair_ping_pong),
+            ("[u64; 5] ring shift", ring_shift_40),
+            ("out-of-order receive", out_of_order),
         ] {
             let out = run_spmd(p, MachineModel::ibm_sp(), |ctx| {
                 // Warm-up: fills the payload arenas and takes every link
@@ -282,8 +317,9 @@ fn bulk_collectives_allocate_only_the_copies_a_rank_keeps() {
     }
 }
 
-/// Bytes of one SPSC ring block's slots: 32 slots of one cache line.
-/// No bookkeeping request or payload box of a small message comes near.
+/// Bytes of one SPSC ring block's slots: 32 slots of one cache line, or
+/// a mesh link's 16 slots of two. No bookkeeping request or payload box
+/// of a small message comes near.
 const RING_BLOCK_SLOT_BYTES: u64 = 32 * 64;
 
 #[test]
@@ -309,7 +345,7 @@ fn small_messages_allocate_nothing_but_ring_blocks_from_cold() {
     });
     for (rank, &((), count, bytes)) in out.results.iter().enumerate() {
         // The rank's one outgoing link grows from its first block to a
-        // second at message 32; from then on the two cycle through the
+        // second at message 16; from then on the two cycle through the
         // spare pointer. Every payload rides in its slot.
         assert_eq!(count, 1, "rank {rank}: allocations");
         assert!(

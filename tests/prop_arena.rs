@@ -12,12 +12,58 @@
 //! (distinct `(size, align)` arena classes) and asserts that results,
 //! per-rank clocks, and stats never depend on whether the memory was
 //! recycled — mirroring the recycle-cache hammer that guards network
-//! recycling itself.
+//! recycling itself. Payloads of 9 to 64 bytes ride in the cell beside
+//! their packet; they are sent under colliding tags in two scopes and
+//! received in a shuffled order, so cell packets wait in the receiver's
+//! pending stash too.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 use parallel_archetypes::mp::{run_spmd_with, Ctx, MachineModel, RunConfig, Shared};
+
+/// Send one payload of each cell size (9, 16, 33, 40 and 64 bytes) to
+/// `to`, tags `tag..tag + 5`.
+fn send_cells(ctx: &mut Ctx, to: usize, tag: u64, x: u64) {
+    ctx.send(to, tag, [x as u8; 9]);
+    ctx.send(to, tag + 1, (x, !x));
+    ctx.send(to, tag + 2, [x as u8 ^ 0x5A; 33]);
+    ctx.send(to, tag + 3, [x.rotate_left(7); 5]);
+    ctx.send(to, tag + 4, [x.wrapping_mul(3); 8]);
+}
+
+/// Receive [`send_cells`]' five payloads from `from` in the order
+/// `perm` gives, folding them into one number.
+fn recv_cells(ctx: &mut Ctx, from: usize, tag: u64, perm: [u64; 5]) -> u64 {
+    let mut acc = 0u64;
+    for k in perm {
+        let t = tag + k;
+        let v = match k {
+            0 => ctx.recv::<[u8; 9]>(from, t)[8] as u64,
+            1 => {
+                let (a, b) = ctx.recv::<(u64, u64)>(from, t);
+                a ^ b.rotate_left(1)
+            }
+            2 => ctx.recv::<[u8; 33]>(from, t)[32] as u64,
+            3 => ctx.recv::<[u64; 5]>(from, t)[4],
+            _ => ctx.recv::<[u64; 8]>(from, t)[7],
+        };
+        acc = acc.wrapping_mul(31).wrapping_add(v ^ k);
+    }
+    acc
+}
+
+/// A permutation of `0..5` drawn from `x`.
+fn shuffled(mut x: u64) -> [u64; 5] {
+    let mut perm = [0, 1, 2, 3, 4];
+    for i in (1..5).rev() {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        perm.swap(i, (x >> 33) as usize % (i + 1));
+    }
+    perm
+}
 
 /// The mixed-size messaging workload: ring exchanges carrying several
 /// distinct payload layouts (scalar tuple, fixed arrays of two sizes,
@@ -52,6 +98,18 @@ fn body(sizes: &[usize], seed: u64, ctx: &mut Ctx) -> (u64, u64, u64) {
             .wrapping_add(a4[0] * a8[7])
             .wrapping_add(v.iter().map(|&b| b as u64).sum::<u64>())
             .wrapping_add(s.len() as u64);
+        // Cell payloads under the same tags in the world and in a scope
+        // over every rank: the scope's receives stash the world's
+        // packets, which the world then takes in another order.
+        let tag = ctx.phase_tag();
+        send_cells(ctx, right, tag, acc);
+        let all: Vec<usize> = (0..n).collect();
+        let scoped = ctx.scoped(&all, round as u64, |ctx| {
+            send_cells(ctx, right, tag, acc ^ 1);
+            recv_cells(ctx, left, tag, shuffled(seed ^ round as u64))
+        });
+        let world = recv_cells(ctx, left, tag, shuffled(seed.rotate_left(9) + round as u64));
+        acc = acc.wrapping_add(scoped).wrapping_mul(3).wrapping_add(world);
     }
     // Collectives: scatter and broadcast ride the quiet fan-out path,
     // gather/all_reduce the plain one.

@@ -23,21 +23,21 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use parallel_archetypes::mp::mailbox::{build_network, Mailbox};
-use parallel_archetypes::mp::packet::{InlineValue, Packet, PacketBody};
+use parallel_archetypes::mp::packet::{InlineValue, Packet, PacketBody, PayloadCell};
 use parallel_archetypes::mp::transport::{
-    real_channel, spsc_channel, Disconnected, RealReceiver, RealSender, SpscReceiver, SpscSender,
-    SPIN_BUDGET,
+    real_channel, spsc_channel, Disconnected, LinkSender, RealReceiver, RealSender, SpscReceiver,
+    SpscSender, SPIN_BUDGET,
 };
 
 /// One mesh link's send side, as handed out by [`build_network`].
-struct Link(SpscSender<Packet>);
+struct Link(LinkSender);
 
 impl Link {
     /// Every test below gives each link to exactly one sending thread,
     /// which is the single-producer contract `SpscSender::send` needs.
     fn send(&self, p: Packet) -> Result<(), ()> {
         // SAFETY: see above — one thread per link, for its whole life.
-        unsafe { self.0.send(p) }.map_err(drop)
+        unsafe { self.0.send_with(p, PayloadCell::EMPTY) }.map_err(drop)
     }
 }
 
@@ -62,7 +62,10 @@ fn pkt(tag: u64, value: u64) -> Packet {
     }
 }
 
-fn value(p: Packet) -> u64 {
+/// The `u64` of the next world-scope message from `sender` with `tag`.
+fn recv(mb: &mut Mailbox, sender: usize, tag: u64) -> u64 {
+    let mut cell = PayloadCell::EMPTY;
+    let p = mb.recv_matching(sender, 0, tag, &mut cell);
     let PacketBody::Inline(v) = p.body else {
         panic!("expected inline body");
     };
@@ -97,7 +100,7 @@ proptest! {
             let choice = drain_order[pick % drain_order.len()] as usize % remaining.len();
             pick += 1;
             let t = remaining[choice];
-            let got = value(mb[0].recv_matching(1, 0, t));
+            let got = recv(&mut mb[0], 1, t);
             let expected = per_tag.get_mut(&t).unwrap().pop_front().unwrap();
             prop_assert_eq!(
                 got, expected,
@@ -145,7 +148,7 @@ proptest! {
                     .iter()
                     .find(|&&t| t >= tag)
                     .unwrap_or(&keys[0]);
-                let got = value(mb[0].recv_matching(1, 0, t));
+                let got = recv(&mut mb[0], 1, t);
                 let expected = outstanding.get_mut(&t).unwrap().pop_front().unwrap();
                 prop_assert_eq!(got, expected);
             }
@@ -155,7 +158,7 @@ proptest! {
         keys.sort_unstable();
         for t in keys {
             while let Some(expected) = outstanding.get_mut(&t).unwrap().pop_front() {
-                prop_assert_eq!(value(mb[0].recv_matching(1, 0, t)), expected);
+                prop_assert_eq!(recv(&mut mb[0], 1, t), expected);
             }
         }
         prop_assert_eq!(mb[0].unconsumed(), 0, "no leaks after quiescence");
@@ -190,7 +193,7 @@ proptest! {
         b_keys.reverse(); // drain highest tag first: maximal buffering
         for t in b_keys {
             while let Some(e) = expect_b.get_mut(&t).unwrap().pop_front() {
-                prop_assert_eq!(value(mb[2].recv_matching(1, 0, t)), e);
+                prop_assert_eq!(recv(&mut mb[2], 1, t), e);
             }
         }
         let mut expect_a: std::collections::HashMap<u64, std::collections::VecDeque<u64>> =
@@ -202,7 +205,7 @@ proptest! {
         a_keys.sort_unstable();
         for t in a_keys {
             while let Some(e) = expect_a.get_mut(&t).unwrap().pop_front() {
-                prop_assert_eq!(value(mb[2].recv_matching(0, 0, t)), e);
+                prop_assert_eq!(recv(&mut mb[2], 0, t), e);
             }
         }
         prop_assert_eq!(mb[2].unconsumed(), 0);
@@ -260,7 +263,7 @@ proptest! {
             pick += 1;
             let (s, t) = remaining[choice];
             // Blocks until the concurrent sender produces this message.
-            let got = value(mb[2].recv_matching(s, 0, t));
+            let got = recv(&mut mb[2], s, t);
             let expected = expect.get_mut(&(s, t)).unwrap().pop_front().unwrap();
             prop_assert_eq!(got, expected, "per-sender FIFO broke for sender {} tag {}", s, t);
             if expect[&(s, t)].is_empty() {
@@ -306,10 +309,10 @@ proptest! {
         // Drain sender 1 first, then sender 0 — regardless of real-time
         // arrival interleaving, each stream reads back pure and in order.
         for i in 0..n_each {
-            prop_assert_eq!(value(mb[2].recv_matching(1, 0, 7)), 1000 + i as u64);
+            prop_assert_eq!(recv(&mut mb[2], 1, 7), 1000 + i as u64);
         }
         for i in 0..n_each {
-            prop_assert_eq!(value(mb[2].recv_matching(0, 0, 7)), i as u64);
+            prop_assert_eq!(recv(&mut mb[2], 0, 7), i as u64);
         }
         for h in handles {
             h.join().unwrap();
