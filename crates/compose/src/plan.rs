@@ -17,9 +17,8 @@
 //! Because `Seq` chains `Par` outputs into later stages' inputs, any DAG
 //! of stages with fan-out/fan-in expressible as tuples can be written as
 //! a plan. The derived composite grammar ([`Plan::grammar`]) is built
-//! from the members' static archetype grammars by sequence composition —
-//! with [`Plan::grammar_interleaved`] as the shuffle-closed variant for
-//! traces merged by timestamp rather than in canonical branch order.
+//! from the members' archetype grammars by sequence composition, in
+//! canonical branch order.
 
 use std::sync::Arc;
 
@@ -121,8 +120,8 @@ impl Plan {
     /// each node's constructor tag, child count, and — for atoms — the
     /// job's name and [`ArchetypeJob::fingerprint`]. Two plans with equal
     /// hashes have the same tree shape over interchangeable atoms, so the
-    /// plan service memoizes derived grammars, node/atom counts, and
-    /// allocations under this key across identical submissions.
+    /// plan service memoizes derived grammars and allocations under this
+    /// key across identical submissions.
     pub fn structure_hash(&self) -> u64 {
         fn fnv(h: u64, x: u64) -> u64 {
             let mut h = h;
@@ -240,28 +239,16 @@ impl Plan {
     /// `Communication` (its input replication), with a
     /// `Detect`/`Recover` pair after each attempt a fault plan loses.
     pub fn grammar(&self) -> PatternExpr {
-        self.grammar_with(PatternExpr::seq)
-    }
-
-    /// The shuffle-closed variant: `Par`/`Replicate` members compose by
-    /// interleaving instead of branch-order concatenation, accepting any
-    /// timestamp-merge of concurrently emitted branch traces (the
-    /// canonical trace is one such shuffle, so everything
-    /// [`Plan::grammar`] accepts, this accepts too).
-    pub fn grammar_interleaved(&self) -> PatternExpr {
-        self.grammar_with(PatternExpr::interleave)
-    }
-
-    fn grammar_with(&self, par_compose: fn(Vec<PatternExpr>) -> PatternExpr) -> PatternExpr {
         let comm = || PatternExpr::opt(PatternExpr::Kind(PhaseKind::Communication));
+        let branches = |members: Vec<PatternExpr>| {
+            PatternExpr::seq(vec![comm(), PatternExpr::seq(members), comm()])
+        };
         match &self.node {
             // A lost attempt ran to completion, so its phases stay in
             // the trace, followed by the Detect/Recover pair of its loss:
             // `(comm? atom Detect Recover)* comm? atom`.
             PlanNode::Atom(job) => {
-                let attempt = || {
-                    PatternExpr::seq(vec![comm(), PatternExpr::from_static(&job.info().grammar)])
-                };
+                let attempt = || PatternExpr::seq(vec![comm(), job.info().grammar()]);
                 let lost = PatternExpr::seq(vec![
                     attempt(),
                     PatternExpr::Kind(PhaseKind::Detect),
@@ -269,17 +256,9 @@ impl Plan {
                 ]);
                 PatternExpr::seq(vec![PatternExpr::Star(Box::new(lost)), attempt()])
             }
-            PlanNode::Seq(xs) => {
-                PatternExpr::seq(xs.iter().map(|s| s.grammar_with(par_compose)).collect())
-            }
-            PlanNode::Par(xs) => {
-                let members = xs.iter().map(|b| b.grammar_with(par_compose)).collect();
-                PatternExpr::seq(vec![comm(), par_compose(members), comm()])
-            }
-            PlanNode::Replicate(n, inner) => {
-                let members = (0..*n).map(|_| inner.grammar_with(par_compose)).collect();
-                PatternExpr::seq(vec![comm(), par_compose(members), comm()])
-            }
+            PlanNode::Seq(xs) => PatternExpr::seq(xs.iter().map(Plan::grammar).collect()),
+            PlanNode::Par(xs) => branches(xs.iter().map(Plan::grammar).collect()),
+            PlanNode::Replicate(n, inner) => branches((0..*n).map(|_| inner.grammar()).collect()),
         }
     }
 

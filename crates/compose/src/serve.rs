@@ -10,10 +10,10 @@
 //!    and a cost ceiling priced from the plan's flop estimate — and
 //!    lands in the FIFO queue, or comes back as a typed [`AdmitError`].
 //!    Plan *structure* is memoized on the way in
-//!    ([`Plan::structure_hash`]): node/atom counts, the derived
-//!    composite grammar, and the cost estimate are computed once per
-//!    distinct `(structure, input shape)` and reused across identical
-//!    submissions ([`CacheStats`] counts the hits).
+//!    ([`Plan::structure_hash`]): the derived composite grammar and the
+//!    cost estimate are computed once per distinct `(structure, input
+//!    shape)` and reused across identical submissions ([`CacheStats`]
+//!    counts the hits).
 //! 2. **Packing** ([`pack_waves`]): the queue is cut into *waves* of up
 //!    to `max_concurrent` plans; within a wave the largest-remainder
 //!    allocator ([`crate::allocate`]) — the same one `Par` branches use
@@ -156,8 +156,7 @@ impl std::error::Error for AdmitError {}
 /// Hit/miss counters of the service's structure caches.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Plan-shape lookups (node/atom counts + derived grammar) answered
-    /// from the cache.
+    /// Plan-shape lookups (the derived grammar) answered from the cache.
     pub shape_hits: u64,
     /// Plan shapes derived fresh.
     pub shape_misses: u64,
@@ -173,8 +172,6 @@ pub struct CacheStats {
 
 /// Memoized structural derivations of one plan shape.
 struct PlanShape {
-    nodes: u64,
-    atoms: u64,
     grammar: PatternExpr,
 }
 
@@ -195,8 +192,6 @@ impl PlanCache {
         }
         self.stats.shape_misses += 1;
         let s = Arc::new(PlanShape {
-            nodes: plan.nodes(),
-            atoms: plan.atoms(),
             grammar: plan.grammar(),
         });
         self.shapes.insert(hash, Arc::clone(&s));
@@ -609,15 +604,6 @@ impl PlanService {
             .shapes
             .get(&plan.structure_hash())
             .map(|s| &s.grammar)
-    }
-
-    /// The memoized `(nodes, atoms)` counts of a previously submitted
-    /// plan shape, if the cache holds it.
-    pub fn cached_shape_counts(&self, plan: &Plan) -> Option<(u64, u64)> {
-        self.cache
-            .shapes
-            .get(&plan.structure_hash())
-            .map(|s| (s.nodes, s.atoms))
     }
 
     /// Pack the current queue into the wave schedule that is about to

@@ -9,13 +9,13 @@
 //! domain.
 //!
 //! This crate provides exactly that: the paper's CC++ parfor / HPF
-//! `forall` constructs as [`fn@parfor`]/[`forall`] functions that run their
-//! independent iterations as plain loops — version 1. The parallel
-//! program is the SPMD skeleton of each archetype over `archetype-mp`,
-//! checked against that loop. It also provides associative reduction
-//! operators ([`ops`]) and archetype/phase metadata ([`archetype`]),
-//! whose grammars tests match against the phases a traced run records to
-//! assert that applications follow their archetype's dataflow pattern.
+//! `forall` constructs as [`fn@parfor`] and its siblings, functions that
+//! run their independent iterations as plain loops — version 1. The
+//! parallel program is the SPMD skeleton of each archetype over
+//! `archetype-mp`, checked against that loop. It also provides
+//! archetype/phase metadata ([`archetype`]), whose grammars tests match
+//! against the phases a traced run records to assert that applications
+//! follow their archetype's dataflow pattern.
 //!
 //! ```
 //! use archetype_core::parfor_map;
@@ -28,10 +28,8 @@
 
 pub mod archetype;
 pub mod mode;
-pub mod ops;
 pub mod parfor;
 
-pub use archetype::{ArchetypeInfo, PatternExpr, PhaseKind, PhasePattern};
+pub use archetype::{ArchetypeInfo, PatternExpr, PhaseKind};
 pub use mode::ExecutionMode;
-pub use ops::{associative_fold, ReduceOp};
-pub use parfor::{forall, parfor, parfor_chunks, parfor_map, parfor_map_vec, parfor_reduce};
+pub use parfor::{parfor, parfor_chunks, parfor_map, parfor_map_vec, parfor_reduce};

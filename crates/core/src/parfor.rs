@@ -15,12 +15,6 @@ pub fn parfor<F: Fn(usize)>(n: usize, body: F) {
     (0..n).for_each(body)
 }
 
-/// Alias for [`parfor`] matching HPF's `forall` vocabulary used in the
-/// mesh-spectral pseudocode.
-pub fn forall<F: Fn(usize)>(n: usize, body: F) {
-    parfor(n, body)
-}
-
 /// Run `body(i)` for every `i` in `0..n` and collect the results in index
 /// order.
 pub fn parfor_map<F: Fn(usize) -> R, R>(n: usize, body: F) -> Vec<R> {

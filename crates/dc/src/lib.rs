@@ -57,4 +57,4 @@ pub use recursive::{
 };
 pub use skeleton::{run_shared, run_spmd, OneDeep};
 pub use skyline::{concat_skyline, sequential_skyline, OneDeepSkyline};
-pub use traditional::{tree_mergesort_distributed_spmd, tree_mergesort_spmd};
+pub use traditional::tree_mergesort_distributed_spmd;

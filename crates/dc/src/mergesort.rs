@@ -510,11 +510,10 @@ mod tests {
     #[test]
     fn one_deep_beats_traditional_in_virtual_time() {
         // The headline claim of Figure 6 in miniature.
-        use crate::traditional::tree_mergesort_spmd;
+        use crate::traditional::tree_mergesort_distributed_spmd;
         let p = 16;
         let per = 4000;
         let input = blocks(p, per);
-        let flat: Vec<i64> = input.iter().flatten().copied().collect();
 
         let t_onedeep = mp_run(p, MachineModel::intel_delta(), |ctx| {
             let alg = OneDeepMergesort::<i64>::new();
@@ -523,8 +522,7 @@ mod tests {
         .elapsed_virtual;
 
         let t_trad = mp_run(p, MachineModel::intel_delta(), |ctx| {
-            let inp = (ctx.rank() == 0).then(|| flat.clone());
-            tree_mergesort_spmd(ctx, inp);
+            tree_mergesort_distributed_spmd(ctx, input[ctx.rank()].clone());
         })
         .elapsed_virtual;
 

@@ -28,6 +28,26 @@
 //! with `k == nprocs`; the equivalence of the sequential, shared,
 //! one-deep, and recursive executions is asserted per application in
 //! `tests/prop_dc.rs`.
+//!
+//! **Why depth 1 does not replace the one-deep skeleton.**
+//! [`run_spmd_recursive`] starts with the whole problem on the group
+//! root and ends with the whole solution there. At depth 1 the root
+//! therefore scatters and gathers all `n` items and combines the `p`
+//! subsolutions alone. [`crate::skeleton::run_spmd`] starts and ends
+//! with the data spread over every rank and redistributes it
+//! all-to-all. Measured on 2¹⁶ keys and the Intel Delta model,
+//! `RecursiveMergesort` under `CutoffPolicy::exact_depth(1, p)` (input
+//! on rank 0) against `OneDeepMergesort` (the same keys in per-rank
+//! blocks):
+//!
+//! | p | virtual ms, one-deep / recursive | messages, one-deep / recursive | bytes, one-deep / recursive |
+//! |---|---|---|---|
+//! | 4 | 54.9 / 86.7 | 48 / 9 | 394 000 / 786 456 |
+//! | 16 | 22.7 / 59.3 | 960 / 45 | 506 888 / 983 160 |
+//!
+//! The one-deep skeleton is the paper's archetype and runs Figure 6;
+//! this one runs deeper trees and inputs that start on one rank, such as
+//! the composition subsystem's `SortJob`.
 
 use archetype_core::{parfor_map_vec, PhaseKind};
 use archetype_mp::{Ctx, Payload};

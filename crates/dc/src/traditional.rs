@@ -1,14 +1,15 @@
 //! Traditional recursive divide-and-conquer (paper §2.1.1, Figure 1) —
 //! the baseline the one-deep archetype is measured against.
 //!
-//! [`tree_mergesort_spmd`] is the distributed-memory variant used for the
-//! Figure 6 comparison — data fans out from process 0 down a binary tree
-//! of splits, leaves solve locally, and subsolutions merge back up the
-//! tree. This exhibits exactly the inefficiencies the paper names: the
-//! split inspects all input data, and concurrency decays toward the root
-//! (the final merge is one process touching all `n` elements). The
-//! general `k`-way form of Figure 1, on shared memory and on nested
-//! process groups, is [`crate::recursive`].
+//! [`tree_mergesort_distributed_spmd`] is the distributed-memory variant
+//! used for the Figure 6 comparison: each process sorts its block of the
+//! input, and subsolutions merge pairwise back up a binary tree of
+//! processes. This exhibits the inefficiency the paper names for the
+//! combine: concurrency decays toward the root, whose final merge is one
+//! process touching all `n` elements. The general `k`-way form of
+//! Figure 1, on shared memory and on nested process groups — including
+//! the split that inspects all the input on one process — is
+//! [`crate::recursive`].
 
 use archetype_mp::{Ctx, FixedSize};
 
@@ -28,76 +29,6 @@ pub fn sort_flops(n: usize) -> f64 {
 /// Flop model of merging sorted runs totalling `n` items.
 pub fn merge_flops(n: usize) -> f64 {
     SORT_FLOPS_PER_CMP * n as f64
-}
-
-/// Distributed traditional mergesort over the message-passing substrate.
-///
-/// The full input starts at rank 0 (the paper's first inefficiency: the
-/// split "can require inspection of all the input data"). It is halved down
-/// a binary tree of processes, sorted at the leaves, and pairwise-merged
-/// back up; rank 0 returns the fully sorted data, other ranks return their
-/// (empty) remainder. `nprocs` need not be a power of two — a rank splits
-/// as long as it has a subtree partner in range.
-///
-/// Returns the sorted data on rank 0 and `None` elsewhere.
-pub fn tree_mergesort_spmd<T>(ctx: &mut Ctx, input: Option<Vec<T>>) -> Option<Vec<T>>
-where
-    T: FixedSize + Ord,
-{
-    let n = ctx.nprocs();
-    let me = ctx.rank();
-    const TAG_SPLIT: u64 = 0x7001;
-    const TAG_MERGE: u64 = 0x7002;
-
-    // --- split phase: fan out down the binary tree -------------------------
-    // Round k (k = ceil(log2 n)-1 .. 0): rank r < 2^k with r + 2^k < n sends
-    // the upper half of its current data to rank r + 2^k.
-    let mut levels = 0usize;
-    while (1usize << levels) < n {
-        levels += 1;
-    }
-
-    let mut data: Vec<T> = if me == 0 {
-        input.expect("rank 0 must supply the input")
-    } else {
-        Vec::new()
-    };
-
-    for k in (0..levels).rev() {
-        let bit = 1usize << k;
-        let group = bit << 1;
-        if me.is_multiple_of(group) && me + bit < n {
-            // Inspecting/copying the data to split it costs linear work.
-            ctx.charge_items(data.len(), 1.0);
-            let upper = data.split_off(data.len() / 2);
-            ctx.send(me + bit, TAG_SPLIT, upper);
-        } else if me % group == bit {
-            data = ctx.recv(me - bit, TAG_SPLIT);
-        }
-    }
-
-    // --- solve phase: leaves sort locally ----------------------------------
-    ctx.charge_flops(sort_flops(data.len()));
-    data.sort_unstable();
-
-    // --- merge phase: fan back in up the tree ------------------------------
-    for k in 0..levels {
-        let bit = 1usize << k;
-        let group = bit << 1;
-        if me % group == bit {
-            ctx.send(me - bit, TAG_MERGE, std::mem::take(&mut data));
-        } else if me.is_multiple_of(group) && me + bit < n {
-            let other: Vec<T> = ctx.recv(me + bit, TAG_MERGE);
-            ctx.charge_flops(merge_flops(data.len() + other.len()));
-            data = merge_two(data, other);
-        }
-    }
-
-    if me == 0 {
-        Some(data)
-    } else {
-        None
-    }
 }
 
 /// Distributed traditional mergesort starting from *distributed* data —
@@ -516,15 +447,25 @@ pub(crate) mod tests {
         assert_eq!(merged, (0..1000).collect::<Vec<_>>());
     }
 
+    /// `input` cut into `p` contiguous blocks, one per rank.
+    fn distributed(input: &[i64], p: usize) -> Vec<Vec<i64>> {
+        (0..p)
+            .map(|r| {
+                let (s, l) = archetype_mp::topology::block_range(input.len(), p, r);
+                input[s..s + l].to_vec()
+            })
+            .collect()
+    }
+
     #[test]
     fn tree_mergesort_sorts_for_many_process_counts() {
         for p in [1usize, 2, 3, 4, 6, 8, 13] {
             let input = scrambled(997);
             let mut expected = input.clone();
             expected.sort_unstable();
+            let blocks = distributed(&input, p);
             let out = run_spmd(p, MachineModel::ibm_sp(), |ctx| {
-                let inp = (ctx.rank() == 0).then(|| input.clone());
-                tree_mergesort_spmd(ctx, inp)
+                tree_mergesort_distributed_spmd(ctx, blocks[ctx.rank()].clone())
             });
             assert_eq!(
                 out.results[0].as_ref().expect("root has data"),
@@ -542,12 +483,11 @@ pub(crate) mod tests {
         // The paper's point: concurrency decays toward the root, so speedup
         // grows sublinearly. Compare modeled times at P=4 and P=32 and check
         // the efficiency (speedup/P) drops substantially.
-        let n_items = 1 << 16;
+        let input = scrambled(1 << 16);
         let run_at = |p: usize| {
-            let input = scrambled(n_items);
+            let blocks = distributed(&input, p);
             run_spmd(p, MachineModel::intel_delta(), move |ctx| {
-                let inp = (ctx.rank() == 0).then(|| input.clone());
-                tree_mergesort_spmd(ctx, inp);
+                tree_mergesort_distributed_spmd(ctx, blocks[ctx.rank()].clone());
             })
             .elapsed_virtual
         };
@@ -569,12 +509,7 @@ pub(crate) mod tests {
             let input = scrambled(500);
             let mut expected = input.clone();
             expected.sort_unstable();
-            let blocks: Vec<Vec<i64>> = (0..p)
-                .map(|r| {
-                    let (s, l) = archetype_mp::topology::block_range(input.len(), p, r);
-                    input[s..s + l].to_vec()
-                })
-                .collect();
+            let blocks = distributed(&input, p);
             let out = run_spmd(p, MachineModel::ibm_sp(), |ctx| {
                 tree_mergesort_distributed_spmd(ctx, blocks[ctx.rank()].clone())
             });

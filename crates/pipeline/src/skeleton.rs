@@ -1516,6 +1516,7 @@ mod tests {
 
     #[test]
     fn phase_trace_is_accepted_by_the_pipeline_grammar() {
+        let vocabulary = PIPELINE.phases();
         for p in [1usize, 2, 4, 8] {
             let out = run_spmd_with(p, MachineModel::ibm_sp(), RunConfig::traced(), |ctx| {
                 run_pipeline(&Squares(20), ctx, PipelineConfig::default()).1
@@ -1523,10 +1524,10 @@ mod tests {
             assert_eq!(out.results[0].forwarded > 0, p > 1, "p={p}: streams");
             let kinds = root_kinds(out.trace);
             assert!(
-                PIPELINE.grammar.matches(&kinds),
+                PIPELINE.grammar().matches(&kinds),
                 "p={p}: {kinds:?} rejected by the pipeline grammar"
             );
-            assert!(kinds.iter().all(|k| PIPELINE.phases.contains(k)));
+            assert!(kinds.iter().all(|k| vocabulary.contains(k)));
         }
     }
 
@@ -1672,7 +1673,7 @@ mod tests {
         assert!(kinds.contains(&PhaseKind::Detect));
         assert!(kinds.contains(&PhaseKind::Recover));
         assert!(
-            PIPELINE.grammar.matches(&kinds),
+            PIPELINE.grammar().matches(&kinds),
             "{kinds:?} rejected by the pipeline grammar"
         );
     }

@@ -9,8 +9,8 @@
 //! The workspace implements the paper's two archetypes in full —
 //! **one-deep divide-and-conquer** ([`dc`]) and **mesh-spectral**
 //! ([`mesh`]) — on top of a from-scratch SPMD message-passing substrate
-//! with a virtual-time machine model ([`mp`]), the paper's `parfor` /
-//! `forall` vocabulary for version-1 programs ([`core`]), and the
+//! with a virtual-time machine model ([`mp`]), plain-loop `parfor`
+//! helpers for version-1 programs ([`core`]), and the
 //! numerical kernels the applications need ([`numerics`]).
 //!
 //! ## The archetype method, in code
@@ -46,8 +46,8 @@
 //! per-figure reproduction harness (EXPERIMENTS.md documents
 //! paper-vs-measured for every figure).
 
-/// The archetype framework: `parfor`/`forall`,
-/// reductions, phase metadata and tracing (re-export of `archetype-core`).
+/// The archetype framework: `parfor` helpers and archetype phase
+/// metadata and grammars (re-export of `archetype-core`).
 pub use archetype_core as core;
 
 /// One-deep divide-and-conquer archetype and applications (re-export of

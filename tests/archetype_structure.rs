@@ -97,11 +97,12 @@ fn recursive_dc_trace_is_preorder_over_recursive_dc_phases() {
     assert_eq!(tracks[1], [Recurse, Recurse, Solve]);
     assert_eq!(tracks[2], [Recurse, Recurse, Solve, Merge]);
     assert_eq!(tracks[3], [Recurse, Recurse, Solve]);
-    assert!(RECURSIVE_DC.grammar.matches(&tracks[0]));
+    assert!(RECURSIVE_DC.grammar().matches(&tracks[0]));
     // Every recorded phase kind belongs to the archetype's vocabulary.
+    let vocabulary = RECURSIVE_DC.phases();
     for kind in tracks.iter().flatten() {
         assert!(
-            RECURSIVE_DC.phases.contains(kind),
+            vocabulary.contains(kind),
             "{kind} is not a recursive-DC phase"
         );
     }

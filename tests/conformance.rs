@@ -1,7 +1,9 @@
 //! Cross-archetype conformance suite: the phase track a traced run
 //! returns must be *accepted by the archetype's declared phase grammar*
-//! (`ArchetypeInfo::grammar` in `crates/core/src/archetype.rs`), over
-//! random inputs and process counts.
+//! (`ArchetypeInfo::grammar()`, a `PatternExpr`, in
+//! `crates/core/src/archetype.rs`), over random inputs and process
+//! counts. A composite plan's track is checked against `Plan::grammar()`,
+//! which sequences its members' grammars in canonical branch order.
 //!
 //! Skeletons record their phases once, with `Ctx::trace_phase`, so the
 //! trace checked here is the one the Chrome timeline and the critical
@@ -44,12 +46,13 @@ use common::{grid_for, phase_kinds, AddStage, NStage, SpawnFarm};
 /// diagnostic naming the archetype and showing the offending trace.
 fn assert_conforms(info: &ArchetypeInfo, kinds: &[PhaseKind], context: &str) {
     assert!(
-        info.grammar.matches(kinds),
+        info.grammar().matches(kinds),
         "{context}: trace {kinds:?} rejected by the {} grammar",
         info.name
     );
+    let vocabulary = info.phases();
     assert!(
-        kinds.iter().all(|k| info.phases.contains(k)),
+        kinds.iter().all(|k| vocabulary.contains(k)),
         "{context}: trace {kinds:?} leaves the {} vocabulary",
         info.name
     );
@@ -216,14 +219,13 @@ proptest! {
     }
 
     #[test]
-    fn replicated_plan_traces_conform_sequenced_and_interleaved(
+    fn replicated_plan_traces_conform_sequenced(
         p in 1usize..9,
         copies in 1usize..4,
         points in 4u32..16,
     ) {
         // A Replicate of farm sweeps: the canonical branch-ordered trace
-        // must satisfy both the sequence-composed grammar and its
-        // shuffle-closed (interleaved) variant.
+        // must satisfy the sequence-composed grammar.
         let plan = Plan::replicate(
             copies,
             Plan::atom(SweepJob {
@@ -236,15 +238,6 @@ proptest! {
             plan.grammar().matches(&kinds),
             "p={p} copies={copies}: {kinds:?} rejected by the derived grammar"
         );
-        // The interleaved matcher searches order-preserving shuffles
-        // (worst-case exponential, viability-pruned to near-linear on
-        // canonical traces) — keep it off the pathologically long ones.
-        if kinds.len() <= 60 {
-            prop_assert!(
-                plan.grammar_interleaved().matches(&kinds),
-                "p={p} copies={copies}: {kinds:?} rejected by the interleaved grammar"
-            );
-        }
     }
 
     #[test]
@@ -305,11 +298,11 @@ proptest! {
 #[test]
 fn grammars_reject_malformed_traces() {
     use PhaseKind::*;
-    assert!(!ONE_DEEP_DC.grammar.matches(&[Solve, Split, Merge]));
-    assert!(!RECURSIVE_DC.grammar.matches(&[Recurse, Solve])); // missing Merge
-    assert!(!MESH_SPECTRAL.grammar.matches(&[Io, GridOp])); // missing final Io
-    assert!(!TASK_FARM.grammar.matches(&[Seed, Steal, Terminate])); // Steal without Work
-    assert!(!PIPELINE.grammar.matches(&[Ingest, Transform, Emit])); // missing Drain
+    assert!(!ONE_DEEP_DC.grammar().matches(&[Solve, Split, Merge]));
+    assert!(!RECURSIVE_DC.grammar().matches(&[Recurse, Solve])); // missing Merge
+    assert!(!MESH_SPECTRAL.grammar().matches(&[Io, GridOp])); // missing final Io
+    assert!(!TASK_FARM.grammar().matches(&[Seed, Steal, Terminate])); // Steal without Work
+    assert!(!PIPELINE.grammar().matches(&[Ingest, Transform, Emit])); // missing Drain
 }
 
 /// A track whose ring wrapped has lost its oldest phases; the accessor

@@ -20,7 +20,7 @@ use common::{assert_bit_identical_runs, phase_kinds};
 fn farm_archetype_metadata_is_exposed() {
     assert_eq!(TASK_FARM.name, "task-farm");
     assert_eq!(
-        TASK_FARM.phases,
+        TASK_FARM.phases(),
         &[
             PhaseKind::Seed,
             PhaseKind::Work,
@@ -42,6 +42,7 @@ fn farm_run_follows_the_archetype_phase_pattern() {
     let out = run_spmd_with(4, MachineModel::ibm_sp(), RunConfig::traced(), |ctx| {
         run_farm(&farm, ctx, FarmConfig::default()).0
     });
+    let vocabulary = TASK_FARM.phases();
     for track in &out.trace.expect("traced run").ranks {
         let kinds = phase_kinds(track);
         assert_eq!(kinds.first(), Some(&PhaseKind::Seed));
@@ -49,7 +50,7 @@ fn farm_run_follows_the_archetype_phase_pattern() {
         assert!(kinds.contains(&PhaseKind::Work));
         assert!(kinds.contains(&PhaseKind::Steal));
         // Every phase the farm records belongs to its archetype vocabulary.
-        assert!(kinds.iter().all(|k| TASK_FARM.phases.contains(k)));
+        assert!(kinds.iter().all(|k| vocabulary.contains(k)));
     }
 }
 
