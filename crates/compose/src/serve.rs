@@ -9,11 +9,11 @@
 //!    input)` passes the admission controller — a queue-capacity check
 //!    and a cost ceiling priced from the plan's flop estimate — and
 //!    lands in the FIFO queue, or comes back as a typed [`AdmitError`].
-//!    Plan *structure* is memoized on the way in
-//!    ([`Plan::structure_hash`]): the derived composite grammar and the
-//!    cost estimate are computed once per distinct `(structure, input
-//!    shape)` and reused across identical submissions ([`CacheStats`]
-//!    counts the hits).
+//!    Plan *structure* is keyed on the way in
+//!    ([`Plan::structure_hash`]): the cost estimate is computed once per
+//!    distinct `(structure, input shape)` and reused across identical
+//!    submissions ([`CacheStats`] counts the hits, and the distinct
+//!    shapes seen).
 //! 2. **Packing** ([`pack_waves`]): the queue is cut into *waves* of up
 //!    to `max_concurrent` plans; within a wave the largest-remainder
 //!    allocator ([`crate::allocate`]) — the same one `Par` branches use
@@ -33,10 +33,12 @@
 //!    isolated. No inter-wave barrier is needed: the schedule is static,
 //!    so matched sends/receives exist within scopes only.
 //! 4. **Stats return**: each subgroup root records its plan's outcome
-//!    and virtual finish time; a final `all_gather` assembles, on every
-//!    rank identically, the [`ServeReport`] — per-submission results or
+//!    and virtual finish time; the records are gathered to rank 0 and
+//!    built once into the [`ServeReport`] — per-submission results or
 //!    typed [`PlanError`]s, per-tenant [`TenantStats`] (schedule- and
 //!    `p`-invariant), and a completion-latency [`Digest`] with p50/p99.
+//!    A record moves to rank 0 and is never copied; every other rank
+//!    returns the report of an empty batch (see [`ServeReport`]).
 //!
 //! Determinism: virtual clocks are driven solely by the machine model,
 //! so given the same submission sequence (and fault seed, under
@@ -44,11 +46,10 @@
 //! percentiles are bit-identical across runs; only measured wall time
 //! differs.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
-use archetype_core::PatternExpr;
 use archetype_mp::{
     run_spmd_ft, run_spmd_with, Ctx, FaultPlan, MachineModel, Payload, RunConfig, SpmdError,
     SpmdResult,
@@ -156,9 +157,10 @@ impl std::error::Error for AdmitError {}
 /// Hit/miss counters of the service's structure caches.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Plan-shape lookups (the derived grammar) answered from the cache.
+    /// Submissions whose plan shape ([`Plan::structure_hash`]) was seen
+    /// before.
     pub shape_hits: u64,
-    /// Plan shapes derived fresh.
+    /// Plan shapes seen for the first time.
     pub shape_misses: u64,
     /// Cost estimates answered from the cache.
     pub cost_hits: u64,
@@ -170,32 +172,22 @@ pub struct CacheStats {
     pub alloc_misses: u64,
 }
 
-/// Memoized structural derivations of one plan shape.
-struct PlanShape {
-    grammar: PatternExpr,
-}
-
 /// The service's memo tables, keyed on [`Plan::structure_hash`].
 #[derive(Default)]
 struct PlanCache {
-    shapes: HashMap<u64, Arc<PlanShape>>,
+    shapes: HashSet<u64>,
     costs: HashMap<(u64, u64), f64>,
     allocs: HashMap<(Vec<u64>, usize), Arc<Vec<usize>>>,
     stats: CacheStats,
 }
 
 impl PlanCache {
-    fn shape(&mut self, hash: u64, plan: &Plan) -> Arc<PlanShape> {
-        if let Some(s) = self.shapes.get(&hash) {
+    fn shape(&mut self, hash: u64) {
+        if self.shapes.insert(hash) {
+            self.stats.shape_misses += 1;
+        } else {
             self.stats.shape_hits += 1;
-            return Arc::clone(s);
         }
-        self.stats.shape_misses += 1;
-        let s = Arc::new(PlanShape {
-            grammar: plan.grammar(),
-        });
-        self.shapes.insert(hash, Arc::clone(&s));
-        s
     }
 
     fn cost(&mut self, hash: u64, input: &Value, plan: &Plan) -> f64 {
@@ -351,7 +343,10 @@ impl TenantStats {
     }
 }
 
-/// What one service run returns — identical on every rank.
+/// What one service run returns. Rank 0 builds it from every plan's
+/// record; every other rank returns the report of an empty batch: no
+/// outcomes, no tenants, an empty latency digest over `[0, 1)`, no
+/// per-tenant digests and `waves == 0`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServeReport {
     /// Per-submission outcome, in admission order: the plan's output
@@ -374,7 +369,7 @@ pub struct ServeReport {
 /// counters.
 #[derive(Clone, Debug)]
 pub struct ServeOutcome {
-    /// The per-rank-identical report.
+    /// Rank 0's report.
     pub report: ServeReport,
     /// Modeled virtual time of the whole batch.
     pub elapsed_virtual: f64,
@@ -384,8 +379,8 @@ pub struct ServeOutcome {
     pub cache: CacheStats,
 }
 
-/// A subgroup root's record of one finished plan.
-#[derive(Clone)]
+/// A subgroup root's record of one finished plan. Not `Clone`: a record
+/// moves to rank 0 once and is never copied.
 struct PlanDone {
     id: u64,
     tenant: TenantId,
@@ -393,8 +388,7 @@ struct PlanDone {
     outcome: Result<(Value, ComposeStats), PlanError>,
 }
 
-/// The per-rank batch of finished-plan records, gathered world-wide.
-#[derive(Clone)]
+/// The per-rank batch of finished-plan records, gathered to rank 0.
 struct DoneBatch(Vec<PlanDone>);
 
 impl Payload for DoneBatch {
@@ -426,7 +420,7 @@ impl Payload for DoneBatch {
 /// let out = svc.serve(MachineModel::ibm_sp());
 /// assert_eq!(out.report.outcomes.len(), 3);
 /// assert!(out.report.outcomes.iter().all(|o| o.is_ok()));
-/// // Identical plans share one cached shape and cost estimate.
+/// // Identical plans count as one shape and share one cost estimate.
 /// assert_eq!(out.cache.shape_misses, 1);
 /// assert_eq!(out.cache.shape_hits, 2);
 /// ```
@@ -574,7 +568,7 @@ impl PlanService {
             return Err(err);
         }
         let hash = plan.structure_hash();
-        let _shape = self.cache.shape(hash, &plan);
+        self.cache.shape(hash);
         let cost = self.cache.cost(hash, &input, &plan);
         if cost > self.config.cost_ceiling {
             *self.rejected.entry(tenant).or_default() += 1;
@@ -595,15 +589,6 @@ impl PlanService {
         });
         self.metrics.inc("planserve_admitted_total", &[], 1);
         Ok(id)
-    }
-
-    /// The memoized grammar of a previously submitted plan shape, if the
-    /// cache holds it.
-    pub fn cached_grammar(&self, plan: &Plan) -> Option<&PatternExpr> {
-        self.cache
-            .shapes
-            .get(&plan.structure_hash())
-            .map(|s| &s.grammar)
     }
 
     /// Pack the current queue into the wave schedule that is about to
@@ -636,11 +621,12 @@ impl PlanService {
     }
 
     /// Drain the queue and execute it as one SPMD run, returning the raw
-    /// [`SpmdResult`] whose per-rank results are identical
-    /// [`ServeReport`]s. Rejection accounting is *not* folded in here —
-    /// use [`PlanService::serve`] for the full wrapper. This is the
-    /// entry point determinism tests snapshot (results, per-rank clocks,
-    /// elapsed virtual time).
+    /// [`SpmdResult`]: rank 0's result is the batch's [`ServeReport`],
+    /// gathered to rank 0 and built once; every other rank's is the
+    /// report of an empty batch. Rejection accounting is *not* folded in
+    /// here — use [`PlanService::serve`] for the full wrapper. This is
+    /// the entry point determinism tests snapshot (results, per-rank
+    /// clocks, elapsed virtual time).
     pub fn serve_spmd(&mut self, model: MachineModel, run: RunConfig) -> SpmdResult<ServeReport> {
         let waves = self.pack();
         let subs = Arc::new(std::mem::take(&mut self.queue));
@@ -789,24 +775,26 @@ fn fold_rejections(
 
 /// The SPMD body executing a packed schedule: a pure function of the
 /// shared submission list and wave plan, so every rank walks the same
-/// schedule and returns the identical report.
+/// schedule. Rank 0 returns the batch's report, every other rank the
+/// report of an empty batch.
 fn serve_body(
     subs: Arc<Vec<Submission>>,
     waves: Arc<Vec<Wave>>,
     config: ServeConfig,
 ) -> impl Fn(&mut Ctx) -> ServeReport + Sync {
     move |ctx| {
+        let me = ctx.rank();
+        let everyone: Vec<usize> = (0..ctx.nprocs()).collect();
         let mut mine: Vec<PlanDone> = Vec::new();
         for (w, wave) in waves.iter().enumerate() {
             ctx.trace_wave_start(w, wave.plans.len());
-            let me = ctx.rank();
             let j = (0..wave.plans.len())
                 .rfind(|&j| wave.starts[j] <= me)
                 .expect("every rank belongs to a branch");
-            let members: Vec<usize> = (wave.starts[j]..wave.starts[j] + wave.sizes[j]).collect();
+            let members = &everyone[wave.starts[j]..wave.starts[j] + wave.sizes[j]];
             let sub = &subs[wave.plans[j]];
             let salt = mix(SERVE_SALT, mix(w as u64 + 1, j as u64 + 1));
-            let outcome = ctx.scoped(&members, salt, |ctx| {
+            let outcome = ctx.scoped(members, salt, |ctx| {
                 let input = if ctx.rank() == 0 {
                     sub.input.clone()
                 } else {
@@ -824,51 +812,59 @@ fn serve_body(
             }
         }
 
-        // Assemble the world-identical report: every root's records,
-        // sorted back into admission order.
-        let batches: Vec<DoneBatch> = ctx.all_gather(DoneBatch(mine));
-        let mut done: Vec<PlanDone> = batches.into_iter().flat_map(|b| b.0).collect();
-        done.sort_by_key(|d| d.id);
+        // Every root's records move to rank 0, which sorts them back into
+        // admission order and builds the one report.
+        match ctx.gather(0, DoneBatch(mine)) {
+            Some(batches) => {
+                let mut done: Vec<PlanDone> = batches.into_iter().flat_map(|b| b.0).collect();
+                done.sort_by_key(|d| d.id);
+                build_report(done, waves.len() as u64, &config)
+            }
+            None => build_report(Vec::new(), 0, &config),
+        }
+    }
+}
 
-        let hi = done
-            .iter()
-            .filter(|d| d.outcome.is_ok())
-            .map(|d| d.finish)
-            .fold(0.0f64, f64::max);
-        let hi = if hi > 0.0 { hi * (1.0 + 1e-9) } else { 1.0 };
-        let mut latency = Digest::new(config.latency_top_k, config.latency_buckets, 0.0, hi);
-        let mut tenant_latency: BTreeMap<TenantId, Digest> = BTreeMap::new();
-        let mut outcomes = Vec::with_capacity(done.len());
-        let mut tenants: BTreeMap<TenantId, TenantStats> = BTreeMap::new();
-        for d in done {
-            let t = tenants.entry(d.tenant).or_default();
-            t.submitted += 1;
-            match d.outcome {
-                Ok((value, stats)) => {
-                    t.completed += 1;
-                    t.compose = ComposeStats::combine(t.compose, stats);
-                    latency.add(d.finish);
-                    tenant_latency
-                        .entry(d.tenant)
-                        .or_insert_with(|| {
-                            Digest::new(config.latency_top_k, config.latency_buckets, 0.0, hi)
-                        })
-                        .add(d.finish);
-                    outcomes.push(Ok(value));
-                }
-                Err(e) => {
-                    t.failed += 1;
-                    outcomes.push(Err(e));
-                }
+/// The report of a batch's records, already in admission order.
+fn build_report(done: Vec<PlanDone>, waves: u64, config: &ServeConfig) -> ServeReport {
+    let hi = done
+        .iter()
+        .filter(|d| d.outcome.is_ok())
+        .map(|d| d.finish)
+        .fold(0.0f64, f64::max);
+    let hi = if hi > 0.0 { hi * (1.0 + 1e-9) } else { 1.0 };
+    let mut latency = Digest::new(config.latency_top_k, config.latency_buckets, 0.0, hi);
+    let mut tenant_latency: BTreeMap<TenantId, Digest> = BTreeMap::new();
+    let mut outcomes = Vec::with_capacity(done.len());
+    let mut tenants: BTreeMap<TenantId, TenantStats> = BTreeMap::new();
+    for d in done {
+        let t = tenants.entry(d.tenant).or_default();
+        t.submitted += 1;
+        match d.outcome {
+            Ok((value, stats)) => {
+                t.completed += 1;
+                t.compose = ComposeStats::combine(t.compose, stats);
+                latency.add(d.finish);
+                tenant_latency
+                    .entry(d.tenant)
+                    .or_insert_with(|| {
+                        Digest::new(config.latency_top_k, config.latency_buckets, 0.0, hi)
+                    })
+                    .add(d.finish);
+                outcomes.push(Ok(value));
+            }
+            Err(e) => {
+                t.failed += 1;
+                outcomes.push(Err(e));
             }
         }
-        ServeReport {
-            outcomes,
-            tenants: tenants.into_iter().collect(),
-            latency,
-            tenant_latency: tenant_latency.into_iter().collect(),
-            waves: waves.len() as u64,
-        }
+    }
+    ServeReport {
+        outcomes,
+        tenants: tenants.into_iter().collect(),
+        latency,
+        tenant_latency: tenant_latency.into_iter().collect(),
+        waves,
     }
 }
 
@@ -941,8 +937,6 @@ mod tests {
         for t in 0..4 {
             svc.submit(t % 2, fold_plan(3.0), Value::Unit).unwrap();
         }
-        assert!(svc.cached_grammar(&fold_plan(3.0)).is_some());
-        assert!(svc.cached_grammar(&fold_plan(4.0)).is_none());
         let out = svc.serve(MachineModel::ibm_sp());
         assert_eq!(out.cache.shape_misses, 1);
         assert_eq!(out.cache.shape_hits, 3);

@@ -34,6 +34,15 @@ use parallel_archetypes::pipeline::{Pipeline, Stage};
 /// message's box or a group's member list is far smaller.
 const DATA_BYTES: usize = 4096;
 
+/// Length of the vector every plan of the report gate returns. No other
+/// request in this binary asks for `8 × RESULT_LEN` bytes (1 031 is
+/// prime), so counting that size process-wide counts those results and
+/// every copy of them, on whichever thread it is made.
+const RESULT_LEN: usize = 1031;
+
+/// Requests of exactly `8 × RESULT_LEN` bytes, by every thread.
+static RESULT_BUFFERS: AtomicU64 = AtomicU64::new(0);
+
 thread_local! {
     /// `(allocations, bytes requested)` by this thread so far. Const
     /// initialised and without a destructor, so touching it from inside
@@ -53,6 +62,9 @@ fn count(bytes: usize) {
     ALLOCATED.with(add);
     if bytes >= DATA_BYTES {
         DATA_ALLOCATED.with(add);
+    }
+    if bytes == 8 * RESULT_LEN {
+        RESULT_BUFFERS.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -588,6 +600,70 @@ fn a_warm_plan_service_batch_allocates_nothing_per_iteration() {
         short, long,
         "three times the sweeps in 64 plans must not allocate once more"
     );
+}
+
+/// A one-rank plan returning a vector of `RESULT_LEN` floats.
+struct Ramp;
+
+impl ArchetypeJob for Ramp {
+    type In = ();
+    type Out = Vec<f64>;
+
+    fn name(&self) -> &'static str {
+        "ramp"
+    }
+
+    fn info(&self) -> &'static ArchetypeInfo {
+        &ONE_DEEP_DC
+    }
+
+    fn estimate_flops(&self, _input: &()) -> f64 {
+        RESULT_LEN as f64
+    }
+
+    fn run(&self, _ctx: &mut Ctx, _input: ()) -> Vec<f64> {
+        (0..RESULT_LEN).map(|i| i as f64).collect()
+    }
+}
+
+#[test]
+fn a_served_batch_moves_every_result_to_rank_zero_uncopied() {
+    // One rank a plan, so a batch is PLANS / p waves and every rank roots
+    // PLANS / p of the results. A report built on every rank would copy
+    // each result to the p − 1 other ranks: PLANS · (p − 1) more buffers
+    // after the last plan, where no per-thread probe can see them, so the
+    // gate counts the results' own request size on every thread.
+    const PLANS: u64 = 48;
+    let result_buffers = |p: usize| {
+        let mut svc = PlanService::new(
+            p,
+            ServeConfig {
+                max_concurrent: p,
+                ..ServeConfig::default()
+            },
+        );
+        let mut batch = || {
+            for t in 0..PLANS {
+                svc.submit(t as u32 % 3, Plan::atom(Ramp), Value::Unit)
+                    .unwrap();
+            }
+            let before = RESULT_BUFFERS.load(Ordering::SeqCst);
+            let out = svc.serve(MachineModel::ibm_sp());
+            let buffers = RESULT_BUFFERS.load(Ordering::SeqCst) - before;
+            assert_eq!(out.report.outcomes.len(), PLANS as usize);
+            assert!(out
+                .report
+                .outcomes
+                .iter()
+                .all(|o| matches!(o, Ok(Value::F64s(v)) if v.len() == RESULT_LEN)));
+            buffers
+        };
+        batch(); // warm the pool, the caches and the arena
+        batch()
+    };
+    let (two, four) = (result_buffers(2), result_buffers(4));
+    assert_eq!(two, PLANS, "p = 2: one buffer per result, no copy");
+    assert_eq!(four, PLANS, "p = 4: one buffer per result, no copy");
 }
 
 /// Bytes of a tile's one-cell ghost-bordered block.

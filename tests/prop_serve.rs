@@ -12,11 +12,14 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use parallel_archetypes::compose::{
-    pack_waves, ArchetypeJob, Plan, PlanService, ServeConfig, Value, Wave,
+    forecast_plan, pack_waves, ArchetypeJob, ForecastConfig, Plan, PlanService, PoissonJob,
+    ServeConfig, ServeReport, SortJob, SweepJob, TopKJob, Value, Wave,
 };
 use parallel_archetypes::core::archetype::ONE_DEEP_DC;
 use parallel_archetypes::core::ArchetypeInfo;
-use parallel_archetypes::mp::{Ctx, MachineModel, RunConfig};
+use parallel_archetypes::farm::apps::GridSweepFarm;
+use parallel_archetypes::mesh::apps::poisson::sine_problem;
+use parallel_archetypes::mp::{Ctx, MachineModel, RunConfig, SpmdResult};
 
 // ---------------------------------------------------------------------------
 // Pure packer invariants.
@@ -251,6 +254,100 @@ proptest! {
             service(&mix, p, max_concurrent)
                 .serve_spmd(MachineModel::cray_t3d(), RunConfig::virtual_time())
         });
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Rank 0's report: recorded bit for bit, and built on rank 0 alone.
+// ---------------------------------------------------------------------------
+
+fn sweep_plan(points: u32) -> Plan {
+    Plan::atom(SweepJob {
+        farm: GridSweepFarm {
+            lo: 0.0,
+            hi: 2.0,
+            points,
+        },
+    })
+}
+
+fn poisson_plan(n: usize, iters: usize) -> Plan {
+    Plan::atom(PoissonJob {
+        spec: sine_problem(n, 1e-14, iters),
+    })
+}
+
+/// A fixed mixed batch of twelve plans over three tenants: sweeps,
+/// Poisson solves, the two-branch sort → top-k composite and the mini
+/// forecast, served on `p` ranks.
+fn pinned_batch(p: usize) -> SpmdResult<ServeReport> {
+    let mut svc = PlanService::new(p, ServeConfig::default());
+    for i in 0..12usize {
+        let plan = match i % 4 {
+            0 => sweep_plan(16 + 8 * (i as u32 % 3)),
+            1 => poisson_plan(8 + 2 * (i % 3), 20 + 20 * (i % 2)),
+            2 => sweep_plan(12)
+                .alongside(sweep_plan(20))
+                .then(Plan::atom(SortJob::default()))
+                .then(Plan::atom(TopKJob::default())),
+            _ => forecast_plan(ForecastConfig {
+                sweep_points: 24,
+                mesh_n: 12,
+                mesh_iters: 40,
+            }),
+        };
+        svc.submit(i as u32 % 3, plan, Value::Unit).unwrap();
+    }
+    svc.serve_spmd(MachineModel::ibm_sp(), RunConfig::virtual_time())
+}
+
+/// FNV-1a over a report's `Debug` text, which spells every float in
+/// its shortest round-tripping form: outcomes, tenants, both latency
+/// digests and `waves`, bit for bit.
+fn report_hash(report: &ServeReport) -> u64 {
+    format!("{report:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+#[test]
+fn rank_zero_report_is_the_recorded_one() {
+    // `(p, waves, report hash)`, recorded while every rank assembled the
+    // report from an `all_gather` of every record.
+    let expected = [
+        (1, 12, 0x5165_39de_3ec5_bde0),
+        (2, 6, 0x0847_f6f0_89c1_e002),
+        (4, 3, 0x6cc1_2fd9_8fee_c99c),
+        (8, 2, 0xff3c_304e_bb49_c9f4),
+    ];
+    for (p, waves, hash) in expected {
+        let out = pinned_batch(p);
+        let report = &out.results[0];
+        assert_eq!(report.outcomes.len(), 12, "p={p}");
+        assert!(report.outcomes.iter().all(|o| o.is_ok()), "p={p}");
+        assert_eq!(report.tenants.len(), 3, "p={p}");
+        assert_eq!(report.waves, waves, "p={p}");
+        assert_eq!(report_hash(report), hash, "p={p}: {report:?}");
+    }
+}
+
+#[test]
+fn ranks_after_zero_return_the_report_of_an_empty_batch() {
+    let empty = PlanService::new(1, ServeConfig::default())
+        .serve_spmd(MachineModel::ibm_sp(), RunConfig::virtual_time())
+        .results
+        .remove(0);
+    assert!(empty.outcomes.is_empty() && empty.tenants.is_empty());
+    assert!(empty.tenant_latency.is_empty());
+    assert_eq!((empty.latency.count, empty.waves), (0, 0));
+    for p in [2, 4, 8] {
+        let out = pinned_batch(p);
+        assert_eq!(out.results[0].outcomes.len(), 12, "p={p}");
+        for (rank, report) in out.results.iter().enumerate().skip(1) {
+            assert_eq!(report, &empty, "p={p}, rank {rank}");
+        }
     }
 }
 
