@@ -15,9 +15,7 @@
 //!
 //! Run with `cargo run --release -p archetype-bench --bin compose_scaling`.
 
-use archetype_compose::{
-    forecast_input, forecast_plan, try_run_plan, ComposeConfig, ForecastConfig, ParMode,
-};
+use archetype_compose::{forecast_input, forecast_plan, try_run_plan, ForecastConfig, ParMode};
 use archetype_mp::{run_spmd, MachineModel};
 
 fn main() {
@@ -26,16 +24,7 @@ fn main() {
 
     let run = |p: usize, model: MachineModel, mode: ParMode| {
         run_spmd(p, model, move |ctx| {
-            try_run_plan(
-                ctx,
-                &forecast_plan(cfg),
-                forecast_input(),
-                ComposeConfig {
-                    par: mode,
-                    ..ComposeConfig::default()
-                },
-            )
-            .expect("no fault plan")
+            try_run_plan(ctx, &forecast_plan(cfg), forecast_input(), mode).expect("no fault plan")
         })
     };
 

@@ -1,7 +1,7 @@
 //! # archetype-bench — figure-reproduction harness
 //!
-//! One binary per figure of the paper's evaluation (see DESIGN.md §4 and
-//! EXPERIMENTS.md at the workspace root):
+//! One binary per figure of the paper's evaluation (README's Benchmarks
+//! section says how to run them):
 //!
 //! | Binary | Paper figure |
 //! |---|---|

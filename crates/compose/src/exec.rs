@@ -22,7 +22,7 @@
 //!   concurrently inside disjoint scopes, and branch roots ship outputs
 //!   back to the root, which assembles the output tuple — in branch
 //!   order, so results and clocks are deterministic. Groups too small to
-//!   host every branch (`p < k`), or a [`ParMode::Serialize`] config,
+//!   host every branch (`p < k`), or a [`ParMode::Serialize`] run,
 //!   run the branches one after another on the whole group instead —
 //!   same results, same statistics, different schedule.
 //!
@@ -68,30 +68,12 @@ pub enum ParMode {
     Serialize,
 }
 
-/// Bounded replay of atoms whose attempts a
-/// [`FaultPlan`] fails (see [`FaultPlan::atom_failures`] /
-/// [`FaultPlan::fail_atom`]). A failed attempt runs the atom to
-/// completion, loses its result, charges an exponential virtual-time
-/// backoff, and replays from the edge-value checkpoint the executor's
-/// root retains; a schedule that outlasts the budget surfaces as
-/// [`PlanError::AtomExhausted`].
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Replays allowed per atom beyond its first attempt.
-    pub max_retries: u32,
-    /// Virtual seconds charged after the first lost attempt; doubles per
-    /// subsequent loss (bounded by `max_retries`).
-    pub backoff_secs: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            backoff_secs: 1e-3,
-        }
-    }
-}
+/// Replays allowed per atom beyond its first attempt, under a
+/// [`FaultPlan`] that loses attempts (see [`try_run_plan`]).
+const MAX_RETRIES: u32 = 3;
+/// Virtual seconds charged after the first lost attempt; doubles per
+/// subsequent loss (bounded by `MAX_RETRIES`).
+const BACKOFF_SECS: f64 = 1e-3;
 
 /// Typed failure of a plan run under fault injection.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -104,8 +86,9 @@ pub enum PlanError {
         node: u64,
         /// The atom job's name.
         atom: String,
-        /// Attempts the schedule would consume (`max_retries + 1` at the
-        /// point the budget is exceeded).
+        /// Attempts the schedule would consume (4, one more than the
+        /// three replays an atom is allowed, at the point the budget is
+        /// exceeded).
         attempts: u32,
     },
 }
@@ -127,16 +110,6 @@ impl fmt::Display for PlanError {
 }
 
 impl std::error::Error for PlanError {}
-
-/// Tuning knobs for [`try_run_plan`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ComposeConfig {
-    /// Branch scheduling policy.
-    pub par: ParMode,
-    /// Atom replay budget under fault injection (inert without a
-    /// [`FaultPlan`] in the context).
-    pub retry: RetryPolicy,
-}
 
 /// Deterministic, structural statistics of a plan run — identical on
 /// every rank, across runs, process counts, machine models, and
@@ -219,7 +192,7 @@ fn split_parts(v: Value, k: usize) -> Vec<Value> {
 }
 
 struct Walker {
-    config: ComposeConfig,
+    par: ParMode,
     stats: ComposeStats,
 }
 
@@ -255,7 +228,7 @@ impl Walker {
                     a
                 });
                 debug_assert!(
-                    failed <= self.config.retry.max_retries,
+                    failed <= MAX_RETRIES,
                     "doomed atoms must be rejected before execution"
                 );
                 let members: Vec<usize> = (0..ctx.nprocs()).collect();
@@ -294,9 +267,7 @@ impl Walker {
                     // lost: charge the bounded exponential backoff and
                     // replay from the checkpoint.
                     drop(out);
-                    ctx.charge_seconds(
-                        self.config.retry.backoff_secs * f64::from(1u32 << attempt.min(20)),
-                    );
+                    ctx.charge_seconds(BACKOFF_SECS * f64::from(1u32 << attempt.min(20)));
                     if root {
                         self.stats.retries += 1;
                         ctx.trace_phase(PhaseKind::Detect.name(), job.name());
@@ -363,7 +334,7 @@ impl Walker {
         let mut parts: Option<Vec<Value>> = input.map(|v| split_parts(v, k));
         let parts_bytes: u64 = parts.iter().flatten().map(|v| v.size_bytes() as u64).sum();
 
-        let parallel = self.config.par == ParMode::Allocate && k > 1 && p >= k;
+        let parallel = self.par == ParMode::Allocate && k > 1 && p >= k;
         let mut outs: Option<Vec<Value>> = if root { Some(Vec::new()) } else { None };
 
         if !parallel {
@@ -473,13 +444,13 @@ impl Walker {
 /// Find the first atom (in plan preorder, the executor's node-id order)
 /// whose leading-failure schedule outlasts the retry budget. Pure in the
 /// fault plan, so every rank of every group agrees on the verdict.
-fn doomed_atom(plan: &Plan, fp: &FaultPlan, retry: RetryPolicy, node_id: u64) -> Option<PlanError> {
+fn doomed_atom(plan: &Plan, fp: &FaultPlan, node_id: u64) -> Option<PlanError> {
     match &plan.node {
         PlanNode::Atom(job) => {
             let mut a = 0u32;
             while fp.atom_fails(node_id, a) {
                 a += 1;
-                if a > retry.max_retries {
+                if a > MAX_RETRIES {
                     return Some(PlanError::AtomExhausted {
                         node: node_id,
                         atom: job.name().to_string(),
@@ -492,7 +463,7 @@ fn doomed_atom(plan: &Plan, fp: &FaultPlan, retry: RetryPolicy, node_id: u64) ->
         PlanNode::Seq(xs) | PlanNode::Par(xs) => {
             let mut child = node_id + 1;
             for x in xs {
-                if let Some(e) = doomed_atom(x, fp, retry, child) {
+                if let Some(e) = doomed_atom(x, fp, child) {
                     return Some(e);
                 }
                 child += x.nodes();
@@ -501,7 +472,7 @@ fn doomed_atom(plan: &Plan, fp: &FaultPlan, retry: RetryPolicy, node_id: u64) ->
         }
         // Replicate copies share their body's node ids (and thus a
         // failure schedule), so one scan covers every copy.
-        PlanNode::Replicate(_, inner) => doomed_atom(inner, fp, retry, node_id + 1),
+        PlanNode::Replicate(_, inner) => doomed_atom(inner, fp, node_id + 1),
     }
 }
 
@@ -518,7 +489,7 @@ fn doomed_atom(plan: &Plan, fp: &FaultPlan, retry: RetryPolicy, node_id: u64) ->
 /// group's fault plan dooms an atom beyond the retry budget; use
 /// [`try_run_plan`] to get the typed [`PlanError`] instead.
 pub fn run_plan(ctx: &mut Ctx, plan: &Plan, input: Value) -> (Value, ComposeStats) {
-    match try_run_plan(ctx, plan, input, ComposeConfig::default()) {
+    match try_run_plan(ctx, plan, input, ParMode::Allocate) {
         Ok(r) => r,
         Err(e) => panic!("{e}"),
     }
@@ -527,23 +498,24 @@ pub fn run_plan(ctx: &mut Ctx, plan: &Plan, input: Value) -> (Value, ComposeStat
 /// What a fallible plan run returns on every rank.
 pub type PlanResult = Result<(Value, ComposeStats), PlanError>;
 
-/// [`run_plan`] with explicit scheduling configuration, fallible. The
-/// doom verdict is a pure function of the plan structure and the group's
-/// [`FaultPlan`], so it is computed *before* any plan traffic: either
-/// every rank returns the identical `Err` immediately (nothing sent,
-/// nothing leaked), or the plan runs — replaying lost atom attempts
-/// within [`RetryPolicy`]'s budget — and every rank returns the
-/// identical `Ok`. Without a fault plan in the context it cannot fail.
-pub fn try_run_plan(ctx: &mut Ctx, plan: &Plan, input: Value, config: ComposeConfig) -> PlanResult {
-    if let Some(err) = ctx
-        .fault_plan()
-        .and_then(|fp| doomed_atom(plan, fp, config.retry, 0))
-    {
+/// [`run_plan`] with an explicit branch scheduling mode, fallible. A
+/// [`FaultPlan`] in the context may lose atom attempts; the executor
+/// replays a lost attempt from its input checkpoint, up to three replays
+/// per atom, charging 1 ms of virtual-time backoff after the first loss
+/// and doubling it after each further one. The doom verdict — an atom
+/// losing more attempts than that — is a pure function of the plan
+/// structure and the group's fault plan, so it is computed *before* any
+/// plan traffic: either every rank returns the identical `Err`
+/// immediately (nothing sent, nothing leaked), or the plan runs and
+/// every rank returns the identical `Ok`. Without a fault plan in the
+/// context it cannot fail.
+pub fn try_run_plan(ctx: &mut Ctx, plan: &Plan, input: Value, par: ParMode) -> PlanResult {
+    if let Some(err) = ctx.fault_plan().and_then(|fp| doomed_atom(plan, fp, 0)) {
         return Err(err);
     }
     let root = ctx.rank() == 0;
     let mut walker = Walker {
-        config,
+        par,
         stats: ComposeStats::default(),
     };
     let out = walker.node(ctx, plan, root.then_some(input), 0, 0, 0);
@@ -650,6 +622,9 @@ mod tests {
             faulty.elapsed_virtual > clean.elapsed_virtual,
             "replays and backoff must cost virtual time"
         );
+        // Pins the retry backoff (1 ms, doubling per loss) with the two
+        // replays it prices.
+        assert_eq!(faulty.elapsed_virtual, 0.0031947999999999985);
     }
 
     #[test]
@@ -659,14 +634,7 @@ mod tests {
         let plan = FaultPlan::new(9).fail_atom(2, 5);
         let out = run_spmd_ft(3, MachineModel::ibm_sp(), RunConfig::default(), plan, {
             let runs = runs.clone();
-            move |ctx| {
-                try_run_plan(
-                    ctx,
-                    &two_stage(&runs),
-                    Value::F64(2.0),
-                    ComposeConfig::default(),
-                )
-            }
+            move |ctx| try_run_plan(ctx, &two_stage(&runs), Value::F64(2.0), ParMode::Allocate)
         });
         for r in &out.results {
             let err = r

@@ -311,7 +311,7 @@ pub fn forecast_input() -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{run_plan, try_run_plan, ComposeConfig, ParMode};
+    use crate::exec::{run_plan, try_run_plan, ParMode};
     use archetype_mp::{run_spmd, MachineModel};
 
     fn mini() -> ForecastConfig {
@@ -347,16 +347,8 @@ mod tests {
     fn serialized_and_allocated_schedules_agree_on_results_and_stats() {
         let run = |mode: ParMode, p: usize| {
             run_spmd(p, MachineModel::cray_t3d(), move |ctx| {
-                try_run_plan(
-                    ctx,
-                    &forecast_plan(mini()),
-                    forecast_input(),
-                    ComposeConfig {
-                        par: mode,
-                        ..ComposeConfig::default()
-                    },
-                )
-                .expect("no fault plan")
+                try_run_plan(ctx, &forecast_plan(mini()), forecast_input(), mode)
+                    .expect("no fault plan")
             })
         };
         let a = run(ParMode::Allocate, 6);

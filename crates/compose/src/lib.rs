@@ -59,10 +59,7 @@ mod serve;
 mod value;
 
 pub use alloc::allocate;
-pub use exec::{
-    run_plan, try_run_plan, ComposeConfig, ComposeStats, ParMode, PlanError, PlanResult,
-    RetryPolicy,
-};
+pub use exec::{run_plan, try_run_plan, ComposeStats, ParMode, PlanError, PlanResult};
 pub use forecast::{
     forecast_input, forecast_plan, ForecastConfig, PoissonJob, SortJob, SweepJob, TopKJob,
 };

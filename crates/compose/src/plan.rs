@@ -23,7 +23,6 @@
 use std::sync::Arc;
 
 use archetype_core::{PatternExpr, PhaseKind};
-use archetype_mp::MachineModel;
 
 use crate::job::{ArchetypeJob, DynJob, JobAdapter};
 use crate::value::Value;
@@ -219,13 +218,6 @@ impl Plan {
                 other => *n as f64 * inner.estimate_flops_lenient(other),
             },
         }
-    }
-
-    /// The estimate priced in virtual seconds on `model` — what the
-    /// allocator actually compares (proportions are model-invariant
-    /// because every branch is priced with the same model).
-    pub fn estimate_seconds(&self, model: &MachineModel, input: &Value) -> f64 {
-        model.compute_time(self.estimate_flops(input))
     }
 
     /// The derived composite grammar of the **canonical** composite

@@ -57,7 +57,7 @@ use archetype_mp::{
 use archetype_pipeline::apps::Digest;
 
 use crate::alloc::allocate;
-use crate::exec::{mix, try_run_plan, ComposeConfig, ComposeStats, PlanError};
+use crate::exec::{mix, try_run_plan, ComposeStats, ParMode, PlanError};
 use crate::metrics::{MetricKind, Metrics};
 use crate::plan::Plan;
 use crate::value::Value;
@@ -69,6 +69,11 @@ pub type TenantId = u32;
 /// Scope-salt namespace of the service's per-wave subgroups, keeping
 /// their traffic disjoint from plan-internal `Par` scopes.
 const SERVE_SALT: u64 = 0x5345_5256; // "SERV"
+
+/// Top-k capacity of the completion-latency digests.
+const LATENCY_TOP_K: usize = 10;
+/// Histogram buckets of the completion-latency digests.
+const LATENCY_BUCKETS: usize = 256;
 
 /// Tuning knobs of a [`PlanService`].
 #[derive(Clone, Copy, Debug)]
@@ -84,13 +89,6 @@ pub struct ServeConfig {
     /// Admission bound on a submission's estimated flops; beyond it
     /// `submit` returns [`AdmitError::CostCeiling`].
     pub cost_ceiling: f64,
-    /// Executor configuration for every plan run (scheduling mode, retry
-    /// budget under fault injection).
-    pub compose: ComposeConfig,
-    /// Top-k capacity of the completion-latency digest.
-    pub latency_top_k: usize,
-    /// Histogram buckets of the completion-latency digest.
-    pub latency_buckets: usize,
 }
 
 impl Default for ServeConfig {
@@ -99,9 +97,6 @@ impl Default for ServeConfig {
             max_concurrent: 8,
             queue_capacity: 4096,
             cost_ceiling: f64::INFINITY,
-            compose: ComposeConfig::default(),
-            latency_top_k: 10,
-            latency_buckets: 256,
         }
     }
 }
@@ -529,11 +524,6 @@ impl PlanService {
         self.nprocs
     }
 
-    /// Submissions currently queued.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Cumulative cache counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats
@@ -630,7 +620,7 @@ impl PlanService {
     pub fn serve_spmd(&mut self, model: MachineModel, run: RunConfig) -> SpmdResult<ServeReport> {
         let waves = self.pack();
         let subs = Arc::new(std::mem::take(&mut self.queue));
-        let body = serve_body(Arc::clone(&subs), Arc::new(waves), self.config);
+        let body = serve_body(Arc::clone(&subs), Arc::new(waves));
         let result = run_spmd_with(self.nprocs, model, run, body);
         self.absorb(&result.results[0]);
         self.record_report_metrics(&result.results[0], result.elapsed_virtual);
@@ -669,7 +659,7 @@ impl PlanService {
         let rejected = std::mem::take(&mut self.rejected);
         let waves = self.pack();
         let subs = Arc::new(std::mem::take(&mut self.queue));
-        let body = serve_body(Arc::clone(&subs), Arc::new(waves), self.config);
+        let body = serve_body(Arc::clone(&subs), Arc::new(waves));
         let ft = run_spmd_ft(self.nprocs, model, RunConfig::default(), fault, body);
         let failures: Vec<_> = ft
             .results
@@ -780,7 +770,6 @@ fn fold_rejections(
 fn serve_body(
     subs: Arc<Vec<Submission>>,
     waves: Arc<Vec<Wave>>,
-    config: ServeConfig,
 ) -> impl Fn(&mut Ctx) -> ServeReport + Sync {
     move |ctx| {
         let me = ctx.rank();
@@ -800,7 +789,7 @@ fn serve_body(
                 } else {
                     Value::Unit
                 };
-                try_run_plan(ctx, &sub.plan, input, config.compose)
+                try_run_plan(ctx, &sub.plan, input, ParMode::Allocate)
             });
             if me == wave.starts[j] {
                 mine.push(PlanDone {
@@ -818,22 +807,22 @@ fn serve_body(
             Some(batches) => {
                 let mut done: Vec<PlanDone> = batches.into_iter().flat_map(|b| b.0).collect();
                 done.sort_by_key(|d| d.id);
-                build_report(done, waves.len() as u64, &config)
+                build_report(done, waves.len() as u64)
             }
-            None => build_report(Vec::new(), 0, &config),
+            None => build_report(Vec::new(), 0),
         }
     }
 }
 
 /// The report of a batch's records, already in admission order.
-fn build_report(done: Vec<PlanDone>, waves: u64, config: &ServeConfig) -> ServeReport {
+fn build_report(done: Vec<PlanDone>, waves: u64) -> ServeReport {
     let hi = done
         .iter()
         .filter(|d| d.outcome.is_ok())
         .map(|d| d.finish)
         .fold(0.0f64, f64::max);
     let hi = if hi > 0.0 { hi * (1.0 + 1e-9) } else { 1.0 };
-    let mut latency = Digest::new(config.latency_top_k, config.latency_buckets, 0.0, hi);
+    let mut latency = Digest::new(LATENCY_TOP_K, LATENCY_BUCKETS, 0.0, hi);
     let mut tenant_latency: BTreeMap<TenantId, Digest> = BTreeMap::new();
     let mut outcomes = Vec::with_capacity(done.len());
     let mut tenants: BTreeMap<TenantId, TenantStats> = BTreeMap::new();
@@ -847,9 +836,7 @@ fn build_report(done: Vec<PlanDone>, waves: u64, config: &ServeConfig) -> ServeR
                 latency.add(d.finish);
                 tenant_latency
                     .entry(d.tenant)
-                    .or_insert_with(|| {
-                        Digest::new(config.latency_top_k, config.latency_buckets, 0.0, hi)
-                    })
+                    .or_insert_with(|| Digest::new(LATENCY_TOP_K, LATENCY_BUCKETS, 0.0, hi))
                     .add(d.finish);
                 outcomes.push(Ok(value));
             }

@@ -13,8 +13,8 @@
 //!   channel ([`Ctx::send_ft`] / [`Ctx::recv_ft`]) on the `ft_tag`
 //!   namespace. A worker's death surfaces as `Err(RankDead)` on the
 //!   master's blocking result receive — never mid-protocol — and costs
-//!   the master a fixed [`FtFarmConfig::detect_timeout`] of virtual time
-//!   (the modeled heartbeat timeout).
+//!   the master a fixed 1 ms of virtual time (the modeled heartbeat
+//!   timeout).
 //! * **Deterministic recovery.** A lost batch is requeued at the front
 //!   and re-executed by the next idle worker. Because workers are pure
 //!   (same batch in, same partial result and spawned tasks out) and the
@@ -67,20 +67,17 @@ pub struct FtFarmConfig {
     /// has no adaptive batching: recovery wants batch contents to be a
     /// pure function of the spawn tree, not of measured task cost.
     pub batch: usize,
-    /// Virtual seconds the master charges itself each time it detects a
-    /// dead worker — the modeled heartbeat timeout of a real failure
-    /// detector.
-    pub detect_timeout: f64,
 }
 
 impl Default for FtFarmConfig {
     fn default() -> Self {
-        FtFarmConfig {
-            batch: 32,
-            detect_timeout: 1e-3,
-        }
+        FtFarmConfig { batch: 32 }
     }
 }
+
+/// Virtual seconds the master charges itself each time it detects a dead
+/// worker — the modeled heartbeat timeout of a real failure detector.
+const DETECT_TIMEOUT: f64 = 1e-3;
 
 /// Execution statistics of a fault-tolerant farm run, computed by the
 /// master and shipped to every surviving rank with the shutdown order.
@@ -352,7 +349,7 @@ where
                         PhaseKind::Recover.name(),
                         "requeue lost batch for re-execution",
                     );
-                    ctx.charge_seconds(config.detect_timeout);
+                    ctx.charge_seconds(DETECT_TIMEOUT);
                     alive[w] = false;
                     m.stats.workers_lost += 1;
                     m.stats.reassigned += 1;
@@ -528,6 +525,8 @@ mod tests {
             assert_eq!(stats.workers_lost, 1);
             assert!(stats.reassigned >= 1);
         }
+        // Pins the master's detection timeout with the recovery it prices.
+        assert_eq!(faulty.rank_times[0], 0.0017483714285714282);
     }
 
     #[test]

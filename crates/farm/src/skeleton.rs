@@ -208,11 +208,19 @@ pub enum Batching {
     /// Always drain up to this many tasks per round.
     Fixed(usize),
     /// Size the batch from the machine model so that the round's
-    /// communication (steal exchange + wave) costs at most
-    /// [`FarmConfig::comm_fraction`] of the round's modeled compute,
-    /// using a [`CostMeter`] running average of executed-task cost.
+    /// communication (steal exchange + wave) costs at most 5 % of the
+    /// round's modeled compute, using a [`CostMeter`] running average of
+    /// executed-task cost, within 1..=4096 tasks.
     Adaptive,
 }
+
+/// Adaptive batching's target ratio of per-round communication cost to
+/// per-round compute cost.
+const COMM_FRACTION: f64 = 0.05;
+/// Lower bound on the adaptive batch.
+const MIN_BATCH: usize = 1;
+/// Upper bound on the adaptive batch.
+const MAX_BATCH: usize = 4096;
 
 /// Tuning knobs for [`run_farm`]. `FarmConfig::default()` enables
 /// adaptive batching and stealing — the archetype's intended shape.
@@ -224,13 +232,6 @@ pub struct FarmConfig {
     /// farm correct (the wave still terminates it) but lets imbalance
     /// from irregular task costs or spawning go uncorrected.
     pub steal: bool,
-    /// Adaptive batching's target ratio of per-round communication cost
-    /// to per-round compute cost.
-    pub comm_fraction: f64,
-    /// Lower bound on the adaptive batch.
-    pub min_batch: usize,
-    /// Upper bound on the adaptive batch.
-    pub max_batch: usize,
 }
 
 impl Default for FarmConfig {
@@ -238,9 +239,6 @@ impl Default for FarmConfig {
         FarmConfig {
             batch: Batching::Adaptive,
             steal: true,
-            comm_fraction: 0.05,
-            min_batch: 1,
-            max_batch: 4096,
         }
     }
 }
@@ -455,7 +453,6 @@ fn avg_task_seconds(model: &MachineModel, meter: &CostMeter, executed: u64) -> f
 }
 
 fn adaptive_batch(
-    config: &FarmConfig,
     model: &MachineModel,
     nprocs: usize,
     meter: &CostMeter,
@@ -466,10 +463,8 @@ fn adaptive_batch(
     // wrong bootstrap estimate here could drain the whole pool in one
     // round and leave the steal phase nothing to balance.
     if executed == 0 {
-        return config.min_batch.max(1);
+        return MIN_BATCH;
     }
-    let lo = config.min_batch.max(1);
-    let hi = config.max_batch.max(lo);
     let avg_task = avg_task_seconds(model, meter, executed);
     // Target round duration: long enough to amortize the round's
     // communication, and — for heavily irregular farms — at least a
@@ -478,9 +473,9 @@ fn adaptive_batch(
     // serializing a round of its own (the wave syncs every rank's clock
     // to the round's slowest, so per-round imbalance is paid globally).
     let comm = round_comm_seconds(model, nprocs);
-    let target = (comm / config.comm_fraction.max(1e-6)).max(4.0 * max_task_seconds);
+    let target = (comm / COMM_FRACTION).max(4.0 * max_task_seconds);
     let b = (target / avg_task).ceil() as usize;
-    b.clamp(lo, hi)
+    b.clamp(MIN_BATCH, MAX_BATCH)
 }
 
 /// Execute `farm` as an SPMD task-farm on this rank. Must be called by
@@ -523,7 +518,7 @@ pub fn run_farm<F: Farm>(farm: &F, ctx: &mut Ctx, config: FarmConfig) -> (F::Out
         let batch = match config.batch {
             Batching::Fixed(b) => b.max(1),
             Batching::Adaptive => {
-                adaptive_batch(&config, &model, p, &meter, stats.executed, max_task_seconds)
+                adaptive_batch(&model, p, &meter, stats.executed, max_task_seconds)
             }
         };
         let mut executed_this_round = 0usize;
@@ -997,7 +992,6 @@ mod tests {
                 let config = FarmConfig {
                     steal,
                     batch: Batching::Fixed(4),
-                    ..FarmConfig::default()
                 };
                 run_farm(&Lopsided, ctx, config)
             }

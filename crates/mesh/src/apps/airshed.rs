@@ -227,16 +227,6 @@ pub fn airshed_spmd(ctx: &mut Ctx, spec: &AirshedSpec, pgrid: ProcessGrid2) -> A
     }
 }
 
-/// Total amount of a species over a grid.
-pub fn total_species(grid: &[Conc], species: usize) -> f64 {
-    grid.iter().map(|c| c[species]).sum()
-}
-
-/// Modeled sequential flop cost per step.
-pub fn airshed_step_flops(nx: usize, ny: usize) -> f64 {
-    30.0 * (nx * ny) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

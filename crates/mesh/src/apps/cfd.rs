@@ -253,11 +253,6 @@ pub fn cfd_step_flops(nx: usize, ny: usize) -> f64 {
     (12.0 + 60.0) * (nx * ny) as f64
 }
 
-/// Total mass (ρ summed over cells) — conserved by the interior update.
-pub fn total_mass(grid: &[Cell]) -> f64 {
-    grid.iter().map(|c| c[0]).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -213,11 +213,6 @@ pub fn azimuthal_velocity(spec: &SwirlSpec, u: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// Modeled sequential flop cost per step.
-pub fn swirl_step_flops(spec: &SwirlSpec) -> f64 {
-    spec.nr as f64 * 2.0 * fft_flops(spec.ntheta) + 12.0 * (spec.nr * spec.ntheta) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

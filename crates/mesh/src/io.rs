@@ -3,9 +3,9 @@
 //! possibility is to operate on all data sequentially in a single
 //! process").
 //!
-//! Output formats are deliberately simple and dependency-free: binary PGM
-//! (P5) images for field snapshots — how this reproduction renders the
-//! paper's Figures 19–21 — and CSV for numeric series.
+//! The output format is deliberately simple and dependency-free: binary
+//! PGM (P5) images for field snapshots — how this reproduction renders
+//! the paper's Figures 19–21.
 
 use std::io::Write as _;
 use std::path::Path;
@@ -26,17 +26,6 @@ pub fn write_pgm(path: &Path, data: &[f64], nx: usize, ny: usize) -> std::io::Re
         .map(|v| (255.0 * (v - lo) / span).round().clamp(0.0, 255.0) as u8)
         .collect();
     f.write_all(&bytes)?;
-    Ok(())
-}
-
-/// Write `(x, series₁, series₂, …)` rows as CSV with a header line.
-pub fn write_csv(path: &Path, header: &[&str], rows: &[Vec<f64>]) -> std::io::Result<()> {
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-    writeln!(f, "{}", header.join(","))?;
-    for row in rows {
-        let line: Vec<String> = row.iter().map(|v| format!("{v}")).collect();
-        writeln!(f, "{}", line.join(","))?;
-    }
     Ok(())
 }
 
@@ -68,15 +57,5 @@ mod tests {
         write_pgm(&p, &[5.0; 6], 2, 3).unwrap();
         let bytes = std::fs::read(&p).unwrap();
         assert!(bytes[11..].iter().all(|&b| b == 0));
-    }
-
-    #[test]
-    fn csv_round_trip_text() {
-        let dir = std::env::temp_dir().join("archetype_mesh_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("t.csv");
-        write_csv(&p, &["p", "speedup"], &[vec![1.0, 1.0], vec![2.0, 1.9]]).unwrap();
-        let s = std::fs::read_to_string(&p).unwrap();
-        assert_eq!(s, "p,speedup\n1,1\n2,1.9\n");
     }
 }

@@ -94,13 +94,7 @@ pub struct ColDist<T> {
 }
 
 impl<T: FixedSize + Default> ColDist<T> {
-    /// Mutable view of local column `c` (0-based local index).
-    pub fn col_mut(&mut self, c: usize) -> &mut [T] {
-        let s = c * self.nrows;
-        &mut self.data[s..s + self.nrows]
-    }
-
-    /// Immutable view of local column `c`.
+    /// Immutable view of local column `c` (0-based local index).
     pub fn col(&self, c: usize) -> &[T] {
         let s = c * self.nrows;
         &self.data[s..s + self.nrows]

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use crate::fault::{CrashSite, FaultPlan, InjectedCrash, RankDead};
+use crate::fault::{CrashSite, FaultPlan, InjectedCrash, RankDead, RETRANSMIT_TIMEOUT};
 use crate::mailbox::Mailbox;
 use crate::model::MachineModel;
 use crate::packet::{Packet, PacketBody, PayloadCell};
@@ -714,7 +714,7 @@ impl Ctx {
     /// [`FaultPlan`] may drop or duplicate the message on this channel.
     ///
     /// Drops are modeled as virtual retransmissions: each dropped attempt
-    /// charges the plan's retransmit timeout to this rank's clock, and
+    /// charges a 100 µs retransmit timeout to this rank's clock, and
     /// only the surviving copy is put on the wire (capped at
     /// [`crate::fault::MAX_SEND_ATTEMPTS`] attempts, so sends always
     /// terminate). Duplicates really transmit two copies; the matching
@@ -744,12 +744,7 @@ impl Ctx {
             _ => (0, false),
         };
         if drops > 0 {
-            let timeout = self
-                .fault
-                .as_ref()
-                .expect("drops imply an installed plan")
-                .retransmit_timeout();
-            let penalty = drops as f64 * timeout;
+            let penalty = drops as f64 * RETRANSMIT_TIMEOUT;
             self.clock += penalty;
             // Retransmission stalls are wait, not CPU overhead: the rank
             // sits out the modeled timeout exactly as it would a late
@@ -1327,6 +1322,37 @@ mod tests {
         );
         assert_eq!(out.stats.per_rank[0].msgs_sent, 160);
         assert_eq!(out.leaked_messages, 0);
+    }
+
+    #[test]
+    fn dropped_attempts_charge_the_retransmit_timeout() {
+        // About three in ten fault-aware attempts drop; each drop costs
+        // the sender 100 µs of virtual time, and the receiver waits for it.
+        let plan = FaultPlan::new(5).drops(0.3);
+        let out = run_spmd_ft(
+            2,
+            MachineModel::ibm_sp(),
+            RunConfig::default(),
+            plan,
+            |ctx| {
+                if ctx.rank() == 0 {
+                    for i in 0..40u64 {
+                        ctx.send_ft(1, i, i).expect("rank 1 alive");
+                    }
+                    0
+                } else {
+                    (0..40u64)
+                        .map(|i| ctx.recv_ft::<u64>(0, i).expect("rank 0 alive"))
+                        .sum()
+                }
+            },
+        );
+        assert_eq!(*out.results[1].as_ref().expect("rank 1 ok"), 780);
+        assert!(out.stats.per_rank[0].fault_events > 0, "some attempts drop");
+        assert_eq!(
+            out.rank_times,
+            [0.0017000000000000008, 0.0017452285714285721]
+        );
     }
 
     #[test]

@@ -29,10 +29,10 @@
 //!   archetypes.
 //! - **Drop** and **duplicate** faults apply only to the fault-aware
 //!   channel: [`crate::Ctx::send_ft`] replays dropped attempts after a
-//!   virtual retransmission timeout, and [`crate::Ctx::recv_ft`] consumes
-//!   and discards duplicate copies. Both ends evaluate the same pure
-//!   decision function, so the retransmission/dedup protocol needs no
-//!   extra control traffic.
+//!   100 µs virtual retransmission timeout, and [`crate::Ctx::recv_ft`]
+//!   consumes and discards duplicate copies. Both ends evaluate the same
+//!   pure decision function, so the retransmission/dedup protocol needs
+//!   no extra control traffic.
 //! - **Crash** faults fire as real panics (payload [`InjectedCrash`]) at
 //!   a deterministic operation index; peers observe the death through
 //!   channel disconnection ([`RankDead`]) and the runner reports it as a
@@ -44,6 +44,10 @@ use crate::stats::RankStats;
 /// attempt indices at or beyond `MAX_SEND_ATTEMPTS - 1` are never
 /// dropped, so every `send_ft` terminates.
 pub const MAX_SEND_ATTEMPTS: u64 = 4;
+
+/// Virtual seconds a fault-aware sender charges per dropped attempt
+/// before retransmitting.
+pub(crate) const RETRANSMIT_TIMEOUT: f64 = 100e-6;
 
 /// Where in a rank's execution an injected crash fires. Operation
 /// indices are 0-based and count from the start of the SPMD run.
@@ -145,7 +149,6 @@ pub struct FaultPlan {
     delay_secs: f64,
     drop_prob: f64,
     dup_prob: f64,
-    retransmit_timeout: f64,
     atom_fail_prob: f64,
     crashes: Vec<CrashSpec>,
     forced_atom_failures: Vec<(u64, u32)>,
@@ -161,7 +164,6 @@ impl FaultPlan {
             delay_secs: 0.0,
             drop_prob: 0.0,
             dup_prob: 0.0,
-            retransmit_timeout: 100e-6,
             atom_fail_prob: 0.0,
             crashes: Vec::new(),
             forced_atom_failures: Vec::new(),
@@ -190,13 +192,6 @@ impl FaultPlan {
         self
     }
 
-    /// Virtual time a fault-aware sender charges per dropped attempt
-    /// before retransmitting (default 100 µs).
-    pub fn with_retransmit_timeout(mut self, secs: f64) -> Self {
-        self.retransmit_timeout = secs;
-        self
-    }
-
     /// Schedule world rank `rank` to crash at `site`.
     pub fn crash(mut self, rank: usize, site: CrashSite) -> Self {
         self.crashes.push(CrashSpec { rank, site });
@@ -204,7 +199,7 @@ impl FaultPlan {
     }
 
     /// Fail each composition-atom attempt with probability `prob`
-    /// (consulted by `compose`'s retry loop; see its `RetryPolicy`).
+    /// (consulted by `compose`'s retry loop; see its `try_run_plan`).
     pub fn atom_failures(mut self, prob: f64) -> Self {
         self.atom_fail_prob = prob;
         self
@@ -244,11 +239,6 @@ impl FaultPlan {
     /// goes through these hooks.
     pub fn hooks_live(&self) -> bool {
         !self.crashes.is_empty() || self.delay_prob > 0.0
-    }
-
-    /// The retransmission timeout charged per dropped attempt.
-    pub fn retransmit_timeout(&self) -> f64 {
-        self.retransmit_timeout
     }
 
     /// Extra virtual latency injected into message number `seq` from

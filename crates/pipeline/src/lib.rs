@@ -38,9 +38,9 @@
 //!   segment as extra replicas — items split round-robin across replicas
 //!   and merge back in order downstream — and, mirroring the farm's
 //!   comm-fraction batching, replication stops when a replica's per-item
-//!   compute would fall below the per-item messaging overhead divided by
-//!   [`PipelineConfig::comm_fraction`]. [`PipelineStats`] names the
-//!   layout that ran.
+//!   compute would fall below ten times the per-item messaging overhead
+//!   (a communication-to-compute ratio of 0.1). [`PipelineStats`] names
+//!   the layout that ran.
 //! * **Bounded credit-based flow control.** Every stream edge carries at
 //!   most [`PipelineConfig::window`] in-flight items per (producer,
 //!   consumer) pair ([`archetype_mp::tags`] namespaces the item and

@@ -149,14 +149,6 @@ pub struct PipelineConfig {
     /// Whether spare ranks replicate heavy stages. Disabling it keeps
     /// the pipeline correct but leaves spare ranks idle.
     pub replicate: bool,
-    /// Replication stops when a replica's per-item compute would fall
-    /// below `per-item messaging overhead / comm_fraction` — the
-    /// pipeline's version of the farm's target ratio of communication
-    /// to compute.
-    pub comm_fraction: f64,
-    /// How many stream items are probed (via [`Stage::flops`]) to price
-    /// the stages for the placement plan.
-    pub probe: usize,
 }
 
 impl Default for PipelineConfig {
@@ -164,14 +156,21 @@ impl Default for PipelineConfig {
         PipelineConfig {
             window: 4,
             replicate: true,
-            // Looser than the farm's 0.05 batching target: a pipeline
-            // replica's alternative is idling, so a replica is worth
-            // keeping until messaging reaches a tenth of its compute.
-            comm_fraction: 0.1,
-            probe: 8,
         }
     }
 }
+
+/// Replication stops when a replica's per-item compute would fall below
+/// `per-item messaging overhead / COMM_FRACTION` — the pipeline's version
+/// of the farm's target ratio of communication to compute. Looser than
+/// the farm's 0.05 batching target: a pipeline replica's alternative is
+/// idling, so a replica is worth keeping until messaging reaches a tenth
+/// of its compute.
+const COMM_FRACTION: f64 = 0.1;
+
+/// How many stream items are probed (via [`Stage::flops`]) to price the
+/// stages for the placement plan.
+const PROBE: usize = 8;
 
 /// Deterministic, globally combined execution statistics of a pipeline
 /// run. Every rank returns the same values.
@@ -517,7 +516,7 @@ fn replicate(
     if !config.replicate {
         return (replicas, spare);
     }
-    let floor = overhead_secs / config.comm_fraction.max(1e-6);
+    let floor = overhead_secs / COMM_FRACTION;
     while spare > 0 {
         // The bottleneck segment gets the next rank — unless even the
         // bottleneck is already communication-bound, in which case more
@@ -740,20 +739,19 @@ impl Inflow {
     }
 }
 
-/// Probe the first [`PipelineConfig::probe`] stream items and price
-/// ingest, each stage and emit per item in modeled seconds.
+/// Probe the first `PROBE` stream items and price ingest, each stage and
+/// emit per item in modeled seconds.
 fn probe_prices<P: Pipeline>(
     pipe: &P,
     stages: &[&dyn Stage<P::Item>],
     model: &MachineModel,
-    probe: usize,
 ) -> Prices {
     let mut prices = Prices {
         stages: vec![0.0; stages.len()],
         ..Prices::default()
     };
     let mut n = 0u32;
-    for seq in 0..probe as u64 {
+    for seq in 0..PROBE as u64 {
         let Some(item) = pipe.ingest(seq) else { break };
         n += 1;
         prices.ingest += model.compute_time(pipe.ingest_flops(&item));
@@ -843,7 +841,7 @@ pub fn run_pipeline<P: Pipeline>(
         Plan::OneRank
     } else {
         let model = *ctx.model();
-        let prices = probe_prices(pipe, &stages, &model, config.probe);
+        let prices = probe_prices(pipe, &stages, &model);
         build_plan(p, &prices, &model, &config)
     };
     ctx.charge_items(s_count + 1, PLAN_FLOPS_PER_STAGE);
@@ -1392,11 +1390,7 @@ mod tests {
                     MachineModel::zero_comm(),
                 ] {
                     let out = run_spmd(6, model, move |ctx| {
-                        let config = PipelineConfig {
-                            window,
-                            replicate,
-                            ..PipelineConfig::default()
-                        };
+                        let config = PipelineConfig { window, replicate };
                         run_pipeline(&Ordered(40), ctx, config)
                     });
                     for (s, stats) in &out.results {
@@ -1761,5 +1755,30 @@ mod tests {
             assert_eq!((stats.forwarded, stats.credits), (9, 9));
             assert_eq!(stats.transforms, 18);
         }
+    }
+
+    #[test]
+    fn the_planner_prices_the_mean_of_the_first_eight_items() {
+        // Stream item `seq` is `seq + 1` and costs 1 000 × (seq + 1) flops
+        // in the one stage, so the stage price is the mean over however
+        // many items are probed.
+        struct Growing;
+        impl Stage<u64> for Growing {
+            fn transform(&self, _seq: u64, item: u64) -> u64 {
+                item
+            }
+            fn flops(&self, item: &u64) -> f64 {
+                1_000.0 * *item as f64
+            }
+        }
+        let pipe = Priced {
+            items: 50,
+            ingest: 1_000.0,
+            stages: Vec::new(),
+            emit: 1_000.0,
+        };
+        let prices = probe_prices(&pipe, &[&Growing], &MachineModel::ibm_sp());
+        // 4 500 flops, the mean of items 1–8, at the IBM SP's rate.
+        assert_eq!(prices.stages, [4.5e-5]);
     }
 }

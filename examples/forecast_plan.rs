@@ -16,7 +16,7 @@
 //! Run with: `cargo run --example forecast_plan --release`
 
 use parallel_archetypes::compose::{
-    forecast_input, forecast_plan, try_run_plan, ComposeConfig, ForecastConfig, ParMode, Value,
+    forecast_input, forecast_plan, try_run_plan, ForecastConfig, ParMode, Value,
 };
 use parallel_archetypes::mp::{run_spmd, MachineModel};
 
@@ -27,16 +27,7 @@ fn main() {
 
     let run = |p: usize, mode: ParMode| {
         run_spmd(p, MachineModel::ibm_sp(), move |ctx| {
-            try_run_plan(
-                ctx,
-                &forecast_plan(cfg),
-                forecast_input(),
-                ComposeConfig {
-                    par: mode,
-                    ..ComposeConfig::default()
-                },
-            )
-            .expect("no fault plan")
+            try_run_plan(ctx, &forecast_plan(cfg), forecast_input(), mode).expect("no fault plan")
         })
     };
 

@@ -43,8 +43,8 @@
 //! ```
 //!
 //! See `examples/` for runnable demonstrations and `crates/bench` for the
-//! per-figure reproduction harness (EXPERIMENTS.md documents
-//! paper-vs-measured for every figure).
+//! per-figure reproduction harness (README's Benchmarks section says how
+//! to run it).
 
 /// The archetype framework: `parfor` helpers and archetype phase
 /// metadata and grammars (re-export of `archetype-core`).

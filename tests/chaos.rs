@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 
 use parallel_archetypes::compose::{
-    run_plan, try_run_plan, ArchetypeJob, ComposeConfig, Plan, PlanError, Value,
+    run_plan, try_run_plan, ArchetypeJob, ParMode, Plan, PlanError, Value,
 };
 use parallel_archetypes::core::ArchetypeInfo;
 use parallel_archetypes::farm::{run_farm, run_farm_ft, Farm, FarmConfig, FtFarmConfig, WorkScope};
@@ -141,7 +141,7 @@ proptest! {
         let victim = 1 + victim_pick % (p - 1);
         // Small batches keep every worker busy, so most schedules really
         // fire; schedules past the victim's last order simply never do.
-        let config = FtFarmConfig { batch: 4, ..FtFarmConfig::default() };
+        let config = FtFarmConfig { batch: 4 };
         let noisy = |plan: FaultPlan| plan.drops(drop_prob).duplicates(dup_prob);
         let clean = run_spmd_ft(p, MachineModel::ibm_sp(), RunConfig::default(), noisy(FaultPlan::new(seed)), move |ctx| {
             run_farm_ft(&Spawner(24), ctx, config)
@@ -266,7 +266,7 @@ proptest! {
         });
         let plan = FaultPlan::new(seed).fail_atom(node, times);
         let out = run_spmd_ft(p, MachineModel::ibm_sp(), RunConfig::default(), plan, |ctx| {
-            try_run_plan(ctx, &two_stage_plan(), Value::F64(2.0), ComposeConfig::default())
+            try_run_plan(ctx, &two_stage_plan(), Value::F64(2.0), ParMode::Allocate)
         });
         prop_assert_eq!(out.leaked_messages, 0);
         let (clean_value, _) = &clean.results[0];

@@ -18,8 +18,8 @@
 use proptest::prelude::*;
 
 use parallel_archetypes::compose::{
-    forecast_input, forecast_plan, try_run_plan, ComposeConfig, ForecastConfig, ParMode, Plan,
-    SortJob, SweepJob, TopKJob, Value,
+    forecast_input, forecast_plan, try_run_plan, ForecastConfig, ParMode, Plan, SortJob, SweepJob,
+    TopKJob, Value,
 };
 use parallel_archetypes::core::archetype::{
     ArchetypeInfo, MESH_SPECTRAL, ONE_DEEP_DC, PIPELINE, RECURSIVE_DC, TASK_FARM,
@@ -96,12 +96,8 @@ fn serialized_plan_track(
     plan: &Plan,
     input: Value,
 ) -> Vec<PhaseKind> {
-    let config = ComposeConfig {
-        par: ParMode::Serialize,
-        ..ComposeConfig::default()
-    };
     let trace = traced(p, model, |ctx| {
-        try_run_plan(ctx, plan, input.clone(), config).expect("no fault plan")
+        try_run_plan(ctx, plan, input.clone(), ParMode::Serialize).expect("no fault plan")
     });
     phase_kinds(&trace.ranks[0])
 }
@@ -194,7 +190,7 @@ proptest! {
     ) {
         let farm = SpawnFarm { roots, spawn };
         let trace = traced(p, MachineModel::ibm_sp(), |ctx| {
-            run_farm_ft(&farm, ctx, FtFarmConfig { batch, ..FtFarmConfig::default() }).0
+            run_farm_ft(&farm, ctx, FtFarmConfig { batch }).0
         });
         assert_conforms(&TASK_FARM, &phase_kinds(&trace.ranks[0]), &format!("run_farm_ft, p={p}"));
     }
@@ -255,7 +251,7 @@ proptest! {
         let input = Value::Tuple(vec![Value::F64s(samples.clone()), Value::F64s(samples)]);
         let faults = FaultPlan::new(7).fail_atom(1, sort_losses).fail_atom(2, digest_losses);
         let out = run_spmd_ft(p, MachineModel::ibm_sp(), RunConfig::traced(), faults, |ctx| {
-            try_run_plan(ctx, &plan, input.clone(), ComposeConfig::default())
+            try_run_plan(ctx, &plan, input.clone(), ParMode::Allocate)
                 .expect("within the retry budget")
                 .1
                 .retries

@@ -9,8 +9,8 @@
 use proptest::prelude::*;
 
 use parallel_archetypes::compose::{
-    forecast_input, forecast_plan, run_plan, try_run_plan, ComposeConfig, ForecastConfig, ParMode,
-    Plan, PoissonJob, SweepJob, Value,
+    forecast_input, forecast_plan, run_plan, try_run_plan, ForecastConfig, ParMode, Plan,
+    PoissonJob, SweepJob, Value,
 };
 use parallel_archetypes::core::ExecutionMode;
 use parallel_archetypes::dc::skeleton::{run_shared, run_spmd as dc_spmd};
@@ -416,15 +416,7 @@ fn composed_plan_results_and_stats_are_process_count_and_schedule_invariant() {
     for p in [2usize, 3, 5, 7, 8] {
         for mode in [ParMode::Allocate, ParMode::Serialize] {
             let out = run_spmd(p, MachineModel::cray_t3d(), move |ctx| {
-                try_run_plan(
-                    ctx,
-                    &forecast_plan(forecast_mini()),
-                    forecast_input(),
-                    ComposeConfig {
-                        par: mode,
-                        ..ComposeConfig::default()
-                    },
-                )
+                try_run_plan(ctx, &forecast_plan(forecast_mini()), forecast_input(), mode)
             });
             for (r, got) in out.results.iter().enumerate() {
                 assert_eq!(got, &Ok(reference.clone()), "p={p} mode={mode:?} rank={r}");
@@ -461,13 +453,9 @@ fn a_traced_plan_run_is_the_untraced_run_bit_for_bit() {
     for (name, plan, input) in &plans {
         for p in 1usize..=8 {
             for mode in [ParMode::Allocate, ParMode::Serialize] {
-                let config = ComposeConfig {
-                    par: mode,
-                    ..ComposeConfig::default()
-                };
                 let run = |run_config: RunConfig| {
                     run_spmd_with(p, MachineModel::ibm_sp(), run_config, |ctx| {
-                        try_run_plan(ctx, plan, input.clone(), config)
+                        try_run_plan(ctx, plan, input.clone(), mode)
                     })
                 };
                 let (plain, traced) = (run(RunConfig::default()), run(RunConfig::traced()));
@@ -505,7 +493,7 @@ fn a_traced_plan_run_is_the_untraced_run_bit_for_bit() {
         run_plan(ctx, plan, input.clone())
     });
     let configured = run_spmd(5, MachineModel::ibm_sp(), |ctx| {
-        try_run_plan(ctx, plan, input.clone(), ComposeConfig::default()).expect("no fault plan")
+        try_run_plan(ctx, plan, input.clone(), ParMode::Allocate).expect("no fault plan")
     });
     assert_eq!(plain.results, configured.results);
     assert_eq!(plain.stats.per_rank, configured.stats.per_rank);
