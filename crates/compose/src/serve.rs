@@ -51,7 +51,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use archetype_mp::{
-    run_spmd_ft, run_spmd_with, Ctx, FaultPlan, MachineModel, Payload, RunConfig, SpmdError,
+    run_spmd_ft, run_spmd_with, Ctx, FaultPlan, MachineModel, Payload, RankFailure, RunConfig,
     SpmdResult,
 };
 use archetype_pipeline::apps::Digest;
@@ -630,13 +630,8 @@ impl PlanService {
     /// Serve the queued batch and fold rejection accounting into the
     /// report.
     pub fn serve(&mut self, model: MachineModel) -> ServeOutcome {
-        self.serve_with(model, RunConfig::default())
-    }
-
-    /// [`PlanService::serve`] with an explicit [`RunConfig`].
-    pub fn serve_with(&mut self, model: MachineModel, run: RunConfig) -> ServeOutcome {
         let rejected = std::mem::take(&mut self.rejected);
-        let result = self.serve_spmd(model, run);
+        let result = self.serve_spmd(model, RunConfig::default());
         let mut report = result.results.into_iter().next().expect("one rank minimum");
         fold_rejections(&mut report, &rejected, &mut self.tenants);
         ServeOutcome {
@@ -649,13 +644,14 @@ impl PlanService {
 
     /// Serve the queued batch under a deterministic [`FaultPlan`]. Injected
     /// atom exhaustion surfaces *inside* the report as per-submission
-    /// [`PlanError`]s; an injected rank crash fails the whole batch with
-    /// [`SpmdError::Ranks`] (the drained submissions are dropped).
+    /// [`PlanError`]s; a failed rank fails the whole batch with every
+    /// rank's [`RankFailure`], in rank order (the drained submissions are
+    /// dropped).
     pub fn serve_ft(
         &mut self,
         model: MachineModel,
         fault: FaultPlan,
-    ) -> Result<ServeOutcome, SpmdError> {
+    ) -> Result<ServeOutcome, Vec<RankFailure>> {
         let rejected = std::mem::take(&mut self.rejected);
         let waves = self.pack();
         let subs = Arc::new(std::mem::take(&mut self.queue));
@@ -667,7 +663,7 @@ impl PlanService {
             .filter_map(|r| r.as_ref().err().cloned())
             .collect();
         if !failures.is_empty() {
-            return Err(SpmdError::Ranks { failures });
+            return Err(failures);
         }
         let mut report = ft
             .results
@@ -1038,11 +1034,11 @@ mod tests {
         let mut svc = PlanService::new(3, ServeConfig::default());
         svc.submit(1, fold_plan(1.0), Value::Unit).unwrap();
         let fault = FaultPlan::new(11).crash(0, CrashSite::Send(0));
-        let err = svc
+        let failures = svc
             .serve_ft(MachineModel::ibm_sp(), fault)
             .expect_err("rank 0 dies");
-        assert!(!err.failures().is_empty());
-        assert!(err.failures().iter().any(|f| f.injected));
+        assert!(!failures.is_empty());
+        assert!(failures.iter().any(|f| f.injected));
     }
 
     #[test]

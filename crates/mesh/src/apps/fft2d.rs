@@ -16,7 +16,7 @@
 use archetype_mp::Ctx;
 use archetype_numerics::{fft_flops, fft_in_place, Complex, Direction};
 
-use crate::redist::{cols_to_rows, gather_rows, rows_to_cols, RowDist};
+use crate::redist::{cols_to_rows, rows_to_cols, RowDist};
 
 /// Version 1: in-place 2-D FFT of a row-major `nx × ny` matrix.
 /// Both dimensions must be powers of two.
@@ -75,11 +75,6 @@ pub fn fft2d_spmd(
     rd
 }
 
-/// Gather an SPMD result to rank 0 for comparison/output.
-pub fn gather_fft2d(ctx: &mut Ctx, rd: &RowDist<Complex>) -> Option<Vec<Complex>> {
-    gather_rows(ctx, rd)
-}
-
 /// Modeled sequential cost of `reps` 2-D FFTs on an `nx × ny` grid.
 pub fn fft2d_seq_flops(nx: usize, ny: usize, reps: usize) -> f64 {
     reps as f64 * (nx as f64 * fft_flops(ny) + ny as f64 * fft_flops(nx))
@@ -88,6 +83,7 @@ pub fn fft2d_seq_flops(nx: usize, ny: usize, reps: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::redist::gather_rows;
     use archetype_mp::{run_spmd, MachineModel};
     use archetype_numerics::dft_naive;
 
@@ -145,7 +141,7 @@ mod tests {
             let input = input.clone();
             let out = run_spmd(p, MachineModel::ibm_sp(), move |ctx| {
                 let rd = fft2d_spmd(ctx, nx, ny, 1, |r, c| input[r * ny + c]);
-                gather_fft2d(ctx, &rd)
+                gather_rows(ctx, &rd)
             });
             let got = out.results[0].as_ref().expect("rank 0 gathers");
             assert_eq!(got, &expected, "p={p}: SPMD must equal version 1 exactly");
@@ -163,7 +159,7 @@ mod tests {
         let input2 = input.clone();
         let out = run_spmd(2, MachineModel::ibm_sp(), move |ctx| {
             let rd = fft2d_spmd(ctx, nx, ny, 2, |r, c| input2[r * ny + c]);
-            gather_fft2d(ctx, &rd)
+            gather_rows(ctx, &rd)
         });
         assert_eq!(out.results[0].as_ref().unwrap(), &twice);
     }

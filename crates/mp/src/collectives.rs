@@ -361,8 +361,9 @@ impl Ctx {
 
 #[cfg(test)]
 mod tests {
+    use crate::fault::FaultPlan;
     use crate::model::MachineModel;
-    use crate::runner::{run_spmd, try_run_spmd, RunConfig};
+    use crate::runner::{run_spmd, run_spmd_ft, RunConfig};
 
     /// Exercise every collective for a spread of process counts including
     /// non-powers-of-two, which stress the remainder handling.
@@ -578,17 +579,22 @@ mod tests {
     #[test]
     fn a_receiver_that_panics_before_a_broadcast_is_reported_not_waited_on() {
         for n in [2, 3, 5] {
-            let err = try_run_spmd(n, MachineModel::zero_comm(), RunConfig::default(), |ctx| {
-                if ctx.rank() == n - 1 {
-                    // Let the root's send land first on some runs.
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                    panic!("receiver lost before the broadcast");
-                }
-                let v = (ctx.rank() == 0).then(|| vec![3u8; 1 << 18]);
-                ctx.broadcast(0, v)
-            })
-            .expect_err("a rank panicked");
-            let failures = err.failures();
+            let out = run_spmd_ft(
+                n,
+                MachineModel::zero_comm(),
+                RunConfig::default(),
+                FaultPlan::new(0),
+                |ctx| {
+                    if ctx.rank() == n - 1 {
+                        // Let the root's send land first on some runs.
+                        std::thread::sleep(std::time::Duration::from_micros(200));
+                        panic!("receiver lost before the broadcast");
+                    }
+                    let v = (ctx.rank() == 0).then(|| vec![3u8; 1 << 18]);
+                    ctx.broadcast(0, v)
+                },
+            );
+            let failures = out.failures();
             assert!(
                 failures
                     .iter()

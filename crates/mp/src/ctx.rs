@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use crate::fault::{CrashSite, FaultPlan, InjectedCrash, RankDead, RETRANSMIT_TIMEOUT};
+use crate::fault::{CrashSite, FaultPlan, InjectedCrash, PeerGone, RankDead, RETRANSMIT_TIMEOUT};
 use crate::mailbox::Mailbox;
 use crate::model::MachineModel;
 use crate::packet::{Packet, PacketBody, PayloadCell};
@@ -305,8 +305,9 @@ impl Ctx {
 
     /// Charge send-side costs and put a packet on the wire to `to`.
     fn send_packet(&mut self, to: usize, tag: Tag, bytes: usize, body: (PacketBody, PayloadCell)) {
-        self.try_send_packet(to, tag, bytes, body)
-            .expect("receiving rank's mailbox closed (rank panicked?)");
+        if let Err(dead) = self.try_send_packet(to, tag, bytes, body) {
+            mailbox_closed(dead);
+        }
     }
 
     /// Like [`Ctx::send_packet`], but reports a dead destination instead
@@ -403,8 +404,9 @@ impl Ctx {
     pub(crate) fn send_quiet<T: Payload>(&mut self, to: usize, tag: Tag, value: T) {
         let bytes = value.size_bytes();
         let body = self.body_of(value);
-        self.try_send_packet_inner(to, tag, bytes, body, true)
-            .expect("receiving rank's mailbox closed (rank panicked?)");
+        if let Err(dead) = self.try_send_packet_inner(to, tag, bytes, body, true) {
+            mailbox_closed(dead);
+        }
     }
 
     /// Quiet variant of [`Ctx::send_shared`] (see [`Ctx::send_quiet`]).
@@ -419,8 +421,9 @@ impl Ctx {
             PacketBody::Shared(value.as_arc().clone()),
             PayloadCell::EMPTY,
         );
-        self.try_send_packet_inner(to, tag, bytes, body, true)
-            .expect("receiving rank's mailbox closed (rank panicked?)");
+        if let Err(dead) = self.try_send_packet_inner(to, tag, bytes, body, true) {
+            mailbox_closed(dead);
+        }
     }
 
     /// Complete a batch of quiet sends: one publication fence for the
@@ -920,12 +923,23 @@ impl Ctx {
     }
 }
 
+/// A plain send found its destination's mailbox torn down: unwind with
+/// a payload that marks this rank's failure as caused by the dead one.
+#[cold]
+#[inline(never)]
+fn mailbox_closed(dead: RankDead) -> ! {
+    PeerGone::raise(
+        dead.rank,
+        format!("receiving rank's mailbox closed (rank panicked?): {dead:?}"),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use crate::fault::FaultPlan;
     use crate::model::MachineModel;
     use crate::payload::Payload;
-    use crate::runner::{run_spmd, run_spmd_ft, run_spmd_with, try_run_spmd, RunConfig};
+    use crate::runner::{run_spmd, run_spmd_ft, run_spmd_with, RunConfig};
 
     #[test]
     fn ping_pong_transfers_value_and_advances_clock() {
@@ -1203,15 +1217,20 @@ mod tests {
     fn a_same_size_type_mismatch_panics() {
         /// Rank 0 sends a `T`, rank 1 receives a `U`: rank 1's failure.
         fn mismatch<T: Payload + Copy + Sync, U: Payload>(value: T) -> String {
-            let err = try_run_spmd(2, MachineModel::zero_comm(), RunConfig::default(), |ctx| {
-                if ctx.rank() == 0 {
-                    ctx.send(1, 0, value);
-                } else {
-                    let _: U = ctx.recv(0, 0);
-                }
-            })
-            .expect_err("the receive must panic");
-            let failures = err.failures();
+            let out = run_spmd_ft(
+                2,
+                MachineModel::zero_comm(),
+                RunConfig::default(),
+                FaultPlan::new(0),
+                |ctx| {
+                    if ctx.rank() == 0 {
+                        ctx.send(1, 0, value);
+                    } else {
+                        let _: U = ctx.recv(0, 0);
+                    }
+                },
+            );
+            let failures = out.failures();
             assert_eq!((failures.len(), failures[0].rank), (1, 1));
             failures[0].message.clone()
         }

@@ -114,11 +114,33 @@ impl std::fmt::Display for RankDead {
 
 impl std::error::Error for RankDead {}
 
+/// The panic payload of a plain (not fault-aware) receive or send that
+/// found its peer gone: a receive whose sender terminated without
+/// sending a match, or a send into a terminated rank's mailbox. The
+/// runner reads it as a *secondary* failure, one caused by world rank
+/// `peer`'s ([`crate::RankFailure::waited_on`]), so [`crate::run_spmd`]
+/// re-raises the root cause rather than this rank's.
+#[derive(Debug)]
+pub(crate) struct PeerGone {
+    /// World rank of the peer that was gone.
+    pub(crate) peer: usize,
+    /// The diagnostic a re-raise or a [`crate::RankFailure`] carries.
+    pub(crate) message: String,
+}
+
+impl PeerGone {
+    /// Unwind the calling rank with a `PeerGone` payload.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn raise(peer: usize, message: String) -> ! {
+        std::panic::panic_any(PeerGone { peer, message })
+    }
+}
+
 // Decision-kind salts keeping the per-kind hash streams independent.
 const SALT_DELAY: u64 = 0x64656c61; // "dela"
 const SALT_DROP: u64 = 0x64726f70; // "drop"
 const SALT_DUP: u64 = 0x6475706c; // "dupl"
-const SALT_ATOM: u64 = 0x61746f6d; // "atom"
 
 /// A deterministic fault schedule, keyed off a splittable seed.
 ///
@@ -149,7 +171,6 @@ pub struct FaultPlan {
     delay_secs: f64,
     drop_prob: f64,
     dup_prob: f64,
-    atom_fail_prob: f64,
     crashes: Vec<CrashSpec>,
     forced_atom_failures: Vec<(u64, u32)>,
 }
@@ -164,7 +185,6 @@ impl FaultPlan {
             delay_secs: 0.0,
             drop_prob: 0.0,
             dup_prob: 0.0,
-            atom_fail_prob: 0.0,
             crashes: Vec::new(),
             forced_atom_failures: Vec::new(),
         }
@@ -198,15 +218,9 @@ impl FaultPlan {
         self
     }
 
-    /// Fail each composition-atom attempt with probability `prob`
-    /// (consulted by `compose`'s retry loop; see its `try_run_plan`).
-    pub fn atom_failures(mut self, prob: f64) -> Self {
-        self.atom_fail_prob = prob;
-        self
-    }
-
-    /// Force the atom at plan-preorder index `node` to fail its first
-    /// `times` attempts, regardless of the probabilistic schedule.
+    /// Force the composition atom at plan-preorder index `node` to fail
+    /// its first `times` attempts (consulted by `compose`'s retry loop;
+    /// see its `try_run_plan`).
     pub fn fail_atom(mut self, node: u64, times: u32) -> Self {
         self.forced_atom_failures.push((node, times));
         self
@@ -303,17 +317,9 @@ impl FaultPlan {
     /// evaluates this identically, so retries and the final verdict are
     /// collective without extra communication.
     pub fn atom_fails(&self, node: u64, attempt: u32) -> bool {
-        if self
-            .forced_atom_failures
+        self.forced_atom_failures
             .iter()
-            .any(|&(n, times)| n == node && (attempt as u64) < times as u64)
-        {
-            return true;
-        }
-        if self.atom_fail_prob <= 0.0 {
-            return false;
-        }
-        unit(self.mix(&[SALT_ATOM, node, attempt as u64])) < self.atom_fail_prob
+            .any(|&(n, times)| n == node && attempt < times)
     }
 
     /// Fold the decision coordinates into the seed (splittable-seed

@@ -27,8 +27,9 @@
 //! processors, deterministically, on a small host.
 //!
 //! Real wall-clock execution is unaffected: the processes are genuine OS
-//! threads exchanging messages through channels, so the same code can be
-//! benchmarked for real with Criterion (see `archetype-bench`).
+//! threads exchanging messages through channels, so the same code is
+//! timed for real by the standalone `benchmark/` package, end to end and
+//! layer by layer.
 //!
 //! ## One transport, two figures
 //!
@@ -90,8 +91,7 @@ pub use fault::{CrashSite, CrashSpec, FaultPlan, InjectedCrash, RankDead};
 pub use model::{MachineModel, MemoryModel};
 pub use payload::{FixedSize, Payload, Shared};
 pub use runner::{
-    run_spmd, run_spmd_ft, run_spmd_with, try_run_spmd, FtSpmdResult, RankFailure, RunConfig,
-    SpmdError, SpmdResult,
+    run_spmd, run_spmd_ft, run_spmd_with, FtSpmdResult, RankFailure, RunConfig, SpmdResult,
 };
 pub use stats::{RankStats, RunStats};
 pub use tags::{compose_tag, farm_tag, ft_tag, pipe_tag, ComposeTag, FarmTag, FtTag, PipeTag};

@@ -36,6 +36,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use crate::fault::PeerGone;
 use crate::packet::{Packet, PayloadCell};
 use crate::transport::{link_channel, LinkReceiver, LinkSender, RecvCounts};
 
@@ -85,7 +86,8 @@ impl Mailbox {
     ///
     /// # Panics
     /// Panics if the sending rank has terminated without ever sending a
-    /// matching message (which in a correct SPMD program is a deadlock bug).
+    /// matching message (which in a correct SPMD program is a deadlock
+    /// bug), with a payload that marks the failure as caused by `sender`.
     pub fn recv_matching(
         &mut self,
         sender: usize,
@@ -94,12 +96,7 @@ impl Mailbox {
         cell: &mut PayloadCell,
     ) -> Packet {
         self.try_recv_matching(sender, scope, tag, cell)
-            .unwrap_or_else(|SenderDisconnected| {
-                panic!(
-                    "rank terminated while a receive (from={sender}, scope={scope}, tag={tag}) \
-                     was pending"
-                )
-            })
+            .unwrap_or_else(|SenderDisconnected| sender_gone(sender, scope, tag))
     }
 
     /// Like [`Mailbox::recv_matching`], but returns `Err` instead of
@@ -162,6 +159,19 @@ impl Mailbox {
     pub fn take_recv_counts(&mut self) -> RecvCounts {
         std::mem::take(&mut self.recv_counts)
     }
+}
+
+/// Unwind a rank whose receive from `sender` can never be satisfied,
+/// with a payload that names `sender` as the cause.
+#[cold]
+#[inline(never)]
+fn sender_gone(sender: usize, scope: u64, tag: u64) -> ! {
+    PeerGone::raise(
+        sender,
+        format!(
+            "rank terminated while a receive (from={sender}, scope={scope}, tag={tag}) was pending"
+        ),
+    )
 }
 
 /// Builds the full `n × n` mesh of channels and splits it into the send

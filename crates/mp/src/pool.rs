@@ -317,10 +317,11 @@ fn spawn_worker() -> Worker {
     Worker { tx }
 }
 
-/// Number of worker threads currently idle (diagnostics / tests). Never
-/// exceeds `MAX_IDLE_WORKERS`: re-registration trims inside the same
-/// lock round that pushes.
-pub fn idle_workers() -> usize {
+/// Number of worker threads currently idle. Never exceeds
+/// `MAX_IDLE_WORKERS`: re-registration trims inside the same lock round
+/// that pushes.
+#[cfg(test)]
+fn idle_workers() -> usize {
     lock_unpoisoned(idle()).len()
 }
 

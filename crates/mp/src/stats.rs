@@ -68,16 +68,6 @@ impl RunStats {
         self.per_rank.iter().map(|r| r.fault_events).sum()
     }
 
-    /// Total virtual seconds all ranks spent blocked on peers.
-    pub fn total_wait_time(&self) -> f64 {
-        self.per_rank.iter().map(|r| r.wait_time).sum()
-    }
-
-    /// Total virtual seconds of send/receive CPU overhead across ranks.
-    pub fn total_overhead_time(&self) -> f64 {
-        self.per_rank.iter().map(|r| r.overhead_time).sum()
-    }
-
     /// Fraction of the busiest rank's time spent communicating, a rough
     /// efficiency indicator: `comm / (comm + compute)` for the rank with
     /// the largest total.
@@ -127,8 +117,6 @@ mod tests {
         assert_eq!(stats.total_bytes(), 150);
         assert_eq!(stats.max_compute_time(), 2.0);
         assert_eq!(stats.total_fault_events(), 1);
-        assert!((stats.total_wait_time() - 1.25).abs() < 1e-12);
-        assert!((stats.total_overhead_time() - 0.25).abs() < 1e-12);
         assert!((stats.per_rank[0].comm_time() - 1.0).abs() < 1e-12);
     }
 

@@ -6,8 +6,8 @@
 //! - [`complex`]: complex arithmetic (no external dependency),
 //! - [`mod@fft`]: in-place iterative radix-2 Cooley–Tukey FFT with a naive-DFT
 //!   oracle, used by the 2-D FFT and spectral-flow applications,
-//! - [`stencil`]: finite-difference stencils (Jacobi/Poisson update,
-//!   central differences of 2nd and 4th order, Lax–Friedrichs step).
+//! - [`stencil`]: the five-point Jacobi update of the Poisson
+//!   application.
 
 pub mod complex;
 pub mod fft;

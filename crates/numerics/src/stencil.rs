@@ -1,37 +1,10 @@
-//! Finite-difference stencil helpers shared by the grid applications.
+//! The finite-difference stencil of the grid applications.
 
 /// Five-point Jacobi update for the Poisson problem `∇²u = f`
 /// (paper §3.6): `u' = (u_W + u_E + u_S + u_N − h²·f) / 4`.
 #[inline]
 pub fn jacobi_update(h2f: f64, w: f64, e: f64, s: f64, n: f64) -> f64 {
     0.25 * (w + e + s + n - h2f)
-}
-
-/// Second-order central first derivative on a uniform grid.
-#[inline]
-pub fn central_diff1(um: f64, up: f64, h: f64) -> f64 {
-    (up - um) / (2.0 * h)
-}
-
-/// Second-order central second derivative on a uniform grid.
-#[inline]
-pub fn central_diff2(um: f64, u0: f64, up: f64, h: f64) -> f64 {
-    (up - 2.0 * u0 + um) / (h * h)
-}
-
-/// Fourth-order central first derivative (used by the spectral-flow
-/// application's radial finite differences, paper §3.7.3).
-#[inline]
-pub fn central_diff1_4th(um2: f64, um1: f64, up1: f64, up2: f64, h: f64) -> f64 {
-    (um2 - 8.0 * um1 + 8.0 * up1 - up2) / (12.0 * h)
-}
-
-/// One Lax–Friedrichs step for a conservation law `u_t + f(u)_x = 0`:
-/// `u'_i = ½(u_{i−1} + u_{i+1}) − λ/2 (f_{i+1} − f_{i−1})` with
-/// `λ = dt/dx`.
-#[inline]
-pub fn lax_friedrichs(um: f64, up: f64, fm: f64, fp: f64, lambda: f64) -> f64 {
-    0.5 * (um + up) - 0.5 * lambda * (fp - fm)
 }
 
 #[cfg(test)]
@@ -47,50 +20,5 @@ mod tests {
         let (x, y) = (0.5, 0.3);
         let updated = jacobi_update(0.0, u(x - h, y), u(x + h, y), u(x, y - h), u(x, y + h));
         assert!((updated - u(x, y)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn central_differences_are_exact_on_polynomials() {
-        let h = 0.25;
-        // d/dx of x² at x=1 is 2; central difference is exact on quadratics.
-        let f = |x: f64| x * x;
-        assert!((central_diff1(f(1.0 - h), f(1.0 + h), h) - 2.0).abs() < 1e-12);
-        // d²/dx² of x² is 2 everywhere.
-        assert!((central_diff2(f(1.0 - h), f(1.0), f(1.0 + h), h) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fourth_order_diff_is_exact_on_quartics() {
-        let h = 0.2;
-        let f = |x: f64| x * x * x * x;
-        let x0 = 0.7f64;
-        let d = central_diff1_4th(f(x0 - 2.0 * h), f(x0 - h), f(x0 + h), f(x0 + 2.0 * h), h);
-        let exact = 4.0 * x0.powi(3);
-        assert!((d - exact).abs() < 1e-10, "got {d}, want {exact}");
-    }
-
-    #[test]
-    fn fourth_order_beats_second_order_on_smooth_data() {
-        let h = 0.1;
-        let x0 = 0.3f64;
-        let f = |x: f64| x.sin();
-        let exact = x0.cos();
-        let e2 = (central_diff1(f(x0 - h), f(x0 + h), h) - exact).abs();
-        let e4 = (central_diff1_4th(f(x0 - 2.0 * h), f(x0 - h), f(x0 + h), f(x0 + 2.0 * h), h)
-            - exact)
-            .abs();
-        assert!(
-            e4 < e2 / 10.0,
-            "e4={e4} should be much smaller than e2={e2}"
-        );
-    }
-
-    #[test]
-    fn lax_friedrichs_preserves_constant_states() {
-        // A constant state is a fixed point for any consistent flux.
-        let u = 3.0;
-        let f = 0.5 * u * u;
-        let next = lax_friedrichs(u, u, f, f, 0.4);
-        assert!((next - u).abs() < 1e-12);
     }
 }

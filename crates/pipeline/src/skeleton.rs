@@ -1010,32 +1010,24 @@ pub fn run_pipeline<P: Pipeline>(
     let fin = pipe_tag(PipeTag::Item, levels.len() as u64);
     if me == p - 1 {
         let n = stream_len.expect("emit rank drained the stream");
-        let mut total = stats;
         let mut routers: Vec<Router> = (0..levels.len()).map(router_for).collect();
-        for r in 0..p - 1 {
-            let doomed = levels.iter().enumerate().any(|(l, ranks)| {
-                ranks
-                    .iter()
-                    .position(|&x| x == r)
-                    .is_some_and(|j| !routers[l].live_at_drain(j, n))
-            });
-            if doomed {
-                continue;
-            }
+        let survivors: Vec<usize> = (0..p - 1)
+            .filter(|&r| {
+                !levels.iter().enumerate().any(|(l, ranks)| {
+                    ranks
+                        .iter()
+                        .position(|&x| x == r)
+                        .is_some_and(|j| !routers[l].live_at_drain(j, n))
+                })
+            })
+            .collect();
+        let mut total = stats;
+        for &r in &survivors {
             let theirs: PipelineStats = ctx.recv(r, fin);
             total = PipelineStats::combine(total, theirs);
         }
         let folded = acc.expect("emit rank folded the stream");
-        for r in 0..p - 1 {
-            let doomed = levels.iter().enumerate().any(|(l, ranks)| {
-                ranks
-                    .iter()
-                    .position(|&x| x == r)
-                    .is_some_and(|j| !routers[l].live_at_drain(j, n))
-            });
-            if doomed {
-                continue;
-            }
+        for &r in &survivors {
             ctx.send(r, fin, folded.clone());
             ctx.send(r, fin, total);
         }

@@ -1,19 +1,46 @@
 //! Panic containment in the SPMD substrate: a rank failure must surface
-//! as a structured error (or the original panic, for the infallible
-//! entry point), must quarantine the dirty network rather than recycling
-//! it, and must leave the thread pool fully usable for later runs.
+//! as a structured failure from the reporting entry (`run_spmd_ft`) or as
+//! the root cause's panic from `run_spmd`, must quarantine the dirty
+//! network rather than recycling it, and must leave the thread pool fully
+//! usable for later runs.
 
-use parallel_archetypes::mp::{run_spmd, try_run_spmd, MachineModel, RunConfig, SpmdError};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use parallel_archetypes::mp::{
+    run_spmd, run_spmd_ft, run_spmd_with, Ctx, FaultPlan, FtSpmdResult, MachineModel, RunConfig,
+};
 
 mod common;
 use common::assert_bit_identical_runs;
 
-/// Regression: the fallible entry used to `assert_eq!` on leaked
-/// messages, so a caller that asked for a `Result` got a panic. A leak is
-/// a typed error there; only the `run_spmd*` wrappers panic on it.
+/// `body` through the reporting entry, under an inert fault plan.
+fn report<R: Send>(nprocs: usize, body: impl Fn(&mut Ctx) -> R + Sync) -> FtSpmdResult<R> {
+    run_spmd_ft(
+        nprocs,
+        MachineModel::ibm_sp(),
+        RunConfig::default(),
+        FaultPlan::new(0),
+        body,
+    )
+}
+
+/// The message `f` panicked with, or `None` if it returned.
+fn panic_message(f: impl FnOnce()) -> Option<String> {
+    let payload = catch_unwind(AssertUnwindSafe(f)).err()?;
+    Some(
+        *payload
+            .downcast::<String>()
+            .expect("run_spmd re-raises a String"),
+    )
+}
+
+/// Regression: the reporting entry used to `assert_eq!` on leaked
+/// messages, so a caller that asked for outcomes got a panic. There a
+/// leak is a count next to every rank's `Ok`; only the `run_spmd*`
+/// wrappers panic on it.
 #[test]
 fn a_leak_surfaces_as_a_typed_error_from_the_fallible_entry() {
-    let leaky = |ctx: &mut parallel_archetypes::mp::Ctx| {
+    let leaky = |ctx: &mut Ctx| {
         if ctx.rank() == 0 {
             ctx.send(1, 3, 1u8);
             ctx.send(1, 4, 2u8); // never received
@@ -22,48 +49,43 @@ fn a_leak_surfaces_as_a_typed_error_from_the_fallible_entry() {
         }
         ctx.rank()
     };
-    let err = try_run_spmd(3, MachineModel::ibm_sp(), RunConfig::default(), leaky)
-        .expect_err("one message is never received");
-    assert!(
-        matches!(err, SpmdError::Leaked { count: 1 }),
-        "expected Leaked {{ count: 1 }}, got {err:?}"
-    );
-    assert!(err.failures().is_empty(), "no rank failed");
-    assert!(err.to_string().contains("1 unreceived message"));
+    let out = report(3, leaky);
+    assert!(out.all_ok(), "no rank failed: {:?}", out.failures());
+    assert_eq!(out.leaked_messages, 1);
+    let results: Vec<usize> = out.results.into_iter().map(Result::unwrap).collect();
+    assert_eq!(results, vec![0, 1, 2]);
 
-    // With the check off the same run is a success.
-    let quiet = RunConfig {
-        check_leaks: false,
-        ..RunConfig::default()
-    };
-    let ok = try_run_spmd(3, MachineModel::ibm_sp(), quiet, leaky).expect("leak check is off");
-    assert_eq!(ok.results, vec![0, 1, 2]);
+    let message = panic_message(|| {
+        run_spmd_with(3, MachineModel::ibm_sp(), RunConfig::default(), leaky);
+    });
+    let message = message.expect("run_spmd_with panics on the leak");
+    assert!(message.contains("1 unreceived message"), "{message}");
 }
 
 #[test]
 fn a_rank_panic_surfaces_as_a_structured_error() {
-    let err = try_run_spmd(4, MachineModel::ibm_sp(), RunConfig::default(), |ctx| {
+    let out = report(4, |ctx| {
         if ctx.rank() == 2 {
             panic!("rank 2 gives up");
         }
         ctx.rank()
-    })
-    .expect_err("rank 2 panicked");
-    assert_eq!(err.failures().len(), 1);
-    assert_eq!(err.failures()[0].rank, 2);
-    assert!(err.failures()[0].message.contains("rank 2 gives up"));
-    assert!(!err.failures()[0].injected);
+    });
+    let failures = out.failures();
+    assert_eq!(failures.len(), 1);
+    assert_eq!(failures[0].rank, 2);
+    assert!(failures[0].message.contains("rank 2 gives up"));
+    assert!(!failures[0].injected);
+    assert_eq!(failures[0].waited_on, None, "a failure of its own");
 }
 
 #[test]
 fn every_failed_rank_is_reported_in_rank_order() {
-    let err = try_run_spmd(5, MachineModel::ibm_sp(), RunConfig::default(), |ctx| {
+    let out = report(5, |ctx| {
         if ctx.rank() % 2 == 1 {
             panic!("odd rank {} fails", ctx.rank());
         }
-    })
-    .expect_err("two ranks panicked");
-    let ranks: Vec<usize> = err.failures().iter().map(|f| f.rank).collect();
+    });
+    let ranks: Vec<usize> = out.failures().iter().map(|f| f.rank).collect();
     assert_eq!(ranks, vec![1, 3]);
 }
 
@@ -77,6 +99,36 @@ fn run_spmd_rethrows_the_original_panic() {
     });
 }
 
+/// Rank 0 blocks receiving from rank 1, which panics: rank 0 fails too,
+/// but only because rank 1 is gone. `run_spmd` must re-raise rank 1's
+/// message, not the lower-ranked secondary one, on every schedule.
+#[test]
+fn run_spmd_reraises_the_root_cause_not_a_peer_that_waited_on_it() {
+    let body = |ctx: &mut Ctx| {
+        if ctx.rank() == 1 {
+            panic!("ROOT CAUSE in rank 1");
+        }
+        let _: u64 = ctx.recv(1, 0);
+    };
+    let out = report(2, body);
+    let failures = out.failures();
+    assert_eq!(failures.len(), 2, "{failures:?}");
+    assert_eq!((failures[0].rank, failures[0].waited_on), (0, Some(1)));
+    assert!(failures[0].message.contains("was pending"));
+    assert_eq!((failures[1].rank, failures[1].waited_on), (1, None));
+
+    for round in 0..50 {
+        let message = panic_message(|| {
+            run_spmd(2, MachineModel::ibm_sp(), body);
+        });
+        let message = message.expect("rank 1 panics");
+        assert!(
+            message.contains("ROOT CAUSE in rank 1"),
+            "round {round}: re-raised {message:?}"
+        );
+    }
+}
+
 /// A failed run strands messages mid-protocol. The pooled executor must
 /// quarantine that network: the next run — on recycled pool threads —
 /// must behave exactly like a run in a fresh process, with no stale
@@ -85,7 +137,7 @@ fn run_spmd_rethrows_the_original_panic() {
 fn the_pool_survives_a_failure_and_the_dirty_network_is_quarantined() {
     // Rank 1 dies after rank 0 has already sent to it, leaving an
     // unconsumed message in the network.
-    let err = try_run_spmd(3, MachineModel::ibm_sp(), RunConfig::default(), |ctx| {
+    let out = report(3, |ctx| {
         if ctx.rank() == 0 {
             ctx.send(1, 7, 42u64);
         }
@@ -93,20 +145,19 @@ fn the_pool_survives_a_failure_and_the_dirty_network_is_quarantined() {
             panic!("dies before receiving");
         }
         ctx.barrier();
-    })
-    .expect_err("rank 1 panicked");
+    });
     // Rank 1's own panic plus the secondary failures of the ranks its
     // death stranded at the barrier — all reported. Which side of the
     // barrier protocol a stranded rank dies on is host-timing dependent
     // (blocked receiving from the dead rank, or sending into its closed
     // mailbox), so accept both secondary shapes.
-    assert!(err
-        .failures()
+    let failures = out.failures();
+    assert!(failures
         .iter()
         .any(|f| f.rank == 1 && f.message.contains("dies before receiving")));
-    assert!(err.failures().iter().all(|f| f.rank == 1
-        || f.message.contains("was pending")
-        || f.message.contains("mailbox closed")));
+    assert!(failures.iter().all(|f| f.rank == 1
+        || (f.waited_on.is_some()
+            && (f.message.contains("was pending") || f.message.contains("mailbox closed")))));
 
     // The same pool then runs a protocol that would notice any stale
     // tag-7 message instantly (recv asserts payload type and sender),
@@ -127,20 +178,13 @@ fn the_pool_survives_a_failure_and_the_dirty_network_is_quarantined() {
 #[test]
 fn failures_in_consecutive_runs_stay_independent() {
     for round in 0..3u64 {
-        let err = try_run_spmd(
-            2,
-            MachineModel::ibm_sp(),
-            RunConfig::default(),
-            move |ctx| {
-                if ctx.rank() == 1 {
-                    panic!("round {round}");
-                }
-            },
-        )
-        .expect_err("rank 1 panics each round");
-        assert_eq!(err.failures().len(), 1);
-        assert!(err.failures()[0]
-            .message
-            .contains(&format!("round {round}")));
+        let out = report(2, move |ctx| {
+            if ctx.rank() == 1 {
+                panic!("round {round}");
+            }
+        });
+        let failures = out.failures();
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].message.contains(&format!("round {round}")));
     }
 }
