@@ -30,6 +30,12 @@
 //!    bit-identical results across runs, process counts, machine
 //!    models, and schedules.
 //!
+//! On top of the executor, [`PlanService`] keeps the substrate hot
+//! across batches of many tenants' plans and accounts for them in one
+//! place: [`ServeReport`] per batch, [`PlanService::tenant_totals`] and
+//! [`CacheStats`] across batches, and [`PlanService::metrics_text`],
+//! which writes the Prometheus text exposition from that same state.
+//!
 //! ```
 //! use archetype_compose::{forecast_input, forecast_plan, run_plan, ForecastConfig, Value};
 //! use archetype_mp::{run_spmd, MachineModel};
@@ -53,7 +59,6 @@ mod alloc;
 mod exec;
 mod forecast;
 mod job;
-mod metrics;
 mod plan;
 mod serve;
 mod value;
@@ -64,7 +69,6 @@ pub use forecast::{
     forecast_input, forecast_plan, ForecastConfig, PoissonJob, SortJob, SweepJob, TopKJob,
 };
 pub use job::ArchetypeJob;
-pub use metrics::{MetricKind, Metrics};
 pub use plan::Plan;
 pub use serve::{
     pack_waves, AdmitError, CacheStats, PlanService, ServeConfig, ServeOutcome, ServeReport,

@@ -172,24 +172,7 @@ impl Plan {
     /// approximation that is exact for self-contained stages and
     /// adequate for proportional rank sharing.
     pub fn estimate_flops(&self, input: &Value) -> f64 {
-        match &self.node {
-            PlanNode::Atom(job) => job.estimate_flops(input),
-            PlanNode::Seq(xs) => xs.iter().map(|s| s.estimate_flops(input)).sum(),
-            PlanNode::Par(xs) => match input {
-                Value::Tuple(parts) if parts.len() == xs.len() => xs
-                    .iter()
-                    .zip(parts)
-                    .map(|(b, part)| b.estimate_flops(part))
-                    .sum(),
-                other => xs.iter().map(|b| b.estimate_flops(other)).sum(),
-            },
-            PlanNode::Replicate(n, inner) => match input {
-                Value::Tuple(parts) if parts.len() == *n => {
-                    parts.iter().map(|part| inner.estimate_flops(part)).sum()
-                }
-                other => *n as f64 * inner.estimate_flops(other),
-            },
-        }
+        self.price(input, &|job, input| job.estimate_flops(input))
     }
 
     /// [`Plan::estimate_flops`], tolerant of shape mismatches: atoms
@@ -199,23 +182,29 @@ impl Plan {
     /// prices admission with this — an under-estimate only skews the
     /// scheduler's rank shares, never results.
     pub fn estimate_flops_lenient(&self, input: &Value) -> f64 {
+        self.price(input, &|job, input| {
+            job.try_estimate_flops(input).unwrap_or(0.0)
+        })
+    }
+
+    /// The walk both estimates share; `atom` prices one leaf.
+    fn price<F: Fn(&dyn DynJob, &Value) -> f64>(&self, input: &Value, atom: &F) -> f64 {
         match &self.node {
-            PlanNode::Atom(job) => job.try_estimate_flops(input).unwrap_or(0.0),
-            PlanNode::Seq(xs) => xs.iter().map(|s| s.estimate_flops_lenient(input)).sum(),
+            PlanNode::Atom(job) => atom(job.as_ref(), input),
+            PlanNode::Seq(xs) => xs.iter().map(|s| s.price(input, atom)).sum(),
             PlanNode::Par(xs) => match input {
                 Value::Tuple(parts) if parts.len() == xs.len() => xs
                     .iter()
                     .zip(parts)
-                    .map(|(b, part)| b.estimate_flops_lenient(part))
+                    .map(|(b, part)| b.price(part, atom))
                     .sum(),
-                other => xs.iter().map(|b| b.estimate_flops_lenient(other)).sum(),
+                other => xs.iter().map(|b| b.price(other, atom)).sum(),
             },
             PlanNode::Replicate(n, inner) => match input {
-                Value::Tuple(parts) if parts.len() == *n => parts
-                    .iter()
-                    .map(|part| inner.estimate_flops_lenient(part))
-                    .sum(),
-                other => *n as f64 * inner.estimate_flops_lenient(other),
+                Value::Tuple(parts) if parts.len() == *n => {
+                    parts.iter().map(|part| inner.price(part, atom)).sum()
+                }
+                other => *n as f64 * inner.price(other, atom),
             },
         }
     }

@@ -45,9 +45,16 @@
 //! [`PlanService::serve_ft`]) the results, per-tenant stats, and latency
 //! percentiles are bit-identical across runs; only measured wall time
 //! differs.
+//!
+//! Accounting: [`PlanService::metrics_text`] renders the Prometheus text
+//! exposition straight from the service's state — tenant totals, cache
+//! counters, the queue — plus one private block of plain counters for
+//! what that state does not hold (admissions, rejections, waves, the
+//! last batch's gauges, per-tenant latency summaries). Same history,
+//! same bytes.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 use archetype_mp::{
@@ -58,7 +65,6 @@ use archetype_pipeline::apps::Digest;
 
 use crate::alloc::allocate;
 use crate::exec::{mix, try_run_plan, ComposeStats, ParMode, PlanError};
-use crate::metrics::{MetricKind, Metrics};
 use crate::plan::Plan;
 use crate::value::Value;
 
@@ -74,6 +80,9 @@ const SERVE_SALT: u64 = 0x5345_5256; // "SERV"
 const LATENCY_TOP_K: usize = 10;
 /// Histogram buckets of the completion-latency digests.
 const LATENCY_BUCKETS: usize = 256;
+/// Upper bounds of the wave-occupancy histogram (plans per wave); a
+/// `+Inf` bucket follows.
+const OCCUPANCY_BOUNDS: [usize; 6] = [1, 2, 4, 8, 16, 32];
 
 /// Tuning knobs of a [`PlanService`].
 #[derive(Clone, Copy, Debug)]
@@ -426,79 +435,69 @@ pub struct PlanService {
     queue: Vec<Submission>,
     rejected: BTreeMap<TenantId, u64>,
     tenants: BTreeMap<TenantId, TenantStats>,
-    metrics: Metrics,
+    counters: Counters,
 }
 
-/// The service's metric registry, with every series name declared up
-/// front so `metrics_text` always exposes the full schema.
-fn service_metrics() -> Metrics {
-    let mut m = Metrics::new();
-    m.describe(
-        "planserve_queue_depth",
-        MetricKind::Gauge,
-        "Submissions currently queued awaiting service.",
-    );
-    m.describe(
-        "planserve_admitted_total",
-        MetricKind::Counter,
-        "Submissions accepted by the admission controller.",
-    );
-    m.describe(
-        "planserve_rejected_total",
-        MetricKind::Counter,
-        "Submissions rejected at admission, by AdmitError reason.",
-    );
-    m.describe(
-        "planserve_batches_total",
-        MetricKind::Counter,
-        "Batches served (serve / serve_ft calls that executed).",
-    );
-    m.describe(
-        "planserve_waves_total",
-        MetricKind::Counter,
-        "Waves executed across all served batches.",
-    );
-    m.describe_histogram(
-        "planserve_wave_occupancy",
-        "Plans packed per executed wave.",
-        &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0],
-    );
-    m.describe(
-        "planserve_rank_load_imbalance",
-        MetricKind::Gauge,
-        "Modelled max rank load over mean rank load (cost / share summed per rank) of the last packed batch.",
-    );
-    m.describe(
-        "planserve_plans_completed_total",
-        MetricKind::Counter,
-        "Plans that completed with a value, by tenant.",
-    );
-    m.describe(
-        "planserve_plans_failed_total",
-        MetricKind::Counter,
-        "Plans that failed with a typed PlanError, by tenant.",
-    );
-    m.describe(
-        "planserve_cache_hits_total",
-        MetricKind::Counter,
-        "Structure-cache lookups answered from cache, by cache.",
-    );
-    m.describe(
-        "planserve_cache_misses_total",
-        MetricKind::Counter,
-        "Structure-cache lookups computed fresh, by cache.",
-    );
-    m.describe(
-        "planserve_tenant_latency_virtual_seconds",
-        MetricKind::Summary,
-        "Plan completion latency in virtual seconds, by tenant (quantiles from the last batch).",
-    );
-    m.describe(
-        "planserve_last_batch_virtual_seconds",
-        MetricKind::Gauge,
-        "Modeled virtual time of the most recently served batch.",
-    );
-    m
+/// What [`PlanService::metrics_text`] reports beyond the state the
+/// service keeps anyway (tenant totals, cache counters, the queue). A
+/// series renders once touched: a `None`, or a count still at zero, has
+/// no sample yet.
+#[derive(Default)]
+struct Counters {
+    admitted: u64,
+    rejected_cost_ceiling: u64,
+    rejected_queue_full: u64,
+    /// Batches that packed at least one wave.
+    batches: u64,
+    /// Waves packed, present once any batch was packed (even an empty
+    /// one); also the wave-occupancy histogram's count.
+    waves: Option<u64>,
+    /// Waves per [`OCCUPANCY_BOUNDS`] bucket (not cumulative).
+    occupancy: [u64; OCCUPANCY_BOUNDS.len()],
+    /// Plans over every packed wave: the histogram's sum.
+    plans_packed: u64,
+    /// Modelled max ÷ mean rank load of the last batch that loaded a rank.
+    imbalance: Option<f64>,
+    /// Virtual seconds of the last batch served.
+    last_batch_virtual: Option<f64>,
+    /// Per tenant with a completed plan: the latency sum across batches,
+    /// quantiles of the last such batch. The summary's count is the
+    /// tenant's `completed` total.
+    latency: BTreeMap<TenantId, LatencySummary>,
+}
+
+/// One tenant's completion-latency summary, less its count.
+#[derive(Default)]
+struct LatencySummary {
+    sum: f64,
+    p50: f64,
+    p99: f64,
+}
+
+/// A sample value as the exposition format spells it: `+Inf`, otherwise
+/// the shortest round-tripping decimal.
+struct Sample(f64);
+
+impl fmt::Display for Sample {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0 == f64::INFINITY {
+            f.write_str("+Inf")
+        } else {
+            write!(f, "{}", self.0)
+        }
+    }
+}
+
+/// A metric family's `# HELP` and `# TYPE` lines.
+fn header(out: &mut String, name: &str, kind: &str, help: &str) {
+    let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
+}
+
+/// Tenant-labelled series sort as their label strings do ("10" < "2").
+fn by_label<T>(rows: impl Iterator<Item = (TenantId, T)>) -> Vec<(String, T)> {
+    let mut rows: Vec<(String, T)> = rows.map(|(t, x)| (t.to_string(), x)).collect();
+    rows.sort_by(|a, b| a.0.cmp(&b.0));
+    rows
 }
 
 impl PlanService {
@@ -515,7 +514,7 @@ impl PlanService {
             queue: Vec::new(),
             rejected: BTreeMap::new(),
             tenants: BTreeMap::new(),
-            metrics: service_metrics(),
+            counters: Counters::default(),
         }
     }
 
@@ -550,25 +549,21 @@ impl PlanService {
     ) -> Result<u64, AdmitError> {
         if self.queue.len() >= self.config.queue_capacity {
             *self.rejected.entry(tenant).or_default() += 1;
-            let err = AdmitError::QueueFull {
+            self.counters.rejected_queue_full += 1;
+            return Err(AdmitError::QueueFull {
                 capacity: self.config.queue_capacity,
-            };
-            self.metrics
-                .inc("planserve_rejected_total", &[("reason", err.reason())], 1);
-            return Err(err);
+            });
         }
         let hash = plan.structure_hash();
         self.cache.shape(hash);
         let cost = self.cache.cost(hash, &input, &plan);
         if cost > self.config.cost_ceiling {
             *self.rejected.entry(tenant).or_default() += 1;
-            let err = AdmitError::CostCeiling {
+            self.counters.rejected_cost_ceiling += 1;
+            return Err(AdmitError::CostCeiling {
                 estimated_flops: cost,
                 ceiling: self.config.cost_ceiling,
-            };
-            self.metrics
-                .inc("planserve_rejected_total", &[("reason", err.reason())], 1);
-            return Err(err);
+            });
         }
         let id = self.queue.len() as u64;
         self.queue.push(Submission {
@@ -577,7 +572,7 @@ impl PlanService {
             input,
             cost,
         });
-        self.metrics.inc("planserve_admitted_total", &[], 1);
+        self.counters.admitted += 1;
         Ok(id)
     }
 
@@ -592,20 +587,22 @@ impl PlanService {
             self.config.max_concurrent,
             &mut |c, p| cache.alloc(c, p).as_ref().clone(),
         );
-        self.metrics
-            .inc("planserve_waves_total", &[], waves.len() as u64);
+        let m = &mut self.counters;
+        *m.waves.get_or_insert(0) += waves.len() as u64;
         for wave in &waves {
-            self.metrics
-                .observe("planserve_wave_occupancy", &[], wave.plans.len() as f64);
+            let plans = wave.plans.len();
+            if let Some(i) = OCCUPANCY_BOUNDS.iter().position(|&b| plans <= b) {
+                m.occupancy[i] += 1;
+            }
+            m.plans_packed += plans as u64;
         }
         if !waves.is_empty() {
-            self.metrics.inc("planserve_batches_total", &[], 1);
+            m.batches += 1;
         }
         let mean = loads.iter().sum::<f64>() / loads.len() as f64;
         if mean > 0.0 {
             let max = loads.iter().fold(0.0f64, |a, &b| a.max(b));
-            self.metrics
-                .set("planserve_rank_load_imbalance", &[], max / mean);
+            m.imbalance = Some(max / mean);
         }
         waves
     }
@@ -622,8 +619,7 @@ impl PlanService {
         let subs = Arc::new(std::mem::take(&mut self.queue));
         let body = serve_body(Arc::clone(&subs), Arc::new(waves));
         let result = run_spmd_with(self.nprocs, model, run, body);
-        self.absorb(&result.results[0]);
-        self.record_report_metrics(&result.results[0], result.elapsed_virtual);
+        self.absorb(&result.results[0], result.elapsed_virtual);
         result
     }
 
@@ -671,8 +667,7 @@ impl PlanService {
             .next()
             .expect("one rank minimum")
             .expect("no failures");
-        self.absorb(&report);
-        self.record_report_metrics(&report, ft.elapsed_virtual);
+        self.absorb(&report, ft.elapsed_virtual);
         fold_rejections(&mut report, &rejected, &mut self.tenants);
         Ok(ServeOutcome {
             report,
@@ -682,58 +677,200 @@ impl PlanService {
         })
     }
 
-    /// Fold a batch report into the cumulative per-tenant totals.
-    fn absorb(&mut self, report: &ServeReport) {
+    /// Fold a served batch into the cumulative per-tenant totals and the
+    /// counters behind [`PlanService::metrics_text`].
+    fn absorb(&mut self, report: &ServeReport, elapsed_virtual: f64) {
         for (t, s) in &report.tenants {
             self.tenants.entry(*t).or_default().absorb(s);
         }
-    }
-
-    /// Fold one batch's report into the metrics registry.
-    fn record_report_metrics(&mut self, report: &ServeReport, elapsed_virtual: f64) {
-        for (t, s) in &report.tenants {
-            let tenant = t.to_string();
-            let labels: [(&'static str, &str); 1] = [("tenant", &tenant)];
-            self.metrics
-                .inc("planserve_plans_completed_total", &labels, s.completed);
-            self.metrics
-                .inc("planserve_plans_failed_total", &labels, s.failed);
-        }
         for (t, digest) in &report.tenant_latency {
-            let tenant = t.to_string();
-            let labels: [(&'static str, &str); 1] = [("tenant", &tenant)];
-            self.metrics.observe_summary(
-                "planserve_tenant_latency_virtual_seconds",
-                &labels,
-                digest.sum,
-                digest.count,
-                &[
-                    (0.5, digest.percentile(0.50)),
-                    (0.99, digest.percentile(0.99)),
-                ],
-            );
+            let l = self.counters.latency.entry(*t).or_default();
+            l.sum += digest.sum;
+            l.p50 = digest.percentile(0.50);
+            l.p99 = digest.percentile(0.99);
         }
-        self.metrics
-            .set("planserve_last_batch_virtual_seconds", &[], elapsed_virtual);
+        self.counters.last_batch_virtual = Some(elapsed_virtual);
     }
 
     /// Render the service's metrics in the Prometheus text exposition
-    /// format. Live counters (admissions, rejections, waves, per-tenant
-    /// completions and latency) are joined by point-in-time mirrors of
-    /// the queue depth and the cumulative [`CacheStats`].
+    /// format: thirteen families in name order, each series once it has
+    /// been touched. Admissions, rejections, waves and per-tenant latency
+    /// are counted as they happen; completions, failures, the queue depth
+    /// and the cumulative [`CacheStats`] are read off the service's state.
+    /// Same history, same bytes.
     pub fn metrics_text(&self) -> String {
-        let mut m = self.metrics.clone();
-        m.set("planserve_queue_depth", &[], self.queue.len() as f64);
+        let m = &self.counters;
         let c = self.cache.stats;
-        for (cache, hits, misses) in [
-            ("shape", c.shape_hits, c.shape_misses),
-            ("cost", c.cost_hits, c.cost_misses),
-            ("alloc", c.alloc_hits, c.alloc_misses),
-        ] {
-            m.sync_counter("planserve_cache_hits_total", &[("cache", cache)], hits);
-            m.sync_counter("planserve_cache_misses_total", &[("cache", cache)], misses);
+        let mut out = String::new();
+        let o = &mut out;
+
+        header(
+            o,
+            "planserve_admitted_total",
+            "counter",
+            "Submissions accepted by the admission controller.",
+        );
+        if m.admitted > 0 {
+            let _ = writeln!(o, "planserve_admitted_total {}", m.admitted);
         }
-        m.render()
+        header(
+            o,
+            "planserve_batches_total",
+            "counter",
+            "Batches served (serve / serve_ft calls that executed).",
+        );
+        if m.batches > 0 {
+            let _ = writeln!(o, "planserve_batches_total {}", m.batches);
+        }
+        let caches = [
+            ("alloc", c.alloc_hits, c.alloc_misses),
+            ("cost", c.cost_hits, c.cost_misses),
+            ("shape", c.shape_hits, c.shape_misses),
+        ];
+        header(
+            o,
+            "planserve_cache_hits_total",
+            "counter",
+            "Structure-cache lookups answered from cache, by cache.",
+        );
+        for (cache, hits, _) in caches {
+            let _ = writeln!(o, "planserve_cache_hits_total{{cache=\"{cache}\"}} {hits}");
+        }
+        header(
+            o,
+            "planserve_cache_misses_total",
+            "counter",
+            "Structure-cache lookups computed fresh, by cache.",
+        );
+        for (cache, _, misses) in caches {
+            let _ = writeln!(
+                o,
+                "planserve_cache_misses_total{{cache=\"{cache}\"}} {misses}"
+            );
+        }
+        header(
+            o,
+            "planserve_last_batch_virtual_seconds",
+            "gauge",
+            "Modeled virtual time of the most recently served batch.",
+        );
+        if let Some(v) = m.last_batch_virtual {
+            let _ = writeln!(o, "planserve_last_batch_virtual_seconds {}", Sample(v));
+        }
+        let tenants = by_label(
+            self.tenants
+                .iter()
+                .filter(|(_, s)| s.submitted > 0)
+                .map(|(&t, s)| (t, s)),
+        );
+        header(
+            o,
+            "planserve_plans_completed_total",
+            "counter",
+            "Plans that completed with a value, by tenant.",
+        );
+        for (t, s) in &tenants {
+            let _ = writeln!(
+                o,
+                "planserve_plans_completed_total{{tenant=\"{t}\"}} {}",
+                s.completed
+            );
+        }
+        header(
+            o,
+            "planserve_plans_failed_total",
+            "counter",
+            "Plans that failed with a typed PlanError, by tenant.",
+        );
+        for (t, s) in &tenants {
+            let _ = writeln!(
+                o,
+                "planserve_plans_failed_total{{tenant=\"{t}\"}} {}",
+                s.failed
+            );
+        }
+        header(
+            o,
+            "planserve_queue_depth",
+            "gauge",
+            "Submissions currently queued awaiting service.",
+        );
+        let _ = writeln!(
+            o,
+            "planserve_queue_depth {}",
+            Sample(self.queue.len() as f64)
+        );
+        header(
+            o,
+            "planserve_rank_load_imbalance",
+            "gauge",
+            "Modelled max rank load over mean rank load (cost / share summed per rank) of the last packed batch.",
+        );
+        if let Some(v) = m.imbalance {
+            let _ = writeln!(o, "planserve_rank_load_imbalance {}", Sample(v));
+        }
+        // The labels are `AdmitError::reason`'s, in string order.
+        header(
+            o,
+            "planserve_rejected_total",
+            "counter",
+            "Submissions rejected at admission, by AdmitError reason.",
+        );
+        for (reason, n) in [
+            ("cost_ceiling", m.rejected_cost_ceiling),
+            ("queue_full", m.rejected_queue_full),
+        ] {
+            if n > 0 {
+                let _ = writeln!(o, "planserve_rejected_total{{reason=\"{reason}\"}} {n}");
+            }
+        }
+        let name = "planserve_tenant_latency_virtual_seconds";
+        header(
+            o,
+            name,
+            "summary",
+            "Plan completion latency in virtual seconds, by tenant (quantiles from the last batch).",
+        );
+        for (t, (l, count)) in by_label(
+            m.latency
+                .iter()
+                .map(|(&t, l)| (t, (l, self.tenants[&t].completed))),
+        ) {
+            let _ = writeln!(
+                o,
+                "{name}{{tenant=\"{t}\",quantile=\"0.5\"}} {}",
+                Sample(l.p50)
+            );
+            let _ = writeln!(
+                o,
+                "{name}{{tenant=\"{t}\",quantile=\"0.99\"}} {}",
+                Sample(l.p99)
+            );
+            let _ = writeln!(o, "{name}_sum{{tenant=\"{t}\"}} {}", Sample(l.sum));
+            let _ = writeln!(o, "{name}_count{{tenant=\"{t}\"}} {count}");
+        }
+        let name = "planserve_wave_occupancy";
+        header(o, name, "histogram", "Plans packed per executed wave.");
+        if let Some(waves) = m.waves.filter(|&w| w > 0) {
+            let mut cumulative = 0;
+            for (bound, n) in OCCUPANCY_BOUNDS.iter().zip(m.occupancy) {
+                cumulative += n;
+                let _ = writeln!(o, "{name}_bucket{{le=\"{bound}\"}} {cumulative}");
+            }
+            let _ = writeln!(o, "{name}_bucket{{le=\"+Inf\"}} {waves}");
+            let _ = writeln!(o, "{name}_sum {}", m.plans_packed);
+            let _ = writeln!(o, "{name}_count {waves}");
+        }
+        header(
+            o,
+            "planserve_waves_total",
+            "counter",
+            "Waves executed across all served batches.",
+        );
+        if let Some(w) = m.waves {
+            let _ = writeln!(o, "planserve_waves_total {w}");
+        }
+        out
     }
 }
 

@@ -454,12 +454,7 @@ impl Ctx {
             let plan = self.fault.as_ref().expect("fault plan installed");
             let site = CrashSite::Send(op);
             if plan.crash_hits(me, site) {
-                std::panic::panic_any(InjectedCrash {
-                    rank: me,
-                    clock: self.clock,
-                    stats: self.stats,
-                    site,
-                });
+                self.crash(site);
             }
             plan.delay_of(me, self.peers[to], tag, op)
         };
@@ -482,13 +477,25 @@ impl Ctx {
             .expect("fault plan installed")
             .crash_hits(me, site)
         {
-            std::panic::panic_any(InjectedCrash {
-                rank: me,
-                clock: self.clock,
-                stats: self.stats,
-                site,
-            });
+            self.crash(site);
         }
+    }
+
+    /// Die at a scheduled crash site: one stderr line naming the rank and
+    /// the site, then an unwind whose [`InjectedCrash`] payload carries the
+    /// clock and statistics at the moment of death. `resume_unwind` skips
+    /// the panic hook, which could only print the payload as `Box<dyn Any>`.
+    #[cold]
+    #[inline(never)]
+    fn crash(&self, site: CrashSite) -> ! {
+        let rank = self.peers[self.rank];
+        eprintln!("rank {rank}: injected crash at {site}");
+        std::panic::resume_unwind(Box::new(InjectedCrash {
+            rank,
+            clock: self.clock,
+            stats: self.stats,
+            site,
+        }))
     }
 
     /// Declare a protocol phase boundary — the crash sites recovery
@@ -510,12 +517,7 @@ impl Ctx {
             .expect("fault plan installed")
             .crash_hits(me, site)
         {
-            std::panic::panic_any(InjectedCrash {
-                rank: me,
-                clock: self.clock,
-                stats: self.stats,
-                site,
-            });
+            self.crash(site);
         }
     }
 
@@ -796,20 +798,6 @@ impl Ctx {
         Ok(self.value_of(pkt.body, cell, from, tag))
     }
 
-    /// Send to `to` and receive from `from` in one exchange step. The send
-    /// is issued first, so symmetric exchanges (`sendrecv` with a partner)
-    /// do not deadlock.
-    pub fn sendrecv<T: Payload, U: Payload>(
-        &mut self,
-        to: usize,
-        send_value: T,
-        from: usize,
-        tag: Tag,
-    ) -> U {
-        self.send(to, tag, send_value);
-        self.recv(from, tag)
-    }
-
     /// Narrow this context to a subset of the current scope's ranks and
     /// run `f` against the narrowed view: inside `f`, [`Ctx::rank`] /
     /// [`Ctx::nprocs`] describe the subset, point-to-point and collective
@@ -993,16 +981,6 @@ mod tests {
             .results[1]
         };
         assert!(arrival(1_000_000) > arrival(10));
-    }
-
-    #[test]
-    fn sendrecv_symmetric_exchange_does_not_deadlock() {
-        let out = run_spmd(2, MachineModel::ibm_sp(), |ctx| {
-            let partner = 1 - ctx.rank();
-            let got: u64 = ctx.sendrecv(partner, ctx.rank() as u64, partner, 7);
-            got
-        });
-        assert_eq!(out.results, vec![1, 0]);
     }
 
     #[test]

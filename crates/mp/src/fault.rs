@@ -129,11 +129,15 @@ pub(crate) struct PeerGone {
 }
 
 impl PeerGone {
-    /// Unwind the calling rank with a `PeerGone` payload.
+    /// Unwind the calling rank with a `PeerGone` payload, after one
+    /// stderr line naming the gone peer and the message. `resume_unwind`
+    /// skips the panic hook, which could only print the payload as
+    /// `Box<dyn Any>`.
     #[cold]
     #[inline(never)]
     pub(crate) fn raise(peer: usize, message: String) -> ! {
-        std::panic::panic_any(PeerGone { peer, message })
+        eprintln!("peer rank {peer} is gone: {message}");
+        std::panic::resume_unwind(Box::new(PeerGone { peer, message }))
     }
 }
 

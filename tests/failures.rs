@@ -7,7 +7,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use parallel_archetypes::mp::{
-    run_spmd, run_spmd_ft, run_spmd_with, Ctx, FaultPlan, FtSpmdResult, MachineModel, RunConfig,
+    run_spmd, run_spmd_ft, run_spmd_with, CrashSite, Ctx, FaultPlan, FtSpmdResult, MachineModel,
+    RunConfig,
 };
 
 mod common;
@@ -127,6 +128,52 @@ fn run_spmd_reraises_the_root_cause_not_a_peer_that_waited_on_it() {
             "round {round}: re-raised {message:?}"
         );
     }
+}
+
+/// Rank 1 dies at its first send; rank 0, waiting on that message, fails
+/// because rank 1 is gone. Both are reported; the test below reads what
+/// this one writes to stderr.
+#[test]
+fn an_injected_crash_strands_a_waiting_peer() {
+    let out = run_spmd_ft(
+        2,
+        MachineModel::ibm_sp(),
+        RunConfig::default(),
+        FaultPlan::new(3).crash(1, CrashSite::Send(0)),
+        |ctx| {
+            if ctx.rank() == 1 {
+                ctx.send(0, 0, 1u64);
+            } else {
+                let _: u64 = ctx.recv(1, 0);
+            }
+        },
+    );
+    let failures = out.failures();
+    assert_eq!(failures.len(), 2, "{failures:?}");
+    assert_eq!((failures[0].rank, failures[0].waited_on), (0, Some(1)));
+    assert!(failures[1].injected);
+}
+
+/// Both unwinds carry a non-string payload, which the panic hook could
+/// only print as `Box<dyn Any>`: each dying rank writes its own line.
+#[test]
+fn a_dying_rank_writes_its_message_to_stderr() {
+    let child = std::process::Command::new(std::env::current_exe().expect("test binary"))
+        .args([
+            "an_injected_crash_strands_a_waiting_peer",
+            "--exact",
+            "--nocapture",
+        ])
+        .output()
+        .expect("the test binary re-runs");
+    let stderr = String::from_utf8_lossy(&child.stderr);
+    assert!(child.status.success(), "{stderr}");
+    assert!(stderr.contains("injected crash at"), "{stderr}");
+    assert!(
+        stderr.contains("rank terminated while a receive"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("Box<dyn Any>"), "{stderr}");
 }
 
 /// A failed run strands messages mid-protocol. The pooled executor must

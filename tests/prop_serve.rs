@@ -3,8 +3,8 @@
 //! partition the world exactly (no oversubscription, no idle ranks, wave
 //! membership the FIFO cut) and fill interchangeable slots by modelled
 //! load, per-tenant accounting must be schedule-invariant,
-//! and same-seed service runs must be bit-identical on the virtual
-//! backend.
+//! same-seed service runs must be bit-identical on the virtual
+//! backend, and the metrics exposition is pinned byte for byte.
 
 mod common;
 
@@ -12,14 +12,14 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use parallel_archetypes::compose::{
-    forecast_plan, pack_waves, ArchetypeJob, ForecastConfig, Plan, PlanService, PoissonJob,
-    ServeConfig, ServeReport, SortJob, SweepJob, TopKJob, Value, Wave,
+    forecast_plan, pack_waves, AdmitError, ArchetypeJob, ForecastConfig, Plan, PlanService,
+    PoissonJob, ServeConfig, ServeReport, SortJob, SweepJob, TopKJob, Value, Wave,
 };
 use parallel_archetypes::core::archetype::ONE_DEEP_DC;
 use parallel_archetypes::core::ArchetypeInfo;
 use parallel_archetypes::farm::apps::GridSweepFarm;
 use parallel_archetypes::mesh::apps::poisson::sine_problem;
-use parallel_archetypes::mp::{Ctx, MachineModel, RunConfig, SpmdResult};
+use parallel_archetypes::mp::{CrashSite, Ctx, FaultPlan, MachineModel, RunConfig, SpmdResult};
 
 // ---------------------------------------------------------------------------
 // Pure packer invariants.
@@ -503,3 +503,280 @@ proptest! {
         prop_assert!(imbalance[0] >= 1.0);
     }
 }
+
+// ---------------------------------------------------------------------------
+// The exposition, byte for byte, over a history that touches every family.
+// ---------------------------------------------------------------------------
+
+/// The service the exposition golden drives: three ranks and a queue of
+/// three.
+fn golden_service() -> PlanService {
+    PlanService::new(
+        3,
+        ServeConfig {
+            queue_capacity: 3,
+            cost_ceiling: 1e9,
+            ..ServeConfig::default()
+        },
+    )
+}
+
+#[test]
+fn metrics_text_is_the_recorded_exposition() {
+    let mut svc = golden_service();
+    let fresh = svc.metrics_text();
+
+    // Batch 1: tenants 2 and 10, one rejection of each kind.
+    let err = svc
+        .submit(2, Plan::atom(Fold { weight: 1e12 }), Value::Unit)
+        .unwrap_err();
+    assert!(matches!(err, AdmitError::CostCeiling { .. }));
+    svc.submit(2, sweep_plan(16), Value::Unit).unwrap();
+    svc.submit(10, sweep_plan(24), Value::Unit).unwrap();
+    svc.submit(10, mix_plan(2, 7), Value::Unit).unwrap();
+    let err = svc.submit(2, mix_plan(0, 1), Value::Unit).unwrap_err();
+    assert!(matches!(err, AdmitError::QueueFull { .. }));
+    svc.serve(MachineModel::ibm_sp());
+    let first = svc.metrics_text();
+
+    // Batch 2: tenant 10's latency summary folds a second batch and
+    // replaces its quantiles; tenant 2's single-atom plan (node 0)
+    // exhausts its retries and fails.
+    let batch2 = |svc: &mut PlanService| {
+        let seq = sweep_plan(12).then(Plan::atom(Fold { weight: 1.0 }));
+        svc.submit(10, seq, Value::Unit).unwrap();
+        svc.submit(2, mix_plan(0, 9), Value::Unit).unwrap();
+    };
+    batch2(&mut svc);
+    let out = svc
+        .serve_ft(MachineModel::ibm_sp(), FaultPlan::new(7).fail_atom(0, 9))
+        .expect("no rank crashed");
+    assert!(out.report.outcomes[0].is_ok() && out.report.outcomes[1].is_err());
+
+    // Batch 3 repeats batch 2's costs (an allocation hit) and is lost to
+    // a rank crash; batch 4 is empty; one plan stays queued.
+    batch2(&mut svc);
+    svc.serve_ft(
+        MachineModel::ibm_sp(),
+        FaultPlan::new(7).crash(0, CrashSite::Send(0)),
+    )
+    .expect_err("rank 0 dies");
+    svc.serve(MachineModel::ibm_sp());
+    svc.submit(10, sweep_plan(16), Value::Unit).unwrap();
+    let last = svc.metrics_text();
+
+    let mut empty = golden_service();
+    empty.serve(MachineModel::ibm_sp());
+
+    assert_eq!(fresh, FRESH);
+    assert_eq!(first, AFTER_BATCH_1);
+    assert_eq!(last, AFTER_BATCH_4);
+    assert_eq!(empty.metrics_text(), AFTER_EMPTY_BATCH);
+}
+
+/// A fresh service: every family's HELP and TYPE, and only the series
+/// read off the service's state (queue depth, cache counters).
+const FRESH: &str = r#"# HELP planserve_admitted_total Submissions accepted by the admission controller.
+# TYPE planserve_admitted_total counter
+# HELP planserve_batches_total Batches served (serve / serve_ft calls that executed).
+# TYPE planserve_batches_total counter
+# HELP planserve_cache_hits_total Structure-cache lookups answered from cache, by cache.
+# TYPE planserve_cache_hits_total counter
+planserve_cache_hits_total{cache="alloc"} 0
+planserve_cache_hits_total{cache="cost"} 0
+planserve_cache_hits_total{cache="shape"} 0
+# HELP planserve_cache_misses_total Structure-cache lookups computed fresh, by cache.
+# TYPE planserve_cache_misses_total counter
+planserve_cache_misses_total{cache="alloc"} 0
+planserve_cache_misses_total{cache="cost"} 0
+planserve_cache_misses_total{cache="shape"} 0
+# HELP planserve_last_batch_virtual_seconds Modeled virtual time of the most recently served batch.
+# TYPE planserve_last_batch_virtual_seconds gauge
+# HELP planserve_plans_completed_total Plans that completed with a value, by tenant.
+# TYPE planserve_plans_completed_total counter
+# HELP planserve_plans_failed_total Plans that failed with a typed PlanError, by tenant.
+# TYPE planserve_plans_failed_total counter
+# HELP planserve_queue_depth Submissions currently queued awaiting service.
+# TYPE planserve_queue_depth gauge
+planserve_queue_depth 0
+# HELP planserve_rank_load_imbalance Modelled max rank load over mean rank load (cost / share summed per rank) of the last packed batch.
+# TYPE planserve_rank_load_imbalance gauge
+# HELP planserve_rejected_total Submissions rejected at admission, by AdmitError reason.
+# TYPE planserve_rejected_total counter
+# HELP planserve_tenant_latency_virtual_seconds Plan completion latency in virtual seconds, by tenant (quantiles from the last batch).
+# TYPE planserve_tenant_latency_virtual_seconds summary
+# HELP planserve_wave_occupancy Plans packed per executed wave.
+# TYPE planserve_wave_occupancy histogram
+# HELP planserve_waves_total Waves executed across all served batches.
+# TYPE planserve_waves_total counter
+"#;
+
+/// Batch 1 served: rejections by reason, tenant series in string order
+/// ("10" before "2"), the wave histogram and both last-batch gauges.
+const AFTER_BATCH_1: &str = r#"# HELP planserve_admitted_total Submissions accepted by the admission controller.
+# TYPE planserve_admitted_total counter
+planserve_admitted_total 3
+# HELP planserve_batches_total Batches served (serve / serve_ft calls that executed).
+# TYPE planserve_batches_total counter
+planserve_batches_total 1
+# HELP planserve_cache_hits_total Structure-cache lookups answered from cache, by cache.
+# TYPE planserve_cache_hits_total counter
+planserve_cache_hits_total{cache="alloc"} 0
+planserve_cache_hits_total{cache="cost"} 0
+planserve_cache_hits_total{cache="shape"} 0
+# HELP planserve_cache_misses_total Structure-cache lookups computed fresh, by cache.
+# TYPE planserve_cache_misses_total counter
+planserve_cache_misses_total{cache="alloc"} 1
+planserve_cache_misses_total{cache="cost"} 4
+planserve_cache_misses_total{cache="shape"} 4
+# HELP planserve_last_batch_virtual_seconds Modeled virtual time of the most recently served batch.
+# TYPE planserve_last_batch_virtual_seconds gauge
+planserve_last_batch_virtual_seconds 0.0012588
+# HELP planserve_plans_completed_total Plans that completed with a value, by tenant.
+# TYPE planserve_plans_completed_total counter
+planserve_plans_completed_total{tenant="10"} 2
+planserve_plans_completed_total{tenant="2"} 1
+# HELP planserve_plans_failed_total Plans that failed with a typed PlanError, by tenant.
+# TYPE planserve_plans_failed_total counter
+planserve_plans_failed_total{tenant="10"} 0
+planserve_plans_failed_total{tenant="2"} 0
+# HELP planserve_queue_depth Submissions currently queued awaiting service.
+# TYPE planserve_queue_depth gauge
+planserve_queue_depth 0
+# HELP planserve_rank_load_imbalance Modelled max rank load over mean rank load (cost / share summed per rank) of the last packed batch.
+# TYPE planserve_rank_load_imbalance gauge
+planserve_rank_load_imbalance 1.5641366176360036
+# HELP planserve_rejected_total Submissions rejected at admission, by AdmitError reason.
+# TYPE planserve_rejected_total counter
+planserve_rejected_total{reason="cost_ceiling"} 1
+planserve_rejected_total{reason="queue_full"} 1
+# HELP planserve_tenant_latency_virtual_seconds Plan completion latency in virtual seconds, by tenant (quantiles from the last batch).
+# TYPE planserve_tenant_latency_virtual_seconds summary
+planserve_tenant_latency_virtual_seconds{tenant="10",quantile="0.5"} 0.0000024390625024390627
+planserve_tenant_latency_virtual_seconds{tenant="10",quantile="0.99"} 0.001246360938746361
+planserve_tenant_latency_virtual_seconds_sum{tenant="10"} 0.0012488
+planserve_tenant_latency_virtual_seconds_count{tenant="10"} 2
+planserve_tenant_latency_virtual_seconds{tenant="2",quantile="0.5"} 0.0011439203136439204
+planserve_tenant_latency_virtual_seconds{tenant="2",quantile="0.99"} 0.0011439203136439204
+planserve_tenant_latency_virtual_seconds_sum{tenant="2"} 0.0011459999999999999
+planserve_tenant_latency_virtual_seconds_count{tenant="2"} 1
+# HELP planserve_wave_occupancy Plans packed per executed wave.
+# TYPE planserve_wave_occupancy histogram
+planserve_wave_occupancy_bucket{le="1"} 0
+planserve_wave_occupancy_bucket{le="2"} 0
+planserve_wave_occupancy_bucket{le="4"} 1
+planserve_wave_occupancy_bucket{le="8"} 1
+planserve_wave_occupancy_bucket{le="16"} 1
+planserve_wave_occupancy_bucket{le="32"} 1
+planserve_wave_occupancy_bucket{le="+Inf"} 1
+planserve_wave_occupancy_sum 3
+planserve_wave_occupancy_count 1
+# HELP planserve_waves_total Waves executed across all served batches.
+# TYPE planserve_waves_total counter
+planserve_waves_total 1
+"#;
+
+/// After a failed plan, a batch lost to a crash (counted in batches and
+/// waves, not per tenant), an empty batch and one queued plan: tenant
+/// 10's summary folds two batches and carries batch 2's quantiles.
+const AFTER_BATCH_4: &str = r#"# HELP planserve_admitted_total Submissions accepted by the admission controller.
+# TYPE planserve_admitted_total counter
+planserve_admitted_total 8
+# HELP planserve_batches_total Batches served (serve / serve_ft calls that executed).
+# TYPE planserve_batches_total counter
+planserve_batches_total 3
+# HELP planserve_cache_hits_total Structure-cache lookups answered from cache, by cache.
+# TYPE planserve_cache_hits_total counter
+planserve_cache_hits_total{cache="alloc"} 1
+planserve_cache_hits_total{cache="cost"} 3
+planserve_cache_hits_total{cache="shape"} 3
+# HELP planserve_cache_misses_total Structure-cache lookups computed fresh, by cache.
+# TYPE planserve_cache_misses_total counter
+planserve_cache_misses_total{cache="alloc"} 2
+planserve_cache_misses_total{cache="cost"} 6
+planserve_cache_misses_total{cache="shape"} 6
+# HELP planserve_last_batch_virtual_seconds Modeled virtual time of the most recently served batch.
+# TYPE planserve_last_batch_virtual_seconds gauge
+planserve_last_batch_virtual_seconds 0.000055
+# HELP planserve_plans_completed_total Plans that completed with a value, by tenant.
+# TYPE planserve_plans_completed_total counter
+planserve_plans_completed_total{tenant="10"} 3
+planserve_plans_completed_total{tenant="2"} 1
+# HELP planserve_plans_failed_total Plans that failed with a typed PlanError, by tenant.
+# TYPE planserve_plans_failed_total counter
+planserve_plans_failed_total{tenant="10"} 0
+planserve_plans_failed_total{tenant="2"} 1
+# HELP planserve_queue_depth Submissions currently queued awaiting service.
+# TYPE planserve_queue_depth gauge
+planserve_queue_depth 1
+# HELP planserve_rank_load_imbalance Modelled max rank load over mean rank load (cost / share summed per rank) of the last packed batch.
+# TYPE planserve_rank_load_imbalance gauge
+planserve_rank_load_imbalance 1.4998381489030093
+# HELP planserve_rejected_total Submissions rejected at admission, by AdmitError reason.
+# TYPE planserve_rejected_total counter
+planserve_rejected_total{reason="cost_ceiling"} 1
+planserve_rejected_total{reason="queue_full"} 1
+# HELP planserve_tenant_latency_virtual_seconds Plan completion latency in virtual seconds, by tenant (quantiles from the last batch).
+# TYPE planserve_tenant_latency_virtual_seconds summary
+planserve_tenant_latency_virtual_seconds{tenant="10",quantile="0.5"} 0.0012550011731300012
+planserve_tenant_latency_virtual_seconds{tenant="10",quantile="0.99"} 0.0012550011731300012
+planserve_tenant_latency_virtual_seconds_sum{tenant="10"} 0.002506257142857143
+planserve_tenant_latency_virtual_seconds_count{tenant="10"} 3
+planserve_tenant_latency_virtual_seconds{tenant="2",quantile="0.5"} 0.0011439203136439204
+planserve_tenant_latency_virtual_seconds{tenant="2",quantile="0.99"} 0.0011439203136439204
+planserve_tenant_latency_virtual_seconds_sum{tenant="2"} 0.0011459999999999999
+planserve_tenant_latency_virtual_seconds_count{tenant="2"} 1
+# HELP planserve_wave_occupancy Plans packed per executed wave.
+# TYPE planserve_wave_occupancy histogram
+planserve_wave_occupancy_bucket{le="1"} 0
+planserve_wave_occupancy_bucket{le="2"} 2
+planserve_wave_occupancy_bucket{le="4"} 3
+planserve_wave_occupancy_bucket{le="8"} 3
+planserve_wave_occupancy_bucket{le="16"} 3
+planserve_wave_occupancy_bucket{le="32"} 3
+planserve_wave_occupancy_bucket{le="+Inf"} 3
+planserve_wave_occupancy_sum 7
+planserve_wave_occupancy_count 3
+# HELP planserve_waves_total Waves executed across all served batches.
+# TYPE planserve_waves_total counter
+planserve_waves_total 3
+"#;
+
+/// One empty batch on a fresh service: the waves counter and the
+/// last-batch gauge appear, the batch counter does not.
+const AFTER_EMPTY_BATCH: &str = r#"# HELP planserve_admitted_total Submissions accepted by the admission controller.
+# TYPE planserve_admitted_total counter
+# HELP planserve_batches_total Batches served (serve / serve_ft calls that executed).
+# TYPE planserve_batches_total counter
+# HELP planserve_cache_hits_total Structure-cache lookups answered from cache, by cache.
+# TYPE planserve_cache_hits_total counter
+planserve_cache_hits_total{cache="alloc"} 0
+planserve_cache_hits_total{cache="cost"} 0
+planserve_cache_hits_total{cache="shape"} 0
+# HELP planserve_cache_misses_total Structure-cache lookups computed fresh, by cache.
+# TYPE planserve_cache_misses_total counter
+planserve_cache_misses_total{cache="alloc"} 0
+planserve_cache_misses_total{cache="cost"} 0
+planserve_cache_misses_total{cache="shape"} 0
+# HELP planserve_last_batch_virtual_seconds Modeled virtual time of the most recently served batch.
+# TYPE planserve_last_batch_virtual_seconds gauge
+planserve_last_batch_virtual_seconds 0.000055
+# HELP planserve_plans_completed_total Plans that completed with a value, by tenant.
+# TYPE planserve_plans_completed_total counter
+# HELP planserve_plans_failed_total Plans that failed with a typed PlanError, by tenant.
+# TYPE planserve_plans_failed_total counter
+# HELP planserve_queue_depth Submissions currently queued awaiting service.
+# TYPE planserve_queue_depth gauge
+planserve_queue_depth 0
+# HELP planserve_rank_load_imbalance Modelled max rank load over mean rank load (cost / share summed per rank) of the last packed batch.
+# TYPE planserve_rank_load_imbalance gauge
+# HELP planserve_rejected_total Submissions rejected at admission, by AdmitError reason.
+# TYPE planserve_rejected_total counter
+# HELP planserve_tenant_latency_virtual_seconds Plan completion latency in virtual seconds, by tenant (quantiles from the last batch).
+# TYPE planserve_tenant_latency_virtual_seconds summary
+# HELP planserve_wave_occupancy Plans packed per executed wave.
+# TYPE planserve_wave_occupancy histogram
+# HELP planserve_waves_total Waves executed across all served batches.
+# TYPE planserve_waves_total counter
+planserve_waves_total 0
+"#;
