@@ -51,7 +51,9 @@
 //! counters, the queue — plus one private block of plain counters for
 //! what that state does not hold (admissions, rejections, waves, the
 //! last batch's gauges, per-tenant latency summaries). Same history,
-//! same bytes.
+//! same bytes. Every admitted plan gets exactly one outcome there:
+//! completed, failed, or still queued — a batch lost to a failed rank
+//! counts each of its plans as failed.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::{self, Write as _};
@@ -323,15 +325,18 @@ fn pack_waves_with(
 /// (`max_concurrent`), process counts, and machine models.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TenantStats {
-    /// Plans admitted (and therefore executed) for this tenant.
+    /// Admitted plans a batch took off the queue, each also counted as
+    /// completed or failed; queued plans are not counted yet.
     pub submitted: u64,
     /// Plans that completed with a value.
     pub completed: u64,
-    /// Plans that failed with a typed [`PlanError`].
+    /// Plans that failed with a typed [`PlanError`], or were lost with
+    /// their batch to a failed rank ([`PlanService::serve_ft`]).
     pub failed: u64,
-    /// Submissions rejected at admission ([`AdmitError`]); filled by the
-    /// service wrapper, always `0` inside a raw [`PlanService::serve_spmd`]
-    /// report.
+    /// Submissions rejected at admission ([`AdmitError`]): counted in the
+    /// service's totals as `submit` returns them, and folded into the
+    /// next [`PlanService::serve`] or [`PlanService::serve_ft`] report
+    /// (never into a raw [`PlanService::serve_spmd`] report).
     pub rejected: u64,
     /// Combined [`ComposeStats`] of the tenant's completed plans.
     pub compose: ComposeStats,
@@ -433,7 +438,9 @@ pub struct PlanService {
     config: ServeConfig,
     cache: PlanCache,
     queue: Vec<Submission>,
-    rejected: BTreeMap<TenantId, u64>,
+    /// Rejections since the last report that folded them in; already
+    /// counted in `tenants`.
+    pending_rejections: BTreeMap<TenantId, u64>,
     tenants: BTreeMap<TenantId, TenantStats>,
     counters: Counters,
 }
@@ -512,7 +519,7 @@ impl PlanService {
             config,
             cache: PlanCache::default(),
             queue: Vec::new(),
-            rejected: BTreeMap::new(),
+            pending_rejections: BTreeMap::new(),
             tenants: BTreeMap::new(),
             counters: Counters::default(),
         }
@@ -528,14 +535,12 @@ impl PlanService {
         self.cache.stats
     }
 
-    /// Cumulative per-tenant accounting across every served batch (and
-    /// rejections recorded since), ascending by tenant id.
+    /// Cumulative per-tenant accounting, ascending by tenant id: every
+    /// rejection so far, and every plan a returned batch took off the
+    /// queue — completed, failed, or lost with its batch to a failed rank
+    /// (counted failed).
     pub fn tenant_totals(&self) -> Vec<(TenantId, TenantStats)> {
-        let mut totals = self.tenants.clone();
-        for (&t, &n) in &self.rejected {
-            totals.entry(t).or_default().rejected += n;
-        }
-        totals.into_iter().collect()
+        self.tenants.iter().map(|(&t, &s)| (t, s)).collect()
     }
 
     /// Admit one submission, or reject it with a typed [`AdmitError`].
@@ -548,7 +553,8 @@ impl PlanService {
         input: Value,
     ) -> Result<u64, AdmitError> {
         if self.queue.len() >= self.config.queue_capacity {
-            *self.rejected.entry(tenant).or_default() += 1;
+            self.tenants.entry(tenant).or_default().rejected += 1;
+            *self.pending_rejections.entry(tenant).or_default() += 1;
             self.counters.rejected_queue_full += 1;
             return Err(AdmitError::QueueFull {
                 capacity: self.config.queue_capacity,
@@ -558,7 +564,8 @@ impl PlanService {
         self.cache.shape(hash);
         let cost = self.cache.cost(hash, &input, &plan);
         if cost > self.config.cost_ceiling {
-            *self.rejected.entry(tenant).or_default() += 1;
+            self.tenants.entry(tenant).or_default().rejected += 1;
+            *self.pending_rejections.entry(tenant).or_default() += 1;
             self.counters.rejected_cost_ceiling += 1;
             return Err(AdmitError::CostCeiling {
                 estimated_flops: cost,
@@ -607,74 +614,94 @@ impl PlanService {
         waves
     }
 
-    /// Drain the queue and execute it as one SPMD run, returning the raw
-    /// [`SpmdResult`]: rank 0's result is the batch's [`ServeReport`],
-    /// gathered to rank 0 and built once; every other rank's is the
-    /// report of an empty batch. Rejection accounting is *not* folded in
-    /// here — use [`PlanService::serve`] for the full wrapper. This is
-    /// the entry point determinism tests snapshot (results, per-rank
-    /// clocks, elapsed virtual time).
-    pub fn serve_spmd(&mut self, model: MachineModel, run: RunConfig) -> SpmdResult<ServeReport> {
+    /// The one batch path: pack the queue into waves, drain it, execute
+    /// the schedule with `run`, and account for what came back. A batch
+    /// in which any rank failed is lost whole: each drained plan counts
+    /// as submitted and failed for its tenant. A `run` that panics (a
+    /// plan panicked under [`run_spmd_with`]) loses the drained plans
+    /// uncounted.
+    fn batch<R: RankReport>(
+        &mut self,
+        run: impl FnOnce(usize, &(dyn Fn(&mut Ctx) -> ServeReport + Sync)) -> SpmdResult<R>,
+    ) -> SpmdResult<R> {
         let waves = self.pack();
         let subs = Arc::new(std::mem::take(&mut self.queue));
-        let body = serve_body(Arc::clone(&subs), Arc::new(waves));
-        let result = run_spmd_with(self.nprocs, model, run, body);
-        self.absorb(&result.results[0], result.elapsed_virtual);
+        let result = run(self.nprocs, &serve_body(Arc::clone(&subs), Arc::new(waves)));
+        let lost = result.results.iter().any(|r| r.report().is_none());
+        match result.results[0].report() {
+            Some(report) if !lost => self.absorb(report, result.elapsed_virtual),
+            _ => {
+                for sub in subs.iter() {
+                    let t = self.tenants.entry(sub.tenant).or_default();
+                    t.submitted += 1;
+                    t.failed += 1;
+                }
+            }
+        }
         result
     }
 
-    /// Serve the queued batch and fold rejection accounting into the
+    /// Drain the queue and execute it as one SPMD run, returning the raw
+    /// [`SpmdResult`]: rank 0's result is the batch's [`ServeReport`],
+    /// gathered to rank 0 and built once; every other rank's is the
+    /// report of an empty batch. Pending rejections are *not* folded in:
+    /// they wait for the next [`PlanService::serve`] or
+    /// [`PlanService::serve_ft`] report. This is the entry point
+    /// determinism tests snapshot (results, per-rank clocks, elapsed
+    /// virtual time).
+    pub fn serve_spmd(&mut self, model: MachineModel, run: RunConfig) -> SpmdResult<ServeReport> {
+        self.batch(|p, body| run_spmd_with(p, model, run, body))
+    }
+
+    /// Serve the queued batch and fold the pending rejections into the
     /// report.
     pub fn serve(&mut self, model: MachineModel) -> ServeOutcome {
-        let rejected = std::mem::take(&mut self.rejected);
-        let result = self.serve_spmd(model, RunConfig::default());
-        let mut report = result.results.into_iter().next().expect("one rank minimum");
-        fold_rejections(&mut report, &rejected, &mut self.tenants);
-        ServeOutcome {
-            report,
-            elapsed_virtual: result.elapsed_virtual,
-            wall_us: result.wall_us,
-            cache: self.cache.stats,
-        }
+        let result = self.batch(|p, body| run_spmd_with(p, model, RunConfig::default(), body));
+        let report = result.results.into_iter().next().expect("one rank minimum");
+        self.outcome(report, result.elapsed_virtual, result.wall_us)
     }
 
     /// Serve the queued batch under a deterministic [`FaultPlan`]. Injected
     /// atom exhaustion surfaces *inside* the report as per-submission
-    /// [`PlanError`]s; a failed rank fails the whole batch with every
-    /// rank's [`RankFailure`], in rank order (the drained submissions are
-    /// dropped).
+    /// [`PlanError`]s. A failed rank loses the whole batch: the call
+    /// returns every rank's [`RankFailure`], in rank order, each drained
+    /// plan counts as failed in [`PlanService::tenant_totals`], and the
+    /// pending rejections wait for the next report.
     pub fn serve_ft(
         &mut self,
         model: MachineModel,
         fault: FaultPlan,
     ) -> Result<ServeOutcome, Vec<RankFailure>> {
-        let rejected = std::mem::take(&mut self.rejected);
-        let waves = self.pack();
-        let subs = Arc::new(std::mem::take(&mut self.queue));
-        let body = serve_body(Arc::clone(&subs), Arc::new(waves));
-        let ft = run_spmd_ft(self.nprocs, model, RunConfig::default(), fault, body);
-        let failures: Vec<_> = ft
-            .results
-            .iter()
-            .filter_map(|r| r.as_ref().err().cloned())
-            .collect();
-        if !failures.is_empty() {
-            return Err(failures);
+        let result = self.batch(|p, body| run_spmd_ft(p, model, RunConfig::default(), fault, body));
+        if !result.all_ok() {
+            return Err(result.results.into_iter().filter_map(Result::err).collect());
         }
-        let mut report = ft
-            .results
-            .into_iter()
-            .next()
-            .expect("one rank minimum")
-            .expect("no failures");
-        self.absorb(&report, ft.elapsed_virtual);
-        fold_rejections(&mut report, &rejected, &mut self.tenants);
-        Ok(ServeOutcome {
+        let report = result.results.into_iter().next().expect("one rank minimum");
+        Ok(self.outcome(
+            report.expect("every rank completed"),
+            result.elapsed_virtual,
+            result.wall_us,
+        ))
+    }
+
+    /// A returned batch's outcome: its report with the pending
+    /// rejections folded in (tenants with only rejections gain an
+    /// entry), which clears them.
+    fn outcome(&mut self, mut report: ServeReport, elapsed: f64, wall_us: u64) -> ServeOutcome {
+        let mut tenants: BTreeMap<_, _> = report.tenants.into_iter().collect();
+        for (t, n) in std::mem::take(&mut self.pending_rejections) {
+            tenants
+                .entry(t)
+                .or_insert_with(TenantStats::default)
+                .rejected += n;
+        }
+        report.tenants = tenants.into_iter().collect();
+        ServeOutcome {
             report,
-            elapsed_virtual: ft.elapsed_virtual,
-            wall_us: ft.wall_us,
+            elapsed_virtual: elapsed,
+            wall_us,
             cache: self.cache.stats,
-        })
+        }
     }
 
     /// Fold a served batch into the cumulative per-tenant totals and the
@@ -780,7 +807,7 @@ impl PlanService {
             o,
             "planserve_plans_failed_total",
             "counter",
-            "Plans that failed with a typed PlanError, by tenant.",
+            "Plans that failed with a typed PlanError, or were lost with their batch to a failed rank, by tenant.",
         );
         for (t, s) in &tenants {
             let _ = writeln!(
@@ -874,25 +901,21 @@ impl PlanService {
     }
 }
 
-/// Merge admission rejections into a batch report (and the cumulative
-/// totals): tenants with only rejections gain a fresh entry.
-fn fold_rejections(
-    report: &mut ServeReport,
-    rejected: &BTreeMap<TenantId, u64>,
-    totals: &mut BTreeMap<TenantId, TenantStats>,
-) {
-    for (&t, &n) in rejected {
-        totals.entry(t).or_default().rejected += n;
-        match report.tenants.binary_search_by_key(&t, |(id, _)| *id) {
-            Ok(i) => report.tenants[i].1.rejected += n,
-            Err(i) => {
-                let stats = TenantStats {
-                    rejected: n,
-                    ..TenantStats::default()
-                };
-                report.tenants.insert(i, (t, stats));
-            }
-        }
+/// A rank's result under either runner: its report, or (under
+/// [`run_spmd_ft`]) the failure that lost the batch.
+trait RankReport {
+    fn report(&self) -> Option<&ServeReport>;
+}
+
+impl RankReport for ServeReport {
+    fn report(&self) -> Option<&ServeReport> {
+        Some(self)
+    }
+}
+
+impl RankReport for Result<ServeReport, RankFailure> {
+    fn report(&self) -> Option<&ServeReport> {
+        self.as_ref().ok()
     }
 }
 
@@ -998,7 +1021,8 @@ mod tests {
 
     /// A cheap deterministic atom: folds any input value to an `F64` and
     /// nudges it, so arbitrary plan shapes type-check from a `Unit` root
-    /// input (every `Par` fans `Unit` out).
+    /// input (every `Par` fans `Unit` out). A negative weight is a bug in
+    /// the atom: it panics.
     struct Fold {
         weight: f64,
     }
@@ -1031,6 +1055,7 @@ mod tests {
         }
 
         fn run(&self, ctx: &mut Ctx, input: Value) -> Value {
+            assert!(self.weight >= 0.0, "the atom exploded");
             for kind in [PhaseKind::Split, PhaseKind::Solve, PhaseKind::Merge] {
                 ctx.trace_phase(kind.name(), "fold");
             }
@@ -1168,7 +1193,17 @@ mod tests {
 
     #[test]
     fn an_injected_crash_fails_the_whole_batch_typed() {
-        let mut svc = PlanService::new(3, ServeConfig::default());
+        let mut svc = PlanService::new(
+            3,
+            ServeConfig {
+                cost_ceiling: 10.0,
+                ..ServeConfig::default()
+            },
+        );
+        let err = svc
+            .submit(5, fold_plan(100.0), Value::Unit)
+            .expect_err("over the ceiling");
+        assert!(matches!(err, AdmitError::CostCeiling { .. }));
         svc.submit(1, fold_plan(1.0), Value::Unit).unwrap();
         let fault = FaultPlan::new(11).crash(0, CrashSite::Send(0));
         let failures = svc
@@ -1176,6 +1211,43 @@ mod tests {
             .expect_err("rank 0 dies");
         assert!(!failures.is_empty());
         assert!(failures.iter().any(|f| f.injected));
+        // The lost plan fails with its batch; the rejection stays counted.
+        let lost = TenantStats {
+            submitted: 1,
+            failed: 1,
+            ..TenantStats::default()
+        };
+        let rejected = TenantStats {
+            rejected: 1,
+            ..TenantStats::default()
+        };
+        assert_eq!(svc.tenant_totals(), vec![(1, lost), (5, rejected)]);
+    }
+
+    #[test]
+    fn a_rejection_outlives_a_batch_that_panics() {
+        let mut svc = PlanService::new(
+            2,
+            ServeConfig {
+                cost_ceiling: 10.0,
+                ..ServeConfig::default()
+            },
+        );
+        svc.submit(5, fold_plan(100.0), Value::Unit)
+            .expect_err("over the ceiling");
+        svc.submit(1, Plan::atom(Fold { weight: -1.0 }), Value::Unit)
+            .unwrap();
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            svc.serve(MachineModel::ibm_sp())
+        }));
+        assert!(run.is_err(), "the atom's panic reaches the caller");
+        let rejected = TenantStats {
+            rejected: 1,
+            ..TenantStats::default()
+        };
+        assert_eq!(svc.tenant_totals(), vec![(5, rejected)]);
+        let out = svc.serve(MachineModel::ibm_sp());
+        assert_eq!(out.report.tenants, vec![(5, rejected)]);
     }
 
     #[test]

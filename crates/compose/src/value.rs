@@ -141,89 +141,34 @@ impl ComposeData for () {
     }
 }
 
-impl ComposeData for u64 {
-    fn into_value(self) -> Value {
-        Value::U64(self)
-    }
-    fn from_value(v: Value) -> Self {
-        match v {
-            Value::U64(x) => x,
-            other => wiring_bug("U64", &other),
+/// The payload variants with one static type each convert alike: wrap,
+/// unwrap (or report the wiring bug), borrow in place.
+macro_rules! variant_data {
+    ($($ty:ty => $variant:ident),+) => {$(
+        impl ComposeData for $ty {
+            fn into_value(self) -> Value {
+                Value::$variant(self)
+            }
+            fn from_value(v: Value) -> Self {
+                match v {
+                    Value::$variant(x) => x,
+                    other => wiring_bug(stringify!($variant), &other),
+                }
+            }
+            fn peek(v: &Value) -> Option<&Self> {
+                match v {
+                    Value::$variant(x) => Some(x),
+                    _ => None,
+                }
+            }
+            fn accepts(v: &Value) -> bool {
+                matches!(v, Value::$variant(_))
+            }
         }
-    }
-    fn peek(v: &Value) -> Option<&Self> {
-        match v {
-            Value::U64(x) => Some(x),
-            _ => None,
-        }
-    }
-    fn accepts(v: &Value) -> bool {
-        matches!(v, Value::U64(_))
-    }
+    )+};
 }
 
-impl ComposeData for f64 {
-    fn into_value(self) -> Value {
-        Value::F64(self)
-    }
-    fn from_value(v: Value) -> Self {
-        match v {
-            Value::F64(x) => x,
-            other => wiring_bug("F64", &other),
-        }
-    }
-    fn peek(v: &Value) -> Option<&Self> {
-        match v {
-            Value::F64(x) => Some(x),
-            _ => None,
-        }
-    }
-    fn accepts(v: &Value) -> bool {
-        matches!(v, Value::F64(_))
-    }
-}
-
-impl ComposeData for Vec<i64> {
-    fn into_value(self) -> Value {
-        Value::I64s(self)
-    }
-    fn from_value(v: Value) -> Self {
-        match v {
-            Value::I64s(x) => x,
-            other => wiring_bug("I64s", &other),
-        }
-    }
-    fn peek(v: &Value) -> Option<&Self> {
-        match v {
-            Value::I64s(x) => Some(x),
-            _ => None,
-        }
-    }
-    fn accepts(v: &Value) -> bool {
-        matches!(v, Value::I64s(_))
-    }
-}
-
-impl ComposeData for Vec<f64> {
-    fn into_value(self) -> Value {
-        Value::F64s(self)
-    }
-    fn from_value(v: Value) -> Self {
-        match v {
-            Value::F64s(x) => x,
-            other => wiring_bug("F64s", &other),
-        }
-    }
-    fn peek(v: &Value) -> Option<&Self> {
-        match v {
-            Value::F64s(x) => Some(x),
-            _ => None,
-        }
-    }
-    fn accepts(v: &Value) -> bool {
-        matches!(v, Value::F64s(_))
-    }
-}
+variant_data!(u64 => U64, f64 => F64, Vec<i64> => I64s, Vec<f64> => F64s);
 
 /// The identity conversion: a job that wants to handle the dynamic value
 /// itself (e.g. a fan-in over a variable number of branches).

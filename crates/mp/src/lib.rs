@@ -90,9 +90,7 @@ pub use ctx::{Ctx, Tag};
 pub use fault::{CrashSite, CrashSpec, FaultPlan, InjectedCrash, RankDead};
 pub use model::{MachineModel, MemoryModel};
 pub use payload::{FixedSize, Payload, Shared};
-pub use runner::{
-    run_spmd, run_spmd_ft, run_spmd_with, FtSpmdResult, RankFailure, RunConfig, SpmdResult,
-};
+pub use runner::{run_spmd, run_spmd_ft, run_spmd_with, RankFailure, RunConfig, SpmdResult};
 pub use stats::{RankStats, RunStats};
 pub use tags::{compose_tag, farm_tag, ft_tag, pipe_tag, ComposeTag, FarmTag, FtTag, PipeTag};
 pub use topology::{ProcessGrid2, ProcessGrid3};

@@ -18,11 +18,13 @@
 //! traced, fault-injected — reports both the modeled `elapsed_virtual`
 //! and the measured `wall_us`.
 //!
-//! Three entry points share that path. [`run_spmd`] (default config)
-//! and [`run_spmd_with`] (explicit config) panic when a rank fails or a
-//! message is left unreceived, re-raising the root cause's message.
-//! [`run_spmd_ft`] is the one entry that reports failures instead: it
-//! returns per-rank `Result`s and the leak count, under any
+//! Three entry points share that path and one result type,
+//! [`SpmdResult`]. [`run_spmd`] (default config) and [`run_spmd_with`]
+//! (explicit config) panic when a rank fails or a message is left
+//! unreceived, re-raising the root cause's message, so their
+//! `leaked_messages` is always 0. [`run_spmd_ft`] is the one entry that
+//! reports failures instead: its results are per-rank
+//! `Result<R, RankFailure>`s beside the leak count, under any
 //! [`FaultPlan`] — the inert `FaultPlan::new(seed)` included.
 
 use std::collections::HashMap;
@@ -49,7 +51,11 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Everything a finished SPMD run reports.
+/// Everything a finished SPMD run reports. [`run_spmd`] and
+/// [`run_spmd_with`] return the body's values; [`run_spmd_ft`] returns
+/// `SpmdResult<Result<R, RankFailure>>`, where a rank that died carries
+/// its [`RankFailure`] and contributes its clock and statistics at the
+/// moment of death.
 #[derive(Debug)]
 pub struct SpmdResult<R> {
     /// Per-rank return values of the body, indexed by rank.
@@ -66,12 +72,37 @@ pub struct SpmdResult<R> {
     pub wall_us: u64,
     /// Per rank, how its channel receives were satisfied: message already
     /// queued, arrived within the transport's spin, or after parking.
-    /// Timing-dependent, hence beside `stats` and not inside it.
+    /// Timing-dependent, hence beside `stats` and not inside it; zeros
+    /// for a rank that died.
     pub recv_counts: Vec<RecvCounts>,
-    /// Per-rank event streams of a traced run ([`RunConfig::traced`]);
-    /// `None` unless tracing was requested. Export with
+    /// Messages left unconsumed in the network when the run ended. Always
+    /// 0 from [`run_spmd`] and [`run_spmd_with`], which panic on a leak;
+    /// [`run_spmd_ft`] reports it, and a run with dead ranks may
+    /// legitimately strand in-flight messages. Either way a network with
+    /// leftovers is quarantined, so they can never contaminate a later
+    /// run.
+    pub leaked_messages: usize,
+    /// Per-rank event streams of a traced run ([`RunConfig::traced`]) in
+    /// which every rank completed; `None` otherwise, because a dead
+    /// rank's recorder goes down with its unwind. Export with
     /// [`RunTrace::chrome_json`], analyze with [`RunTrace::critical_path`].
     pub trace: Option<RunTrace>,
+}
+
+impl<R> SpmdResult<Result<R, RankFailure>> {
+    /// True if every rank completed (no scheduled crash fired and nothing
+    /// panicked); says nothing about [`SpmdResult::leaked_messages`].
+    pub fn all_ok(&self) -> bool {
+        self.results.iter().all(Result::is_ok)
+    }
+
+    /// The failures, in rank order (empty when [`SpmdResult::all_ok`]).
+    pub fn failures(&self) -> Vec<&RankFailure> {
+        self.results
+            .iter()
+            .filter_map(|r| r.as_ref().err())
+            .collect()
+    }
 }
 
 /// Why one rank of an SPMD run failed: the structured form of a rank
@@ -112,58 +143,6 @@ impl std::fmt::Display for RankFailure {
 }
 
 impl std::error::Error for RankFailure {}
-
-/// Everything a [`run_spmd_ft`] run reports. Unlike [`SpmdResult`],
-/// per-rank outcomes are `Result`s — a program panic and a scheduled
-/// crash alike become a [`RankFailure`] — and a leak is a count, not a
-/// panic: surviving ranks' values remain available next to the failures
-/// of the ranks that died.
-#[derive(Debug)]
-pub struct FtSpmdResult<R> {
-    /// Per-rank outcomes, indexed by rank.
-    pub results: Vec<Result<R, RankFailure>>,
-    /// Elapsed virtual time: the maximum final clock across ranks
-    /// (crashed ranks contribute their clock at the moment of death).
-    pub elapsed_virtual: f64,
-    /// Final per-rank clocks (clock at death for crashed ranks).
-    pub rank_times: Vec<f64>,
-    /// Communication/computation statistics per rank (up to the moment of
-    /// death for crashed ranks).
-    pub stats: RunStats,
-    /// Measured wall-clock time of the run (dispatch to last rank done),
-    /// in microseconds.
-    pub wall_us: u64,
-    /// Per rank, how its channel receives were satisfied (see
-    /// [`SpmdResult::recv_counts`]); zeros for a rank that died.
-    pub recv_counts: Vec<RecvCounts>,
-    /// Messages left unconsumed in the network when the run ended. Always
-    /// 0 for fully successful runs of leak-free programs (where
-    /// [`run_spmd_with`] would panic on a nonzero count); a run with dead
-    /// ranks may legitimately strand in-flight messages. Either way a
-    /// network with leftovers is quarantined, so they can never
-    /// contaminate a later run.
-    pub leaked_messages: usize,
-    /// Per-rank event streams of a traced run ([`RunConfig::traced`])
-    /// in which every rank completed; `None` otherwise, because a dead
-    /// rank's recorder goes down with its unwind.
-    pub trace: Option<RunTrace>,
-}
-
-impl<R> FtSpmdResult<R> {
-    /// True if every rank completed (no scheduled crash fired and nothing
-    /// panicked); says nothing about [`FtSpmdResult::leaked_messages`].
-    pub fn all_ok(&self) -> bool {
-        self.results.iter().all(Result::is_ok)
-    }
-
-    /// The failures, in rank order (empty when [`FtSpmdResult::all_ok`]).
-    pub fn failures(&self) -> Vec<&RankFailure> {
-        self.results
-            .iter()
-            .filter_map(|r| r.as_ref().err())
-            .collect()
-    }
-}
 
 /// One rank's endpoints: the send sides of its outgoing channels, its
 /// mailbox, and its payload-box arena. Owned by the rank's `Ctx` while
@@ -440,7 +419,7 @@ fn run_ranks<F, R>(
     fault: Option<Arc<FaultPlan>>,
     config: RunConfig,
     body: F,
-) -> FtSpmdResult<R>
+) -> SpmdResult<Result<R, RankFailure>>
 where
     F: Fn(&mut Ctx) -> R + Sync,
     R: Send,
@@ -577,7 +556,7 @@ where
         rank_times: rank_times.clone(),
         elapsed_virtual,
     });
-    FtSpmdResult {
+    SpmdResult {
         results,
         elapsed_virtual,
         rank_times,
@@ -654,15 +633,8 @@ where
     R: Send,
 {
     let run = run_ranks(nprocs, model, None, config, body);
-    let mut results = Vec::with_capacity(nprocs);
-    let mut failures = Vec::new();
-    for outcome in run.results {
-        match outcome {
-            Ok(r) => results.push(r),
-            Err(failure) => failures.push(failure),
-        }
-    }
     // A failed rank takes precedence over the leak it may have caused.
+    let failures = run.failures();
     if let Some(root) = failures
         .iter()
         .find(|f| f.waited_on.is_none())
@@ -678,21 +650,28 @@ where
         );
     }
     SpmdResult {
-        results,
+        results: run
+            .results
+            .into_iter()
+            .map(|r| r.expect("no failures"))
+            .collect(),
         elapsed_virtual: run.elapsed_virtual,
         rank_times: run.rank_times,
         stats: run.stats,
         wall_us: run.wall_us,
         recv_counts: run.recv_counts,
+        leaked_messages: 0,
         trace: run.trace,
     }
 }
 
 /// The reporting entry point: run `body` like [`run_spmd_with`], but
-/// return every rank's outcome instead of panicking. A rank's panic — a
+/// return every rank's outcome instead of panicking, as the same
+/// [`SpmdResult`] with `Result<R, RankFailure>` per rank
+/// ([`SpmdResult::all_ok`], [`SpmdResult::failures`]). A rank's panic — a
 /// program bug, a dead peer ([`RankFailure::waited_on`]) or a crash the
 /// fault schedule injected — becomes that rank's [`RankFailure`], and
-/// unreceived messages are counted in [`FtSpmdResult::leaked_messages`]
+/// unreceived messages are counted in [`SpmdResult::leaked_messages`]
 /// rather than checked. `plan` is shared by every rank (see
 /// [`FaultPlan`]); the channel network is quarantined whenever anything
 /// failed or leaked, and the worker pool stays usable for the next run.
@@ -725,7 +704,7 @@ pub fn run_spmd_ft<F, R>(
     config: RunConfig,
     plan: FaultPlan,
     body: F,
-) -> FtSpmdResult<R>
+) -> SpmdResult<Result<R, RankFailure>>
 where
     F: Fn(&mut Ctx) -> R + Sync,
     R: Send,

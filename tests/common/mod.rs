@@ -35,6 +35,7 @@ pub fn with_phases<R>(out: SpmdResult<R>) -> SpmdResult<(R, Vec<PhaseKind>)> {
         stats: out.stats,
         wall_us: out.wall_us,
         recv_counts: out.recv_counts,
+        leaked_messages: out.leaked_messages,
         trace: None,
     }
 }

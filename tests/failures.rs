@@ -7,15 +7,18 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use parallel_archetypes::mp::{
-    run_spmd, run_spmd_ft, run_spmd_with, CrashSite, Ctx, FaultPlan, FtSpmdResult, MachineModel,
-    RunConfig,
+    run_spmd, run_spmd_ft, run_spmd_with, CrashSite, Ctx, FaultPlan, MachineModel, RankFailure,
+    RunConfig, SpmdResult,
 };
 
 mod common;
 use common::assert_bit_identical_runs;
 
 /// `body` through the reporting entry, under an inert fault plan.
-fn report<R: Send>(nprocs: usize, body: impl Fn(&mut Ctx) -> R + Sync) -> FtSpmdResult<R> {
+fn report<R: Send>(
+    nprocs: usize,
+    body: impl Fn(&mut Ctx) -> R + Sync,
+) -> SpmdResult<Result<R, RankFailure>> {
     run_spmd_ft(
         nprocs,
         MachineModel::ibm_sp(),

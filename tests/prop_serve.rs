@@ -505,6 +505,201 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Conservation over histories: every submit attempt is admitted or
+// rejected, and every admitted plan completes, fails or stays queued,
+// exactly once — whatever the batches in between did.
+// ---------------------------------------------------------------------------
+
+/// Tenant ids a history draws from: a few that recur, and the top of the
+/// id range.
+const TENANTS: [u32; 4] = [0, 2, 10, u32::MAX];
+
+/// The service a history drives: a queue of four, so queue-full
+/// rejections happen, and a ceiling no `mix_plan` reaches.
+fn history_service(p: usize, max_concurrent: usize) -> PlanService {
+    PlanService::new(
+        p,
+        ServeConfig {
+            max_concurrent,
+            queue_capacity: 4,
+            cost_ceiling: 1e9,
+        },
+    )
+}
+
+/// Every sample line of `metrics_text()`, keyed by its series
+/// (`name{labels}`).
+fn series(text: &str) -> std::collections::HashMap<String, u64> {
+    text.lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| {
+            let (series, value) = l.rsplit_once(' ').expect("series value");
+            (
+                series.to_string(),
+                value.parse::<f64>().unwrap_or(0.0) as u64,
+            )
+        })
+        .collect()
+}
+
+/// The invariants that hold between any two steps of any history.
+fn assert_accounts_balance(svc: &PlanService, step: usize) {
+    let totals = svc.tenant_totals();
+    let m = series(&svc.metrics_text());
+    let get = |k: &str| m.get(k).copied().unwrap_or(0);
+    let submitted: u64 = totals.iter().map(|(_, s)| s.submitted).sum();
+    assert_eq!(
+        get("planserve_admitted_total"),
+        submitted + get("planserve_queue_depth"),
+        "step {step}: admitted = submitted + queued; {totals:?}"
+    );
+    let rejected: u64 = totals.iter().map(|(_, s)| s.rejected).sum();
+    assert_eq!(
+        rejected,
+        get("planserve_rejected_total{reason=\"cost_ceiling\"}")
+            + get("planserve_rejected_total{reason=\"queue_full\"}"),
+        "step {step}: rejections"
+    );
+    let mut served_tenants = 0;
+    for (t, s) in &totals {
+        assert_eq!(
+            s.completed + s.failed,
+            s.submitted,
+            "step {step}: tenant {t}"
+        );
+        if s.submitted == 0 {
+            continue;
+        }
+        served_tenants += 1;
+        let labelled = |name: &str| get(&format!("{name}{{tenant=\"{t}\"}}"));
+        assert_eq!(
+            labelled("planserve_plans_completed_total"),
+            s.completed,
+            "step {step}: tenant {t}"
+        );
+        assert_eq!(
+            labelled("planserve_plans_failed_total"),
+            s.failed,
+            "step {step}: tenant {t}"
+        );
+        assert_eq!(
+            labelled("planserve_tenant_latency_virtual_seconds_count"),
+            s.completed,
+            "step {step}: tenant {t}"
+        );
+    }
+    let completed_series = m
+        .keys()
+        .filter(|k| k.starts_with("planserve_plans_completed_total{"))
+        .count();
+    assert_eq!(completed_series, served_tenants, "step {step}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn every_admitted_plan_gets_exactly_one_outcome(
+        steps in vec((0u8..8, any::<u32>(), any::<u32>()), 1..16),
+        p in 1usize..5,
+        max_concurrent in 1usize..4,
+    ) {
+        use std::collections::{BTreeMap, BTreeSet};
+        let mut svc = history_service(p, max_concurrent);
+        // What the history says each tenant's totals must be.
+        let mut queued: Vec<u32> = Vec::new();
+        let mut submitted: BTreeMap<u32, u64> = BTreeMap::new();
+        let mut rejected: BTreeMap<u32, u64> = BTreeMap::new();
+        // Rejections since the last report that folded them.
+        let mut pending: BTreeMap<u32, u64> = BTreeMap::new();
+        for (i, &(op, a, b)) in steps.iter().enumerate() {
+            let tenant = if a % 8 < 4 { TENANTS[a as usize % 4] } else { a };
+            let drained = if op >= 4 {
+                std::mem::take(&mut queued)
+            } else {
+                Vec::new()
+            };
+            let mut report = None;
+            match op {
+                0..=3 => {
+                    // Op 3 asks for more than the ceiling allows.
+                    let plan = if op == 3 {
+                        Plan::atom(Fold { weight: 1e12 })
+                    } else {
+                        mix_plan(b as u8, 1 + b % 999)
+                    };
+                    match svc.submit(tenant, plan, Value::Unit) {
+                        Ok(id) => {
+                            prop_assert!(op < 3, "step {i}: over the ceiling yet admitted");
+                            prop_assert_eq!(id, queued.len() as u64);
+                            queued.push(tenant);
+                        }
+                        Err(e) => {
+                            let full = matches!(e, AdmitError::QueueFull { .. });
+                            prop_assert!(op == 3 || full, "step {i}: {e}");
+                            *rejected.entry(tenant).or_default() += 1;
+                            *pending.entry(tenant).or_default() += 1;
+                        }
+                    }
+                }
+                4 => report = Some(svc.serve(MachineModel::ibm_sp()).report),
+                5 => {
+                    let out = svc.serve_spmd(MachineModel::ibm_sp(), RunConfig::default());
+                    prop_assert_eq!(out.results[0].outcomes.len(), drained.len());
+                    let tenants = &out.results[0].tenants;
+                    prop_assert!(tenants.iter().all(|(_, s)| s.rejected == 0));
+                }
+                _ => {
+                    // Op 6 exhausts an atom's retries; op 7 kills a rank
+                    // at a send, a receive or a phase boundary.
+                    let fault = if op == 6 {
+                        FaultPlan::new(u64::from(a)).fail_atom(u64::from(b % 4), 1 + a % 5)
+                    } else {
+                        let k = u64::from(b / 4 % 4);
+                        let sites = [CrashSite::Send(k), CrashSite::Recv(k), CrashSite::Phase(k)];
+                        let site = sites[b as usize % 3];
+                        FaultPlan::new(u64::from(a)).crash(b as usize % p, site)
+                    };
+                    if let Ok(out) = svc.serve_ft(MachineModel::ibm_sp(), fault) {
+                        report = Some(out.report);
+                    }
+                }
+            }
+            for &t in &drained {
+                *submitted.entry(t).or_default() += 1;
+            }
+            if let Some(report) = report {
+                prop_assert_eq!(report.outcomes.len(), drained.len(), "step {}", i);
+                let folded: BTreeMap<u32, u64> = report
+                    .tenants
+                    .iter()
+                    .filter(|(_, s)| s.rejected > 0)
+                    .map(|&(t, s)| (t, s.rejected))
+                    .collect();
+                prop_assert_eq!(&folded, &pending, "step {}: pending rejections", i);
+                pending.clear();
+            }
+            assert_accounts_balance(&svc, i);
+            // The books hold exactly the tenants the history touched.
+            let count = |m: &BTreeMap<u32, u64>, t: &u32| m.get(t).copied().unwrap_or(0);
+            let expected: Vec<(u32, u64, u64)> = submitted
+                .keys()
+                .chain(rejected.keys())
+                .collect::<BTreeSet<_>>()
+                .into_iter()
+                .map(|t| (*t, count(&submitted, t), count(&rejected, t)))
+                .collect();
+            let books: Vec<(u32, u64, u64)> = svc
+                .tenant_totals()
+                .into_iter()
+                .map(|(t, s)| (t, s.submitted, s.rejected))
+                .collect();
+            prop_assert_eq!(books, expected, "step {}", i);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // The exposition, byte for byte, over a history that touches every family.
 // ---------------------------------------------------------------------------
 
@@ -594,7 +789,7 @@ planserve_cache_misses_total{cache="shape"} 0
 # TYPE planserve_last_batch_virtual_seconds gauge
 # HELP planserve_plans_completed_total Plans that completed with a value, by tenant.
 # TYPE planserve_plans_completed_total counter
-# HELP planserve_plans_failed_total Plans that failed with a typed PlanError, by tenant.
+# HELP planserve_plans_failed_total Plans that failed with a typed PlanError, or were lost with their batch to a failed rank, by tenant.
 # TYPE planserve_plans_failed_total counter
 # HELP planserve_queue_depth Submissions currently queued awaiting service.
 # TYPE planserve_queue_depth gauge
@@ -636,7 +831,7 @@ planserve_last_batch_virtual_seconds 0.0012588
 # TYPE planserve_plans_completed_total counter
 planserve_plans_completed_total{tenant="10"} 2
 planserve_plans_completed_total{tenant="2"} 1
-# HELP planserve_plans_failed_total Plans that failed with a typed PlanError, by tenant.
+# HELP planserve_plans_failed_total Plans that failed with a typed PlanError, or were lost with their batch to a failed rank, by tenant.
 # TYPE planserve_plans_failed_total counter
 planserve_plans_failed_total{tenant="10"} 0
 planserve_plans_failed_total{tenant="2"} 0
@@ -702,10 +897,10 @@ planserve_last_batch_virtual_seconds 0.000055
 # TYPE planserve_plans_completed_total counter
 planserve_plans_completed_total{tenant="10"} 3
 planserve_plans_completed_total{tenant="2"} 1
-# HELP planserve_plans_failed_total Plans that failed with a typed PlanError, by tenant.
+# HELP planserve_plans_failed_total Plans that failed with a typed PlanError, or were lost with their batch to a failed rank, by tenant.
 # TYPE planserve_plans_failed_total counter
-planserve_plans_failed_total{tenant="10"} 0
-planserve_plans_failed_total{tenant="2"} 1
+planserve_plans_failed_total{tenant="10"} 1
+planserve_plans_failed_total{tenant="2"} 2
 # HELP planserve_queue_depth Submissions currently queued awaiting service.
 # TYPE planserve_queue_depth gauge
 planserve_queue_depth 1
@@ -763,7 +958,7 @@ planserve_cache_misses_total{cache="shape"} 0
 planserve_last_batch_virtual_seconds 0.000055
 # HELP planserve_plans_completed_total Plans that completed with a value, by tenant.
 # TYPE planserve_plans_completed_total counter
-# HELP planserve_plans_failed_total Plans that failed with a typed PlanError, by tenant.
+# HELP planserve_plans_failed_total Plans that failed with a typed PlanError, or were lost with their batch to a failed rank, by tenant.
 # TYPE planserve_plans_failed_total counter
 # HELP planserve_queue_depth Submissions currently queued awaiting service.
 # TYPE planserve_queue_depth gauge
