@@ -16,17 +16,25 @@
 //! The recursive mergesort pin covers the recursive divide-and-conquer
 //! descent at odd rank counts and uneven subgroups: its per-rank
 //! messages, bytes and clocks are the schedule of the nested scopes.
+//!
+//! The mesh pin covers the four 2-D mesh-spectral apps (Poisson, CFD,
+//! airshed, spectral flow) on uneven block splits: the gathered grid,
+//! every rank's clock and every rank's traffic.
 
 use parallel_archetypes::bnb::{solve_farm, BnbStats, Knapsack};
 use parallel_archetypes::dc::{run_spmd_recursive, CutoffPolicy, RecursiveMergesort};
 use parallel_archetypes::farm::apps::{GridSweepFarm, MandelOut, MandelbrotFarm, SweepFarm};
 use parallel_archetypes::farm::{run_farm, Farm, FarmConfig, FarmStats};
+use parallel_archetypes::mesh::apps::airshed::{airshed_spmd, AirshedSpec};
+use parallel_archetypes::mesh::apps::cfd::{cfd_spmd, shock_sine_init, CfdSpec};
+use parallel_archetypes::mesh::apps::poisson::{poisson_spmd, sine_problem, PoissonSpec};
+use parallel_archetypes::mesh::apps::spectral_flow::{swirl_spmd, SwirlSpec};
 use parallel_archetypes::mp::{run_spmd, MachineModel, SpmdResult};
 use parallel_archetypes::pipeline::apps::ImageChain;
 use parallel_archetypes::pipeline::{run_pipeline, Pipeline, PipelineConfig};
 
 mod common;
-use common::assert_bit_identical_runs;
+use common::{assert_bit_identical_runs, grid_for};
 
 /// The benchmark's 19-item instance (`apps_fixed_size`): even weights,
 /// value = weight, odd capacity, so the bound equals the capacity at
@@ -573,5 +581,280 @@ fn recursive_mergesort_clocks_and_traffic_are_the_recorded_ones() {
         let (got_clocks, got_traffic) = recursive_sort_run(p, k);
         assert_eq!(got_clocks, clocks, "clocks k={k} p={p}");
         assert_eq!(got_traffic, traffic, "msgs and bytes k={k} p={p}");
+    }
+}
+
+/// FNV-1a over a stream of `u64`s.
+fn fnv(bits: impl IntoIterator<Item = u64>) -> u64 {
+    bits.into_iter().fold(0xcbf29ce484222325, |h, b| {
+        (h ^ b).wrapping_mul(0x100000001b3)
+    })
+}
+
+/// One mesh app's recorded run: a hash of rank 0's gathered grid bits
+/// followed by the bits of its scalar results, then every rank's final
+/// clock bits and `(msgs_sent, bytes_sent)`.
+type MeshRecord = (u64, Vec<u64>, Vec<(u64, u64)>);
+
+fn mesh_record<R: Send>(
+    out: parallel_archetypes::mp::SpmdResult<R>,
+    bits: impl Fn(&R) -> Vec<u64>,
+) -> MeshRecord {
+    (
+        fnv(bits(&out.results[0])),
+        out.rank_times.iter().map(|t| t.to_bits()).collect(),
+        out.stats
+            .per_rank
+            .iter()
+            .map(|s| (s.msgs_sent, s.bytes_sent))
+            .collect(),
+    )
+}
+
+/// Poisson, CFD, airshed and spectral flow on `p` ranks, each on a grid
+/// that no process grid of the sweep divides evenly.
+fn mesh_runs(p: usize) -> [MeshRecord; 4] {
+    let pg = grid_for(p);
+    let model = MachineModel::ibm_sp();
+    // Stops on its tolerance, not its cap; 21 × 17 with h from nx.
+    let poisson = PoissonSpec {
+        nx: 21,
+        ny: 17,
+        ..sine_problem(21, 1e-4, 2_000)
+    };
+    let poisson = mesh_record(
+        run_spmd(p, model, move |ctx| poisson_spmd(ctx, &poisson, pg)),
+        |r| {
+            let grid = r.grid.as_ref().expect("rank 0 gathers");
+            let mut bits: Vec<u64> = grid.iter().map(|v| v.to_bits()).collect();
+            bits.extend([r.iters as u64, r.diffmax.to_bits()]);
+            bits
+        },
+    );
+    let cfd = CfdSpec {
+        nx: 26,
+        ny: 13,
+        lx: 1.0,
+        ly: 0.5,
+        cfl: 0.4,
+        steps: 10,
+    };
+    let cfd = mesh_record(
+        run_spmd(p, model, move |ctx| {
+            cfd_spmd(ctx, &cfd, pg, |i, j| shock_sine_init(&cfd, i, j))
+        }),
+        |r| {
+            let grid = r.grid.as_ref().expect("rank 0 gathers");
+            let mut bits: Vec<u64> = grid.iter().flatten().map(|v| v.to_bits()).collect();
+            bits.push(r.time.to_bits());
+            bits
+        },
+    );
+    let airshed = AirshedSpec {
+        nx: 22,
+        ny: 15,
+        wind: (0.4, 0.1),
+        diffusion: 0.05,
+        j_rate: 0.3,
+        k_rate: 2.0,
+        dt: 0.2,
+        steps: 10,
+        source: (5, 8, 0.5),
+    };
+    let airshed = mesh_record(
+        run_spmd(p, model, move |ctx| airshed_spmd(ctx, &airshed, pg)),
+        |r| {
+            let grid = r.grid.as_ref().expect("rank 0 gathers");
+            let mut bits: Vec<u64> = grid.iter().flatten().map(|v| v.to_bits()).collect();
+            bits.push(r.peak_o3.to_bits());
+            bits
+        },
+    );
+    let swirl = SwirlSpec {
+        nr: 26,
+        ntheta: 32,
+        rmax: 1.0,
+        nu: 1e-3,
+        dt: 5e-4,
+        steps: 8,
+    };
+    let swirl = mesh_record(
+        run_spmd(p, model, move |ctx| swirl_spmd(ctx, &swirl)),
+        |r| {
+            let grid = r.as_ref().expect("rank 0 gathers");
+            grid.iter().map(|v| v.to_bits()).collect()
+        },
+    );
+    [poisson, cfd, airshed, swirl]
+}
+
+#[test]
+fn mesh_results_clocks_and_traffic_are_the_recorded_ones() {
+    // Recorded while each app ran its own time loop and cloned its grid
+    // every step, before the four moved onto one stencil driver: the
+    // gathered grids, every rank's clock and traffic must not move by a
+    // bit. Every version 2 agrees bitwise with its version 1, so a
+    // result hash is the same at every p.
+    let hashes = [
+        0x632433868bac1063,
+        0xb483cc8800a10bf4,
+        0xb4a2295778be573e,
+        0x1c264a4ed7773ac1,
+    ];
+    #[allow(clippy::type_complexity)]
+    let recorded: [(usize, [(&[u64], &[(u64, u64)]); 4]); 3] = [
+        (
+            1,
+            [
+                // poisson
+                (&[0x3f81f4ea4d3b474c], &[(0, 0)]),
+                // cfd
+                (&[0x3f63efa10d2b61ac], &[(0, 0)]),
+                // airshed
+                (&[0x3f50385c67dfe32a], &[(0, 0)]),
+                // swirl
+                (&[0x3f70e72df7093660], &[(0, 0)]),
+            ],
+        ),
+        (
+            4,
+            [
+                // poisson
+                (
+                    &[
+                        0x3faa0aad1ab71690,
+                        0x3faa00d4afe9fa6f,
+                        0x3faa00bffab27bc0,
+                        0x3faa00f484149bf7,
+                    ],
+                    &[(1228, 54032), (1229, 52280), (1229, 52296), (1229, 49760)],
+                ),
+                // cfd
+                (
+                    &[
+                        0x3f6937e89e76ecba,
+                        0x3f67e520f53ceada,
+                        0x3f67e520f53ceada,
+                        0x3f6843fadcc31b48,
+                    ],
+                    &[(60, 6720), (41, 8736), (51, 9552), (41, 8736)],
+                ),
+                // airshed
+                (
+                    &[
+                        0x3f6070908bd3de38,
+                        0x3f5f1cfbb949624b,
+                        0x3f5f03a3415cfeff,
+                        0x3f5f1cfbb949624b,
+                    ],
+                    &[(40, 4720), (41, 6328), (41, 6832), (41, 6328)],
+                ),
+                // swirl
+                (
+                    &[
+                        0x3f5cd2e83eaaa95b,
+                        0x3f5b1578dcf2fe5e,
+                        0x3f5aec333e584911,
+                        0x3f5a98fc34abccf2,
+                    ],
+                    &[(8, 4096), (17, 9984), (17, 9728), (9, 5632)],
+                ),
+            ],
+        ),
+        (
+            6,
+            [
+                // poisson
+                (
+                    &[
+                        0x3fafb4c238dc88ed,
+                        0x3fafa5e05b252d0a,
+                        0x3fafab3f21096aed,
+                        0x3fafa551829107e6,
+                        0x3fafaa7e6e4501db,
+                        0x3fafa9ef95b0dcb7,
+                    ],
+                    &[
+                        (921, 44208),
+                        (1843, 76664),
+                        (922, 42192),
+                        (1536, 47144),
+                        (1536, 69248),
+                        (1229, 42152),
+                    ],
+                ),
+                // cfd
+                (
+                    &[
+                        0x3f6b27b309cbd589,
+                        0x3f69d8dfc32ae89b,
+                        0x3f69d8dfc32ae89b,
+                        0x3f6a37b9aab11909,
+                        0x3f69ce63686676e7,
+                        0x3f6a2d3d4feca755,
+                    ],
+                    &[
+                        (60, 6080),
+                        (61, 11504),
+                        (41, 7264),
+                        (51, 8080),
+                        (61, 11504),
+                        (41, 7264),
+                    ],
+                ),
+                // airshed
+                (
+                    &[
+                        0x3f62c69cca87d434,
+                        0x3f61a553489b1e3a,
+                        0x3f61f9b0d55cdcf2,
+                        0x3f619ad6edd6ac84,
+                        0x3f61ef347a986b3f,
+                        0x3f61e4b81fd3f98a,
+                    ],
+                    &[
+                        (30, 3920),
+                        (61, 8040),
+                        (31, 5240),
+                        (51, 5400),
+                        (51, 7960),
+                        (41, 5320),
+                    ],
+                ),
+                // swirl
+                (
+                    &[
+                        0x3f578c0dbfdc2383,
+                        0x3f55e208422b3c6a,
+                        0x3f55b8c2a390871d,
+                        0x3f557a844f6cee67,
+                        0x3f55513eb0d2391a,
+                        0x3f54fe07a725bcfa,
+                    ],
+                    &[
+                        (8, 4096),
+                        (17, 9472),
+                        (17, 9216),
+                        (17, 9216),
+                        (17, 9216),
+                        (9, 5120),
+                    ],
+                ),
+            ],
+        ),
+    ];
+    for (p, apps) in recorded {
+        let got = mesh_runs(p);
+        for (((name, hash), (clocks, traffic)), (got_hash, got_clocks, got_traffic)) in
+            ["poisson", "cfd", "airshed", "swirl"]
+                .iter()
+                .zip(hashes)
+                .zip(apps)
+                .zip(got)
+        {
+            assert_eq!(got_hash, hash, "{name} result p={p}");
+            assert_eq!(got_clocks, clocks, "{name} clocks p={p}");
+            assert_eq!(got_traffic, traffic, "{name} msgs and bytes p={p}");
+        }
     }
 }
