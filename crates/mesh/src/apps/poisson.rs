@@ -17,12 +17,12 @@
 //! max-reduction is exact, the two versions agree **bitwise** and iterate
 //! the same number of times — the semantics-preservation property.
 
-use archetype_core::{parfor_map, parfor_reduce, ExecutionMode, PhaseKind};
+use archetype_core::{parfor_map, parfor_reduce, ExecutionMode};
 use archetype_mp::{Ctx, ProcessGrid2};
 use archetype_numerics::stencil::jacobi_update;
 
-use crate::globals::GlobalVar;
 use crate::grid2::DistGrid2;
+use crate::skeleton::{run_stencil, Collective, Rows, Stencil, LANES};
 
 /// Problem specification: `∇²u = f` on `[0,1]²`, `u = g` on the boundary.
 #[derive(Clone, Copy)]
@@ -127,104 +127,83 @@ pub fn poisson_shared(spec: &PoissonSpec, _mode: ExecutionMode) -> PoissonResult
 }
 
 /// Version 2: SPMD Jacobi iteration over an `NPX × NPY` block distribution
-/// (Figure 14). Returns the gathered solution on rank 0.
+/// (Figure 14), on the [`run_stencil`] skeleton. Returns the gathered
+/// solution on rank 0.
 ///
-/// Every rank records the mesh-spectral phase sequence with
-/// [`Ctx::trace_phase`] — distribute (Io), then per iteration the
-/// archetype-inserted ghost exchange (Communication), the Jacobi sweep
-/// (GridOp), and the `diffmax` reduction, then the gather (Io) — so
-/// each rank's track of a traced run is a sentence of the mesh grammar.
+/// A step is the archetype-inserted ghost exchange, the Jacobi sweep (the
+/// grid op; the global boundary stays fixed) and the recursive-doubling
+/// `diffmax` reduction that keeps the global variable copy-consistent and
+/// decides whether another sweep runs.
 pub fn poisson_spmd(ctx: &mut Ctx, spec: &PoissonSpec, pgrid: ProcessGrid2) -> PoissonResult {
-    assert_eq!(
-        pgrid.len(),
-        ctx.nprocs(),
-        "process grid must match run size"
-    );
     let h2 = spec.h() * spec.h();
-    let rank = ctx.rank();
-    ctx.trace_phase(
-        PhaseKind::Io.name(),
-        "block-distribute rhs and initial grid",
-    );
-    let mut uk = DistGrid2::from_global(rank, pgrid, spec.nx, spec.ny, 1, 0.0, |i, j| {
-        spec.initial(i, j)
-    });
-    // The sweep writes only globally interior points, so a second buffer
-    // that starts as a copy keeps the boundary values for good and the
-    // two can swap roles every iteration (its stale ghosts are refreshed
-    // by the exchange before they are next read).
-    let mut ukp = uk.clone();
     // h²·f never changes: multiply once, not once per point per sweep.
-    let h2f = DistGrid2::from_global(rank, pgrid, spec.nx, spec.ny, 1, 0.0, |i, j| {
+    let h2f = DistGrid2::from_global(ctx.rank(), pgrid, spec.nx, spec.ny, 1, 0.0, |i, j| {
         let (x, y) = spec.xy(i, j);
         h2 * (spec.f)(x, y)
     });
-
-    let (nx, ny) = (uk.nx(), uk.ny());
-    // The intersection of the local section and the global interior, in
-    // local coordinates: drop the first/last row or column where this
-    // block touches the global boundary.
-    let rows = interior_range(uk.x0, nx, spec.nx);
-    let cols = interior_range(uk.y0, ny, spec.ny);
-    // Storage column = local column + the ghost width of 1.
-    let (lo, hi) = (cols.start + 1, cols.end + 1);
-    let mut diffmax = GlobalVar::new(spec.tolerance + 1.0);
-    let mut iters = 0;
-
-    while *diffmax.get() > spec.tolerance && iters < spec.max_iters {
-        // Satisfy the grid-op precondition: refresh the ghost boundary.
-        ctx.trace_phase(PhaseKind::Communication.name(), "ghost boundary exchange");
-        uk.exchange_ghosts(ctx);
-        ctx.trace_phase(PhaseKind::GridOp.name(), "Jacobi sweep");
-        // Grid op, a row at a time; 6 flops per point in the model.
-        let mut lanes = [f64::NEG_INFINITY; LANES];
-        for i in rows.clone() {
-            let i = i as isize;
-            jacobi_row(
-                &h2f.block.row(i)[lo..hi],
-                &uk.block.row(i - 1)[lo..hi],
-                &uk.block.row(i + 1)[lo..hi],
-                &uk.block.row(i)[lo - 1..hi + 1],
-                &mut ukp.block.row_mut(i)[lo..hi],
-                &mut lanes,
-            );
-        }
-        ctx.charge_items(nx * ny, 8.0);
-        let mut local_diffmax = lanes.into_iter().fold(f64::NEG_INFINITY, f64::max);
-        // Also fold in unchanged points for exact agreement with version 1
-        // (boundary points contribute |uk - uk| = 0, a no-op unless the
-        // grid has no interior).
-        if local_diffmax == f64::NEG_INFINITY {
-            local_diffmax = 0.0;
-        }
-        // Reduction re-establishes copy consistency of diffmax.
-        ctx.trace_phase(PhaseKind::Reduction.name(), "global max of local diffmax");
-        diffmax.reduce_from(ctx, local_diffmax, f64::max);
-        std::mem::swap(&mut uk, &mut ukp);
-        iters += 1;
-    }
-
-    ctx.trace_phase(PhaseKind::Io.name(), "gather solution to rank 0");
-    let grid = uk.gather_global(ctx);
+    let mut jacobi = Jacobi {
+        spec,
+        h2f,
+        diffmax: spec.tolerance + 1.0,
+    };
+    let (grid, iters) = run_stencil(ctx, &mut jacobi, pgrid, spec.nx, spec.ny);
     PoissonResult {
         grid,
         iters,
-        diffmax: *diffmax.get(),
+        diffmax: jacobi.diffmax,
     }
 }
 
-/// Independent accumulators of the sweep's running `max |new − old|`.
-/// One accumulator is a loop-carried dependency through every point;
-/// `max` is exact, so folding in lanes and combining them at the end
-/// cannot change a bit of the result.
-const LANES: usize = 8;
+/// Poisson's Jacobi iteration as a [`Stencil`]: one `f64` per cell, the
+/// global boundary fixed, `diffmax` reduced after every sweep.
+struct Jacobi<'a> {
+    spec: &'a PoissonSpec,
+    /// `h²·f` on this rank's block.
+    h2f: DistGrid2<f64>,
+    /// The copy-consistent global maximum change of the last sweep.
+    diffmax: f64,
+}
 
-/// The local indices of a block of `len` cells starting at global index
-/// `start` that are not on the boundary of a `global`-cell axis.
-fn interior_range(start: usize, len: usize, global: usize) -> std::ops::Range<usize> {
-    let lo = usize::from(start == 0);
-    let hi = len - usize::from(len > 0 && start + len == global);
-    lo.min(hi)..hi
+impl Stencil for Jacobi<'_> {
+    type Cell = f64;
+    const GHOST: usize = 1;
+    const FIXED: [usize; 2] = [1, 1];
+    const FLOPS: f64 = 8.0;
+
+    fn init(&self, i: usize, j: usize) -> f64 {
+        self.spec.initial(i, j)
+    }
+
+    fn proceed(&self, step: usize) -> bool {
+        self.diffmax > self.spec.tolerance && step < self.spec.max_iters
+    }
+
+    fn update_row(&self, rows: Rows<'_, f64>, out: &mut [f64], lanes: &mut [f64; LANES]) {
+        jacobi_row(
+            rows.of(&self.h2f.block, 0, 0),
+            rows.at(-1, 0),
+            rows.at(1, 0),
+            rows.at(0, 1),
+            out,
+            lanes,
+        );
+    }
+
+    fn close(&self, lanes: [f64; LANES]) -> Option<Collective> {
+        let local = lanes.into_iter().fold(f64::NEG_INFINITY, f64::max);
+        // Unchanged points contribute |uk − uk| = 0: a no-op unless the
+        // block has no interior point, which then reports 0 as version 1
+        // does.
+        Some(Collective::Max(if local == f64::NEG_INFINITY {
+            0.0
+        } else {
+            local
+        }))
+    }
+
+    fn closed(&mut self, global: f64) {
+        self.diffmax = global;
+    }
 }
 
 /// One row of the Jacobi grid op: `out[c] = ¼(north[c] + south[c] +

@@ -37,6 +37,7 @@ pub mod grid3;
 pub mod io;
 pub mod perfmodel;
 pub mod redist;
+pub mod skeleton;
 
 pub use block::{Block2, Block3};
 pub use globals::GlobalVar;
