@@ -14,8 +14,8 @@
 use archetype_core::{parfor_map, parfor_reduce};
 use archetype_mp::{Ctx, ProcessGrid2};
 
-use crate::globals::GlobalVar;
-use crate::grid2::DistGrid2;
+use crate::block::Block2;
+use crate::skeleton::{run_stencil, Collective, Rows, Stencil, LANES};
 
 /// Conserved variables `[ρ, ρu, ρv, E]`.
 pub type Cell = [f64; 4];
@@ -31,7 +31,7 @@ pub fn pressure(u: &Cell) -> f64 {
 
 /// Acoustic + advective wave speed `|v| + c`.
 #[inline]
-pub fn wave_speed(u: &Cell) -> f64 {
+fn wave_speed(u: &Cell) -> f64 {
     let speed = (u[1] * u[1] + u[2] * u[2]).sqrt() / u[0];
     let c = (GAMMA * pressure(u) / u[0]).max(0.0).sqrt();
     speed + c
@@ -39,7 +39,7 @@ pub fn wave_speed(u: &Cell) -> f64 {
 
 /// x-direction flux.
 #[inline]
-pub fn flux_x(u: &Cell) -> Cell {
+fn flux_x(u: &Cell) -> Cell {
     let p = pressure(u);
     let vx = u[1] / u[0];
     [u[1], u[1] * vx + p, u[2] * vx, (u[3] + p) * vx]
@@ -47,7 +47,7 @@ pub fn flux_x(u: &Cell) -> Cell {
 
 /// y-direction flux.
 #[inline]
-pub fn flux_y(u: &Cell) -> Cell {
+fn flux_y(u: &Cell) -> Cell {
     let p = pressure(u);
     let vy = u[2] / u[0];
     [u[2], u[1] * vy, u[2] * vy + p, (u[3] + p) * vy]
@@ -55,7 +55,7 @@ pub fn flux_y(u: &Cell) -> Cell {
 
 /// One 2-D Lax–Friedrichs update from the four neighbours.
 #[inline]
-pub fn lxf_update(w: &Cell, e: &Cell, s: &Cell, n: &Cell, lx: f64, ly: f64) -> Cell {
+fn lxf_update(w: &Cell, e: &Cell, s: &Cell, n: &Cell, lx: f64, ly: f64) -> Cell {
     let fw = flux_x(w);
     let fe = flux_x(e);
     let gs = flux_y(s);
@@ -113,7 +113,7 @@ pub fn shock_sine_init(spec: &CfdSpec, i: usize, j: usize) -> Cell {
 }
 
 /// Conserved state from primitive variables `(ρ, u, v, p)`.
-pub fn prim_to_cons(rho: f64, u: f64, v: f64, p: f64) -> Cell {
+fn prim_to_cons(rho: f64, u: f64, v: f64, p: f64) -> Cell {
     [
         rho,
         rho * u,
@@ -167,61 +167,88 @@ pub fn cfd_shared(spec: &CfdSpec, init: impl Fn(usize, usize) -> Cell) -> CfdRes
     }
 }
 
-/// Version 2: SPMD solver over a block distribution with ghost exchange
-/// and a recursive-doubling wave-speed reduction per step. Bitwise-agrees
-/// with version 1. Returns the gathered grid on rank 0.
+/// Version 2: SPMD solver over a block distribution, on the
+/// [`run_stencil`] skeleton. Bitwise-agrees with version 1. Returns the
+/// gathered grid on rank 0.
+///
+/// A step opens with the wave-speed reduction for the CFL time step,
+/// before the ghost exchange; the Lax–Friedrichs update is the grid op
+/// (the global boundary stays fixed); and rank 0 broadcasts the new
+/// `time`, keeping it copy-consistent the archetype way (every rank
+/// computes the same `dt`, but the value is routed through the
+/// consistency discipline).
 pub fn cfd_spmd(
     ctx: &mut Ctx,
     spec: &CfdSpec,
     pgrid: ProcessGrid2,
     init: impl Fn(usize, usize) -> Cell,
 ) -> CfdResult {
-    assert_eq!(pgrid.len(), ctx.nprocs());
-    let (dx, dy) = spec.dx();
-    let mut u = DistGrid2::from_global(ctx.rank(), pgrid, spec.nx, spec.ny, 1, [0.0; 4], init);
-    let (nx, ny) = (u.nx(), u.ny());
-    let mut time = GlobalVar::new(0.0f64);
-
-    for _ in 0..spec.steps {
-        // Wave-speed reduction for the CFL time step.
-        let local_smax = u.block.fold_interior(0.0f64, |a, c| a.max(wave_speed(&c)));
-        ctx.charge_items(nx * ny, 12.0);
-        let smax = ctx.all_reduce(local_smax, f64::max);
-        let dt = spec.cfl * dx.min(dy) / smax;
-        let (lxc, lyc) = (dt / dx, dt / dy);
-
-        // Ghost exchange before the stencil grid op.
-        u.exchange_ghosts(ctx);
-        let mut un = u.clone();
-        for i in 0..nx {
-            for j in 0..ny {
-                if u.on_global_boundary(i, j) {
-                    continue;
-                }
-                let (li, lj) = (i as isize, j as isize);
-                let new = lxf_update(
-                    &u.block.at(li - 1, lj),
-                    &u.block.at(li + 1, lj),
-                    &u.block.at(li, lj - 1),
-                    &u.block.at(li, lj + 1),
-                    lxc,
-                    lyc,
-                );
-                un.block.set(li, lj, new);
-            }
-        }
-        ctx.charge_items(nx * ny, 60.0);
-        u = un;
-        // Keep `time` copy-consistent the archetype way (all ranks compute
-        // the same dt, but route it through the reduction discipline).
-        let t = *time.get() + dt;
-        time.broadcast_from(ctx, 0, (ctx.rank() == 0).then_some(t));
-    }
-
-    let grid = u.gather_global(ctx);
+    let mut lxf = LaxFriedrichs {
+        spec,
+        init,
+        dt: 0.0,
+        time: 0.0,
+    };
+    let (grid, _) = run_stencil(ctx, &mut lxf, pgrid, spec.nx, spec.ny);
     CfdResult {
         grid,
-        time: *time.get(),
+        time: lxf.time,
+    }
+}
+
+/// The Lax–Friedrichs scheme as a [`Stencil`].
+struct LaxFriedrichs<'a, F> {
+    spec: &'a CfdSpec,
+    init: F,
+    /// This step's time step, from the global wave speed.
+    dt: f64,
+    /// The copy-consistent physical time.
+    time: f64,
+}
+
+impl<F: Fn(usize, usize) -> Cell> Stencil for LaxFriedrichs<'_, F> {
+    type Cell = Cell;
+    const GHOST: usize = 1;
+    const FIXED: [usize; 2] = [1, 1];
+    const FLOPS: f64 = 60.0;
+
+    fn init(&self, i: usize, j: usize) -> Cell {
+        (self.init)(i, j)
+    }
+
+    fn proceed(&self, step: usize) -> bool {
+        step < self.spec.steps
+    }
+
+    fn open(&self, grid: &Block2<Cell>) -> Option<(f64, f64)> {
+        Some((
+            grid.fold_interior(0.0f64, |a, c| a.max(wave_speed(&c))),
+            12.0,
+        ))
+    }
+
+    fn opened(&mut self, smax: f64) {
+        let (dx, dy) = self.spec.dx();
+        self.dt = self.spec.cfl * dx.min(dy) / smax;
+    }
+
+    fn update_row(&self, rows: Rows<'_, Cell>, out: &mut [Cell], _: &mut [f64; LANES]) {
+        let (dx, dy) = self.spec.dx();
+        let (lx, ly) = (self.dt / dx, self.dt / dy);
+        // Neighbours along i are the rows above and below; along j, the
+        // cells either side in this row.
+        let (west, east, row) = (rows.at(-1, 0), rows.at(1, 0), rows.at(0, 1));
+        for (c, o) in out.iter_mut().enumerate() {
+            *o = lxf_update(&west[c], &east[c], &row[c], &row[c + 2], lx, ly);
+        }
+    }
+
+    fn close(&self, _: [f64; LANES]) -> Option<Collective> {
+        Some(Collective::FromRoot(self.time + self.dt))
+    }
+
+    fn closed(&mut self, time: f64) {
+        self.time = time;
     }
 }
 
