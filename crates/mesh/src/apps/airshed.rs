@@ -18,7 +18,7 @@
 use archetype_core::{parfor_map, parfor_reduce};
 use archetype_mp::{Ctx, ProcessGrid2};
 
-use crate::grid2::DistGrid2;
+use crate::skeleton::{run_stencil, Collective, Rows, Stencil, LANES};
 
 /// Species concentrations per cell: `[NO, NO₂, O₃]`.
 pub type Conc = [f64; 3];
@@ -48,7 +48,7 @@ pub struct AirshedSpec {
 
 /// One forward-Euler chemistry update of a single cell.
 #[inline]
-pub fn chemistry_step(c: Conc, j: f64, k: f64, dt: f64) -> Conc {
+fn chemistry_step(c: Conc, j: f64, k: f64, dt: f64) -> Conc {
     let photolysis = j * c[1];
     let titration = k * c[0] * c[2];
     [
@@ -62,7 +62,7 @@ pub fn chemistry_step(c: Conc, j: f64, k: f64, dt: f64) -> Conc {
 /// four neighbours (`w`/`e` along x, `s`/`n` along y).
 #[inline]
 #[allow(clippy::too_many_arguments)] // a stencil: cell, 4 neighbours, 3 params
-pub fn transport_update(
+fn transport_update(
     c: Conc,
     w: Conc,
     e: Conc,
@@ -155,75 +155,80 @@ pub fn airshed_shared(spec: &AirshedSpec) -> AirshedResult {
     }
 }
 
-/// Version 2: SPMD stepping over a block distribution; bitwise-agrees with
-/// version 1. Returns the gathered grid on rank 0; `peak_o3` is consistent
-/// on every rank.
+/// Version 2: SPMD stepping over a block distribution, on the
+/// [`run_stencil`] skeleton; bitwise-agrees with version 1. Returns the
+/// gathered grid on rank 0; `peak_o3` is consistent on every rank.
+///
+/// The grid op is transport, chemistry and emission in one pass. Unlike
+/// Poisson's, it writes every cell: the chemistry also advances the
+/// global-boundary cells, which only the transport holds fixed.
 pub fn airshed_spmd(ctx: &mut Ctx, spec: &AirshedSpec, pgrid: ProcessGrid2) -> AirshedResult {
-    assert_eq!(pgrid.len(), ctx.nprocs());
-    let mut c = DistGrid2::from_global(
-        ctx.rank(),
-        pgrid,
-        spec.nx,
-        spec.ny,
-        1,
-        background(),
-        |_, _| background(),
-    );
-    let (nx, ny) = (c.nx(), c.ny());
-    let mut peak = 0.0f64;
-
-    for _ in 0..spec.steps {
-        c.exchange_ghosts(ctx);
-        let mut cn = c.clone();
-        for i in 0..nx {
-            for j in 0..ny {
-                if c.on_global_boundary(i, j) {
-                    continue;
-                }
-                let (li, lj) = (i as isize, j as isize);
-                cn.block.set(
-                    li,
-                    lj,
-                    transport_update(
-                        c.block.at(li, lj),
-                        c.block.at(li - 1, lj),
-                        c.block.at(li + 1, lj),
-                        c.block.at(li, lj - 1),
-                        c.block.at(li, lj + 1),
-                        spec.wind,
-                        spec.diffusion,
-                        spec.dt,
-                    ),
-                );
-            }
-        }
-        // Chemistry everywhere (pointwise, matches version 1's full sweep).
-        for i in 0..nx as isize {
-            for j in 0..ny as isize {
-                let v = chemistry_step(cn.block.at(i, j), spec.j_rate, spec.k_rate, spec.dt);
-                cn.block.set(i, j, v);
-            }
-        }
-        // Emissions on the owning rank.
-        let (si, sj, rate) = spec.source;
-        if si >= cn.x0 && si < cn.x0 + nx && sj >= cn.y0 && sj < cn.y0 + ny {
-            let (li, lj) = ((si - cn.x0) as isize, (sj - cn.y0) as isize);
-            let mut v = cn.block.at(li, lj);
-            v[0] += spec.dt * rate;
-            cn.block.set(li, lj, v);
-        }
-        ctx.charge_items(nx * ny, 30.0);
-        c = cn;
-        // Reduction: global peak ozone this step.
-        let local = c.block.fold_interior(0.0f64, |a, v| a.max(v[2]));
-        let o3max = ctx.all_reduce(local, f64::max);
-        peak = peak.max(o3max);
-    }
-
-    let grid = c.gather_global(ctx);
+    let mut smog = Smog { spec, peak: 0.0 };
+    let (grid, _) = run_stencil(ctx, &mut smog, pgrid, spec.nx, spec.ny);
     AirshedResult {
         grid,
-        peak_o3: peak,
+        peak_o3: smog.peak,
+    }
+}
+
+/// The airshed model as a [`Stencil`]: a step closes with the global
+/// peak ozone of the new grid.
+struct Smog<'a> {
+    spec: &'a AirshedSpec,
+    /// The copy-consistent peak O₃ over the steps so far.
+    peak: f64,
+}
+
+impl Stencil for Smog<'_> {
+    type Cell = Conc;
+    const GHOST: usize = 1;
+    const FIXED: [usize; 2] = [0, 0];
+    const FLOPS: f64 = 30.0;
+
+    fn init(&self, _: usize, _: usize) -> Conc {
+        background()
+    }
+
+    fn proceed(&self, step: usize) -> bool {
+        step < self.spec.steps
+    }
+
+    fn update_row(&self, rows: Rows<'_, Conc>, out: &mut [Conc], lanes: &mut [f64; LANES]) {
+        let s = self.spec;
+        let (west, east, row) = (rows.at(-1, 0), rows.at(1, 0), rows.at(0, 1));
+        let edge_row = rows.gi == 0 || rows.gi == s.nx - 1;
+        for (c, o) in out.iter_mut().enumerate() {
+            let gj = rows.gj + c;
+            // Transport holds the global boundary fixed (clean inflow).
+            let moved = if edge_row || gj == 0 || gj == s.ny - 1 {
+                row[c + 1]
+            } else {
+                transport_update(
+                    row[c + 1],
+                    west[c],
+                    east[c],
+                    row[c],
+                    row[c + 2],
+                    s.wind,
+                    s.diffusion,
+                    s.dt,
+                )
+            };
+            let mut v = chemistry_step(moved, s.j_rate, s.k_rate, s.dt);
+            if (rows.gi, gj) == (s.source.0, s.source.1) {
+                v[0] += s.dt * s.source.2;
+            }
+            lanes[0] = lanes[0].max(v[2]);
+            *o = v;
+        }
+    }
+
+    fn close(&self, lanes: [f64; LANES]) -> Option<Collective> {
+        Some(Collective::Max(lanes.into_iter().fold(0.0, f64::max)))
+    }
+
+    fn closed(&mut self, o3max: f64) {
+        self.peak = self.peak.max(o3max);
     }
 }
 
