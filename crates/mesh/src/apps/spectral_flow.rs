@@ -23,10 +23,12 @@
 //! configuration; the bench reproduces this with the machine memory model
 //! via [`working_set_bytes`].
 
+use archetype_core::parfor_map;
 use archetype_mp::{Ctx, ProcessGrid2};
 use archetype_numerics::{fft_flops, fft_in_place, Complex, Direction};
 
-use crate::grid2::DistGrid2;
+use crate::block::Block2;
+use crate::skeleton::{run_stencil, Rows, Stencil, LANES};
 
 /// Simulation parameters.
 #[derive(Clone, Copy)]
@@ -64,19 +66,20 @@ impl SwirlSpec {
 }
 
 /// Initial perturbation: a smooth azimuthal wave localized mid-radius.
-pub fn swirl_init(spec: &SwirlSpec, i: usize, j: usize) -> f64 {
+fn swirl_init(spec: &SwirlSpec, i: usize, j: usize) -> f64 {
     let r = spec.r(i);
     let theta = 2.0 * std::f64::consts::PI * j as f64 / spec.ntheta as f64;
     let band = (-(((r / spec.rmax) - 0.5) / 0.15).powi(2)).exp();
     band * (3.0 * theta).sin()
 }
 
-/// Spectral ∂/∂θ of one periodic line (length must be a power of two).
-/// Returns the derivative with the same length.
-pub fn dtheta_spectral(row: &[f64]) -> Vec<f64> {
+/// Spectral ∂/∂θ of one periodic line (length a power of two) into
+/// `out`, transforming through the scratch line `buf`.
+fn dtheta_spectral(row: &[f64], buf: &mut Vec<Complex>, out: &mut [f64]) {
     let n = row.len();
-    let mut buf: Vec<Complex> = row.iter().map(|&v| Complex::from_re(v)).collect();
-    fft_in_place(&mut buf, Direction::Forward);
+    buf.clear();
+    buf.extend(row.iter().map(|&v| Complex::from_re(v)));
+    fft_in_place(buf, Direction::Forward);
     for (k, z) in buf.iter_mut().enumerate() {
         // Wavenumber with negative frequencies in the upper half; the
         // Nyquist bin's derivative is zero for real signals.
@@ -89,8 +92,10 @@ pub fn dtheta_spectral(row: &[f64]) -> Vec<f64> {
         };
         *z *= Complex::new(0.0, kk);
     }
-    fft_in_place(&mut buf, Direction::Inverse);
-    buf.into_iter().map(|z| z.re).collect()
+    fft_in_place(buf, Direction::Inverse);
+    for (o, z) in out.iter_mut().zip(buf.iter()) {
+        *o = z.re;
+    }
 }
 
 /// Fourth-order second derivative stencil `(−f₋₂ + 16f₋₁ − 30f₀ + 16f₊₁ − f₊₂)/(12h²)`.
@@ -106,27 +111,30 @@ pub fn swirl_shared(spec: &SwirlSpec) -> Vec<f64> {
     let mut u: Vec<f64> = (0..nr * nt)
         .map(|k| swirl_init(spec, k / nt, k % nt))
         .collect();
+    let mut buf = Vec::with_capacity(nt);
 
     for _ in 0..spec.steps {
-        let mut un = u.clone();
         // Row op: spectral θ-derivative per radial line.
-        let dudth: Vec<Vec<f64>> = (0..nr)
-            .map(|i| dtheta_spectral(&u[i * nt..(i + 1) * nt]))
-            .collect();
+        let mut dudth = vec![0.0; nr * nt];
+        for (line, out) in u.chunks(nt).zip(dudth.chunks_mut(nt)) {
+            dtheta_spectral(line, &mut buf, out);
+        }
         // Grid op: advance the interior (radial lines 2..nr−2 use the full
         // five-point stencil; lines 0, 1, nr−2, nr−1 are held fixed, the
         // outer two acting as boundary conditions).
-        #[allow(clippy::needless_range_loop)] // i/j index multiple grids
-        for i in 2..nr - 2 {
-            let r = spec.r(i);
-            let om = spec.omega(r);
-            for j in 0..nt {
-                let k = i * nt + j;
-                let diff = d2_4th(u[k - 2 * nt], u[k - nt], u[k], u[k + nt], u[k + 2 * nt], dr);
-                un[k] = u[k] + spec.dt * (-om * dudth[i][j] + spec.nu * diff);
-            }
-        }
-        u = un;
+        u = {
+            let u = &u;
+            parfor_map(nr * nt, |k| {
+                let i = k / nt;
+                if i < 2 || i >= nr - 2 {
+                    u[k]
+                } else {
+                    let om = spec.omega(spec.r(i));
+                    let diff = d2_4th(u[k - 2 * nt], u[k - nt], u[k], u[k + nt], u[k + 2 * nt], dr);
+                    u[k] + spec.dt * (-om * dudth[k] + spec.nu * diff)
+                }
+            })
+        };
     }
     u
 }
@@ -139,65 +147,70 @@ pub fn working_set_bytes(spec: &SwirlSpec, p: usize) -> f64 {
     4.0 * 8.0 * (local_rows * spec.ntheta) as f64
 }
 
-/// Version 2: SPMD stepping over radial blocks (process grid `p × 1`)
-/// with ghost width 2 and a radial ghost exchange per step. Returns the
+/// Version 2: SPMD stepping over radial blocks (process grid `p × 1`),
+/// on the [`run_stencil`] skeleton with ghost width 2. Returns the
 /// gathered field on rank 0. Declares its working set so machine models
 /// with finite memory reproduce Figure 18's paging regime.
+///
+/// A step is the radial ghost exchange, the spectral θ-derivative of
+/// every local line (the row op), and the radial update of the lines at
+/// least two from either edge (the grid op).
 pub fn swirl_spmd(ctx: &mut Ctx, spec: &SwirlSpec) -> Option<Vec<f64>> {
     let p = ctx.nprocs();
-    let pgrid = ProcessGrid2::new(p, 1);
-    let (nr, nt) = (spec.nr, spec.ntheta);
-    let dr = spec.dr();
     ctx.set_working_set(working_set_bytes(spec, p));
+    let mut swirl = Swirl {
+        spec,
+        dudth: Vec::new(),
+        buf: Vec::with_capacity(spec.ntheta),
+    };
+    let pgrid = ProcessGrid2::new(p, 1);
+    run_stencil(ctx, &mut swirl, pgrid, spec.nr, spec.ntheta).0
+}
 
-    let mut u = DistGrid2::from_global(ctx.rank(), pgrid, nr, nt, 2, 0.0, |i, j| {
-        swirl_init(spec, i, j)
-    });
-    let local_rows = u.nx();
+/// The swirl kernel as a [`Stencil`].
+struct Swirl<'a> {
+    spec: &'a SwirlSpec,
+    /// ∂u/∂θ of every local line, row-major.
+    dudth: Vec<f64>,
+    /// FFT scratch line.
+    buf: Vec<Complex>,
+}
 
-    for _ in 0..spec.steps {
-        u.exchange_ghosts(ctx);
-        let mut un = u.clone();
-        // Row op: spectral derivative of each local radial line.
-        let mut dudth: Vec<Vec<f64>> = Vec::with_capacity(local_rows);
-        for li in 0..local_rows {
-            let row: Vec<f64> = (0..nt)
-                .map(|j| u.block.at(li as isize, j as isize))
-                .collect();
-            dudth.push(dtheta_spectral(&row));
-        }
-        ctx.charge_flops(local_rows as f64 * 2.0 * fft_flops(nt));
-        // Grid op: advance global-interior lines.
-        #[allow(clippy::needless_range_loop)] // li indexes grid and dudth
-        for li in 0..local_rows {
-            let gi = u.x0 + li;
-            if gi < 2 || gi >= nr - 2 {
-                continue;
-            }
-            let r = spec.r(gi);
-            let om = spec.omega(r);
-            let i = li as isize;
-            for j in 0..nt as isize {
-                let diff = d2_4th(
-                    u.block.at(i - 2, j),
-                    u.block.at(i - 1, j),
-                    u.block.at(i, j),
-                    u.block.at(i + 1, j),
-                    u.block.at(i + 2, j),
-                    dr,
-                );
-                let jn = j as usize;
-                un.block.set(
-                    i,
-                    j,
-                    u.block.at(i, j) + spec.dt * (-om * dudth[li][jn] + spec.nu * diff),
-                );
-            }
-        }
-        ctx.charge_items(local_rows * nt, 12.0);
-        u = un;
+impl Stencil for Swirl<'_> {
+    type Cell = f64;
+    const GHOST: usize = 2;
+    const FIXED: [usize; 2] = [2, 0];
+    const FLOPS: f64 = 12.0;
+
+    fn init(&self, i: usize, j: usize) -> f64 {
+        swirl_init(self.spec, i, j)
     }
-    u.gather_global(ctx)
+
+    fn proceed(&self, step: usize) -> bool {
+        step < self.spec.steps
+    }
+
+    fn row_op(&mut self, grid: &Block2<f64>) -> Option<f64> {
+        let nt = self.spec.ntheta;
+        self.dudth.resize(grid.nx * nt, 0.0);
+        for (i, out) in self.dudth.chunks_mut(nt).enumerate() {
+            let line = &grid.row(i as isize)[grid.g..grid.g + nt];
+            dtheta_spectral(line, &mut self.buf, out);
+        }
+        Some(grid.nx as f64 * 2.0 * fft_flops(nt))
+    }
+
+    fn update_row(&self, rows: Rows<'_, f64>, out: &mut [f64], _: &mut [f64; LANES]) {
+        let s = self.spec;
+        let (dr, om) = (s.dr(), s.omega(s.r(rows.gi)));
+        let dudth = &self.dudth[rows.i * out.len()..][..out.len()];
+        let (m2, m1, mid) = (rows.at(-2, 0), rows.at(-1, 0), rows.at(0, 0));
+        let (p1, p2) = (rows.at(1, 0), rows.at(2, 0));
+        for (j, o) in out.iter_mut().enumerate() {
+            let diff = d2_4th(m2[j], m1[j], mid[j], p1[j], p2[j], dr);
+            *o = mid[j] + s.dt * (-om * dudth[j] + s.nu * diff);
+        }
+    }
 }
 
 /// The total azimuthal velocity field `u_θ(r, θ) = Ω(r)·r + u'` rendered
@@ -235,7 +248,8 @@ mod tests {
         let row: Vec<f64> = (0..n)
             .map(|j| (2.0 * std::f64::consts::PI * 3.0 * j as f64 / n as f64).sin())
             .collect();
-        let d = dtheta_spectral(&row);
+        let mut d = vec![0.0; n];
+        dtheta_spectral(&row, &mut Vec::new(), &mut d);
         #[allow(clippy::needless_range_loop)] // j is also the angle index
         for j in 0..n {
             let theta = 2.0 * std::f64::consts::PI * j as f64 / n as f64;
@@ -246,7 +260,8 @@ mod tests {
 
     #[test]
     fn spectral_derivative_of_constant_is_zero() {
-        let d = dtheta_spectral(&[2.5; 16]);
+        let mut d = [1.0; 16];
+        dtheta_spectral(&[2.5; 16], &mut Vec::new(), &mut d);
         assert!(d.iter().all(|v| v.abs() < 1e-12));
     }
 
