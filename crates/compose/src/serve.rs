@@ -53,10 +53,11 @@
 //! last batch's gauges, per-tenant latency summaries). Same history,
 //! same bytes. Every admitted plan gets exactly one outcome there:
 //! completed, failed, or still queued — a batch lost to a failed rank
-//! counts each of its plans as failed.
+//! or to a panicking plan counts each of its plans as failed.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::{self, Write as _};
+use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 
 use archetype_mp::{
@@ -617,20 +618,27 @@ impl PlanService {
     /// The one batch path: pack the queue into waves, drain it, execute
     /// the schedule with `run`, and account for what came back. A batch
     /// in which any rank failed is lost whole: each drained plan counts
-    /// as submitted and failed for its tenant. A `run` that panics (a
-    /// plan panicked under [`run_spmd_with`]) loses the drained plans
-    /// uncounted.
+    /// as submitted and failed for its tenant. So is a batch whose `run`
+    /// panics (a plan panicked under [`run_spmd_with`]); the panic then
+    /// resumes in the caller.
     fn batch<R: RankReport>(
         &mut self,
         run: impl FnOnce(usize, &(dyn Fn(&mut Ctx) -> ServeReport + Sync)) -> SpmdResult<R>,
     ) -> SpmdResult<R> {
         let waves = self.pack();
         let subs = Arc::new(std::mem::take(&mut self.queue));
-        let result = run(self.nprocs, &serve_body(Arc::clone(&subs), Arc::new(waves)));
-        let lost = result.results.iter().any(|r| r.report().is_none());
-        match result.results[0].report() {
-            Some(report) if !lost => self.absorb(report, result.elapsed_virtual),
-            _ => {
+        let body = serve_body(Arc::clone(&subs), Arc::new(waves));
+        let nprocs = self.nprocs;
+        let ran = std::panic::catch_unwind(AssertUnwindSafe(|| run(nprocs, &body)));
+        let report = match &ran {
+            Ok(result) if result.results.iter().all(|r| r.report().is_some()) => {
+                result.results[0].report().map(|r| (r, result.elapsed_virtual))
+            }
+            _ => None,
+        };
+        match report {
+            Some((report, elapsed_virtual)) => self.absorb(report, elapsed_virtual),
+            None => {
                 for sub in subs.iter() {
                     let t = self.tenants.entry(sub.tenant).or_default();
                     t.submitted += 1;
@@ -638,7 +646,7 @@ impl PlanService {
                 }
             }
         }
-        result
+        ran.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
     }
 
     /// Drain the queue and execute it as one SPMD run, returning the raw
@@ -1241,11 +1249,16 @@ mod tests {
             svc.serve(MachineModel::ibm_sp())
         }));
         assert!(run.is_err(), "the atom's panic reaches the caller");
+        let lost = TenantStats {
+            submitted: 1,
+            failed: 1,
+            ..TenantStats::default()
+        };
         let rejected = TenantStats {
             rejected: 1,
             ..TenantStats::default()
         };
-        assert_eq!(svc.tenant_totals(), vec![(5, rejected)]);
+        assert_eq!(svc.tenant_totals(), vec![(1, lost), (5, rejected)]);
         let out = svc.serve(MachineModel::ibm_sp());
         assert_eq!(out.report.tenants, vec![(5, rejected)]);
     }

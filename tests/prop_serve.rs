@@ -177,6 +177,7 @@ impl ArchetypeJob for Fold {
     }
 
     fn run(&self, _ctx: &mut Ctx, input: Value) -> Value {
+        assert!(self.weight >= 0.0, "the atom exploded");
         Value::F64(fold_value(&input) * 1.5 + self.weight)
     }
 
@@ -600,7 +601,7 @@ proptest! {
 
     #[test]
     fn every_admitted_plan_gets_exactly_one_outcome(
-        steps in vec((0u8..8, any::<u32>(), any::<u32>()), 1..16),
+        steps in vec((0u8..9, any::<u32>(), any::<u32>()), 1..16),
         p in 1usize..5,
         max_concurrent in 1usize..4,
     ) {
@@ -614,7 +615,7 @@ proptest! {
         let mut pending: BTreeMap<u32, u64> = BTreeMap::new();
         for (i, &(op, a, b)) in steps.iter().enumerate() {
             let tenant = if a % 8 < 4 { TENANTS[a as usize % 4] } else { a };
-            let drained = if op >= 4 {
+            let mut drained = if (4..8).contains(&op) {
                 std::mem::take(&mut queued)
             } else {
                 Vec::new()
@@ -648,6 +649,39 @@ proptest! {
                     prop_assert_eq!(out.results[0].outcomes.len(), drained.len());
                     let tenants = &out.results[0].tenants;
                     prop_assert!(tenants.iter().all(|(_, s)| s.rejected == 0));
+                }
+                8 => {
+                    // A plan whose atom panics, then a `serve` or
+                    // `serve_spmd` that loses its whole batch to the
+                    // panic, which reaches the caller.
+                    let admitted = match svc.submit(tenant, Plan::atom(Fold { weight: -1.0 }), Value::Unit) {
+                        Ok(_) => {
+                            queued.push(tenant);
+                            true
+                        }
+                        Err(e) => {
+                            prop_assert!(matches!(e, AdmitError::QueueFull { .. }), "step {i}: {e}");
+                            *rejected.entry(tenant).or_default() += 1;
+                            *pending.entry(tenant).or_default() += 1;
+                            false
+                        }
+                    };
+                    drained = std::mem::take(&mut queued);
+                    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        if b % 2 == 0 {
+                            Some(svc.serve(MachineModel::ibm_sp()).report)
+                        } else {
+                            svc.serve_spmd(MachineModel::ibm_sp(), RunConfig::default());
+                            None
+                        }
+                    }));
+                    match run {
+                        Ok(served) => {
+                            prop_assert!(!admitted, "step {i}: the panicking atom ran quietly");
+                            report = served;
+                        }
+                        Err(_) => prop_assert!(admitted, "step {i}: a batch panicked"),
+                    }
                 }
                 _ => {
                     // Op 6 exhausts an atom's retries; op 7 kills a rank
