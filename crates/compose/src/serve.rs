@@ -631,9 +631,9 @@ impl PlanService {
         let nprocs = self.nprocs;
         let ran = std::panic::catch_unwind(AssertUnwindSafe(|| run(nprocs, &body)));
         let report = match &ran {
-            Ok(result) if result.results.iter().all(|r| r.report().is_some()) => {
-                result.results[0].report().map(|r| (r, result.elapsed_virtual))
-            }
+            Ok(result) if result.results.iter().all(|r| r.report().is_some()) => result.results[0]
+                .report()
+                .map(|r| (r, result.elapsed_virtual)),
             _ => None,
         };
         match report {

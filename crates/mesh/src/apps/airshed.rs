@@ -61,17 +61,8 @@ fn chemistry_step(c: Conc, j: f64, k: f64, dt: f64) -> Conc {
 /// First-order upwind advection + diffusion update of one cell from its
 /// four neighbours (`w`/`e` along x, `s`/`n` along y).
 #[inline]
-#[allow(clippy::too_many_arguments)] // a stencil: cell, 4 neighbours, 3 params
-fn transport_update(
-    c: Conc,
-    w: Conc,
-    e: Conc,
-    s: Conc,
-    n: Conc,
-    wind: (f64, f64),
-    d: f64,
-    dt: f64,
-) -> Conc {
+fn transport_update(c: Conc, [w, e, s, n]: [Conc; 4], spec: &AirshedSpec) -> Conc {
+    let (wind, d, dt) = (spec.wind, spec.diffusion, spec.dt);
     let mut out = [0.0; 3];
     for sp in 0..3 {
         let adv_x = if wind.0 >= 0.0 {
@@ -91,7 +82,7 @@ fn transport_update(
 }
 
 /// Background initial condition: clean air with a little NO₂ and O₃.
-pub fn background() -> Conc {
+fn background() -> Conc {
     [0.01, 0.05, 0.03]
 }
 
@@ -119,16 +110,7 @@ pub fn airshed_shared(spec: &AirshedSpec) -> AirshedResult {
                 if i == 0 || j == 0 || i == nx - 1 || j == ny - 1 {
                     c[k]
                 } else {
-                    transport_update(
-                        c[k],
-                        c[k - ny],
-                        c[k + ny],
-                        c[k - 1],
-                        c[k + 1],
-                        spec.wind,
-                        spec.diffusion,
-                        spec.dt,
-                    )
+                    transport_update(c[k], [c[k - ny], c[k + ny], c[k - 1], c[k + 1]], spec)
                 }
             })
         };
@@ -155,24 +137,25 @@ pub fn airshed_shared(spec: &AirshedSpec) -> AirshedResult {
     }
 }
 
-/// Version 2: SPMD stepping over a block distribution, on the
-/// [`run_stencil`] skeleton; bitwise-agrees with version 1. Returns the
-/// gathered grid on rank 0; `peak_o3` is consistent on every rank.
-///
-/// The grid op is transport, chemistry and emission in one pass. Unlike
-/// Poisson's, it writes every cell: the chemistry also advances the
-/// global-boundary cells, which only the transport holds fixed.
+/// Version 2: SPMD stepping over a block distribution on the
+/// [`run_stencil`] skeleton; bitwise-agrees with version 1. Its grid op
+/// (transport, chemistry, emission) writes every cell: the chemistry also
+/// advances the global boundary, which only the transport holds fixed.
+/// Returns the gathered grid on rank 0; `peak_o3` is consistent on every
+/// rank.
 pub fn airshed_spmd(ctx: &mut Ctx, spec: &AirshedSpec, pgrid: ProcessGrid2) -> AirshedResult {
     let mut smog = Smog { spec, peak: 0.0 };
-    let (grid, _) = run_stencil(ctx, &mut smog, pgrid, spec.nx, spec.ny);
+    let global = [spec.nx, spec.ny];
+    let (grid, _) = run_stencil(ctx, &mut smog, pgrid, global, spec.steps, |_, _| {
+        background()
+    });
     AirshedResult {
         grid,
         peak_o3: smog.peak,
     }
 }
 
-/// The airshed model as a [`Stencil`]: a step closes with the global
-/// peak ozone of the new grid.
+/// The airshed model as a [`Stencil`].
 struct Smog<'a> {
     spec: &'a AirshedSpec,
     /// The copy-consistent peak O₃ over the steps so far.
@@ -185,14 +168,6 @@ impl Stencil for Smog<'_> {
     const FIXED: [usize; 2] = [0, 0];
     const FLOPS: f64 = 30.0;
 
-    fn init(&self, _: usize, _: usize) -> Conc {
-        background()
-    }
-
-    fn proceed(&self, step: usize) -> bool {
-        step < self.spec.steps
-    }
-
     fn update_row(&self, rows: Rows<'_, Conc>, out: &mut [Conc], lanes: &mut [f64; LANES]) {
         let s = self.spec;
         let (west, east, row) = (rows.at(-1, 0), rows.at(1, 0), rows.at(0, 1));
@@ -203,16 +178,7 @@ impl Stencil for Smog<'_> {
             let moved = if edge_row || gj == 0 || gj == s.ny - 1 {
                 row[c + 1]
             } else {
-                transport_update(
-                    row[c + 1],
-                    west[c],
-                    east[c],
-                    row[c],
-                    row[c + 2],
-                    s.wind,
-                    s.diffusion,
-                    s.dt,
-                )
+                transport_update(row[c + 1], [west[c], east[c], row[c], row[c + 2]], s)
             };
             let mut v = chemistry_step(moved, s.j_rate, s.k_rate, s.dt);
             if (rows.gi, gj) == (s.source.0, s.source.1) {
@@ -282,7 +248,13 @@ mod tests {
     #[test]
     fn transport_preserves_uniform_fields() {
         let u = background();
-        let next = transport_update(u, u, u, u, u, (0.5, -0.3), 0.1, 0.2);
+        let spec = AirshedSpec {
+            wind: (0.5, -0.3),
+            diffusion: 0.1,
+            dt: 0.2,
+            ..small_spec(1)
+        };
+        let next = transport_update(u, [u; 4], &spec);
         for sp in 0..3 {
             assert!((next[sp] - u[sp]).abs() < 1e-15);
         }

@@ -25,7 +25,7 @@ pub const GAMMA: f64 = 1.4;
 
 /// Pressure from the conserved state.
 #[inline]
-pub fn pressure(u: &Cell) -> f64 {
+fn pressure(u: &Cell) -> f64 {
     (GAMMA - 1.0) * (u[3] - 0.5 * (u[1] * u[1] + u[2] * u[2]) / u[0])
 }
 
@@ -140,25 +140,18 @@ pub fn cfd_shared(spec: &CfdSpec, init: impl Fn(usize, usize) -> Cell) -> CfdRes
 
     for _ in 0..spec.steps {
         // Reduction: global maximum wave speed (exact max => deterministic).
-        let smax = {
-            let u = &u;
-            parfor_reduce(nx * ny, 0.0f64, |k| wave_speed(&u[k]), f64::max)
-        };
+        let smax = parfor_reduce(nx * ny, 0.0f64, |k| wave_speed(&u[k]), f64::max);
         let dt = spec.cfl * dx.min(dy) / smax;
         let (lx, ly) = (dt / dx, dt / dy);
         // Grid op: Lax–Friedrichs update of the interior.
-        let un: Vec<Cell> = {
-            let u = &u;
-            parfor_map(nx * ny, |k| {
-                let (i, j) = (k / ny, k % ny);
-                if i == 0 || j == 0 || i == nx - 1 || j == ny - 1 {
-                    u[k] // fixed boundary state
-                } else {
-                    lxf_update(&u[k - ny], &u[k + ny], &u[k - 1], &u[k + 1], lx, ly)
-                }
-            })
-        };
-        u = un;
+        u = parfor_map(nx * ny, |k| {
+            let (i, j) = (k / ny, k % ny);
+            if i == 0 || j == 0 || i == nx - 1 || j == ny - 1 {
+                u[k] // fixed boundary state
+            } else {
+                lxf_update(&u[k - ny], &u[k + ny], &u[k - 1], &u[k + 1], lx, ly)
+            }
+        });
         time += dt;
     }
     CfdResult {
@@ -167,16 +160,12 @@ pub fn cfd_shared(spec: &CfdSpec, init: impl Fn(usize, usize) -> Cell) -> CfdRes
     }
 }
 
-/// Version 2: SPMD solver over a block distribution, on the
-/// [`run_stencil`] skeleton. Bitwise-agrees with version 1. Returns the
-/// gathered grid on rank 0.
-///
-/// A step opens with the wave-speed reduction for the CFL time step,
-/// before the ghost exchange; the Lax–Friedrichs update is the grid op
-/// (the global boundary stays fixed); and rank 0 broadcasts the new
-/// `time`, keeping it copy-consistent the archetype way (every rank
-/// computes the same `dt`, but the value is routed through the
-/// consistency discipline).
+/// Version 2: SPMD solver over a block distribution on the
+/// [`run_stencil`] skeleton: the wave-speed max-reduction for the CFL
+/// time step (before the exchange), the Lax–Friedrichs grid op, and a
+/// broadcast of the new `time` from rank 0 that keeps it copy-consistent
+/// the archetype way. Bitwise-agrees with version 1; returns the gathered
+/// grid on rank 0.
 pub fn cfd_spmd(
     ctx: &mut Ctx,
     spec: &CfdSpec,
@@ -185,11 +174,10 @@ pub fn cfd_spmd(
 ) -> CfdResult {
     let mut lxf = LaxFriedrichs {
         spec,
-        init,
         dt: 0.0,
         time: 0.0,
     };
-    let (grid, _) = run_stencil(ctx, &mut lxf, pgrid, spec.nx, spec.ny);
+    let (grid, _) = run_stencil(ctx, &mut lxf, pgrid, [spec.nx, spec.ny], spec.steps, init);
     CfdResult {
         grid,
         time: lxf.time,
@@ -197,34 +185,23 @@ pub fn cfd_spmd(
 }
 
 /// The Lax–Friedrichs scheme as a [`Stencil`].
-struct LaxFriedrichs<'a, F> {
+struct LaxFriedrichs<'a> {
     spec: &'a CfdSpec,
-    init: F,
     /// This step's time step, from the global wave speed.
     dt: f64,
     /// The copy-consistent physical time.
     time: f64,
 }
 
-impl<F: Fn(usize, usize) -> Cell> Stencil for LaxFriedrichs<'_, F> {
+impl Stencil for LaxFriedrichs<'_> {
     type Cell = Cell;
     const GHOST: usize = 1;
     const FIXED: [usize; 2] = [1, 1];
     const FLOPS: f64 = 60.0;
 
-    fn init(&self, i: usize, j: usize) -> Cell {
-        (self.init)(i, j)
-    }
-
-    fn proceed(&self, step: usize) -> bool {
-        step < self.spec.steps
-    }
-
     fn open(&self, grid: &Block2<Cell>) -> Option<(f64, f64)> {
-        Some((
-            grid.fold_interior(0.0f64, |a, c| a.max(wave_speed(&c))),
-            12.0,
-        ))
+        let smax = grid.fold_interior(0.0f64, |a, c| a.max(wave_speed(&c)));
+        Some((smax, 12.0))
     }
 
     fn opened(&mut self, smax: f64) {
@@ -235,8 +212,7 @@ impl<F: Fn(usize, usize) -> Cell> Stencil for LaxFriedrichs<'_, F> {
     fn update_row(&self, rows: Rows<'_, Cell>, out: &mut [Cell], _: &mut [f64; LANES]) {
         let (dx, dy) = self.spec.dx();
         let (lx, ly) = (self.dt / dx, self.dt / dy);
-        // Neighbours along i are the rows above and below; along j, the
-        // cells either side in this row.
+        // Along i (`w`/`e`) the rows above and below; along j the row.
         let (west, east, row) = (rows.at(-1, 0), rows.at(1, 0), rows.at(0, 1));
         for (c, o) in out.iter_mut().enumerate() {
             *o = lxf_update(&west[c], &east[c], &row[c], &row[c + 2], lx, ly);

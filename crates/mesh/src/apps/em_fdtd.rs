@@ -174,7 +174,7 @@ pub fn em_spmd(ctx: &mut Ctx, spec: &EmSpec, pgrid: ProcessGrid3) -> EmResult {
     let n = spec.n;
     let dt = spec.dt;
     let rank = ctx.rank();
-    let mk = || DistGrid3::new(rank, pgrid, n, n, n, 1, 0.0f64);
+    let mk = || DistGrid3::from_global(rank, pgrid, n, n, n, 1, 0.0f64, |_, _, _| 0.0);
     let (mut ex, mut ey, mut ez) = (mk(), mk(), mk());
     let (mut hx, mut hy, mut hz) = (mk(), mk(), mk());
     let (nx, ny, nz) = ex.dims();

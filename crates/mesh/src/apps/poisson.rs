@@ -127,13 +127,9 @@ pub fn poisson_shared(spec: &PoissonSpec, _mode: ExecutionMode) -> PoissonResult
 }
 
 /// Version 2: SPMD Jacobi iteration over an `NPX × NPY` block distribution
-/// (Figure 14), on the [`run_stencil`] skeleton. Returns the gathered
-/// solution on rank 0.
-///
-/// A step is the archetype-inserted ghost exchange, the Jacobi sweep (the
-/// grid op; the global boundary stays fixed) and the recursive-doubling
-/// `diffmax` reduction that keeps the global variable copy-consistent and
-/// decides whether another sweep runs.
+/// (Figure 14) on the [`run_stencil`] skeleton: ghost exchange, Jacobi
+/// sweep, and the `diffmax` max-reduction that decides whether another
+/// sweep runs. Returns the gathered solution on rank 0.
 pub fn poisson_spmd(ctx: &mut Ctx, spec: &PoissonSpec, pgrid: ProcessGrid2) -> PoissonResult {
     let h2 = spec.h() * spec.h();
     // h²·f never changes: multiply once, not once per point per sweep.
@@ -146,7 +142,9 @@ pub fn poisson_spmd(ctx: &mut Ctx, spec: &PoissonSpec, pgrid: ProcessGrid2) -> P
         h2f,
         diffmax: spec.tolerance + 1.0,
     };
-    let (grid, iters) = run_stencil(ctx, &mut jacobi, pgrid, spec.nx, spec.ny);
+    let global = [spec.nx, spec.ny];
+    let init = |i, j| spec.initial(i, j);
+    let (grid, iters) = run_stencil(ctx, &mut jacobi, pgrid, global, spec.max_iters, init);
     PoissonResult {
         grid,
         iters,
@@ -154,8 +152,7 @@ pub fn poisson_spmd(ctx: &mut Ctx, spec: &PoissonSpec, pgrid: ProcessGrid2) -> P
     }
 }
 
-/// Poisson's Jacobi iteration as a [`Stencil`]: one `f64` per cell, the
-/// global boundary fixed, `diffmax` reduced after every sweep.
+/// Poisson's Jacobi iteration as a [`Stencil`].
 struct Jacobi<'a> {
     spec: &'a PoissonSpec,
     /// `h²·f` on this rank's block.
@@ -170,12 +167,8 @@ impl Stencil for Jacobi<'_> {
     const FIXED: [usize; 2] = [1, 1];
     const FLOPS: f64 = 8.0;
 
-    fn init(&self, i: usize, j: usize) -> f64 {
-        self.spec.initial(i, j)
-    }
-
-    fn proceed(&self, step: usize) -> bool {
-        self.diffmax > self.spec.tolerance && step < self.spec.max_iters
+    fn proceed(&self) -> bool {
+        self.diffmax > self.spec.tolerance
     }
 
     fn update_row(&self, rows: Rows<'_, f64>, out: &mut [f64], lanes: &mut [f64; LANES]) {
@@ -190,15 +183,9 @@ impl Stencil for Jacobi<'_> {
     }
 
     fn close(&self, lanes: [f64; LANES]) -> Option<Collective> {
-        let local = lanes.into_iter().fold(f64::NEG_INFINITY, f64::max);
-        // Unchanged points contribute |uk − uk| = 0: a no-op unless the
-        // block has no interior point, which then reports 0 as version 1
-        // does.
-        Some(Collective::Max(if local == f64::NEG_INFINITY {
-            0.0
-        } else {
-            local
-        }))
+        // Unchanged points fold in |uk − uk| = 0, as in version 1: a
+        // no-op unless the block has no interior point.
+        Some(Collective::Max(lanes.into_iter().fold(0.0, f64::max)))
     }
 
     fn closed(&mut self, global: f64) {

@@ -122,19 +122,16 @@ pub fn swirl_shared(spec: &SwirlSpec) -> Vec<f64> {
         // Grid op: advance the interior (radial lines 2..nr−2 use the full
         // five-point stencil; lines 0, 1, nr−2, nr−1 are held fixed, the
         // outer two acting as boundary conditions).
-        u = {
-            let u = &u;
-            parfor_map(nr * nt, |k| {
-                let i = k / nt;
-                if i < 2 || i >= nr - 2 {
-                    u[k]
-                } else {
-                    let om = spec.omega(spec.r(i));
-                    let diff = d2_4th(u[k - 2 * nt], u[k - nt], u[k], u[k + nt], u[k + 2 * nt], dr);
-                    u[k] + spec.dt * (-om * dudth[k] + spec.nu * diff)
-                }
-            })
-        };
+        u = parfor_map(nr * nt, |k| {
+            let i = k / nt;
+            if i < 2 || i >= nr - 2 {
+                u[k]
+            } else {
+                let om = spec.omega(spec.r(i));
+                let diff = d2_4th(u[k - 2 * nt], u[k - nt], u[k], u[k + nt], u[k + 2 * nt], dr);
+                u[k] + spec.dt * (-om * dudth[k] + spec.nu * diff)
+            }
+        });
     }
     u
 }
@@ -147,14 +144,12 @@ pub fn working_set_bytes(spec: &SwirlSpec, p: usize) -> f64 {
     4.0 * 8.0 * (local_rows * spec.ntheta) as f64
 }
 
-/// Version 2: SPMD stepping over radial blocks (process grid `p × 1`),
-/// on the [`run_stencil`] skeleton with ghost width 2. Returns the
-/// gathered field on rank 0. Declares its working set so machine models
-/// with finite memory reproduce Figure 18's paging regime.
-///
-/// A step is the radial ghost exchange, the spectral θ-derivative of
-/// every local line (the row op), and the radial update of the lines at
-/// least two from either edge (the grid op).
+/// Version 2: SPMD stepping over radial blocks (process grid `p × 1`) on
+/// the [`run_stencil`] skeleton: a radial ghost exchange of width 2, the
+/// spectral θ-derivative of every local line (a row op), and the radial
+/// grid op. Returns the gathered field on rank 0. Declares its working
+/// set so machine models with finite memory reproduce Figure 18's paging
+/// regime.
 pub fn swirl_spmd(ctx: &mut Ctx, spec: &SwirlSpec) -> Option<Vec<f64>> {
     let p = ctx.nprocs();
     ctx.set_working_set(working_set_bytes(spec, p));
@@ -163,8 +158,9 @@ pub fn swirl_spmd(ctx: &mut Ctx, spec: &SwirlSpec) -> Option<Vec<f64>> {
         dudth: Vec::new(),
         buf: Vec::with_capacity(spec.ntheta),
     };
-    let pgrid = ProcessGrid2::new(p, 1);
-    run_stencil(ctx, &mut swirl, pgrid, spec.nr, spec.ntheta).0
+    let (pgrid, global) = (ProcessGrid2::new(p, 1), [spec.nr, spec.ntheta]);
+    let init = |i, j| swirl_init(spec, i, j);
+    run_stencil(ctx, &mut swirl, pgrid, global, spec.steps, init).0
 }
 
 /// The swirl kernel as a [`Stencil`].
@@ -181,14 +177,6 @@ impl Stencil for Swirl<'_> {
     const GHOST: usize = 2;
     const FIXED: [usize; 2] = [2, 0];
     const FLOPS: f64 = 12.0;
-
-    fn init(&self, i: usize, j: usize) -> f64 {
-        swirl_init(self.spec, i, j)
-    }
-
-    fn proceed(&self, step: usize) -> bool {
-        step < self.spec.steps
-    }
 
     fn row_op(&mut self, grid: &Block2<f64>) -> Option<f64> {
         let nt = self.spec.ntheta;

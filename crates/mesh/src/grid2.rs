@@ -32,31 +32,9 @@ pub struct DistGrid2<T> {
 }
 
 impl<T: FixedSize> DistGrid2<T> {
-    /// Create the local block for `rank` of a `global_nx × global_ny` grid
-    /// distributed over `pgrid`, with `g` ghost layers, filled with `fill`.
-    pub fn new(
-        rank: usize,
-        pgrid: ProcessGrid2,
-        global_nx: usize,
-        global_ny: usize,
-        g: usize,
-        fill: T,
-    ) -> Self {
-        let (pi, pj) = pgrid.coords_of(rank);
-        let (x0, nx) = block_range(global_nx, pgrid.px, pi);
-        let (y0, ny) = block_range(global_ny, pgrid.py, pj);
-        DistGrid2 {
-            global_nx,
-            global_ny,
-            pgrid,
-            rank,
-            x0,
-            y0,
-            block: Block2::new(nx, ny, g, fill),
-        }
-    }
-
-    /// Create and fill the interior from a function of *global* coordinates.
+    /// The local block for `rank` of a `global_nx × global_ny` grid
+    /// distributed over `pgrid`, with `g` ghost layers filled with `fill`
+    /// and the interior filled from a function of *global* coordinates.
     pub fn from_global(
         rank: usize,
         pgrid: ProcessGrid2,
@@ -66,10 +44,20 @@ impl<T: FixedSize> DistGrid2<T> {
         fill: T,
         f: impl Fn(usize, usize) -> T,
     ) -> Self {
-        let mut grid = Self::new(rank, pgrid, global_nx, global_ny, g, fill);
-        let (x0, y0) = (grid.x0, grid.y0);
-        grid.block.fill_interior(|i, j| f(x0 + i, y0 + j));
-        grid
+        let (pi, pj) = pgrid.coords_of(rank);
+        let (x0, nx) = block_range(global_nx, pgrid.px, pi);
+        let (y0, ny) = block_range(global_ny, pgrid.py, pj);
+        let mut block = Block2::new(nx, ny, g, fill);
+        block.fill_interior(|i, j| f(x0 + i, y0 + j));
+        DistGrid2 {
+            global_nx,
+            global_ny,
+            pgrid,
+            rank,
+            x0,
+            y0,
+            block,
+        }
     }
 
     /// Local interior extent along `i`.
@@ -82,13 +70,6 @@ impl<T: FixedSize> DistGrid2<T> {
         self.block.ny
     }
 
-    /// True if local cell `(i, j)` lies on the *global* grid boundary.
-    pub fn on_global_boundary(&self, i: usize, j: usize) -> bool {
-        let gi = self.x0 + i;
-        let gj = self.y0 + j;
-        gi == 0 || gj == 0 || gi == self.global_nx - 1 || gj == self.global_ny - 1
-    }
-
     /// Exchange ghost boundaries with the four neighbours (paper Figure 7).
     ///
     /// Sends the `g` interior layers adjacent to each side and receives the
@@ -99,78 +80,43 @@ impl<T: FixedSize> DistGrid2<T> {
         let tag = ctx.phase_tag();
         let g = self.block.g as isize;
         let (nx, ny) = (self.nx() as isize, self.ny() as isize);
-        let north = self.pgrid.north(self.rank);
-        let south = self.pgrid.south(self.rank);
-        let west = self.pgrid.west(self.rank);
-        let east = self.pgrid.east(self.rank);
+        // Per side: the neighbour, the tag of the strip sent to it, the
+        // first layer sent and the first ghost layer filled, and whether
+        // the layers are rows (north/south) or columns (west/east).
+        let sides = [
+            (self.pgrid.north(self.rank), 0, 0, -g, true),
+            (self.pgrid.south(self.rank), 1, nx - g, nx, true),
+            (self.pgrid.west(self.rank), 2, 0, -g, false),
+            (self.pgrid.east(self.rank), 3, ny - g, ny, false),
+        ];
+        // Layer `l` from `at` as an (i0, j0, di, dj) strip of `len` cells:
+        // rows hit `pack_into`'s contiguous memcpy path, columns its
+        // strided path.
+        let strip = |rows: bool, at: isize| match rows {
+            true => (at, 0, 0, 1, ny as usize),
+            false => (0, at, 1, 0, nx as usize),
+        };
 
         // Pack and send all four sides first (sends are buffered), then
-        // receive — the standard deadlock-free exchange. North/south rows
-        // hit `pack_into`'s contiguous memcpy path; west/east columns its
-        // strided path.
-        if let Some(nb) = north {
-            let mut buf = Vec::with_capacity((g * ny) as usize);
+        // receive — the standard deadlock-free exchange.
+        for &(nb, code, send, _, rows) in &sides {
+            let Some(nb) = nb else { continue };
+            let mut buf = Vec::with_capacity(g as usize * strip(rows, 0).4);
             for l in 0..g {
-                self.block.pack_into(l, 0, 0, 1, ny as usize, &mut buf);
+                let (i0, j0, di, dj, len) = strip(rows, send + l);
+                self.block.pack_into(i0, j0, di, dj, len, &mut buf);
             }
-            ctx.send(nb, tag, buf);
+            ctx.send(nb, tag | code, buf);
         }
-        if let Some(nb) = south {
-            let mut buf = Vec::with_capacity((g * ny) as usize);
+        // The neighbour's opposite side fills our ghosts: our north
+        // receives its southern strip (code 1), and so on.
+        for &(nb, code, _, recv, rows) in &sides {
+            let Some(nb) = nb else { continue };
+            let buf: Vec<T> = ctx.recv(nb, tag | (code ^ 1));
             for l in 0..g {
-                self.block
-                    .pack_into(nx - g + l, 0, 0, 1, ny as usize, &mut buf);
-            }
-            ctx.send(nb, tag | 1, buf);
-        }
-        if let Some(nb) = west {
-            let mut buf = Vec::with_capacity((g * nx) as usize);
-            for l in 0..g {
-                self.block.pack_into(0, l, 1, 0, nx as usize, &mut buf);
-            }
-            ctx.send(nb, tag | 2, buf);
-        }
-        if let Some(nb) = east {
-            let mut buf = Vec::with_capacity((g * nx) as usize);
-            for l in 0..g {
-                self.block
-                    .pack_into(0, ny - g + l, 1, 0, nx as usize, &mut buf);
-            }
-            ctx.send(nb, tag | 3, buf);
-        }
-
-        // Receive: the neighbour's southern layers fill our northern ghosts
-        // (their tag 1 arrives at us), and so on.
-        if let Some(nb) = north {
-            let buf: Vec<T> = ctx.recv(nb, tag | 1);
-            for l in 0..g {
-                let start = (l * ny) as usize;
-                self.block
-                    .unpack(-g + l, 0, 0, 1, &buf[start..start + ny as usize]);
-            }
-        }
-        if let Some(nb) = south {
-            let buf: Vec<T> = ctx.recv(nb, tag);
-            for l in 0..g {
-                let start = (l * ny) as usize;
-                self.block
-                    .unpack(nx + l, 0, 0, 1, &buf[start..start + ny as usize]);
-            }
-        }
-        if let Some(nb) = west {
-            let buf: Vec<T> = ctx.recv(nb, tag | 3);
-            for l in 0..g {
-                let start = (l * nx) as usize;
-                self.block
-                    .unpack(0, -g + l, 1, 0, &buf[start..start + nx as usize]);
-            }
-        }
-        if let Some(nb) = east {
-            let buf: Vec<T> = ctx.recv(nb, tag | 2);
-            for l in 0..g {
-                let start = (l * nx) as usize;
-                self.block
-                    .unpack(0, ny + l, 1, 0, &buf[start..start + nx as usize]);
+                let (i0, j0, di, dj, len) = strip(rows, recv + l);
+                let start = l as usize * len;
+                self.block.unpack(i0, j0, di, dj, &buf[start..start + len]);
             }
         }
     }
@@ -200,23 +146,6 @@ impl<T: FixedSize> DistGrid2<T> {
     }
 }
 
-impl DistGrid2<f64> {
-    /// Reduce `map(cell)` over the whole grid's interior with the
-    /// associative `op`, returning the result on every rank (implemented
-    /// with recursive doubling; the paper's reduction postcondition: "all
-    /// processes have access to its result").
-    pub fn all_reduce_interior(
-        &self,
-        ctx: &mut Ctx,
-        map: impl Fn(f64) -> f64,
-        op: impl Fn(f64, f64) -> f64,
-        identity: f64,
-    ) -> f64 {
-        let local = self.block.fold_interior(identity, |acc, v| op(acc, map(v)));
-        ctx.all_reduce(local, &op)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,7 +156,7 @@ mod tests {
         let pg = ProcessGrid2::new(2, 3);
         let mut covered = vec![0u32; 7 * 11];
         for r in 0..pg.len() {
-            let g = DistGrid2::new(r, pg, 7, 11, 1, 0.0f64);
+            let g = DistGrid2::from_global(r, pg, 7, 11, 1, 0.0f64, |_, _| 0.0);
             for i in 0..g.nx() {
                 for j in 0..g.ny() {
                     covered[(g.x0 + i) * 11 + (g.y0 + j)] += 1;
@@ -311,26 +240,5 @@ mod tests {
                 assert!(out.results[r].is_none());
             }
         }
-    }
-
-    #[test]
-    fn all_reduce_interior_computes_global_max() {
-        let pg = ProcessGrid2::new(2, 2);
-        let out = run_spmd(4, MachineModel::ibm_sp(), |ctx| {
-            let g = DistGrid2::from_global(ctx.rank(), pg, 6, 6, 1, 0.0, |i, j| (i * 6 + j) as f64);
-            g.all_reduce_interior(ctx, |v| v, f64::max, f64::NEG_INFINITY)
-        });
-        for v in &out.results {
-            assert_eq!(*v, 35.0);
-        }
-    }
-
-    #[test]
-    fn on_global_boundary_detection() {
-        let pg = ProcessGrid2::new(2, 2);
-        let g = DistGrid2::new(3, pg, 8, 8, 1, 0.0f64); // block (1,1)
-        assert!(!g.on_global_boundary(0, 0)); // global (4,4)
-        assert!(g.on_global_boundary(3, 0)); // global (7,4)
-        assert!(g.on_global_boundary(0, 3)); // global (4,7)
     }
 }

@@ -31,34 +31,9 @@ pub struct DistGrid3<T> {
 }
 
 impl<T: FixedSize> DistGrid3<T> {
-    /// Create the local block for `rank`, with `g` ghost layers.
-    pub fn new(
-        rank: usize,
-        pgrid: ProcessGrid3,
-        global_nx: usize,
-        global_ny: usize,
-        global_nz: usize,
-        g: usize,
-        fill: T,
-    ) -> Self {
-        let (pi, pj, pk) = pgrid.coords_of(rank);
-        let (x0, nx) = block_range(global_nx, pgrid.px, pi);
-        let (y0, ny) = block_range(global_ny, pgrid.py, pj);
-        let (z0, nz) = block_range(global_nz, pgrid.pz, pk);
-        DistGrid3 {
-            global_nx,
-            global_ny,
-            global_nz,
-            pgrid,
-            rank,
-            x0,
-            y0,
-            z0,
-            block: Block3::new(nx, ny, nz, g, fill),
-        }
-    }
-
-    /// Create and fill the interior from a function of global coordinates.
+    /// The local block for `rank`, with `g` ghost layers filled with
+    /// `fill` and the interior filled from a function of global
+    /// coordinates.
     #[allow(clippy::too_many_arguments)]
     pub fn from_global(
         rank: usize,
@@ -70,21 +45,30 @@ impl<T: FixedSize> DistGrid3<T> {
         fill: T,
         f: impl Fn(usize, usize, usize) -> T,
     ) -> Self {
-        let mut grid = Self::new(rank, pgrid, global_nx, global_ny, global_nz, g, fill);
-        let (x0, y0, z0) = (grid.x0, grid.y0, grid.z0);
-        for i in 0..grid.block.nx {
-            for j in 0..grid.block.ny {
-                for k in 0..grid.block.nz {
-                    grid.block.set(
-                        i as isize,
-                        j as isize,
-                        k as isize,
-                        f(x0 + i, y0 + j, z0 + k),
-                    );
+        let (pi, pj, pk) = pgrid.coords_of(rank);
+        let (x0, nx) = block_range(global_nx, pgrid.px, pi);
+        let (y0, ny) = block_range(global_ny, pgrid.py, pj);
+        let (z0, nz) = block_range(global_nz, pgrid.pz, pk);
+        let mut block = Block3::new(nx, ny, nz, g, fill);
+        for i in 0..nx {
+            for j in 0..ny {
+                for k in 0..nz {
+                    let v = f(x0 + i, y0 + j, z0 + k);
+                    block.set(i as isize, j as isize, k as isize, v);
                 }
             }
         }
-        grid
+        DistGrid3 {
+            global_nx,
+            global_ny,
+            global_nz,
+            pgrid,
+            rank,
+            x0,
+            y0,
+            z0,
+            block,
+        }
     }
 
     /// Local interior extents.
@@ -174,21 +158,6 @@ impl<T: FixedSize> DistGrid3<T> {
     }
 }
 
-impl DistGrid3<f64> {
-    /// Reduce `map(cell)` over the global interior with associative `op`;
-    /// result available on every rank.
-    pub fn all_reduce_interior(
-        &self,
-        ctx: &mut Ctx,
-        map: impl Fn(f64) -> f64,
-        op: impl Fn(f64, f64) -> f64,
-        identity: f64,
-    ) -> f64 {
-        let local = self.block.fold_interior(identity, |acc, v| op(acc, map(v)));
-        ctx.all_reduce(local, &op)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,7 +168,7 @@ mod tests {
         let pg = ProcessGrid3::new(2, 2, 2);
         let mut covered = vec![0u32; 6 * 6 * 6];
         for r in 0..8 {
-            let g = DistGrid3::new(r, pg, 6, 6, 6, 1, 0.0f64);
+            let g = DistGrid3::from_global(r, pg, 6, 6, 6, 1, 0.0f64, |_, _, _| 0.0);
             let (nx, ny, nz) = g.dims();
             for i in 0..nx {
                 for j in 0..ny {
@@ -237,22 +206,14 @@ mod tests {
     }
 
     #[test]
-    fn all_reduce_interior_sums_global_volume() {
-        let pg = ProcessGrid3::new(2, 1, 2);
-        let out = run_spmd(4, MachineModel::ibm_sp(), |ctx| {
-            let g = DistGrid3::from_global(ctx.rank(), pg, 4, 3, 4, 1, 0.0, |_, _, _| 1.0);
-            g.all_reduce_interior(ctx, |v| v, |a, b| a + b, 0.0)
-        });
-        for v in &out.results {
-            assert_eq!(*v, 48.0);
-        }
-    }
-
-    #[test]
     fn uneven_extents_are_blocked_correctly() {
         let pg = ProcessGrid3::new(3, 1, 1);
         let sizes: Vec<usize> = (0..3)
-            .map(|r| DistGrid3::new(r, pg, 7, 2, 2, 1, 0u8).dims().0)
+            .map(|r| {
+                DistGrid3::from_global(r, pg, 7, 2, 2, 1, 0u8, |_, _, _| 0)
+                    .dims()
+                    .0
+            })
             .collect();
         assert_eq!(sizes.iter().sum::<usize>(), 7);
         assert!(sizes.iter().all(|&s| s == 2 || s == 3));

@@ -72,33 +72,6 @@ pub fn predict_stencil_step(
     t_compute + t_exchange + t_reduce
 }
 
-/// Predicted speedup of a stencil run versus one process of the same
-/// machine.
-#[allow(clippy::too_many_arguments)]
-pub fn predict_stencil_speedup(
-    model: &MachineModel,
-    nx: usize,
-    ny: usize,
-    elem_bytes: usize,
-    pgrid: ProcessGrid2,
-    flops_per_cell: f64,
-    ghost: usize,
-    reductions: usize,
-) -> f64 {
-    let t_seq = nx as f64 * ny as f64 * flops_per_cell * model.flop_time;
-    t_seq
-        / predict_stencil_step(
-            model,
-            nx,
-            ny,
-            elem_bytes,
-            pgrid,
-            flops_per_cell,
-            ghost,
-            reductions,
-        )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,8 +121,9 @@ mod tests {
         // marginal efficiency of extra processors collapses.
         let model = MachineModel::ibm_sp();
         let eff = |p: usize, n: usize| {
-            predict_stencil_speedup(&model, n, n, 8, ProcessGrid2::near_square(p), 8.0, 1, 1)
-                / p as f64
+            let t_seq = (n * n) as f64 * 8.0 * model.flop_time;
+            let pg = ProcessGrid2::near_square(p);
+            t_seq / predict_stencil_step(&model, n, n, 8, pg, 8.0, 1, 1) / p as f64
         };
         assert!(eff(64, 64) < 0.3, "tiny grid, many procs: {}", eff(64, 64));
         assert!(eff(4, 1024) > 0.8, "big grid, few procs: {}", eff(4, 1024));

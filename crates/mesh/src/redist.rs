@@ -191,22 +191,19 @@ pub fn cols_to_rows<T: FixedSize + Default>(ctx: &mut Ctx, cd: &ColDist<T>) -> R
     out
 }
 
-/// Gather a row-distributed matrix to rank 0 as a full row-major matrix.
-pub fn gather_rows<T: FixedSize + Default>(ctx: &mut Ctx, rd: &RowDist<T>) -> Option<Vec<T>> {
-    let parts = ctx.gather(0, rd.data.clone());
-    parts.map(|parts| {
-        let mut out = Vec::with_capacity(rd.nrows * rd.ncols);
-        for p in parts {
-            out.extend(p);
-        }
-        out
-    })
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use archetype_mp::{run_spmd, MachineModel};
+
+    /// Gather a row-distributed matrix to rank 0 as a full row-major
+    /// matrix.
+    pub(crate) fn gather_rows<T: FixedSize + Default>(
+        ctx: &mut Ctx,
+        rd: &RowDist<T>,
+    ) -> Option<Vec<T>> {
+        ctx.gather(0, rd.data.clone()).map(|parts| parts.concat())
+    }
 
     fn val(r: usize, c: usize) -> f64 {
         (r * 1000 + c) as f64

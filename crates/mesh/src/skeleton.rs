@@ -1,29 +1,14 @@
-//! The mesh-spectral skeleton: one double-buffered stencil loop for every
-//! 2-D app of §3.
-//!
-//! Each app of the archetype has the same shape: distribute the grid,
-//! then per step a ghost exchange, a grid op and an optional reduction,
-//! then gather. [`run_stencil`] owns that loop once: the two swapped
-//! [`DistGrid2`] buffers, the exchange, the range of globally interior
-//! rows and columns, the [`Ctx::trace_phase`] records and the gather. An
-//! app implements [`Stencil`]: its cells, a row update in the shape of
-//! Poisson's `jacobi_row` (slices of the rows around the one written,
-//! never an `at`/`set` per cell), its flop charge, and the optional
-//! stages its step has beyond exchange → grid op.
-//!
-//! A step runs, in this order, recording the phases named:
-//! 1. [`Stencil::open`], if it returns a value: a `max` reduction over the
-//!    current grid before the exchange (GridOp, Reduction);
-//! 2. the ghost exchange (Communication);
-//! 3. [`Stencil::row_op`], if it returns a charge (RowOp);
-//! 4. the grid op: [`Stencil::update_row`] over every row of the
-//!    globally interior range into the other buffer, charged
-//!    [`Stencil::FLOPS`] per local cell (GridOp);
-//! 5. [`Stencil::close`], if it returns a collective (Reduction).
-//!
-//! So every rank's track is a sentence of the mesh grammar
-//! (`MESH_SPECTRAL`), and each app keeps its own order of charges and
-//! messages.
+//! The mesh-spectral skeleton: one double-buffered stencil loop for the
+//! 2-D apps of §3. [`run_stencil`] owns the two swapped [`DistGrid2`]
+//! buffers, the ghost exchange, the globally interior range, the
+//! [`Ctx::trace_phase`] records and the gather; an app ([`Stencil`])
+//! supplies a row update over slices of the rows around the one it writes
+//! (never an `at`/`set` per cell), its flop charge, and the optional
+//! stages of its step, each run when its hook returns `Some`. A step is
+//! [`Stencil::open`] (GridOp, Reduction), the exchange (Communication),
+//! [`Stencil::row_op`] (RowOp), the grid op (GridOp) and
+//! [`Stencil::close`] (Reduction): every rank's track is a sentence of
+//! the mesh grammar, and each app keeps its order of charges and messages.
 
 use std::ops::Range;
 
@@ -34,10 +19,8 @@ use crate::block::Block2;
 use crate::globals::GlobalVar;
 use crate::grid2::DistGrid2;
 
-/// Independent accumulators a row update may fold a running `max` into.
-/// One accumulator is a loop-carried dependency through every cell; `max`
-/// is exact, so folding in lanes and combining them at the end cannot
-/// change a bit of the result.
+/// Independent accumulators a row update folds a running `max` into (one
+/// would be a dependency chain through every cell; `max` is exact).
 pub const LANES: usize = 8;
 
 /// The collective that closes a step.
@@ -53,45 +36,36 @@ pub enum Collective {
 pub trait Stencil {
     /// The state of one grid cell.
     type Cell: FixedSize + Default;
-
-    /// Ghost width: how many rows (and columns) a row update reads on
-    /// each side of the cell it writes.
+    /// Ghost width: the rows and columns a row update reads on each side.
     const GHOST: usize;
-    /// Global rows and columns at each edge of the grid that the grid op
-    /// does not write; the second buffer starts as a copy of the first,
-    /// so they keep their initial values. `[0, 0]` hands every cell to
-    /// [`Stencil::update_row`].
+    /// Global rows and columns at each edge that the grid op leaves at
+    /// their initial values (`[0, 0]`: it writes every cell).
     const FIXED: [usize; 2];
-    /// Modeled flops per local cell of one grid op.
+    /// Modeled flops per local cell of the grid op.
     const FLOPS: f64;
 
-    /// Initial value of global cell `(i, j)`.
-    fn init(&self, i: usize, j: usize) -> Self::Cell;
+    /// Whether another step runs, a stop predicate on the last
+    /// reduction; always, by default.
+    fn proceed(&self) -> bool {
+        true
+    }
 
-    /// Whether step `step` (counted from 0) runs.
-    fn proceed(&self, step: usize) -> bool;
-
-    /// This rank's value over the current grid for a `max` reduction run
-    /// before the exchange, and its flops per local cell; `None` (the
-    /// default) when the step has no such reduction.
+    /// This rank's value over the current grid for a `max` reduction
+    /// before the exchange, and its flops per local cell.
     fn open(&self, _grid: &Block2<Self::Cell>) -> Option<(f64, f64)> {
         None
     }
 
-    /// Receive the global result of [`Stencil::open`].
+    /// The global result of [`Stencil::open`].
     fn opened(&mut self, _global: f64) {}
 
-    /// A row op over the freshly exchanged grid, before the grid op,
-    /// returning its flop charge; `None` (the default) when the step has
-    /// none.
+    /// A row op over the exchanged grid, returning its flops.
     fn row_op(&mut self, _grid: &Block2<Self::Cell>) -> Option<f64> {
         None
     }
 
-    /// Write `out`, row `rows.i` of the next grid over the globally
-    /// interior columns, from the current grid's rows around it. `lanes`
-    /// starts each sweep at `f64::NEG_INFINITY` and reaches
-    /// [`Stencil::close`].
+    /// Write `out`, row `rows.i` of the next grid over the interior
+    /// columns, folding into `lanes` (each sweep starts them at −∞).
     fn update_row(
         &self,
         rows: Rows<'_, Self::Cell>,
@@ -99,13 +73,12 @@ pub trait Stencil {
         lanes: &mut [f64; LANES],
     );
 
-    /// The collective that closes a step, from this rank's `lanes`;
-    /// `None` (the default) when the step has none.
+    /// The collective that closes a step, from this rank's `lanes`.
     fn close(&self, _lanes: [f64; LANES]) -> Option<Collective> {
         None
     }
 
-    /// Receive the global result of [`Stencil::close`].
+    /// The global result of [`Stencil::close`].
     fn closed(&mut self, _global: f64) {}
 }
 
@@ -126,14 +99,13 @@ pub struct Rows<'a, T> {
 
 impl<'a, T: Copy> Rows<'a, T> {
     /// Row `i + d` over the written columns, widened by `w` cells on each
-    /// side (`|d|` and `w` at most the ghost width).
+    /// side (`|d|`, `w` ≤ the ghost width).
     #[inline]
     pub fn at(&self, d: isize, w: usize) -> &'a [T] {
         self.of(self.grid, d, w)
     }
 
-    /// The same cut of another block with this grid's layout (an app's
-    /// constant field).
+    /// The same cut of another block laid out like this grid.
     #[inline]
     pub fn of<'b, U: Copy>(&self, block: &'b Block2<U>, d: isize, w: usize) -> &'b [U] {
         &block.row(self.i as isize + d)[self.cols.0 - w..self.cols.1 + w]
@@ -146,19 +118,20 @@ fn interior_range(start: usize, len: usize, global: usize, fixed: usize) -> Rang
     let hi = (start + len)
         .min(global.saturating_sub(fixed))
         .saturating_sub(start);
-    let lo = fixed.saturating_sub(start).min(hi);
-    lo..hi
+    fixed.saturating_sub(start).min(hi)..hi
 }
 
-/// Run `app` on a `global_nx × global_ny` grid block-distributed over
-/// `pgrid`, returning the gathered grid on rank 0 (`None` elsewhere) and
-/// the number of steps run. Every rank of `pgrid` must call it.
+/// Run at most `steps` steps of `app` on a `global[0] × global[1]` grid
+/// block-distributed over `pgrid` from `init(i, j)`, returning the
+/// gathered grid on rank 0 (`None` elsewhere) and the steps run. Every
+/// rank of `pgrid` must call it.
 pub fn run_stencil<S: Stencil>(
     ctx: &mut Ctx,
     app: &mut S,
     pgrid: ProcessGrid2,
-    global_nx: usize,
-    global_ny: usize,
+    global: [usize; 2],
+    steps: usize,
+    init: impl Fn(usize, usize) -> S::Cell,
 ) -> (Option<Vec<S::Cell>>, usize) {
     assert_eq!(
         pgrid.len(),
@@ -166,35 +139,27 @@ pub fn run_stencil<S: Stencil>(
         "process grid must match run size"
     );
     ctx.trace_phase(PhaseKind::Io.name(), "block-distribute the grid");
-    let mut cur = DistGrid2::from_global(
-        ctx.rank(),
-        pgrid,
-        global_nx,
-        global_ny,
-        S::GHOST,
-        S::Cell::default(),
-        |i, j| app.init(i, j),
-    );
-    // The grid op writes only the interior range, so a second buffer
-    // that starts as a copy keeps the fixed cells for good and the two
-    // swap roles every step (its stale ghosts are refreshed by the
-    // exchange before they are next read).
+    let [gnx, gny] = global;
+    let fill = S::Cell::default();
+    let mut cur = DistGrid2::from_global(ctx.rank(), pgrid, gnx, gny, S::GHOST, fill, init);
+    // The grid op writes only the interior range, so a second buffer that
+    // starts as a copy keeps the fixed cells for good and the two swap
+    // roles every step (the exchange refreshes stale ghosts before use).
     let mut next = cur.clone();
     let (nx, ny) = (cur.nx(), cur.ny());
-    let rows = interior_range(cur.x0, nx, global_nx, S::FIXED[0]);
-    let cols = interior_range(cur.y0, ny, global_ny, S::FIXED[1]);
+    let rows = interior_range(cur.x0, nx, gnx, S::FIXED[0]);
+    let cols = interior_range(cur.y0, ny, gny, S::FIXED[1]);
     let (x0, gj) = (cur.x0, cur.y0 + cols.start);
-    // Storage column = local column + the ghost width.
     let store = (cols.start + S::GHOST, cols.end + S::GHOST);
-    let mut global = GlobalVar::new(0.0);
+    let mut value = GlobalVar::new(0.0);
 
     let mut step = 0;
-    while app.proceed(step) {
+    while step < steps && app.proceed() {
         if let Some((local, flops)) = app.open(&cur.block) {
-            ctx.trace_phase(PhaseKind::GridOp.name(), "local value for the reduction");
+            ctx.trace_phase(PhaseKind::GridOp.name(), "local value to reduce");
             ctx.charge_items(nx * ny, flops);
             ctx.trace_phase(PhaseKind::Reduction.name(), "global max");
-            app.opened(*global.reduce_from(ctx, local, f64::max));
+            app.opened(*value.reduce_from(ctx, local, f64::max));
         }
         ctx.trace_phase(PhaseKind::Communication.name(), "ghost boundary exchange");
         cur.exchange_ghosts(ctx);
@@ -205,28 +170,32 @@ pub fn run_stencil<S: Stencil>(
         ctx.trace_phase(PhaseKind::GridOp.name(), "stencil sweep");
         let mut lanes = [f64::NEG_INFINITY; LANES];
         for i in rows.clone() {
-            let view = Rows {
-                grid: &cur.block,
+            let (grid, gi) = (&cur.block, x0 + i);
+            let rows = Rows {
+                grid,
                 cols: store,
                 i,
-                gi: x0 + i,
+                gi,
                 gj,
             };
-            let out = &mut next.block.row_mut(i as isize)[store.0..store.1];
-            app.update_row(view, out, &mut lanes);
+            app.update_row(
+                rows,
+                &mut next.block.row_mut(i as isize)[store.0..store.1],
+                &mut lanes,
+            );
         }
         ctx.charge_items(nx * ny, S::FLOPS);
         std::mem::swap(&mut cur, &mut next);
         if let Some(collective) = app.close(lanes) {
             ctx.trace_phase(PhaseKind::Reduction.name(), "global value of the step");
-            let value = match collective {
-                Collective::Max(local) => global.reduce_from(ctx, local, f64::max),
+            let global = match collective {
+                Collective::Max(local) => value.reduce_from(ctx, local, f64::max),
                 Collective::FromRoot(v) => {
                     let root = (ctx.rank() == 0).then_some(v);
-                    global.broadcast_from(ctx, 0, root)
+                    value.broadcast_from(ctx, 0, root)
                 }
             };
-            app.closed(*value);
+            app.closed(*global);
         }
         step += 1;
     }
