@@ -22,7 +22,10 @@ use parallel_archetypes::dc::traditional::merge_two;
 use parallel_archetypes::dc::RecursiveMergesort;
 use parallel_archetypes::farm::apps::{GridSweepFarm, MandelbrotFarm};
 use parallel_archetypes::farm::{run_farm, FarmConfig};
+use parallel_archetypes::mesh::apps::airshed::{airshed_spmd, AirshedSpec};
+use parallel_archetypes::mesh::apps::cfd::{cfd_spmd, shock_sine_init, CfdSpec};
 use parallel_archetypes::mesh::apps::poisson::{poisson_shared, poisson_spmd, PoissonSpec};
+use parallel_archetypes::mesh::apps::spectral_flow::{swirl_spmd, SwirlSpec};
 use parallel_archetypes::mp::topology::block_range;
 use parallel_archetypes::mp::{
     run_spmd, run_spmd_with, Ctx, MachineModel, ProcessGrid2, RunConfig,
@@ -173,26 +176,81 @@ fn poisson_spmd_is_poisson_shared_bit_for_bit_on_every_block_shape() {
     assert!(boundary_only_rank_seen);
 }
 
-#[test]
-fn poisson_spmd_allocates_nothing_per_sweep_on_one_rank() {
-    let allocations = |max_iters: usize| {
-        // Tolerance 0 is never met, so exactly `max_iters` sweeps run.
-        let spec = lopsided_problem(24, 24, 0.0, max_iters);
-        let out = run_spmd(1, MachineModel::ibm_sp(), move |ctx| {
-            // Counted on the rank's own thread, inside the body.
-            let (solved, count, _) =
-                allocations_of(|| poisson_spmd(ctx, &spec, ProcessGrid2::new(1, 1)));
-            assert_eq!(solved.iters, max_iters);
+/// Allocations on the rank's own thread while one rank runs `app` for
+/// `steps` steps (counted inside the body).
+fn mesh_step_allocations(app: usize, steps: usize) -> u64 {
+    let pg = ProcessGrid2::new(1, 1);
+    let out = run_spmd(1, MachineModel::ibm_sp(), move |ctx| match app {
+        0 => {
+            // Tolerance 0 is never met, so exactly `steps` sweeps run.
+            let spec = lopsided_problem(24, 24, 0.0, steps);
+            let (solved, count, _) = allocations_of(|| poisson_spmd(ctx, &spec, pg));
+            assert_eq!(solved.iters, steps);
             count
-        });
-        out.results[0]
-    };
-    let (short, long) = (allocations(10), allocations(100));
-    assert!(short > 0, "the counter counts: set-up allocates the grids");
-    assert_eq!(
-        short, long,
-        "ten times the sweeps must not allocate once more"
-    );
+        }
+        1 => {
+            let spec = CfdSpec {
+                nx: 24,
+                ny: 20,
+                lx: 1.0,
+                ly: 0.8,
+                cfl: 0.4,
+                steps,
+            };
+            let init = |i, j| shock_sine_init(&spec, i, j);
+            allocations_of(|| cfd_spmd(ctx, &spec, pg, init)).1
+        }
+        2 => {
+            let spec = AirshedSpec {
+                nx: 24,
+                ny: 20,
+                wind: (0.4, 0.1),
+                diffusion: 0.05,
+                j_rate: 0.3,
+                k_rate: 2.0,
+                dt: 0.2,
+                steps,
+                source: (5, 8, 0.5),
+            };
+            allocations_of(|| airshed_spmd(ctx, &spec, pg)).1
+        }
+        _ => {
+            let spec = SwirlSpec {
+                nr: 24,
+                ntheta: 32,
+                rmax: 1.0,
+                nu: 1e-3,
+                dt: 5e-4,
+                steps,
+            };
+            allocations_of(|| swirl_spmd(ctx, &spec)).1
+        }
+    });
+    out.results[0]
+}
+
+#[test]
+fn mesh_apps_allocate_nothing_per_step_on_one_rank() {
+    // Poisson, CFD, airshed and spectral flow, all on the mesh skeleton:
+    // the skeleton's step allocates nothing. CFD's closing broadcast of
+    // `time` is a `Ctx::broadcast`, whose payload handle (`Shared`) is
+    // one allocation per call, even on one rank.
+    let per_step = [("poisson", 0), ("cfd", 1), ("airshed", 0), ("swirl", 0)];
+    for (app, (name, per_step)) in per_step.into_iter().enumerate() {
+        let (short, long) = (
+            mesh_step_allocations(app, 10),
+            mesh_step_allocations(app, 100),
+        );
+        assert!(
+            short > 0,
+            "{name}: the counter counts: set-up allocates the grids"
+        );
+        assert_eq!(
+            long - short,
+            90 * per_step,
+            "{name}: ten times the steps must not allocate once more per step"
+        );
+    }
 }
 
 /// Rank pairs (0, 1), (2, 3), … bounce `round` once.

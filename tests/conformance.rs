@@ -32,7 +32,10 @@ use parallel_archetypes::dc::{
 };
 use parallel_archetypes::farm::apps::GridSweepFarm;
 use parallel_archetypes::farm::{run_farm, run_farm_ft, FarmConfig, FtFarmConfig};
+use parallel_archetypes::mesh::apps::airshed::{airshed_spmd, AirshedSpec};
+use parallel_archetypes::mesh::apps::cfd::{cfd_spmd, shock_sine_init, CfdSpec};
 use parallel_archetypes::mesh::apps::poisson::{poisson_spmd, sine_problem};
+use parallel_archetypes::mesh::apps::spectral_flow::{swirl_spmd, SwirlSpec};
 use parallel_archetypes::mp::{
     run_spmd_ft, run_spmd_with, Ctx, FaultPlan, MachineModel, Payload, RunConfig, RunTrace,
     TraceIncomplete,
@@ -159,11 +162,44 @@ proptest! {
         p in 1usize..9,
         n in 8usize..24,
         iter_cap in 1usize..40,
+        app in 0usize..4,
     ) {
-        let spec = sine_problem(n, 1e-7, iter_cap);
+        // Every app on the mesh skeleton: Poisson (exchange, sweep,
+        // reduction), CFD (a reduction before the exchange, a broadcast
+        // after the sweep), airshed (exchange, sweep, reduction) and
+        // spectral flow (exchange, row op, sweep).
         let pg = grid_for(p);
-        let trace = traced(p, MachineModel::ibm_sp(), |ctx| poisson_spmd(ctx, &spec, pg).iters);
-        assert_every_rank_conforms(&MESH_SPECTRAL, &trace, &format!("poisson_spmd, p={p}"));
+        let model = MachineModel::ibm_sp();
+        let (trace, name) = match app {
+            0 => {
+                let spec = sine_problem(n, 1e-7, iter_cap);
+                (traced(p, model, |ctx| poisson_spmd(ctx, &spec, pg).iters), "poisson_spmd")
+            }
+            1 => {
+                let spec = CfdSpec { nx: n, ny: n, lx: 1.0, ly: 1.0, cfl: 0.4, steps: iter_cap };
+                let init = |i, j| shock_sine_init(&spec, i, j);
+                (traced(p, model, |ctx| cfd_spmd(ctx, &spec, pg, init).time), "cfd_spmd")
+            }
+            2 => {
+                let spec = AirshedSpec {
+                    nx: n,
+                    ny: n,
+                    wind: (0.4, 0.1),
+                    diffusion: 0.05,
+                    j_rate: 0.3,
+                    k_rate: 2.0,
+                    dt: 0.2,
+                    steps: iter_cap,
+                    source: (n / 3, n / 2, 0.5),
+                };
+                (traced(p, model, |ctx| airshed_spmd(ctx, &spec, pg).peak_o3), "airshed_spmd")
+            }
+            _ => {
+                let spec = SwirlSpec { nr: n, ntheta: 16, rmax: 1.0, nu: 1e-3, dt: 5e-4, steps: iter_cap };
+                (traced(p, model, |ctx| swirl_spmd(ctx, &spec).is_some()), "swirl_spmd")
+            }
+        };
+        assert_every_rank_conforms(&MESH_SPECTRAL, &trace, &format!("{name}, p={p}"));
     }
 
     #[test]
