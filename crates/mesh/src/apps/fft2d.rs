@@ -22,8 +22,14 @@ use crate::redist::{cols_to_rows, rows_to_cols, RowDist};
 /// Both dimensions must be powers of two.
 pub fn fft2d_shared(data: &mut [Complex], nx: usize, ny: usize) {
     assert_eq!(data.len(), nx * ny);
-    // Row FFTs: rows are contiguous, disjoint chunks.
-    archetype_core::parfor_chunks(data, ny, |_r, row| fft_in_place(row, Direction::Forward));
+    // Row FFTs: rows are contiguous, operate on disjoint chunks.
+    {
+        // Split into rows without aliasing: forall over row indices with
+        // raw chunk access via chunks_mut is the natural expression.
+        archetype_core::parfor_chunks(data, ny, |_r, row| {
+            fft_in_place(row, Direction::Forward);
+        });
+    }
     // Column FFTs: gather each column into a scratch vector.
     // (Columns are strided; the shared-memory version pays a transpose-free
     // copy per column, mirroring `colfft` on a column slice.)

@@ -52,12 +52,6 @@ impl<T: FixedSize + Default> RowDist<T> {
         }
     }
 
-    /// Mutable view of local row `r` (0-based local index).
-    pub fn row_mut(&mut self, r: usize) -> &mut [T] {
-        let s = r * self.ncols;
-        &mut self.data[s..s + self.ncols]
-    }
-
     /// Immutable view of local row `r`.
     pub fn row(&self, r: usize) -> &[T] {
         let s = r * self.ncols;
@@ -214,7 +208,11 @@ pub(crate) mod tests {
         let rd = RowDist::from_global(0, 1, 3, 4, val);
         assert_eq!(rd.row(1), &[val(1, 0), val(1, 1), val(1, 2), val(1, 3)]);
         let mut rd = rd;
-        rd.row_mut(2)[3] = -1.0;
+        rd.for_each_row_mut(|r, row| {
+            if r == 2 {
+                row[3] = -1.0;
+            }
+        });
         assert_eq!(rd.row(2)[3], -1.0);
     }
 
