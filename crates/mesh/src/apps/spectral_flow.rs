@@ -189,9 +189,9 @@ impl Stencil for Swirl<'_> {
     }
 
     fn update_row(&self, rows: Rows<'_, f64>, out: &mut [f64], _: &mut [f64; LANES]) {
-        let s = self.spec;
+        let (s, nt) = (self.spec, self.spec.ntheta);
         let (dr, om) = (s.dr(), s.omega(s.r(rows.gi)));
-        let dudth = &self.dudth[rows.i * out.len()..][..out.len()];
+        let dudth = &self.dudth[rows.i * nt..][..nt];
         let (m2, m1, mid) = (rows.at(-2, 0), rows.at(-1, 0), rows.at(0, 0));
         let (p1, p2) = (rows.at(1, 0), rows.at(2, 0));
         for (j, o) in out.iter_mut().enumerate() {
