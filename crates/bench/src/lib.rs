@@ -27,9 +27,6 @@
 
 use std::path::PathBuf;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 /// One point of a speedup curve.
 #[derive(Clone, Copy, Debug)]
 pub struct SpeedupPoint {
@@ -136,11 +133,23 @@ pub fn scaling_refusal(ranks: usize) -> Option<String> {
     (ranks > cores).then(|| format!("{ranks} ranks on {cores} cores"))
 }
 
-/// Deterministic vector of pseudo-random `i64`s.
+/// Deterministic vector of pseudo-random `i64`s in `[-10⁹, 10⁹)`: a
+/// SplitMix64 stream, each draw reduced modulo the span. The stream is
+/// pinned: `docs/figures/fig06_mergesort.csv` and `BENCH_dc.json` record
+/// sorts of it.
 pub fn random_i64s(n: usize, seed: u64) -> Vec<i64> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+    let (lo, hi) = (-1_000_000_000i128, 1_000_000_000i128);
+    let mut state = seed ^ GAMMA;
     (0..n)
-        .map(|_| rng.gen_range(-1_000_000_000..1_000_000_000))
+        .map(|_| {
+            state = state.wrapping_add(GAMMA);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            (lo + z as i128 % (hi - lo)) as i64
+        })
         .collect()
 }
 
