@@ -144,16 +144,6 @@ pub fn mergesort_work_flops(n: usize, cutoff: usize) -> f64 {
     sort_flops(n) + levels * merge_flops(n)
 }
 
-/// Predicted speedup over the modeled sequential mergesort.
-pub fn predict_one_deep_speedup(
-    model: &MachineModel,
-    n: usize,
-    p: usize,
-    oversample: usize,
-) -> f64 {
-    sort_flops(n) * model.flop_time / predict_one_deep_mergesort(model, n, p, oversample)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,9 +187,9 @@ mod tests {
     fn predicted_speedup_is_monotone_then_saturating() {
         let model = MachineModel::intel_delta();
         let n = 1_000_000;
-        let s8 = predict_one_deep_speedup(&model, n, 8, 16);
-        let s32 = predict_one_deep_speedup(&model, n, 32, 16);
-        let s64 = predict_one_deep_speedup(&model, n, 64, 16);
+        let speedup =
+            |p| sort_flops(n) * model.flop_time / predict_one_deep_mergesort(&model, n, p, 16);
+        let (s8, s32, s64) = (speedup(8), speedup(32), speedup(64));
         assert!(s8 < s32 && s32 < s64, "{s8} {s32} {s64}");
         // Efficiency must fall with p (communication grows).
         assert!(s64 / 64.0 < s8 / 8.0);
