@@ -49,7 +49,16 @@ impl Ctx {
     /// then copying instead. A payload under 128 KiB is not waited for:
     /// whichever rank materializes it last moves it, the others copy.
     /// Use [`Ctx::broadcast_shared`] to keep the handle and copy nothing.
+    ///
+    /// On a one-rank scope the value comes straight back, unwrapped: no
+    /// handle is allocated, and the trace and the tag sequence are the
+    /// ones a wider broadcast leaves.
     pub fn broadcast<T: Payload + Clone + Sync>(&mut self, root: usize, value: Option<T>) -> T {
+        if self.nprocs() == 1 {
+            self.trace_collective("broadcast");
+            self.next_collective_tag();
+            return value.expect("broadcast root must supply a value");
+        }
         let handle = self.broadcast_shared(root, value.map(Shared::new));
         handle.materialize(self.rank() == root, || self.peers_alive())
     }

@@ -232,10 +232,8 @@ fn mesh_step_allocations(app: usize, steps: usize) -> u64 {
 #[test]
 fn mesh_apps_allocate_nothing_per_step_on_one_rank() {
     // Poisson, CFD, airshed and spectral flow, all on the mesh skeleton:
-    // the skeleton's step allocates nothing. CFD's closing broadcast of
-    // `time` is a `Ctx::broadcast`, whose payload handle (`Shared`) is
-    // one allocation per call, even on one rank.
-    let per_step = [("poisson", 0), ("cfd", 1), ("airshed", 0), ("swirl", 0)];
+    // the skeleton's step allocates nothing.
+    let per_step = [("poisson", 0), ("cfd", 0), ("airshed", 0), ("swirl", 0)];
     for (app, (name, per_step)) in per_step.into_iter().enumerate() {
         let (short, long) = (
             mesh_step_allocations(app, 10),
