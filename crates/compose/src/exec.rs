@@ -251,7 +251,7 @@ impl Walker {
                     let out = ctx.scoped(&members, scope_salt, |ctx| {
                         let root = ctx.rank() == 0;
                         if root && ctx.nprocs() > 1 {
-                            ctx.trace_phase(PhaseKind::Communication.name(), job.name());
+                            ctx.trace_phase(PhaseKind::Communication, job.name());
                         }
                         let v = ctx.broadcast(0, checkpoint);
                         let out = job.run(ctx, v);
@@ -270,8 +270,8 @@ impl Walker {
                     ctx.charge_seconds(BACKOFF_SECS * f64::from(1u32 << attempt.min(20)));
                     if root {
                         self.stats.retries += 1;
-                        ctx.trace_phase(PhaseKind::Detect.name(), job.name());
-                        ctx.trace_phase(PhaseKind::Recover.name(), job.name());
+                        ctx.trace_phase(PhaseKind::Detect, job.name());
+                        ctx.trace_phase(PhaseKind::Recover, job.name());
                     }
                 }
                 unreachable!("the final attempt returns from the loop")
@@ -366,7 +366,7 @@ impl Walker {
                     .collect()
             });
             if root {
-                ctx.trace_phase(PhaseKind::Communication.name(), "par fan-out");
+                ctx.trace_phase(PhaseKind::Communication, "par fan-out");
             }
             let costs: Vec<f64> = ctx.broadcast(0, costs);
             let sizes = allocate(&costs, p);
@@ -423,7 +423,7 @@ impl Walker {
                 for &start in starts.iter().skip(1) {
                     outs_vec.push(ctx.recv(start, compose_tag(ComposeTag::Output, node_id)));
                 }
-                ctx.trace_phase(PhaseKind::Communication.name(), "par gather");
+                ctx.trace_phase(PhaseKind::Communication, "par gather");
             }
         }
 
@@ -568,7 +568,7 @@ mod tests {
                 self.runs.fetch_add(1, Ordering::Relaxed);
             }
             for kind in [PhaseKind::Split, PhaseKind::Solve, PhaseKind::Merge] {
-                ctx.trace_phase(kind.name(), "scale");
+                ctx.trace_phase(kind, "scale");
             }
             match input {
                 Value::F64(x) => Value::F64(x * self.factor + 1.0),
@@ -688,7 +688,7 @@ mod tests {
             .phases()
             .expect("nothing dropped")
             .iter()
-            .map(|(k, _)| PhaseKind::from_name(k).expect("a phase kind"))
+            .map(|&(k, _)| k)
             .collect();
         let count = |kind| kinds.iter().filter(|&&k| k == kind).count();
         assert_eq!(

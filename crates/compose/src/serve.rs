@@ -1065,7 +1065,7 @@ mod tests {
         fn run(&self, ctx: &mut Ctx, input: Value) -> Value {
             assert!(self.weight >= 0.0, "the atom exploded");
             for kind in [PhaseKind::Split, PhaseKind::Solve, PhaseKind::Merge] {
-                ctx.trace_phase(kind.name(), "fold");
+                ctx.trace_phase(kind, "fold");
             }
             Value::F64(fold_value(&input) * 1.5 + self.weight)
         }

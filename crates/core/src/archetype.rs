@@ -66,33 +66,10 @@ pub enum PhaseKind {
 }
 
 impl PhaseKind {
-    /// Every phase kind, in declaration order.
-    const ALL: [PhaseKind; 20] = [
-        PhaseKind::Recurse,
-        PhaseKind::Split,
-        PhaseKind::Solve,
-        PhaseKind::Merge,
-        PhaseKind::GridOp,
-        PhaseKind::RowOp,
-        PhaseKind::ColOp,
-        PhaseKind::Reduction,
-        PhaseKind::Io,
-        PhaseKind::Communication,
-        PhaseKind::Seed,
-        PhaseKind::Work,
-        PhaseKind::Steal,
-        PhaseKind::Terminate,
-        PhaseKind::Ingest,
-        PhaseKind::Transform,
-        PhaseKind::Drain,
-        PhaseKind::Emit,
-        PhaseKind::Detect,
-        PhaseKind::Recover,
-    ];
-
-    /// Stable lowercase name of the phase kind — the `kind` string
-    /// stamped into substrate trace events (`Ctx::trace_phase`) and
-    /// printed by `Display`.
+    /// Stable lowercase name of the phase kind, printed by `Display` —
+    /// the one place the names are spelled. A trace stores the kind
+    /// itself (`Ctx::trace_phase`); its Chrome export and critical-path
+    /// report print it through this name.
     pub fn name(&self) -> &'static str {
         match self {
             PhaseKind::Recurse => "recurse",
@@ -116,12 +93,6 @@ impl PhaseKind {
             PhaseKind::Detect => "detect",
             PhaseKind::Recover => "recover",
         }
-    }
-
-    /// The kind whose [`PhaseKind::name`] is `name`, if any: how a
-    /// phase event read back from a run's trace becomes a grammar token.
-    pub fn from_name(name: &str) -> Option<PhaseKind> {
-        PhaseKind::ALL.into_iter().find(|k| k.name() == name)
     }
 }
 
@@ -548,15 +519,6 @@ mod tests {
         assert_eq!(PhaseKind::Seed.to_string(), "seed");
         assert_eq!(PhaseKind::Terminate.to_string(), "terminate");
         assert_eq!(PhaseKind::Recurse.to_string(), "recurse");
-    }
-
-    #[test]
-    fn from_name_inverts_name() {
-        for k in PhaseKind::ALL {
-            assert_eq!(PhaseKind::from_name(k.name()), Some(k));
-        }
-        assert_eq!(PhaseKind::from_name("no-such-phase"), None);
-        assert_eq!(PhaseKind::from_name(""), None);
     }
 
     #[test]

@@ -294,14 +294,15 @@ mod tests {
 
     #[test]
     fn trace_shows_nontrivial_split_then_degenerate_merge() {
+        use archetype_core::PhaseKind::{self, Merge, Solve, Split};
         let alg = OneDeepQuicksort::<i64>::new();
         let input = blocks(3, 50);
         let out = run_spmd_with(3, MachineModel::ibm_sp(), RunConfig::traced(), |ctx| {
             run_spmd(&alg, ctx, input[ctx.rank()].clone())
         });
         for rt in &out.trace.expect("traced run").ranks {
-            let kinds: Vec<&str> = rt.phases().unwrap().iter().map(|(k, _)| *k).collect();
-            assert_eq!(kinds, ["split", "solve", "merge"], "rank {}", rt.rank);
+            let kinds: Vec<PhaseKind> = rt.phases().unwrap().iter().map(|&(k, _)| k).collect();
+            assert_eq!(kinds, [Split, Solve, Merge], "rank {}", rt.rank);
         }
     }
 

@@ -278,15 +278,12 @@ where
     if cut {
         return problem.map(|p| {
             ctx.charge_flops(alg.solve_cost(&p));
-            ctx.trace_phase(PhaseKind::Solve.name(), "sequential solve at the cutoff");
+            ctx.trace_phase(PhaseKind::Solve, "sequential solve at the cutoff");
             alg.solve(p)
         });
     }
 
-    ctx.trace_phase(
-        PhaseKind::Recurse.name(),
-        "divide and descend into subgroups",
-    );
+    ctx.trace_phase(PhaseKind::Recurse, "divide and descend into subgroups");
     let k = policy.branching.min(g);
     // Contiguous, balanced subgroups: subgroup j is roots[j]..roots[j + 1].
     let roots: Vec<usize> = (0..k).map(|j| (j * g).div_ceil(k)).collect();
@@ -321,7 +318,7 @@ where
     let gathered = ctx.scoped(&roots, GATHER_SALT, |ctx| ctx.gather(0, solution));
     gathered.map(|parts| {
         ctx.charge_flops(alg.combine_cost(&parts));
-        ctx.trace_phase(PhaseKind::Merge.name(), "combine subsolutions up the tree");
+        ctx.trace_phase(PhaseKind::Merge, "combine subsolutions up the tree");
         alg.combine(parts)
     })
 }
@@ -395,7 +392,7 @@ mod tests {
                 rt.phases()
                     .expect("nothing dropped")
                     .iter()
-                    .map(|(k, _)| PhaseKind::from_name(k).expect("a phase kind"))
+                    .map(|&(k, _)| k)
                     .collect()
             })
             .collect();

@@ -206,7 +206,7 @@ where
     let me = ctx.rank();
 
     // Split phase: samples -> (replicated) parameters -> all-to-all.
-    ctx.trace_phase(PhaseKind::Split.name(), "split parameters, all-to-all");
+    ctx.trace_phase(PhaseKind::Split, "split parameters, all-to-all");
     ctx.charge_flops(alg.split_cost(&local));
     let samples = ctx.all_gather(alg.split_sample(&local));
     let sparams = alg.split_params(&samples, n);
@@ -216,12 +216,12 @@ where
     let local = alg.split_assemble(received);
 
     // Solve phase.
-    ctx.trace_phase(PhaseKind::Solve.name(), "local solve");
+    ctx.trace_phase(PhaseKind::Solve, "local solve");
     ctx.charge_flops(alg.solve_cost(&local));
     let mid = alg.solve(local);
 
     // Merge phase: samples -> (replicated) parameters -> all-to-all -> merge.
-    ctx.trace_phase(PhaseKind::Merge.name(), "splitters, all-to-all, merge");
+    ctx.trace_phase(PhaseKind::Merge, "splitters, all-to-all, merge");
     ctx.charge_flops(alg.merge_partition_cost(&mid));
     let msamples = ctx.all_gather(alg.merge_sample(&mid));
     let mparams = alg.merge_params(&msamples, n);
@@ -345,13 +345,14 @@ mod tests {
     #[test]
     fn trace_records_split_solve_merge() {
         use archetype_mp::{run_spmd_with, MachineModel, RunConfig};
+        use PhaseKind::{Merge, Solve, Split};
         let inputs = toy_inputs(2);
         let out = run_spmd_with(2, MachineModel::ibm_sp(), RunConfig::traced(), |ctx| {
             run_spmd(&ResidueRoute, ctx, inputs[ctx.rank()].clone())
         });
         for rt in &out.trace.expect("traced run").ranks {
-            let kinds: Vec<&str> = rt.phases().unwrap().iter().map(|(k, _)| *k).collect();
-            assert_eq!(kinds, ["split", "solve", "merge"], "rank {}", rt.rank);
+            let kinds: Vec<PhaseKind> = rt.phases().unwrap().iter().map(|&(k, _)| k).collect();
+            assert_eq!(kinds, [Split, Solve, Merge], "rank {}", rt.rank);
         }
     }
 }

@@ -265,10 +265,7 @@ where
     let p = ctx.nprocs();
     let hint = F::Hint::default();
 
-    ctx.trace_phase(
-        PhaseKind::Seed.name(),
-        "seed pool, chunked into work orders",
-    );
+    ctx.trace_phase(PhaseKind::Seed, "seed pool, chunked into work orders");
     let mut m: Master<F> = Master::new(config.batch);
     let seed = farm.seed();
     ctx.charge_items(seed.len().max(1), SEED_FLOPS_PER_TASK);
@@ -284,10 +281,7 @@ where
     let mut done_seq = vec![0u64; p];
 
     loop {
-        ctx.trace_phase(
-            PhaseKind::Work.name(),
-            "assign orders, collect batch results",
-        );
+        ctx.trace_phase(PhaseKind::Work, "assign orders, collect batch results");
 
         // Assign the front of the queue to idle workers believed alive.
         // Send failures are deliberately ignored: whether a dying
@@ -316,9 +310,9 @@ where
             }
             // Every worker is dead but work remains: degrade to local
             // execution so the farm still completes.
-            ctx.trace_phase(PhaseKind::Detect.name(), "no live workers remain");
+            ctx.trace_phase(PhaseKind::Detect, "no live workers remain");
             ctx.trace_phase(
-                PhaseKind::Recover.name(),
+                PhaseKind::Recover,
                 "master executes remaining batches locally",
             );
             while let Some(batch) = m.queue.pop_front() {
@@ -344,11 +338,8 @@ where
                     m.incorporate(batch, res.out, res.spawned);
                 }
                 Err(_) => {
-                    ctx.trace_phase(PhaseKind::Detect.name(), "worker heartbeat timed out");
-                    ctx.trace_phase(
-                        PhaseKind::Recover.name(),
-                        "requeue lost batch for re-execution",
-                    );
+                    ctx.trace_phase(PhaseKind::Detect, "worker heartbeat timed out");
+                    ctx.trace_phase(PhaseKind::Recover, "requeue lost batch for re-execution");
                     ctx.charge_seconds(DETECT_TIMEOUT);
                     alive[w] = false;
                     m.stats.workers_lost += 1;
@@ -360,7 +351,7 @@ where
     }
 
     ctx.trace_phase(
-        PhaseKind::Terminate.name(),
+        PhaseKind::Terminate,
         "pool drained; fold and broadcast shutdown",
     );
     let (out, stats) = m.fold(farm);
@@ -611,7 +602,7 @@ mod tests {
             .phases()
             .expect("nothing dropped")
             .iter()
-            .map(|(k, _)| PhaseKind::from_name(k).expect("a phase kind"))
+            .map(|&(k, _)| k)
             .collect();
         assert_eq!(kinds.first(), Some(&PhaseKind::Seed));
         assert_eq!(kinds.last(), Some(&PhaseKind::Terminate));

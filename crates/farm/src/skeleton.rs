@@ -490,7 +490,7 @@ pub fn run_farm<F: Farm>(farm: &F, ctx: &mut Ctx, config: FarmConfig) -> (F::Out
     let p = ctx.nprocs();
     let me = ctx.rank();
     // --- Seed: deterministic pool, dealt round-robin. --------------------
-    ctx.trace_phase(PhaseKind::Seed.name(), "seed pool, round-robin deal");
+    ctx.trace_phase(PhaseKind::Seed, "seed pool, round-robin deal");
     let mut stats = FarmStats::default();
     let mut queue: Queue<F::Task> = Queue::new();
     let seed = farm.seed();
@@ -514,7 +514,7 @@ pub fn run_farm<F: Farm>(farm: &F, ctx: &mut Ctx, config: FarmConfig) -> (F::Out
         stats.rounds += 1;
 
         // --- Work: drain a batch from the local queue. -------------------
-        ctx.trace_phase(PhaseKind::Work.name(), "drain batch");
+        ctx.trace_phase(PhaseKind::Work, "drain batch");
         let batch = match config.batch {
             Batching::Fixed(b) => b.max(1),
             Batching::Adaptive => {
@@ -556,10 +556,7 @@ pub fn run_farm<F: Farm>(farm: &F, ctx: &mut Ctx, config: FarmConfig) -> (F::Out
 
         // --- Steal: pairwise load exchange on a hypercube schedule. ------
         if config.steal && p > 1 {
-            ctx.trace_phase(
-                PhaseKind::Steal.name(),
-                "steal-request/steal-reply exchange",
-            );
+            ctx.trace_phase(PhaseKind::Steal, "steal-request/steal-reply exchange");
             let partner = me ^ (1usize << (round % steal_dims));
             if partner < p {
                 let req = farm_tag(FarmTag::StealRequest, round);
@@ -638,10 +635,7 @@ pub fn run_farm<F: Farm>(farm: &F, ctx: &mut Ctx, config: FarmConfig) -> (F::Out
     }
 
     // --- Terminate: combine accumulators and statistics. -----------------
-    ctx.trace_phase(
-        PhaseKind::Terminate.name(),
-        "quiescence proven; final reduction",
-    );
+    ctx.trace_phase(PhaseKind::Terminate, "quiescence proven; final reduction");
     let out = ctx.all_reduce(acc.take().expect("acc"), |a, b| farm.reduce(a, b));
     let global_stats = ctx.all_reduce(stats, FarmStats::combine);
     (out, global_stats)
@@ -1097,7 +1091,7 @@ mod tests {
                 .phases()
                 .expect("nothing dropped")
                 .iter()
-                .map(|(k, _)| PhaseKind::from_name(k).expect("a phase kind"))
+                .map(|&(k, _)| k)
                 .collect();
             assert_eq!(kinds.first(), Some(&PhaseKind::Seed));
             assert_eq!(kinds.last(), Some(&PhaseKind::Terminate));

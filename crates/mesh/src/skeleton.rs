@@ -138,7 +138,7 @@ pub fn run_stencil<S: Stencil>(
         ctx.nprocs(),
         "process grid must match run size"
     );
-    ctx.trace_phase(PhaseKind::Io.name(), "block-distribute the grid");
+    ctx.trace_phase(PhaseKind::Io, "block-distribute the grid");
     let [gnx, gny] = global;
     let fill = S::Cell::default();
     let mut cur = DistGrid2::from_global(ctx.rank(), pgrid, gnx, gny, S::GHOST, fill, init);
@@ -156,18 +156,18 @@ pub fn run_stencil<S: Stencil>(
     let mut step = 0;
     while step < steps && app.proceed() {
         if let Some((local, flops)) = app.open(&cur.block) {
-            ctx.trace_phase(PhaseKind::GridOp.name(), "local value to reduce");
+            ctx.trace_phase(PhaseKind::GridOp, "local value to reduce");
             ctx.charge_items(nx * ny, flops);
-            ctx.trace_phase(PhaseKind::Reduction.name(), "global max");
+            ctx.trace_phase(PhaseKind::Reduction, "global max");
             app.opened(*value.reduce_from(ctx, local, f64::max));
         }
-        ctx.trace_phase(PhaseKind::Communication.name(), "ghost boundary exchange");
+        ctx.trace_phase(PhaseKind::Communication, "ghost boundary exchange");
         cur.exchange_ghosts(ctx);
         if let Some(flops) = app.row_op(&cur.block) {
-            ctx.trace_phase(PhaseKind::RowOp.name(), "row op");
+            ctx.trace_phase(PhaseKind::RowOp, "row op");
             ctx.charge_flops(flops);
         }
-        ctx.trace_phase(PhaseKind::GridOp.name(), "stencil sweep");
+        ctx.trace_phase(PhaseKind::GridOp, "stencil sweep");
         let mut lanes = [f64::NEG_INFINITY; LANES];
         for i in rows.clone() {
             let (grid, gi) = (&cur.block, x0 + i);
@@ -187,7 +187,7 @@ pub fn run_stencil<S: Stencil>(
         ctx.charge_items(nx * ny, S::FLOPS);
         std::mem::swap(&mut cur, &mut next);
         if let Some(collective) = app.close(lanes) {
-            ctx.trace_phase(PhaseKind::Reduction.name(), "global value of the step");
+            ctx.trace_phase(PhaseKind::Reduction, "global value of the step");
             let global = match collective {
                 Collective::Max(local) => value.reduce_from(ctx, local, f64::max),
                 Collective::FromRoot(v) => {
@@ -200,7 +200,7 @@ pub fn run_stencil<S: Stencil>(
         step += 1;
     }
 
-    ctx.trace_phase(PhaseKind::Io.name(), "gather the grid to rank 0");
+    ctx.trace_phase(PhaseKind::Io, "gather the grid to rank 0");
     (cur.gather_global(ctx), step)
 }
 

@@ -3,6 +3,8 @@
 
 use std::sync::Arc;
 
+use archetype_core::PhaseKind;
+
 use crate::fault::{CrashSite, FaultPlan, InjectedCrash, PeerGone, RankDead, RETRANSMIT_TIMEOUT};
 use crate::mailbox::Mailbox;
 use crate::model::MachineModel;
@@ -159,11 +161,12 @@ impl Ctx {
             .wall_ns()
     }
 
-    /// Record entry into an archetype protocol phase. One branch and
-    /// nothing else when the run is untraced, so skeletons call it
-    /// unconditionally; `label` is truncated to the inline
-    /// [`crate::trace::Label`] capacity without allocating.
-    pub fn trace_phase(&mut self, kind: &'static str, label: &str) {
+    /// Record entry into an archetype protocol phase: `kind` is its token
+    /// in the archetype's grammar, `label` free text (stage name, batch
+    /// id, …). One branch and nothing else when the run is untraced, so
+    /// skeletons call it unconditionally; `label` is truncated to the
+    /// inline [`crate::trace::Label`] capacity without allocating.
+    pub fn trace_phase(&mut self, kind: PhaseKind, label: &str) {
         if !self.trace_hot {
             return;
         }

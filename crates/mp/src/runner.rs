@@ -688,15 +688,16 @@ where
 /// the asymmetry.
 ///
 /// ```
+/// use archetype_core::PhaseKind;
 /// use archetype_mp::{run_spmd_ft, FaultPlan, MachineModel, RunConfig};
 ///
 /// let out = run_spmd_ft(2, MachineModel::ibm_sp(), RunConfig::traced(), FaultPlan::new(1), |ctx| {
-///     ctx.trace_phase("work", "");
+///     ctx.trace_phase(PhaseKind::Work, "");
 ///     ctx.rank()
 /// });
 /// assert!(out.all_ok());
 /// let trace = out.trace.expect("every rank completed");
-/// assert_eq!(trace.ranks[1].phases().unwrap()[0].0, "work");
+/// assert_eq!(trace.ranks[1].phases().unwrap()[0].0, PhaseKind::Work);
 /// ```
 pub fn run_spmd_ft<F, R>(
     nprocs: usize,

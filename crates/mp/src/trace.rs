@@ -37,6 +37,8 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
+use archetype_core::PhaseKind;
+
 /// Maximum bytes of a [`Label`]; longer strings are truncated at a char
 /// boundary. 23 bytes + length byte keep the whole label in 24 bytes.
 pub const LABEL_BYTES: usize = 23;
@@ -160,9 +162,9 @@ pub enum TraceEvent {
     /// ([`RankTrace::phases`]) are the sentence its archetype's grammar
     /// checks.
     Phase {
-        /// Phase kind name (`"work"`, `"transform"`, …) — the archetype
-        /// layer's `PhaseKind::name()`.
-        kind: &'static str,
+        /// Which phase of the archetype's grammar this is; exports print
+        /// it by its [`PhaseKind::name`].
+        kind: PhaseKind,
         /// Free-form label (stage name, batch id, …), truncated to
         /// [`LABEL_BYTES`].
         label: Label,
@@ -306,7 +308,7 @@ impl RankTrace {
     /// label)` pairs. Refuses with [`TraceIncomplete`] when the ring
     /// dropped events: the oldest phases may be among them, and a
     /// partial track must not pass for a whole one.
-    pub fn phases(&self) -> Result<Vec<(&'static str, Label)>, TraceIncomplete> {
+    pub fn phases(&self) -> Result<Vec<(PhaseKind, Label)>, TraceIncomplete> {
         if self.dropped > 0 {
             return Err(TraceIncomplete {
                 rank: self.rank,
@@ -500,7 +502,7 @@ impl RunTrace {
                             .unwrap_or(end_vt)
                             .max(vt);
                         let name = if label.is_empty() {
-                            kind.to_string()
+                            kind.name().to_string()
                         } else {
                             format!("{kind}:{}", json_escape(label.as_str()))
                         };
@@ -666,7 +668,7 @@ impl RunTrace {
                     } if *vt < b => Some((
                         *vt,
                         if label.is_empty() {
-                            (*kind).to_string()
+                            kind.name().to_string()
                         } else {
                             format!("{kind}:{}", label.as_str())
                         },
@@ -882,7 +884,7 @@ mod tests {
         assert_eq!(vts, vec![2.0, 3.0, 4.0]);
     }
 
-    fn phase(kind: &'static str, label: &str, vt: f64) -> TraceEvent {
+    fn phase(kind: PhaseKind, label: &str, vt: f64) -> TraceEvent {
         TraceEvent::Phase {
             kind,
             label: Label::from(label),
@@ -894,30 +896,31 @@ mod tests {
     #[test]
     fn records_in_order() {
         let mut r = TraceRecorder::new(8, anchor());
-        r.record(phase("solve", "local sort", 0.0));
+        r.record(phase(PhaseKind::Solve, "local sort", 0.0));
         r.record(TraceEvent::Collective {
             name: "all_to_all",
             vt: 1.0,
             wall_ns: 0,
         });
-        r.record(phase("merge", "merge", 2.0));
+        r.record(phase(PhaseKind::Merge, "merge", 2.0));
         let phases = r.into_rank_trace(0).phases().expect("nothing dropped");
-        let kinds: Vec<&str> = phases.iter().map(|(k, _)| *k).collect();
-        assert_eq!(kinds, ["solve", "merge"]);
+        let kinds: Vec<PhaseKind> = phases.iter().map(|(k, _)| *k).collect();
+        assert_eq!(kinds, [PhaseKind::Solve, PhaseKind::Merge]);
         assert_eq!(phases[0].1.as_str(), "local sort");
     }
 
     #[test]
     fn counts_by_kind() {
+        use PhaseKind::{GridOp, Io, Reduction};
         let mut r = TraceRecorder::new(8, anchor());
-        for (kind, vt) in [("grid-op", 0.0), ("grid-op", 1.0), ("reduction", 2.0)] {
+        for (kind, vt) in [(GridOp, 0.0), (GridOp, 1.0), (Reduction, 2.0)] {
             r.record(phase(kind, "", vt));
         }
         let phases = r.into_rank_trace(0).phases().expect("nothing dropped");
         let count = |kind| phases.iter().filter(|(k, _)| *k == kind).count();
-        assert_eq!(count("grid-op"), 2);
-        assert_eq!(count("reduction"), 1);
-        assert_eq!(count("io"), 0);
+        assert_eq!(count(GridOp), 2);
+        assert_eq!(count(Reduction), 1);
+        assert_eq!(count(Io), 0);
     }
 
     #[test]
@@ -930,7 +933,7 @@ mod tests {
             crate::RunConfig::traced(),
             |ctx| {
                 for _ in 0..100 {
-                    ctx.trace_phase("grid-op", "x");
+                    ctx.trace_phase(PhaseKind::GridOp, "x");
                 }
             },
         );
@@ -940,7 +943,7 @@ mod tests {
             assert_eq!(phases.len(), 100, "rank {}", rt.rank);
             assert!(phases
                 .iter()
-                .all(|(k, l)| *k == "grid-op" && l.as_str() == "x"));
+                .all(|(k, l)| *k == PhaseKind::GridOp && l.as_str() == "x"));
         }
     }
 
@@ -948,7 +951,7 @@ mod tests {
     fn phases_refuse_a_track_that_dropped_events() {
         let mut r = TraceRecorder::new(2, anchor());
         for vt in 0..3 {
-            r.record(phase("work", "", vt as f64));
+            r.record(phase(PhaseKind::Work, "", vt as f64));
         }
         let err = r.into_rank_trace(5).phases().unwrap_err();
         assert_eq!(
@@ -1007,7 +1010,7 @@ mod tests {
             wall_ns: 2,
         };
         let phase0 = TraceEvent::Phase {
-            kind: "work",
+            kind: PhaseKind::Work,
             label: Label::from("producer"),
             vt: 0.0,
             wall_ns: 0,

@@ -795,9 +795,9 @@ fn fold_alone<P: Pipeline>(
     stats: &mut PipelineStats,
     stages: &[&dyn Stage<P::Item>],
 ) -> P::Out {
-    ctx.trace_phase(PhaseKind::Ingest.name(), "stream source");
+    ctx.trace_phase(PhaseKind::Ingest, "stream source");
     if !stages.is_empty() {
-        ctx.trace_phase(PhaseKind::Transform.name(), "all stages fused");
+        ctx.trace_phase(PhaseKind::Transform, "all stages fused");
     }
     let mut folded = pipe.out_identity();
     let mut seq = 0u64;
@@ -809,7 +809,7 @@ fn fold_alone<P: Pipeline>(
         stats.items += 1;
         seq += 1;
     }
-    ctx.trace_phase(PhaseKind::Drain.name(), "end of stream");
+    ctx.trace_phase(PhaseKind::Drain, "end of stream");
     folded
 }
 
@@ -880,7 +880,7 @@ pub fn run_pipeline<P: Pipeline>(
         let mut acc = None;
         if me == 0 {
             let folded = fold_alone(pipe, ctx, &mut stats, &stages);
-            ctx.trace_phase(PhaseKind::Emit.name(), "fold output, broadcast");
+            ctx.trace_phase(PhaseKind::Emit, "fold output, broadcast");
             if p == 1 {
                 return (folded, stats);
             }
@@ -908,9 +908,9 @@ pub fn run_pipeline<P: Pipeline>(
     let mut stream_len: Option<u64> = None;
     if me == 0 {
         // --- Ingest: stream the source through edge 0. --------------------
-        ctx.trace_phase(PhaseKind::Ingest.name(), "stream source");
+        ctx.trace_phase(PhaseKind::Ingest, "stream source");
         if paired {
-            ctx.trace_phase(PhaseKind::Transform.name(), "all stages, even items");
+            ctx.trace_phase(PhaseKind::Transform, "all stages, even items");
         }
         let mut out: Outflow<P::Item> =
             Outflow::new(0, levels[1].clone(), router_for(1), config.window);
@@ -924,15 +924,15 @@ pub fn run_pipeline<P: Pipeline>(
             seq += 1;
         }
         for _ in 0..scheduled_deaths {
-            ctx.trace_phase(PhaseKind::Detect.name(), "scheduled replica death");
-            ctx.trace_phase(PhaseKind::Recover.name(), "share to next live replica");
+            ctx.trace_phase(PhaseKind::Detect, "scheduled replica death");
+            ctx.trace_phase(PhaseKind::Recover, "share to next live replica");
         }
-        ctx.trace_phase(PhaseKind::Drain.name(), "end-of-stream wave");
+        ctx.trace_phase(PhaseKind::Drain, "end-of-stream wave");
         out.finish(ctx, seq);
         stream_len = Some(seq);
     } else if me == p - 1 {
         // --- Emit: in-order fold of the last edge. ------------------------
-        ctx.trace_phase(PhaseKind::Emit.name(), "in-order fold");
+        ctx.trace_phase(PhaseKind::Emit, "in-order fold");
         let last = levels.len() - 1;
         let mut inflow = Inflow::new(
             (last - 1) as u64,
@@ -960,7 +960,7 @@ pub fn run_pipeline<P: Pipeline>(
         if ctx.is_traced() {
             // Label built only when a recorder is listening.
             let label = format!("stages {}..{} r{replica}", seg.stages.0, seg.stages.1);
-            ctx.trace_phase(PhaseKind::Transform.name(), &label);
+            ctx.trace_phase(PhaseKind::Transform, &label);
         }
         let my_stages = &stages[seg.stages.0..seg.stages.1];
         let mut inflow = Inflow::new(
@@ -993,7 +993,7 @@ pub fn run_pipeline<P: Pipeline>(
     // Ranks beyond the replication cutoff idle until the finale.
 
     if me == 0 {
-        ctx.trace_phase(PhaseKind::Emit.name(), "output finale");
+        ctx.trace_phase(PhaseKind::Emit, "output finale");
     }
     if scheduled_deaths == 0 {
         // --- Finale: share the output, combine the statistics. ------------
@@ -1496,7 +1496,7 @@ mod tests {
             .phases()
             .expect("nothing dropped")
             .iter()
-            .map(|(k, _)| PhaseKind::from_name(k).expect("a phase kind"))
+            .map(|&(k, _)| k)
             .collect()
     }
 

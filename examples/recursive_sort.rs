@@ -78,7 +78,7 @@ fn main() {
             let phases = track.phases().expect("the ring held every event");
             merges += phases
                 .iter()
-                .filter(|(kind, _)| *kind == PhaseKind::Merge.name())
+                .filter(|(kind, _)| *kind == PhaseKind::Merge)
                 .count();
         }
 
